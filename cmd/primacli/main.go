@@ -208,7 +208,7 @@ func (s *remoteSession) run(src string, maxMol int) error {
 // stats prints the server's health counters next to this client's own
 // retry tally.
 func (s *remoteSession) stats() error {
-	sj, err := s.c.Stats()
+	ms, err := s.c.Metrics()
 	if err != nil {
 		return err
 	}
@@ -216,15 +216,15 @@ func (s *remoteSession) stats() error {
 	fmt.Printf("client: %d round trips, %d retries, %d reconnects\n",
 		s.c.RoundTrips(), retries, reconnects)
 	fmt.Printf("server: %d requests, %d shed, %d panics recovered\n",
-		sj.WireRequests, sj.WireShed, sj.WirePanics)
-	fmt.Printf("conns:  %d active, %d total, %d rejected, %d in flight\n",
-		sj.WireConnsActive, sj.WireConnsTotal, sj.WireConnsRejected, sj.WireInFlight)
+		ms.Counter("wire_requests"), ms.Counter("wire_shed"), ms.Counter("wire_panics"))
+	fmt.Printf("conns:  %.0f active, %d total, %d rejected, %.0f in flight\n",
+		ms.Gauge("wire_conns_active"), ms.Counter("wire_conns_total"), ms.Counter("wire_conns_rejected"), ms.Gauge("wire_inflight"))
 	fmt.Printf("cache:  atom %d/%d hits/misses, buffer %d/%d, plans %d/%d\n",
-		sj.AtomCacheHits, sj.AtomCacheMisses, sj.BufferHits, sj.BufferMisses,
-		sj.PlanCacheHits, sj.PlanCacheMisses)
-	if sj.WALEnabled {
+		ms.Counter("atom_cache_hits"), ms.Counter("atom_cache_misses"), ms.Counter("buffer_hits"), ms.Counter("buffer_misses"),
+		ms.Counter("plan_cache_hits"), ms.Counter("plan_cache_misses"))
+	if ms.Gauge("wal_enabled") != 0 {
 		fmt.Printf("wal:    %d appends, %d commits, %d syncs, %d checkpoints\n",
-			sj.WALAppends, sj.WALCommits, sj.WALSyncs, sj.WALCheckpoints)
+			ms.Counter("wal_appends"), ms.Counter("wal_commits"), ms.Counter("wal_syncs"), ms.Counter("wal_checkpoints"))
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package atom
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -301,5 +302,51 @@ func BenchmarkDecodeAtom(b *testing.B) {
 		if _, err := DecodeAtom(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestAppendLiteral(t *testing.T) {
+	a := addr.New(7, 42)
+	cases := []struct {
+		v    Value
+		want string
+	}{
+		{Null(), "NULL"},
+		{Int(-12), "-12"},
+		{Real(1e21), "1e+21"},
+		{Real(0.25), "0.25"},
+		{Bool(true), "TRUE"},
+		{Bool(false), "FALSE"},
+		{Str("it's"), "'it''s'"},
+		{Str(""), "''"},
+		{Ident(a), "@7.42"},
+		{Ref(a), "@7.42"},
+		{Set(Ref(a), Ref(a)), "{@7.42, @7.42}"},
+		{List(), "[]"},
+		{Array(Int(1), Null()), "[1, NULL]"},
+		{Record(Real(1.5), Str("x"), List(Set(Int(1)))), "(1.5, 'x', [{1}])"},
+	}
+	for _, tc := range cases {
+		data := append(AppendValue(nil, tc.v), 0xAB) // one byte of whatever follows
+		got, rest, err := AppendLiteral([]byte("> "), data)
+		if err != nil || string(got) != "> "+tc.want || len(rest) != 1 {
+			t.Errorf("%v: %q, %d bytes left, %v; want %q", tc.v, got, len(rest), err, tc.want)
+		}
+		// Every proper prefix is truncated: an error, never a panic.
+		for n := 0; n < len(data)-1; n++ {
+			if _, _, err := AppendLiteral(nil, data[:n]); !errors.Is(err, ErrTruncated) {
+				t.Errorf("%v cut to %d bytes: %v, want ErrTruncated", tc.v, n, err)
+			}
+		}
+	}
+	if _, _, err := AppendLiteral(nil, []byte{99}); !errors.Is(err, ErrBadKind) {
+		t.Errorf("unknown kind: %v", err)
+	}
+	deep := Int(1)
+	for i := 0; i <= maxLiteralDepth; i++ {
+		deep = List(deep)
+	}
+	if _, _, err := AppendLiteral(nil, AppendValue(nil, deep)); !errors.Is(err, ErrTooDeep) {
+		t.Errorf("%d nested lists: %v, want ErrTooDeep", maxLiteralDepth+1, err)
 	}
 }

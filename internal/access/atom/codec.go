@@ -1,10 +1,12 @@
 package atom
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"unsafe"
 
 	"prima/internal/access/addr"
@@ -19,6 +21,7 @@ import (
 var (
 	ErrTruncated = errors.New("atom: truncated encoding")
 	ErrBadKind   = errors.New("atom: unknown value kind")
+	ErrTooDeep   = errors.New("atom: value nested too deeply")
 )
 
 // AppendValue encodes v onto buf and returns the extended slice.
@@ -127,6 +130,109 @@ func decodeValue(data []byte, owned bool) (Value, []byte, error) {
 		return v, data, nil
 	default:
 		return Value{}, nil, fmt.Errorf("%w: %d", ErrBadKind, k)
+	}
+}
+
+// maxLiteralDepth bounds container nesting in AppendLiteral. Attribute types
+// nest as deep as their declaration does, a handful of levels; the bound
+// keeps a hostile encoding from recursing until the stack is exhausted.
+const maxLiteralDepth = 64
+
+// AppendLiteral renders the encoded value at the head of data in MQL literal
+// syntax onto dst, without building a Value, and returns the extended slice
+// and the remaining bytes. It is the walk of decodeValue with a text sink:
+// the wire client renders checked-out record images with it, and what it
+// writes can be fed back through a checkin statement. A NULL renders as
+// NULL; callers that omit NULL attributes test the kind byte themselves.
+func AppendLiteral(dst, data []byte) ([]byte, []byte, error) {
+	return appendLiteral(dst, data, 0)
+}
+
+func appendLiteral(dst, data []byte, depth int) ([]byte, []byte, error) {
+	if len(data) < 1 {
+		return dst, nil, ErrTruncated
+	}
+	k := Kind(data[0])
+	data = data[1:]
+	switch k {
+	case KindNull:
+		return append(dst, "NULL"...), data, nil
+	case KindInt, KindReal, KindIdent, KindRef:
+		if len(data) < 8 {
+			return dst, nil, ErrTruncated
+		}
+		u := binary.BigEndian.Uint64(data)
+		switch k {
+		case KindInt:
+			dst = strconv.AppendInt(dst, int64(u), 10)
+		case KindReal:
+			dst = strconv.AppendFloat(dst, math.Float64frombits(u), 'g', -1, 64)
+		default:
+			a := addr.LogicalAddr(u)
+			dst = append(dst, '@')
+			dst = strconv.AppendUint(dst, uint64(a.Type()), 10)
+			dst = append(dst, '.')
+			dst = strconv.AppendUint(dst, a.Seq(), 10)
+		}
+		return dst, data[8:], nil
+	case KindBool:
+		if len(data) < 1 {
+			return dst, nil, ErrTruncated
+		}
+		if data[0]&1 != 0 {
+			return append(dst, "TRUE"...), data[1:], nil
+		}
+		return append(dst, "FALSE"...), data[1:], nil
+	case KindString:
+		if len(data) < 4 {
+			return dst, nil, ErrTruncated
+		}
+		n := int(binary.BigEndian.Uint32(data))
+		data = data[4:]
+		if len(data) < n {
+			return dst, nil, ErrTruncated
+		}
+		dst = append(dst, '\'')
+		for s := data[:n]; ; {
+			i := bytes.IndexByte(s, '\'')
+			if i < 0 {
+				dst = append(dst, s...)
+				break
+			}
+			dst = append(dst, s[:i+1]...) // the quote itself, then its double
+			dst = append(dst, '\'')
+			s = s[i+1:]
+		}
+		return append(dst, '\''), data[n:], nil
+	case KindRecord, KindArray, KindSet, KindList:
+		if len(data) < 4 {
+			return dst, nil, ErrTruncated
+		}
+		if depth >= maxLiteralDepth {
+			return dst, nil, ErrTooDeep
+		}
+		n := int(binary.BigEndian.Uint32(data))
+		data = data[4:]
+		open, close := byte('{'), byte('}')
+		switch k {
+		case KindList, KindArray:
+			open, close = '[', ']'
+		case KindRecord:
+			open, close = '(', ')'
+		}
+		dst = append(dst, open)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			var err error
+			if dst, data, err = appendLiteral(dst, data, depth+1); err != nil {
+				return dst, nil, err
+			}
+		}
+		return append(dst, close), data, nil
+	default:
+		return dst, nil, fmt.Errorf("%w: %d", ErrBadKind, k)
 	}
 }
 

@@ -68,6 +68,7 @@ type mvStore struct {
 	mu      sync.Mutex
 	nextW   uint64              // last write id handed out
 	active  map[uint64]struct{} // write ids still mutating
+	ended   *sync.Cond          // on mu: a write span ended (see AwaitWrites)
 	snaps   map[uint64]int      // open snapshots per epoch (refcounted)
 	minSnap uint64              // min key of snaps (valid while len(snaps) > 0)
 }
@@ -77,6 +78,7 @@ func newMVStore() *mvStore {
 		active: make(map[uint64]struct{}),
 		snaps:  make(map[uint64]int),
 	}
+	m.ended = sync.NewCond(&m.mu)
 	for i := range m.shards {
 		m.shards[i].chains = make(map[addr.LogicalAddr][]mvVersion)
 	}
@@ -147,6 +149,7 @@ func (m *mvStore) writeEnd(a addr.LogicalAddr, w uint64) {
 	m.mu.Lock()
 	delete(m.active, w)
 	limit := m.reclaimLimitLocked()
+	m.ended.Broadcast()
 	m.mu.Unlock()
 	m.pruneChain(a, limit)
 	if m.entries.Load() > mvSweepThreshold {
@@ -306,6 +309,30 @@ func (s *System) OpenSnapshot() *Snapshot {
 	m.snapRefLocked(e)
 	m.mu.Unlock()
 	return &Snapshot{sys: s, epoch: e}
+}
+
+// WriteHorizon returns the id of the newest write begun so far. A session
+// that notes it after its own writes returned and hands it to AwaitWrites
+// before its next read gets read-your-writes.
+func (s *System) WriteHorizon() uint64 {
+	m := s.mv
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.nextW
+}
+
+// AwaitWrites blocks until every write with an id up to w has completed:
+// from then on every snapshot opens at epoch w or later. Without it a
+// snapshot opens below the oldest write still in flight, which may be
+// another session's and older than writes the caller has had acknowledged.
+// The wait is one mutation long at most; write spans never nest a wait.
+func (s *System) AwaitWrites(w uint64) {
+	m := s.mv
+	m.mu.Lock()
+	for m.epochLocked() < w {
+		m.ended.Wait()
+	}
+	m.mu.Unlock()
 }
 
 // SnapshotAt pins an additional snapshot at an epoch the caller already

@@ -28,6 +28,8 @@ var gatedBenchmarks = map[string]func(b *testing.B){
 	// The tracing-overhead gate: a SELECT round trip walks every
 	// trace-instrumented path with tracing disabled.
 	"BenchmarkWireRoundTrip/exec_select": benchWireExecSelect,
+	// The per-atom gate: one 27-atom cube per round trip.
+	"BenchmarkWireRoundTrip/checkout_cube": benchWireCheckoutCube,
 }
 
 func TestBenchGate(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"prima"
+	"prima/internal/workload/brepgen"
 )
 
 // benchServer starts an in-memory server (WAL optional) with a minimal
@@ -91,8 +92,33 @@ func benchWireExecSelect(b *testing.B) {
 	}
 }
 
+// benchWireCheckoutCube measures a point checkout of one brepgen cube, 27
+// atoms of four types with nested values: the gate for per-atom cost on the
+// wire (encode, bytes, client-side rendering), which the one-atom molecules
+// of exec_select barely touch.
+func benchWireCheckoutCube(b *testing.B) {
+	_, srv := startServer(b)
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mols, err := c.Checkout(`SELECT ALL FROM brep-face-edge-point WHERE brep_no = 2`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(mols) != 1 || len(mols[0].Atoms) != brepgen.CubeAtoms {
+			b.Fatalf("checkout = %d molecules", len(mols))
+		}
+	}
+}
+
 func BenchmarkWireRoundTrip(b *testing.B) {
 	b.Run("ping", benchWirePing)
 	b.Run("exec_insert_wal", benchWireExecInsert)
 	b.Run("exec_select", benchWireExecSelect)
+	b.Run("checkout_cube", benchWireCheckoutCube)
 }

@@ -111,7 +111,7 @@ func TestChaosMixedTrafficUnderFaults(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := c.Stats(); err != nil {
+					if _, err := c.Metrics(); err != nil {
 						t.Errorf("client %d op %d: stats: %v", id, i, err)
 						return
 					}
@@ -163,22 +163,22 @@ func TestChaosMixedTrafficUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := obs.Stats()
+	st, err := obs.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
 	obs.Close()
-	if st.WirePanics != 0 {
-		t.Fatalf("%d handler panics under chaos", st.WirePanics)
+	if n := st.Counter("wire_panics"); n != 0 {
+		t.Fatalf("%d handler panics under chaos", n)
 	}
 	// Shedding is allowed but bounded: a shed op is retried at most
 	// MaxRetries times, so sheds can never exceed the total attempt budget.
-	if limit := uint64(clients*ops) * uint64(ccfg.MaxRetries+1); st.WireShed > limit {
-		t.Fatalf("shed %d requests > attempt budget %d — shed/retry loop", st.WireShed, limit)
+	if limit, shed := uint64(clients*ops)*uint64(ccfg.MaxRetries+1), st.Counter("wire_shed"); shed > limit {
+		t.Fatalf("shed %d requests > attempt budget %d — shed/retry loop", shed, limit)
 	}
-	t.Logf("chaos: conns=%d/%d rejected=%d requests=%d shed=%d aborts=%d resets=%d partials=%d latencies=%d",
-		st.WireConnsActive, st.WireConnsTotal, st.WireConnsRejected, st.WireRequests,
-		st.WireShed, st.WireStreamAborts, plan.Resets.Load(), plan.Partials.Load(), plan.Latencies.Load())
+	t.Logf("chaos: conns=%.0f/%d rejected=%d requests=%d shed=%d aborts=%d resets=%d partials=%d latencies=%d",
+		st.Gauge("wire_conns_active"), st.Counter("wire_conns_total"), st.Counter("wire_conns_rejected"), st.Counter("wire_requests"),
+		st.Counter("wire_shed"), st.Counter("wire_stream_aborts"), plan.Resets.Load(), plan.Partials.Load(), plan.Latencies.Load())
 
 	// Graceful drain within the deadline.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -77,6 +77,10 @@ type Client struct {
 	retries    uint64 // retried attempts (any reason)
 	reconnects uint64 // successful re-dials after a lost conn
 
+	// Frame buffers and the response decoder of the current connection.
+	wbuf, rbuf []byte
+	dec        decoder
+
 	// Object buffer: checked-out atoms by address, plus recorded local
 	// changes awaiting checkin.
 	buffer  map[uint64]AtomJSON
@@ -96,6 +100,7 @@ func DialConfig(address string, cfg ClientConfig) (*Client, error) {
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
 		buffer:  map[uint64]AtomJSON{},
+		dec:     decoder{idents: map[string]string{}},
 	}
 	conn, err := c.dial()
 	if err != nil {
@@ -141,6 +146,7 @@ func (c *Client) Retries() (retries, reconnects uint64) {
 }
 
 // ensureConn re-establishes the connection if a previous attempt lost it.
+// The server starts a new type dictionary on a new connection.
 func (c *Client) ensureConn() error {
 	if c.conn != nil {
 		return nil
@@ -150,6 +156,7 @@ func (c *Client) ensureConn() error {
 		return fmt.Errorf("wire: redial: %w", err)
 	}
 	c.conn = conn
+	c.dec.reset()
 	c.reconnects++
 	return nil
 }
@@ -191,8 +198,8 @@ func (c *Client) do(req *Request, idempotent bool) (*Response, []MoleculeJSON, e
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			c.retries++
-			// Sleep off the lock-free? Holding mu during backoff is fine:
-			// the client is a session handle, ops on it are serialized.
+			// Holding mu during backoff is fine: the client is a session
+			// handle, ops on it are serialized.
 			c.backoffSleep(attempt)
 		}
 		if err := c.ensureConn(); err != nil {
@@ -229,34 +236,41 @@ func (c *Client) do(req *Request, idempotent bool) (*Response, []MoleculeJSON, e
 }
 
 // attempt performs one round trip (plus stream reassembly for checkout) on
-// the current connection.
+// the current connection. Any error that is not a server's answer (ErrRemote)
+// leaves the connection in an unknown state.
 func (c *Client) attempt(req *Request) (*Response, []MoleculeJSON, error) {
 	c.roundTrips++
 	c.armDeadline()
-	resp, err := roundTrip(c.conn, req)
+	frame, err := appendRequest(c.wbuf, req)
 	if err != nil {
-		return resp, nil, err
+		return nil, nil, err
 	}
-	if req.Op != OpCheckout {
-		return resp, nil, nil
+	if c.wbuf = frame[:0]; cap(frame) > keepBuf {
+		c.wbuf = nil
 	}
-	mols := resp.Molecules
-	for resp.More {
-		var next Response
+	if _, err := c.conn.Write(frame); err != nil {
+		return nil, nil, err
+	}
+	resp := &Response{}
+	for {
 		c.armDeadline()
-		if err := ReadMsg(c.conn, &next); err != nil {
+		body, err := readFrame(c.conn, c.rbuf)
+		if c.rbuf = body; cap(body) > keepBuf {
+			c.rbuf = nil
+		}
+		if err == nil {
+			err = c.dec.response(body, resp)
+		}
+		if err != nil {
 			return nil, nil, err
 		}
-		if !next.OK {
-			if next.Retryable {
-				return &next, nil, fmt.Errorf("%w: %s", ErrOverloaded, next.Error)
-			}
-			return &next, nil, fmt.Errorf("%w: %s", ErrRemote, next.Error)
+		if err := resp.err(); err != nil {
+			return resp, nil, err
 		}
-		mols = append(mols, next.Molecules...)
-		resp = &next
+		if !resp.More || req.Op != OpCheckout {
+			return resp, resp.Molecules, nil
+		}
 	}
-	return resp, mols, nil
 }
 
 // Ping checks connectivity.
@@ -323,19 +337,6 @@ func (c *Client) Local(addr uint64) (AtomJSON, bool) {
 	return a, ok
 }
 
-// Stats fetches the server's cache-hierarchy and wire-health counters in
-// one round trip.
-func (c *Client) Stats() (*StatsJSON, error) {
-	resp, _, err := c.do(&Request{Op: OpStats}, true)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Stats == nil {
-		return nil, fmt.Errorf("%w: stats response without payload", ErrRemote)
-	}
-	return resp.Stats, nil
-}
-
 // Metrics fetches the server's full metrics snapshot — every counter, gauge
 // and per-stage latency histogram — in one idempotent round trip.
 func (c *Client) Metrics() (*obs.MetricsSnapshot, error) {
@@ -356,6 +357,9 @@ func (c *Client) FetchAtom(a uint64) (AtomJSON, error) {
 	if err != nil {
 		return AtomJSON{}, err
 	}
+	if resp.Atom == nil {
+		return AtomJSON{}, fmt.Errorf("%w: getatom response without an atom", ErrRemote)
+	}
 	return *resp.Atom, nil
 }
 
@@ -374,6 +378,12 @@ func (c *Client) StageModify(typeName string, a uint64, attr, valueLiteral strin
 	if buffered.Type != typeName {
 		return fmt.Errorf("wire: StageModify: buffered atom %v is a %s, not a %s", addr.LogicalAddr(a), buffered.Type, typeName)
 	}
+	// The type dictionary of the connection the atom arrived on named the
+	// type's IDENTIFIER attribute.
+	ident := c.dec.idents[typeName]
+	if ident == "" {
+		return fmt.Errorf("wire: StageModify: server announced no IDENTIFIER attribute for %s", typeName)
+	}
 	buffered.Values[attr] = valueLiteral
 	c.buffer[a] = buffered
 	// Address literal keys the MODIFY to exactly this atom; the addr
@@ -381,13 +391,9 @@ func (c *Client) StageModify(typeName string, a uint64, attr, valueLiteral strin
 	la := addr.LogicalAddr(a)
 	c.pending = append(c.pending,
 		fmt.Sprintf("MODIFY %s SET %s = %s WHERE %s = @%d.%d",
-			typeName, attr, valueLiteral, identAttrGuess(typeName), la.Type(), la.Seq()))
+			typeName, attr, valueLiteral, ident, la.Type(), la.Seq()))
 	return nil
 }
-
-// identAttrGuess derives the IDENTIFIER attribute name used in staged
-// statements; PRIMA schemas conventionally call it <type>_id or id.
-func identAttrGuess(typeName string) string { return typeName + "_id" }
 
 // Pending returns the staged checkin statements.
 func (c *Client) Pending() []string {

@@ -82,12 +82,9 @@ func TestMidStreamClientDeathReleasesResources(t *testing.T) {
 	// below is what exercises the deadline).
 	db, srv := blobServer(t, 64, 256<<10, ServerConfig{WriteTimeout: 10 * time.Second})
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	clampRecvBuffer(t, conn)
-	if err := WriteMsg(conn, &Request{Op: OpCheckout, MQL: `SELECT ALL FROM blob`}); err != nil {
+	conn := dialRaw(t, srv.Addr())
+	clampRecvBuffer(t, conn.Conn)
+	if err := conn.WriteMsg(&Request{Op: OpCheckout, MQL: `SELECT ALL FROM blob`}); err != nil {
 		t.Fatal(err)
 	}
 	// The ~8 MiB first frame cannot fit the clamped buffers, so the server
@@ -97,7 +94,7 @@ func TestMidStreamClientDeathReleasesResources(t *testing.T) {
 		return db.OpenSnapshots() > 0
 	})
 	var resp Response
-	if err := ReadMsg(conn, &resp); err != nil {
+	if err := conn.ReadMsg(&resp); err != nil {
 		t.Fatal(err)
 	}
 	if !resp.OK || !resp.More {
@@ -118,11 +115,11 @@ func TestMidStreamClientDeathReleasesResources(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	st, err := c.Stats()
+	st, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.WireStreamAborts == 0 {
+	if st.Counter("wire_stream_aborts") == 0 {
 		t.Fatal("stream abort not counted")
 	}
 }
@@ -133,12 +130,9 @@ func TestMidStreamClientDeathReleasesResources(t *testing.T) {
 func TestStalledStreamClientTripsWriteDeadline(t *testing.T) {
 	db, srv := blobServer(t, 64, 256<<10, ServerConfig{WriteTimeout: 300 * time.Millisecond})
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialRaw(t, srv.Addr())
 	defer conn.Close()
-	if err := WriteMsg(conn, &Request{Op: OpCheckout, MQL: `SELECT ALL FROM blob`}); err != nil {
+	if err := conn.WriteMsg(&Request{Op: OpCheckout, MQL: `SELECT ALL FROM blob`}); err != nil {
 		t.Fatal(err)
 	}
 	// Never read. The 16 MiB stream cannot fit any socket buffer, so the
@@ -235,11 +229,8 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 
 	// Occupy the only slot: checkout, never read.
-	hog, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteMsg(hog, &Request{Op: OpCheckout, MQL: `SELECT ALL FROM blob`}); err != nil {
+	hog := dialRaw(t, srv.Addr())
+	if err := hog.WriteMsg(&Request{Op: OpCheckout, MQL: `SELECT ALL FROM blob`}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "hog to occupy the in-flight slot", func() bool {
@@ -270,12 +261,12 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping through overloaded server: %v", err)
 	}
-	st, err := c.Stats()
+	st, err := c.Metrics()
 	if err != nil {
 		t.Fatalf("stats through overloaded server: %v", err)
 	}
-	if st.WireShed == 0 || st.WireInFlight != 1 {
-		t.Fatalf("shed=%d inflight=%d, want shed>0 inflight=1", st.WireShed, st.WireInFlight)
+	if shed, inflight := st.Counter("wire_shed"), st.Gauge("wire_inflight"); shed == 0 || inflight != 1 {
+		t.Fatalf("shed=%d inflight=%v, want shed>0 inflight=1", shed, inflight)
 	}
 
 	// Kill the hog; the slot frees and the same client (with retries now)
@@ -305,27 +296,24 @@ func TestConnCapRejectsRetryable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	extra, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	extra := dialRaw(t, srv.Addr())
 	defer extra.Close()
 	var resp Response
-	if err := ReadMsg(extra, &resp); err != nil {
+	if err := extra.ReadMsg(&resp); err != nil {
 		t.Fatalf("rejected conn got no response: %v", err)
 	}
 	if resp.OK || !resp.Retryable || !strings.Contains(resp.Error, "connection cap") {
 		t.Fatalf("rejection response = %+v", resp)
 	}
-	st, err := keeper.Stats()
+	st, err := keeper.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.WireConnsRejected == 0 {
+	if st.Counter("wire_conns_rejected") == 0 {
 		t.Fatal("rejected conn not counted")
 	}
-	if st.WireConnsActive != 1 {
-		t.Fatalf("active conns = %d, want 1", st.WireConnsActive)
+	if n := st.Gauge("wire_conns_active"); n != 1 {
+		t.Fatalf("active conns = %v, want 1", n)
 	}
 }
 
@@ -357,12 +345,12 @@ func TestAcceptLoopSurvivesTransientErrors(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping after transient accept failures: %v", err)
 	}
-	st, err := c.Stats()
+	st, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.WireAcceptRetries < 3 {
-		t.Fatalf("accept retries = %d, want >= 3", st.WireAcceptRetries)
+	if n := st.Counter("wire_accept_retries"); n < 3 {
+		t.Fatalf("accept retries = %d, want >= 3", n)
 	}
 }
 
@@ -392,12 +380,12 @@ func TestPanicRecovery(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping after panic: %v", err)
 	}
-	st, err := c.Stats()
+	st, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.WirePanics != 1 {
-		t.Fatalf("panics counted = %d, want 1", st.WirePanics)
+	if n := st.Counter("wire_panics"); n != 1 {
+		t.Fatalf("panics counted = %d, want 1", n)
 	}
 }
 
@@ -449,17 +437,14 @@ func TestCloseWaitsForHandlers(t *testing.T) {
 func TestShutdownDrainsActiveStream(t *testing.T) {
 	db, srv := blobServer(t, 64, 256<<10, ServerConfig{})
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialRaw(t, srv.Addr())
 	defer conn.Close()
-	clampRecvBuffer(t, conn)
-	if err := WriteMsg(conn, &Request{Op: OpCheckout, MQL: `SELECT ALL FROM blob`}); err != nil {
+	clampRecvBuffer(t, conn.Conn)
+	if err := conn.WriteMsg(&Request{Op: OpCheckout, MQL: `SELECT ALL FROM blob`}); err != nil {
 		t.Fatal(err)
 	}
 	var first Response
-	if err := ReadMsg(conn, &first); err != nil {
+	if err := conn.ReadMsg(&first); err != nil {
 		t.Fatal(err)
 	}
 	if !first.More {
@@ -483,7 +468,7 @@ func TestShutdownDrainsActiveStream(t *testing.T) {
 	resp := first
 	for resp.More {
 		var next Response
-		if err := ReadMsg(conn, &next); err != nil {
+		if err := conn.ReadMsg(&next); err != nil {
 			t.Fatalf("stream cut during drain: %v", err)
 		}
 		if !next.OK {
@@ -514,12 +499,9 @@ func TestShutdownDrainsActiveStream(t *testing.T) {
 func TestShutdownDeadlineForceCloses(t *testing.T) {
 	db, srv := blobServer(t, 64, 256<<10, ServerConfig{WriteTimeout: -1})
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialRaw(t, srv.Addr())
 	defer conn.Close()
-	if err := WriteMsg(conn, &Request{Op: OpCheckout, MQL: `SELECT ALL FROM blob`}); err != nil {
+	if err := conn.WriteMsg(&Request{Op: OpCheckout, MQL: `SELECT ALL FROM blob`}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "stream to pin its snapshot", func() bool {
@@ -529,7 +511,7 @@ func TestShutdownDeadlineForceCloses(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = srv.Shutdown(ctx)
+	err := srv.Shutdown(ctx)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Shutdown = %v, want deadline exceeded", err)
 	}

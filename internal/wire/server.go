@@ -2,21 +2,16 @@ package wire
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"prima"
-	"prima/internal/access"
 	"prima/internal/access/addr"
-	"prima/internal/access/atom"
 	"prima/internal/core"
 	"prima/internal/obs"
 )
@@ -95,6 +90,16 @@ type srvConn struct {
 	mu     sync.Mutex
 	active bool
 	doomed bool // close as soon as the conn is not serving a request
+
+	// Owned by the conn's handler goroutine: the request read buffer, the
+	// response encoder with the conn's type dictionary, and the write
+	// horizon of the session's last exec. A session reads its own writes: a
+	// snapshot opens below the oldest write in flight, so before the next
+	// request reads, every write up to the horizon must have completed,
+	// other sessions' older ones included.
+	rbuf    []byte
+	enc     encoder
+	horizon uint64
 }
 
 // beginRequest marks the conn active; it reports false when the conn was
@@ -145,7 +150,7 @@ type Server struct {
 
 	inflight chan struct{} // in-flight request semaphore (nil = unlimited)
 
-	// Wire health counters (see StatsJSON).
+	// Wire health counters, mirrored into the database's registry.
 	connsTotal    atomic.Uint64
 	connsRejected atomic.Uint64
 	requests      atomic.Uint64
@@ -155,8 +160,11 @@ type Server struct {
 	acceptRetries atomic.Uint64
 
 	// opNs times each op's server-side handling (admission through response
-	// written), keyed by op code. Built once in ServeListener.
-	opNs map[string]*obs.Histogram
+	// written), by op code; encodeNs each response frame's serialisation and
+	// requestDecodeNs each request's decoding.
+	opNs            [numOps]*obs.Histogram
+	encodeNs        *obs.Histogram
+	requestDecodeNs *obs.Histogram
 }
 
 // Serve starts serving on the given address ("" picks an ephemeral port)
@@ -187,14 +195,11 @@ func ServeListener(db *prima.DB, ln net.Listener, cfg ServerConfig) *Server {
 		s.inflight = make(chan struct{}, cfg.MaxInFlight)
 	}
 	reg := db.System().Obs()
-	s.opNs = map[string]*obs.Histogram{
-		OpPing:     reg.Histogram("wire_ping_ns"),
-		OpExec:     reg.Histogram("wire_exec_ns"),
-		OpCheckout: reg.Histogram("wire_checkout_ns"),
-		OpGetAtom:  reg.Histogram("wire_getatom_ns"),
-		OpStats:    reg.Histogram("wire_stats_ns"),
-		OpSlow:     reg.Histogram("wire_slow_ns"),
+	for op := OpPing; op < numOps; op++ {
+		s.opNs[op] = reg.Histogram("wire_" + op.String() + "_ns")
 	}
+	s.encodeNs = reg.Histogram("wire_encode_ns")
+	s.requestDecodeNs = reg.Histogram("wire_request_decode_ns")
 	// Mirror the wire health counters into the database's registry so one
 	// snapshot covers the whole stack. Registration replaces any previous
 	// server's mirrors (last server wins) — fine for the one-server-per-DB
@@ -347,7 +352,7 @@ func (s *Server) admit(conn net.Conn) {
 		s.mu.Unlock()
 		s.connsRejected.Add(1)
 		go func() {
-			s.writeMsg(sc, &Response{Retryable: true,
+			s.writeReply(sc, nil, &reply{Retryable: true,
 				Error: fmt.Sprintf("connection cap (%d) reached", s.cfg.MaxConns)})
 			conn.Close()
 		}()
@@ -374,8 +379,8 @@ func (s *Server) handle(sc *srvConn) {
 		delete(s.conns, sc)
 		s.mu.Unlock()
 	}()
+	var req Request
 	for {
-		var req Request
 		if err := s.readRequest(sc, &req); err != nil {
 			return // peer gone, idle-timed out, or mid-frame stall
 		}
@@ -393,19 +398,27 @@ func (s *Server) handle(sc *srvConn) {
 
 // readRequest reads one request under the deadline regime: waiting for the
 // frame header spends the idle budget, reading the body the (much shorter)
-// read budget.
+// read budget. A frame that does not decode fails the connection.
 func (s *Server) readRequest(sc *srvConn, req *Request) error {
 	if err := s.setReadDeadline(sc, s.cfg.IdleTimeout); err != nil {
 		return err
 	}
-	n, err := readHeader(sc)
-	if err != nil {
+	buf, n, err := readFrameLen(sc, sc.rbuf)
+	if sc.rbuf = buf; err != nil {
 		return err
 	}
 	if err := s.setReadDeadline(sc, s.cfg.ReadTimeout); err != nil {
 		return err
 	}
-	return readBody(sc, n, req)
+	body, err := readFrameBody(sc, sc.rbuf, n)
+	if sc.rbuf = body; cap(body) > keepBuf {
+		sc.rbuf = nil
+	}
+	if err != nil {
+		return err
+	}
+	defer obs.Start(s.requestDecodeNs).End()
+	return decodeRequest(body, req)
 }
 
 func (s *Server) setReadDeadline(sc *srvConn, d time.Duration) error {
@@ -415,14 +428,33 @@ func (s *Server) setReadDeadline(sc *srvConn, d time.Duration) error {
 	return sc.Conn.SetReadDeadline(time.Now().Add(d))
 }
 
-// writeMsg writes one message under the write deadline.
-func (s *Server) writeMsg(sc *srvConn, v interface{}) error {
+// writeReply encodes one response frame into the conn's buffer and writes
+// it, header and body in one Write, under the write deadline. The encoding
+// is an "encode" span of tr and one wire_encode_ns sample. A response too
+// big for a frame is answered with the error instead: nothing of it was
+// written, so the connection stays usable.
+func (s *Server) writeReply(sc *srvConn, tr *obs.Trace, r *reply) error {
+	sp, t0 := tr.Root().Child("encode"), time.Now()
+	frame, err := sc.enc.response(r)
+	if err != nil {
+		frame, err = sc.enc.response(&reply{Error: err.Error(), TraceID: r.TraceID})
+	}
+	s.encodeNs.ObserveSince(t0)
+	sp.End()
+	if err != nil {
+		return err
+	}
+	return s.writeFrame(sc, frame)
+}
+
+func (s *Server) writeFrame(sc *srvConn, frame []byte) error {
 	if s.cfg.WriteTimeout > 0 {
 		if err := sc.Conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
 			return err
 		}
 	}
-	return WriteMsg(sc.Conn, v)
+	_, err := sc.Conn.Write(frame)
+	return err
 }
 
 // serveRequest admits one request through the in-flight semaphore and
@@ -441,7 +473,7 @@ func (s *Server) serveRequest(sc *srvConn, req *Request) bool {
 	if !diagnostic {
 		if !s.acquireSlot() {
 			s.shed.Add(1)
-			return s.writeMsg(sc, &Response{Retryable: true,
+			return s.writeReply(sc, nil, &reply{Retryable: true,
 				Error: fmt.Sprintf("shed: %d requests in flight, queue wait exceeded", len(s.inflight))}) == nil
 		}
 		defer func() { <-s.inflight }()
@@ -450,10 +482,13 @@ func (s *Server) serveRequest(sc *srvConn, req *Request) bool {
 	opStart := time.Now()
 	var tr *obs.Trace
 	if !diagnostic {
-		tr = s.db.Tracer().Begin("wire:" + req.Op)
-		tr.SetAttr("op", req.Op)
+		tr = s.db.Tracer().Begin(traceNames[req.Op])
+		tr.SetAttr("op", req.Op.String())
 		if req.MQL != "" {
 			tr.SetAttr("mql", req.MQL)
+		}
+		if sc.horizon != 0 {
+			s.db.System().AwaitWrites(sc.horizon)
 		}
 	}
 	var ok bool
@@ -461,15 +496,24 @@ func (s *Server) serveRequest(sc *srvConn, req *Request) bool {
 		ok = s.streamCheckout(sc, req, tr) == nil
 	} else {
 		resp := s.safeDispatch(req, tr)
-		if resp.TraceID == "" {
-			resp.TraceID = tr.ID()
+		if req.Op == OpExec {
+			sc.horizon = s.db.System().WriteHorizon()
 		}
-		ok = s.writeMsg(sc, resp) == nil
+		resp.TraceID = tr.ID()
+		ok = s.writeReply(sc, tr, resp) == nil
 	}
 	tr.Finish()
 	s.opNs[req.Op].ObserveSince(opStart)
 	return ok
 }
+
+// traceNames are the root span names of request traces, by op code.
+var traceNames = func() (names [numOps]string) {
+	for op := range names {
+		names[op] = "wire:" + Op(op).String()
+	}
+	return names
+}()
 
 // acquireSlot takes an in-flight slot, waiting at most QueueWait.
 func (s *Server) acquireSlot() bool {
@@ -498,12 +542,12 @@ func (s *Server) acquireSlot() bool {
 // answers with an error instead of tearing the connection (or server) down.
 // Nothing has been written when dispatch panics, so the conn stays
 // synchronized.
-func (s *Server) safeDispatch(req *Request, tr *obs.Trace) (resp *Response) {
+func (s *Server) safeDispatch(req *Request, tr *obs.Trace) (resp *reply) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
 			log.Printf("wire: %s panic: %v", req.Op, r)
-			resp = &Response{Error: fmt.Sprintf("internal error serving %s", req.Op)}
+			resp = &reply{Error: fmt.Sprintf("internal error serving %s", req.Op)}
 		}
 	}()
 	return s.dispatch(req, tr)
@@ -517,18 +561,6 @@ const (
 	streamChunk = 32
 	frameBudget = maxFrame / 2
 )
-
-// rawFrame is the server-side stream frame: molecules are pre-encoded
-// exactly once and embedded verbatim, so size-aware packing never
-// re-marshals payload. It is wire-identical to Response.
-type rawFrame struct {
-	OK        bool              `json:"ok"`
-	Count     int               `json:"count,omitempty"`
-	Molecules []json.RawMessage `json:"molecules,omitempty"`
-	Epoch     uint64            `json:"epoch,omitempty"`
-	More      bool              `json:"more,omitempty"`
-	TraceID   string            `json:"traceId,omitempty"`
-}
 
 // streamCheckout runs a SELECT through a molecule cursor and streams the
 // qualified molecules to the client in chunks, so the server never holds the
@@ -546,7 +578,7 @@ type rawFrame struct {
 func (s *Server) streamCheckout(sc *srvConn, req *Request, tr *obs.Trace) (err error) {
 	cur, err := s.db.QueryTraced(req.MQL, tr)
 	if err != nil {
-		return s.writeMsg(sc, &Response{Error: err.Error()})
+		return s.writeReply(sc, tr, &reply{Error: err.Error()})
 	}
 	defer cur.Close()
 	defer func() {
@@ -554,76 +586,57 @@ func (s *Server) streamCheckout(sc *srvConn, req *Request, tr *obs.Trace) (err e
 			s.streamAborts.Add(1)
 		}
 	}()
+	more := reply{OK: true, Epoch: cur.Epoch(), More: true}
+	mols := make([]*core.Molecule, 0, streamChunk)
 	count := 0
-	var pending []json.RawMessage
-	var pendingBytes int
-	epoch := cur.Epoch()
-	flush := func(more bool) error {
-		f := &rawFrame{OK: true, Molecules: pending, Epoch: epoch, More: more}
-		if !more {
-			f.Count = count
-			// The final frame names the trace: by now the whole result set
-			// has been assembled and (almost entirely) written.
-			f.TraceID = tr.ID()
-		}
-		err := s.writeMsg(sc, f)
-		pending, pendingBytes = nil, 0
-		return err
-	}
 	for {
 		m, err := cur.Next()
 		if err != nil {
-			return s.writeMsg(sc, &Response{Error: err.Error()})
+			return s.writeReply(sc, tr, &reply{Error: err.Error()})
 		}
 		if m == nil {
 			break
 		}
-		raw, err := json.Marshal(moleculeToJSON(m))
-		if err != nil {
-			return s.writeMsg(sc, &Response{Error: err.Error()})
-		}
-		if len(raw) > maxFrame-1024 {
-			return s.writeMsg(sc, &Response{Error: fmt.Sprintf("%v: molecule %v encodes to %d bytes", ErrFrameTooBig, m.Root.Addr(), len(raw))})
-		}
-		if len(pending) > 0 && (len(pending) >= streamChunk || pendingBytes+len(raw) > frameBudget) {
-			if err := flush(true); err != nil {
+		// A full chunk leaves once the next molecule shows that the stream
+		// goes on: only the cursor's end tells which frame is the last.
+		if len(mols) == streamChunk {
+			if ok, err := s.writeChunk(sc, tr, &more, mols); !ok {
 				return err
 			}
+			mols = mols[:0]
 		}
-		pending = append(pending, raw)
-		pendingBytes += len(raw)
+		mols = append(mols, m)
 		count++
 	}
-	return flush(false)
+	// The final frame names the trace: by now the whole result set has been
+	// assembled and (almost entirely) written.
+	final := reply{OK: true, Epoch: more.Epoch, Count: count, TraceID: tr.ID()}
+	_, err = s.writeChunk(sc, tr, &final, mols)
+	return err
 }
 
-// statsFromSnapshot projects the flat StatsJSON view out of one registry
-// snapshot — the single source both the legacy stats fields and the full
-// metrics payload now share (wire fields are overridden per-server by the
-// stats dispatch; WALCheckpointErr is not a numeric metric and is filled
-// from the system directly).
-func statsFromSnapshot(ms *obs.MetricsSnapshot) *StatsJSON {
-	return &StatsJSON{
-		AtomCacheHits:          ms.Counter("atom_cache_hits"),
-		AtomCacheMisses:        ms.Counter("atom_cache_misses"),
-		AtomCacheInvalidations: ms.Counter("atom_cache_invalidations"),
-		AtomCacheEvictions:     ms.Counter("atom_cache_evictions"),
-		AtomCacheAtoms:         int(ms.Gauge("atom_cache_atoms")),
-		AtomCacheBudget:        int(ms.Gauge("atom_cache_budget")),
-		BufferHits:             int64(ms.Counter("buffer_hits")),
-		BufferMisses:           int64(ms.Counter("buffer_misses")),
-		BufferEvictions:        int64(ms.Counter("buffer_evictions")),
-		PlanCacheHits:          ms.Counter("plan_cache_hits"),
-		PlanCacheMisses:        ms.Counter("plan_cache_misses"),
-		PlanCacheSize:          int(ms.Gauge("plan_cache_size")),
-		WALEnabled:             ms.Gauge("wal_enabled") != 0,
-		WALAppends:             ms.Counter("wal_appends"),
-		WALBytes:               ms.Counter("wal_bytes"),
-		WALSyncs:               ms.Counter("wal_syncs"),
-		WALCommits:             ms.Counter("wal_commits"),
-		WALBatches:             ms.Counter("wal_batches"),
-		WALCheckpoints:         ms.Counter("wal_checkpoints"),
-		WALRecoveries:          ms.Counter("wal_recoveries"),
+// writeChunk writes mols as frames of a checkout stream, one unless the
+// byte budget splits them; head is the head of the last of these frames,
+// and the ones before it are plain continuation frames. Each frame's
+// encoding is an "encode" span of tr and one wire_encode_ns sample. It
+// reports false when the stream is over: the connection failed (the error
+// says how), or a molecule that no frame can hold ended it with a terminal
+// error frame.
+func (s *Server) writeChunk(sc *srvConn, tr *obs.Trace, head *reply, mols []*core.Molecule) (bool, error) {
+	for {
+		sp, t0 := tr.Root().Child("encode"), time.Now()
+		frame, n, err := sc.enc.chunk(head, mols)
+		s.encodeNs.ObserveSince(t0)
+		sp.End()
+		if err != nil {
+			return false, s.writeReply(sc, tr, &reply{Error: err.Error()})
+		}
+		if err := s.writeFrame(sc, frame); err != nil {
+			return false, err
+		}
+		if mols = mols[n:]; len(mols) == 0 {
+			return true, nil
+		}
 	}
 }
 
@@ -631,31 +644,29 @@ func statsFromSnapshot(ms *obs.MetricsSnapshot) *StatsJSON {
 // execution; resilience tests use it to provoke handler panics.
 var testHookDispatch func(*Request)
 
-func (s *Server) dispatch(req *Request, tr *obs.Trace) *Response {
+func (s *Server) dispatch(req *Request, tr *obs.Trace) *reply {
 	if testHookDispatch != nil {
 		testHookDispatch(req)
 	}
 	switch req.Op {
 	case OpPing:
-		return &Response{OK: true, Message: "pong"}
+		return &reply{OK: true, Message: "pong"}
 	case OpSlow:
 		traces := s.db.Tracer().Slow()
 		if req.N > 0 && len(traces) > req.N {
 			traces = traces[:req.N]
 		}
-		return &Response{OK: true, Traces: traces, Count: len(traces)}
+		return &reply{OK: true, Count: len(traces), Diag: &diagPayload{Traces: traces}}
 	case OpExec:
 		results, err := s.db.ExecTraced(req.MQL, tr)
 		if err != nil {
-			return &Response{Error: err.Error()}
+			return &reply{Error: err.Error()}
 		}
-		resp := &Response{OK: true}
+		resp := &reply{OK: true}
 		for _, r := range results {
 			resp.Count += r.Count
-			for _, a := range r.Inserted {
-				resp.Inserted = append(resp.Inserted, uint64(a))
-			}
-			resp.Molecules = append(resp.Molecules, moleculesToJSON(r.Molecules)...)
+			resp.Inserted = append(resp.Inserted, r.Inserted...)
+			resp.Molecules = append(resp.Molecules, r.Molecules...)
 			if r.Message != "" {
 				resp.Message = r.Message
 			}
@@ -664,98 +675,14 @@ func (s *Server) dispatch(req *Request, tr *obs.Trace) *Response {
 	case OpGetAtom:
 		at, err := s.db.System().Get(addr.LogicalAddr(req.Addr), nil)
 		if err != nil {
-			return &Response{Error: err.Error()}
+			return &reply{Error: err.Error()}
 		}
-		aj := atomToJSON(at)
-		return &Response{OK: true, Atom: &aj}
+		return &reply{OK: true, Atom: at}
 	case OpStats:
-		ms := s.db.Metrics()
-		sj := statsFromSnapshot(ms)
-		// The wire fields come from this server's own counters, not the
-		// registry mirrors — several servers can share one DB in tests, and
-		// the stats response must describe the server that answered it.
-		sj.WireConnsActive = s.ActiveConns()
-		sj.WireConnsTotal = s.connsTotal.Load()
-		sj.WireConnsRejected = s.connsRejected.Load()
-		sj.WireInFlight = len(s.inflight)
-		sj.WireRequests = s.requests.Load()
-		sj.WireShed = s.shed.Load()
-		sj.WireStreamAborts = s.streamAborts.Load()
-		sj.WirePanics = s.panics.Load()
-		sj.WireAcceptRetries = s.acceptRetries.Load()
-		if cerr := s.db.System().WALCheckpointErr(); cerr != nil {
-			sj.WALCheckpointErr = cerr.Error()
-		}
-		return &Response{OK: true, Message: s.db.Stats(), Stats: sj, Metrics: ms}
+		// Message is the one-line summary, which also says when WAL
+		// checkpoints are failing and why: the one fact no metric carries.
+		return &reply{OK: true, Message: s.db.Stats(), Diag: &diagPayload{Metrics: s.db.Metrics()}}
 	default:
-		return &Response{Error: "unknown op " + req.Op}
-	}
-}
-
-func moleculesToJSON(mols []*core.Molecule) []MoleculeJSON {
-	out := make([]MoleculeJSON, 0, len(mols))
-	for _, m := range mols {
-		out = append(out, moleculeToJSON(m))
-	}
-	return out
-}
-
-func moleculeToJSON(m *core.Molecule) MoleculeJSON {
-	mj := MoleculeJSON{Root: uint64(m.Root.Addr())}
-	for _, tn := range m.Type.AtomTypes() {
-		for _, ma := range m.AtomsOf(tn) {
-			if ma.Hidden {
-				continue
-			}
-			mj.Atoms = append(mj.Atoms, atomToJSON(ma.Atom))
-		}
-	}
-	return mj
-}
-
-func atomToJSON(at *access.Atom) AtomJSON {
-	aj := AtomJSON{Addr: uint64(at.Addr), Type: at.Type.Name, Values: map[string]string{}}
-	for i, a := range at.Type.Attrs {
-		v := at.Values[i]
-		if v.IsNull() {
-			continue
-		}
-		aj.Values[a.Name] = renderValue(v)
-	}
-	return aj
-}
-
-// renderValue renders a value in MQL literal syntax (so clients can feed it
-// back through checkin statements).
-func renderValue(v atom.Value) string {
-	switch v.K {
-	case atom.KindInt:
-		return strconv.FormatInt(v.I, 10)
-	case atom.KindReal:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
-	case atom.KindBool:
-		if v.I != 0 {
-			return "TRUE"
-		}
-		return "FALSE"
-	case atom.KindString:
-		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
-	case atom.KindIdent, atom.KindRef:
-		return fmt.Sprintf("@%d.%d", v.A.Type(), v.A.Seq())
-	case atom.KindSet, atom.KindList, atom.KindRecord, atom.KindArray:
-		parts := make([]string, len(v.E))
-		for i, e := range v.E {
-			parts[i] = renderValue(e)
-		}
-		open, close := "{", "}"
-		switch v.K {
-		case atom.KindList, atom.KindArray:
-			open, close = "[", "]"
-		case atom.KindRecord:
-			open, close = "(", ")"
-		}
-		return open + strings.Join(parts, ", ") + close
-	default:
-		return "NULL"
+		return &reply{Error: "unknown op " + req.Op.String()}
 	}
 }

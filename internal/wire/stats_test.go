@@ -14,12 +14,12 @@ func TestStatsOp(t *testing.T) {
 	}
 	defer c.Close()
 
-	st, err := c.Stats()
+	st, err := c.Metrics()
 	if err != nil {
-		t.Fatalf("Stats: %v", err)
+		t.Fatalf("Metrics: %v", err)
 	}
-	if st.AtomCacheBudget <= 0 {
-		t.Fatalf("atom cache budget = %d, want enabled by default", st.AtomCacheBudget)
+	if n := st.Gauge("atom_cache_budget"); n <= 0 {
+		t.Fatalf("atom cache budget = %v, want enabled by default", n)
 	}
 
 	const q = `SELECT ALL FROM brep-face-edge-point WHERE brep_no = 2`
@@ -28,14 +28,14 @@ func TestStatsOp(t *testing.T) {
 			t.Fatalf("checkout %d: %v", i, err)
 		}
 	}
-	st2, err := c.Stats()
+	st2, err := c.Metrics()
 	if err != nil {
-		t.Fatalf("Stats: %v", err)
+		t.Fatalf("Metrics: %v", err)
 	}
-	if st2.AtomCacheHits <= st.AtomCacheHits {
-		t.Fatalf("repeated checkout produced no atom cache hits (%d -> %d)", st.AtomCacheHits, st2.AtomCacheHits)
+	if before, after := st.Counter("atom_cache_hits"), st2.Counter("atom_cache_hits"); after <= before {
+		t.Fatalf("repeated checkout produced no atom cache hits (%d -> %d)", before, after)
 	}
-	if st2.AtomCacheAtoms == 0 {
-		t.Fatalf("no atoms cached after checkout: %+v", st2)
+	if st2.Gauge("atom_cache_atoms") == 0 {
+		t.Fatalf("no atoms cached after checkout: %+v", st2.Gauges)
 	}
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"net"
 	"strings"
 	"testing"
 
@@ -41,19 +40,16 @@ func TestCheckoutStreamsInChunks(t *testing.T) {
 	n := streamChunk + streamChunk/2 // forces at least two frames
 	srv := bigServer(t, n)
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialRaw(t, srv.Addr())
 	defer conn.Close()
-	if err := WriteMsg(conn, &Request{Op: OpCheckout, MQL: `SELECT ALL FROM brep-face-edge-point`}); err != nil {
+	if err := conn.WriteMsg(&Request{Op: OpCheckout, MQL: `SELECT ALL FROM brep-face-edge-point`}); err != nil {
 		t.Fatal(err)
 	}
 
 	frames, total := 0, 0
 	for {
 		var resp Response
-		if err := ReadMsg(conn, &resp); err != nil {
+		if err := conn.ReadMsg(&resp); err != nil {
 			t.Fatalf("frame %d: %v", frames, err)
 		}
 		frames++
@@ -214,5 +210,68 @@ func TestClientReassemblesStream(t *testing.T) {
 	// And the connection stays usable.
 	if err := c.Ping(); err != nil {
 		t.Fatalf("Ping after error: %v", err)
+	}
+}
+
+// TestOversizedMoleculeEndsStreamWithOneErrorFrame watches the same abort
+// frame by frame: whatever continuation frames precede it, the stream ends
+// with exactly one terminal error frame, and the next frame on the
+// connection answers the next request.
+func TestOversizedMoleculeEndsStreamWithOneErrorFrame(t *testing.T) {
+	db, err := prima.Open(prima.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`CREATE ATOM_TYPE blob (id: IDENTIFIER, n: INTEGER, payload: CHAR_VAR)`); err != nil {
+		t.Fatal(err)
+	}
+	// More than one chunk of small molecules, then the one no frame holds.
+	for i := 0; i <= streamChunk+3; i++ {
+		values := map[string]atom.Value{"n": atom.Int(int64(i))}
+		if i == streamChunk+3 {
+			values["payload"] = atom.Str(strings.Repeat("x", 17<<20))
+		}
+		if _, err := db.System().Insert("blob", values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := Serve(db, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		db.Close()
+	})
+	conn := dialRaw(t, srv.Addr())
+	defer conn.Close()
+	if err := conn.WriteMsg(&Request{Op: OpCheckout, MQL: `SELECT ALL FROM blob`}); err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	var resp Response
+	for {
+		if err := conn.ReadMsg(&resp); err != nil {
+			t.Fatalf("frame %d: %v", frames, err)
+		}
+		frames++
+		if !resp.More {
+			break
+		}
+		if !resp.OK || len(resp.Molecules) != streamChunk {
+			t.Fatalf("continuation frame %d: ok=%v with %d molecules", frames, resp.OK, len(resp.Molecules))
+		}
+	}
+	if frames != 2 {
+		t.Fatalf("stream of %d frames, want one full chunk and the terminal frame", frames)
+	}
+	if resp.OK || !strings.Contains(resp.Error, ErrFrameTooBig.Error()) || len(resp.Molecules) != 0 {
+		t.Fatalf("terminal frame: ok=%v error=%q molecules=%d", resp.OK, resp.Error, len(resp.Molecules))
+	}
+	if err := conn.WriteMsg(&Request{Op: OpPing}); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.ReadMsg(&resp); err != nil || !resp.OK || resp.Message != "pong" {
+		t.Fatalf("frame after the terminal one: %+v, %v", resp, err)
 	}
 }

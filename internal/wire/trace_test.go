@@ -256,3 +256,57 @@ func TestWireSlowOpIsDiagnostic(t *testing.T) {
 		t.Fatalf("Slow during saturation: %v", err)
 	}
 }
+
+// TestWireEncodeIsAttributed: serialisation shows as its own stage, apart
+// from assembly: an "encode" span per response frame under the request's
+// wire:<op> root, and the wire_encode_ns and wire_request_decode_ns
+// histograms in the registry.
+func TestWireEncodeIsAttributed(t *testing.T) {
+	db, srv := startTracedServer(t, time.Nanosecond)
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	before := db.Metrics()
+
+	_, traceID, err := c.CheckoutTraced(`SELECT ALL FROM brep-face-edge-point`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Exec(`SELECT ALL FROM solid`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := c.Slow(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	for _, tr := range traces {
+		if tr.ID != traceID && tr.ID != resp.TraceID {
+			continue
+		}
+		found++
+		enc := tr.Find("encode")
+		if enc == nil {
+			t.Fatalf("trace %s has no encode span:\n%s", tr.Root.Name, tr.String())
+		}
+		if enc.DurationNs <= 0 || enc.DurationNs > tr.DurationNs {
+			t.Fatalf("encode span of %dns in a trace of %dns", enc.DurationNs, tr.DurationNs)
+		}
+	}
+	if found != 2 {
+		t.Fatalf("%d of the 2 traced requests retained", found)
+	}
+
+	after := db.Metrics()
+	// Three requests so far on this server, each decoded once and answered
+	// in one frame.
+	if got := after.Hist("wire_request_decode_ns").Count - before.Hist("wire_request_decode_ns").Count; got != 3 {
+		t.Fatalf("wire_request_decode_ns took %d samples over 3 requests", got)
+	}
+	if got := after.Hist("wire_encode_ns").Count - before.Hist("wire_encode_ns").Count; got != 3 {
+		t.Fatalf("wire_encode_ns took %d samples over 3 one-frame responses", got)
+	}
+}

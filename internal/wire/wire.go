@@ -5,194 +5,111 @@
 // keeps checked-out molecules in a local object buffer, writing them back at
 // commit time ("checkout/checkin").
 //
-// The protocol is length-prefixed JSON over TCP: one request, one response.
-// Large molecule sets do not buffer on the server: a checkout response is a
-// stream of frames, each carrying a chunk of molecules and a More flag;
-// the final frame (More unset) carries the total count. The client
-// reassembles the stream transparently, so callers still see one
-// set-oriented round trip.
+// The protocol is length-prefixed binary frames over TCP (codec.go has the
+// layout): one request, one response. Atoms travel as the record images the
+// access system stores, behind a per-connection type dictionary; the client
+// renders them into MQL literals. Large molecule sets do not buffer on the
+// server: a checkout response is a stream of frames, each carrying a chunk
+// of molecules and a More flag; the final frame (More unset) carries the
+// total count. The client reassembles the stream transparently, so callers
+// still see one set-oriented round trip.
 package wire
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 
 	"prima/internal/obs"
 )
 
+// Op is a request's operation code, one byte on the wire.
+type Op uint8
+
 // Op codes.
 const (
-	OpPing     = "ping"
-	OpExec     = "exec"     // run an MQL script
-	OpCheckout = "checkout" // run a SELECT, return whole molecules
-	OpGetAtom  = "getatom"  // fetch one atom (the chatty baseline)
-	OpStats    = "stats"    // server cache/buffer statistics
-	OpSlow     = "slow"     // retained slow-query traces (newest first)
+	OpPing     Op = iota + 1
+	OpExec        // run an MQL script
+	OpCheckout    // run a SELECT, return whole molecules
+	OpGetAtom     // fetch one atom (the chatty baseline)
+	OpStats       // server metrics snapshot
+	OpSlow        // retained slow-query traces (newest first)
+	numOps
 )
+
+var opNames = [numOps]string{"unknown", "ping", "exec", "checkout", "getatom", "stats", "slow"}
+
+func (o Op) String() string {
+	if o >= numOps {
+		o = 0
+	}
+	return opNames[o]
+}
 
 // Request is one client message.
 type Request struct {
-	Op   string `json:"op"`
-	MQL  string `json:"mql,omitempty"`
-	Addr uint64 `json:"addr,omitempty"`
+	Op   Op
+	MQL  string
+	Addr uint64
 	// N bounds a slow request's result count (0 returns the whole ring).
-	N int `json:"n,omitempty"`
+	N int
 }
 
-// Response is one server message.
+// Response is one server message, as the client decodes it.
 type Response struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
+	OK    bool
+	Error string
 	// Retryable marks an error response as safe to retry: the server
 	// rejected the request before executing any of it (admission control,
 	// drain). Clients may resend it verbatim — even non-idempotent ops like
 	// Exec, since a shed request has no server-side effect.
-	Retryable bool           `json:"retryable,omitempty"`
-	Message   string         `json:"message,omitempty"`
-	Count     int            `json:"count,omitempty"`
-	Inserted  []uint64       `json:"inserted,omitempty"`
-	Molecules []MoleculeJSON `json:"molecules,omitempty"`
-	Atom      *AtomJSON      `json:"atom,omitempty"`
-	Stats     *StatsJSON     `json:"stats,omitempty"`
+	Retryable bool
+	Message   string
+	Count     int
+	Inserted  []uint64
+	Molecules []MoleculeJSON
+	Atom      *AtomJSON
 	// Metrics is the full registry snapshot (counters, gauges, per-stage
-	// latency histograms) attached to stats responses — the same data the
-	// /metrics endpoint serves, in structured form.
-	Metrics *obs.MetricsSnapshot `json:"metrics,omitempty"`
+	// latency histograms) of a stats response — the same data the /metrics
+	// endpoint serves, in structured form.
+	Metrics *obs.MetricsSnapshot
 	// Epoch is the snapshot epoch a checkout stream reads at: every molecule
 	// of the stream reflects the database state as of that epoch, no matter
 	// which DML commits while the stream drains.
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 	// More marks a continuation frame: further frames of the same response
 	// stream follow on the connection.
-	More bool `json:"more,omitempty"`
+	More bool
 	// TraceID identifies the server-side trace of this request, when the
 	// server traced it (sampling hit, or a slow-query threshold is armed).
 	// Quote it to the slow op or /debug/slow to find the full span tree.
-	TraceID string `json:"traceId,omitempty"`
+	TraceID string
 	// Traces carries retained trace snapshots on slow responses.
-	Traces []*obs.TraceSnapshot `json:"traces,omitempty"`
+	Traces []*obs.TraceSnapshot
 }
 
-// StatsJSON reports the server's cache hierarchy counters: the decoded-atom
-// cache above the page buffer, the buffer pool, and the plan cache.
-type StatsJSON struct {
-	AtomCacheHits          uint64 `json:"atomCacheHits"`
-	AtomCacheMisses        uint64 `json:"atomCacheMisses"`
-	AtomCacheInvalidations uint64 `json:"atomCacheInvalidations"`
-	AtomCacheEvictions     uint64 `json:"atomCacheEvictions"`
-	AtomCacheAtoms         int    `json:"atomCacheAtoms"`
-	AtomCacheBudget        int    `json:"atomCacheBudget"`
-	BufferHits             int64  `json:"bufferHits"`
-	BufferMisses           int64  `json:"bufferMisses"`
-	BufferEvictions        int64  `json:"bufferEvictions"`
-	PlanCacheHits          uint64 `json:"planCacheHits"`
-	PlanCacheMisses        uint64 `json:"planCacheMisses"`
-	PlanCacheSize          int    `json:"planCacheSize"`
-	// Write-ahead log counters; all zero when the log is disabled.
-	WALEnabled     bool   `json:"walEnabled"`
-	WALAppends     uint64 `json:"walAppends"`
-	WALBytes       uint64 `json:"walBytes"`
-	WALSyncs       uint64 `json:"walSyncs"`
-	WALCommits     uint64 `json:"walCommits"`
-	WALBatches     uint64 `json:"walBatches"`
-	WALCheckpoints uint64 `json:"walCheckpoints"`
-	WALRecoveries  uint64 `json:"walRecoveries"`
-	// WALCheckpointErr carries the most recent checkpoint failure, empty
-	// while checkpoints are healthy. Non-empty means log truncation has
-	// stalled: replay time and disk use grow until the cause clears.
-	WALCheckpointErr string `json:"walCheckpointErr,omitempty"`
-	// Wire health counters: the connection/admission state of the server
-	// answering this stats request.
-	WireConnsActive   int    `json:"wireConnsActive"`   // currently open connections
-	WireConnsTotal    uint64 `json:"wireConnsTotal"`    // connections ever accepted
-	WireConnsRejected uint64 `json:"wireConnsRejected"` // turned away at the MaxConns cap
-	WireInFlight      int    `json:"wireInFlight"`      // requests being served right now
-	WireRequests      uint64 `json:"wireRequests"`      // requests ever admitted
-	WireShed          uint64 `json:"wireShed"`          // requests shed by admission control
-	WireStreamAborts  uint64 `json:"wireStreamAborts"`  // checkout streams cut by conn failure
-	WirePanics        uint64 `json:"wirePanics"`        // handler panics recovered
-	WireAcceptRetries uint64 `json:"wireAcceptRetries"` // transient accept errors survived
-}
-
-// MoleculeJSON is a wire-format molecule: the flat atom set grouped by type
-// plus the root address (structure can be rebuilt client-side from the
-// reference attributes if needed).
+// MoleculeJSON is a checked-out molecule in the client's object buffer: the
+// flat atom set grouped by type plus the root address (structure can be
+// rebuilt client-side from the reference attributes if needed). The name
+// predates the binary frames; the shape is what applications program against.
 type MoleculeJSON struct {
-	Root  uint64     `json:"root"`
-	Atoms []AtomJSON `json:"atoms"`
+	Root  uint64
+	Atoms []AtomJSON
 }
 
-// AtomJSON is a wire-format atom. Values are rendered in MQL literal syntax.
+// AtomJSON is a checked-out atom. Values are rendered in MQL literal syntax,
+// NULL attributes omitted. The literals of one molecule are substrings of one
+// arena string: it stays reachable as long as any of them does, and is
+// freed once every atom of the molecule has left the object buffer (a
+// repeated checkout of the molecule replaces them all).
 type AtomJSON struct {
-	Addr   uint64            `json:"addr"`
-	Type   string            `json:"type"`
-	Values map[string]string `json:"values"`
+	Addr   uint64
+	Type   string
+	Values map[string]string
 }
 
-// maxFrame bounds message size (16 MiB).
-const maxFrame = 16 << 20
-
-// ErrFrameTooBig is returned by WriteMsg before anything is written when the
-// encoded message exceeds the frame limit; the connection stays usable.
+// ErrFrameTooBig is returned when an encoded message exceeds the frame
+// limit; nothing of it has been written, so the connection stays usable.
 var ErrFrameTooBig = errors.New("wire: frame exceeds limit")
-
-// WriteMsg frames and writes a JSON-serializable message.
-func WriteMsg(w io.Writer, v interface{}) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
-	}
-	if len(body) > maxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
-}
-
-// ReadMsg reads one framed JSON message into v.
-func ReadMsg(r io.Reader, v interface{}) error {
-	n, err := readHeader(r)
-	if err != nil {
-		return err
-	}
-	return readBody(r, n, v)
-}
-
-// readHeader reads the 4-byte length prefix of the next frame and validates
-// it against the frame limit. Splitting the header from the body lets the
-// server apply a long idle deadline to the wait for the header and a short
-// read deadline to the body: a peer may stay silent between requests for as
-// long as the idle budget allows, but once it starts a frame it has to
-// finish it promptly.
-func readHeader(r io.Reader) (uint32, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	return n, nil
-}
-
-// readBody reads an n-byte frame body into v.
-func readBody(r io.Reader, n uint32, v interface{}) error {
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
-	}
-	return json.Unmarshal(body, v)
-}
 
 // ErrRemote wraps server-side failures surfaced to the client.
 var ErrRemote = errors.New("wire: remote error")
@@ -203,21 +120,14 @@ var ErrRemote = errors.New("wire: remote error")
 // keeps working; clients that distinguish it may retry with backoff.
 var ErrOverloaded = fmt.Errorf("%w: overloaded", ErrRemote)
 
-// roundTrip sends a request and reads the response on an established
-// connection.
-func roundTrip(conn net.Conn, req *Request) (*Response, error) {
-	if err := WriteMsg(conn, req); err != nil {
-		return nil, err
+// err returns the error an unsuccessful response stands for, nil for OK.
+func (r *Response) err() error {
+	switch {
+	case r.OK:
+		return nil
+	case r.Retryable:
+		return fmt.Errorf("%w: %s", ErrOverloaded, r.Error)
+	default:
+		return fmt.Errorf("%w: %s", ErrRemote, r.Error)
 	}
-	var resp Response
-	if err := ReadMsg(conn, &resp); err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		if resp.Retryable {
-			return &resp, fmt.Errorf("%w: %s", ErrOverloaded, resp.Error)
-		}
-		return &resp, fmt.Errorf("%w: %s", ErrRemote, resp.Error)
-	}
-	return &resp, nil
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"net"
 	"strings"
 	"testing"
 
@@ -8,26 +9,31 @@ import (
 	"prima/internal/workload/brepgen"
 )
 
-func startServer(t testing.TB) (*prima.DB, *Server) {
+// sceneDB opens an in-memory database holding a brepgen scene of three cubes.
+func sceneDB(t testing.TB) *prima.DB {
 	t.Helper()
 	db, err := prima.Open(prima.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { db.Close() })
 	if _, err := db.Exec(brepgen.SchemaDDL); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := brepgen.BuildScene(db.Engine(), 3); err != nil {
 		t.Fatal(err)
 	}
+	return db
+}
+
+func startServer(t testing.TB) (*prima.DB, *Server) {
+	t.Helper()
+	db := sceneDB(t)
 	srv, err := Serve(db, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		srv.Close()
-		db.Close()
-	})
+	t.Cleanup(func() { srv.Close() })
 	return db, srv
 }
 
@@ -170,4 +176,39 @@ func TestRenderValueLiterals(t *testing.T) {
 	if !strings.HasPrefix(v["brep"], "@") {
 		t.Fatalf("brep ref literal = %q", v["brep"])
 	}
+}
+
+// rawConn speaks the protocol frame by frame, for tests that count frames or
+// stop reading in the middle of a stream; the Client hides both.
+type rawConn struct {
+	net.Conn
+	dec decoder
+}
+
+func dialRaw(t *testing.T, address string) *rawConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", address)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &rawConn{Conn: conn}
+}
+
+func (c *rawConn) WriteMsg(req *Request) error {
+	frame, err := appendRequest(nil, req)
+	if err != nil {
+		return err
+	}
+	_, err = c.Write(frame)
+	return err
+}
+
+// ReadMsg reads one response frame into resp, whose fields it overwrites.
+func (c *rawConn) ReadMsg(resp *Response) error {
+	body, err := readFrame(c, nil)
+	if err != nil {
+		return err
+	}
+	*resp = Response{}
+	return c.dec.response(body, resp)
 }

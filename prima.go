@@ -329,8 +329,8 @@ func (db *DB) Registry() *obs.Registry { return db.sys.Obs() }
 func (db *DB) Metrics() *obs.MetricsSnapshot { return db.sys.Obs().Snapshot() }
 
 // Stats summarizes atom cache, buffer, device and WAL activity, rendered
-// from one Metrics snapshot so the string view, StatsJSON and /metrics can
-// never disagree.
+// from one Metrics snapshot so the string view and /metrics can never
+// disagree.
 func (db *DB) Stats() string {
 	ms := db.Metrics()
 	ds := db.sys.Files().Stats()
