@@ -512,8 +512,14 @@ func BenchmarkSemanticParallelism(b *testing.B) {
 	db := benchScene(b, 32, `CREATE ATOM_CLUSTER cl ON brep-face-edge-point`)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			db.Engine().SetAssemblyWorkers(workers)
 			for i := 0; i < b.N; i++ {
-				mols, err := db.QueryParallel(`SELECT ALL FROM brep-face-edge-point`, workers)
+				cur, err := db.Query(`SELECT ALL FROM brep-face-edge-point`)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mols, err := cur.Collect()
+				cur.Close()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -566,38 +572,27 @@ func BenchmarkNestedTxThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkSelectivePredicate measures the compiled predicate pipeline
-// against the legacy interpreted/unpushed baseline on a brepgen workload
-// (both modes in one run). "low" is a low-selectivity WHERE (few molecules
+// BenchmarkSelectivePredicate tracks the compiled predicate pipeline on a
+// brepgen workload. "low" is a low-selectivity WHERE (few molecules
 // qualify): the range access path prunes roots before assembly and the
 // pushed edge conjunct prunes survivors mid-assembly. "high" qualifies
-// nearly everything, so it isolates the compiled-evaluation win.
+// nearly everything, so it isolates compiled predicate evaluation.
 func BenchmarkSelectivePredicate(b *testing.B) {
 	const n = 128
 	for _, sel := range []struct{ name, where string }{
 		{"low", `brep_no <= 6 AND edge.length > 4.5`},
 		{"high", fmt.Sprintf(`brep_no <= %d AND edge.length > 0.5`, n)},
 	} {
-		for _, mode := range []struct {
-			name string
-			on   bool
-		}{
-			{"interpreted", false},
-			{"compiled", true},
-		} {
-			b.Run(sel.name+"/"+mode.name, func(b *testing.B) {
-				db := benchScene(b, n, `CREATE ACCESS PATH bno ON brep (brep_no) USING BTREE`)
-				db.Engine().SetPredicateCompilation(mode.on)
-				db.Engine().SetPushdown(mode.on)
-				q := `SELECT ALL FROM brep-face-edge-point WHERE ` + sel.where
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := db.ExecOne(q); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(sel.name, func(b *testing.B) {
+			db := benchScene(b, n, `CREATE ACCESS PATH bno ON brep (brep_no) USING BTREE`)
+			q := `SELECT ALL FROM brep-face-edge-point WHERE ` + sel.where
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.ExecOne(q); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -602,8 +602,8 @@ func a5() error {
 		return err
 	}
 	defer db.Close()
-	// Cluster-based assembly: the decomposed units read disjoint page
-	// sequences and decode independently, the shape that exposes the
+	// Cluster-based assembly: the cursor pipeline's workers read disjoint
+	// page sequences and decode independently, the shape that exposes the
 	// inherent parallelism of molecule-set operations.
 	if _, err := db.Exec(`CREATE ATOM_CLUSTER cl ON brep-face-edge-point`); err != nil {
 		return err
@@ -613,9 +613,15 @@ func a5() error {
 	fmt.Println("workers | ms/query | speedup")
 	for _, w := range []int{1, 2, 4, 8} {
 		const reps = 5
+		db.Engine().SetAssemblyWorkers(w)
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			mols, err := db.QueryParallel(q, w)
+			cur, err := db.Query(q)
+			if err != nil {
+				return err
+			}
+			mols, err := cur.Collect()
+			cur.Close()
 			if err != nil {
 				return err
 			}

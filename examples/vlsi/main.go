@@ -59,8 +59,15 @@ func main() {
 	}
 	fmt.Printf("%d net(s) with fanout >= 6 (check drive strength!)\n", len(res.Molecules))
 
-	// Intra-query parallelism over the molecule set.
-	mols, err := db.QueryParallel(`SELECT ALL FROM cell-pin-net`, 4)
+	// Intra-query parallelism over the molecule set: the cursor assembles
+	// molecules on four workers and still delivers them in root order.
+	db.Engine().SetAssemblyWorkers(4)
+	cur, err := db.Query(`SELECT ALL FROM cell-pin-net`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cur.Close()
+	mols, err := cur.Collect()
 	if err != nil {
 		log.Fatal(err)
 	}

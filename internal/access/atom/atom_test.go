@@ -79,9 +79,9 @@ func TestCodecTruncation(t *testing.T) {
 func TestProjectionCodec(t *testing.T) {
 	values := []Value{Int(1), Str("two"), Real(3.0), RefSet(addr.New(1, 5))}
 	buf := EncodeProjection([]int{1, 3}, values)
-	got, err := DecodeProjection(buf)
-	if err != nil {
-		t.Fatalf("DecodeProjection: %v", err)
+	got := map[int]Value{}
+	if err := DecodeProjectionFunc(buf, false, func(idx int, v Value) { got[idx] = v }); err != nil {
+		t.Fatalf("DecodeProjectionFunc: %v", err)
 	}
 	if len(got) != 2 {
 		t.Fatalf("decoded %d pairs, want 2", len(got))

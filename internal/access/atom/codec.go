@@ -114,6 +114,11 @@ func decodeValue(data []byte, owned bool) (Value, []byte, error) {
 		}
 		n := int(binary.BigEndian.Uint32(data))
 		data = data[4:]
+		if n > len(data) {
+			// Every element takes at least its kind byte: a count the image
+			// cannot back must not size an allocation.
+			return Value{}, nil, ErrTruncated
+		}
 		v := Value{K: k}
 		if n > 0 {
 			v.E = make([]Value, 0, n)
@@ -278,12 +283,26 @@ func DecodeAtomOwned(data []byte) ([]Value, error) {
 }
 
 func decodeAtom(data []byte, owned bool) ([]Value, error) {
-	if len(data) < 2 {
-		return nil, ErrTruncated
+	n, err := attrCount(data)
+	if err != nil {
+		return nil, err
 	}
-	n := int(binary.BigEndian.Uint16(data))
 	values := make([]Value, n)
 	return values, decodeAtomInto(values, data[2:], owned)
+}
+
+// attrCount reads a record image's attribute count. Every value takes at
+// least its kind byte: a count the image cannot back must not size an
+// allocation.
+func attrCount(data []byte) (int, error) {
+	if len(data) < 2 {
+		return 0, ErrTruncated
+	}
+	n := int(binary.BigEndian.Uint16(data))
+	if n > len(data)-2 {
+		return 0, ErrTruncated
+	}
+	return n, nil
 }
 
 // decodeAtomInto decodes len(values) attribute values from data (the count
@@ -318,10 +337,11 @@ func DecodeAtomBatch(recs [][]byte) ([][]Value, error) {
 		if r == nil {
 			continue
 		}
-		if len(r) < 2 {
-			return nil, ErrTruncated
+		n, err := attrCount(r)
+		if err != nil {
+			return nil, err
 		}
-		total += int(binary.BigEndian.Uint16(r))
+		total += n
 	}
 	arena := make([]Value, total)
 	off := 0
@@ -353,23 +373,9 @@ func EncodeProjection(indices []int, values []Value) []byte {
 	return buf
 }
 
-// DecodeProjection deserializes a partition record into (attrIndex, value)
-// pairs.
-func DecodeProjection(data []byte) (map[int]Value, error) {
-	out := make(map[int]Value, 4)
-	err := DecodeProjectionFunc(data, false, func(idx int, v Value) {
-		out[idx] = v
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // DecodeProjectionFunc streams the (attrIndex, value) pairs of a partition
-// record through fn without building a map — the fast path of
-// partition-covered projected reads. owned selects zero-copy string decoding
-// (see DecodeAtomOwned).
+// record through fn — the read path of partition-covered projected reads.
+// owned selects zero-copy string decoding (see DecodeAtomOwned).
 func DecodeProjectionFunc(data []byte, owned bool, fn func(idx int, v Value)) error {
 	if len(data) < 2 {
 		return ErrTruncated

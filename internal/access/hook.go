@@ -26,64 +26,46 @@ type Hook interface {
 	DidDelete(a addr.LogicalAddr, typeName string, old []atom.Value)
 }
 
-// hookHolder guards the installed hook.
+// hookHolder guards the installed hook (the System.hook field).
 type hookHolder struct {
 	mu sync.RWMutex
 	h  Hook
 }
 
-var systemHooks sync.Map // *System -> *hookHolder
-
-func (s *System) holder() *hookHolder {
-	v, _ := systemHooks.LoadOrStore(s, &hookHolder{})
-	return v.(*hookHolder)
+func (hh *hookHolder) get() Hook {
+	hh.mu.RLock()
+	defer hh.mu.RUnlock()
+	return hh.h
 }
 
 // SetHook installs (or clears, with nil) the system's mutation hook.
 func (s *System) SetHook(h Hook) {
-	hold := s.holder()
-	hold.mu.Lock()
-	hold.h = h
-	hold.mu.Unlock()
+	s.hook.mu.Lock()
+	s.hook.h = h
+	s.hook.mu.Unlock()
 }
 
 func (s *System) hookBeforeWrite(a addr.LogicalAddr) error {
-	hold := s.holder()
-	hold.mu.RLock()
-	h := hold.h
-	hold.mu.RUnlock()
-	if h == nil {
-		return nil
+	if h := s.hook.get(); h != nil {
+		return h.BeforeWrite(a)
 	}
-	return h.BeforeWrite(a)
+	return nil
 }
 
 func (s *System) hookDidInsert(a addr.LogicalAddr) {
-	hold := s.holder()
-	hold.mu.RLock()
-	h := hold.h
-	hold.mu.RUnlock()
-	if h != nil {
+	if h := s.hook.get(); h != nil {
 		h.DidInsert(a)
 	}
 }
 
 func (s *System) hookDidUpdate(a addr.LogicalAddr, typeName string, old []atom.Value) {
-	hold := s.holder()
-	hold.mu.RLock()
-	h := hold.h
-	hold.mu.RUnlock()
-	if h != nil {
+	if h := s.hook.get(); h != nil {
 		h.DidUpdate(a, typeName, old)
 	}
 }
 
 func (s *System) hookDidDelete(a addr.LogicalAddr, typeName string, old []atom.Value) {
-	hold := s.holder()
-	hold.mu.RLock()
-	h := hold.h
-	hold.mu.RUnlock()
-	if h != nil {
+	if h := s.hook.get(); h != nil {
 		h.DidDelete(a, typeName, old)
 	}
 }

@@ -250,6 +250,9 @@ type System struct {
 	// present (its cost is one atomic counter when no snapshot is open).
 	mv *mvStore
 
+	// hook is the transaction layer's mutation observer (see SetHook).
+	hook hookHolder
+
 	// wal is the write-ahead log (nil when Config.WAL is off). txidFn
 	// attributes mutations to top-level transactions; walRecovering is set
 	// only during the single-threaded recovery replay in Open, where the

@@ -272,18 +272,6 @@ func (s *Schema) MoleculeType(name string) (*MoleculeType, bool) {
 	return m, ok
 }
 
-// MoleculeTypes returns all named molecule types sorted by name.
-func (s *Schema) MoleculeTypes() []*MoleculeType {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]*MoleculeType, 0, len(s.molTypes))
-	for _, m := range s.molTypes {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // checkLDLName ensures LDL structure names are globally unique.
 func (s *Schema) checkLDLNameLocked(name string) error {
 	if _, dup := s.accessPath[name]; dup {

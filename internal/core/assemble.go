@@ -16,22 +16,14 @@ import (
 	"prima/internal/obs"
 )
 
-// atomSource supplies atoms during molecule assembly. The primary source
-// reads through the access system; the cluster source reads from a
-// materialized atom-cluster occurrence, falling back to the access system
-// for atoms outside the cluster. Both support batched reads so one page fix
-// in the buffer can serve a whole assembly level.
+// atomSource supplies atoms during molecule assembly. The snapshot source
+// reads through the access system at the cursor's epoch; the cluster source
+// reads from a materialized atom-cluster occurrence, falling back to the
+// snapshot for atoms outside the cluster. Both support batched reads so one
+// page fix in the buffer can serve a whole assembly level.
 type atomSource interface {
 	get(a addr.LogicalAddr) (*access.Atom, error)
 	getBatch(as []addr.LogicalAddr) ([]*access.Atom, error)
-}
-
-type primarySource struct{ sys *access.System }
-
-func (s primarySource) get(a addr.LogicalAddr) (*access.Atom, error) { return s.sys.Get(a, nil) }
-
-func (s primarySource) getBatch(as []addr.LogicalAddr) ([]*access.Atom, error) {
-	return s.sys.GetBatch(as, nil)
 }
 
 // snapshotSource reads through a snapshot: every atom resolves at the
@@ -46,67 +38,37 @@ func (s snapshotSource) getBatch(as []addr.LogicalAddr) ([]*access.Atom, error) 
 }
 
 type clusterSource struct {
-	sys *access.System
 	occ *access.ClusterOccurrence
-	sn  *access.Snapshot // non-nil: all reads re-resolve at the cursor epoch
+	sn  *access.Snapshot
 }
 
+// get serves a from the occurrence. Occurrence atoms are current state; the
+// chains override them with the epoch's pre-image when a writer has since
+// moved on.
 func (s clusterSource) get(a addr.LogicalAddr) (*access.Atom, error) {
-	if s.sn != nil {
-		// Occurrence atoms are current state; the chains override them with
-		// the epoch's pre-image when a writer has since moved on.
-		return s.sn.Resolve(a, func() (*access.Atom, error) { return s.fetch(a) })
-	}
-	return s.fetch(a)
-}
-
-func (s clusterSource) fetch(a addr.LogicalAddr) (*access.Atom, error) {
-	if at, ok := s.occ.Atom(a); ok {
-		return at, nil
-	}
-	if s.sn != nil {
+	return s.sn.Resolve(a, func() (*access.Atom, error) {
+		if at, ok := s.occ.Atom(a); ok {
+			return at, nil
+		}
 		return s.sn.Get(a)
-	}
-	return s.sys.Get(a, nil)
+	})
 }
 
 func (s clusterSource) getBatch(as []addr.LogicalAddr) ([]*access.Atom, error) {
 	out := make([]*access.Atom, len(as))
-	var missIdx []int
-	var miss []addr.LogicalAddr
 	for i, a := range as {
-		if s.sn != nil {
-			at, err := s.get(a)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = at
-			continue
-		}
-		if at, ok := s.occ.Atom(a); ok {
-			out[i] = at
-		} else {
-			missIdx = append(missIdx, i)
-			miss = append(miss, a)
-		}
-	}
-	if len(miss) > 0 {
-		fetched, err := s.sys.GetBatch(miss, nil)
+		at, err := s.get(a)
 		if err != nil {
 			return nil, err
 		}
-		for j, i := range missIdx {
-			out[i] = fetched[j]
-		}
+		out[i] = at
 	}
 	return out, nil
 }
 
-// Roots enumerates the molecule roots the plan will materialize, in the
-// order of the chosen access. Cursors stream roots lazily through
-// rootSource instead; Roots stays the eager entry point for semantic
-// decomposition (package du), which partitions the full set up front.
-func (p *Plan) Roots() ([]addr.LogicalAddr, error) {
+// roots enumerates the candidate molecule roots of every access but the
+// atom-type scan, in the order of the chosen access.
+func (p *Plan) roots() ([]addr.LogicalAddr, error) {
 	sys := p.engine.sys
 	switch p.AccessKind {
 	case "direct":
@@ -146,7 +108,7 @@ func (p *Plan) Roots() ([]addr.LogicalAddr, error) {
 	case "cluster":
 		return sys.ClusterRoots(p.Cluster)
 	default:
-		return sys.ScanAddrs(p.Root.Name)
+		return nil, fmt.Errorf("core: no root enumeration for access kind %q", p.AccessKind)
 	}
 }
 
@@ -160,10 +122,9 @@ type rootSource interface {
 // huge type never materializes the full address list. The scan is bounded
 // by the highest sequence number at first use: atoms inserted while the
 // cursor runs do not extend it, preserving termination under concurrent
-// insert load. With a snapshot the enumeration additionally includes ghosts
-// (atoms deleted after the cursor's epoch), and the bound covers them.
+// insert load. The enumeration includes ghosts (atoms deleted after the
+// cursor's epoch), and the bound covers them.
 type scanRoots struct {
-	sys      *access.System
 	sn       *access.Snapshot
 	typeName string
 	after    uint64
@@ -178,25 +139,13 @@ func (s *scanRoots) next() ([]addr.LogicalAddr, error) {
 		return nil, nil
 	}
 	if !s.bounded {
-		var bound uint64
-		var err error
-		if s.sn != nil {
-			bound, err = s.sn.MaxSeq(s.typeName)
-		} else {
-			bound, err = s.sys.MaxSeq(s.typeName)
-		}
+		bound, err := s.sn.MaxSeq(s.typeName)
 		if err != nil {
 			return nil, err
 		}
 		s.bound, s.bounded = bound, true
 	}
-	var chunk []addr.LogicalAddr
-	var err error
-	if s.sn != nil {
-		chunk, err = s.sn.ScanAddrsAfter(s.typeName, s.after, s.chunk)
-	} else {
-		chunk, err = s.sys.ScanAddrsAfter(s.typeName, s.after, s.chunk)
-	}
+	chunk, err := s.sn.ScanAddrsAfter(s.typeName, s.after, s.chunk)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +173,7 @@ type lazyRoots struct {
 
 func (l *lazyRoots) next() ([]addr.LogicalAddr, error) {
 	if !l.open {
-		roots, err := l.plan.Roots()
+		roots, err := l.plan.roots()
 		if err != nil {
 			return nil, err
 		}
@@ -249,28 +198,16 @@ func (l *lazyRoots) next() ([]addr.LogicalAddr, error) {
 // does enumerate still assembles at the epoch.
 func (p *Plan) rootSource(chunk int, sn *access.Snapshot) rootSource {
 	if p.AccessKind == "atomscan" {
-		return &scanRoots{sys: p.engine.sys, sn: sn, typeName: p.Root.Name, chunk: chunk}
+		return &scanRoots{sn: sn, typeName: p.Root.Name, chunk: chunk}
 	}
 	return &lazyRoots{plan: p, chunk: chunk}
 }
 
-// AssembleRoot materializes, restricts, and projects the molecule rooted at
-// a against the current database state. It returns (nil, nil) when the root
-// or molecule fails qualification. Semantic decomposition (package du)
-// partitions and assembles outside any cursor, so the epoch-free entry point
-// stays exported; cursors go through assembleRootAt.
-func (p *Plan) AssembleRoot(a addr.LogicalAddr) (*Molecule, error) {
-	return p.assembleRootAt(nil, a)
-}
-
-// assembleRootAt is AssembleRoot resolving every atom read at the snapshot's
-// epoch (sn == nil reads current state).
+// assembleRootAt materializes, restricts, and projects the molecule rooted
+// at a, resolving every atom read at the snapshot's epoch. It returns
+// (nil, nil) when the root or molecule fails qualification.
 func (p *Plan) assembleRootAt(sn *access.Snapshot, a addr.LogicalAddr) (*Molecule, error) {
-	sys := p.engine.sys
-	var src atomSource = primarySource{sys}
-	if sn != nil {
-		src = snapshotSource{sn}
-	}
+	var src atomSource = snapshotSource{sn}
 	// The cache is only written by the SSA root read and the prefetch;
 	// flat, unrestricted molecules leave it nil (reads of a nil map miss).
 	var cache map[addr.LogicalAddr]*access.Atom
@@ -302,11 +239,11 @@ func (p *Plan) assembleRootAt(sn *access.Snapshot, a addr.LogicalAddr) (*Molecul
 	}
 
 	if p.AccessKind == "cluster" {
-		occ, err := sys.ClusterOccurrenceOf(p.Cluster, a)
+		occ, err := p.engine.sys.ClusterOccurrenceOf(p.Cluster, a)
 		switch {
 		case err == nil:
-			src = clusterSource{sys: sys, occ: occ, sn: sn}
-		case sn != nil && errors.Is(err, access.ErrNoAtom):
+			src = clusterSource{occ: occ, sn: sn}
+		case errors.Is(err, access.ErrNoAtom):
 			// Ghost root: the occurrence was dropped by post-epoch DML, but
 			// the chains still hold the molecule's pre-images — assemble
 			// through the snapshot alone.
@@ -332,13 +269,8 @@ func (p *Plan) assembleRootAt(sn *access.Snapshot, a addr.LogicalAddr) (*Molecul
 	} else if p.pushPruned(m) {
 		return nil, nil
 	}
-	if p.Where != nil {
-		var keep bool
-		if p.whereC != nil {
-			keep, err = p.whereC.Eval(m)
-		} else {
-			keep, err = p.engine.evalMolecule(p.Where, m)
-		}
+	if p.whereC != nil {
+		keep, err := p.whereC.Eval(m)
 		if err != nil {
 			return nil, err
 		}
@@ -679,24 +611,17 @@ type Cursor struct {
 // DML runs concurrently, so parallel read-ahead is always safe. Root
 // enumeration is lazy, so errors of the chosen access surface at the first
 // Next. Close the cursor so its epoch's history can be reclaimed.
-func (p *Plan) Open() (*Cursor, error) { return p.openAt(nil) }
+func (p *Plan) Open() (*Cursor, error) { return p.open(nil, nil) }
 
-// OpenAt prepares a cursor resolving every read at the given epoch, which
-// the caller must hold open through a live snapshot (the transaction layer
-// pins one at Begin and reuses its epoch for every cursor it opens).
-func (p *Plan) OpenAt(epoch uint64) (*Cursor, error) { return p.openAt(&epoch) }
-
-// OpenTraced is Open with the cursor's reads and deliveries charged to the
-// trace span (nil sp behaves like Open). The span is ended at Close.
-func (p *Plan) OpenTraced(sp *obs.Span) (*Cursor, error) { return p.openTraced(nil, sp) }
-
-func (p *Plan) openAt(epoch *uint64) (*Cursor, error) { return p.openTraced(epoch, nil) }
-
-// openTraced opens a cursor whose snapshot charges its read-path counters
-// (atoms decoded, cache hits, pages pinned, decode time) to sp. The span is
-// attached before the pipeline starts, so parallel assembly workers record
-// into it from the first read; nil sp means untraced.
-func (p *Plan) openTraced(epoch *uint64, sp *obs.Span) (*Cursor, error) {
+// open is the one cursor constructor. A non-nil epoch resolves every read at
+// that epoch, which the caller must hold open through a live snapshot (the
+// transaction layer pins one at Begin and reuses its epoch for every cursor
+// it opens); nil pins the current epoch. The cursor's snapshot charges its
+// read-path counters (atoms decoded, cache hits, pages pinned, decode time)
+// to sp and Close ends it; the span is attached before the pipeline starts,
+// so parallel assembly workers record into it from the first read. A nil sp
+// means untraced.
+func (p *Plan) open(epoch *uint64, sp *obs.Span) (*Cursor, error) {
 	workers, chunk := p.engine.assemblyConfig()
 	var sn *access.Snapshot
 	if epoch != nil {

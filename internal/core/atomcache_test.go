@@ -66,29 +66,16 @@ func TestDifferentialAtomCache(t *testing.T) {
 }
 
 // TestExistsAtLeastPushdownSemantics pins the count-aware pushdown: results
-// match the unpushed baseline at, below and above the threshold.
+// match the reference at, below and above the threshold.
 func TestExistsAtLeastPushdownSemantics(t *testing.T) {
 	e, _ := sceneEngine(t, 14)
 	// Every cube has 12 edges with lengths 1+size in [1, 7].
-	for _, q := range []string{
+	checkAgainstReference(t, e, []string{
 		`SELECT ALL FROM brep-face-edge-point WHERE EXISTS_AT_LEAST (2) edge: edge.length > 5.5`,
 		`SELECT ALL FROM brep-face-edge-point WHERE EXISTS_AT_LEAST (12) edge: edge.length > 0.5`,
 		`SELECT ALL FROM brep-face-edge-point WHERE EXISTS_AT_LEAST (13) edge: edge.length > 0.5`,
 		`SELECT ALL FROM brep-face-edge-point WHERE EXISTS_AT_LEAST (1) edge: edge.length > 1000.0`,
-	} {
-		e.SetPushdown(false)
-		base := renderSet(mustQuery(t, e, q).Molecules)
-		e.SetPushdown(true)
-		got := renderSet(mustQuery(t, e, q).Molecules)
-		if len(base) != len(got) {
-			t.Fatalf("%s: baseline %d molecules, pushed %d", q, len(base), len(got))
-		}
-		for i := range base {
-			if base[i] != got[i] {
-				t.Fatalf("%s: molecule %d differs", q, i)
-			}
-		}
-	}
+	})
 }
 
 // gridEngine builds an engine over the mapgen world with a two-dimensional
@@ -113,7 +100,7 @@ func gridEngine(t *testing.T) *core.Engine {
 
 // TestGridRangeSelection covers the multi-attribute GRID access choice:
 // range conjuncts on any subset of the grid's attributes select a
-// "gridrange" access, and the results match the atom-scan baseline.
+// "gridrange" access, and the results match the reference.
 func TestGridRangeSelection(t *testing.T) {
 	e := gridEngine(t)
 
@@ -148,27 +135,13 @@ func TestGridRangeSelection(t *testing.T) {
 		t.Fatalf("unbounded AccessKind = %s, want atomscan", p.AccessKind)
 	}
 
-	// Differential: gridrange vs. forced atom scan.
-	for _, qq := range []string{
+	// Differential: gridrange vs. the reference over the unrestricted set.
+	checkAgainstReference(t, e, []string{
 		q,
 		`SELECT ALL FROM site WHERE y > 50.0`,
 		`SELECT ALL FROM site WHERE x > 90.0 AND x < 10.0`, // empty box
 		`SELECT name FROM site WHERE x >= 25.0 AND x < 30.0 AND pop > 2`,
-	} {
-		e.SetPushdown(true)
-		got := renderSet(mustQuery(t, e, qq).Molecules)
-		e.SetPushdown(false)
-		base := renderSet(mustQuery(t, e, qq).Molecules)
-		e.SetPushdown(true)
-		if len(got) != len(base) {
-			t.Fatalf("%s: gridrange %d molecules, atomscan %d", qq, len(got), len(base))
-		}
-		for i := range got {
-			if got[i] != base[i] {
-				t.Fatalf("%s: molecule %d differs", qq, i)
-			}
-		}
-	}
+	})
 }
 
 // TestDMLPlanCache covers prepared DELETE/MODIFY statements in the engine

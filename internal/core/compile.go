@@ -14,8 +14,9 @@ import (
 // plan time, into a tree of closures over pre-resolved (atom type, attribute
 // index, RECORD field path) targets. Execution then runs the closures per
 // molecule with zero schema lookups, zero string comparisons, and a reusable
-// quantifier-binding scratch — the interpreted evaluator in eval.go remains
-// as the differential baseline (Engine.SetPredicateCompilation).
+// quantifier-binding scratch. The interpretive evaluator this replaced lives
+// on in reference_test.go as the model the differential tests compare
+// against.
 
 // cscratch is the per-evaluation scratch of one compiled predicate:
 // quantifier bindings by slot, and one value buffer per attribute operand.
@@ -57,10 +58,10 @@ type predCompiler struct {
 }
 
 // compilePredicate lowers a predicate that already passed checkExpr.
-// Compilation itself never fails: operand forms the interpreter rejects at
-// run time compile to closures returning the same error lazily, preserving
-// exact error parity with the interpreted path (a query whose cursor never
-// evaluates the predicate must not start failing at plan time).
+// Compilation itself never fails: operand forms that cannot be evaluated
+// compile to closures returning the error lazily, exactly where the
+// reference interpreter raises it (a query whose cursor never evaluates the
+// predicate must not fail at plan time).
 func (e *Engine) compilePredicate(x mql.Expr, mol *catalog.MoleculeType) *compiledPred {
 	pc := &predCompiler{e: e, mol: mol, scope: map[string]int{}}
 	fn := pc.compile(x)
@@ -134,7 +135,8 @@ func (pc *predCompiler) compileQuant(q *mql.Quant) cnode {
 
 	// The quantifier variable is the component type name; references to it
 	// inside Cond resolve to this slot, shadowing any outer binding of the
-	// same name — the lexical analogue of the interpreter's dynamic map.
+	// same name — the lexical analogue of the reference interpreter's dynamic
+	// binding map.
 	slot := pc.slots
 	pc.slots++
 	prev, shadowed := pc.scope[q.Var]

@@ -34,8 +34,6 @@ type Engine struct {
 	schemaDirty bool // associations not yet re-validated after DDL
 	workers     int  // degree of parallel molecule assembly (1 = serial)
 	chunk       int  // root chunk size for lazy streaming and dispatch
-	predCompile bool // plan-time predicate compilation
-	pushdown    bool // component-conjunct pushdown + range access selection
 }
 
 // DefaultAssemblyWorkers sizes the per-cursor assembly pool when a caller
@@ -62,8 +60,6 @@ func New(sys *access.System) *Engine {
 		schemaDirty: true,
 		workers:     DefaultAssemblyWorkers(),
 		chunk:       64,
-		predCompile: true,
-		pushdown:    true,
 		parseNs:     sys.Obs().Histogram("core_parse_ns"),
 		planNs:      sys.Obs().Histogram("core_plan_ns"),
 		assembleNs:  sys.Obs().Histogram("core_assemble_ns"),
@@ -128,38 +124,14 @@ func (e *Engine) assemblyConfig() (workers, chunk int) {
 	return e.workers, e.chunk
 }
 
-// SetPredicateCompilation toggles plan-time predicate compilation (on by
-// default). Off selects the interpreted evaluator of eval.go — the
-// differential baseline for testing and benchmarking.
-func (e *Engine) SetPredicateCompilation(on bool) {
-	e.mu.Lock()
-	e.predCompile = on
-	e.mu.Unlock()
-}
-
-// SetPushdown toggles component-conjunct pushdown into assembly and
-// range-restricted root access selection (on by default). Off restricts
-// planning to the root-SSA/equality-path behavior — the differential
-// baseline.
-func (e *Engine) SetPushdown(on bool) {
-	e.mu.Lock()
-	e.pushdown = on
-	e.mu.Unlock()
-}
-
-// planConfig is the snapshot of every knob that shapes a prepared plan. The
-// cache key and the plan itself are always built from one snapshot, so a
-// concurrent knob flip can never publish a plan under a mismatched key.
-type planConfig struct {
-	depth    int
-	compile  bool
-	pushdown bool
-}
-
-func (e *Engine) planConfig() planConfig {
+// planDepth snapshots the one knob that shapes a prepared plan, the
+// recursion bound. The cache key and the plan itself are always built from
+// one snapshot, so a concurrent SetMaxRecursionDepth can never publish a plan
+// under a mismatched key.
+func (e *Engine) planDepth() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return planConfig{depth: e.maxDepth, compile: e.predCompile, pushdown: e.pushdown}
+	return e.maxDepth
 }
 
 // SetPlanCacheSize resizes the engine's plan cache; n <= 0 disables caching
@@ -181,11 +153,11 @@ func (e *Engine) SetAtomCacheSize(n int) { e.sys.SetAtomCacheSize(n) }
 func (e *Engine) AtomCacheStats() access.AtomCacheStats { return e.sys.AtomCacheStats() }
 
 // planKeyFor builds the cache key of a statement: schema version plus the
-// config snapshot that will shape the plan, then the statement text. DDL
+// recursion bound that will shape the plan, then the statement text. DDL
 // bumps the schema version, so stale plans miss naturally and age out of
 // the LRU.
-func (e *Engine) planKeyFor(cfg planConfig, src string) string {
-	return fmt.Sprintf("%d\x00%d\x00%t%t\x00%s", e.sys.Schema().Version(), cfg.depth, cfg.compile, cfg.pushdown, src)
+func (e *Engine) planKeyFor(depth int, src string) string {
+	return fmt.Sprintf("%d\x00%d\x00%s", e.sys.Schema().Version(), depth, src)
 }
 
 // ErrNotSelect is returned by PlanQuery for statements that are not SELECTs.
@@ -195,23 +167,32 @@ var ErrNotSelect = errors.New("core: not a SELECT statement")
 // keyed by statement text and schema version so repeated queries skip both
 // parsing and planning. Returned plans are immutable and may be shared by
 // concurrent cursors.
-func (e *Engine) PlanQuery(src string) (*Plan, error) {
-	cfg := e.planConfig()
-	key := e.planKeyFor(cfg, src)
+func (e *Engine) PlanQuery(src string) (*Plan, error) { return e.cachedSelect(src, nil) }
+
+// cachedSelect is the one plan lookup of single-SELECT entry points: probe
+// the cache, else parse, plan and publish. Planning is recorded as a "plan"
+// span on tr (a cache hit sets the root's plan_cache attribute instead); a
+// nil tr records nothing.
+func (e *Engine) cachedSelect(src string, tr *obs.Trace) (*Plan, error) {
+	depth := e.planDepth()
+	key := e.planKeyFor(depth, src)
 	if p, ok := e.plans.get(key).(*Plan); ok {
+		tr.SetAttr("plan_cache", "hit")
 		return p, nil
 	}
-	parseStart := time.Now()
-	stmt, err := mql.ParseOne(src)
-	e.parseNs.ObserveSince(parseStart)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*mql.Select)
-	if !ok {
-		return nil, ErrNotSelect
-	}
-	p, err := e.planSelect(sel, cfg)
+	p, err := e.planStage(tr, func() (*Plan, error) {
+		parseStart := time.Now()
+		stmt, err := mql.ParseOne(src)
+		e.parseNs.ObserveSince(parseStart)
+		if err != nil {
+			return nil, err
+		}
+		sel, ok := stmt.(*mql.Select)
+		if !ok {
+			return nil, ErrNotSelect
+		}
+		return e.planSelect(sel, depth)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -219,40 +200,18 @@ func (e *Engine) PlanQuery(src string) (*Plan, error) {
 	return p, nil
 }
 
-// OpenQueryTraced is PlanQuery plus a cursor open, with tracing: planning is
-// recorded as a "plan" span on tr (a cache hit sets the root's plan_cache
-// attribute instead), and the returned cursor's page reads and molecule
+// OpenQueryTraced is PlanQuery plus a cursor open, with tracing: the plan
+// lookup is recorded on tr, and the returned cursor's page reads and molecule
 // deliveries are charged to an "assemble" span that Cursor.Close ends. A nil
 // tr behaves exactly like PlanQuery followed by Open.
 func (e *Engine) OpenQueryTraced(src string, tr *obs.Trace) (*Cursor, error) {
-	cfg := e.planConfig()
-	key := e.planKeyFor(cfg, src)
-	p, ok := e.plans.get(key).(*Plan)
-	if ok {
-		tr.SetAttr("plan_cache", "hit")
-	} else {
-		var err error
-		p, err = e.planStage(tr, func() (*Plan, error) {
-			parseStart := time.Now()
-			stmt, err := mql.ParseOne(src)
-			e.parseNs.ObserveSince(parseStart)
-			if err != nil {
-				return nil, err
-			}
-			sel, ok := stmt.(*mql.Select)
-			if !ok {
-				return nil, ErrNotSelect
-			}
-			return e.planSelect(sel, cfg)
-		})
-		if err != nil {
-			return nil, err
-		}
-		e.plans.putMiss(key, p)
+	p, err := e.cachedSelect(src, tr)
+	if err != nil {
+		return nil, err
 	}
 	sp := tr.Root().Child("assemble")
 	annotatePlanSpan(sp, p)
-	cur, err := p.openTraced(nil, sp)
+	cur, err := p.open(nil, sp)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -333,11 +292,11 @@ func (e *Engine) ExecuteScriptAt(src string, epoch uint64) ([]*Result, error) {
 }
 
 func (e *Engine) executeScript(src string, ctx execCtx) ([]*Result, error) {
-	var cfg planConfig
+	var depth int
 	var key string
 	if maybeCacheable(src) {
-		cfg = e.planConfig()
-		key = e.planKeyFor(cfg, src)
+		depth = e.planDepth()
+		key = e.planKeyFor(depth, src)
 		var r *Result
 		var err error
 		hit := true
@@ -376,19 +335,19 @@ func (e *Engine) executeScript(src string, ctx execCtx) ([]*Result, error) {
 			switch v := s.(type) {
 			case *mql.Select:
 				var p *Plan
-				if p, err = e.planStage(ctx.tr, func() (*Plan, error) { return e.planSelect(v, cfg) }); err == nil {
+				if p, err = e.planStage(ctx.tr, func() (*Plan, error) { return e.planSelect(v, depth) }); err == nil {
 					e.plans.putMiss(key, p)
 					r, err = e.runSelect(p, ctx)
 				}
 			case *mql.Delete:
 				var c *cachedDML
-				if c, err = e.prepareDMLStage(ctx.tr, func() (*cachedDML, error) { return e.prepareDelete(v, cfg) }); err == nil {
+				if c, err = e.prepareDMLStage(ctx.tr, func() (*cachedDML, error) { return e.prepareDelete(v, depth) }); err == nil {
 					e.plans.putMiss(key, c)
 					r, err = e.runDML(c, ctx.tr)
 				}
 			case *mql.Modify:
 				var c *cachedDML
-				if c, err = e.prepareDMLStage(ctx.tr, func() (*cachedDML, error) { return e.prepareModify(v, cfg) }); err == nil {
+				if c, err = e.prepareDMLStage(ctx.tr, func() (*cachedDML, error) { return e.prepareModify(v, depth) }); err == nil {
 					e.plans.putMiss(key, c)
 					r, err = e.runDML(c, ctx.tr)
 				}
@@ -432,8 +391,7 @@ func (e *Engine) prepareDMLStage(tr *obs.Trace, prep func() (*cachedDML, error))
 }
 
 // annotatePlanSpan records the plan facts EXPLAIN renders — access kind,
-// index/range details, pushdown shape, predicate compilation — as span
-// attributes (nil-safe).
+// index/range details, pushdown shape — as span attributes (nil-safe).
 func annotatePlanSpan(sp *obs.Span, p *Plan) {
 	if sp == nil || p == nil {
 		return
@@ -454,13 +412,6 @@ func annotatePlanSpan(sp *obs.Span, p *Plan) {
 	if n := len(p.CompSSA); n > 0 {
 		sp.SetAttr("pushed_conjuncts", fmt.Sprintf("%d", n))
 	}
-	if p.Where != nil {
-		if p.whereC != nil {
-			sp.SetAttr("predicate", "compiled")
-		} else {
-			sp.SetAttr("predicate", "interpreted")
-		}
-	}
 }
 
 // runSelect opens a cursor over a prepared plan and drains it; a non-nil
@@ -471,7 +422,7 @@ func (e *Engine) runSelect(p *Plan, ctx execCtx) (*Result, error) {
 	sp := ctx.tr.Root().Child("assemble")
 	annotatePlanSpan(sp, p)
 	defer sp.End()
-	cur, err := p.openTraced(ctx.epoch, sp)
+	cur, err := p.open(ctx.epoch, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -681,10 +632,10 @@ type cachedDML struct {
 	changes map[string]atom.Value // modify only
 }
 
-// prepareDelete lowers a DELETE into its prepared form under one planConfig
+// prepareDelete lowers a DELETE into its prepared form under one planDepth
 // snapshot.
-func (e *Engine) prepareDelete(s *mql.Delete, cfg planConfig) (*cachedDML, error) {
-	plan, err := e.planSelect(&mql.Select{All: true, From: s.From, Where: s.Where}, cfg)
+func (e *Engine) prepareDelete(s *mql.Delete, depth int) (*cachedDML, error) {
+	plan, err := e.planSelect(&mql.Select{All: true, From: s.From, Where: s.Where}, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -693,8 +644,8 @@ func (e *Engine) prepareDelete(s *mql.Delete, cfg planConfig) (*cachedDML, error
 
 // prepareModify lowers a MODIFY into its prepared form: qualification plan
 // plus the SET values, lowered once.
-func (e *Engine) prepareModify(s *mql.Modify, cfg planConfig) (*cachedDML, error) {
-	plan, err := e.planSelect(&mql.Select{All: true, From: &mql.MolComponent{Name: s.AtomType}, Where: s.Where}, cfg)
+func (e *Engine) prepareModify(s *mql.Modify, depth int) (*cachedDML, error) {
+	plan, err := e.planSelect(&mql.Select{All: true, From: &mql.MolComponent{Name: s.AtomType}, Where: s.Where}, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -732,7 +683,7 @@ func (e *Engine) endApplySpan(sp *obs.Span) {
 func (e *Engine) runDML(c *cachedDML, tr *obs.Trace) (*Result, error) {
 	asp := tr.Root().Child("assemble")
 	annotatePlanSpan(asp, c.plan)
-	cur, err := c.plan.openTraced(nil, asp)
+	cur, err := c.plan.open(nil, asp)
 	if err != nil {
 		asp.End()
 		return nil, err
@@ -774,7 +725,7 @@ func (e *Engine) runDML(c *cachedDML, tr *obs.Trace) (*Result, error) {
 // ("removal of single components as well as of whole component sets,
 // thereby automatically disconnecting these parts").
 func (e *Engine) execDelete(s *mql.Delete, tr *obs.Trace) (*Result, error) {
-	c, err := e.prepareDelete(s, e.planConfig())
+	c, err := e.prepareDelete(s, e.planDepth())
 	if err != nil {
 		return nil, err
 	}
@@ -782,7 +733,7 @@ func (e *Engine) execDelete(s *mql.Delete, tr *obs.Trace) (*Result, error) {
 }
 
 func (e *Engine) execModify(s *mql.Modify, tr *obs.Trace) (*Result, error) {
-	c, err := e.prepareModify(s, e.planConfig())
+	c, err := e.prepareModify(s, e.planDepth())
 	if err != nil {
 		return nil, err
 	}

@@ -14,17 +14,16 @@ import (
 
 // EXPLAIN [ANALYZE]: render a SELECT's prepared plan as an indented tree —
 // the chosen root access with its bounds, the pushed-down conjuncts per
-// component, the residual predicate and its compilation state, and whether
-// the statement is plan-cacheable. ANALYZE additionally executes the query
+// component, the residual predicate, and whether the statement is
+// plan-cacheable. ANALYZE additionally executes the query
 // under a forced trace and annotates the output with actual per-stage
 // timings (parse/plan/assemble/decode), atom and molecule counts, and the
 // cache hit ratio of the run.
 
 // execExplain handles the *mql.Explain statement.
 func (e *Engine) execExplain(s *mql.Explain, ctx execCtx) (*Result, error) {
-	cfg := e.planConfig()
 	planStart := time.Now()
-	plan, err := e.planSelect(s.Query, cfg)
+	plan, err := e.PlanSelect(s.Query)
 	planNs := time.Since(planStart).Nanoseconds()
 	if err != nil {
 		return nil, err
@@ -98,11 +97,7 @@ func renderPlan(b *strings.Builder, p *Plan) {
 	renderNode(b, p.Mol.Root, pushed, 1)
 
 	if p.Where != nil {
-		mode := "interpreted"
-		if p.whereC != nil {
-			mode = "compiled"
-		}
-		fmt.Fprintf(b, "  residual predicate (%s): %s\n", mode, exprString(p.Where))
+		fmt.Fprintf(b, "  residual predicate: %s\n", exprString(p.Where))
 	}
 	if p.Project != nil && !p.Project.all {
 		fmt.Fprintf(b, "  projection: %d item(s)\n", len(p.Project.perType))

@@ -98,7 +98,7 @@ func TestExplainGolden(t *testing.T) {
 		"  root access: pathrange pserial range=[2, 5]",
 		"  root ssa: serial >= 2 AND serial <= 5 AND w > 1",
 		"  component part",
-		"  residual predicate (compiled): ((serial >= 2 AND serial <= 5) AND w > 1)",
+		"  residual predicate: ((serial >= 2 AND serial <= 5) AND w > 1)",
 		"  cacheable: yes (plan cache, keyed by text and schema version)",
 	}, "\n")
 	if out != want {

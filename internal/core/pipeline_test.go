@@ -3,7 +3,6 @@ package core_test
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -13,8 +12,8 @@ import (
 	"prima/internal/workload/brepgen"
 )
 
-// planFor prepares a plan for a single SELECT without executing it.
-func planFor(t testing.TB, e *core.Engine, q string) *core.Plan {
+// parseSelect parses a single SELECT.
+func parseSelect(t testing.TB, q string) *mql.Select {
 	t.Helper()
 	stmt, err := mql.ParseOne(q)
 	if err != nil {
@@ -24,7 +23,13 @@ func planFor(t testing.TB, e *core.Engine, q string) *core.Plan {
 	if !ok {
 		t.Fatalf("%q is not a SELECT", q)
 	}
-	p, err := e.PlanSelect(sel)
+	return sel
+}
+
+// planFor prepares a plan for a single SELECT without executing it.
+func planFor(t testing.TB, e *core.Engine, q string) *core.Plan {
+	t.Helper()
+	p, err := e.PlanSelect(parseSelect(t, q))
 	if err != nil {
 		t.Fatalf("plan %q: %v", q, err)
 	}
@@ -98,19 +103,6 @@ func TestRangeAccessPathSelection(t *testing.T) {
 	if len(r.Molecules) != 7 {
 		t.Fatalf("range query returned %d molecules, want 7", len(r.Molecules))
 	}
-
-	// With pushdown disabled the planner falls back to the atom-type scan
-	// and still produces the same result.
-	e.SetPushdown(false)
-	p = planFor(t, e, `SELECT ALL FROM brep-face-edge-point WHERE brep_no > 5 AND brep_no <= 12`)
-	if p.AccessKind != "atomscan" {
-		t.Fatalf("pushdown off: AccessKind = %s, want atomscan", p.AccessKind)
-	}
-	r = mustQuery(t, e, `SELECT ALL FROM brep-face-edge-point WHERE brep_no > 5 AND brep_no <= 12`)
-	if len(r.Molecules) != 7 {
-		t.Fatalf("pushdown off: %d molecules, want 7", len(r.Molecules))
-	}
-	e.SetPushdown(true)
 }
 
 func TestSortOrderRangeSelection(t *testing.T) {
@@ -166,20 +158,12 @@ func TestComponentPushdownExtraction(t *testing.T) {
 			t.Fatalf("%s: CompSSA = %+v, want empty", where, p.CompSSA)
 		}
 	}
-
-	// With pushdown disabled nothing is extracted.
-	e.SetPushdown(false)
-	p = planFor(t, e, mol+`edge.length > 1.0`)
-	if len(p.CompSSA) != 0 {
-		t.Fatalf("pushdown off: CompSSA = %+v, want empty", p.CompSSA)
-	}
-	e.SetPushdown(true)
 }
 
 func TestPushdownPruneSemantics(t *testing.T) {
 	e, _ := sceneEngine(t, 14)
 	// Edge lengths are 1+size variants in [1, 7]; 1000.0 is unsatisfiable.
-	for _, tc := range []struct {
+	cases := []struct {
 		q    string
 		want int
 	}{
@@ -187,16 +171,15 @@ func TestPushdownPruneSemantics(t *testing.T) {
 		{`SELECT ALL FROM brep-face-edge-point WHERE EXISTS edge: edge.length > 1000.0`, 0},
 		{`SELECT ALL FROM brep-face-edge-point WHERE edge.length > 5.5`, 4},
 		{`SELECT ALL FROM brep-face-edge-point WHERE FOR_ALL edge: edge.length > 5.5`, 4},
-	} {
-		for _, pushdown := range []bool{true, false} {
-			e.SetPushdown(pushdown)
-			r := mustQuery(t, e, tc.q)
-			if len(r.Molecules) != tc.want {
-				t.Fatalf("pushdown=%v %s: %d molecules, want %d", pushdown, tc.q, len(r.Molecules), tc.want)
-			}
-		}
 	}
-	e.SetPushdown(true)
+	var corpus []string
+	for _, tc := range cases {
+		if r := mustQuery(t, e, tc.q); len(r.Molecules) != tc.want {
+			t.Fatalf("%s: %d molecules, want %d", tc.q, len(r.Molecules), tc.want)
+		}
+		corpus = append(corpus, tc.q)
+	}
+	checkAgainstReference(t, e, corpus)
 }
 
 // renderSet renders a molecule multiset order-independently.
@@ -209,9 +192,42 @@ func renderSet(mols []*core.Molecule) []string {
 	return out
 }
 
-// TestDifferentialCompiledPipeline runs a query corpus with compilation and
-// pushdown force-disabled vs. enabled and asserts identical result sets —
-// the semantics-preservation gate for the whole compiled pipeline.
+// checkAgainstReference requires the engine to answer every corpus query
+// with the molecule multiset the reference model (reference_test.go)
+// computes from the unrestricted molecule set — under serial and default
+// assembly parallelism, with the decoded-atom cache on and off.
+func checkAgainstReference(t *testing.T, e *core.Engine, corpus []string) {
+	t.Helper()
+	defer e.SetAssemblyWorkers(e.AssemblyWorkers())
+	defer e.SetAtomCacheSize(access.DefaultAtomCacheAtoms)
+	for _, q := range corpus {
+		ref, err := e.ReferenceSelect(parseSelect(t, q))
+		if err != nil {
+			t.Fatalf("reference %s: %v", q, err)
+		}
+		want := renderSet(ref)
+		for _, workers := range []int{1, core.DefaultAssemblyWorkers()} {
+			for _, cache := range []int{access.DefaultAtomCacheAtoms, 0} {
+				e.SetAssemblyWorkers(workers)
+				e.SetAtomCacheSize(cache)
+				have := renderSet(mustQuery(t, e, q).Molecules)
+				if len(want) != len(have) {
+					t.Fatalf("workers=%d cache=%d %s: reference %d molecules, engine %d", workers, cache, q, len(want), len(have))
+				}
+				for i := range want {
+					if want[i] != have[i] {
+						t.Fatalf("workers=%d cache=%d %s: molecule %d differs\nreference:\n%s\nengine:\n%s", workers, cache, q, i, want[i], have[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDifferentialCompiledPipeline runs a query corpus through the engine
+// and the reference model and asserts identical result sets — the
+// semantics-preservation gate for the whole compiled pipeline (predicate
+// compilation, component pushdown, range access selection).
 func TestDifferentialCompiledPipeline(t *testing.T) {
 	e, _ := sceneEngine(t, 12)
 	if _, _, err := brepgen.BuildAssembly(e, 4711, 3, 2); err != nil {
@@ -220,7 +236,7 @@ func TestDifferentialCompiledPipeline(t *testing.T) {
 	mustQuery(t, e, `CREATE ACCESS PATH bno ON brep (brep_no) USING BTREE`)
 	mustQuery(t, e, `CREATE SORT ORDER sno ON solid (solid_no)`)
 
-	corpus := []string{
+	checkAgainstReference(t, e, []string{
 		`SELECT ALL FROM brep-face-edge-point WHERE brep_no = 3`,
 		`SELECT ALL FROM brep-face-edge-point WHERE brep_no > 3 AND brep_no <= 7`,
 		`SELECT ALL FROM brep-face-edge-point WHERE 5 > brep_no`,
@@ -241,24 +257,7 @@ func TestDifferentialCompiledPipeline(t *testing.T) {
 		`SELECT ALL FROM solid WHERE solid_no >= 4 AND solid_no < 9`,
 		`SELECT ALL FROM piece_list WHERE piece_list(0).solid_no = 4711`,
 		`SELECT ALL FROM piece_list WHERE piece_list(1).solid_no > 4711 AND piece_list(0).solid_no = 4711`,
-	}
-	for _, q := range corpus {
-		e.SetPredicateCompilation(false)
-		e.SetPushdown(false)
-		base := mustQuery(t, e, q)
-		e.SetPredicateCompilation(true)
-		e.SetPushdown(true)
-		got := mustQuery(t, e, q)
-		want, have := renderSet(base.Molecules), renderSet(got.Molecules)
-		if len(want) != len(have) {
-			t.Fatalf("%s: baseline %d molecules, compiled %d", q, len(want), len(have))
-		}
-		for i := range want {
-			if want[i] != have[i] {
-				t.Fatalf("%s: molecule %d differs\nbaseline:\n%s\ncompiled:\n%s", q, i, want[i], have[i])
-			}
-		}
-	}
+	})
 }
 
 func TestPlanCache(t *testing.T) {
@@ -293,16 +292,16 @@ func TestPlanCache(t *testing.T) {
 		t.Fatalf("after DDL: AccessKind = %s, want accesspath (stale cached plan reused?)", p.AccessKind)
 	}
 
-	// Toggling planner knobs changes the key, too.
-	e.SetPredicateCompilation(false)
+	// The recursion bound shapes the plan, so it is part of the key, too.
+	e.SetMaxRecursionDepth(7)
 	p2, err := e.PlanQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2 == p {
-		t.Fatal("knob flip returned the cached plan of the other configuration")
+	if p2 == p || p2.MaxDepth != 7 {
+		t.Fatalf("depth change returned the plan cached under the old bound (MaxDepth %d)", p2.MaxDepth)
 	}
-	e.SetPredicateCompilation(true)
+	e.SetMaxRecursionDepth(64)
 
 	// Disabling drops all plans and stops caching.
 	e.SetPlanCacheSize(0)
@@ -357,34 +356,29 @@ func TestPlanCacheConcurrentCursors(t *testing.T) {
 	}
 }
 
-// TestEvalQuantBindingRestore pins the interpreter's scratch-binding reuse:
-// nested quantifiers over the same variable must shadow and restore.
+// TestEvalQuantBindingRestore pins quantifier scoping in both evaluators:
+// nested quantifiers over the same variable must shadow and restore (the
+// reference interpreter reuses one binding map, the compiler one slot scope).
 func TestEvalQuantBindingRestore(t *testing.T) {
 	e, _ := sceneEngine(t, 3)
-	e.SetPredicateCompilation(false)
-	defer e.SetPredicateCompilation(true)
 	// The outer binding must be intact after the inner quantifier ran.
 	q := `SELECT ALL FROM brep-face-edge-point
 	      WHERE EXISTS edge: (EXISTS edge: edge.length > 0.5) AND edge.length > 0.5`
-	r := mustQuery(t, e, q)
-	if len(r.Molecules) != 3 {
-		t.Fatalf("nested same-var quantifier: %d molecules, want 3", len(r.Molecules))
+	ref, err := e.ReferenceSelect(parseSelect(t, q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := mustQuery(t, e, q); len(ref) != 3 || len(r.Molecules) != 3 {
+		t.Fatalf("nested same-var quantifier: reference %d, engine %d molecules, want 3", len(ref), len(r.Molecules))
 	}
 }
 
 // TestQualifiedProjectionCompiled checks the compiled qualified-projection
-// predicate path against the interpreted one.
+// predicate path against the reference.
 func TestQualifiedProjectionCompiled(t *testing.T) {
 	e, _ := sceneEngine(t, 6)
-	q := `SELECT edge, (point, face := SELECT face_id, square_dim FROM face WHERE square_dim > 10.0)
-	      FROM brep-edge-(face, point) WHERE brep_no = 4`
-	e.SetPredicateCompilation(false)
-	base := mustQuery(t, e, q)
-	e.SetPredicateCompilation(true)
-	got := mustQuery(t, e, q)
-	want, have := renderSet(base.Molecules), renderSet(got.Molecules)
-	if strings.Join(want, "\n") != strings.Join(have, "\n") {
-		t.Fatalf("qualified projection differs\nbaseline:\n%s\ncompiled:\n%s",
-			strings.Join(want, "\n"), strings.Join(have, "\n"))
-	}
+	checkAgainstReference(t, e, []string{
+		`SELECT edge, (point, face := SELECT face_id, square_dim FROM face WHERE square_dim > 10.0)
+	      FROM brep-edge-(face, point) WHERE brep_no = 4`,
+	})
 }

@@ -55,7 +55,7 @@ type Plan struct {
 	Project  *projection
 	MaxDepth int
 
-	whereC *compiledPred // compiled residual predicate (nil = interpret)
+	whereC *compiledPred // compiled residual predicate (nil iff Where is nil)
 	// reach maps each molecule node to the component types of its subtree,
 	// so assembly knows when a pushed conjunct can no longer be satisfied.
 	reach map[*catalog.MolNode]map[string]bool
@@ -82,21 +82,20 @@ type projection struct {
 
 type typeProjection struct {
 	whole   bool
-	attrs   []string // projected attributes (when !whole)
-	where   mql.Expr // qualified projection predicate (may be nil)
-	whereC  *compiledPred
-	subType *catalog.MoleculeType // single-type pseudo molecule for where
+	attrs   []string              // projected attributes (when !whole)
+	whereC  *compiledPred         // qualified projection predicate (may be nil)
+	subType *catalog.MoleculeType // single-type pseudo molecule for whereC
 }
 
 // PlanSelect validates a SELECT statement against the schema and prepares
 // an executable plan.
 func (e *Engine) PlanSelect(sel *mql.Select) (*Plan, error) {
-	return e.planSelect(sel, e.planConfig())
+	return e.planSelect(sel, e.planDepth())
 }
 
-// planSelect prepares a plan under one planConfig snapshot — callers that
+// planSelect prepares a plan under one planDepth snapshot — callers that
 // cache the plan pass the same snapshot they keyed it with.
-func (e *Engine) planSelect(sel *mql.Select, cfg planConfig) (*Plan, error) {
+func (e *Engine) planSelect(sel *mql.Select, depth int) (*Plan, error) {
 	defer e.planNs.ObserveSince(time.Now())
 	if err := e.ensureResolved(); err != nil {
 		return nil, err
@@ -116,11 +115,10 @@ func (e *Engine) planSelect(sel *mql.Select, cfg planConfig) (*Plan, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", catalog.ErrUnknownType, mol.Root.AtomType)
 	}
-	p := &Plan{engine: e, Mol: mol, Root: root, AccessKind: "atomscan", MaxDepth: cfg.depth}
-	compileOn, pushdownOn := cfg.compile, cfg.pushdown
+	p := &Plan{engine: e, Mol: mol, Root: root, AccessKind: "atomscan", MaxDepth: depth}
 
 	// Validate and compile the projection.
-	proj, err := e.compileProjection(sel, mol, compileOn)
+	proj, err := e.compileProjection(sel, mol)
 	if err != nil {
 		return nil, err
 	}
@@ -133,26 +131,22 @@ func (e *Engine) planSelect(sel *mql.Select, cfg planConfig) (*Plan, error) {
 			return nil, err
 		}
 		p.Where = sel.Where
-		if compileOn {
-			p.whereC = e.compilePredicate(sel.Where, mol)
-		}
+		p.whereC = e.compilePredicate(sel.Where, mol)
 	}
 
 	// Query preparation: extract pushed-down root restrictions, push
 	// single-component conjuncts into assembly, and choose the root access.
 	p.RootSSA = e.extractRootSSA(sel.Where, mol, root)
-	if pushdownOn {
-		p.CompSSA = e.extractComponentSSA(sel.Where, mol, root)
-		if len(p.CompSSA) > 0 {
-			p.reach = reachability(mol)
-		}
+	p.CompSSA = e.extractComponentSSA(sel.Where, mol, root)
+	if len(p.CompSSA) > 0 {
+		p.reach = reachability(mol)
 	}
-	e.chooseRootAccess(p, pushdownOn)
+	e.chooseRootAccess(p)
 	return p, nil
 }
 
 // compileProjection lowers the SELECT list.
-func (e *Engine) compileProjection(sel *mql.Select, mol *catalog.MoleculeType, compileOn bool) (*projection, error) {
+func (e *Engine) compileProjection(sel *mql.Select, mol *catalog.MoleculeType) (*projection, error) {
 	proj := &projection{perType: map[string]*typeProjection{}}
 	if sel.All {
 		proj.all = true
@@ -204,11 +198,8 @@ func (e *Engine) compileProjection(sel *mql.Select, mol *catalog.MoleculeType, c
 				if err := e.checkExpr(item.Sub.Where, sub); err != nil {
 					return nil, err
 				}
-				tp.where = item.Sub.Where
 				tp.subType = sub
-				if compileOn {
-					tp.whereC = e.compilePredicate(item.Sub.Where, sub)
-				}
+				tp.whereC = e.compilePredicate(item.Sub.Where, sub)
 			}
 		case item.Qualifier != "":
 			// type.attr
@@ -616,7 +607,7 @@ func ssaAppend(ssa *access.SSA, e *Engine, ref *mql.AttrRef, mol *catalog.Molecu
 // molecule, else the atom-type scan. This is the molecule-type-specific
 // optimization of §3.1 ("aware of access methods, sort orders, partitions
 // of atom types, and physical clusters").
-func (e *Engine) chooseRootAccess(p *Plan, pushdown bool) {
+func (e *Engine) chooseRootAccess(p *Plan) {
 	schema := e.sys.Schema()
 	// Equality on the root's IDENTIFIER attribute: the surrogate IS the
 	// logical address, so the restriction names its only possible root
@@ -649,63 +640,61 @@ func (e *Engine) chooseRootAccess(p *Plan, pushdown bool) {
 			}
 		}
 	}
-	if pushdown {
-		// BTREE access path with start/stop bounds for range conjuncts. The
-		// bounds are an inclusive superset (strict operators keep their
-		// boundary key); RootSSA re-decides every root exactly.
-		for _, ap := range schema.AccessPathsFor(p.Root.Name) {
-			if ap.Method != "BTREE" || len(ap.Attrs) != 1 {
-				continue
-			}
-			if start, stop, ok := rangeBounds(p.RootSSA, ap.Attrs[0]); ok {
-				p.AccessKind = "pathrange"
-				p.PathName = ap.Name
-				p.PathStart, p.PathStop = start, stop
-				return
-			}
+	// BTREE access path with start/stop bounds for range conjuncts. The
+	// bounds are an inclusive superset (strict operators keep their
+	// boundary key); RootSSA re-decides every root exactly.
+	for _, ap := range schema.AccessPathsFor(p.Root.Name) {
+		if ap.Method != "BTREE" || len(ap.Attrs) != 1 {
+			continue
 		}
-		// GRID access path: fold equality and range conjuncts on any subset
-		// of the grid's attributes into one inclusive box query — the
-		// multi-dimensional counterpart of the BTREE range above ("start/stop
-		// conditions ... may be specified individually for every key").
-		// Unbounded dimensions stay open; at least one must be bounded or the
-		// grid offers nothing over the atom-type scan.
-		for _, ap := range schema.AccessPathsFor(p.Root.Name) {
-			if ap.Method != "GRID" {
-				continue
-			}
-			ranges := make([]mdindex.Range, len(ap.Attrs))
-			bounded := 0
-			for i, attr := range ap.Attrs {
-				if eq, ok := eqBound(p.RootSSA, attr); ok {
-					ranges[i] = mdindex.Range{Start: eq, Stop: eq}
-					bounded++
-					continue
-				}
-				if start, stop, ok := rangeBounds(p.RootSSA, attr); ok {
-					ranges[i] = mdindex.Range{Start: start, Stop: stop}
-					bounded++
-				}
-			}
-			if bounded == 0 {
-				continue
-			}
-			p.AccessKind = "gridrange"
+		if start, stop, ok := rangeBounds(p.RootSSA, ap.Attrs[0]); ok {
+			p.AccessKind = "pathrange"
 			p.PathName = ap.Name
-			p.PathRanges = ranges
+			p.PathStart, p.PathStop = start, stop
 			return
 		}
-		// Single-attribute ascending sort order with start/stop bounds.
-		for _, so := range schema.SortOrdersFor(p.Root.Name) {
-			if len(so.Attrs) != 1 || (len(so.Desc) > 0 && so.Desc[0]) {
+	}
+	// GRID access path: fold equality and range conjuncts on any subset
+	// of the grid's attributes into one inclusive box query — the
+	// multi-dimensional counterpart of the BTREE range above ("start/stop
+	// conditions ... may be specified individually for every key").
+	// Unbounded dimensions stay open; at least one must be bounded or the
+	// grid offers nothing over the atom-type scan.
+	for _, ap := range schema.AccessPathsFor(p.Root.Name) {
+		if ap.Method != "GRID" {
+			continue
+		}
+		ranges := make([]mdindex.Range, len(ap.Attrs))
+		bounded := 0
+		for i, attr := range ap.Attrs {
+			if eq, ok := eqBound(p.RootSSA, attr); ok {
+				ranges[i] = mdindex.Range{Start: eq, Stop: eq}
+				bounded++
 				continue
 			}
-			if start, stop, ok := rangeBounds(p.RootSSA, so.Attrs[0]); ok {
-				p.AccessKind = "sortrange"
-				p.SortOrder = so.Name
-				p.PathStart, p.PathStop = start, stop
-				return
+			if start, stop, ok := rangeBounds(p.RootSSA, attr); ok {
+				ranges[i] = mdindex.Range{Start: start, Stop: stop}
+				bounded++
 			}
+		}
+		if bounded == 0 {
+			continue
+		}
+		p.AccessKind = "gridrange"
+		p.PathName = ap.Name
+		p.PathRanges = ranges
+		return
+	}
+	// Single-attribute ascending sort order with start/stop bounds.
+	for _, so := range schema.SortOrdersFor(p.Root.Name) {
+		if len(so.Attrs) != 1 || (len(so.Desc) > 0 && so.Desc[0]) {
+			continue
+		}
+		if start, stop, ok := rangeBounds(p.RootSSA, so.Attrs[0]); ok {
+			p.AccessKind = "sortrange"
+			p.SortOrder = so.Name
+			p.PathStart, p.PathStop = start, stop
+			return
 		}
 	}
 	// Atom cluster whose molecule covers this query's molecule structure.

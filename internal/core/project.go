@@ -1,0 +1,58 @@
+package core
+
+import "prima/internal/access/atom"
+
+// applyProjection rewrites the molecule in place according to the compiled
+// projection: qualified-projection predicates filter component atoms,
+// attribute lists restrict values, unmentioned types become hidden
+// connectors (kept only where needed for molecule structure).
+func (e *Engine) applyProjection(p *projection, m *Molecule) error {
+	if p == nil || p.all {
+		return nil
+	}
+	for typeName, atoms := range m.ByType {
+		tp := p.perType[typeName]
+		t, _ := e.sys.Schema().AtomType(typeName)
+		// Qualified-projection predicates evaluate against one reusable
+		// single-atom pseudo molecule instead of building one per component
+		// atom.
+		var pseudo *Molecule
+		if tp != nil && tp.whereC != nil {
+			pseudo = &Molecule{
+				Type:   tp.subType,
+				ByType: map[string][]*MAtom{typeName: make([]*MAtom, 1)},
+			}
+		}
+		for _, ma := range atoms {
+			if tp == nil {
+				ma.Hidden = true
+				continue
+			}
+			if pseudo != nil {
+				pseudo.ByType[typeName][0] = ma
+				pseudo.Root = ma
+				ok, err := tp.whereC.Eval(pseudo)
+				if err != nil {
+					return err
+				}
+				if !ok {
+					ma.Hidden = true
+					continue
+				}
+			}
+			if !tp.whole && tp.attrs != nil {
+				// Project the attribute vector (identifier always kept).
+				nv := make([]atom.Value, len(ma.Atom.Values))
+				nv[t.IdentIndex()] = ma.Atom.Values[t.IdentIndex()]
+				for _, a := range tp.attrs {
+					i, _ := t.AttrIndex(a)
+					nv[i] = ma.Atom.Values[i]
+				}
+				projected := *ma.Atom
+				projected.Values = nv
+				ma.Atom = &projected
+			}
+		}
+	}
+	return nil
+}

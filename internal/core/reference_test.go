@@ -8,11 +8,106 @@ import (
 	"prima/internal/mql"
 )
 
-// Molecule predicate evaluation. References to non-root component
-// attributes without an explicit quantifier are implicitly existentially
-// quantified ("there is a component atom satisfying the comparison"), which
-// matches the reading of the paper's Table 2.1 examples; FOR_ALL and
-// EXISTS_AT_LEAST are explicit.
+// The reference model of molecule qualification and projection: the
+// interpretive evaluator that predated plan-time predicate compilation, kept
+// as test code. It walks the predicate AST per molecule with a schema lookup
+// at every reference — slow and correct by inspection — and the differential
+// tests require the engine (compiled predicates, pushdown, range access
+// selection, parallel assembly, atom cache) to answer every corpus query with
+// the same molecule multiset.
+//
+// References to non-root component attributes without an explicit quantifier
+// are implicitly existentially quantified ("there is a component atom
+// satisfying the comparison"), which matches the reading of the paper's
+// Table 2.1 examples; FOR_ALL and EXISTS_AT_LEAST are explicit.
+
+// referenceSelect answers a SELECT the naive way: assemble every molecule of
+// the FROM clause unrestricted, decide the WHERE per molecule with the
+// interpreter, and project the survivors with the interpreter deciding the
+// qualified-projection predicates.
+func (e *Engine) referenceSelect(sel *mql.Select) ([]*Molecule, error) {
+	all, err := e.PlanSelect(&mql.Select{All: true, From: sel.From})
+	if err != nil {
+		return nil, err
+	}
+	cur, err := all.Open()
+	if err != nil {
+		return nil, err
+	}
+	defer cur.Close()
+	mols, err := cur.Collect()
+	if err != nil {
+		return nil, err
+	}
+	// Name resolution of the SELECT list only; its predicates are taken from
+	// the AST and decided below.
+	proj, err := e.compileProjection(sel, all.Mol)
+	if err != nil {
+		return nil, err
+	}
+	subWhere := map[string]mql.Expr{}
+	for _, item := range sel.Items {
+		if item.Sub != nil && item.Sub.Where != nil {
+			subWhere[item.Sub.From.Name] = item.Sub.Where
+		}
+	}
+	var out []*Molecule
+	for _, m := range mols {
+		if sel.Where != nil {
+			keep, err := e.evalMolecule(sel.Where, m)
+			if err != nil {
+				return nil, err
+			}
+			if !keep {
+				continue
+			}
+		}
+		if !proj.all {
+			if err := e.referenceProject(proj, subWhere, m); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, m)
+	}
+	return out, nil
+}
+
+// referenceProject hides the atoms of unmentioned types and of types whose
+// qualified-projection predicate the atom fails, and blanks the unprojected
+// attributes of the rest (the identifier always stays).
+func (e *Engine) referenceProject(proj *projection, subWhere map[string]mql.Expr, m *Molecule) error {
+	for typeName, atoms := range m.ByType {
+		tp := proj.perType[typeName]
+		t, _ := e.sys.Schema().AtomType(typeName)
+		for _, ma := range atoms {
+			if tp == nil {
+				ma.Hidden = true
+				continue
+			}
+			if w := subWhere[typeName]; w != nil {
+				ok, err := e.evalComponentPredicate(w, ma)
+				if err != nil {
+					return err
+				}
+				if !ok {
+					ma.Hidden = true
+					continue
+				}
+			}
+			if tp.whole || tp.attrs == nil {
+				continue
+			}
+			projected := *ma.Atom
+			projected.Values = make([]atom.Value, len(ma.Atom.Values))
+			for _, a := range append([]string{t.Attrs[t.IdentIndex()].Name}, tp.attrs...) {
+				i, _ := t.AttrIndex(a)
+				projected.Values[i] = ma.Atom.Values[i]
+			}
+			ma.Atom = &projected
+		}
+	}
+	return nil
+}
 
 // evalMolecule decides a WHERE predicate for one molecule.
 func (e *Engine) evalMolecule(x mql.Expr, m *Molecule) (bool, error) {
@@ -224,73 +319,6 @@ func (e *Engine) refValues(ref *mql.AttrRef, m *Molecule, bound map[string]*MAto
 		}
 	}
 	return out, nil
-}
-
-// applyProjection rewrites the molecule in place according to the compiled
-// projection: qualified-projection predicates filter component atoms,
-// attribute lists restrict values, unmentioned types become hidden
-// connectors (kept only where needed for molecule structure).
-func (e *Engine) applyProjection(p *projection, m *Molecule) error {
-	if p == nil || p.all {
-		return nil
-	}
-	// Decide fate per atom.
-	for typeName, atoms := range m.ByType {
-		tp := p.perType[typeName]
-		t, _ := e.sys.Schema().AtomType(typeName)
-		// Compiled qualified-projection predicates evaluate against one
-		// reusable single-atom pseudo molecule instead of building one per
-		// component atom.
-		var pseudo *Molecule
-		if tp != nil && tp.whereC != nil {
-			pseudo = &Molecule{
-				Type:   tp.subType,
-				ByType: map[string][]*MAtom{typeName: make([]*MAtom, 1)},
-			}
-		}
-		var kept []*MAtom
-		for _, ma := range atoms {
-			if tp == nil {
-				ma.Hidden = true
-				kept = append(kept, ma)
-				continue
-			}
-			if tp.where != nil {
-				var ok bool
-				var err error
-				if pseudo != nil {
-					pseudo.ByType[typeName][0] = ma
-					pseudo.Root = ma
-					ok, err = tp.whereC.Eval(pseudo)
-				} else {
-					ok, err = e.evalComponentPredicate(tp.where, ma)
-				}
-				if err != nil {
-					return err
-				}
-				if !ok {
-					ma.Hidden = true
-					kept = append(kept, ma)
-					continue
-				}
-			}
-			if !tp.whole && tp.attrs != nil {
-				// Project the attribute vector (identifier always kept).
-				nv := make([]atom.Value, len(ma.Atom.Values))
-				nv[t.IdentIndex()] = ma.Atom.Values[t.IdentIndex()]
-				for _, a := range tp.attrs {
-					i, _ := t.AttrIndex(a)
-					nv[i] = ma.Atom.Values[i]
-				}
-				projected := *ma.Atom
-				projected.Values = nv
-				ma.Atom = &projected
-			}
-			kept = append(kept, ma)
-		}
-		m.ByType[typeName] = kept
-	}
-	return nil
 }
 
 // evalComponentPredicate evaluates a qualified-projection predicate against

@@ -4,18 +4,17 @@
 // level of decomposition. Such decomposed units of work (DU's) may be
 // scheduled and executed concurrently by the DBMS."
 //
-// The multiprocessor PRIMA is simulated by goroutines: molecule-set
-// operations decompose into one unit per root-atom batch; a conflict
-// relation over the units' read/write sets gates concurrent execution.
+// The multiprocessor PRIMA is simulated by goroutines: a molecule-set
+// modification decomposes into one unit per root atom; a conflict relation
+// over the units' write sets gates concurrent execution. (Retrieval needs no
+// scheduler — read-only units never conflict — so parallel molecule
+// assembly lives in the data system's cursor pipeline.)
 package du
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 
 	"prima/internal/access/addr"
-	"prima/internal/core"
 )
 
 // Unit is one decomposed unit of work.
@@ -51,9 +50,6 @@ func Conflicts(a, b *Unit) bool {
 type Scheduler struct {
 	Workers int
 }
-
-// ErrNoUnits is returned when Run receives nothing to do.
-var ErrNoUnits = errors.New("du: no units")
 
 // Run executes every unit via exec. Conflicting units are serialized; the
 // first error cancels the remaining schedule and is returned.
@@ -121,63 +117,6 @@ func (s Scheduler) Run(units []*Unit, exec func(*Unit) error) error {
 	// Wake any workers still parked on the condition variable.
 	cond.Broadcast()
 	return firstErr
-}
-
-// DecomposeRoots splits a root list into units of batch size roots each.
-// Retrieval units carry no write sets.
-func DecomposeRoots(roots []addr.LogicalAddr, batch int) []*Unit {
-	if batch < 1 {
-		batch = 1
-	}
-	var units []*Unit
-	for i := 0; i < len(roots); i += batch {
-		j := i + batch
-		if j > len(roots) {
-			j = len(roots)
-		}
-		units = append(units, &Unit{ID: len(units), Roots: roots[i:j]})
-	}
-	return units
-}
-
-// ParallelCollect executes a molecule retrieval plan with the given degree
-// of parallelism: the root set is decomposed into units, assembled
-// concurrently, and the qualified molecules are returned in root order
-// (same result as the sequential cursor).
-func ParallelCollect(plan *core.Plan, workers int) ([]*core.Molecule, error) {
-	roots, err := plan.Roots()
-	if err != nil {
-		return nil, err
-	}
-	if len(roots) == 0 {
-		return nil, nil
-	}
-	batch := (len(roots) + workers*4 - 1) / (workers * 4)
-	units := DecomposeRoots(roots, batch)
-
-	results := make([][]*core.Molecule, len(units))
-	err = Scheduler{Workers: workers}.Run(units, func(u *Unit) error {
-		var out []*core.Molecule
-		for _, r := range u.Roots {
-			m, err := plan.AssembleRoot(r)
-			if err != nil {
-				return fmt.Errorf("du: unit %d root %v: %w", u.ID, r, err)
-			}
-			if m != nil {
-				out = append(out, m)
-			}
-		}
-		results[u.ID] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var all []*core.Molecule
-	for _, part := range results {
-		all = append(all, part...)
-	}
-	return all, nil
 }
 
 // ParallelApply runs fn once per molecule root concurrently; each unit's

@@ -10,7 +10,6 @@ import (
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
 	"prima/internal/core"
-	"prima/internal/mql"
 	"prima/internal/workload/brepgen"
 )
 
@@ -28,45 +27,6 @@ func newScene(t testing.TB, n int) *core.Engine {
 		t.Fatal(err)
 	}
 	return e
-}
-
-func TestParallelCollectMatchesSequential(t *testing.T) {
-	e := newScene(t, 12)
-	stmt, err := mql.ParseOne(`SELECT ALL FROM brep-face-edge-point WHERE brep_no >= 4`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := e.PlanSelect(stmt.(*mql.Select))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cur, err := plan.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := cur.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		par, err := ParallelCollect(plan, workers)
-		if err != nil {
-			t.Fatalf("ParallelCollect(%d): %v", workers, err)
-		}
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d molecules, want %d", workers, len(par), len(seq))
-		}
-		for i := range seq {
-			if par[i].Root.Addr() != seq[i].Root.Addr() {
-				t.Fatalf("workers=%d: result order differs at %d", workers, i)
-			}
-			if par[i].Size() != seq[i].Size() {
-				t.Fatalf("workers=%d: molecule %d size %d != %d", workers, i, par[i].Size(), seq[i].Size())
-			}
-		}
-	}
 }
 
 func TestSchedulerConflictSerialization(t *testing.T) {
@@ -114,7 +74,10 @@ func TestSchedulerConflictSerialization(t *testing.T) {
 }
 
 func TestSchedulerErrorStopsSchedule(t *testing.T) {
-	units := DecomposeRoots(make([]addr.LogicalAddr, 100), 1)
+	units := make([]*Unit, 100)
+	for i := range units {
+		units[i] = &Unit{ID: i}
+	}
 	boom := errors.New("boom")
 	var ran int32
 	err := Scheduler{Workers: 4}.Run(units, func(u *Unit) error {
@@ -149,23 +112,5 @@ func TestParallelApply(t *testing.T) {
 		func(*access.Atom) bool { n++; return true })
 	if n != 8 {
 		t.Fatalf("painted %d solids, want 8", n)
-	}
-}
-
-func TestDecomposeRoots(t *testing.T) {
-	roots := make([]addr.LogicalAddr, 10)
-	units := DecomposeRoots(roots, 3)
-	if len(units) != 4 {
-		t.Fatalf("units = %d, want 4", len(units))
-	}
-	if len(units[3].Roots) != 1 {
-		t.Fatalf("last unit size = %d", len(units[3].Roots))
-	}
-	if len(DecomposeRoots(nil, 3)) != 0 {
-		t.Fatal("empty roots produced units")
-	}
-	// batch < 1 coerced.
-	if got := DecomposeRoots(roots, 0); len(got) != 10 {
-		t.Fatalf("batch 0 -> %d units", len(got))
 	}
 }

@@ -1,7 +1,6 @@
 package mql
 
 import (
-	"prima/internal/access/addr"
 	"prima/internal/access/atom"
 )
 
@@ -263,8 +262,3 @@ func (*Lit) expr()      {}
 func (*EmptyLit) expr() {}
 func (*AttrRef) expr()  {}
 func (*Quant) expr()    {}
-
-// AddrLit builds the atom.Value for an address literal token.
-func AddrLit(raw int64) atom.Value {
-	return atom.Ref(addr.LogicalAddr(uint64(raw>>48)<<48 | uint64(raw)&0xFFFFFFFFFFFF))
-}

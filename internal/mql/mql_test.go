@@ -344,10 +344,19 @@ func TestParseErrors(t *testing.T) {
 		`SELECT x FROM a WHERE b >`,
 		`SELECT x FROM a WHERE EXISTS_AT_LEAST edge: b = 1`, // missing (n)
 		`SELECT ALL FROM a-(b,c) (RECURSIVE)`,               // recursive needs 1 child
+		// Nesting is bounded: these used to recurse until the goroutine
+		// stack limit killed the process.
+		`SELECT ALL FROM a WHERE ` + strings.Repeat(`(`, 1<<20) + `x = 1`,
+		`SELECT ALL FROM a WHERE ` + strings.Repeat(`NOT `, 1<<12) + `x = 1`,
+		`SELECT ALL FROM a WHERE ` + strings.Repeat(`EXISTS a: `, 1<<12) + `x = 1`,
+		`SELECT ALL FROM a` + strings.Repeat(`-(b`, 1<<12),
+		`SELECT ` + strings.Repeat(`(`, 1<<12) + `a FROM a`,
+		`INSERT INTO a (x) VALUES (` + strings.Repeat(`{`, 1<<12),
+		`CREATE ATOM_TYPE x ( a : ` + strings.Repeat(`SET_OF (`, 1<<12),
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); !errors.Is(err, ErrSyntax) {
-			t.Errorf("Parse(%q) = %v, want ErrSyntax", src, err)
+			t.Errorf("Parse(%.60q) = %v, want ErrSyntax", src, err)
 		}
 	}
 }

@@ -9,9 +9,28 @@ import (
 
 // Parser is a recursive-descent parser over the token stream.
 type parser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int // current nesting of recursive productions, see nest
 }
+
+// maxNesting bounds how deep the recursive productions (parentheses, NOT,
+// quantifier bodies, molecule structures, constructor literals, type
+// expressions, projection groups) may nest. Statements arrive from wire
+// clients: without a bound, a megabyte of '(' recurses until the goroutine
+// stack limit kills the process. Real statements nest a handful of levels.
+const maxNesting = 200
+
+// nest enters one level of a recursive production; the caller defers unnest.
+func (p *parser) nest() error {
+	p.depth++
+	if p.depth > maxNesting {
+		return p.errf("nesting deeper than %d levels", maxNesting)
+	}
+	return nil
+}
+
+func (p *parser) unnest() { p.depth-- }
 
 // Parse parses a script of semicolon-separated statements.
 func Parse(src string) ([]Stmt, error) {
@@ -337,6 +356,10 @@ func (p *parser) createAtomType() (Stmt, error) {
 
 // typeExpr parses one attribute type.
 func (p *parser) typeExpr() (TypeExpr, error) {
+	if err := p.nest(); err != nil {
+		return TypeExpr{}, err
+	}
+	defer p.unnest()
 	t := p.peek()
 	if t.kind != tokKeyword {
 		return TypeExpr{}, p.errf("expected a type, got %q", t.text)
@@ -574,6 +597,10 @@ func (p *parser) molExpr() (*MolComponent, error) {
 }
 
 func (p *parser) molComponent() (*MolComponent, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	name, err := p.ident()
 	if err != nil {
 		return nil, err
@@ -671,6 +698,10 @@ func (p *parser) selectStmt() (*Select, error) {
 // selectItems parses the projection list; parentheses group items and are
 // flattened (Table 2.1d: SELECT edge, (point, face := SELECT ...)).
 func (p *parser) selectItems(inGroup bool) ([]SelectItem, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	var out []SelectItem
 	for {
 		if p.peek().kind == tokLParen {
@@ -893,6 +924,10 @@ func (p *parser) andExpr() (Expr, error) {
 }
 
 func (p *parser) notExpr() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	if p.atKeyword("NOT") {
 		p.advance()
 		x, err := p.notExpr()
@@ -929,6 +964,10 @@ func (p *parser) predicate() (Expr, error) {
 }
 
 func (p *parser) quantifier() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	kw := p.advance().text
 	q := &Quant{Kind: kw, N: 1}
 	if kw == "EXISTS_AT_LEAST" || kw == "EXISTS_EXACTLY" {
@@ -1048,6 +1087,10 @@ func (p *parser) attrRef() (Expr, error) {
 // strings, booleans, NULL, address literals, and {…} / […] / (…)
 // constructors for SET / LIST / RECORD values.
 func (p *parser) valueExpr() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	t := p.peek()
 	switch t.kind {
 	case tokMinus:

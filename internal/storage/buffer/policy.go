@@ -15,8 +15,6 @@ import (
 // Policies are driven by the pool under the pool's lock; they are not safe
 // for standalone concurrent use.
 type Policy interface {
-	// Name identifies the policy in stats and experiment output.
-	Name() string
 	// OnInsert records that f became resident.
 	OnInsert(f *frame)
 	// OnTouch records a reference to resident frame f.
@@ -48,8 +46,6 @@ type sizeAwareLRU struct {
 func NewSizeAwareLRU(capacityBytes int64) Policy {
 	return &sizeAwareLRU{capacity: capacityBytes, chain: list.New()}
 }
-
-func (p *sizeAwareLRU) Name() string { return "size-aware-lru" }
 
 func (p *sizeAwareLRU) CanHold(size int) bool { return int64(size) <= p.capacity }
 
@@ -112,8 +108,6 @@ func NewPartitionedLRU(shares map[int]int64) Policy {
 	return &partitionedLRU{parts: parts}
 }
 
-func (p *partitionedLRU) Name() string { return "partitioned-lru" }
-
 func (p *partitionedLRU) part(size int) *sizeAwareLRU { return p.parts[size] }
 
 func (p *partitionedLRU) CanHold(size int) bool {
@@ -148,8 +142,6 @@ type classicLRU struct {
 func NewClassicLRU(maxFrames int) Policy {
 	return &classicLRU{maxFrames: maxFrames, chain: list.New()}
 }
-
-func (p *classicLRU) Name() string { return "classic-lru" }
 
 func (p *classicLRU) CanHold(int) bool { return p.maxFrames >= 1 }
 

@@ -231,9 +231,6 @@ func (p *Pool) segment(id segment.ID) (*segment.Segment, bool) {
 	return s, ok
 }
 
-// PolicyName returns the active replacement policy's name.
-func (p *Pool) PolicyName() string { return p.shards[0].policy.Name() }
-
 // Stats returns a snapshot of the pool counters, aggregated over all shards.
 // Each shard is snapshotted under its own lock, so under concurrent load the
 // aggregate is per-shard-consistent, not a single instant across the pool —

@@ -27,9 +27,6 @@ func NewManager(dir string) *Manager {
 	return &Manager{dir: dir, devices: make(map[string]Device)}
 }
 
-// InMemory reports whether the manager hands out memory-backed devices.
-func (m *Manager) InMemory() bool { return m.dir == "" }
-
 // SetWrap installs a hook applied to every device created after this call:
 // Open returns wrap(name, d) instead of the raw device. Fault-injection
 // tests use it to interpose FaultDevices below the whole storage stack.

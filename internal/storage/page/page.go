@@ -242,11 +242,6 @@ func (p Page) FreeSpace() int {
 	return free
 }
 
-// ContiguousFree returns the bytes usable without compaction.
-func (p Page) ContiguousFree() int {
-	return p.FreeSpace() // freeStart..freeEnd is contiguous by construction; fragmentation lives in dead records
-}
-
 func (p Page) hasTombstone() bool {
 	for i := 0; i < p.slotCount(); i++ {
 		if off, _ := p.slot(i); off == tombstone {

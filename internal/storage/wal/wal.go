@@ -275,6 +275,13 @@ func (l *Log) appendLocked(r *Record) (uint64, error) {
 	var hdr [recHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], recCRC(l.gen, lsn, payload))
+	// The tail holds every record since the last flush, and autocommit DML
+	// forces none, so a bulk load grows it to megabytes. append would grow it
+	// by a quarter at a time, copying and discarding five times its final
+	// size; doubling bounds that at twice.
+	if n := len(l.buf) + int(need); n > cap(l.buf) {
+		l.buf = append(make([]byte, 0, max(2*cap(l.buf), n)), l.buf...)
+	}
 	l.buf = append(l.buf, hdr[:]...)
 	l.buf = append(l.buf, payload...)
 	l.appendEnd += need

@@ -150,8 +150,8 @@ func (t *Tx) rootID() uint64 {
 }
 
 // Epoch returns the snapshot epoch the transaction currently reads at.
-// Cursors opened on the transaction's behalf pin this epoch (OpenAt), so
-// they share its frozen view.
+// Cursors opened on the transaction's behalf pin this epoch
+// (core.Engine.ExecuteScriptAt), so they share its frozen view.
 func (t *Tx) Epoch() uint64 {
 	t.m.mu.Lock()
 	defer t.m.mu.Unlock()

@@ -32,7 +32,6 @@ import (
 	"prima/internal/access"
 	"prima/internal/access/addr"
 	"prima/internal/core"
-	"prima/internal/du"
 	"prima/internal/mql"
 	"prima/internal/obs"
 	"prima/internal/txn"
@@ -64,18 +63,12 @@ type Config struct {
 	Policy string
 	// MaxRecursionDepth bounds recursive molecule evaluation (default 64).
 	MaxRecursionDepth int
-	// BufferShards is the number of lock stripes of the buffer pool
-	// (0 picks one per CPU, capped; 1 disables striping).
-	BufferShards int
 	// AssemblyWorkers is the degree of intra-query parallelism of molecule
 	// materialization. 0 keeps the default, DefaultAssemblyWorkers(): every
 	// cursor reads through a snapshot of its open epoch, so parallel
 	// read-ahead is safe even when iteration interleaves with DML. 1 selects
 	// the serial cursor (same snapshot semantics, no read-ahead).
 	AssemblyWorkers int
-	// AssemblyChunk is the root chunk size for lazy root streaming and
-	// worker dispatch (default 64).
-	AssemblyChunk int
 	// PlanCacheSize caps the engine's LRU of prepared SELECT/DELETE/MODIFY
 	// plans, keyed by statement text and schema version (0 keeps the
 	// default of core.DefaultPlanCacheSize; negative disables plan caching).
@@ -130,7 +123,6 @@ func Open(cfg Config) (*DB, error) {
 		PageSize:           cfg.PageSize,
 		BufferBytes:        cfg.BufferBytes,
 		Policy:             cfg.Policy,
-		BufferShards:       cfg.BufferShards,
 		AtomCacheSize:      cfg.AtomCacheSize,
 		WAL:                cfg.WAL,
 		GroupCommitMaxWait: cfg.GroupCommitMaxWait,
@@ -148,9 +140,6 @@ func Open(cfg Config) (*DB, error) {
 	}
 	if cfg.AssemblyWorkers > 0 {
 		engine.SetAssemblyWorkers(cfg.AssemblyWorkers)
-	}
-	if cfg.AssemblyChunk > 0 {
-		engine.SetAssemblyChunk(cfg.AssemblyChunk)
 	}
 	if cfg.PlanCacheSize > 0 {
 		engine.SetPlanCacheSize(cfg.PlanCacheSize)
@@ -227,23 +216,6 @@ func (db *DB) QueryTraced(src string, tr *obs.Trace) (*Cursor, error) {
 		return nil, err
 	}
 	return &Cursor{inner: cur}, nil
-}
-
-// QueryParallel executes a SELECT with the given degree of intra-operation
-// parallelism (the paper's semantic decomposition into concurrent units of
-// work). Results equal the sequential Query in content and order.
-func (db *DB) QueryParallel(src string, workers int) ([]*Molecule, error) {
-	plan, err := db.engine.PlanQuery(src)
-	if err != nil {
-		if errors.Is(err, core.ErrNotSelect) {
-			return nil, errors.New("prima: QueryParallel requires a SELECT statement")
-		}
-		return nil, err
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return du.ParallelCollect(plan, workers)
 }
 
 // Cursor iterates molecules one at a time.

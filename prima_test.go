@@ -65,15 +65,23 @@ func TestCursorAndParallelAgree(t *testing.T) {
 	}
 	q := `SELECT ALL FROM brep-face WHERE brep_no >= 3`
 
+	db.Engine().SetAssemblyWorkers(1)
 	cur, err := db.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cur.Close()
 	seq, err := cur.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := db.QueryParallel(q, 4)
+	db.Engine().SetAssemblyWorkers(4)
+	pcur, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pcur.Close()
+	par, err := pcur.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
