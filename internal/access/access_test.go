@@ -333,7 +333,7 @@ func checkSymmetry(t testing.TB, s *System) {
 		s.AtomTypeScan(at.Name, nil, nil, func(a *Atom) bool {
 			for _, i := range at.RefAttrs() {
 				_, backAttr, _ := at.Attrs[i].Type.RefTarget()
-				for _, target := range a.Values[i].Refs() {
+				for target := range a.Values[i].AllRefs() {
 					p, err := s.Get(target, nil)
 					if err != nil {
 						fail = err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -129,9 +130,22 @@ func TestRefHelpers(t *testing.T) {
 
 	// Refs extraction from nested structures.
 	nested := Record(Ref(a1), Set(Ref(a2), Ref(a3)))
-	refs := nested.Refs()
-	if len(refs) != 3 {
-		t.Fatalf("Refs = %v, want 3 addresses", refs)
+	refs := slices.Collect(nested.AllRefs())
+	if !slices.Equal(refs, []addr.LogicalAddr{a1, a2, a3}) {
+		t.Fatalf("AllRefs = %v, want %v in element order", refs, []addr.LogicalAddr{a1, a2, a3})
+	}
+	// Zero addresses are skipped, a break stops the visit, and visiting
+	// allocates nothing.
+	nested.E[0].A = 0
+	var first addr.LogicalAddr
+	allocs := testing.AllocsPerRun(100, func() {
+		for a := range nested.AllRefs() {
+			first = a
+			break
+		}
+	})
+	if first != a2 || allocs != 0 {
+		t.Fatalf("AllRefs: first = %v (want %v), %v allocs per visit (want 0)", first, a2, allocs)
 	}
 }
 

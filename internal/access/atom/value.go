@@ -15,6 +15,7 @@ package atom
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 
@@ -140,24 +141,28 @@ func (v Value) Bool() bool { return v.K == KindBool && v.I != 0 }
 // NULL, matching the paper's `attr = EMPTY` predicate on absent sets).
 func (v Value) Len() int { return len(v.E) }
 
-// Refs extracts the logical addresses held by v: the address itself for
-// REF/IDENTIFIER, the member addresses for repeating groups of references.
-func (v Value) Refs() []addr.LogicalAddr {
+// AllRefs visits the logical addresses held by v in place, in element order:
+// the address itself for REF/IDENTIFIER, the member addresses for repeating
+// groups of references (zero addresses are skipped). Nothing is allocated —
+// molecule assembly follows every reference of every atom through it, so it
+// must cost no more than the eight bytes it reads.
+func (v Value) AllRefs() iter.Seq[addr.LogicalAddr] {
+	return func(yield func(addr.LogicalAddr) bool) { v.eachRef(yield) }
+}
+
+// eachRef reports whether the visit ran to the end (yield never said stop).
+func (v *Value) eachRef(yield func(addr.LogicalAddr) bool) bool {
 	switch v.K {
 	case KindRef, KindIdent:
-		if v.A.IsZero() {
-			return nil
-		}
-		return []addr.LogicalAddr{v.A}
+		return v.A.IsZero() || yield(v.A)
 	case KindSet, KindList, KindArray, KindRecord:
-		var out []addr.LogicalAddr
-		for _, e := range v.E {
-			out = append(out, e.Refs()...)
+		for i := range v.E {
+			if !v.E[i].eachRef(yield) {
+				return false
+			}
 		}
-		return out
-	default:
-		return nil
 	}
+	return true
 }
 
 // ContainsRef reports whether v (a REF or repeating group of REFs) holds a.

@@ -1,7 +1,6 @@
 package access
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
@@ -19,7 +18,14 @@ import (
 // replacement: the budget is configured in atoms (the user-facing unit) but
 // charged by each atom's estimated decoded footprint, so wide CAD atoms
 // displace proportionally more narrow ones instead of blowing the memory
-// envelope. Negative entries remember that an address does not exist —
+// envelope. Replacement is LRU with a scan-resistant insertion rule: a hit
+// promotes an entry to the hot end, but a new entry is linked at the cold end
+// — a full-design checkout larger than the budget then evicts what it just
+// inserted instead of flushing the resident set one step ahead of its next
+// use, and a cyclic scan of 2x the budget hits on half its reads, not on
+// none. Every acHotEvery-th insertion of a shard links at the hot end so the
+// resident set still turns over when the working set moves. Negative entries
+// remember that an address does not exist —
 // existence probes against deleted atoms (frequent in back-reference
 // maintenance and cursor filtering) then skip the directory miss path.
 //
@@ -52,6 +58,10 @@ const acMinAtomCost = 256
 // acNegCost is the bytes charged for a negative entry.
 const acNegCost = 64
 
+// acHotEvery is how often a shard links a new entry at the hot end instead
+// of the cold one.
+const acHotEvery = 32
+
 // AtomCacheStats is a snapshot of the decoded-atom cache counters.
 type AtomCacheStats struct {
 	Hits          uint64 // reads served without a page fix or codec run
@@ -75,20 +85,41 @@ type acCounters struct {
 
 // acEntry is one cached result: a decoded atom, or — with at == nil — the
 // negative fact that the address does not exist. size is the accounted
-// footprint.
+// footprint; prev and next link the entry into its shard's recency ring.
 type acEntry struct {
-	a    addr.LogicalAddr
-	at   *Atom
-	size int
+	a          addr.LogicalAddr
+	at         *Atom
+	size       int
+	prev, next *acEntry
 }
 
-// acShard is one lock stripe: an LRU over its slice of the byte budget.
+// acShard is one lock stripe: a recency ring over its slice of the byte
+// budget. ring is the sentinel: ring.next is the hot end, ring.prev the cold.
 type acShard struct {
 	mu       sync.Mutex
 	capBytes int
 	bytes    int
-	ll       *list.List // front = most recently used
-	entries  map[addr.LogicalAddr]*list.Element
+	ring     acEntry
+	entries  map[addr.LogicalAddr]*acEntry
+	inserts  uint32 // new entries linked so far; see acHotEvery
+}
+
+func (sh *acShard) unlink(e *acEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// linkAfter links e behind at: behind the sentinel is the hot end, behind the
+// coldest entry (ring.prev) the cold end.
+func (sh *acShard) linkAfter(at, e *acEntry) {
+	e.prev, e.next = at, at.next
+	at.next.prev, at.next = e, e
+}
+
+// drop removes e from the shard.
+func (sh *acShard) drop(e *acEntry) {
+	sh.unlink(e)
+	delete(sh.entries, e.a)
+	sh.bytes -= e.size
 }
 
 // atomCache is the sharded decoded-atom cache. The System holds it through
@@ -134,7 +165,9 @@ func newAtomCache(budget, n int, stamps *[acStampStripes]atomic.Uint64, stats *a
 		per = acMinAtomCost
 	}
 	for i := range c.shards {
-		c.shards[i] = &acShard{capBytes: per, ll: list.New(), entries: make(map[addr.LogicalAddr]*list.Element)}
+		sh := &acShard{capBytes: per, entries: make(map[addr.LogicalAddr]*acEntry)}
+		sh.ring.prev, sh.ring.next = &sh.ring, &sh.ring
+		c.shards[i] = sh
 	}
 	return c
 }
@@ -182,14 +215,15 @@ func atomFootprint(at *Atom) int {
 func (c *atomCache) get(a addr.LogicalAddr) (*Atom, bool) {
 	sh := c.shardOf(a)
 	sh.mu.Lock()
-	el, ok := sh.entries[a]
+	e, ok := sh.entries[a]
 	if !ok {
 		sh.mu.Unlock()
 		c.stats.misses.Add(1)
 		return nil, false
 	}
-	sh.ll.MoveToFront(el)
-	at := el.Value.(*acEntry).at
+	sh.unlink(e)
+	sh.linkAfter(&sh.ring, e)
+	at := e.at
 	sh.mu.Unlock()
 	c.stats.hits.Add(1)
 	return at, true
@@ -218,24 +252,27 @@ func (c *atomCache) put(a addr.LogicalAddr, at *Atom, stamp uint64) {
 	if c.stampOf(a).Load() != stamp {
 		return
 	}
-	if el, ok := sh.entries[a]; ok {
-		e := el.Value.(*acEntry)
-		sh.bytes += size - e.size
-		e.at, e.size = at, size
-		sh.ll.MoveToFront(el)
-	} else {
-		sh.entries[a] = sh.ll.PushFront(&acEntry{a: a, at: at, size: size})
-		sh.bytes += size
-	}
-	// Evict from the cold end; the entry just touched sits at the front, so
-	// even one over-budget atom stays cached alone.
-	for sh.bytes > sh.capBytes && sh.ll.Len() > 1 {
-		el := sh.ll.Back()
-		sh.ll.Remove(el)
-		e := el.Value.(*acEntry)
-		delete(sh.entries, e.a)
+	e, known := sh.entries[a]
+	if known {
+		sh.unlink(e)
 		sh.bytes -= e.size
+	} else {
+		e = &acEntry{a: a}
+		sh.entries[a] = e
+		sh.inserts++
+	}
+	e.at, e.size = at, size
+	// Evict from the cold end first, then link: the new entry is never its
+	// own victim, so even one over-budget atom stays cached alone.
+	for sh.bytes+size > sh.capBytes && sh.ring.prev != &sh.ring {
+		sh.drop(sh.ring.prev)
 		c.stats.evictions.Add(1)
+	}
+	sh.bytes += size
+	if known || sh.inserts%acHotEvery == 0 {
+		sh.linkAfter(&sh.ring, e)
+	} else {
+		sh.linkAfter(sh.ring.prev, e)
 	}
 }
 
@@ -247,10 +284,8 @@ func (c *atomCache) invalidate(a addr.LogicalAddr) {
 	c.stampOf(a).Add(1)
 	sh := c.shardOf(a)
 	sh.mu.Lock()
-	if el, ok := sh.entries[a]; ok {
-		sh.ll.Remove(el)
-		sh.bytes -= el.Value.(*acEntry).size
-		delete(sh.entries, a)
+	if e, ok := sh.entries[a]; ok {
+		sh.drop(e)
 		c.stats.invalidations.Add(1)
 	}
 	sh.mu.Unlock()
@@ -261,8 +296,8 @@ func (c *atomCache) invalidate(a addr.LogicalAddr) {
 func (c *atomCache) size() (atoms, bytes int) {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		for el := sh.ll.Front(); el != nil; el = el.Next() {
-			if el.Value.(*acEntry).at != nil {
+		for e := sh.ring.next; e != &sh.ring; e = e.next {
+			if e.at != nil {
 				atoms++
 			}
 		}

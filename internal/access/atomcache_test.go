@@ -2,6 +2,7 @@ package access
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -216,6 +217,52 @@ func TestAtomCacheEviction(t *testing.T) {
 	}
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions counted over budget: %+v", st)
+	}
+}
+
+// TestAtomCacheScanResistance pins the insertion rule: a cyclic scan of twice
+// what the budget holds — the full-design checkout that strict LRU answers
+// with zero hits, every atom evicted just before its next use — keeps about
+// half its reads in the cache, and uniform random access over the same set
+// still hits in proportion to the share that fits.
+func TestAtomCacheScanResistance(t *testing.T) {
+	s, addrs := nodeSystem(t, 1024)
+	s.SetAtomCacheSize(128)
+	if _, err := s.GetBatch(addrs, nil); err != nil {
+		t.Fatalf("GetBatch: %v", err)
+	}
+	holds := s.AtomCacheStats().Atoms
+	if holds == 0 || 2*holds > len(addrs) {
+		t.Fatalf("cache holds %d of %d atoms; the test needs a set of twice that", holds, len(addrs))
+	}
+	set := addrs[:2*holds]
+	ratio := func(rounds int, next func(i int) addr.LogicalAddr) float64 {
+		s.SetAtomCacheSize(0)
+		s.SetAtomCacheSize(128) // start cold
+		var before AtomCacheStats
+		for r := 0; r < rounds; r++ {
+			if r == 2 {
+				before = s.AtomCacheStats() // the first rounds fill the cache
+			}
+			for i := range set {
+				if _, err := s.Get(next(i), nil); err != nil {
+					t.Fatalf("Get: %v", err)
+				}
+			}
+		}
+		after := s.AtomCacheStats()
+		hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+		return float64(hits) / float64(hits+misses)
+	}
+	if r := ratio(8, func(i int) addr.LogicalAddr { return set[i] }); r < 0.4 {
+		t.Fatalf("cyclic scan of 2x capacity: hit ratio %.2f, want >= 0.4", r)
+	}
+	rng := rand.New(rand.NewSource(1))
+	if r := ratio(8, func(int) addr.LogicalAddr { return set[rng.Intn(len(set))] }); r < 0.4 || r > 0.6 {
+		t.Fatalf("uniform random access over 2x capacity: hit ratio %.2f, want about 0.5", r)
+	}
+	if st := s.AtomCacheStats(); st.Atoms > holds {
+		t.Fatalf("cache holds %d atoms, more than the %d its budget admitted before", st.Atoms, holds)
 	}
 }
 

@@ -54,10 +54,9 @@ func (s *System) getBatch(addrs []addr.LogicalAddr, attrs []string, sp *obs.Span
 
 	cache := s.cache()
 
-	// Group cache misses by atom type: each type owns one primary container.
-	byType := make(map[addr.TypeID][]int, 2)
-	typeOrder := make([]addr.TypeID, 0, 2)
-	var hits int64
+	// Cache hits are filled in place; miss collects the positions still to
+	// read.
+	var miss []int
 	for i, a := range addrs {
 		if cache != nil {
 			if at, ok := cache.get(a); ok {
@@ -66,27 +65,37 @@ func (s *System) getBatch(addrs []addr.LogicalAddr, attrs []string, sp *obs.Span
 					return nil, fmt.Errorf("%w: %v", ErrNoAtom, a)
 				}
 				out[i] = at
-				hits++
 				continue
 			}
 		}
-		tid := a.Type()
-		if _, ok := byType[tid]; !ok {
-			typeOrder = append(typeOrder, tid)
+		if miss == nil {
+			miss = make([]int, 0, len(addrs)-i)
 		}
-		byType[tid] = append(byType[tid], i)
+		miss = append(miss, i)
 	}
 	if sp != nil {
-		sp.Add(obs.CtrCacheHits, hits)
-		sp.Add(obs.CtrCacheMisses, int64(len(addrs))-hits)
+		sp.Add(obs.CtrCacheHits, int64(len(addrs)-len(miss)))
+		sp.Add(obs.CtrCacheMisses, int64(len(miss)))
 	}
 
-	for _, tid := range typeOrder {
+	// Read the misses type by type, in order of first appearance: each type
+	// owns one primary container. An assembly level is almost always one atom
+	// type, so the first round takes all of miss and rest stays empty.
+	for len(miss) > 0 {
+		tid := addrs[miss[0]].Type()
+		idxs, rest := miss[:0], []int(nil)
+		for _, i := range miss {
+			if addrs[i].Type() == tid {
+				idxs = append(idxs, i) // in place: never ahead of the read position
+			} else {
+				rest = append(rest, i)
+			}
+		}
+		miss = rest
 		t, err := s.typeByID(tid)
 		if err != nil {
 			return nil, err
 		}
-		idxs := byType[tid]
 		rids := make([]addr.RID, len(idxs))
 		var stamps []uint64
 		if cache != nil {

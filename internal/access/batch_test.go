@@ -109,6 +109,56 @@ func TestGetBatchSavesPageFixes(t *testing.T) {
 	}
 }
 
+// TestGetBatchInterleavedTypes reads a batch whose addresses alternate
+// between two atom types — two primary containers — with the decoded cache
+// cold, warm for every other address, and off: results stay aligned with the
+// input whatever mix of hits and per-type reads serves them.
+func TestGetBatchInterleavedTypes(t *testing.T) {
+	s, items := batchSystem(t, 12)
+	tag, err := catalog.NewAtomType("tag", []catalog.Attribute{
+		{Name: "id", Type: catalog.SpecIdent()},
+		{Name: "n", Type: catalog.SpecInt()},
+	}, nil)
+	if err != nil {
+		t.Fatalf("NewAtomType: %v", err)
+	}
+	if err := s.Schema().AddAtomType(tag); err != nil {
+		t.Fatalf("AddAtomType: %v", err)
+	}
+	var mixed []addr.LogicalAddr
+	for i, a := range items {
+		b, err := s.Insert("tag", map[string]atom.Value{"n": atom.Int(int64(100 + i))})
+		if err != nil {
+			t.Fatalf("Insert tag: %v", err)
+		}
+		mixed = append(mixed, b, a)
+	}
+	check := func(when string) {
+		t.Helper()
+		batch, err := s.GetBatch(mixed, nil)
+		if err != nil {
+			t.Fatalf("%s: GetBatch: %v", when, err)
+		}
+		for i, at := range batch {
+			want := int64(i / 2)
+			if i%2 == 0 {
+				want += 100
+			}
+			if v, _ := at.Value("n"); at.Addr != mixed[i] || v.I != want {
+				t.Fatalf("%s: batch[%d] = %v n=%d, want %v n=%d", when, i, at.Addr, v.I, mixed[i], want)
+			}
+		}
+	}
+	s.SetAtomCacheSize(0)
+	check("cache off")
+	s.SetAtomCacheSize(DefaultAtomCacheAtoms)
+	check("cache cold")
+	for i := 0; i < len(mixed); i += 3 {
+		s.cacheInvalidate(mixed[i])
+	}
+	check("cache partly warm")
+}
+
 func TestGetBatchUnknownAddr(t *testing.T) {
 	s, addrs := batchSystem(t, 4)
 	if err := s.Delete(addrs[2]); err != nil {

@@ -136,41 +136,75 @@ func cmp(k1 atom.Value, a1 addr.LogicalAddr, k2 atom.Value, a2 addr.LogicalAddr)
 
 // --- node I/O ---------------------------------------------------------------
 
+// decodeEntry decodes one stored node entry.
+func decodeEntry(rec []byte, leaf bool) (e entry, err error) {
+	if len(rec) < 2 {
+		return e, fmt.Errorf("btree: short entry")
+	}
+	klen := int(binary.BigEndian.Uint16(rec))
+	rec = rec[2:]
+	if len(rec) < klen+8 {
+		return e, fmt.Errorf("btree: truncated entry")
+	}
+	if e.key, _, err = atom.DecodeValue(rec[:klen]); err != nil {
+		return e, err
+	}
+	rec = rec[klen:]
+	e.addr = addr.LogicalAddr(binary.BigEndian.Uint64(rec))
+	if !leaf {
+		if rec = rec[8:]; len(rec) < 4 {
+			return e, fmt.Errorf("btree: internal entry missing child")
+		}
+		e.child = binary.BigEndian.Uint32(rec)
+	}
+	return e, nil
+}
+
 // readNode decodes a node page into entries (slot order == sorted order by
-// construction: nodes are always rewritten wholesale in sorted order).
+// construction: nodes are always rewritten wholesale in sorted order). It
+// serves the mutations, which rewrite the node anyway; lookups and ascending
+// scans probe the page in place (readSlot, lowerBound).
 func readNode(pg page.Page) (leaf bool, entries []entry, next uint32, err error) {
 	leaf = pg.Flags()&flagLeaf != 0
 	next = pg.Next()
 	pg.ForEach(func(_ int, rec []byte) bool {
 		var e entry
-		if len(rec) < 2 {
-			err = fmt.Errorf("btree: short entry")
+		if e, err = decodeEntry(rec, leaf); err != nil {
 			return false
-		}
-		klen := int(binary.BigEndian.Uint16(rec))
-		rec = rec[2:]
-		if len(rec) < klen+8 {
-			err = fmt.Errorf("btree: truncated entry")
-			return false
-		}
-		e.key, _, err = atom.DecodeValue(rec[:klen])
-		if err != nil {
-			return false
-		}
-		rec = rec[klen:]
-		e.addr = addr.LogicalAddr(binary.BigEndian.Uint64(rec))
-		rec = rec[8:]
-		if !leaf {
-			if len(rec) < 4 {
-				err = fmt.Errorf("btree: internal entry missing child")
-				return false
-			}
-			e.child = binary.BigEndian.Uint32(rec)
 		}
 		entries = append(entries, e)
 		return true
 	})
 	return leaf, entries, next, err
+}
+
+// readSlot decodes the entry in slot i of a node page.
+func readSlot(pg page.Page, i int, leaf bool) (entry, error) {
+	rec, err := pg.Read(i)
+	if err != nil {
+		return entry{}, fmt.Errorf("btree: %w", err)
+	}
+	return decodeEntry(rec, leaf)
+}
+
+// lowerBound returns the first slot of the node whose composite key is not
+// below (key, 0) — the slot count when every entry is — decoding only the
+// keys the binary search probes.
+func lowerBound(pg page.Page, leaf bool, key atom.Value) (int, error) {
+	lo, hi := 0, pg.Slots()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		e, err := readSlot(pg, mid, leaf)
+		if err != nil {
+			return 0, err
+		}
+		if cmp(key, 0, e.key, e.addr) <= 0 {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, nil
 }
 
 // writeNode rewrites a node page with the given sorted entries.
@@ -524,48 +558,86 @@ func (t *BTree) Scan(start, stop *atom.Value, desc bool, fn func(key atom.Value,
 }
 
 func (t *BTree) scanAsc(start, stop *atom.Value, fn func(atom.Value, addr.LogicalAddr) bool) error {
-	// Descend to the first candidate leaf.
-	no := t.root
+	// Descend to the first candidate leaf and the first candidate slot in it.
+	no, pos := t.root, 0
 	for {
-		leaf, entries, _, err := t.loadNode(no)
+		leaf, at, child, err := t.seek(no, start)
 		if err != nil {
 			return err
 		}
 		if leaf {
+			pos = at
 			break
 		}
-		idx := len(entries) - 1
-		if start != nil {
-			for i, e := range entries {
-				if cmp(*start, 0, e.key, e.addr) <= 0 {
-					idx = i
-					break
-				}
-			}
-		} else {
-			idx = 0
-		}
-		no = entries[idx].child
+		no = child
 	}
-	for no != 0 {
-		_, entries, next, err := t.loadNode(no)
-		if err != nil {
+	// Walk the leaf chain. A leaf's entries are decoded under the fix but
+	// delivered after it: fn is the caller's code and must not run with a
+	// page pinned.
+	var batch []entry
+	for ; no != 0; pos = 0 {
+		var err error
+		if batch, no, err = t.readLeaf(no, pos, stop, batch[:0]); err != nil {
 			return err
 		}
-		for _, e := range entries {
-			if start != nil && atom.Compare(e.key, *start) < 0 {
-				continue
-			}
-			if stop != nil && atom.Compare(e.key, *stop) > 0 {
-				return nil
-			}
+		for _, e := range batch {
 			if !fn(e.key, e.addr) {
 				return nil
 			}
 		}
-		no = next
 	}
 	return nil
+}
+
+// seek finds where an ascending scan from start (nil: from the beginning)
+// enters node no: the first slot not below start, and for an internal node
+// the child under it to descend into. It decodes only the probed keys.
+func (t *BTree) seek(no uint32, start *atom.Value) (leaf bool, pos int, child uint32, err error) {
+	h, err := t.pool.Fix(segment.PageID{Seg: t.seg.ID(), No: no})
+	if err != nil {
+		return false, 0, 0, err
+	}
+	defer h.Release()
+	pg := h.Page()
+	leaf = pg.Flags()&flagLeaf != 0
+	if start != nil {
+		if pos, err = lowerBound(pg, leaf, *start); err != nil {
+			return false, 0, 0, err
+		}
+	}
+	if leaf {
+		return true, pos, 0, nil
+	}
+	if pg.Slots() == 0 {
+		return false, 0, 0, fmt.Errorf("btree: empty internal node %d", no)
+	}
+	// Past every separator only the rightmost subtree can hold keys that
+	// large.
+	e, err := readSlot(pg, min(pos, pg.Slots()-1), false)
+	return false, pos, e.child, err
+}
+
+// readLeaf appends leaf no's entries from slot pos on to batch, up to the
+// first key above stop (nil: to the end of the leaf). next is the leaf the
+// scan goes on with: none (0) once a key above stop was met.
+func (t *BTree) readLeaf(no uint32, pos int, stop *atom.Value, batch []entry) (_ []entry, next uint32, err error) {
+	h, err := t.pool.Fix(segment.PageID{Seg: t.seg.ID(), No: no})
+	if err != nil {
+		return nil, 0, err
+	}
+	defer h.Release()
+	pg := h.Page()
+	for i := pos; i < pg.Slots(); i++ {
+		e, err := readSlot(pg, i, true)
+		if err != nil {
+			return nil, 0, err
+		}
+		if stop != nil && atom.Compare(e.key, *stop) > 0 {
+			return batch, 0, nil
+		}
+		batch = append(batch, e)
+	}
+	return batch, pg.Next(), nil
 }
 
 // scanDesc walks the tree right-to-left using an explicit stack.

@@ -3,6 +3,7 @@ package btree
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -404,5 +405,115 @@ func BenchmarkBTreeSearch(b *testing.B) {
 		if _, err := tr.Search(atom.Int(int64(i % n))); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// decodedEntries walks the leaf chain through readNode — the decoded-node
+// path the mutations use — and returns every entry in key order.
+func decodedEntries(t *testing.T, tr *BTree) (all []entry, leafEnds map[int]bool) {
+	t.Helper()
+	no := tr.root
+	for {
+		leaf, entries, _, err := tr.loadNode(no)
+		if err != nil {
+			t.Fatalf("loadNode: %v", err)
+		}
+		if leaf {
+			break
+		}
+		no = entries[0].child
+	}
+	leafEnds = map[int]bool{}
+	for no != 0 {
+		_, entries, next, err := tr.loadNode(no)
+		if err != nil {
+			t.Fatalf("loadNode: %v", err)
+		}
+		if len(entries) > 0 {
+			leafEnds[len(all)] = true
+			leafEnds[len(all)+len(entries)-1] = true
+		}
+		all = append(all, entries...)
+		no = next
+	}
+	return all, leafEnds
+}
+
+// TestProbedReadsMatchDecodedNodes holds the read path, which binary-searches
+// the fixed page and decodes only the probed keys, to the answers of the
+// decoded-node path: point lookups and range scans over random keys with
+// duplicates, absent keys, and the first and last slot of every leaf.
+func TestProbedReadsMatchDecodedNodes(t *testing.T) {
+	tr := newTree(t, device.B1K)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 3000; i++ {
+		// Keys in [0, 600): every key about five times, each with its own address.
+		if err := tr.Insert(atom.Int(int64(2*rng.Intn(300))), addr.New(1, uint64(i+1))); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	all, _ := decodedEntries(t, tr)
+	// Leave some leaves thin (random deletes in the first quarter) and some
+	// empty (a run of consecutive entries in the middle).
+	doomed := rng.Perm(len(all) / 4)[:500]
+	for i := len(all) / 2; i < len(all)/2+150; i++ {
+		doomed = append(doomed, i)
+	}
+	for _, i := range doomed {
+		if err := tr.Delete(all[i].key, all[i].addr); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
+	}
+	if h, _ := tr.Height(); h < 3 {
+		t.Fatalf("height %d: the test wants internal levels to descend", h)
+	}
+	var leafEnds map[int]bool
+	all, leafEnds = decodedEntries(t, tr)
+
+	want := func(start, stop *atom.Value) []addr.LogicalAddr {
+		var out []addr.LogicalAddr
+		for _, e := range all {
+			if (start == nil || atom.Compare(e.key, *start) >= 0) && (stop == nil || atom.Compare(e.key, *stop) <= 0) {
+				out = append(out, e.addr)
+			}
+		}
+		return out
+	}
+	check := func(start, stop *atom.Value) {
+		t.Helper()
+		var got []addr.LogicalAddr
+		if err := tr.Scan(start, stop, false, func(_ atom.Value, a addr.LogicalAddr) bool {
+			got = append(got, a)
+			return true
+		}); err != nil {
+			t.Fatalf("Scan: %v", err)
+		}
+		if w := want(start, stop); !slices.Equal(got, w) {
+			t.Fatalf("Scan[%v, %v] = %d entries %v, decoded nodes give %d %v", start, stop, len(got), got, len(w), w)
+		}
+	}
+	// Point lookups: every key at a leaf boundary, then present (even) and
+	// absent (odd, negative, past-the-end) keys.
+	for i := range leafEnds {
+		k := all[i].key
+		got, err := tr.Search(k)
+		if err != nil {
+			t.Fatalf("Search: %v", err)
+		}
+		if w := want(&k, &k); !slices.Equal(got, w) {
+			t.Fatalf("Search(%v) at a leaf boundary = %v, decoded nodes give %v", k, got, w)
+		}
+	}
+	for k := int64(-2); k < 604; k++ {
+		key := atom.Int(k)
+		check(&key, &key)
+	}
+	// Range scans: open and closed bounds, empty and inverted ranges.
+	check(nil, nil)
+	for i := 0; i < 300; i++ {
+		lo, hi := atom.Int(int64(rng.Intn(620)-10)), atom.Int(int64(rng.Intn(620)-10))
+		check(&lo, &hi)
+		check(&lo, nil)
+		check(nil, &hi)
 	}
 }

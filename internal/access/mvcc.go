@@ -441,19 +441,36 @@ func (sn *Snapshot) Get(a addr.LogicalAddr) (*Atom, error) {
 // the input. Atoms the chains decide are filled from history; the rest go
 // through the system's batched read and are re-checked like Resolve does.
 func (sn *Snapshot) GetBatch(addrs []addr.LogicalAddr) ([]*Atom, error) {
-	out := make([]*Atom, len(addrs))
+	mv := sn.sys.mv
+	// miss is what the chains leave undecided, at positions missIdx of addrs.
+	// Almost always that is everything: the input then passes through
+	// uncopied (missIdx stays nil) and the batched read's result is the
+	// output.
+	miss := addrs
 	var missIdx []int
-	var miss []addr.LogicalAddr
+	var out []*Atom
 	for i, a := range addrs {
-		if at, ok := sn.sys.mv.versionAt(a, sn.epoch); ok {
-			if at == nil {
-				return nil, fmt.Errorf("%w: %v", ErrNoAtom, a)
+		at, ok := mv.versionAt(a, sn.epoch)
+		if !ok {
+			if missIdx != nil {
+				missIdx = append(missIdx, i)
+				miss = append(miss, a)
 			}
-			out[i] = at
 			continue
 		}
-		missIdx = append(missIdx, i)
-		miss = append(miss, a)
+		if at == nil {
+			return nil, fmt.Errorf("%w: %v", ErrNoAtom, a)
+		}
+		if missIdx == nil {
+			// The first decided address: from here on miss is a copy.
+			out = make([]*Atom, len(addrs))
+			missIdx = make([]int, i, len(addrs))
+			for j := range missIdx {
+				missIdx[j] = j
+			}
+			miss = append(make([]addr.LogicalAddr, 0, len(addrs)), addrs[:i]...)
+		}
+		out[i] = at
 	}
 	if len(miss) == 0 {
 		return out, nil
@@ -462,15 +479,21 @@ func (sn *Snapshot) GetBatch(addrs []addr.LogicalAddr) ([]*Atom, error) {
 	if err != nil {
 		return nil, err
 	}
-	for j, i := range missIdx {
-		if at, ok := sn.sys.mv.versionAt(miss[j], sn.epoch); ok {
-			if at == nil {
-				return nil, fmt.Errorf("%w: %v", ErrNoAtom, miss[j])
-			}
-			out[i] = at
-			continue
+	if missIdx == nil {
+		out = got
+	}
+	for j, a := range miss {
+		i := j
+		if missIdx != nil {
+			i = missIdx[j]
 		}
 		out[i] = got[j]
+		if at, ok := mv.versionAt(a, sn.epoch); ok {
+			if at == nil {
+				return nil, fmt.Errorf("%w: %v", ErrNoAtom, a)
+			}
+			out[i] = at
+		}
 	}
 	return out, nil
 }

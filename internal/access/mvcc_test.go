@@ -65,6 +65,22 @@ func TestSnapshotSeesPreImages(t *testing.T) {
 			t.Fatalf("batch[%d].n = %d, want %d", i, v.I, i)
 		}
 	}
+	// The same with the first chain-decided address in the middle: the
+	// undecided ones before it pass through to the batched read, and every
+	// result still lands at its input position.
+	order := []int{2, 0, 3, 1}
+	mixed := make([]addr.LogicalAddr, len(order))
+	for i, o := range order {
+		mixed[i] = addrs[o]
+	}
+	if batch, err = sn.GetBatch(mixed); err != nil {
+		t.Fatalf("snapshot GetBatch: %v", err)
+	}
+	for i, at := range batch {
+		if v, _ := at.Value("n"); at.Addr != mixed[i] || v.I != int64(order[i]) {
+			t.Fatalf("batch[%d] = %v n=%d, want %v n=%d", i, at.Addr, v.I, mixed[i], order[i])
+		}
+	}
 }
 
 // TestSnapshotHidesLaterInserts: atoms inserted after a snapshot opened are

@@ -149,7 +149,7 @@ func (s *System) Insert(typeName string, values map[string]atom.Value) (addr.Log
 
 	// Implicit partner updates (back-references).
 	for _, i := range t.RefAttrs() {
-		for _, target := range vec[i].Refs() {
+		for target := range vec[i].AllRefs() {
 			if err := s.addBackRef(t, i, a, target); err != nil {
 				comp()
 				return 0, err
@@ -181,7 +181,7 @@ func (s *System) checkRefTargets(t *catalog.AtomType, attrIdx int, v atom.Value)
 	if err != nil {
 		return err
 	}
-	for _, target := range v.Refs() {
+	for target := range v.AllRefs() {
 		if target.Type() != tt.ID || !s.dir.Exists(target) {
 			return fmt.Errorf("%w: %s.%s -> %v (want live %s)", ErrBadRef, t.Name, t.Attrs[attrIdx].Name, target, targetType)
 		}
@@ -443,11 +443,11 @@ func (s *System) Update(a addr.LogicalAddr, changes map[string]atom.Value) error
 			return err
 		}
 		oldSet := map[addr.LogicalAddr]bool{}
-		for _, x := range cur.Values[i].Refs() {
+		for x := range cur.Values[i].AllRefs() {
 			oldSet[x] = true
 		}
 		newSet := map[addr.LogicalAddr]bool{}
-		for _, x := range nv[i].Refs() {
+		for x := range nv[i].AllRefs() {
 			newSet[x] = true
 		}
 		for x := range newSet {
@@ -646,7 +646,7 @@ func (s *System) Delete(a addr.LogicalAddr) error {
 
 	// Implicit disconnection from all partners.
 	for _, i := range t.RefAttrs() {
-		for _, target := range cur.Values[i].Refs() {
+		for target := range cur.Values[i].AllRefs() {
 			if err := s.removeBackRef(t, i, a, target); err != nil {
 				comp()
 				return err

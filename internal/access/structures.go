@@ -373,8 +373,7 @@ func (s *System) collectClusterMembers(cl *clusterStruct, root addr.LogicalAddr)
 			if !ok {
 				return fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, t.Name, child.Via)
 			}
-			targets := at.Values[idx].Refs()
-			for _, ta := range targets {
+			for ta := range at.Values[idx].AllRefs() {
 				if child.Recursive {
 					if err := walk(node, ta); err != nil { // re-apply the same level
 						return err

@@ -3,7 +3,9 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // MoleculeType is a dynamically defined complex-object type: a tree of atom
@@ -15,6 +17,13 @@ import (
 type MoleculeType struct {
 	Name string   `json:"name,omitempty"` // empty for molecule types defined inline in a query
 	Root *MolNode `json:"root"`
+
+	// What AtomTypes, TypeOrdinal and IsRecursive answer is a function of the
+	// tree alone; it is derived on first use, after which the tree must not
+	// change (validation, the only writer, runs before).
+	derive    sync.Once
+	types     []string
+	recursive bool
 }
 
 // MolNode is one component type of a molecule type.
@@ -118,38 +127,37 @@ func (n *MolNode) clone() *MolNode {
 	return out
 }
 
+// derived walks the tree once for the component types and the recursion flag.
+func (m *MoleculeType) derived() *MoleculeType {
+	m.derive.Do(func() {
+		var walk func(n *MolNode)
+		walk = func(n *MolNode) {
+			if !slices.Contains(m.types, n.AtomType) {
+				m.types = append(m.types, n.AtomType)
+			}
+			for _, c := range n.Children {
+				m.recursive = m.recursive || c.Recursive
+				walk(c)
+			}
+		}
+		walk(m.Root)
+	})
+	return m
+}
+
 // AtomTypes returns the distinct atom type names used by the molecule type,
-// root first.
-func (m *MoleculeType) AtomTypes() []string {
-	var out []string
-	seen := map[string]bool{}
-	var walk func(n *MolNode)
-	walk = func(n *MolNode) {
-		if !seen[n.AtomType] {
-			seen[n.AtomType] = true
-			out = append(out, n.AtomType)
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(m.Root)
-	return out
+// root first. The slice is shared: callers must not modify it.
+func (m *MoleculeType) AtomTypes() []string { return m.derived().types }
+
+// TypeOrdinal returns the position of an atom type in AtomTypes — the
+// component-type ordinal molecules index their per-type atom lists by.
+func (m *MoleculeType) TypeOrdinal(atomType string) (int, bool) {
+	i := slices.Index(m.derived().types, atomType)
+	return i, i >= 0
 }
 
 // IsRecursive reports whether any edge of the molecule type recurses.
-func (m *MoleculeType) IsRecursive() bool {
-	var walk func(n *MolNode) bool
-	walk = func(n *MolNode) bool {
-		for _, c := range n.Children {
-			if c.Recursive || walk(c) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(m.Root)
-}
+func (m *MoleculeType) IsRecursive() bool { return m.derived().recursive }
 
 // String renders the molecule type in FROM-clause syntax.
 func (m *MoleculeType) String() string {

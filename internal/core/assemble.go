@@ -203,22 +203,282 @@ func (p *Plan) rootSource(chunk int, sn *access.Snapshot) rootSource {
 	return &lazyRoots{plan: p, chunk: chunk}
 }
 
-// assembleRootAt materializes, restricts, and projects the molecule rooted
-// at a, resolving every atom read at the snapshot's epoch. It returns
-// (nil, nil) when the root or molecule fails qualification.
-func (p *Plan) assembleRootAt(sn *access.Snapshot, a addr.LogicalAddr) (*Molecule, error) {
-	var src atomSource = snapshotSource{sn}
-	// The cache is only written by the SSA root read and the prefetch;
-	// flat, unrestricted molecules leave it nil (reads of a nil map miss).
-	var cache map[addr.LogicalAddr]*access.Atom
-	if len(p.RootSSA) > 0 || len(p.Mol.Root.Children) > 0 || p.Mol.Root.Recursive {
-		cache = map[addr.LogicalAddr]*access.Atom{}
+// asmNode is one component of the plan's molecule type as assembly walks it:
+// what the per-atom loops need that is a function of the plan, not of the
+// atom, resolved once at plan time.
+type asmNode struct {
+	node *catalog.MolNode
+	ord  int // ordinal of the component's atom type in Mol.AtomTypes()
+	// edges are the node's child edges in traversal order: its children, then
+	// the node itself once more when the edge into it recurses.
+	edges []asmEdge
+	// reach[o] reports whether component type o appears at or below the node
+	// (a recursive self-edge adds nothing beyond the subtree itself), so
+	// assembly knows when a pushed conjunct can no longer be satisfied.
+	reach []bool
+}
+
+// asmEdge is one association assembly follows from the atoms of a node.
+type asmEdge struct {
+	to     *asmNode
+	attr   int  // index of the edge's Via among the parent type's attributes, -1 if it has none
+	deeper bool // atoms reached over the edge lie one recursion level down
+}
+
+// asmTree prepares the molecule type's tree for assembly.
+func (e *Engine) asmTree(mol *catalog.MoleculeType) *asmNode {
+	schema := e.sys.Schema()
+	var build func(n *catalog.MolNode) *asmNode
+	build = func(n *catalog.MolNode) *asmNode {
+		an := &asmNode{node: n, reach: make([]bool, len(mol.AtomTypes()))}
+		an.ord, _ = mol.TypeOrdinal(n.AtomType)
+		an.reach[an.ord] = true
+		t, _ := schema.AtomType(n.AtomType)
+		attrOf := func(via string) int {
+			if t != nil {
+				if i, ok := t.AttrIndex(via); ok {
+					return i
+				}
+			}
+			return -1
+		}
+		for _, c := range n.Children {
+			cn := build(c)
+			an.edges = append(an.edges, asmEdge{to: cn, attr: attrOf(c.Via), deeper: c.Recursive})
+			for o, r := range cn.reach {
+				an.reach[o] = an.reach[o] || r
+			}
+		}
+		if n.Recursive {
+			an.edges = append(an.edges, asmEdge{to: an, attr: attrOf(n.Via), deeper: true})
+		}
+		return an
 	}
+	return build(mol.Root)
+}
+
+// pushState tracks the pushed-down component conjuncts during one molecule's
+// assembly: a satisfying-atom count per conjunct, decided against the
+// conjunct's Min threshold (1 for existentials, n for EXISTS_AT_LEAST).
+// Early pruning (abandoning the remaining assembly levels) is only armed for
+// non-recursive molecule types: their assembly cannot raise recursion-depth
+// errors, so skipping levels never hides an error the full build would have
+// reported.
+type pushState struct {
+	conds     []CompCond
+	counts    []int
+	remaining int
+	canEarly  bool
+	complete  bool // the fetch streamed the whole molecule through observe
+	disabled  bool // the streamed view may be incomplete (a fetch failed)
+}
+
+// minOf returns a conjunct's required count (old zero-valued conjuncts mean
+// "exists", i.e. 1).
+func minOf(cc CompCond) int {
+	if cc.Min < 1 {
+		return 1
+	}
+	return cc.Min
+}
+
+// observe folds one streamed atom of component type ord into the conjunct
+// counts. The fetch streams every atom exactly once (its index dedupes
+// addresses), so counts are over distinct component atoms — the same set the
+// quantifier counts.
+func (ps *pushState) observe(ord int, at *access.Atom) {
+	if ps == nil || ps.remaining == 0 {
+		return
+	}
+	for i, cc := range ps.conds {
+		if ps.counts[i] >= minOf(cc) || cc.ord != ord {
+			continue
+		}
+		ok, err := cc.SSA.Eval(at)
+		if err != nil {
+			ps.disabled = true
+			return
+		}
+		if ok {
+			ps.counts[i]++
+			if ps.counts[i] >= minOf(cc) {
+				ps.remaining--
+			}
+		}
+	}
+}
+
+// unreachable reports whether some undecided conjunct's component type
+// cannot appear at or below any of the frontier nodes — its count can no
+// longer be reached, so the molecule can be pruned without assembling the
+// remaining levels.
+func (ps *pushState) unreachable(frontier []asmItem) bool {
+	if ps == nil || !ps.canEarly || ps.disabled || ps.remaining == 0 {
+		return false
+	}
+	for i, cc := range ps.conds {
+		if ps.counts[i] >= minOf(cc) {
+			continue
+		}
+		reachable := false
+		for _, it := range frontier {
+			if it.node.reach[cc.ord] {
+				reachable = true
+				break
+			}
+		}
+		if !reachable {
+			return true
+		}
+	}
+	return false
+}
+
+// pushPruned decides the pushed-down conjuncts on the fully assembled
+// molecule: each is counting-existential, so the molecule fails as soon as
+// one cannot reach its required count of satisfying component atoms. A
+// pruned molecule skips residual predicate evaluation entirely; a kept one
+// still runs the full residual (the conjuncts remain part of it), so pruning
+// can only ever be a fast negative.
+func (p *Plan) pushPruned(m *Molecule) bool {
+	for _, cc := range p.CompSSA {
+		need := minOf(cc)
+		for _, ma := range m.ByType[cc.ord] {
+			ok, err := cc.SSA.Eval(ma.Atom)
+			if err != nil {
+				need = 0 // leave the decision to the residual predicate
+				break
+			}
+			if ok {
+				need--
+				if need <= 0 {
+					break
+				}
+			}
+		}
+		if need > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// assembler performs the vertical access for one cursor worker: starting from
+// a root atom it deduces the dependent component atoms along the molecule
+// type's associations. It fetches level-wise — one batched read per level,
+// so one directory lookup and page fix serve every atom of a level that
+// shares a page — and then links depth-first over what it fetched, so the
+// component role, recursion level and delivery order of every atom are those
+// of its first depth-first reach. References are visited in place; the MAtoms
+// of a molecule lie in one slab and its child lists in one arena.
+//
+// The address index and the frontier buffers are scratch, cleared and reused
+// from molecule to molecule and, through asmPool, from cursor to cursor. An
+// assembler serves one goroutine.
+type assembler struct {
+	plan *Plan
+	sn   *access.Snapshot
+	src  atomSource // of the molecule in hand: the snapshot, or its cluster occurrence
+	push pushState
+
+	index    map[addr.LogicalAddr]int32 // address → position in ents
+	ents     []asmEnt                   // every address met, in fetch order
+	frontier []asmItem
+	next     []asmItem
+	want     []addr.LogicalAddr
+	order    []linked // the linked atoms in depth-first order
+	counts   []int    // linked atoms per component-type ordinal
+
+	// The arenas of the molecule in hand; it owns them once delivered. The
+	// fetch sizes them, so each is normally one allocation.
+	slab   []MAtom
+	groups [][]*MAtom // the Children headers, and ByType
+	kids   []*MAtom   // the child lists, and the ByType lists
+	nedges int        // edges leaving the fetched atoms
+	nrefs  int        // references the fetch followed
+}
+
+// asmEnt is what the assembler knows about one address of the molecule.
+type asmEnt struct {
+	a  addr.LogicalAddr
+	at *access.Atom // nil until fetched
+	ma *MAtom       // nil until linked
+}
+
+// linked is one atom of the molecule with the ordinal of its component type.
+type linked struct {
+	ma  *MAtom
+	ord int
+}
+
+// asmItem is one frontier entry of the level-wise fetch.
+type asmItem struct {
+	node  *asmNode
+	ent   int32
+	level int
+}
+
+var asmPool = sync.Pool{New: func() any {
+	return &assembler{index: map[addr.LogicalAddr]int32{}}
+}}
+
+// newAssembler takes an assembler from the pool for one cursor worker.
+func newAssembler(p *Plan, sn *access.Snapshot) *assembler {
+	as := asmPool.Get().(*assembler)
+	as.plan, as.sn = p, sn
+	as.push = pushState{conds: p.CompSSA, counts: as.push.counts[:0], canEarly: !p.Mol.IsRecursive()}
+	return as
+}
+
+// release returns the assembler to the pool, holding on to no atom and no
+// plan.
+func (as *assembler) release() {
+	as.reset()
+	as.plan, as.sn, as.src, as.push.conds = nil, nil, nil, nil
+	asmPool.Put(as)
+}
+
+// reset clears the per-molecule scratch.
+func (as *assembler) reset() {
+	clear(as.index)
+	clear(as.ents)
+	clear(as.order)
+	as.ents, as.order = as.ents[:0], as.order[:0]
+	as.slab, as.groups, as.kids = nil, nil, nil
+	as.nedges, as.nrefs = 0, 0
+}
+
+// enter registers an address the molecule reaches and returns its position.
+func (as *assembler) enter(a addr.LogicalAddr) int32 {
+	i := int32(len(as.ents))
+	as.index[a] = i
+	as.ents = append(as.ents, asmEnt{a: a})
+	return i
+}
+
+// carve cuts n zeroed elements off the arena. A full arena is replaced by a
+// fresh chunk, never grown: pointers into the old one stay valid.
+func carve[T any](arena *[]T, n int) []T {
+	if len(*arena)+n > cap(*arena) {
+		*arena = make([]T, 0, max(n, 2*cap(*arena), 8))
+	}
+	lo := len(*arena)
+	*arena = (*arena)[:lo+n]
+	return (*arena)[lo : lo+n : lo+n]
+}
+
+// assemble materializes, restricts, and projects the molecule rooted at a,
+// resolving every atom read at the snapshot's epoch. It returns (nil, nil)
+// when the root or molecule fails qualification.
+func (as *assembler) assemble(a addr.LogicalAddr) (*Molecule, error) {
+	p := as.plan
+	as.src = snapshotSource{as.sn}
 
 	// Root SSA (pushed-down restriction) decides before assembly.
+	var rootAtom *access.Atom
 	if len(p.RootSSA) > 0 {
-		rootAtom, err := src.get(a)
-		if err != nil {
+		var err error
+		if rootAtom, err = as.src.get(a); err != nil {
 			if p.AccessKind == "direct" && errors.Is(err, access.ErrNoAtom) {
 				// The named atom is gone (or never existed): the root fails
 				// qualification, it does not error the query — direct roots
@@ -235,14 +495,13 @@ func (p *Plan) assembleRootAt(sn *access.Snapshot, a addr.LogicalAddr) (*Molecul
 		if !ok {
 			return nil, nil
 		}
-		cache[a] = rootAtom
 	}
 
 	if p.AccessKind == "cluster" {
 		occ, err := p.engine.sys.ClusterOccurrenceOf(p.Cluster, a)
 		switch {
 		case err == nil:
-			src = clusterSource{occ: occ, sn: sn}
+			as.src = clusterSource{occ: occ, sn: as.sn}
 		case errors.Is(err, access.ErrNoAtom):
 			// Ghost root: the occurrence was dropped by post-epoch DML, but
 			// the chains still hold the molecule's pre-images — assemble
@@ -252,13 +511,27 @@ func (p *Plan) assembleRootAt(sn *access.Snapshot, a addr.LogicalAddr) (*Molecul
 		}
 	}
 
-	ps := p.newPushState()
-	m, err := p.assemble(src, a, cache, ps)
+	return as.build(a, rootAtom)
+}
+
+// build assembles the molecule rooted at a from as.src (rootAtom is the root
+// when the caller has read it already, else nil), then decides the pushed
+// conjuncts and the residual predicate on it and projects it.
+func (as *assembler) build(a addr.LogicalAddr, rootAtom *access.Atom) (*Molecule, error) {
+	p := as.plan
+	as.reset()
+	var ps *pushState
+	if len(p.CompSSA) > 0 {
+		ps = &as.push
+		ps.counts = append(ps.counts[:0], make([]int, len(ps.conds))...)
+		ps.remaining, ps.complete, ps.disabled = len(ps.conds), false, false
+	}
+	if as.fetch(a, rootAtom, ps) {
+		return nil, nil // pruned mid-assembly by a pushed-down conjunct
+	}
+	m, err := as.link(a)
 	if err != nil {
 		return nil, err
-	}
-	if m == nil {
-		return nil, nil // pruned mid-assembly by a pushed-down conjunct
 	}
 	// Decide the pushed conjuncts. A complete, fully observed stream already
 	// holds the verdict; otherwise re-decide on the assembled molecule.
@@ -284,152 +557,15 @@ func (p *Plan) assembleRootAt(sn *access.Snapshot, a addr.LogicalAddr) (*Molecul
 	return m, nil
 }
 
-// pushState tracks the pushed-down component conjuncts during one molecule's
-// assembly: a satisfying-atom count per conjunct, decided against the
-// conjunct's Min threshold (1 for existentials, n for EXISTS_AT_LEAST).
-// Early pruning (abandoning the remaining assembly levels) is only armed for
-// non-recursive molecule types: their assembly cannot raise recursion-depth
-// errors, so skipping levels never hides an error the full build would have
-// reported.
-type pushState struct {
-	plan      *Plan
-	counts    []int
-	remaining int
-	canEarly  bool
-	complete  bool // prefetch streamed the whole molecule through observe
-	disabled  bool // the streamed view may be incomplete (a fetch failed)
-}
-
-func (p *Plan) newPushState() *pushState {
-	if len(p.CompSSA) == 0 {
-		return nil
-	}
-	return &pushState{
-		plan:      p,
-		counts:    make([]int, len(p.CompSSA)),
-		remaining: len(p.CompSSA),
-		canEarly:  !p.Mol.IsRecursive(),
-	}
-}
-
-// minOf returns a conjunct's required count (old zero-valued conjuncts mean
-// "exists", i.e. 1).
-func minOf(cc CompCond) int {
-	if cc.Min < 1 {
-		return 1
-	}
-	return cc.Min
-}
-
-// observe folds one streamed atom into the conjunct counts. prefetch streams
-// every atom exactly once (its seen set dedupes addresses), so counts are
-// over distinct component atoms — the same set the quantifier counts.
-func (ps *pushState) observe(at *access.Atom) {
-	if ps == nil || ps.remaining == 0 {
-		return
-	}
-	for i, cc := range ps.plan.CompSSA {
-		if ps.counts[i] >= minOf(cc) || cc.TypeName != at.Type.Name {
-			continue
-		}
-		ok, err := cc.SSA.Eval(at)
-		if err != nil {
-			ps.disabled = true
-			return
-		}
-		if ok {
-			ps.counts[i]++
-			if ps.counts[i] >= minOf(cc) {
-				ps.remaining--
-			}
-		}
-	}
-}
-
-// unreachable reports whether some undecided conjunct's component type
-// cannot appear at or below any of the frontier nodes — its count can no
-// longer be reached, so the molecule can be pruned without assembling the
-// remaining levels.
-func (ps *pushState) unreachable(frontier []*catalog.MolNode) bool {
-	if ps == nil || !ps.canEarly || ps.disabled || ps.remaining == 0 {
-		return false
-	}
-	for i, cc := range ps.plan.CompSSA {
-		if ps.counts[i] >= minOf(cc) {
-			continue
-		}
-		reachable := false
-		for _, n := range frontier {
-			if ps.plan.reach[n][cc.TypeName] {
-				reachable = true
-				break
-			}
-		}
-		if !reachable {
-			return true
-		}
-	}
-	return false
-}
-
-// pushPruned decides the pushed-down conjuncts on the fully assembled
-// molecule: each is counting-existential, so the molecule fails as soon as
-// one cannot reach its required count of satisfying component atoms. A
-// pruned molecule skips residual predicate evaluation entirely; a kept one
-// still runs the full residual (the conjuncts remain part of it), so pruning
-// can only ever be a fast negative.
-func (p *Plan) pushPruned(m *Molecule) bool {
-	for _, cc := range p.CompSSA {
-		need := minOf(cc)
-		for _, ma := range m.ByType[cc.TypeName] {
-			ok, err := cc.SSA.Eval(ma.Atom)
-			if err != nil {
-				need = 0 // leave the decision to the residual predicate
-				break
-			}
-			if ok {
-				need--
-				if need <= 0 {
-					break
-				}
-			}
-		}
-		if need > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// effectiveEdges returns a node's child edges for traversal: its children,
-// plus the node itself once more when the edge into it recurses. prefetch
-// and the structural build share it so their traversals cannot diverge.
-func effectiveEdges(node *catalog.MolNode) []*catalog.MolNode {
-	if !node.Recursive {
-		return node.Children
-	}
-	return append(append([]*catalog.MolNode(nil), node.Children...), node)
-}
-
-// edgeLevel returns the recursion level of atoms reached over the edge from
-// node to child.
-func edgeLevel(node, child *catalog.MolNode, level int) int {
-	if child.Recursive || child == node {
-		return level + 1
-	}
-	return level
-}
-
-// prefetch walks the molecule structure breadth-first and batch-reads every
-// level's fan-out into cache, so the structural build below finds its atoms
-// memory-resident — one directory lookup and page fix per level and page
-// instead of one per atom. It is best-effort: any address it cannot fetch is
-// simply left out of the cache and surfaces through the build's own,
-// deterministic error path.
+// fetch walks the molecule structure breadth-first and batch-reads every
+// level's fan-out. It is best-effort: an address it cannot fetch, or does not
+// reach because the depth-first order gives an atom another role than the
+// breadth-first one, is left to the link's own, deterministic read and error
+// path.
 //
 // Pushed-down component conjuncts are evaluated here, as atoms stream out of
 // the batched reads; when a conjunct can no longer be satisfied by any
-// remaining level, prefetch reports pruned=true and the remaining levels are
+// remaining level, fetch reports pruned=true and the remaining levels are
 // skipped entirely. At that point the qualification is fully decided: every
 // atom of the conjunct's type was observed (a failed fetch disables pruning)
 // and failed, so the existential conjunct — and with it the WHERE — is
@@ -437,75 +573,68 @@ func edgeLevel(node, child *catalog.MolNode, level int) int {
 // materialization error (e.g. a dangling reference) those levels would have
 // raised; the pruned outcome is the correct query answer, the error was an
 // artifact of materialization the plan proved unnecessary.
-func (p *Plan) prefetch(src atomSource, root addr.LogicalAddr, cache map[addr.LogicalAddr]*access.Atom, ps *pushState) (pruned bool) {
-	type item struct {
-		node  *catalog.MolNode
-		a     addr.LogicalAddr
-		level int
-	}
-	frontier := []item{{node: p.Mol.Root, a: root, level: 0}}
-	seen := map[addr.LogicalAddr]bool{root: true}
-	var nodes []*catalog.MolNode // frontier nodes, for the reachability check
-	for len(frontier) > 0 {
-		if ps != nil {
-			nodes = nodes[:0]
-			for _, it := range frontier {
-				nodes = append(nodes, it.node)
-			}
-			if ps.unreachable(nodes) {
-				return true
+func (as *assembler) fetch(root addr.LogicalAddr, rootAtom *access.Atom, ps *pushState) (pruned bool) {
+	as.enter(root)
+	as.ents[0].at = rootAtom
+	as.frontier = append(as.frontier[:0], asmItem{node: as.plan.asm})
+	for len(as.frontier) > 0 {
+		if ps.unreachable(as.frontier) {
+			return true
+		}
+		as.want = as.want[:0]
+		for _, it := range as.frontier {
+			if e := &as.ents[it.ent]; e.at == nil {
+				as.want = append(as.want, e.a)
 			}
 		}
-		var want []addr.LogicalAddr
-		for _, it := range frontier {
-			if _, ok := cache[it.a]; !ok {
-				want = append(want, it.a)
-			}
-		}
-		if len(want) > 0 {
-			atoms, err := src.getBatch(want)
-			if err != nil {
-				// A batch fails as a whole; retry individually so one bad
-				// address does not hide the rest of the level.
-				for _, a := range want {
-					if at, err := src.get(a); err == nil {
-						cache[a] = at
-					} else if ps != nil {
-						ps.disabled = true
-					}
+		if len(as.want) > 0 {
+			atoms, err := as.src.getBatch(as.want)
+			j := 0
+			for _, it := range as.frontier {
+				e := &as.ents[it.ent]
+				if e.at != nil {
+					continue
 				}
-			} else {
-				for i, at := range atoms {
-					cache[want[i]] = at
+				if err == nil {
+					e.at = atoms[j]
+					j++
+				} else if at, gerr := as.src.get(e.a); gerr == nil {
+					// A batch fails as a whole; retry individually so one bad
+					// address does not hide the rest of the level.
+					e.at = at
+				} else if ps != nil {
+					ps.disabled = true
 				}
 			}
 		}
-		var next []item
-		for _, it := range frontier {
-			at := cache[it.a]
+		as.next = as.next[:0]
+		for _, it := range as.frontier {
+			at := as.ents[it.ent].at
 			if at == nil {
 				continue
 			}
-			ps.observe(at)
-			for _, child := range effectiveEdges(it.node) {
-				idx, ok := at.Type.AttrIndex(child.Via)
-				if !ok {
-					continue // the build reports the semantic error
+			ps.observe(it.node.ord, at)
+			as.nedges += len(it.node.edges)
+			for _, ed := range it.node.edges {
+				if ed.attr < 0 {
+					continue // the link reports the semantic error
 				}
-				nextLevel := edgeLevel(it.node, child, it.level)
-				if nextLevel > p.MaxDepth {
-					continue // the build reports the recursion error
+				level := it.level
+				if ed.deeper {
+					level++
 				}
-				for _, target := range at.Values[idx].Refs() {
-					if seen[target] {
-						continue
+				if level > as.plan.MaxDepth {
+					continue // the link reports the recursion error
+				}
+				for target := range at.Values[ed.attr].AllRefs() {
+					as.nrefs++
+					if _, seen := as.index[target]; !seen {
+						as.next = append(as.next, asmItem{node: ed.to, ent: as.enter(target), level: level})
 					}
-					seen[target] = true
-					next = append(next, item{node: child, a: target, level: nextLevel})
 				}
 			}
 		}
-		frontier = next
+		as.frontier, as.next = as.next, as.frontier
 	}
 	if ps != nil {
 		ps.complete = true
@@ -513,67 +642,83 @@ func (p *Plan) prefetch(src atomSource, root addr.LogicalAddr, cache map[addr.Lo
 	return false
 }
 
-// assemble performs the vertical access: starting from the root atom it
-// deduces the dependent component atoms along the molecule type's
-// associations, level by level for recursive edges, with cycle protection.
-// Atom reads are batched per level by prefetch; the recursive build then
-// fixes the result structure in depth-first order.
-func (p *Plan) assemble(src atomSource, root addr.LogicalAddr, cache map[addr.LogicalAddr]*access.Atom, ps *pushState) (*Molecule, error) {
-	// A flat single-node molecule has no fan-out to batch; skip the
-	// prefetch bookkeeping and read the root directly.
-	if len(p.Mol.Root.Children) > 0 || p.Mol.Root.Recursive {
-		if p.prefetch(src, root, cache, ps) {
-			return nil, nil // pruned: a pushed conjunct became undecidable-true
-		}
-	}
-	m := &Molecule{
-		Type:   p.Mol,
-		ByType: map[string][]*MAtom{},
-		atoms:  map[addr.LogicalAddr]*MAtom{},
-	}
-	var build func(node *catalog.MolNode, a addr.LogicalAddr, level int) (*MAtom, error)
-	build = func(node *catalog.MolNode, a addr.LogicalAddr, level int) (*MAtom, error) {
-		if existing, ok := m.atoms[a]; ok {
-			return existing, nil // shared component or recursion cycle
-		}
-		if level > p.MaxDepth {
-			return nil, fmt.Errorf("%w: recursion deeper than %d", ErrSemantic, p.MaxDepth)
-		}
-		at, ok := cache[a]
-		if !ok {
-			var err error
-			if at, err = src.get(a); err != nil {
-				return nil, err
-			}
-		}
-		ma := &MAtom{Atom: at, Node: node, Level: level}
-		m.atoms[a] = ma
-		m.ByType[at.Type.Name] = append(m.ByType[at.Type.Name], ma)
+// link fixes the result structure depth-first over the fetched atoms, with
+// cycle protection, and hands the molecule its arenas.
+func (as *assembler) link(root addr.LogicalAddr) (*Molecule, error) {
+	mol := as.plan.Mol
+	ntypes := len(mol.AtomTypes())
+	as.slab = make([]MAtom, 0, len(as.ents))
+	as.groups = make([][]*MAtom, 0, as.nedges+ntypes)
+	as.kids = make([]*MAtom, 0, as.nrefs+len(as.ents))
+	as.counts = append(as.counts[:0], make([]int, ntypes)...)
 
-		edges := effectiveEdges(node)
-		ma.Children = make([][]*MAtom, len(edges))
-		for i, child := range edges {
-			idx, ok := at.Type.AttrIndex(child.Via)
-			if !ok {
-				return nil, fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, at.Type.Name, child.Via)
-			}
-			nextLevel := edgeLevel(node, child, level)
-			for _, target := range at.Values[idx].Refs() {
-				c, err := build(child, target, nextLevel)
-				if err != nil {
-					return nil, err
-				}
-				ma.Children[i] = append(ma.Children[i], c)
-			}
-		}
-		return ma, nil
-	}
-	rootMA, err := build(p.Mol.Root, root, 0)
+	rootMA, err := as.linkAtom(as.plan.asm, root, 0)
 	if err != nil {
 		return nil, err
 	}
-	m.Root = rootMA
+	m := &Molecule{Type: mol, Root: rootMA, ByType: carve(&as.groups, ntypes)}
+	for o, n := range as.counts {
+		m.ByType[o] = carve(&as.kids, n)[:0]
+	}
+	for _, l := range as.order {
+		m.ByType[l.ord] = append(m.ByType[l.ord], l.ma)
+	}
 	return m, nil
+}
+
+// linkAtom returns the molecule's atom at address a, linking it and its
+// components on the first reach. An atom belongs to a molecule at most once
+// even when reachable over several lanes (shared components, recursion
+// cycles); it takes the component role of that first reach.
+func (as *assembler) linkAtom(n *asmNode, a addr.LogicalAddr, level int) (*MAtom, error) {
+	i, met := as.index[a]
+	if met && as.ents[i].ma != nil {
+		return as.ents[i].ma, nil
+	}
+	if level > as.plan.MaxDepth {
+		return nil, fmt.Errorf("%w: recursion deeper than %d", ErrSemantic, as.plan.MaxDepth)
+	}
+	if !met {
+		i = as.enter(a)
+	}
+	at := as.ents[i].at
+	if at == nil {
+		var err error
+		if at, err = as.src.get(a); err != nil {
+			return nil, err
+		}
+	}
+	ma := &carve(&as.slab, 1)[0]
+	*ma = MAtom{Atom: at, Node: n.node, Level: level}
+	as.ents[i].ma = ma
+	as.order = append(as.order, linked{ma, n.ord})
+	as.counts[n.ord]++
+
+	ma.Children = carve(&as.groups, len(n.edges))
+	for g, ed := range n.edges {
+		if ed.attr < 0 {
+			return nil, fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, at.Type.Name, ed.to.node.Via)
+		}
+		next := level
+		if ed.deeper {
+			next++
+		}
+		v := &at.Values[ed.attr]
+		nrefs := 0
+		for range v.AllRefs() {
+			nrefs++
+		}
+		kids := carve(&as.kids, nrefs)[:0]
+		for target := range v.AllRefs() {
+			c, err := as.linkAtom(ed.to, target, next)
+			if err != nil {
+				return nil, err
+			}
+			kids = append(kids, c)
+		}
+		ma.Children[g] = kids
+	}
+	return ma, nil
 }
 
 // Cursor delivers the qualified molecules of a plan one at a time — the
@@ -587,7 +732,8 @@ type Cursor struct {
 	snap *access.Snapshot
 	done bool
 
-	// Serial mode: the current root chunk.
+	// Serial mode: the assembler and the current root chunk.
+	asm     *assembler
 	pending []addr.LogicalAddr
 	pos     int
 
@@ -633,6 +779,8 @@ func (p *Plan) open(epoch *uint64, sp *obs.Span) (*Cursor, error) {
 	c := &Cursor{plan: p, snap: sn, src: p.rootSource(chunk, sn), span: sp}
 	if workers > 1 {
 		c.pipe = startPipeline(p, sn, c.src, workers)
+	} else {
+		c.asm = newAssembler(p, sn)
 	}
 	// Safety net for abandoned cursors: neither the snapshot nor the
 	// pipeline goroutines reference the Cursor, so when a caller drops it
@@ -688,6 +836,8 @@ func startPipeline(p *Plan, sn *access.Snapshot, src rootSource, workers int) *p
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer pl.wg.Done()
+			as := newAssembler(p, sn)
+			defer as.release()
 			for j := range jobs {
 				var res asmResult
 				select {
@@ -699,7 +849,7 @@ func startPipeline(p *Plan, sn *access.Snapshot, src rootSource, workers int) *p
 					// the epoch still assemble (from their pre-images),
 					// roots inserted after it are tombstoned and skipped.
 					if sn.Exists(j.root) {
-						res.m, res.err = p.assembleRootAt(sn, j.root)
+						res.m, res.err = as.assemble(j.root)
 					}
 				}
 				j.out <- res // one-slot buffer: never blocks
@@ -783,7 +933,7 @@ func (c *Cursor) Next() (*Molecule, error) {
 			if !c.snap.Exists(a) {
 				continue
 			}
-			m, err := c.plan.assembleRootAt(c.snap, a)
+			m, err := c.asm.assemble(a)
 			if err != nil {
 				c.done = true
 				return nil, err
@@ -828,6 +978,10 @@ func (c *Cursor) Close() {
 	if c.pipe != nil {
 		c.pipe.shutdown()
 		c.pipe.wg.Wait()
+	}
+	if c.asm != nil {
+		c.asm.release()
+		c.asm = nil
 	}
 	c.snap.Close()
 	runtime.SetFinalizer(c, nil)

@@ -148,9 +148,12 @@ func (pc *predCompiler) compileQuant(q *mql.Quant) cnode {
 		delete(pc.scope, q.Var)
 	}
 
-	varName := q.Var
+	ord, ok := pc.mol.TypeOrdinal(q.Var)
+	if !ok {
+		return errNode(fmt.Errorf("%w: quantifier variable %s is not a component type", ErrSemantic, q.Var))
+	}
 	return func(m *Molecule, s *cscratch) (bool, error) {
-		atoms := m.ByType[varName]
+		atoms := m.ByType[ord]
 		count := 0
 		for _, ma := range atoms {
 			s.bound[slot] = ma
@@ -293,12 +296,12 @@ func (pc *predCompiler) newBuf() int {
 	return i
 }
 
-// cref is a pre-resolved attribute reference: owning type, attribute index,
-// RECORD field path as indices, recursion-level filter, and the quantifier
-// binding slot (-1 when free, i.e. implicitly existential over all atoms of
-// the type).
+// cref is a pre-resolved attribute reference: owning type (by its ordinal in
+// the molecule type), attribute index, RECORD field path as indices,
+// recursion-level filter, and the quantifier binding slot (-1 when free,
+// i.e. implicitly existential over all atoms of the type).
 type cref struct {
-	typeName string
+	ord      int
 	attrIdx  int
 	fields   []int
 	level    int
@@ -316,7 +319,8 @@ func (pc *predCompiler) compileRef(ref *mql.AttrRef) (*cref, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: lost attribute %s.%s", tgt.typeName, tgt.attr)
 	}
-	cr := &cref{typeName: tgt.typeName, attrIdx: idx, level: tgt.level, hasLevel: tgt.hasLevel, slot: -1}
+	ord, _ := pc.mol.TypeOrdinal(tgt.typeName) // resolveRefTarget found it there
+	cr := &cref{ord: ord, attrIdx: idx, level: tgt.level, hasLevel: tgt.hasLevel, slot: -1}
 	if s, ok := pc.scope[tgt.typeName]; ok {
 		cr.slot = s
 	}
@@ -351,7 +355,7 @@ func (r *cref) values(m *Molecule, s *cscratch, bufIdx int) []atom.Value {
 			buf = r.appendFrom(buf, ma)
 		}
 	} else {
-		for _, ma := range m.ByType[r.typeName] {
+		for _, ma := range m.ByType[r.ord] {
 			buf = r.appendFrom(buf, ma)
 		}
 	}

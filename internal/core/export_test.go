@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
+	"prima/internal/access"
 	"prima/internal/access/addr"
 	"prima/internal/mql"
 )
@@ -15,3 +19,40 @@ func (e *Engine) ReferenceSelect(sel *mql.Select) ([]*Molecule, error) {
 
 // Roots enumerates the plan's candidate roots (non-scan accesses).
 func (p *Plan) Roots() ([]addr.LogicalAddr, error) { return p.roots() }
+
+// lossySource reads through a snapshot that has lost one atom: the way to a
+// dangling reference, which the access system's own referential integrity
+// never lets a test store.
+type lossySource struct {
+	snapshotSource
+	lost addr.LogicalAddr
+}
+
+func (s lossySource) get(a addr.LogicalAddr) (*access.Atom, error) {
+	if a == s.lost {
+		return nil, fmt.Errorf("%w: %v", access.ErrNoAtom, a)
+	}
+	return s.snapshotSource.get(a)
+}
+
+func (s lossySource) getBatch(as []addr.LogicalAddr) ([]*access.Atom, error) {
+	if slices.Contains(as, s.lost) {
+		return nil, fmt.Errorf("%w: %v", access.ErrNoAtom, s.lost)
+	}
+	return s.snapshotSource.getBatch(as)
+}
+
+// AssembleLosing builds the molecule rooted at root twice over a store that
+// has lost one atom: with the plan's assembler, qualification included, and
+// unrestricted with the reference assembler.
+func (p *Plan) AssembleLosing(root, lost addr.LogicalAddr) (m *Molecule, err, refErr error) {
+	sn := p.engine.sys.OpenSnapshot()
+	defer sn.Close()
+	src := lossySource{snapshotSource{sn}, lost}
+	as := newAssembler(p, sn)
+	defer as.release()
+	as.src = src
+	m, err = as.build(root, nil)
+	_, refErr = p.referenceAssemble(src, root)
+	return m, err, refErr
+}

@@ -21,13 +21,10 @@ import (
 type Molecule struct {
 	Type *catalog.MoleculeType
 	Root *MAtom
-	// ByType lists the molecule's atoms grouped by atom type name, in
-	// traversal order (the flat view used by projection and quantifiers).
-	ByType map[string][]*MAtom
-	// atoms dedupes by address: an atom belongs to a molecule at most once
-	// even when reachable over several lanes (shared components, recursion
-	// cycles). It takes the component role of its first reach.
-	atoms map[addr.LogicalAddr]*MAtom
+	// ByType lists the molecule's atoms grouped by atom type — indexed by the
+	// type's ordinal in Type.AtomTypes() — each group in traversal order (the
+	// flat view used by projection, quantifiers and the wire encoder).
+	ByType [][]*MAtom
 }
 
 // MAtom is one atom inside a molecule, bound to the component (node) of the
@@ -58,7 +55,12 @@ func (m *Molecule) Size() int {
 }
 
 // AtomsOf returns the molecule's atoms of one type.
-func (m *Molecule) AtomsOf(typeName string) []*MAtom { return m.ByType[typeName] }
+func (m *Molecule) AtomsOf(typeName string) []*MAtom {
+	if o, ok := m.Type.TypeOrdinal(typeName); ok {
+		return m.ByType[o]
+	}
+	return nil
+}
 
 // MaxLevel returns the deepest recursion level present.
 func (m *Molecule) MaxLevel() int {
@@ -73,12 +75,21 @@ func (m *Molecule) MaxLevel() int {
 	return max
 }
 
-// String renders the molecule as an indented tree (CLI / example output).
+// String renders the molecule as an indented tree (CLI / example output). A
+// shared component is rendered under each of its parents; a reference that
+// closes a recursion cycle is rendered as such and not followed.
 func (m *Molecule) String() string {
 	var sb strings.Builder
+	onPath := map[*MAtom]bool{}
 	var walk func(ma *MAtom, depth int)
 	walk = func(ma *MAtom, depth int) {
 		indent := strings.Repeat("  ", depth)
+		if onPath[ma] {
+			fmt.Fprintf(&sb, "%s%s %s (cycle)\n", indent, ma.Atom.Type.Name, ma.Atom.Addr)
+			return
+		}
+		onPath[ma] = true
+		defer delete(onPath, ma)
 		if ma.Hidden {
 			fmt.Fprintf(&sb, "%s%s %s (connector)\n", indent, ma.Atom.Type.Name, ma.Atom.Addr)
 		} else {

@@ -1,7 +1,10 @@
 package core_test
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -9,6 +12,7 @@ import (
 	"prima/internal/access"
 	"prima/internal/core"
 	"prima/internal/mql"
+	"prima/internal/wire"
 	"prima/internal/workload/brepgen"
 )
 
@@ -192,10 +196,27 @@ func renderSet(mols []*core.Molecule) []string {
 	return out
 }
 
+// wireBytes encodes a molecule multiset order-independently: sorted by root
+// address, as the frames of one checkout stream. Unlike the rendered tree the
+// frames cover the flat per-type view — its order, the hidden connectors it
+// skips, every attribute value reference attributes included.
+func wireBytes(t *testing.T, mols []*core.Molecule) []byte {
+	t.Helper()
+	sorted := slices.Clone(mols)
+	slices.SortFunc(sorted, func(a, b *core.Molecule) int { return cmp.Compare(a.Root.Addr(), b.Root.Addr()) })
+	stream, err := wire.EncodeMolecules(sorted)
+	if err != nil {
+		t.Fatalf("encode molecules: %v", err)
+	}
+	return stream
+}
+
 // checkAgainstReference requires the engine to answer every corpus query
 // with the molecule multiset the reference model (reference_test.go)
-// computes from the unrestricted molecule set — under serial and default
-// assembly parallelism, with the decoded-atom cache on and off.
+// computes from the unrestricted molecule set — the same rendered trees and
+// byte-identical wire frames from the one-pass assembler and the reference
+// assembler — under serial and default assembly parallelism, with the
+// decoded-atom cache on and off.
 func checkAgainstReference(t *testing.T, e *core.Engine, corpus []string) {
 	t.Helper()
 	defer e.SetAssemblyWorkers(e.AssemblyWorkers())
@@ -205,12 +226,13 @@ func checkAgainstReference(t *testing.T, e *core.Engine, corpus []string) {
 		if err != nil {
 			t.Fatalf("reference %s: %v", q, err)
 		}
-		want := renderSet(ref)
+		want, wantWire := renderSet(ref), wireBytes(t, ref)
 		for _, workers := range []int{1, core.DefaultAssemblyWorkers()} {
 			for _, cache := range []int{access.DefaultAtomCacheAtoms, 0} {
 				e.SetAssemblyWorkers(workers)
 				e.SetAtomCacheSize(cache)
-				have := renderSet(mustQuery(t, e, q).Molecules)
+				mols := mustQuery(t, e, q).Molecules
+				have := renderSet(mols)
 				if len(want) != len(have) {
 					t.Fatalf("workers=%d cache=%d %s: reference %d molecules, engine %d", workers, cache, q, len(want), len(have))
 				}
@@ -218,6 +240,9 @@ func checkAgainstReference(t *testing.T, e *core.Engine, corpus []string) {
 					if want[i] != have[i] {
 						t.Fatalf("workers=%d cache=%d %s: molecule %d differs\nreference:\n%s\nengine:\n%s", workers, cache, q, i, want[i], have[i])
 					}
+				}
+				if haveWire := wireBytes(t, mols); !bytes.Equal(wantWire, haveWire) {
+					t.Fatalf("workers=%d cache=%d %s: wire frames differ (%d vs %d bytes) though the rendered trees agree", workers, cache, q, len(wantWire), len(haveWire))
 				}
 			}
 		}

@@ -56,9 +56,7 @@ type Plan struct {
 	MaxDepth int
 
 	whereC *compiledPred // compiled residual predicate (nil iff Where is nil)
-	// reach maps each molecule node to the component types of its subtree,
-	// so assembly knows when a pushed conjunct can no longer be satisfied.
-	reach map[*catalog.MolNode]map[string]bool
+	asm    *asmNode      // Mol's tree as assembly walks it
 }
 
 // CompCond is one pushed-down component conjunct: the molecule is pruned
@@ -71,6 +69,7 @@ type CompCond struct {
 	TypeName string
 	SSA      access.SSA
 	Min      int
+	ord      int // ordinal of TypeName in the molecule type's AtomTypes()
 }
 
 // projection compiled from the SELECT list.
@@ -83,6 +82,7 @@ type projection struct {
 type typeProjection struct {
 	whole   bool
 	attrs   []string              // projected attributes (when !whole)
+	attrIdx []int                 // their indices in the atom type, parallel to attrs
 	whereC  *compiledPred         // qualified projection predicate (may be nil)
 	subType *catalog.MoleculeType // single-type pseudo molecule for whereC
 }
@@ -138,9 +138,7 @@ func (e *Engine) planSelect(sel *mql.Select, depth int) (*Plan, error) {
 	// single-component conjuncts into assembly, and choose the root access.
 	p.RootSSA = e.extractRootSSA(sel.Where, mol, root)
 	p.CompSSA = e.extractComponentSSA(sel.Where, mol, root)
-	if len(p.CompSSA) > 0 {
-		p.reach = reachability(mol)
-	}
+	p.asm = e.asmTree(mol)
 	e.chooseRootAccess(p)
 	return p, nil
 }
@@ -154,12 +152,8 @@ func (e *Engine) compileProjection(sel *mql.Select, mol *catalog.MoleculeType) (
 	}
 	molTypes := mol.AtomTypes()
 	hasType := func(name string) bool {
-		for _, t := range molTypes {
-			if t == name {
-				return true
-			}
-		}
-		return false
+		_, ok := mol.TypeOrdinal(name)
+		return ok
 	}
 	get := func(name string) *typeProjection {
 		tp := proj.perType[name]
@@ -237,10 +231,11 @@ func (e *Engine) compileProjection(sel *mql.Select, mol *catalog.MoleculeType) (
 
 func (e *Engine) addProjectedAttr(tp *typeProjection, typeName, attr string) error {
 	t, _ := e.sys.Schema().AtomType(typeName)
-	if _, ok := t.AttrIndex(attr); !ok {
+	i, ok := t.AttrIndex(attr)
+	if !ok {
 		return fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, typeName, attr)
 	}
-	tp.attrs = append(tp.attrs, attr)
+	tp.attrs, tp.attrIdx = append(tp.attrs, attr), append(tp.attrIdx, i)
 	return nil
 }
 
@@ -263,14 +258,7 @@ func (e *Engine) checkExpr(x mql.Expr, mol *catalog.MoleculeType) error {
 		}
 		return e.checkExpr(v.R, mol)
 	case *mql.Quant:
-		found := false
-		for _, tn := range mol.AtomTypes() {
-			if tn == v.Var {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if _, ok := mol.TypeOrdinal(v.Var); !ok {
 			return fmt.Errorf("%w: quantifier variable %s is not a component type", ErrSemantic, v.Var)
 		}
 		return e.checkExpr(v.Cond, mol)
@@ -314,14 +302,7 @@ func (e *Engine) resolveRefTarget(ref *mql.AttrRef, mol *catalog.MoleculeType) (
 	} else if len(parts) >= 2 {
 		// type.attr (or attr.field when parts[0] is an attribute).
 		if _, ok := schema.AtomType(parts[0]); ok {
-			found := false
-			for _, tn := range molTypes {
-				if tn == parts[0] {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if _, ok := mol.TypeOrdinal(parts[0]); !ok {
 				return out, fmt.Errorf("%w: %s is not a component of the molecule", ErrSemantic, parts[0])
 			}
 			out.typeName = parts[0]
@@ -517,10 +498,12 @@ func (e *Engine) extractComponentSSA(where mql.Expr, mol *catalog.MoleculeType, 
 		if mustType != "" && tgt.typeName != mustType {
 			return
 		}
+		ord, _ := mol.TypeOrdinal(tgt.typeName)
 		out = append(out, CompCond{
 			TypeName: tgt.typeName,
 			SSA:      access.SSA{{Attr: tgt.attr, Op: op, Value: val}},
 			Min:      min,
+			ord:      ord,
 		})
 	}
 	var walk func(x mql.Expr)
@@ -560,30 +543,6 @@ func (e *Engine) extractComponentSSA(where mql.Expr, mol *catalog.MoleculeType, 
 	}
 	walk(where)
 	return out
-}
-
-// reachability maps each molecule node to the set of component types in its
-// subtree (a recursive self-edge adds nothing beyond the subtree itself), so
-// assembly can decide when a pushed conjunct's type can no longer appear
-// below the current frontier.
-func reachability(mol *catalog.MoleculeType) map[*catalog.MolNode]map[string]bool {
-	reach := map[*catalog.MolNode]map[string]bool{}
-	var walk func(n *catalog.MolNode) map[string]bool
-	walk = func(n *catalog.MolNode) map[string]bool {
-		if r, ok := reach[n]; ok {
-			return r
-		}
-		r := map[string]bool{n.AtomType: true}
-		reach[n] = r
-		for _, c := range n.Children {
-			for t := range walk(c) {
-				r[t] = true
-			}
-		}
-		return r
-	}
-	walk(mol.Root)
-	return reach
 }
 
 func ssaAppend(ssa *access.SSA, e *Engine, ref *mql.AttrRef, mol *catalog.MoleculeType, root *catalog.AtomType, op access.Op, v atom.Value) {

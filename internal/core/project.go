@@ -10,7 +10,8 @@ func (e *Engine) applyProjection(p *projection, m *Molecule) error {
 	if p == nil || p.all {
 		return nil
 	}
-	for typeName, atoms := range m.ByType {
+	for o, typeName := range m.Type.AtomTypes() {
+		atoms := m.ByType[o]
 		tp := p.perType[typeName]
 		t, _ := e.sys.Schema().AtomType(typeName)
 		// Qualified-projection predicates evaluate against one reusable
@@ -18,10 +19,7 @@ func (e *Engine) applyProjection(p *projection, m *Molecule) error {
 		// atom.
 		var pseudo *Molecule
 		if tp != nil && tp.whereC != nil {
-			pseudo = &Molecule{
-				Type:   tp.subType,
-				ByType: map[string][]*MAtom{typeName: make([]*MAtom, 1)},
-			}
+			pseudo = &Molecule{Type: tp.subType, ByType: [][]*MAtom{make([]*MAtom, 1)}}
 		}
 		for _, ma := range atoms {
 			if tp == nil {
@@ -29,7 +27,7 @@ func (e *Engine) applyProjection(p *projection, m *Molecule) error {
 				continue
 			}
 			if pseudo != nil {
-				pseudo.ByType[typeName][0] = ma
+				pseudo.ByType[0][0] = ma
 				pseudo.Root = ma
 				ok, err := tp.whereC.Eval(pseudo)
 				if err != nil {
@@ -44,8 +42,7 @@ func (e *Engine) applyProjection(p *projection, m *Molecule) error {
 				// Project the attribute vector (identifier always kept).
 				nv := make([]atom.Value, len(ma.Atom.Values))
 				nv[t.IdentIndex()] = ma.Atom.Values[t.IdentIndex()]
-				for _, a := range tp.attrs {
-					i, _ := t.AttrIndex(a)
+				for _, i := range tp.attrIdx {
 					nv[i] = ma.Atom.Values[i]
 				}
 				projected := *ma.Atom

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"prima/internal/access/addr"
 	"prima/internal/access/atom"
 	"prima/internal/catalog"
 	"prima/internal/mql"
@@ -20,6 +21,90 @@ import (
 // are implicitly existentially quantified ("there is a component atom
 // satisfying the comparison"), which matches the reading of the paper's
 // Table 2.1 examples; FOR_ALL and EXISTS_AT_LEAST are explicit.
+//
+// The molecules themselves come from the reference assembler below, the
+// recursive builder that predated the one-pass assembler: one atom read per
+// address, a map per molecule, a slice per reference attribute.
+
+// referenceAssemble builds the molecule rooted at root the way §3.1 words it:
+// read the root, follow each association of the molecule type to the
+// component atoms, recurse. Depth-first order decides everything an atom
+// reachable over several lanes could have two of — component role, recursion
+// level, place in the per-type lists.
+func (p *Plan) referenceAssemble(src atomSource, root addr.LogicalAddr) (*Molecule, error) {
+	m := &Molecule{Type: p.Mol, ByType: make([][]*MAtom, len(p.Mol.AtomTypes()))}
+	atoms := map[addr.LogicalAddr]*MAtom{}
+	var build func(node *catalog.MolNode, a addr.LogicalAddr, level int) (*MAtom, error)
+	build = func(node *catalog.MolNode, a addr.LogicalAddr, level int) (*MAtom, error) {
+		if existing, ok := atoms[a]; ok {
+			return existing, nil // shared component or recursion cycle
+		}
+		if level > p.MaxDepth {
+			return nil, fmt.Errorf("%w: recursion deeper than %d", ErrSemantic, p.MaxDepth)
+		}
+		at, err := src.get(a)
+		if err != nil {
+			return nil, err
+		}
+		ord, _ := p.Mol.TypeOrdinal(at.Type.Name)
+		ma := &MAtom{Atom: at, Node: node, Level: level}
+		atoms[a] = ma
+		m.ByType[ord] = append(m.ByType[ord], ma)
+
+		// The node's children, plus the node itself once more when the edge
+		// into it recurses.
+		edges := node.Children
+		if node.Recursive {
+			edges = append(append([]*catalog.MolNode(nil), edges...), node)
+		}
+		ma.Children = make([][]*MAtom, len(edges))
+		for i, child := range edges {
+			idx, ok := at.Type.AttrIndex(child.Via)
+			if !ok {
+				return nil, fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, at.Type.Name, child.Via)
+			}
+			next := level
+			if child.Recursive || child == node {
+				next++
+			}
+			for target := range at.Values[idx].AllRefs() {
+				c, err := build(child, target, next)
+				if err != nil {
+					return nil, err
+				}
+				ma.Children[i] = append(ma.Children[i], c)
+			}
+		}
+		return ma, nil
+	}
+	var err error
+	m.Root, err = build(p.Mol.Root, root, 0)
+	return m, err
+}
+
+// referenceMolecules assembles every molecule of the plan's root enumeration
+// with the reference assembler, unrestricted.
+func (p *Plan) referenceMolecules() ([]*Molecule, error) {
+	sn := p.engine.sys.OpenSnapshot()
+	defer sn.Close()
+	var mols []*Molecule
+	for roots := p.rootSource(64, sn); ; {
+		chunk, err := roots.next()
+		if err != nil || len(chunk) == 0 {
+			return mols, err
+		}
+		for _, a := range chunk {
+			if !sn.Exists(a) {
+				continue
+			}
+			m, err := p.referenceAssemble(snapshotSource{sn}, a)
+			if err != nil {
+				return nil, err
+			}
+			mols = append(mols, m)
+		}
+	}
+}
 
 // referenceSelect answers a SELECT the naive way: assemble every molecule of
 // the FROM clause unrestricted, decide the WHERE per molecule with the
@@ -30,12 +115,7 @@ func (e *Engine) referenceSelect(sel *mql.Select) ([]*Molecule, error) {
 	if err != nil {
 		return nil, err
 	}
-	cur, err := all.Open()
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	mols, err := cur.Collect()
+	mols, err := all.referenceMolecules()
 	if err != nil {
 		return nil, err
 	}
@@ -76,10 +156,10 @@ func (e *Engine) referenceSelect(sel *mql.Select) ([]*Molecule, error) {
 // qualified-projection predicate the atom fails, and blanks the unprojected
 // attributes of the rest (the identifier always stays).
 func (e *Engine) referenceProject(proj *projection, subWhere map[string]mql.Expr, m *Molecule) error {
-	for typeName, atoms := range m.ByType {
+	for o, typeName := range m.Type.AtomTypes() {
 		tp := proj.perType[typeName]
 		t, _ := e.sys.Schema().AtomType(typeName)
-		for _, ma := range atoms {
+		for _, ma := range m.ByType[o] {
 			if tp == nil {
 				ma.Hidden = true
 				continue
@@ -326,7 +406,7 @@ func (e *Engine) refValues(ref *mql.AttrRef, m *Molecule, bound map[string]*MAto
 func (e *Engine) evalComponentPredicate(x mql.Expr, ma *MAtom) (bool, error) {
 	pseudo := &Molecule{
 		Type:   &catalog.MoleculeType{Root: &catalog.MolNode{AtomType: ma.Atom.Type.Name}},
-		ByType: map[string][]*MAtom{ma.Atom.Type.Name: {ma}},
+		ByType: [][]*MAtom{{ma}},
 		Root:   ma,
 	}
 	return e.eval(x, pseudo, nil)

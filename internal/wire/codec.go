@@ -242,11 +242,6 @@ type encoder struct {
 	buf   []byte
 	types map[*catalog.AtomType]uint64 // ordinal of every type sent so far
 	sent  []*catalog.AtomType          // the same by ordinal, for rollback
-
-	// AtomTypes walks the molecule type's tree; every molecule of a stream
-	// (and of a repeated statement's cached plan) has the same one.
-	molType   *catalog.MoleculeType
-	typeNames []string
 }
 
 // mark is a point the frame under construction can be rolled back to.
@@ -354,6 +349,23 @@ func (e *encoder) chunk(head *reply, mols []*core.Molecule) ([]byte, int, error)
 	return frame, n, err
 }
 
+// EncodeMolecules returns the frames a fresh connection's checkout stream
+// carries mols in, end to end. The bytes are a function of the molecules
+// alone — roots, per-type atom order, hidden flags, attribute values — which
+// is what the data system's differential tests compare two assemblers by.
+func EncodeMolecules(mols []*core.Molecule) ([]byte, error) {
+	var e encoder
+	var stream []byte
+	for len(mols) > 0 {
+		frame, n, err := e.chunk(&reply{OK: true, Count: len(mols)}, mols)
+		if err != nil {
+			return nil, err
+		}
+		stream, mols = append(stream, frame...), mols[n:]
+	}
+	return stream, nil
+}
+
 // finish closes the frame and hands it out; it is valid until the next
 // begin.
 func (e *encoder) finish() ([]byte, error) {
@@ -391,15 +403,12 @@ func (e *encoder) ordinal(t *catalog.AtomType) uint64 {
 // molecule appends m: its visible atoms grouped by type in the order of the
 // molecule type's tree, preceded by the dictionary entries they need.
 func (e *encoder) molecule(m *core.Molecule) {
-	if m.Type != e.molType {
-		e.molType, e.typeNames = m.Type, m.Type.AtomTypes()
-	}
 	// Atoms of one type lie together, so the dictionary is consulted once
 	// per run of them, not once per atom.
 	var t *catalog.AtomType
 	n := 0
-	for _, tn := range e.typeNames {
-		for _, ma := range m.AtomsOf(tn) {
+	for _, atoms := range m.ByType {
+		for _, ma := range atoms {
 			if ma.Hidden {
 				continue
 			}
@@ -415,8 +424,8 @@ func (e *encoder) molecule(m *core.Molecule) {
 	e.buf = binary.AppendUvarint(e.buf, uint64(n))
 	t = nil
 	var ord uint64
-	for _, tn := range e.typeNames {
-		for _, ma := range m.AtomsOf(tn) {
+	for _, atoms := range m.ByType {
+		for _, ma := range atoms {
 			if ma.Hidden {
 				continue
 			}
