@@ -600,7 +600,7 @@ func BenchmarkSelectivePredicate(b *testing.B) {
 // BenchmarkRepeatedCheckout and the CI allocation gate: the same design
 // objects are checked out over and over (the dominant CAD/FEA access
 // pattern), cycling over the scene so the whole working set stays live.
-// atomCache <= 0 disables the decoded-atom cache (the baseline).
+// atomCache <= 0 disables the atom cache (the baseline).
 func benchRepeatedCheckout(b *testing.B, atomCache int) {
 	const n = 32
 	db := benchScene(b, n, "")
@@ -629,7 +629,7 @@ func benchRepeatedCheckout(b *testing.B, atomCache int) {
 }
 
 // BenchmarkRepeatedCheckout measures warm repeated molecule checkout with
-// the decoded-atom cache disabled vs. enabled — the acceptance benchmark of
+// the atom cache disabled vs. enabled — the acceptance benchmark of
 // the cache: a hit serves assembly without page fixes or codec runs, so the
 // enabled path must deliver both a wall-clock and an allocs/op win.
 func BenchmarkRepeatedCheckout(b *testing.B) {

@@ -62,7 +62,7 @@ func main() {
 				big++
 			}
 		}
-		name, _ := m.Root.Atom.Value("name")
+		name, _ := m.Root.Value("name")
 		fmt.Printf("map %s: %d region(s), %d populous site(s)\n",
 			name, len(m.AtomsOf("region")), big)
 	}

@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("cell u7 drives/loads %d net(s) through %d pin(s):\n",
 		len(m.AtomsOf("net")), len(m.AtomsOf("pin")))
 	for _, n := range m.AtomsOf("net") {
-		sig, _ := n.Atom.Value("signal")
+		sig, _ := n.Value("signal")
 		fmt.Printf("  net %s\n", sig)
 	}
 
@@ -47,8 +47,8 @@ func main() {
 	m = res.Molecules[0]
 	fmt.Printf("net sig3 fans out to %d cell(s):\n", len(m.AtomsOf("cell")))
 	for _, c := range m.AtomsOf("cell") {
-		name, _ := c.Atom.Value("name")
-		kind, _ := c.Atom.Value("kind")
+		name, _ := c.Value("name")
+		kind, _ := c.Value("kind")
 		fmt.Printf("  cell %s (%s)\n", name, kind)
 	}
 

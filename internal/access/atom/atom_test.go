@@ -357,10 +357,57 @@ func TestAppendLiteral(t *testing.T) {
 		t.Errorf("unknown kind: %v", err)
 	}
 	deep := Int(1)
-	for i := 0; i <= maxLiteralDepth; i++ {
+	for i := 0; i <= MaxDepth; i++ {
 		deep = List(deep)
 	}
 	if _, _, err := AppendLiteral(nil, AppendValue(nil, deep)); !errors.Is(err, ErrTooDeep) {
-		t.Errorf("%d nested lists: %v, want ErrTooDeep", maxLiteralDepth+1, err)
+		t.Errorf("%d nested lists: %v, want ErrTooDeep", MaxDepth+1, err)
+	}
+}
+
+// TestImageAccessors holds the image accessors to the decoded values on the
+// sample atom and on random ones (the fuzz target does the same on hostile
+// bytes), and pins what molecule assembly relies on: following references and
+// reading a scalar off an image allocates nothing.
+func TestImageAccessors(t *testing.T) {
+	vals := sampleValues()
+	img, err := CheckImage(EncodeAtom(vals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAccessors(t, img, vals)
+	checkAccessors(t, Image{}, nil)
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n < 200; n++ {
+		vals := make([]Value, rng.Intn(8))
+		for i := range vals {
+			vals[i] = randomValue(rng, 3)
+		}
+		checkAccessors(t, ImageOf(vals), vals)
+	}
+
+	refs, scalar, str := len(vals)-1, 3, 12 // Record(Set(Ref), ...), Int, Str("hello")
+	var sum uint64
+	if n := testing.AllocsPerRun(100, func() {
+		for a := range img.Refs(refs) {
+			sum += uint64(a)
+		}
+		sum += uint64(img.Attr(scalar).I) + uint64(len(img.Attr(str).S))
+	}); n != 0 {
+		t.Errorf("Refs plus two scalar Attrs allocate %v times, want 0", n)
+	}
+	if sum == 0 {
+		t.Error("the accessors read nothing")
+	}
+
+	deep := Int(1)
+	for i := 0; i <= MaxDepth; i++ {
+		deep = List(deep)
+	}
+	if _, err := CheckImage(EncodeAtom([]Value{deep})); !errors.Is(err, ErrTooDeep) {
+		t.Errorf("%d nested lists: %v, want ErrTooDeep", MaxDepth+1, err)
+	}
+	if _, err := DecodeAtomOwned(EncodeAtom([]Value{deep.E[0]})); err != nil {
+		t.Errorf("%d nested lists: %v", MaxDepth, err)
 	}
 }

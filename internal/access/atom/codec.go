@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"unsafe"
 
 	"prima/internal/access/addr"
@@ -57,91 +58,58 @@ func AppendValue(buf []byte, v Value) []byte {
 // bytes. Strings are copied out of data, so the caller may reuse the input
 // buffer afterwards.
 func DecodeValue(data []byte) (Value, []byte, error) {
-	return decodeValue(data, false)
+	if _, err := checkValue(data, 0); err != nil {
+		return Value{}, nil, err
+	}
+	v, rest := decodeValue(data, false)
+	return v, rest, nil
 }
 
-// decodeValue decodes one value. When owned is true the input buffer belongs
-// to the decoded result: string payloads alias data instead of being copied
-// (the zero-copy fast path for cache-owned record images).
-func decodeValue(data []byte, owned bool) (Value, []byte, error) {
-	if len(data) < 1 {
-		return Value{}, nil, ErrTruncated
-	}
+// MaxDepth bounds container nesting in every walk over an encoded value.
+// Attribute types nest as deep as their declaration does, a handful of levels
+// (the catalog refuses a deeper declaration); the bound keeps a hostile
+// encoding from recursing until the stack is exhausted.
+const MaxDepth = 64
+
+// decodeValue decodes the value at the head of data, which checkValue has
+// admitted: every entry point validates first, so the decoder itself reads
+// without looking. When owned is true the input buffer belongs to the decoded
+// result: string payloads alias data instead of being copied (the zero-copy
+// fast path for cache-owned record images).
+func decodeValue(data []byte, owned bool) (Value, []byte) {
 	k := Kind(data[0])
 	data = data[1:]
 	switch k {
-	case KindNull:
-		return Value{}, data, nil
 	case KindInt:
-		if len(data) < 8 {
-			return Value{}, nil, ErrTruncated
-		}
-		return Value{K: k, I: int64(binary.BigEndian.Uint64(data))}, data[8:], nil
+		return Value{K: k, I: int64(binary.BigEndian.Uint64(data))}, data[8:]
 	case KindReal:
-		if len(data) < 8 {
-			return Value{}, nil, ErrTruncated
-		}
-		return Value{K: k, F: math.Float64frombits(binary.BigEndian.Uint64(data))}, data[8:], nil
+		return Value{K: k, F: math.Float64frombits(binary.BigEndian.Uint64(data))}, data[8:]
 	case KindBool:
-		if len(data) < 1 {
-			return Value{}, nil, ErrTruncated
-		}
-		return Value{K: k, I: int64(data[0] & 1)}, data[1:], nil
+		return Value{K: k, I: int64(data[0] & 1)}, data[1:]
 	case KindString:
-		if len(data) < 4 {
-			return Value{}, nil, ErrTruncated
-		}
 		n := int(binary.BigEndian.Uint32(data))
 		data = data[4:]
-		if len(data) < n {
-			return Value{}, nil, ErrTruncated
+		s := aliasString(data[:n])
+		if !owned {
+			s = strings.Clone(s)
 		}
-		var s string
-		if owned {
-			s = aliasString(data[:n])
-		} else {
-			s = string(data[:n])
-		}
-		return Value{K: k, S: s}, data[n:], nil
+		return Value{K: k, S: s}, data[n:]
 	case KindIdent, KindRef:
-		if len(data) < 8 {
-			return Value{}, nil, ErrTruncated
-		}
-		return Value{K: k, A: addr.LogicalAddr(binary.BigEndian.Uint64(data))}, data[8:], nil
+		return Value{K: k, A: addr.LogicalAddr(binary.BigEndian.Uint64(data))}, data[8:]
 	case KindRecord, KindArray, KindSet, KindList:
-		if len(data) < 4 {
-			return Value{}, nil, ErrTruncated
-		}
-		n := int(binary.BigEndian.Uint32(data))
-		data = data[4:]
-		if n > len(data) {
-			// Every element takes at least its kind byte: a count the image
-			// cannot back must not size an allocation.
-			return Value{}, nil, ErrTruncated
-		}
 		v := Value{K: k}
-		if n > 0 {
-			v.E = make([]Value, 0, n)
+		if n := binary.BigEndian.Uint32(data); n > 0 {
+			v.E = make([]Value, n)
 		}
-		for i := 0; i < n; i++ {
-			var e Value
-			var err error
-			e, data, err = decodeValue(data, owned)
-			if err != nil {
-				return Value{}, nil, err
-			}
-			v.E = append(v.E, e)
+		data = data[4:]
+		for i := range v.E {
+			v.E[i], data = decodeValue(data, owned)
 		}
-		return v, data, nil
-	default:
-		return Value{}, nil, fmt.Errorf("%w: %d", ErrBadKind, k)
+		return v, data
+	default: // KindNull
+		return Value{}, data
 	}
 }
-
-// maxLiteralDepth bounds container nesting in AppendLiteral. Attribute types
-// nest as deep as their declaration does, a handful of levels; the bound
-// keeps a hostile encoding from recursing until the stack is exhausted.
-const maxLiteralDepth = 64
 
 // AppendLiteral renders the encoded value at the head of data in MQL literal
 // syntax onto dst, without building a Value, and returns the extended slice
@@ -213,7 +181,7 @@ func appendLiteral(dst, data []byte, depth int) ([]byte, []byte, error) {
 		if len(data) < 4 {
 			return dst, nil, ErrTruncated
 		}
-		if depth >= maxLiteralDepth {
+		if depth >= MaxDepth {
 			return dst, nil, ErrTooDeep
 		}
 		n := int(binary.BigEndian.Uint32(data))
@@ -282,13 +250,14 @@ func DecodeAtomOwned(data []byte) ([]Value, error) {
 	return decodeAtom(data, true)
 }
 
+// decodeAtom is CheckImage followed by the decode the check made safe, so the
+// two accept the same images and reject the rest with the same errors.
 func decodeAtom(data []byte, owned bool) ([]Value, error) {
-	n, err := attrCount(data)
+	img, err := CheckImage(data)
 	if err != nil {
 		return nil, err
 	}
-	values := make([]Value, n)
-	return values, decodeAtomInto(values, data[2:], owned)
+	return img.values(owned), nil
 }
 
 // attrCount reads a record image's attribute count. Every value takes at
@@ -303,61 +272,6 @@ func attrCount(data []byte) (int, error) {
 		return 0, ErrTruncated
 	}
 	return n, nil
-}
-
-// decodeAtomInto decodes len(values) attribute values from data (the count
-// header already stripped) into the caller-provided slice.
-func decodeAtomInto(values []Value, data []byte, owned bool) error {
-	var err error
-	for i := range values {
-		values[i], data, err = decodeValue(data, owned)
-		if err != nil {
-			return fmt.Errorf("atom: attribute %d: %w", i, err)
-		}
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("atom: %d trailing bytes", len(data))
-	}
-	return nil
-}
-
-// DecodeAtomBatch deserializes many record images in one call — the batched
-// entry point behind the access system's ReadBatch path when the decoded
-// results do not outlive the batch. All top-level attribute vectors are
-// carved out of a single arena allocation, and the records are decoded with
-// owned (zero-copy string) semantics, so a whole assembly level costs one
-// slice allocation instead of one per atom. Callers that retain individual
-// atoms (the decoded-atom cache) must decode per record instead: any one
-// survivor would pin the entire arena. A nil record decodes to a nil vector
-// (callers route those through their own error paths).
-func DecodeAtomBatch(recs [][]byte) ([][]Value, error) {
-	out := make([][]Value, len(recs))
-	total := 0
-	for _, r := range recs {
-		if r == nil {
-			continue
-		}
-		n, err := attrCount(r)
-		if err != nil {
-			return nil, err
-		}
-		total += n
-	}
-	arena := make([]Value, total)
-	off := 0
-	for i, r := range recs {
-		if r == nil {
-			continue
-		}
-		n := int(binary.BigEndian.Uint16(r))
-		values := arena[off : off+n : off+n]
-		off += n
-		if err := decodeAtomInto(values, r[2:], true); err != nil {
-			return nil, err
-		}
-		out[i] = values
-	}
-	return out, nil
 }
 
 // EncodeProjection serializes the chosen attributes (by index) of an atom.
@@ -388,12 +302,11 @@ func DecodeProjectionFunc(data []byte, owned bool, fn func(idx int, v Value)) er
 		}
 		idx := int(binary.BigEndian.Uint16(data))
 		data = data[2:]
-		var v Value
-		var err error
-		v, data, err = decodeValue(data, owned)
-		if err != nil {
+		if _, err := checkValue(data, 0); err != nil {
 			return fmt.Errorf("atom: projection pair %d: %w", i, err)
 		}
+		var v Value
+		v, data = decodeValue(data, owned)
 		fn(idx, v)
 	}
 	if len(data) != 0 {

@@ -8,69 +8,71 @@ import (
 	"prima/internal/access/atom"
 )
 
-// Decoded-atom cache (the "atom buffer" above the page buffer that PRIMA's
+// Atom cache (the "atom buffer" above the page buffer that PRIMA's
 // architecture calls for): repeated checkouts of the same design objects —
-// the dominant access pattern of CAD/FEA workloads — must not pay a page fix
-// plus a codec run per atom on every Get. The cache keeps fully decoded,
-// immutable Atom values keyed by logical address, lock-striped like the
+// the dominant access pattern of CAD/FEA workloads — must not pay a directory
+// probe, a page fix and a record copy per atom on every read. The cache keeps
+// checked record images keyed by logical address — the unit the whole read
+// path carries: assembly follows references straight off them and the wire
+// appends them to its frames, so a hit is handed out as it is, shared and
+// immutable, and is never decoded on the server. It is lock-striped like the
 // buffer pool so concurrent molecule assemblers do not serialize on one
-// latch, and bounded by a byte-accounted budget with per-shard LRU
-// replacement: the budget is configured in atoms (the user-facing unit) but
-// charged by each atom's estimated decoded footprint, so wide CAD atoms
-// displace proportionally more narrow ones instead of blowing the memory
-// envelope. Replacement is LRU with a scan-resistant insertion rule: a hit
-// promotes an entry to the hot end, but a new entry is linked at the cold end
-// — a full-design checkout larger than the budget then evicts what it just
-// inserted instead of flushing the resident set one step ahead of its next
-// use, and a cyclic scan of 2x the budget hits on half its reads, not on
-// none. Every acHotEvery-th insertion of a shard links at the hot end so the
-// resident set still turns over when the working set moves. Negative entries
-// remember that an address does not exist —
-// existence probes against deleted atoms (frequent in back-reference
-// maintenance and cursor filtering) then skip the directory miss path.
+// latch, and bounded by a byte budget with per-shard LRU replacement: the
+// budget is configured in atoms (the user-facing unit, acAtomBytes each) and
+// every entry is charged its image length plus acEntryOverhead, so wide CAD
+// atoms displace proportionally more narrow ones and the accounted bytes are
+// what the cache really holds. Replacement is LRU with a scan-resistant
+// insertion rule: a hit promotes an entry to the hot end, but a new entry is
+// linked at the cold end — a full-design checkout larger than the budget then
+// evicts what it just inserted instead of flushing the resident set one step
+// ahead of its next use, and a cyclic scan of 2x the budget hits on half its
+// reads, not on none. Every acHotEvery-th insertion of a shard links at the
+// hot end so the resident set still turns over when the working set moves.
+// Negative entries remember that an address does not exist — existence
+// probes against deleted atoms (frequent in back-reference maintenance and
+// cursor filtering) then skip the directory miss path.
 //
 // Correctness under concurrent DML rests on per-address version stamps:
 // every mutation bumps the address's stamp *before* it drops the cache
 // entry, and readers capture the stamp before touching page bytes (or
 // probing the directory, for negative entries) and only publish their
 // result if the stamp is unchanged at insert time (checked under the shard
-// lock). A decode raced by a writer therefore either fails the stamp check,
+// lock). A read raced by a writer therefore either fails the stamp check,
 // or is inserted before the writer's drop and removed by it — a stale value
 // can never outlive the mutation that made it stale. Inserts and
 // resurrections bump the stamp too, so a negative entry can never outlive
 // the atom coming (back) into existence. Stamps are striped over a fixed
-// array (collisions only cause spurious re-decodes, never stale hits), so
+// array (collisions only cause spurious re-reads, never stale hits), so
 // the stamp table stays O(1) in the database size.
 
 // acStampStripes is the size of the version-stamp array (power of two).
 const acStampStripes = 4096
 
-// DefaultAtomCacheAtoms is the default atom budget of the decoded-atom
-// cache.
+// DefaultAtomCacheAtoms is the default atom budget of the atom cache.
 const DefaultAtomCacheAtoms = 8192
 
-// acMinAtomCost is the byte floor charged per cached atom. It converts the
-// atom-denominated budget into bytes (budget × acMinAtomCost) and
-// guarantees the cache never holds more atoms than its configured budget,
-// however narrow they are.
-const acMinAtomCost = 256
+// acAtomBytes converts the atom-denominated budget into bytes: each
+// configured atom buys this many bytes of images and entry overhead.
+const acAtomBytes = 256
 
-// acNegCost is the bytes charged for a negative entry.
-const acNegCost = 64
+// acEntryOverhead is the bytes charged per entry on top of its image: the
+// entry itself, its slot in the shard's map and the allocator's rounding of
+// the image.
+const acEntryOverhead = 96
 
 // acHotEvery is how often a shard links a new entry at the hot end instead
 // of the cold one.
 const acHotEvery = 32
 
-// AtomCacheStats is a snapshot of the decoded-atom cache counters.
+// AtomCacheStats is a snapshot of the atom cache counters.
 type AtomCacheStats struct {
-	Hits          uint64 // reads served without a page fix or codec run
+	Hits          uint64 // reads served without a page fix or record copy
 	Misses        uint64 // reads that went to the buffer pool
 	Invalidations uint64 // cached atoms dropped by writes
 	Evictions     uint64 // cached atoms dropped by the LRU budget
 	Atoms         int    // currently cached atoms (excluding negative entries)
 	Budget        int    // configured atom budget (0 = disabled)
-	Bytes         int    // accounted bytes currently cached
+	Bytes         int    // bytes charged for what is cached: images plus entry overhead
 }
 
 // acCounters is the cache's statistics block. It lives on the System, not
@@ -83,15 +85,17 @@ type acCounters struct {
 	evictions     atomic.Uint64
 }
 
-// acEntry is one cached result: a decoded atom, or — with at == nil — the
-// negative fact that the address does not exist. size is the accounted
-// footprint; prev and next link the entry into its shard's recency ring.
+// acEntry is one cached result: a checked record image, or — with the zero
+// image — the negative fact that the address does not exist. prev and next
+// link the entry into its shard's recency ring.
 type acEntry struct {
 	a          addr.LogicalAddr
-	at         *Atom
-	size       int
+	img        atom.Image
 	prev, next *acEntry
 }
+
+// cost is what the entry is charged against the byte budget.
+func (e *acEntry) cost() int { return acEntryOverhead + len(e.img.Bytes()) }
 
 // acShard is one lock stripe: a recency ring over its slice of the byte
 // budget. ring is the sentinel: ring.next is the hot end, ring.prev the cold.
@@ -119,10 +123,10 @@ func (sh *acShard) linkAfter(at, e *acEntry) {
 func (sh *acShard) drop(e *acEntry) {
 	sh.unlink(e)
 	delete(sh.entries, e.a)
-	sh.bytes -= e.size
+	sh.bytes -= e.cost()
 }
 
-// atomCache is the sharded decoded-atom cache. The System holds it through
+// atomCache is the sharded atom cache. The System holds it through
 // an atomic pointer so resizing (or disabling) swaps the whole structure
 // without locking readers; version stamps and counters move to the new
 // instance so invalidation protection and statistics stay continuous.
@@ -160,10 +164,7 @@ func newAtomCache(budget, n int, stamps *[acStampStripes]atomic.Uint64, stats *a
 		stamps: stamps,
 		stats:  stats,
 	}
-	per := budget * acMinAtomCost / shards
-	if per < acMinAtomCost {
-		per = acMinAtomCost
-	}
+	per := budget * acAtomBytes / shards
 	for i := range c.shards {
 		sh := &acShard{capBytes: per, entries: make(map[addr.LogicalAddr]*acEntry)}
 		sh.ring.prev, sh.ring.next = &sh.ring, &sh.ring
@@ -186,47 +187,24 @@ func (c *atomCache) stampOf(a addr.LogicalAddr) *atomic.Uint64 {
 	return &c.stamps[acHash(a)&(acStampStripes-1)]
 }
 
-// valueFootprint estimates the decoded in-memory bytes of one value.
-func valueFootprint(v atom.Value) int {
-	n := 48 + len(v.S)
-	for _, e := range v.E {
-		n += valueFootprint(e)
-	}
-	return n
-}
-
-// atomFootprint estimates the decoded in-memory bytes of an atom, floored at
-// acMinAtomCost so the byte budget never admits more atoms than the
-// configured atom budget.
-func atomFootprint(at *Atom) int {
-	n := 96
-	for _, v := range at.Values {
-		n += valueFootprint(v)
-	}
-	if n < acMinAtomCost {
-		n = acMinAtomCost
-	}
-	return n
-}
-
-// get returns the cached result for a, if present: ok with a non-nil Atom is
-// a decode hit (shared, immutable — callers must not modify it); ok with a
-// nil Atom is a negative hit (the address is known not to exist).
-func (c *atomCache) get(a addr.LogicalAddr) (*Atom, bool) {
+// get returns the cached result for a, if present: ok with an image is a hit
+// (shared and immutable); ok with the zero image is a negative hit (the
+// address is known not to exist).
+func (c *atomCache) get(a addr.LogicalAddr) (atom.Image, bool) {
 	sh := c.shardOf(a)
 	sh.mu.Lock()
 	e, ok := sh.entries[a]
 	if !ok {
 		sh.mu.Unlock()
 		c.stats.misses.Add(1)
-		return nil, false
+		return atom.Image{}, false
 	}
 	sh.unlink(e)
 	sh.linkAfter(&sh.ring, e)
-	at := e.at
+	img := e.img
 	sh.mu.Unlock()
 	c.stats.hits.Add(1)
-	return at, true
+	return img, true
 }
 
 // stamp captures a's version stamp. Readers call it before fixing any page
@@ -236,16 +214,12 @@ func (c *atomCache) stamp(a addr.LogicalAddr) uint64 {
 	return c.stampOf(a).Load()
 }
 
-// put publishes a result captured under the given stamp: a decoded atom, or
-// a negative entry with at == nil. The stamp is re-checked under the shard
-// lock: a concurrent writer has either already bumped it (the result is
-// discarded) or will drop the entry after its own bump (the transient entry
-// cannot survive the write).
-func (c *atomCache) put(a addr.LogicalAddr, at *Atom, stamp uint64) {
-	size := acNegCost
-	if at != nil {
-		size = atomFootprint(at)
-	}
+// put publishes a result captured under the given stamp: an owned, checked
+// image, or a negative entry with the zero image. The stamp is re-checked
+// under the shard lock: a concurrent writer has either already bumped it (the
+// result is discarded) or will drop the entry after its own bump (the
+// transient entry cannot survive the write).
+func (c *atomCache) put(a addr.LogicalAddr, img atom.Image, stamp uint64) {
 	sh := c.shardOf(a)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -255,20 +229,20 @@ func (c *atomCache) put(a addr.LogicalAddr, at *Atom, stamp uint64) {
 	e, known := sh.entries[a]
 	if known {
 		sh.unlink(e)
-		sh.bytes -= e.size
+		sh.bytes -= e.cost()
 	} else {
 		e = &acEntry{a: a}
 		sh.entries[a] = e
 		sh.inserts++
 	}
-	e.at, e.size = at, size
+	e.img = img
 	// Evict from the cold end first, then link: the new entry is never its
 	// own victim, so even one over-budget atom stays cached alone.
-	for sh.bytes+size > sh.capBytes && sh.ring.prev != &sh.ring {
+	for sh.bytes+e.cost() > sh.capBytes && sh.ring.prev != &sh.ring {
 		sh.drop(sh.ring.prev)
 		c.stats.evictions.Add(1)
 	}
-	sh.bytes += size
+	sh.bytes += e.cost()
 	if known || sh.inserts%acHotEvery == 0 {
 		sh.linkAfter(&sh.ring, e)
 	} else {
@@ -277,7 +251,7 @@ func (c *atomCache) put(a addr.LogicalAddr, at *Atom, stamp uint64) {
 }
 
 // invalidate is the write barrier: it bumps a's version stamp first (so
-// readers mid-decode cannot publish a pre-write image — or a pre-insert
+// readers mid-read cannot publish a pre-write image — or a pre-insert
 // negative entry — afterwards) and then drops any cached entry under the
 // shard lock.
 func (c *atomCache) invalidate(a addr.LogicalAddr) {
@@ -297,7 +271,7 @@ func (c *atomCache) size() (atoms, bytes int) {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for e := sh.ring.next; e != &sh.ring; e = e.next {
-			if e.at != nil {
+			if !e.img.IsZero() {
 				atoms++
 			}
 		}
@@ -321,7 +295,7 @@ func (s *System) cacheInvalidate(a addr.LogicalAddr) {
 	}
 }
 
-// SetAtomCacheSize resizes the decoded-atom cache to the given atom budget;
+// SetAtomCacheSize resizes the atom cache to the given atom budget;
 // n <= 0 disables it and drops all cached atoms. The counters live on the
 // System, so the statistics stay cumulative across resizes and
 // disable/re-enable cycles.
@@ -334,7 +308,7 @@ func (s *System) SetAtomCacheSize(n int) {
 	s.atoms.Store(newAtomCache(n, s.cfg.BufferShards, stamps, &s.acStats))
 }
 
-// AtomCacheStats returns a snapshot of the decoded-atom cache counters.
+// AtomCacheStats returns a snapshot of the atom cache counters.
 // Counters accumulate over the System's lifetime; Atoms, Bytes and Budget
 // reflect the live configuration (all 0 while disabled).
 func (s *System) AtomCacheStats() AtomCacheStats {

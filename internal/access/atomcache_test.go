@@ -202,7 +202,9 @@ func TestAtomCacheDisableAndResize(t *testing.T) {
 	}
 }
 
-// TestAtomCacheEviction bounds the cache by its atom budget.
+// TestAtomCacheEviction bounds the cache by its budget: 16 atoms' worth of
+// bytes, charged by image length, so it holds more of these narrow atoms than
+// 16 but never all 64.
 func TestAtomCacheEviction(t *testing.T) {
 	s, addrs := nodeSystem(t, 64)
 	s.SetAtomCacheSize(16)
@@ -212,11 +214,70 @@ func TestAtomCacheEviction(t *testing.T) {
 		}
 	}
 	st := s.AtomCacheStats()
-	if st.Atoms > 16 {
-		t.Fatalf("cache holds %d atoms, budget 16", st.Atoms)
+	if st.Bytes > 16*acAtomBytes || st.Atoms >= len(addrs) {
+		t.Fatalf("cache holds %d atoms in %d bytes, budget %d bytes", st.Atoms, st.Bytes, 16*acAtomBytes)
 	}
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions counted over budget: %+v", st)
+	}
+}
+
+// TestCorruptRecordNeverCached: a primary record that does not hold a valid
+// image — a torn page, a foreign file — fails every read path with the error
+// the decoder gives, stays out of the cache, and spares its neighbours.
+func TestCorruptRecordNeverCached(t *testing.T) {
+	s, addrs := nodeSystem(t, 8)
+	bad := addrs[3]
+	at, err := s.Get(bad, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := atom.EncodeAtom(at.Values)
+	torn = torn[:len(torn)-3]
+	_, want := atom.DecodeAtomOwned(append([]byte(nil), torn...))
+	if want == nil {
+		t.Fatal("the torn image decodes")
+	}
+	ref, _ := s.dir.LookupStruct(bad, 0)
+	prim, err := s.primary(at.Type)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rid, err := prim.Update(ref.Where, torn); err != nil || rid != ref.Where {
+		t.Fatalf("overwriting the record: %v, %v", rid, err)
+	}
+	for _, cached := range []bool{true, false} {
+		s.SetAtomCacheSize(-1)
+		if cached {
+			s.SetAtomCacheSize(64)
+		}
+		sn := s.OpenSnapshot()
+		for round := 0; round < 2; round++ { // the second round would hit a cached image
+			if _, err := s.Get(bad, nil); err == nil || err.Error() != want.Error() {
+				t.Fatalf("cache %v: Get: %v, want %v", cached, err, want)
+			}
+			if _, err := sn.Get(bad); err == nil || err.Error() != want.Error() {
+				t.Fatalf("cache %v: Snapshot.Get: %v, want %v", cached, err, want)
+			}
+			if _, err := sn.GetBatch(addrs); err == nil || err.Error() != want.Error() {
+				t.Fatalf("cache %v: Snapshot.GetBatch: %v, want %v", cached, err, want)
+			}
+			if _, err := s.GetBatch(addrs, nil); err == nil || err.Error() != want.Error() {
+				t.Fatalf("cache %v: GetBatch: %v, want %v", cached, err, want)
+			}
+			if err := s.AtomTypeScan("node", nil, nil, func(*Atom) bool { return true }); err == nil || err.Error() != want.Error() {
+				t.Fatalf("cache %v: AtomTypeScan: %v, want %v", cached, err, want)
+			}
+		}
+		sn.Close()
+		if c := s.cache(); c != nil {
+			if _, ok := c.shardOf(bad).entries[bad]; ok {
+				t.Fatal("the corrupt record has a cache entry")
+			}
+		}
+		if _, err := s.GetBatch(addrs[4:], nil); err != nil {
+			t.Fatalf("cache %v: the neighbours: %v", cached, err)
+		}
 	}
 }
 

@@ -6,40 +6,17 @@ import (
 
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
+	"prima/internal/catalog"
 	"prima/internal/obs"
 )
 
 // GetBatch reads many atoms in one access-system call, aligned with the
-// input addresses. Decoded-atom cache hits are filled in first; the misses
-// are grouped by primary container and by page, so one directory lookup and
-// one buffer fix serve every atom that shares a page — the set-oriented
-// counterpart of Get that molecule assembly uses for each level's fan-out.
-// Missed records are decoded with zero-copy strings — through the batched
-// arena entry point when nothing is retained (cache disabled), per record
-// when publishing to the cache under the version stamps captured before the
-// page reads.
-//
-// attrs follows Get's contract (nil materializes all attributes). Projected
-// reads are routed per atom, because partition coverage is decided per
-// record; the batch win lives on the full-width assembly path.
+// input addresses — the decoded, set-oriented counterpart of Get. Full-width
+// reads (attrs nil) go through the batched record read molecule assembly
+// uses and decode each image into an Atom the caller owns. Projected reads
+// are routed per atom, because partition coverage is decided per record.
 func (s *System) GetBatch(addrs []addr.LogicalAddr, attrs []string) ([]*Atom, error) {
-	return s.getBatch(addrs, attrs, nil)
-}
-
-// getBatch is GetBatch with an optional trace span: cache hits/misses,
-// decoded atom counts and distinct pages touched are charged to sp (nil-safe
-// no-ops when the request is untraced).
-func (s *System) getBatch(addrs []addr.LogicalAddr, attrs []string, sp *obs.Span) ([]*Atom, error) {
 	out := make([]*Atom, len(addrs))
-	if len(addrs) == 0 {
-		return out, nil
-	}
-	start := time.Now()
-	defer func() {
-		el := time.Since(start).Nanoseconds()
-		s.decodeNs.Observe(el)
-		sp.Add(obs.CtrDecodeNs, el)
-	}()
 	if attrs != nil {
 		for i, a := range addrs {
 			at, err := s.Get(a, attrs)
@@ -48,120 +25,145 @@ func (s *System) getBatch(addrs []addr.LogicalAddr, attrs []string, sp *obs.Span
 			}
 			out[i] = at
 		}
-		sp.Add(obs.CtrAtomsDecoded, int64(len(addrs)))
 		return out, nil
 	}
+	recs := recordsOf(addrs)
+	if err := s.fill(recs, nil, true); err != nil {
+		return nil, err
+	}
+	for i, rec := range recs {
+		out[i] = rec.Decode()
+	}
+	return out, nil
+}
+
+// recordsOf names the atoms at addrs as records still to fill.
+func recordsOf(addrs []addr.LogicalAddr) []Record {
+	recs := make([]Record, len(addrs))
+	for i, a := range addrs {
+		recs[i].Addr = a
+	}
+	return recs
+}
+
+// fill reads the type and record image of every atom recs names by address,
+// in place: no allocation per atom beyond the image copy of a miss. Atom
+// cache hits are filled in first; the misses are grouped by primary container
+// and by page, so one directory lookup and one buffer fix serve every atom
+// that shares a page — what molecule assembly issues for each level's
+// fan-out. A missed record is checked once and, unless publish is off (scans
+// read every atom once), published to the cache under the version stamp
+// captured before its page read; an image that fails the check fails the
+// batch and is never cached. After an error recs is filled in part. Cache
+// hits/misses, atoms read and distinct pages touched are charged to sp
+// (nil-safe no-ops when the request is untraced).
+func (s *System) fill(recs []Record, sp *obs.Span, publish bool) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	start := time.Now()
+	defer func() {
+		el := time.Since(start).Nanoseconds()
+		s.decodeNs.Observe(el)
+		sp.Add(obs.CtrDecodeNs, el)
+	}()
 
 	cache := s.cache()
+	publish = publish && cache != nil
 
 	// Cache hits are filled in place; miss collects the positions still to
-	// read.
+	// read. A level is almost always one atom type: t is resolved per run.
 	var miss []int
-	for i, a := range addrs {
+	var t *catalog.AtomType
+	for i := range recs {
+		rec := &recs[i]
+		if t == nil || t.ID != rec.Addr.Type() {
+			var err error
+			if t, err = s.typeByID(rec.Addr.Type()); err != nil {
+				return err
+			}
+		}
+		rec.Type = t
 		if cache != nil {
-			if at, ok := cache.get(a); ok {
-				if at == nil {
+			if img, ok := cache.get(rec.Addr); ok {
+				if img.IsZero() {
 					// Negative hit: the address is known not to exist.
-					return nil, fmt.Errorf("%w: %v", ErrNoAtom, a)
+					return fmt.Errorf("%w: %v", ErrNoAtom, rec.Addr)
 				}
-				out[i] = at
+				rec.Image = img
 				continue
 			}
 		}
 		if miss == nil {
-			miss = make([]int, 0, len(addrs)-i)
+			miss = make([]int, 0, len(recs)-i)
 		}
 		miss = append(miss, i)
 	}
 	if sp != nil {
-		sp.Add(obs.CtrCacheHits, int64(len(addrs)-len(miss)))
+		sp.Add(obs.CtrCacheHits, int64(len(recs)-len(miss)))
 		sp.Add(obs.CtrCacheMisses, int64(len(miss)))
 	}
 
 	// Read the misses type by type, in order of first appearance: each type
-	// owns one primary container. An assembly level is almost always one atom
-	// type, so the first round takes all of miss and rest stays empty.
+	// owns one primary container. The first round normally takes all of miss
+	// and rest stays empty.
 	for len(miss) > 0 {
-		tid := addrs[miss[0]].Type()
+		t := recs[miss[0]].Type
 		idxs, rest := miss[:0], []int(nil)
 		for _, i := range miss {
-			if addrs[i].Type() == tid {
+			if recs[i].Type == t {
 				idxs = append(idxs, i) // in place: never ahead of the read position
 			} else {
 				rest = append(rest, i)
 			}
 		}
 		miss = rest
-		t, err := s.typeByID(tid)
-		if err != nil {
-			return nil, err
-		}
 		rids := make([]addr.RID, len(idxs))
 		var stamps []uint64
-		if cache != nil {
+		if publish {
 			stamps = make([]uint64, len(idxs))
 		}
 		for j, i := range idxs {
-			if cache != nil {
-				// Capture before the directory probe and page read, like Get
-				// does.
-				stamps[j] = cache.stamp(addrs[i])
+			a := recs[i].Addr
+			if publish {
+				// Capture before the directory probe and page read, like
+				// cached does.
+				stamps[j] = cache.stamp(a)
 			}
-			ref, ok := s.dir.LookupStruct(addrs[i], 0)
+			ref, ok := s.dir.LookupStruct(a, 0)
 			if !ok {
-				if cache != nil {
-					// Publish the negative fact, like Get does.
-					cache.put(addrs[i], nil, stamps[j])
+				if publish {
+					// Publish the negative fact, like readRecord does.
+					cache.put(a, atom.Image{}, stamps[j])
 				}
-				return nil, fmt.Errorf("%w: %v", ErrNoAtom, addrs[i])
+				return fmt.Errorf("%w: %v", ErrNoAtom, a)
 			}
 			rids[j] = ref.Where
 		}
 		prim, err := s.primary(t)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		recs, err := prim.ReadBatch(rids)
+		data, pages, err := prim.ReadBatch(rids)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if sp != nil {
 			sp.Add(obs.CtrAtomsDecoded, int64(len(idxs)))
-			sp.Add(obs.CtrPagesPinned, distinctPages(rids))
+			sp.Add(obs.CtrPagesPinned, int64(pages))
 		}
-		if cache == nil {
-			// No retention: the whole level shares one value arena.
-			vals, err := atom.DecodeAtomBatch(recs)
-			if err != nil {
-				return nil, err
-			}
-			for j, i := range idxs {
-				out[i] = &Atom{Type: t, Addr: addrs[i], Values: vals[j]}
-			}
-			continue
-		}
-		// Atoms may outlive the batch in the cache; decode each against its
-		// own record image so LRU eviction frees memory atom by atom (a
-		// shared arena would stay pinned by any single cached survivor).
+		// Each record is its own fresh copy, so an image may outlive the
+		// batch in the cache and LRU eviction frees memory atom by atom.
 		for j, i := range idxs {
-			values, err := atom.DecodeAtomOwned(recs[j])
+			img, err := atom.CheckImage(data[j])
 			if err != nil {
-				return nil, err
+				return err
 			}
-			at := &Atom{Type: t, Addr: addrs[i], Values: values}
-			out[i] = at
-			cache.put(addrs[i], at, stamps[j])
+			recs[i].Image = img
+			if publish {
+				cache.put(recs[i].Addr, img, stamps[j])
+			}
 		}
 	}
-	return out, nil
-}
-
-// distinctPages counts the pages a record batch touches — each is one
-// buffer-pool fix on the read path, the trace's "pages pinned".
-func distinctPages(rids []addr.RID) int64 {
-	seen := make(map[uint32]struct{}, len(rids))
-	for _, r := range rids {
-		seen[r.Page] = struct{}{}
-	}
-	return int64(len(seen))
+	return nil
 }

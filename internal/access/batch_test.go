@@ -79,7 +79,7 @@ func TestGetBatchMatchesGet(t *testing.T) {
 
 func TestGetBatchSavesPageFixes(t *testing.T) {
 	s, addrs := batchSystem(t, 64)
-	// Disable the decoded-atom cache: this test compares page fixes of the
+	// Disable the atom cache: this test compares page fixes of the
 	// batched vs. single-read paths, and warm cache hits would serve the
 	// single reads without fixing anything.
 	s.SetAtomCacheSize(0)
@@ -110,7 +110,7 @@ func TestGetBatchSavesPageFixes(t *testing.T) {
 }
 
 // TestGetBatchInterleavedTypes reads a batch whose addresses alternate
-// between two atom types — two primary containers — with the decoded cache
+// between two atom types — two primary containers — with the atom cache
 // cold, warm for every other address, and off: results stay aligned with the
 // input whatever mix of hits and per-type reads serves them.
 func TestGetBatchInterleavedTypes(t *testing.T) {

@@ -111,7 +111,7 @@ func (s *System) RawDelete(a addr.LogicalAddr) error {
 	if err != nil {
 		return err
 	}
-	defer s.mvBegin(a, cur)()
+	defer s.mvBegin(t, a, cur.Values)()
 	defer s.cacheInvalidate(a)
 	// Raw operations run during transaction rollback, whose page mutations
 	// must be logged like any others (as compensation under the same
@@ -189,7 +189,7 @@ func (s *System) RawResurrect(a addr.LogicalAddr, values []atom.Value) error {
 	defer s.walOpBegin()()
 	// Snapshot readers from before the resurrection must keep seeing the
 	// address as absent: install a tombstone pre-image before reviving.
-	defer s.mvBegin(a, nil)()
+	defer s.mvBegin(t, a, nil)()
 	if err := s.walAppend(wal.RecInsert, a, t.Name, nil, values); err != nil {
 		return err
 	}
@@ -198,7 +198,7 @@ func (s *System) RawResurrect(a addr.LogicalAddr, values []atom.Value) error {
 		comp()
 		return err
 	}
-	// The address is being re-used: make sure no decode captured before the
+	// The address is being re-used: make sure no image read before the
 	// delete can be published against the resurrected atom (deferred so
 	// failed resurrections are covered too; the bump also drops any negative
 	// cache entry recorded while the atom was deleted).

@@ -12,7 +12,7 @@ package access
 func (s *System) registerMetrics() {
 	r := s.reg
 
-	// Decoded-atom cache: hot counters live in s.acStats atomics; occupancy
+	// Atom cache: hot counters live in s.acStats atomics; occupancy
 	// comes from the current cache instance (survives SetAtomCacheSize swaps).
 	r.CounterFunc("atom_cache_hits", s.acStats.hits.Load)
 	r.CounterFunc("atom_cache_misses", s.acStats.misses.Load)

@@ -8,10 +8,12 @@ import (
 	"sync/atomic"
 
 	"prima/internal/access/addr"
+	"prima/internal/access/atom"
+	"prima/internal/catalog"
 	"prima/internal/obs"
 )
 
-// Multi-version atom store: the generalization of the decoded-atom cache's
+// Multi-version atom store: the generalization of the atom cache's
 // per-address version stamps into real snapshot isolation. Writers install
 // the immutable pre-image of every atom they touch before mutating any
 // physical record; readers that opened a Snapshot resolve each address
@@ -27,8 +29,9 @@ import (
 // complete; a snapshot opens at epoch e = min(active)-1 (or nextW when no
 // write is in flight), so every write that could still change state has
 // w > e and every write with w <= e had fully finished before the snapshot
-// existed. A chain entry {w, pre} means "pre was the atom's image before
-// write w"; nil pre is a tombstone ("the atom did not exist before w",
+// existed. A chain entry {w, pre} means "pre was the atom's record before
+// write w" — encoded once, at install, into the image every snapshot reader
+// is handed; the zero pre is a tombstone ("the atom did not exist before w",
 // installed by inserts and resurrections). Resolving address a at epoch e
 // takes the image of the first chain entry with w > e; an undecided chain
 // means the current state already is the epoch's state.
@@ -41,11 +44,11 @@ const mvShardCount = 64
 // accumulating unbounded history while targeted pruning is blocked.
 const mvSweepThreshold = 512
 
-// mvVersion is one chain entry: the atom image visible at epochs < w.
-// at == nil records that the atom did not exist before write w.
+// mvVersion is one chain entry: the atom's record visible at epochs < w.
+// The zero record says that the atom did not exist before write w.
 type mvVersion struct {
-	w  uint64
-	at *Atom
+	w   uint64
+	pre Record
 }
 
 // mvShard is one lock stripe of the chain map.
@@ -112,9 +115,10 @@ func (m *mvStore) reclaimLimitLocked() uint64 {
 }
 
 // writeBegin opens a write span for atom a and installs its pre-image
-// (nil = the atom does not exist yet). It must be called before any physical
-// record of the atom changes; the returned id closes the span via writeEnd.
-func (m *mvStore) writeBegin(a addr.LogicalAddr, pre *Atom) uint64 {
+// (the zero record = the atom does not exist yet). It must be called before
+// any physical record of the atom changes; the returned id closes the span
+// via writeEnd.
+func (m *mvStore) writeBegin(a addr.LogicalAddr, pre Record) uint64 {
 	m.mu.Lock()
 	m.nextW++
 	w := m.nextW
@@ -136,7 +140,7 @@ func (m *mvStore) writeBegin(a addr.LogicalAddr, pre *Atom) uint64 {
 	}
 	chain = append(chain, mvVersion{})
 	copy(chain[i+1:], chain[i:])
-	chain[i] = mvVersion{w: w, at: pre}
+	chain[i] = mvVersion{w: w, pre: pre}
 	sh.chains[a] = chain
 	sh.mu.Unlock()
 	return w
@@ -208,23 +212,33 @@ func (m *mvStore) sweep(limit uint64) {
 }
 
 // versionAt resolves address a at epoch e against the chains. ok reports
-// whether the chains decide the address at all; a decided nil image means
+// whether the chains decide the address at all; a decided zero record means
 // the atom did not exist at e.
-func (m *mvStore) versionAt(a addr.LogicalAddr, e uint64) (*Atom, bool) {
+func (m *mvStore) versionAt(a addr.LogicalAddr, e uint64) (Record, bool) {
 	if m.entries.Load() == 0 {
-		return nil, false
+		return Record{}, false
 	}
 	sh := m.shardOf(a)
 	sh.mu.Lock()
 	for _, v := range sh.chains[a] {
 		if v.w > e {
-			at := v.at
+			pre := v.pre
 			sh.mu.Unlock()
-			return at, true
+			return pre, true
 		}
 	}
 	sh.mu.Unlock()
-	return nil, false
+	return Record{}, false
+}
+
+// decidedAt is versionAt in the form the snapshot reads take it: a decided
+// tombstone becomes the error a read of a missing atom returns.
+func (m *mvStore) decidedAt(a addr.LogicalAddr, e uint64) (Record, bool, error) {
+	pre, ok := m.versionAt(a, e)
+	if ok && pre.Image.IsZero() {
+		return Record{}, true, fmt.Errorf("%w: %v", ErrNoAtom, a)
+	}
+	return pre, ok, nil
 }
 
 // chainAddrsOf collects the addresses of the given type with sequence number
@@ -248,7 +262,7 @@ func (m *mvStore) chainAddrsOf(tid addr.TypeID, after, bound, e uint64) []addr.L
 			}
 			for _, v := range chain {
 				if v.w > e {
-					if v.at != nil {
+					if !v.pre.Image.IsZero() {
 						out = append(out, a)
 					}
 					break
@@ -263,12 +277,17 @@ func (m *mvStore) chainAddrsOf(tid addr.TypeID, after, bound, e uint64) []addr.L
 
 // --- write span integration ----------------------------------------------------
 
-// mvBegin opens a write span for a with the given pre-image and returns the
-// closure that closes it; mutation paths use `defer s.mvBegin(a, pre)()` so
-// the span covers exactly the mutation (install happens at the defer
-// statement, before any record changes; the close runs on every exit path).
-func (s *System) mvBegin(a addr.LogicalAddr, pre *Atom) func() {
-	w := s.mv.writeBegin(a, pre)
+// mvBegin opens a write span for a with the given pre-image (nil = the atom
+// does not exist yet) and returns the closure that closes it; mutation paths
+// use `defer s.mvBegin(t, a, pre)()` so the span covers exactly the mutation
+// (install happens at the defer statement, before any record changes; the
+// close runs on every exit path).
+func (s *System) mvBegin(t *catalog.AtomType, a addr.LogicalAddr, pre []atom.Value) func() {
+	var rec Record
+	if pre != nil {
+		rec = Record{Type: t, Addr: a, Image: atom.ImageOf(pre)}
+	}
+	w := s.mv.writeBegin(a, rec)
 	return func() { s.mv.writeEnd(a, w) }
 }
 
@@ -401,111 +420,83 @@ func (sn *Snapshot) Close() {
 }
 
 // Resolve reads address a at the snapshot's epoch: a decided chain serves
-// the historic image (or reports the atom as not existing at the epoch);
+// the historic record (or reports the atom as not existing at the epoch);
 // otherwise fetch supplies the current state, re-checked against the chains
 // afterwards. The re-check closes the race with a writer whose span opened
 // after the first check: pre-images are installed before any record changes,
 // so a fetch that observed a mutation always finds the pre-image installed.
-func (sn *Snapshot) Resolve(a addr.LogicalAddr, fetch func() (*Atom, error)) (*Atom, error) {
-	if at, ok := sn.sys.mv.versionAt(a, sn.epoch); ok {
-		if at == nil {
-			return nil, fmt.Errorf("%w: %v", ErrNoAtom, a)
-		}
-		return at, nil
+func (sn *Snapshot) Resolve(a addr.LogicalAddr, fetch func() (Record, error)) (Record, error) {
+	mv := sn.sys.mv
+	if pre, ok, err := mv.decidedAt(a, sn.epoch); ok {
+		return pre, err
 	}
 	cur, err := fetch()
-	if at, ok := sn.sys.mv.versionAt(a, sn.epoch); ok {
-		if at == nil {
-			return nil, fmt.Errorf("%w: %v", ErrNoAtom, a)
-		}
-		return at, nil
+	if pre, ok, derr := mv.decidedAt(a, sn.epoch); ok {
+		return pre, derr
 	}
 	return cur, err
 }
 
-// Get reads one full-width atom at the snapshot's epoch. Traced snapshots
-// route through the batched read so the single-atom path (scan roots,
-// childless molecules) charges the same trace counters the fan-out does.
-func (sn *Snapshot) Get(a addr.LogicalAddr) (*Atom, error) {
-	if sn.span != nil {
-		out, err := sn.GetBatch([]addr.LogicalAddr{a})
-		if err != nil {
-			return nil, err
-		}
-		return out[0], nil
-	}
-	return sn.Resolve(a, func() (*Atom, error) { return sn.sys.Get(a, nil) })
+// Get reads one atom's record at the snapshot's epoch: a batch of one, so
+// the single-atom path (scan roots, childless molecules) charges the same
+// trace counters the fan-out does.
+func (sn *Snapshot) Get(a addr.LogicalAddr) (Record, error) {
+	recs := [1]Record{{Addr: a}}
+	err := sn.Fill(recs[:])
+	return recs[0], err
 }
 
-// GetBatch reads many full-width atoms at the snapshot's epoch, aligned with
-// the input. Atoms the chains decide are filled from history; the rest go
-// through the system's batched read and are re-checked like Resolve does.
-func (sn *Snapshot) GetBatch(addrs []addr.LogicalAddr) ([]*Atom, error) {
+// GetBatch reads many atoms' records at the snapshot's epoch, aligned with
+// the input: one slice for the level, the images shared with the cache.
+func (sn *Snapshot) GetBatch(addrs []addr.LogicalAddr) ([]Record, error) {
+	recs := recordsOf(addrs)
+	return recs, sn.Fill(recs)
+}
+
+// Fill reads, at the snapshot's epoch and in place, the type and record
+// image of every atom recs names by address — the form molecule assembly
+// keeps a level in. The batch is read as it stands now; like Resolve's
+// re-check, what the chains decide afterwards overrides it.
+func (sn *Snapshot) Fill(recs []Record) error {
 	mv := sn.sys.mv
-	// miss is what the chains leave undecided, at positions missIdx of addrs.
-	// Almost always that is everything: the input then passes through
-	// uncopied (missIdx stays nil) and the batched read's result is the
-	// output.
-	miss := addrs
-	var missIdx []int
-	var out []*Atom
-	for i, a := range addrs {
-		at, ok := mv.versionAt(a, sn.epoch)
-		if !ok {
-			if missIdx != nil {
-				missIdx = append(missIdx, i)
-				miss = append(miss, a)
-			}
-			continue
-		}
-		if at == nil {
-			return nil, fmt.Errorf("%w: %v", ErrNoAtom, a)
-		}
-		if missIdx == nil {
-			// The first decided address: from here on miss is a copy.
-			out = make([]*Atom, len(addrs))
-			missIdx = make([]int, i, len(addrs))
-			for j := range missIdx {
-				missIdx[j] = j
-			}
-			miss = append(make([]addr.LogicalAddr, 0, len(addrs)), addrs[:i]...)
-		}
-		out[i] = at
+	err := sn.sys.fill(recs, sn.span, true)
+	// No chain entry now, after the read, proves that no write span was open
+	// over any of the records (see mvStore.entries): that is almost always so.
+	if mv.entries.Load() == 0 {
+		return err
 	}
-	if len(miss) == 0 {
-		return out, nil
-	}
-	got, err := sn.sys.getBatch(miss, nil, sn.span)
 	if err != nil {
-		return nil, err
-	}
-	if missIdx == nil {
-		out = got
-	}
-	for j, a := range miss {
-		i := j
-		if missIdx != nil {
-			i = missIdx[j]
-		}
-		out[i] = got[j]
-		if at, ok := mv.versionAt(a, sn.epoch); ok {
-			if at == nil {
-				return nil, fmt.Errorf("%w: %v", ErrNoAtom, a)
+		// A batch fails as a whole, and an atom deleted since the epoch fails
+		// it although the chains still hold it: resolve one by one. A record
+		// that cannot be read keeps its address.
+		for i := range recs {
+			a := recs[i].Addr
+			rec, err := sn.Resolve(a, func() (Record, error) { return sn.sys.record(a) })
+			if err != nil {
+				return err
 			}
-			out[i] = at
+			recs[i] = rec
+		}
+		return nil
+	}
+	for i := range recs {
+		if pre, ok, err := mv.decidedAt(recs[i].Addr, sn.epoch); err != nil {
+			return err
+		} else if ok {
+			recs[i] = pre
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Exists reports whether atom a existed at the snapshot's epoch.
 func (sn *Snapshot) Exists(a addr.LogicalAddr) bool {
-	if at, ok := sn.sys.mv.versionAt(a, sn.epoch); ok {
-		return at != nil
+	if pre, ok := sn.sys.mv.versionAt(a, sn.epoch); ok {
+		return !pre.Image.IsZero()
 	}
 	ex := sn.sys.dir.Exists(a)
-	if at, ok := sn.sys.mv.versionAt(a, sn.epoch); ok {
-		return at != nil
+	if pre, ok := sn.sys.mv.versionAt(a, sn.epoch); ok {
+		return !pre.Image.IsZero()
 	}
 	return ex
 }

@@ -238,7 +238,7 @@ func TestSnapshotConcurrentDML(t *testing.T) {
 					errc <- err
 					return
 				}
-				want := first.Values[1].I
+				want := first.Image.Attr(1).I
 				for probe := 0; probe < 4; probe++ {
 					at, err := sn.Get(addrs[i])
 					if err != nil {
@@ -246,7 +246,7 @@ func TestSnapshotConcurrentDML(t *testing.T) {
 						errc <- err
 						return
 					}
-					if got := at.Values[1].I; got != want {
+					if got := at.Image.Attr(1).I; got != want {
 						sn.Close()
 						errc <- errors.New("snapshot view moved mid-lifetime")
 						return
@@ -302,40 +302,94 @@ func TestNegativeCacheProbes(t *testing.T) {
 	}
 }
 
-// TestAtomCacheByteAccounting: the stats expose the byte charge, and a wide
-// atom displaces more narrow ones than its count suggests.
+// TestAtomCacheByteAccounting: the accounted bytes are exact — the sum over
+// the cached entries of image length plus the entry overhead — and never
+// exceed the budget, through fills, evictions, negative entries,
+// invalidations and a resize; a wide atom displaces the narrow ones its size
+// is worth.
 func TestAtomCacheByteAccounting(t *testing.T) {
-	s, addrs := nodeSystem(t, 4)
-	s.SetAtomCacheSize(16)
-	if _, err := s.Get(addrs[0], nil); err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	st := s.AtomCacheStats()
-	if st.Bytes < acMinAtomCost {
-		t.Fatalf("Bytes = %d, want >= %d", st.Bytes, acMinAtomCost)
-	}
-	if st.Atoms != 1 {
-		t.Fatalf("Atoms = %d, want 1", st.Atoms)
+	s, addrs := nodeSystem(t, 256)
+	const budget = 64
+	s.SetAtomCacheSize(budget)
+	check := func(when string) AtomCacheStats {
+		t.Helper()
+		c := s.cache()
+		sum, atoms := 0, 0
+		for _, sh := range c.shards {
+			sh.mu.Lock()
+			shard := 0
+			for e := sh.ring.next; e != &sh.ring; e = e.next {
+				shard += acEntryOverhead + len(e.img.Bytes())
+				if !e.img.IsZero() {
+					atoms++
+				}
+			}
+			if shard != sh.bytes || len(sh.entries) > 1 && shard > sh.capBytes {
+				t.Errorf("%s: a shard accounts %d bytes for entries worth %d, capacity %d", when, sh.bytes, shard, sh.capBytes)
+			}
+			sum += shard
+			sh.mu.Unlock()
+		}
+		st := s.AtomCacheStats()
+		if st.Bytes != sum || st.Atoms != atoms {
+			t.Fatalf("%s: stats say %d bytes in %d atoms, the entries hold %d in %d", when, st.Bytes, st.Atoms, sum, atoms)
+		}
+		if st.Bytes > budget*acAtomBytes {
+			t.Fatalf("%s: %d bytes cached, budget %d", when, st.Bytes, budget*acAtomBytes)
+		}
+		return st
 	}
 
-	// A very wide atom (large string) charges its real footprint: caching it
-	// under a small budget evicts everything else in its shard.
+	if _, err := s.Get(addrs[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.record(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := check("one atom"); st.Atoms != 1 || st.Bytes != acEntryOverhead+len(rec.Image.Bytes()) {
+		t.Fatalf("one cached atom of %d bytes: %+v", len(rec.Image.Bytes()), st)
+	}
+	if _, err := s.GetBatch(addrs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := check("overfilled"); st.Evictions == 0 {
+		t.Fatalf("256 atoms went through a budget of %d without an eviction: %+v", budget, st)
+	}
+	if err := s.Delete(addrs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(addrs[1], nil); !errors.Is(err, ErrNoAtom) {
+		t.Fatalf("Get of a deleted atom: %v", err)
+	}
+	check("negative entry")
+	for _, a := range addrs[2:40] {
+		if err := s.Update(a, map[string]atom.Value{"n": atom.Int(-1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("invalidated")
+
+	// A very wide atom (large string) charges its real size: caching it
+	// evicts everything else in its shard and stays cached alone.
 	wide, err := s.Insert("node", map[string]atom.Value{
 		"label": atom.Str(string(make([]byte, 64<<10))),
 	})
 	if err != nil {
-		t.Fatalf("Insert wide: %v", err)
+		t.Fatal(err)
 	}
 	if _, err := s.Get(wide, nil); err != nil {
-		t.Fatalf("Get wide: %v", err)
+		t.Fatal(err)
 	}
-	st = s.AtomCacheStats()
-	if st.Bytes < 64<<10 {
-		t.Fatalf("Bytes = %d after caching a 64K atom, want >= 65536", st.Bytes)
+	sh := s.cache().shardOf(wide)
+	if len(sh.entries) != 1 || sh.bytes < 64<<10 {
+		t.Fatalf("the wide atom's shard holds %d entries in %d bytes, want it alone", len(sh.entries), sh.bytes)
 	}
-	if st.Atoms > 16 {
-		t.Fatalf("Atoms = %d, budget 16", st.Atoms)
+	s.SetAtomCacheSize(budget)
+	if _, err := s.GetBatch(addrs[2:], nil); err != nil {
+		t.Fatal(err)
 	}
+	check("resized and refilled")
 }
 
 // TestAwaitWritesGivesReadYourWrites: while another session's older write is
@@ -348,7 +402,7 @@ func TestAwaitWritesGivesReadYourWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	endOther := s.mvBegin(addrs[1], cur) // another session, stalled mid-write
+	endOther := s.mvBegin(cur.Type, addrs[1], cur.Values) // another session, stalled mid-write
 
 	if err := s.Update(addrs[0], map[string]atom.Value{"n": atom.Int(100)}); err != nil {
 		t.Fatal(err)

@@ -11,16 +11,38 @@ import (
 	"prima/internal/storage/wal"
 )
 
-// Atom is the unit of the access system interface: a typed attribute vector
-// identified by its logical address.
-//
-// Atoms returned by Get/GetBatch may be shared, cached instances: callers
-// must treat Values (and every nested Value) as immutable and copy before
-// modifying — exactly what the DML paths here already do.
+// Atom is the unit of the decoded access system interface — DML, scans,
+// integrity checks: a typed attribute vector identified by its logical
+// address. Get, GetBatch and the scans hand out a fresh decode the caller
+// owns.
 type Atom struct {
 	Type   *catalog.AtomType
 	Addr   addr.LogicalAddr
 	Values []atom.Value
+}
+
+// Record is an atom as the read path carries it from the cache (or a page)
+// through molecule assembly to the wire: its type, its address and its
+// checked record image, undecoded. Records are passed by value; the image is
+// shared and immutable. The zero Record holds no atom.
+type Record struct {
+	Type  *catalog.AtomType
+	Addr  addr.LogicalAddr
+	Image atom.Image
+}
+
+// Decode returns the record as a freshly decoded Atom.
+func (r Record) Decode() *Atom {
+	return &Atom{Type: r.Type, Addr: r.Addr, Values: r.Image.Values()}
+}
+
+// Value decodes the named attribute alone.
+func (r Record) Value(name string) (atom.Value, bool) {
+	i, ok := r.Type.AttrIndex(name)
+	if !ok {
+		return atom.Null(), false
+	}
+	return r.Image.Attr(i), true
 }
 
 // encScratch pools record-encode buffers. Every consumer of the encoded
@@ -65,7 +87,7 @@ func (s *System) Insert(typeName string, values map[string]atom.Value) (addr.Log
 	// Open the multi-version write span with a tombstone pre-image ("did not
 	// exist before this write") before anything becomes visible, and drop any
 	// negative cache entry for the address (it stops not-existing now).
-	defer s.mvBegin(a, nil)()
+	defer s.mvBegin(t, a, nil)()
 	defer s.cacheInvalidate(a)
 	vec := t.NewAtomValues(a)
 	for name, v := range values {
@@ -246,107 +268,119 @@ func (s *System) removeBackRef(t *catalog.AtomType, attrIdx int, a, target addr.
 // Get reads an atom. attrs selects attributes to materialize (nil = all);
 // unselected attributes are NULL in the result. When a projection is fully
 // covered by a valid partition record, the partition serves the read — "the
-// one with minimum access cost should be selected". Full-width reads are
-// served from the decoded-atom cache when possible: a hit costs neither a
-// page fix nor a codec run, and the returned Atom is a shared immutable
-// instance.
+// one with minimum access cost should be selected" — unless the atom cache
+// already holds the atom's image. The returned Atom is a private decode.
 func (s *System) Get(a addr.LogicalAddr, attrs []string) (*Atom, error) {
+	if attrs == nil {
+		rec, err := s.record(a)
+		if err != nil {
+			return nil, err
+		}
+		return rec.Decode(), nil
+	}
 	t, err := s.typeByID(a.Type())
 	if err != nil {
 		return nil, err
 	}
-
-	var want []int
-	if attrs != nil {
-		want = make([]int, 0, len(attrs))
-		for _, name := range attrs {
-			i, ok := t.AttrIndex(name)
-			if !ok {
-				return nil, fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, t.Name, name)
-			}
-			want = append(want, i)
+	want := make([]int, 0, len(attrs))
+	for _, name := range attrs {
+		i, ok := t.AttrIndex(name)
+		if !ok {
+			return nil, fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, t.Name, name)
 		}
+		want = append(want, i)
 	}
-
 	cache := s.cache()
-	var stamp uint64
-	if cache != nil {
-		if at, ok := cache.get(a); ok {
-			if at == nil {
-				// Negative hit: the address is known not to exist.
-				return nil, fmt.Errorf("%w: %v", ErrNoAtom, a)
-			}
-			if want == nil {
-				return at, nil
-			}
-			proj := t.NewAtomValues(a)
-			for _, i := range want {
-				proj[i] = at.Values[i]
-			}
-			return &Atom{Type: t, Addr: a, Values: proj}, nil
-		}
-		// Capture the version stamp before probing the directory or fixing
-		// any page: a write that lands after this point bumps the stamp and
-		// whatever we publish below is refused (see atomcache.go).
-		stamp = cache.stamp(a)
-	}
-
-	refs, err := s.dir.Lookup(a)
+	rec, stamp, err := s.cached(cache, t, a)
 	if err != nil {
+		return nil, err
+	}
+	if rec.Image.IsZero() {
+		// Try a covering, valid partition before the primary record.
+		if refs, err := s.dir.Lookup(a); err == nil {
+			if at, ok, err := s.getFromPartition(t, a, refs, want); err != nil || ok {
+				return at, err
+			}
+		}
+		if rec, err = s.readRecord(cache, t, a, stamp); err != nil {
+			return nil, err
+		}
+	}
+	proj := t.NewAtomValues(a)
+	for _, i := range want {
+		proj[i] = rec.Image.Attr(i)
+	}
+	return &Atom{Type: t, Addr: a, Values: proj}, nil
+}
+
+// record reads atom a's record image: from the atom cache when it is there,
+// else from the primary record.
+func (s *System) record(a addr.LogicalAddr) (Record, error) {
+	t, err := s.typeByID(a.Type())
+	if err != nil {
+		return Record{}, err
+	}
+	cache := s.cache()
+	rec, stamp, err := s.cached(cache, t, a)
+	if err != nil || !rec.Image.IsZero() {
+		return rec, err
+	}
+	return s.readRecord(cache, t, a, stamp)
+}
+
+// cached probes the atom cache for a. A hit returns the record; a miss
+// returns the zero Record and the version stamp to publish the read under,
+// captured before the directory is probed or any page fixed: a write that
+// lands after this point bumps the stamp and whatever readRecord publishes
+// is refused (see atomcache.go).
+func (s *System) cached(cache *atomCache, t *catalog.AtomType, a addr.LogicalAddr) (Record, uint64, error) {
+	if cache == nil {
+		return Record{}, 0, nil
+	}
+	if img, ok := cache.get(a); ok {
+		if img.IsZero() {
+			// Negative hit: the address is known not to exist.
+			return Record{}, 0, fmt.Errorf("%w: %v", ErrNoAtom, a)
+		}
+		return Record{Type: t, Addr: a, Image: img}, 0, nil
+	}
+	return Record{}, cache.stamp(a), nil
+}
+
+// readRecord reads atom a's primary record, checks the image and publishes
+// it to the cache under the stamp cached captured.
+func (s *System) readRecord(cache *atomCache, t *catalog.AtomType, a addr.LogicalAddr, stamp uint64) (Record, error) {
+	ref, ok := s.dir.LookupStruct(a, 0)
+	if !ok {
 		if cache != nil {
 			// Remember the miss: hot existence probes of deleted atoms skip
 			// the directory next time. Inserts and resurrections bump the
 			// stamp, so the entry cannot outlive the address coming to life.
-			cache.put(a, nil, stamp)
+			cache.put(a, atom.Image{}, stamp)
 		}
-		return nil, fmt.Errorf("%w: %v", ErrNoAtom, a)
+		return Record{}, fmt.Errorf("%w: %v", ErrNoAtom, a)
 	}
-
-	// Try a covering, valid partition for projected reads.
-	if want != nil {
-		if at, ok, err := s.getFromPartition(t, a, refs, want); err != nil {
-			return nil, err
-		} else if ok {
-			return at, nil
-		}
+	prim, err := s.primary(t)
+	if err != nil {
+		return Record{}, err
 	}
-
-	// Primary record.
-	for _, ref := range refs {
-		if ref.Kind != addr.KindPrimary {
-			continue
-		}
-		prim, err := s.primary(t)
-		if err != nil {
-			return nil, err
-		}
-		// Timed like GetBatch's miss path: record fetch plus codec run.
-		// Cache hits above pay nothing.
-		decodeStart := time.Now()
-		data, err := prim.Read(ref.Where)
-		if err != nil {
-			return nil, err
-		}
-		// The record image is a fresh copy; decode strings zero-copy.
-		values, err := atom.DecodeAtomOwned(data)
-		if err != nil {
-			return nil, err
-		}
-		s.decodeNs.ObserveSince(decodeStart)
-		full := &Atom{Type: t, Addr: a, Values: values}
-		if cache != nil {
-			cache.put(a, full, stamp)
-		}
-		if want == nil {
-			return full, nil
-		}
-		proj := t.NewAtomValues(a)
-		for _, i := range want {
-			proj[i] = values[i]
-		}
-		return &Atom{Type: t, Addr: a, Values: proj}, nil
+	// Timed like the batched miss path: record fetch plus image check. Cache
+	// hits pay nothing.
+	start := time.Now()
+	data, err := prim.Read(ref.Where)
+	if err != nil {
+		return Record{}, err
 	}
-	return nil, fmt.Errorf("%w: %v has no primary record", ErrNoAtom, a)
+	// The record is a fresh copy; the image owns it from here on.
+	img, err := atom.CheckImage(data)
+	if err != nil {
+		return Record{}, err
+	}
+	s.decodeNs.ObserveSince(start)
+	if cache != nil {
+		cache.put(a, img, stamp)
+	}
+	return Record{Type: t, Addr: a, Image: img}, nil
 }
 
 // getFromPartition serves a projected read from a covering partition.
@@ -484,8 +518,8 @@ func (s *System) updateRawInner(t *catalog.AtomType, a addr.LogicalAddr, old, nv
 	// Multi-version write span: the pre-image is installed here, before any
 	// physical record changes, so snapshot readers that observe this write's
 	// effects always find the old image in the chain.
-	defer s.mvBegin(a, &Atom{Type: t, Addr: a, Values: old})()
-	// Decoded-atom cache write barrier, deferred so it runs after the
+	defer s.mvBegin(t, a, old)()
+	// Atom cache write barrier, deferred so it runs after the
 	// primary record write on success AND on every error path past this
 	// point — a half-applied update must not leave its pre-image cached.
 	defer s.cacheInvalidate(a)
@@ -631,10 +665,10 @@ func (s *System) Delete(a addr.LogicalAddr) error {
 	// Multi-version write span: snapshot readers keep seeing the deleted
 	// atom's pre-image (and enumerate its address) until no snapshot from
 	// before this delete remains open.
-	defer s.mvBegin(a, cur)()
+	defer s.mvBegin(t, a, cur.Values)()
 	// Deferred like updateRawInner's barrier: even a partially failed
 	// delete (e.g. a record reclaim error after the directory release) must
-	// drop the cached decode.
+	// drop the cached image.
 	defer s.cacheInvalidate(a)
 
 	// Log the delete ahead of any page write; a compensating insert voids

@@ -12,9 +12,11 @@
 package record
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"prima/internal/access/addr"
@@ -248,18 +250,20 @@ func (c *Container) Read(rid addr.RID) ([]byte, error) {
 }
 
 // ReadBatch returns copies of the records at rids, aligned with the input
-// slice. Reads are grouped by page so every data page is fixed exactly once
-// per batch no matter how many records it serves — the unit of work behind
-// the access system's batched atom reads.
-func (c *Container) ReadBatch(rids []addr.RID) ([][]byte, error) {
-	out := make([][]byte, len(rids))
-	byPage := make(map[uint32][]int, len(rids))
-	pageOrder := make([]uint32, 0, len(rids))
-	for i, rid := range rids {
-		if _, ok := byPage[rid.Page]; !ok {
-			pageOrder = append(pageOrder, rid.Page)
-		}
-		byPage[rid.Page] = append(byPage[rid.Page], i)
+// slice, and the number of data pages it fixed. Reads are grouped by page so
+// every data page is fixed exactly once per batch no matter how many records
+// it serves — the unit of work behind the access system's batched atom reads.
+// The grouping is one index slice ordered by page: a molecule level's records
+// were stored one after the other, so it is nearly always in order already.
+func (c *Container) ReadBatch(rids []addr.RID) (out [][]byte, pages int, err error) {
+	out = make([][]byte, len(rids))
+	order := make([]int32, len(rids))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	byPage := func(i, j int32) int { return cmp.Compare(rids[i].Page, rids[j].Page) }
+	if !slices.IsSortedFunc(order, byPage) {
+		slices.SortStableFunc(order, byPage)
 	}
 
 	type spillRef struct {
@@ -267,43 +271,49 @@ func (c *Container) ReadBatch(rids []addr.RID) ([][]byte, error) {
 		header uint32
 	}
 	var spills []spillRef
-	for _, no := range pageOrder {
+	for lo := 0; lo < len(order); pages++ {
+		no := rids[order[lo]].Page
+		hi := lo + 1
+		for hi < len(order) && rids[order[hi]].Page == no {
+			hi++
+		}
 		h, err := c.pool.Fix(segment.PageID{Seg: c.seg.ID(), No: no})
 		if err != nil {
-			return nil, fmt.Errorf("record: read page %d: %w", no, err)
+			return nil, 0, fmt.Errorf("record: read page %d: %w", no, err)
 		}
 		pg := h.Page()
-		for _, i := range byPage[no] {
+		for _, i := range order[lo:hi] {
 			stored, err := pg.Read(int(rids[i].Slot))
 			if err != nil {
 				h.Release()
-				return nil, fmt.Errorf("%w: %v (%v)", ErrNotFound, rids[i], err)
+				return nil, 0, fmt.Errorf("%w: %v (%v)", ErrNotFound, rids[i], err)
 			}
 			data, spill, err := c.decodeStored(stored)
 			if err != nil {
 				h.Release()
-				return nil, err
+				return nil, 0, err
 			}
 			if spill != 0 {
-				spills = append(spills, spillRef{idx: i, header: spill})
+				spills = append(spills, spillRef{idx: int(i), header: spill})
 			} else {
 				out[i] = data
 			}
 		}
 		h.Release()
+		lo = hi
 	}
 	// Spilled records read their page sequences after the slotted page is
 	// unfixed, exactly like the single-record path.
 	for _, sp := range spills {
 		seq, err := pageseq.Open(c.seg, sp.header)
 		if err != nil {
-			return nil, fmt.Errorf("record: open spill of %v: %w", rids[sp.idx], err)
+			return nil, 0, fmt.Errorf("record: open spill of %v: %w", rids[sp.idx], err)
 		}
 		if out[sp.idx], err = seq.ReadAll(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	return out, nil
+	return out, pages, nil
 }
 
 // decodeStored interprets a stored byte string. For inline records it

@@ -93,6 +93,66 @@ func TestLongRecordSpill(t *testing.T) {
 	}
 }
 
+// TestReadBatch holds the batched read to the single-record one: the output
+// is aligned with the input whatever order the RIDs come in — shuffled across
+// pages, with duplicates, with a spilled record among them — every data page
+// is fixed once, and one missing slot fails the batch.
+func TestReadBatch(t *testing.T) {
+	c := newContainer(t, device.B1K)
+	var rids []addr.RID
+	pageSet := map[uint32]bool{}
+	for i := 0; i < 60; i++ {
+		rec := bytes.Repeat([]byte{byte(i)}, i%80+20)
+		if i == 17 {
+			rec = bytes.Repeat([]byte("L"), 5000) // spills into a page sequence
+		}
+		rid, err := c.Insert(rec)
+		if err != nil {
+			t.Fatalf("Insert %d: %v", i, err)
+		}
+		rids = append(rids, rid)
+		pageSet[rid.Page] = true
+	}
+	if len(pageSet) < 3 {
+		t.Fatalf("records lie on %d pages; the test needs several", len(pageSet))
+	}
+	check := func(name string, batch []addr.RID, wantPages int) {
+		t.Helper()
+		before := c.pool.Stats()
+		got, pages, err := c.ReadBatch(batch)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		after := c.pool.Stats()
+		if fixes := int(after.Hits + after.Misses - before.Hits - before.Misses); pages != wantPages || fixes < pages {
+			t.Errorf("%s: %d pages reported, %d fixes, want %d pages", name, pages, fixes, wantPages)
+		}
+		for i, rid := range batch {
+			want, err := c.Read(rid)
+			if err != nil {
+				t.Fatalf("%s: Read %v: %v", name, rid, err)
+			}
+			if !bytes.Equal(got[i], want) {
+				t.Fatalf("%s: record %d (%v) is %d bytes starting %x, want %d bytes starting %x",
+					name, i, rid, len(got[i]), got[i][:1], len(want), want[:1])
+			}
+		}
+	}
+	check("in order", rids, len(pageSet))
+	shuffled := append(append([]addr.RID(nil), rids...), rids[3], rids[17], rids[3])
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	check("shuffled with duplicates", shuffled, len(pageSet))
+	check("one record", rids[40:41], 1)
+	check("none", nil, 0)
+
+	if err := c.Delete(rids[5]); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.ReadBatch(shuffled); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("batch over a deleted slot: %v, want ErrNotFound", err)
+	}
+}
+
 func TestUpdateTransitions(t *testing.T) {
 	c := newContainer(t, device.B1K)
 	rid, err := c.Insert([]byte("small"))

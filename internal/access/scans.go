@@ -44,14 +44,22 @@ type Cond struct {
 // "decidable on each atom".
 type SSA []Cond
 
-// Eval decides the SSA on one atom.
+// Eval decides the SSA on a decoded atom.
 func (ssa SSA) Eval(at *Atom) (bool, error) {
+	return ssa.eval(at.Type, func(i int) atom.Value { return at.Values[i] })
+}
+
+// EvalRecord decides the SSA on a record image, decoding only the attributes
+// it tests.
+func (ssa SSA) EvalRecord(r Record) (bool, error) { return ssa.eval(r.Type, r.Image.Attr) }
+
+func (ssa SSA) eval(t *catalog.AtomType, attr func(int) atom.Value) (bool, error) {
 	for _, c := range ssa {
-		i, ok := at.Type.AttrIndex(c.Attr)
+		i, ok := t.AttrIndex(c.Attr)
 		if !ok {
-			return false, fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, at.Type.Name, c.Attr)
+			return false, fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, t.Name, c.Attr)
 		}
-		v := at.Values[i]
+		v := attr(i)
 		switch c.Op {
 		case OpEmpty:
 			if v.Len() != 0 {
@@ -116,16 +124,15 @@ func (ssa SSA) attrsFor(attrs []string) []string {
 }
 
 // scanDecodeBatch is the chunk size full-width scans accumulate before one
-// batched page read + arena decode.
+// batched page read.
 const scanDecodeBatch = 64
 
 // AtomTypeScan successively reads all atoms of one atom type in
 // system-defined order, optionally restricted by a simple search argument
 // and projected to selected attributes — the RSS relation-scan analogue.
-// Full-width scans read their records in chunks through the batch decode
-// arena (one value arena per chunk instead of one allocation per atom);
-// projected scans stay per-atom because partition coverage is decided per
-// record.
+// Full-width scans read their records in chunks, one page fix per page of a
+// chunk; projected scans stay per-atom because partition coverage is decided
+// per record.
 func (s *System) AtomTypeScan(typeName string, ssa SSA, attrs []string, fn func(*Atom) bool) error {
 	t, err := s.typeOf(typeName)
 	if err != nil {
@@ -156,59 +163,22 @@ func (s *System) AtomTypeScan(typeName string, ssa SSA, attrs []string, fn func(
 }
 
 // atomTypeScanBatched is AtomTypeScan's full-width path: addresses gather in
-// chunks of scanDecodeBatch; each chunk fills cache hits first and serves
-// the misses with one batched primary read decoded into a shared value arena.
-// Scan results are deliberately not published to the cache — a scan touches
-// every atom once and would evict the hot checkout working set.
+// chunks of scanDecodeBatch, each chunk one batched record read. The SSA is
+// decided on the record image, so only qualifying atoms are decoded. Scan
+// results are deliberately not published to the cache — a scan touches every
+// atom once and would evict the hot checkout working set.
 func (s *System) atomTypeScanBatched(t *catalog.AtomType, ssa SSA, fn func(*Atom) bool) error {
-	cache := s.cache()
 	var pend []addr.LogicalAddr
 	var scanErr error
 	stopped := false
 	flush := func() bool {
-		if len(pend) == 0 {
-			return true
+		recs := recordsOf(pend)
+		if err := s.fill(recs, nil, false); err != nil {
+			scanErr = err
+			return false
 		}
-		atoms := make([]*Atom, len(pend))
-		var missIdx []int
-		var rids []addr.RID
-		for i, a := range pend {
-			if cache != nil {
-				if at, ok := cache.get(a); ok && at != nil {
-					atoms[i] = at
-					continue
-				}
-			}
-			ref, ok := s.dir.LookupStruct(a, 0)
-			if !ok {
-				scanErr = fmt.Errorf("%w: %v", ErrNoAtom, a)
-				return false
-			}
-			missIdx = append(missIdx, i)
-			rids = append(rids, ref.Where)
-		}
-		if len(missIdx) > 0 {
-			prim, err := s.primary(t)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			recs, err := prim.ReadBatch(rids)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			vals, err := atom.DecodeAtomBatch(recs)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			for j, i := range missIdx {
-				atoms[i] = &Atom{Type: t, Addr: pend[i], Values: vals[j]}
-			}
-		}
-		for _, at := range atoms {
-			ok, err := ssa.Eval(at)
+		for _, rec := range recs {
+			ok, err := ssa.EvalRecord(rec)
 			if err != nil {
 				scanErr = err
 				return false
@@ -216,7 +186,7 @@ func (s *System) atomTypeScanBatched(t *catalog.AtomType, ssa SSA, fn func(*Atom
 			if !ok {
 				continue
 			}
-			if !fn(at) {
+			if !fn(rec.Decode()) {
 				stopped = true
 				return false
 			}
@@ -310,9 +280,9 @@ func (s *System) SortScan(sortOrderName string, ssa SSA, start, stop []atom.Valu
 		stopKey = &k
 	}
 
-	// Chunked reads through the batch decode arena: valid sort-order copies
-	// of a chunk are read and decoded together; stale or unreadable records
-	// fall back to the per-atom primary path, atom by atom.
+	// Chunked reads: valid sort-order copies of a chunk are read together;
+	// stale or unreadable records fall back to the per-atom primary path,
+	// atom by atom.
 	var pend []addr.LogicalAddr
 	var scanErr error
 	stopped := false
@@ -330,10 +300,10 @@ func (s *System) SortScan(sortOrderName string, ssa SSA, start, stop []atom.Valu
 			}
 		}
 		if len(validIdx) > 0 {
-			if recs, err := so.container.ReadBatch(rids); err == nil {
-				if vals, err := atom.DecodeAtomBatch(recs); err == nil {
-					for j, i := range validIdx {
-						atoms[i] = &Atom{Type: t, Addr: pend[i], Values: vals[j]}
+			if recs, _, err := so.container.ReadBatch(rids); err == nil {
+				for j, i := range validIdx {
+					if values, err := atom.DecodeAtomOwned(recs[j]); err == nil {
+						atoms[i] = &Atom{Type: t, Addr: pend[i], Values: values}
 					}
 				}
 			}
@@ -516,23 +486,21 @@ func (s *System) AccessPathSearch(name string, keys []atom.Value) ([]addr.Logica
 }
 
 // ClusterOccurrence is one materialized atom cluster: the characteristic
-// atom's reference lists plus the member atoms, decoded.
+// atom's reference lists plus the member atoms, as checked record images over
+// the one payload the chained read returned.
 type ClusterOccurrence struct {
-	Root   addr.LogicalAddr
-	Atoms  []*Atom
-	byAddr map[addr.LogicalAddr]*Atom
-	byType map[string][]*Atom
+	Root    addr.LogicalAddr
+	Records []Record
+	byAddr  map[addr.LogicalAddr]int
 }
 
-// Atom returns the member with the given address.
-func (o *ClusterOccurrence) Atom(a addr.LogicalAddr) (*Atom, bool) {
-	at, ok := o.byAddr[a]
-	return at, ok
-}
-
-// OfType returns the members of one atom type, in cluster order.
-func (o *ClusterOccurrence) OfType(typeName string) []*Atom {
-	return o.byType[typeName]
+// Record returns the member with the given address.
+func (o *ClusterOccurrence) Record(a addr.LogicalAddr) (Record, bool) {
+	i, ok := o.byAddr[a]
+	if !ok {
+		return Record{}, false
+	}
+	return o.Records[i], true
 }
 
 // ClusterRoots returns the characteristic (root) atoms of a cluster type in
@@ -617,9 +585,9 @@ func (s *System) readOccurrence(cl *clusterStruct, root addr.LogicalAddr) (*Clus
 	}
 
 	occ := &ClusterOccurrence{
-		Root:   root,
-		byAddr: make(map[addr.LogicalAddr]*Atom, len(addrs)),
-		byType: make(map[string][]*Atom),
+		Root:    root,
+		Records: make([]Record, len(addrs)),
+		byAddr:  make(map[addr.LogicalAddr]int, len(addrs)),
 	}
 	for i, a := range addrs {
 		t, err := s.typeByID(a.Type())
@@ -627,15 +595,13 @@ func (s *System) readOccurrence(cl *clusterStruct, root addr.LogicalAddr) (*Clus
 			return nil, err
 		}
 		// The payload is a fresh chained-I/O copy owned by this occurrence;
-		// decode strings zero-copy against it.
-		values, err := atom.DecodeAtomOwned(payload[offs[i] : offs[i]+lens[i]])
+		// the images slice it.
+		img, err := atom.CheckImage(payload[offs[i] : offs[i]+lens[i]])
 		if err != nil {
 			return nil, err
 		}
-		at := &Atom{Type: t, Addr: a, Values: values}
-		occ.Atoms = append(occ.Atoms, at)
-		occ.byAddr[a] = at
-		occ.byType[t.Name] = append(occ.byType[t.Name], at)
+		occ.Records[i] = Record{Type: t, Addr: a, Image: img}
+		occ.byAddr[a] = i
 	}
 	return occ, nil
 }
@@ -668,11 +634,11 @@ func (s *System) ClusterTypeScan(clusterName string, ssa SSA, fn func(*ClusterOc
 		if err != nil {
 			return err
 		}
-		rootAtom, ok := occ.Atom(root)
+		rootRec, ok := occ.Record(root)
 		if !ok {
 			return fmt.Errorf("access: cluster %s occurrence %v lacks its root", clusterName, root)
 		}
-		match, err := ssa.Eval(rootAtom)
+		match, err := ssa.EvalRecord(rootRec)
 		if err != nil {
 			return err
 		}
@@ -697,15 +663,18 @@ func (s *System) ClusterScan(clusterName string, root addr.LogicalAddr, memberTy
 	if err != nil {
 		return err
 	}
-	for _, at := range occ.OfType(memberType) {
-		ok, err := ssa.Eval(at)
+	for _, rec := range occ.Records {
+		if rec.Type.Name != memberType {
+			continue
+		}
+		ok, err := ssa.EvalRecord(rec)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			continue
 		}
-		if !fn(at) {
+		if !fn(rec.Decode()) {
 			return nil
 		}
 	}

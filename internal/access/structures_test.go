@@ -312,10 +312,10 @@ func TestClusterLifecycle(t *testing.T) {
 	n := 0
 	err = s.ClusterTypeScan("pc", nil, func(occ *ClusterOccurrence) bool {
 		n++
-		if len(occ.OfType("kid")) != 4 {
-			t.Fatalf("occurrence %v has %d kids", occ.Root, len(occ.OfType("kid")))
+		if kids := len(occ.Records) - 1; kids != 4 { // the parent, then its kids
+			t.Fatalf("occurrence %v has %d kids", occ.Root, kids)
 		}
-		if _, ok := occ.Atom(occ.Root); !ok {
+		if _, ok := occ.Record(occ.Root); !ok {
 			t.Fatal("occurrence missing root atom")
 		}
 		return true
@@ -555,8 +555,8 @@ func TestClusterPersistence(t *testing.T) {
 	n := 0
 	err = s2.ClusterTypeScan("pc", nil, func(occ *ClusterOccurrence) bool {
 		n++
-		if len(occ.OfType("kid")) != 3 {
-			t.Fatalf("reopened occurrence has %d kids", len(occ.OfType("kid")))
+		if kids := len(occ.Records) - 1; kids != 3 {
+			t.Fatalf("reopened occurrence has %d kids", kids)
 		}
 		return true
 	})

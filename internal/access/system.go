@@ -55,11 +55,12 @@ type Config struct {
 	// so every stripe still holds a useful number of pages; 1 disables
 	// striping.
 	BufferShards int
-	// AtomCacheSize is the atom budget of the decoded-atom cache that sits
-	// between the buffer pool and molecule assembly (0 picks
-	// DefaultAtomCacheAtoms; negative disables the cache). Sized in atoms,
-	// not bytes: a budget of the working set's atom count makes repeated
-	// checkouts serve entirely from decoded memory.
+	// AtomCacheSize is the atom budget of the atom cache — checked record
+	// images — that sits between the buffer pool and molecule assembly (0
+	// picks DefaultAtomCacheAtoms; negative disables the cache). Sized in
+	// atoms of acAtomBytes each, charged by image length: a budget of the
+	// working set's atom count makes repeated checkouts serve entirely from
+	// memory.
 	AtomCacheSize int
 	// WAL enables the write-ahead log: mutations are logged before they
 	// touch pages, commits become durable via group commit, and Open runs
@@ -240,7 +241,7 @@ type System struct {
 	// accepted cost of keeping walAppend lock-free.
 	walSink atomic.Pointer[obs.Span]
 
-	// atoms is the decoded-atom cache (nil = disabled); swapped atomically
+	// atoms is the atom cache (nil = disabled); swapped atomically
 	// by SetAtomCacheSize. Its counters live here so statistics accumulate
 	// across resizes.
 	atoms   atomic.Pointer[atomCache]

@@ -67,6 +67,10 @@ func (t *AtomType) build() error {
 			}
 			t.identIdx = i
 		}
+		if a.Type.nesting() > atom.MaxDepth {
+			// A value of the type could be stored but never read back.
+			return fmt.Errorf("%w: %s.%s nests deeper than %d levels", ErrBadAtomType, t.Name, a.Name, atom.MaxDepth)
+		}
 		if a.Type.IsRef() {
 			if tt, ta, _ := a.Type.RefTarget(); tt == "" || ta == "" {
 				return fmt.Errorf("%w: %s.%s: REF_TO needs a type.attr target", ErrBadAtomType, t.Name, a.Name)

@@ -123,6 +123,21 @@ func TestAtomTypeValidation(t *testing.T) {
 	}, []string{"s"}); !errors.Is(err, ErrBadAtomType) {
 		t.Fatalf("set key = %v, want ErrBadAtomType", err)
 	}
+	// Nesting the codec would refuse to read back: MaxDepth levels pass, one
+	// more does not.
+	deep := SpecInt()
+	for i := 0; i < atom.MaxDepth; i += 2 { // a RECORD and a LIST per round
+		deep = SpecRecord(RecordField{Name: "f", Type: SpecListOf(deep)})
+	}
+	attrs := func(ts TypeSpec) []Attribute {
+		return []Attribute{{Name: "a", Type: SpecIdent()}, {Name: "d", Type: ts}}
+	}
+	if _, err := NewAtomType("x", attrs(deep), nil); err != nil {
+		t.Fatalf("%d levels of nesting: %v", atom.MaxDepth, err)
+	}
+	if _, err := NewAtomType("x", attrs(SpecArrayOf(deep, 2)), nil); !errors.Is(err, ErrBadAtomType) {
+		t.Fatalf("%d levels of nesting = %v, want ErrBadAtomType", atom.MaxDepth+1, err)
+	}
 }
 
 func TestAsymmetricAssociationRejected(t *testing.T) {

@@ -105,6 +105,23 @@ func (ts TypeSpec) RefTarget() (typeName, attrName string, ok bool) {
 	return "", "", false
 }
 
+// nesting returns how deep the type's containers nest (0 for a scalar), which
+// is how deep a value of the type nests in its encoding.
+func (ts TypeSpec) nesting() int {
+	deepest := 0
+	if ts.Elem != nil {
+		deepest = ts.Elem.nesting()
+	}
+	for _, f := range ts.Fields {
+		deepest = max(deepest, f.Type.nesting())
+	}
+	switch ts.Kind {
+	case atom.KindRecord, atom.KindArray, atom.KindSet, atom.KindList:
+		return deepest + 1
+	}
+	return deepest
+}
+
 // ErrTypeCheck is wrapped by all value/type mismatches.
 var ErrTypeCheck = errors.New("catalog: value does not match attribute type")
 

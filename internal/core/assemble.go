@@ -16,14 +16,16 @@ import (
 	"prima/internal/obs"
 )
 
-// atomSource supplies atoms during molecule assembly. The snapshot source
-// reads through the access system at the cursor's epoch; the cluster source
-// reads from a materialized atom-cluster occurrence, falling back to the
-// snapshot for atoms outside the cluster. Both support batched reads so one
-// page fix in the buffer can serve a whole assembly level.
+// atomSource supplies atoms during molecule assembly, as record images. The
+// snapshot source reads through the access system at the cursor's epoch; the
+// cluster source reads from a materialized atom-cluster occurrence, falling
+// back to the snapshot for atoms outside the cluster. Both support batched
+// reads so one page fix in the buffer can serve a whole assembly level.
 type atomSource interface {
-	get(a addr.LogicalAddr) (*access.Atom, error)
-	getBatch(as []addr.LogicalAddr) ([]*access.Atom, error)
+	get(a addr.LogicalAddr) (access.Record, error)
+	// fill reads the atoms recs names by address, in place; after an error
+	// recs is filled in part.
+	fill(recs []access.Record) error
 }
 
 // snapshotSource reads through a snapshot: every atom resolves at the
@@ -31,11 +33,9 @@ type atomSource interface {
 // matter which writes land while it assembles.
 type snapshotSource struct{ sn *access.Snapshot }
 
-func (s snapshotSource) get(a addr.LogicalAddr) (*access.Atom, error) { return s.sn.Get(a) }
+func (s snapshotSource) get(a addr.LogicalAddr) (access.Record, error) { return s.sn.Get(a) }
 
-func (s snapshotSource) getBatch(as []addr.LogicalAddr) ([]*access.Atom, error) {
-	return s.sn.GetBatch(as)
-}
+func (s snapshotSource) fill(recs []access.Record) error { return s.sn.Fill(recs) }
 
 type clusterSource struct {
 	occ *access.ClusterOccurrence
@@ -45,25 +45,24 @@ type clusterSource struct {
 // get serves a from the occurrence. Occurrence atoms are current state; the
 // chains override them with the epoch's pre-image when a writer has since
 // moved on.
-func (s clusterSource) get(a addr.LogicalAddr) (*access.Atom, error) {
-	return s.sn.Resolve(a, func() (*access.Atom, error) {
-		if at, ok := s.occ.Atom(a); ok {
-			return at, nil
+func (s clusterSource) get(a addr.LogicalAddr) (access.Record, error) {
+	return s.sn.Resolve(a, func() (access.Record, error) {
+		if rec, ok := s.occ.Record(a); ok {
+			return rec, nil
 		}
 		return s.sn.Get(a)
 	})
 }
 
-func (s clusterSource) getBatch(as []addr.LogicalAddr) ([]*access.Atom, error) {
-	out := make([]*access.Atom, len(as))
-	for i, a := range as {
-		at, err := s.get(a)
+func (s clusterSource) fill(recs []access.Record) error {
+	for i := range recs {
+		rec, err := s.get(recs[i].Addr)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[i] = at
+		recs[i] = rec
 	}
-	return out, nil
+	return nil
 }
 
 // roots enumerates the candidate molecule roots of every access but the
@@ -286,7 +285,7 @@ func minOf(cc CompCond) int {
 // counts. The fetch streams every atom exactly once (its index dedupes
 // addresses), so counts are over distinct component atoms — the same set the
 // quantifier counts.
-func (ps *pushState) observe(ord int, at *access.Atom) {
+func (ps *pushState) observe(ord int, rec access.Record) {
 	if ps == nil || ps.remaining == 0 {
 		return
 	}
@@ -294,7 +293,7 @@ func (ps *pushState) observe(ord int, at *access.Atom) {
 		if ps.counts[i] >= minOf(cc) || cc.ord != ord {
 			continue
 		}
-		ok, err := cc.SSA.Eval(at)
+		ok, err := cc.SSA.EvalRecord(rec)
 		if err != nil {
 			ps.disabled = true
 			return
@@ -344,7 +343,7 @@ func (p *Plan) pushPruned(m *Molecule) bool {
 	for _, cc := range p.CompSSA {
 		need := minOf(cc)
 		for _, ma := range m.ByType[cc.ord] {
-			ok, err := cc.SSA.Eval(ma.Atom)
+			ok, err := cc.SSA.EvalRecord(ma.Rec)
 			if err != nil {
 				need = 0 // leave the decision to the residual predicate
 				break
@@ -369,8 +368,9 @@ func (p *Plan) pushPruned(m *Molecule) bool {
 // so one directory lookup and page fix serve every atom of a level that
 // shares a page — and then links depth-first over what it fetched, so the
 // component role, recursion level and delivery order of every atom are those
-// of its first depth-first reach. References are visited in place; the MAtoms
-// of a molecule lie in one slab and its child lists in one arena.
+// of its first depth-first reach. Atoms travel as record images: references
+// are followed straight off the bytes and nothing is decoded. The MAtoms of a
+// molecule lie in one slab and its child lists in one arena.
 //
 // The address index and the frontier buffers are scratch, cleared and reused
 // from molecule to molecule and, through asmPool, from cursor to cursor. An
@@ -381,13 +381,14 @@ type assembler struct {
 	src  atomSource // of the molecule in hand: the snapshot, or its cluster occurrence
 	push pushState
 
-	index    map[addr.LogicalAddr]int32 // address → position in ents
-	ents     []asmEnt                   // every address met, in fetch order
+	index    map[addr.LogicalAddr]int32 // address → position in recs and mas
+	recs     []access.Record            // every address met, in fetch order; the address alone until fetched
+	mas      []*MAtom                   // parallel to recs: nil until linked
 	frontier []asmItem
 	next     []asmItem
-	want     []addr.LogicalAddr
-	order    []linked // the linked atoms in depth-first order
-	counts   []int    // linked atoms per component-type ordinal
+	targets  []addr.LogicalAddr // linkAtom's stack of references still to link
+	order    []linked           // the linked atoms in depth-first order
+	counts   []int              // linked atoms per component-type ordinal
 
 	// The arenas of the molecule in hand; it owns them once delivered. The
 	// fetch sizes them, so each is normally one allocation.
@@ -396,13 +397,6 @@ type assembler struct {
 	kids   []*MAtom   // the child lists, and the ByType lists
 	nedges int        // edges leaving the fetched atoms
 	nrefs  int        // references the fetch followed
-}
-
-// asmEnt is what the assembler knows about one address of the molecule.
-type asmEnt struct {
-	a  addr.LogicalAddr
-	at *access.Atom // nil until fetched
-	ma *MAtom       // nil until linked
 }
 
 // linked is one atom of the molecule with the ordinal of its component type.
@@ -441,18 +435,20 @@ func (as *assembler) release() {
 // reset clears the per-molecule scratch.
 func (as *assembler) reset() {
 	clear(as.index)
-	clear(as.ents)
+	clear(as.recs)
+	clear(as.mas)
 	clear(as.order)
-	as.ents, as.order = as.ents[:0], as.order[:0]
+	as.recs, as.mas, as.order = as.recs[:0], as.mas[:0], as.order[:0]
 	as.slab, as.groups, as.kids = nil, nil, nil
 	as.nedges, as.nrefs = 0, 0
 }
 
 // enter registers an address the molecule reaches and returns its position.
 func (as *assembler) enter(a addr.LogicalAddr) int32 {
-	i := int32(len(as.ents))
+	i := int32(len(as.recs))
 	as.index[a] = i
-	as.ents = append(as.ents, asmEnt{a: a})
+	as.recs = append(as.recs, access.Record{Addr: a})
+	as.mas = append(as.mas, nil)
 	return i
 }
 
@@ -475,10 +471,10 @@ func (as *assembler) assemble(a addr.LogicalAddr) (*Molecule, error) {
 	as.src = snapshotSource{as.sn}
 
 	// Root SSA (pushed-down restriction) decides before assembly.
-	var rootAtom *access.Atom
+	var root access.Record
 	if len(p.RootSSA) > 0 {
 		var err error
-		if rootAtom, err = as.src.get(a); err != nil {
+		if root, err = as.src.get(a); err != nil {
 			if p.AccessKind == "direct" && errors.Is(err, access.ErrNoAtom) {
 				// The named atom is gone (or never existed): the root fails
 				// qualification, it does not error the query — direct roots
@@ -488,7 +484,7 @@ func (as *assembler) assemble(a addr.LogicalAddr) (*Molecule, error) {
 			}
 			return nil, err
 		}
-		ok, err := p.RootSSA.Eval(rootAtom)
+		ok, err := p.RootSSA.EvalRecord(root)
 		if err != nil {
 			return nil, err
 		}
@@ -511,13 +507,13 @@ func (as *assembler) assemble(a addr.LogicalAddr) (*Molecule, error) {
 		}
 	}
 
-	return as.build(a, rootAtom)
+	return as.build(a, root)
 }
 
-// build assembles the molecule rooted at a from as.src (rootAtom is the root
-// when the caller has read it already, else nil), then decides the pushed
-// conjuncts and the residual predicate on it and projects it.
-func (as *assembler) build(a addr.LogicalAddr, rootAtom *access.Atom) (*Molecule, error) {
+// build assembles the molecule rooted at a from as.src (root is the root's
+// record when the caller has read it already, else zero), then decides the
+// pushed conjuncts and the residual predicate on it and projects it.
+func (as *assembler) build(a addr.LogicalAddr, root access.Record) (*Molecule, error) {
 	p := as.plan
 	as.reset()
 	var ps *pushState
@@ -526,7 +522,7 @@ func (as *assembler) build(a addr.LogicalAddr, rootAtom *access.Atom) (*Molecule
 		ps.counts = append(ps.counts[:0], make([]int, len(ps.conds))...)
 		ps.remaining, ps.complete, ps.disabled = len(ps.conds), false, false
 	}
-	if as.fetch(a, rootAtom, ps) {
+	if as.fetch(a, root, ps) {
 		return nil, nil // pruned mid-assembly by a pushed-down conjunct
 	}
 	m, err := as.link(a)
@@ -573,35 +569,32 @@ func (as *assembler) build(a addr.LogicalAddr, rootAtom *access.Atom) (*Molecule
 // materialization error (e.g. a dangling reference) those levels would have
 // raised; the pruned outcome is the correct query answer, the error was an
 // artifact of materialization the plan proved unnecessary.
-func (as *assembler) fetch(root addr.LogicalAddr, rootAtom *access.Atom, ps *pushState) (pruned bool) {
+func (as *assembler) fetch(root addr.LogicalAddr, rootRec access.Record, ps *pushState) (pruned bool) {
 	as.enter(root)
-	as.ents[0].at = rootAtom
+	if !rootRec.Image.IsZero() {
+		as.recs[0] = rootRec
+	}
 	as.frontier = append(as.frontier[:0], asmItem{node: as.plan.asm})
 	for len(as.frontier) > 0 {
 		if ps.unreachable(as.frontier) {
 			return true
 		}
-		as.want = as.want[:0]
-		for _, it := range as.frontier {
-			if e := &as.ents[it.ent]; e.at == nil {
-				as.want = append(as.want, e.a)
-			}
+		// The frontier is the addresses the level before entered, one after
+		// the other in recs, none of them read yet (but a root the caller
+		// read): the batched read fills them where they lie.
+		batch := as.recs[as.frontier[0].ent:]
+		if !batch[0].Image.IsZero() {
+			batch = batch[1:]
 		}
-		if len(as.want) > 0 {
-			atoms, err := as.src.getBatch(as.want)
-			j := 0
-			for _, it := range as.frontier {
-				e := &as.ents[it.ent]
-				if e.at != nil {
+		if len(batch) > 0 && as.src.fill(batch) != nil {
+			// A batch fails as a whole; retry individually so one bad
+			// address does not hide the rest of the level.
+			for i := range batch {
+				if !batch[i].Image.IsZero() {
 					continue
 				}
-				if err == nil {
-					e.at = atoms[j]
-					j++
-				} else if at, gerr := as.src.get(e.a); gerr == nil {
-					// A batch fails as a whole; retry individually so one bad
-					// address does not hide the rest of the level.
-					e.at = at
+				if rec, err := as.src.get(batch[i].Addr); err == nil {
+					batch[i] = rec
 				} else if ps != nil {
 					ps.disabled = true
 				}
@@ -609,11 +602,11 @@ func (as *assembler) fetch(root addr.LogicalAddr, rootAtom *access.Atom, ps *pus
 		}
 		as.next = as.next[:0]
 		for _, it := range as.frontier {
-			at := as.ents[it.ent].at
-			if at == nil {
+			rec := as.recs[it.ent]
+			if rec.Image.IsZero() {
 				continue
 			}
-			ps.observe(it.node.ord, at)
+			ps.observe(it.node.ord, rec)
 			as.nedges += len(it.node.edges)
 			for _, ed := range it.node.edges {
 				if ed.attr < 0 {
@@ -626,7 +619,7 @@ func (as *assembler) fetch(root addr.LogicalAddr, rootAtom *access.Atom, ps *pus
 				if level > as.plan.MaxDepth {
 					continue // the link reports the recursion error
 				}
-				for target := range at.Values[ed.attr].AllRefs() {
+				for target := range rec.Image.Refs(ed.attr) {
 					as.nrefs++
 					if _, seen := as.index[target]; !seen {
 						as.next = append(as.next, asmItem{node: ed.to, ent: as.enter(target), level: level})
@@ -647,9 +640,9 @@ func (as *assembler) fetch(root addr.LogicalAddr, rootAtom *access.Atom, ps *pus
 func (as *assembler) link(root addr.LogicalAddr) (*Molecule, error) {
 	mol := as.plan.Mol
 	ntypes := len(mol.AtomTypes())
-	as.slab = make([]MAtom, 0, len(as.ents))
+	as.slab = make([]MAtom, 0, len(as.recs))
 	as.groups = make([][]*MAtom, 0, as.nedges+ntypes)
-	as.kids = make([]*MAtom, 0, as.nrefs+len(as.ents))
+	as.kids = make([]*MAtom, 0, as.nrefs+len(as.recs))
 	as.counts = append(as.counts[:0], make([]int, ntypes)...)
 
 	rootMA, err := as.linkAtom(as.plan.asm, root, 0)
@@ -672,8 +665,8 @@ func (as *assembler) link(root addr.LogicalAddr) (*Molecule, error) {
 // cycles); it takes the component role of that first reach.
 func (as *assembler) linkAtom(n *asmNode, a addr.LogicalAddr, level int) (*MAtom, error) {
 	i, met := as.index[a]
-	if met && as.ents[i].ma != nil {
-		return as.ents[i].ma, nil
+	if met && as.mas[i] != nil {
+		return as.mas[i], nil
 	}
 	if level > as.plan.MaxDepth {
 		return nil, fmt.Errorf("%w: recursion deeper than %d", ErrSemantic, as.plan.MaxDepth)
@@ -681,41 +674,43 @@ func (as *assembler) linkAtom(n *asmNode, a addr.LogicalAddr, level int) (*MAtom
 	if !met {
 		i = as.enter(a)
 	}
-	at := as.ents[i].at
-	if at == nil {
+	rec := as.recs[i]
+	if rec.Image.IsZero() {
 		var err error
-		if at, err = as.src.get(a); err != nil {
+		if rec, err = as.src.get(a); err != nil {
 			return nil, err
 		}
 	}
 	ma := &carve(&as.slab, 1)[0]
-	*ma = MAtom{Atom: at, Node: n.node, Level: level}
-	as.ents[i].ma = ma
+	*ma = MAtom{Rec: rec, Node: n.node, Level: level}
+	as.mas[i] = ma
 	as.order = append(as.order, linked{ma, n.ord})
 	as.counts[n.ord]++
 
 	ma.Children = carve(&as.groups, len(n.edges))
 	for g, ed := range n.edges {
 		if ed.attr < 0 {
-			return nil, fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, at.Type.Name, ed.to.node.Via)
+			return nil, fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, rec.Type.Name, ed.to.node.Via)
 		}
 		next := level
 		if ed.deeper {
 			next++
 		}
-		v := &at.Values[ed.attr]
-		nrefs := 0
-		for range v.AllRefs() {
-			nrefs++
+		// One walk over the image: the edge's references wait on the stack
+		// while the recursion below pushes and pops its own.
+		base := len(as.targets)
+		for target := range rec.Image.Refs(ed.attr) {
+			as.targets = append(as.targets, target)
 		}
-		kids := carve(&as.kids, nrefs)[:0]
-		for target := range v.AllRefs() {
-			c, err := as.linkAtom(ed.to, target, next)
+		kids := carve(&as.kids, len(as.targets)-base)
+		for i := range kids {
+			c, err := as.linkAtom(ed.to, as.targets[base+i], next)
 			if err != nil {
 				return nil, err
 			}
-			kids = append(kids, c)
+			kids[i] = c
 		}
+		as.targets = as.targets[:base]
 		ma.Children[g] = kids
 	}
 	return ma, nil

@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -204,12 +205,14 @@ func TestAssembleDirectRootGone(t *testing.T) {
 // The allocation budgets of molecule construction: ceilings with room for
 // toolchain drift and for the pipeline's per-worker set-up, far below what
 // one allocation per atom would add (a cube is 27 atoms), so that
-// `go test ./...` catches one coming back. Measured when written: 13 per warm
-// checkout serial and 30 with two workers; 8.2 per molecule of a scan serial
-// and 10.3 with two workers.
+// `go test ./...` catches one coming back. Measured since the read path
+// carries record images and a level is read where the assembler keeps it: 10
+// per warm checkout serial and 27 with two workers (13 and 30 before); 4.2
+// per molecule of a scan serial and 6.4 with two workers (8.2 and 10.3
+// before); 52 for a cube read cold with the cache off, 91 with it on.
 
-// TestAllocsWarmCheckout: one cached plan, one cube, every atom in the
-// decoded cache, through Plan.Open and Collect.
+// TestAllocsWarmCheckout: one cached plan, one cube, every atom in the atom
+// cache, through Plan.Open and Collect.
 func TestAllocsWarmCheckout(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -229,8 +232,8 @@ func TestAllocsWarmCheckout(t *testing.T) {
 	}
 	for _, workers := range []int{1, core.DefaultAssemblyWorkers()} {
 		e.SetAssemblyWorkers(workers)
-		checkout() // warm the decoded cache
-		budget := 25.0
+		checkout() // warm the atom cache
+		budget := 20.0
 		if workers > 1 {
 			budget += 8 * float64(workers)
 		}
@@ -262,12 +265,60 @@ func TestAllocsMaterialization(t *testing.T) {
 	for _, workers := range []int{1, core.DefaultAssemblyWorkers()} {
 		e.SetAssemblyWorkers(workers)
 		scan()
-		budget := 12.0 * cubes
+		budget := 7.0 * cubes
 		if workers > 1 {
-			budget = 15*cubes + 8*float64(workers)
+			budget = 10*cubes + 8*float64(workers)
 		}
 		if got := testing.AllocsPerRun(20, scan); got > budget {
 			t.Errorf("workers=%d: %d-cube materialization: %.0f allocs, budget %.0f", workers, cubes, got, budget)
 		}
+	}
+}
+
+// TestAllocsColdBatch: reading one cube level by level through a snapshot
+// when every atom misses the cache costs a handful of slices per level and
+// one image copy per atom — with the cache on, the entry that keeps the image
+// besides — and no Value: nothing is decoded on the way.
+func TestAllocsColdBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	e, cubes := sceneEngine(t, 4)
+	c := cubes[1]
+	levels := [][]addr.LogicalAddr{{c.Brep}, c.Faces, c.Edges, c.Points}
+	sys := e.System()
+	read := func() {
+		sn := sys.OpenSnapshot()
+		defer sn.Close()
+		for _, level := range levels {
+			recs, err := sn.GetBatch(level)
+			if err != nil || len(recs) != len(level) {
+				t.Fatalf("GetBatch: %d records, %v", len(recs), err)
+			}
+		}
+	}
+	const perLevel = 8 // the result, the miss positions, RIDs, stamps, ReadBatch's two slices, slack
+	sys.SetAtomCacheSize(-1)
+	got := testing.AllocsPerRun(100, read)
+	if budget := float64(brepgen.CubeAtoms + perLevel*len(levels)); got > budget {
+		t.Errorf("cache off: %.0f allocs for a cold cube, budget %.0f", got, budget)
+	}
+	// With the cache on, each run starts from an empty cache; the least of a
+	// few runs leaves out what the runtime allocated meanwhile.
+	least := uint64(1 << 62)
+	for run := 0; run < 5; run++ {
+		sys.SetAtomCacheSize(1024)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if st := sys.AtomCacheStats(); st.Atoms != brepgen.CubeAtoms {
+		t.Fatalf("%d atoms cached after a cold read of %d", st.Atoms, brepgen.CubeAtoms)
+	}
+	const mapGrowth = 16 // the shard maps of a fresh cache growing to hold the cube
+	if budget := uint64(2*brepgen.CubeAtoms + perLevel*len(levels) + mapGrowth); least > budget {
+		t.Errorf("cache on: %d allocs for a cold cube, budget %d", least, budget)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"prima/internal/workload/mapgen"
 )
 
-// TestDifferentialAtomCache runs a query corpus with the decoded-atom cache
+// TestDifferentialAtomCache runs a query corpus with the atom cache
 // enabled against the same corpus with the cache force-disabled and asserts
 // identical result sets — after a warm-up pass and a burst of DML, so the
 // comparison exercises invalidation, not just cold decodes.
@@ -183,7 +183,7 @@ func TestDMLPlanCache(t *testing.T) {
 	if len(r.Molecules) != 1 {
 		t.Fatalf("solid_no = 3: %d molecules", len(r.Molecules))
 	}
-	if v, _ := r.Molecules[0].Root.Atom.Value("description"); v.S != "cached" {
+	if v, _ := r.Molecules[0].Root.Value("description"); v.S != "cached" {
 		t.Fatalf("description = %v, want 'cached'", v)
 	}
 

@@ -367,7 +367,7 @@ func (r *cref) appendFrom(buf []atom.Value, ma *MAtom) []atom.Value {
 	if r.hasLevel && ma.Level != r.level {
 		return buf
 	}
-	v := ma.Atom.Values[r.attrIdx]
+	v := ma.Rec.Image.Attr(r.attrIdx)
 	for _, fi := range r.fields {
 		if v.K != atom.KindRecord || fi >= len(v.E) {
 			return buf

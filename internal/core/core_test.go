@@ -146,7 +146,7 @@ func TestTable21cHorizontalAccess(t *testing.T) {
 	}
 	// Projection: solid_no and description present, others NULL.
 	m := r.Molecules[0]
-	s := m.Root.Atom
+	s := m.Root
 	if v, _ := s.Value("solid_no"); v.IsNull() {
 		t.Fatal("projected attribute solid_no missing")
 	}
@@ -193,10 +193,10 @@ func TestTable21dBranchingQuantifierQualifiedProjection(t *testing.T) {
 	for _, ma := range m.AtomsOf("face") {
 		if !ma.Hidden {
 			kept++
-			if v, _ := ma.Atom.Value("square_dim"); v.IsNull() {
+			if v, _ := ma.Value("square_dim"); v.IsNull() {
 				t.Fatal("qualified projection lost square_dim")
 			}
-			if v, _ := ma.Atom.Value("border"); !v.IsNull() && v.Len() != 0 {
+			if v, _ := ma.Value("border"); !v.IsNull() && v.Len() != 0 {
 				t.Fatal("qualified projection kept unselected attribute")
 			}
 		}

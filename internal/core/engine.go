@@ -145,10 +145,10 @@ func (e *Engine) SetPlanCacheSize(n int) { e.plans.resize(n) }
 func (e *Engine) PlanCacheStats() (hits, misses uint64, size int) { return e.plans.stats() }
 
 // SetAtomCacheSize resizes (or, with n <= 0, disables) the access system's
-// decoded-atom cache.
+// atom cache.
 func (e *Engine) SetAtomCacheSize(n int) { e.sys.SetAtomCacheSize(n) }
 
-// AtomCacheStats reports the decoded-atom cache counters of the underlying
+// AtomCacheStats reports the atom cache counters of the underlying
 // access system.
 func (e *Engine) AtomCacheStats() access.AtomCacheStats { return e.sys.AtomCacheStats() }
 

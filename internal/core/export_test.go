@@ -28,18 +28,18 @@ type lossySource struct {
 	lost addr.LogicalAddr
 }
 
-func (s lossySource) get(a addr.LogicalAddr) (*access.Atom, error) {
+func (s lossySource) get(a addr.LogicalAddr) (access.Record, error) {
 	if a == s.lost {
-		return nil, fmt.Errorf("%w: %v", access.ErrNoAtom, a)
+		return access.Record{}, fmt.Errorf("%w: %v", access.ErrNoAtom, a)
 	}
 	return s.snapshotSource.get(a)
 }
 
-func (s lossySource) getBatch(as []addr.LogicalAddr) ([]*access.Atom, error) {
-	if slices.Contains(as, s.lost) {
-		return nil, fmt.Errorf("%w: %v", access.ErrNoAtom, s.lost)
+func (s lossySource) fill(recs []access.Record) error {
+	if slices.ContainsFunc(recs, func(r access.Record) bool { return r.Addr == s.lost }) {
+		return fmt.Errorf("%w: %v", access.ErrNoAtom, s.lost)
 	}
-	return s.snapshotSource.getBatch(as)
+	return s.snapshotSource.fill(recs)
 }
 
 // AssembleLosing builds the molecule rooted at root twice over a store that
@@ -52,7 +52,7 @@ func (p *Plan) AssembleLosing(root, lost addr.LogicalAddr) (m *Molecule, err, re
 	as := newAssembler(p, sn)
 	defer as.release()
 	as.src = src
-	m, err = as.build(root, nil)
+	m, err = as.build(root, access.Record{})
 	_, refErr = p.referenceAssemble(src, root)
 	return m, err, refErr
 }

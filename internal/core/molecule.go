@@ -28,22 +28,30 @@ type Molecule struct {
 }
 
 // MAtom is one atom inside a molecule, bound to the component (node) of the
-// molecule type it instantiates.
+// molecule type it instantiates. It holds the atom as the read path carries
+// it — type, address and record image, which the wire ships as it is — and
+// decodes on request: Value one attribute, Values the whole vector.
 type MAtom struct {
-	Atom  *access.Atom
+	Rec   access.Record
 	Node  *catalog.MolNode
 	Level int // recursion level (0 = root)
 	// Children holds the component atoms reached over each child edge of
 	// Node (parallel to Node.Children); recursive self-edges come last.
 	Children [][]*MAtom
-	// Projected marks atoms whose attributes were restricted by a
-	// projection; Hidden marks connector atoms retained only for molecule
-	// structure after projection.
+	// Hidden marks connector atoms retained only for molecule structure
+	// after projection.
 	Hidden bool
 }
 
 // Addr returns the atom's logical address.
-func (m *MAtom) Addr() addr.LogicalAddr { return m.Atom.Addr }
+func (m *MAtom) Addr() addr.LogicalAddr { return m.Rec.Addr }
+
+// Value decodes the named attribute (NULL when a projection dropped it).
+func (m *MAtom) Value(name string) (atom.Value, bool) { return m.Rec.Value(name) }
+
+// Values decodes the atom's attribute vector into Values the caller owns;
+// attributes a projection dropped are NULL.
+func (m *MAtom) Values() []atom.Value { return m.Rec.Image.Values() }
 
 // Size returns the number of atoms in the molecule.
 func (m *Molecule) Size() int {
@@ -84,19 +92,21 @@ func (m *Molecule) String() string {
 	var walk func(ma *MAtom, depth int)
 	walk = func(ma *MAtom, depth int) {
 		indent := strings.Repeat("  ", depth)
+		t := ma.Rec.Type
 		if onPath[ma] {
-			fmt.Fprintf(&sb, "%s%s %s (cycle)\n", indent, ma.Atom.Type.Name, ma.Atom.Addr)
+			fmt.Fprintf(&sb, "%s%s %s (cycle)\n", indent, t.Name, ma.Addr())
 			return
 		}
 		onPath[ma] = true
 		defer delete(onPath, ma)
 		if ma.Hidden {
-			fmt.Fprintf(&sb, "%s%s %s (connector)\n", indent, ma.Atom.Type.Name, ma.Atom.Addr)
+			fmt.Fprintf(&sb, "%s%s %s (connector)\n", indent, t.Name, ma.Addr())
 		} else {
-			fmt.Fprintf(&sb, "%s%s %s", indent, ma.Atom.Type.Name, ma.Atom.Addr)
+			fmt.Fprintf(&sb, "%s%s %s", indent, t.Name, ma.Addr())
 			var attrs []string
-			for i, attr := range ma.Atom.Type.Attrs {
-				v := ma.Atom.Values[i]
+			values := ma.Values()
+			for i, attr := range t.Attrs {
+				v := values[i]
 				if v.IsNull() || attr.Type.IsRef() || attr.Type.Kind == atom.KindIdent {
 					continue
 				}

@@ -76,7 +76,7 @@ func TestParallelCursorQualification(t *testing.T) {
 		t.Fatalf("got %d molecules, want 4", len(r.Molecules))
 	}
 	for i, m := range r.Molecules {
-		v, _ := m.Root.Atom.Value("brep_no")
+		v, _ := m.Root.Value("brep_no")
 		if want := int64(i + 4); v.I != want {
 			t.Fatalf("molecule %d: brep_no = %d, want %d (order)", i, v.I, want)
 		}

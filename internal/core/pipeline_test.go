@@ -216,7 +216,7 @@ func wireBytes(t *testing.T, mols []*core.Molecule) []byte {
 // computes from the unrestricted molecule set — the same rendered trees and
 // byte-identical wire frames from the one-pass assembler and the reference
 // assembler — under serial and default assembly parallelism, with the
-// decoded-atom cache on and off.
+// atom cache on and off.
 func checkAgainstReference(t *testing.T, e *core.Engine, corpus []string) {
 	t.Helper()
 	defer e.SetAssemblyWorkers(e.AssemblyWorkers())

@@ -82,7 +82,7 @@ type projection struct {
 type typeProjection struct {
 	whole   bool
 	attrs   []string              // projected attributes (when !whole)
-	attrIdx []int                 // their indices in the atom type, parallel to attrs
+	keep    []bool                // by attribute index: projected, or the identifier (always kept)
 	whereC  *compiledPred         // qualified projection predicate (may be nil)
 	subType *catalog.MoleculeType // single-type pseudo molecule for whereC
 }
@@ -235,7 +235,11 @@ func (e *Engine) addProjectedAttr(tp *typeProjection, typeName, attr string) err
 	if !ok {
 		return fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, typeName, attr)
 	}
-	tp.attrs, tp.attrIdx = append(tp.attrs, attr), append(tp.attrIdx, i)
+	if tp.keep == nil {
+		tp.keep = make([]bool, len(t.Attrs))
+		tp.keep[t.IdentIndex()] = true
+	}
+	tp.attrs, tp.keep[i] = append(tp.attrs, attr), true
 	return nil
 }
 

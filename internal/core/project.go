@@ -5,15 +5,17 @@ import "prima/internal/access/atom"
 // applyProjection rewrites the molecule in place according to the compiled
 // projection: qualified-projection predicates filter component atoms,
 // attribute lists restrict values, unmentioned types become hidden
-// connectors (kept only where needed for molecule structure).
+// connectors (kept only where needed for molecule structure). An atom whose
+// attributes are restricted gets a projected image — the dropped attributes
+// NULL — cut from an arena the molecule's projected images share.
 func (e *Engine) applyProjection(p *projection, m *Molecule) error {
 	if p == nil || p.all {
 		return nil
 	}
+	var arena []byte
 	for o, typeName := range m.Type.AtomTypes() {
 		atoms := m.ByType[o]
 		tp := p.perType[typeName]
-		t, _ := e.sys.Schema().AtomType(typeName)
 		// Qualified-projection predicates evaluate against one reusable
 		// single-atom pseudo molecule instead of building one per component
 		// atom.
@@ -38,16 +40,13 @@ func (e *Engine) applyProjection(p *projection, m *Molecule) error {
 					continue
 				}
 			}
-			if !tp.whole && tp.attrs != nil {
-				// Project the attribute vector (identifier always kept).
-				nv := make([]atom.Value, len(ma.Atom.Values))
-				nv[t.IdentIndex()] = ma.Atom.Values[t.IdentIndex()]
-				for _, i := range tp.attrIdx {
-					nv[i] = ma.Atom.Values[i]
+			if !tp.whole && tp.keep != nil {
+				// A projected image is never longer than its source. A full
+				// arena is replaced, not grown: the images cut from it stay.
+				if need := len(ma.Rec.Image.Bytes()); cap(arena)-len(arena) < need {
+					arena = make([]byte, 0, max(need, 2048))
 				}
-				projected := *ma.Atom
-				projected.Values = nv
-				ma.Atom = &projected
+				arena, ma.Rec.Image = atom.AppendProjected(arena, ma.Rec.Image, tp.keep)
 			}
 		}
 	}

@@ -24,7 +24,10 @@ import (
 //
 // The molecules themselves come from the reference assembler below, the
 // recursive builder that predated the one-pass assembler: one atom read per
-// address, a map per molecule, a slice per reference attribute.
+// address, decoded in full, a map per molecule, a slice per reference
+// attribute. It follows the references of the decoded values and projects by
+// re-encoding the projected vector, where the engine reads and cuts the
+// record image.
 
 // referenceAssemble builds the molecule rooted at root the way §3.1 words it:
 // read the root, follow each association of the molecule type to the
@@ -47,7 +50,8 @@ func (p *Plan) referenceAssemble(src atomSource, root addr.LogicalAddr) (*Molecu
 			return nil, err
 		}
 		ord, _ := p.Mol.TypeOrdinal(at.Type.Name)
-		ma := &MAtom{Atom: at, Node: node, Level: level}
+		ma := &MAtom{Rec: at, Node: node, Level: level}
+		values := ma.Values()
 		atoms[a] = ma
 		m.ByType[ord] = append(m.ByType[ord], ma)
 
@@ -67,7 +71,7 @@ func (p *Plan) referenceAssemble(src atomSource, root addr.LogicalAddr) (*Molecu
 			if child.Recursive || child == node {
 				next++
 			}
-			for target := range at.Values[idx].AllRefs() {
+			for target := range values[idx].AllRefs() {
 				c, err := build(child, target, next)
 				if err != nil {
 					return nil, err
@@ -177,13 +181,13 @@ func (e *Engine) referenceProject(proj *projection, subWhere map[string]mql.Expr
 			if tp.whole || tp.attrs == nil {
 				continue
 			}
-			projected := *ma.Atom
-			projected.Values = make([]atom.Value, len(ma.Atom.Values))
+			values := ma.Values()
+			projected := make([]atom.Value, len(values))
 			for _, a := range append([]string{t.Attrs[t.IdentIndex()].Name}, tp.attrs...) {
 				i, _ := t.AttrIndex(a)
-				projected.Values[i] = ma.Atom.Values[i]
+				projected[i] = values[i]
 			}
-			ma.Atom = &projected
+			ma.Rec.Image = atom.ImageOf(projected)
 		}
 	}
 	return nil
@@ -375,7 +379,7 @@ func (e *Engine) refValues(ref *mql.AttrRef, m *Molecule, bound map[string]*MAto
 		if tgt.hasLevel && ma.Level != tgt.level {
 			continue
 		}
-		v := ma.Atom.Values[idx]
+		v := ma.Values()[idx]
 		// Navigate RECORD field path.
 		spec := t.Attrs[idx].Type
 		okPath := true
@@ -405,7 +409,7 @@ func (e *Engine) refValues(ref *mql.AttrRef, m *Molecule, bound map[string]*MAto
 // one component atom.
 func (e *Engine) evalComponentPredicate(x mql.Expr, ma *MAtom) (bool, error) {
 	pseudo := &Molecule{
-		Type:   &catalog.MoleculeType{Root: &catalog.MolNode{AtomType: ma.Atom.Type.Name}},
+		Type:   &catalog.MoleculeType{Root: &catalog.MolNode{AtomType: ma.Rec.Type.Name}},
 		ByType: [][]*MAtom{{ma}},
 		Root:   ma,
 	}

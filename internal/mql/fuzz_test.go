@@ -2,9 +2,15 @@ package mql
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
+
+// overlongStatement is one statement of just over maxStatementTokens tokens.
+func overlongStatement() string {
+	return "SELECT ALL FROM x WHERE " + strings.Repeat("a=1 AND ", maxStatementTokens/4) + "a=1"
+}
 
 // FuzzParse feeds arbitrary bytes to the parser: MQL text arrives from wire
 // clients, so Parse must return statements or an ErrSyntax error — never
@@ -14,10 +20,13 @@ import (
 // testdata/fuzz/FuzzParse holds the Fig. 2.3 DDL, the Table 2.1 queries, the
 // DML and LDL statements of mql_test.go, and hostile inputs — among them the
 // deep nestings that overflowed the stack before the parser bounded its
-// recursion (maxNesting); CI runs the target for 20 s:
+// recursion (maxNesting); a statement just over the token budget
+// (maxStatementTokens) is seeded below, being too long for a file; CI runs
+// the target for 20 s:
 //
 //	go test ./internal/mql -run '^$' -fuzz FuzzParse -fuzztime 20s
 func FuzzParse(f *testing.F) {
+	f.Add([]byte(overlongStatement()))
 	f.Fuzz(func(t *testing.T, src []byte) {
 		start := time.Now()
 		stmts, err := Parse(string(src))

@@ -272,18 +272,37 @@ func (l *lexer) lexNumber() (token, error) {
 	return t, nil
 }
 
-// lexAll tokenizes the whole input (parser convenience).
+// maxStatementTokens bounds the length of one statement of a script, in
+// tokens. Statements arrive from wire clients: a 16 MiB `a = 1 AND a = 1 AND
+// ...` would otherwise be lexed, parsed and walked by every later pass for
+// seconds before anything could refuse it. The unit is tokens, not bytes, so
+// a statement carrying a large CHAR_VAR literal is not affected; what the
+// workstation clients and load generators send stays four orders of
+// magnitude below it.
+const maxStatementTokens = 1 << 18
+
+// lexAll tokenizes the whole input (parser convenience), refusing a
+// statement of more than maxStatementTokens tokens as soon as it has seen
+// that many.
 func lexAll(src string) ([]token, error) {
 	l := newLexer(src)
 	var out []token
+	inStatement := 0
 	for {
 		t, err := l.next()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, t)
-		if t.kind == tokEOF {
+		switch t.kind {
+		case tokEOF:
 			return out, nil
+		case tokSemi:
+			inStatement = 0
+		default:
+			if inStatement++; inStatement > maxStatementTokens {
+				return nil, fmt.Errorf("%w: line %d col %d: statement longer than %d tokens", ErrSyntax, t.line, t.col, maxStatementTokens)
+			}
 		}
 	}
 }

@@ -2,8 +2,10 @@ package mql
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"prima/internal/access/atom"
 	"prima/internal/catalog"
@@ -457,5 +459,48 @@ func TestRoundTripLongScript(t *testing.T) {
 	}
 	if len(stmts) != 14 {
 		t.Fatalf("parsed %d statements, want 14", len(stmts))
+	}
+}
+
+// TestStatementTokenBudget: a statement over the budget is refused while it
+// is still being lexed, with an error that names the limit; a script of many
+// statements and a statement with a huge literal are not; and the longest
+// statements the benchmark and the load generator send — bench/spec.go's
+// point and bulk checkouts, the MODIFY a wire client stages per face at
+// checkin, internal/load's four shapes, each with the widest numbers they can
+// carry — stay far below it.
+func TestStatementTokenBudget(t *testing.T) {
+	start := time.Now()
+	_, err := Parse(overlongStatement())
+	if !errors.Is(err, ErrSyntax) || !strings.Contains(err.Error(), fmt.Sprintf("longer than %d tokens", maxStatementTokens)) {
+		t.Fatalf("overlong statement: %v", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("refusing the overlong statement took %v", d)
+	}
+	if _, err := Parse(strings.Repeat("SELECT ALL FROM x WHERE a = 1;\n", maxStatementTokens/4)); err != nil {
+		t.Fatalf("a script of many short statements: %v", err)
+	}
+	if _, err := Parse("INSERT INTO x (s) VALUES ('" + strings.Repeat("b", 4*maxStatementTokens) + "')"); err != nil {
+		t.Fatalf("a statement with one long literal: %v", err)
+	}
+	for _, stmt := range []string{
+		"SELECT ALL FROM brep-face-edge-point WHERE brep_no = 9223372036854775807",
+		"SELECT ALL FROM brep-face-edge-point",
+		"MODIFY face SET square_dim = 1.7976931348623157e+308 WHERE face_id = @65535.140737488355327",
+		"INSERT INTO part (serial, grade) VALUES (9223372036854775807, 0)",
+		"SELECT ALL FROM part WHERE serial = 9223372036854775807",
+		"SELECT ALL FROM part WHERE serial >= 9223372036854775807 AND serial < 9223372036854775807",
+	} {
+		toks, err := lexAll(stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		if _, err := Parse(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		if len(toks) > maxStatementTokens/1000 {
+			t.Errorf("%s: %d tokens, within 1000x of the budget %d", stmt, len(toks), maxStatementTokens)
+		}
 	}
 }

@@ -266,7 +266,7 @@ func (p *Pool) Resident() int {
 }
 
 // Pinned returns the number of currently pinned frames — the pin-accounting
-// probe behind the decoded-atom cache tests: a cache hit must leave the pool
+// probe behind the atom cache tests: a cache hit must leave the pool
 // untouched, so reads served above the buffer neither fix pages nor show up
 // here.
 func (p *Pool) Pinned() int {

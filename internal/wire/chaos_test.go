@@ -216,7 +216,7 @@ func TestChaosMixedTrafficUnderFaults(t *testing.T) {
 		}
 		desc := ""
 		for _, ma := range r.Molecules[0].AtomsOf("solid") {
-			desc = ma.Atom.Values[2].S // description is attr index 2
+			desc = ma.Values()[2].S // description is attr index 2
 		}
 		var gotID, gotRev int
 		if _, err := fmt.Sscanf(desc, "c%dr%d", &gotID, &gotRev); err != nil {

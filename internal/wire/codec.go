@@ -42,10 +42,12 @@ import (
 // and the attribute of kind IDENTIFIER is the type's identifier. Entry 2 is
 // a molecule, entry 3 the lone atom of a getatom response. image is the
 // record image atom.AppendAtom writes, self-delimiting, with one value per
-// dictionary attribute. Entry 4 is the opaque JSON body of the diagnostic
-// ops (stats, slow) and ends the frame. A checkout stream ends with the
-// first frame whose more flag is unset: the terminal frame, which carries
-// the total count or the error that cut the stream short.
+// dictionary attribute: the bytes the access system stores and caches,
+// appended as they are (a projection's dropped attributes are NULL). Entry 4
+// is the opaque JSON body of the diagnostic ops (stats, slow) and ends the
+// frame. A checkout stream ends with the first frame whose more flag is
+// unset: the terminal frame, which carries the total count or the error that
+// cut the stream short.
 
 // maxFrame bounds a frame body (16 MiB).
 const maxFrame = 16 << 20
@@ -232,7 +234,7 @@ type reply struct {
 	Epoch                   uint64
 	Inserted                []addr.LogicalAddr
 	Molecules               []*core.Molecule
-	Atom                    *access.Atom
+	Atom                    access.Record // the zero record: none
 	Diag                    *diagPayload
 }
 
@@ -292,7 +294,7 @@ func (e *encoder) response(r *reply) ([]byte, error) {
 	for _, mol := range r.Molecules {
 		e.molecule(mol)
 	}
-	if r.Atom != nil {
+	if r.Atom.Type != nil {
 		ord := e.ordinal(r.Atom.Type)
 		e.buf = append(e.buf, entryAtom)
 		e.atom(r.Atom, ord)
@@ -413,8 +415,8 @@ func (e *encoder) molecule(m *core.Molecule) {
 				continue
 			}
 			n++
-			if ma.Atom.Type != t {
-				t = ma.Atom.Type
+			if ma.Rec.Type != t {
+				t = ma.Rec.Type
 				e.ordinal(t)
 			}
 		}
@@ -429,19 +431,19 @@ func (e *encoder) molecule(m *core.Molecule) {
 			if ma.Hidden {
 				continue
 			}
-			if ma.Atom.Type != t {
-				t = ma.Atom.Type
+			if ma.Rec.Type != t {
+				t = ma.Rec.Type
 				ord = e.types[t]
 			}
-			e.atom(ma.Atom, ord)
+			e.atom(ma.Rec, ord)
 		}
 	}
 }
 
-func (e *encoder) atom(at *access.Atom, ord uint64) {
+func (e *encoder) atom(rec access.Record, ord uint64) {
 	b := binary.AppendUvarint(e.buf, ord)
-	b = appendAddr(b, uint64(at.Addr))
-	e.buf = atom.AppendAtom(b, at.Values)
+	b = appendAddr(b, uint64(rec.Addr))
+	e.buf = append(b, rec.Image.Bytes()...)
 }
 
 // wireType is one dictionary entry as the client keeps it.

@@ -34,7 +34,7 @@ func refMolecules(mols []*core.Molecule) []MoleculeJSON {
 				if ma.Hidden {
 					continue
 				}
-				mj.Atoms = append(mj.Atoms, refAtom(ma.Atom))
+				mj.Atoms = append(mj.Atoms, refAtom(ma.Rec.Decode()))
 			}
 		}
 		out = append(out, mj)
@@ -328,7 +328,7 @@ func TestClientMatchesReference(t *testing.T) {
 		sameMolecules(t, "exec "+q, resp.Molecules, want)
 	}
 
-	face := mustSelect(t, db, `SELECT ALL FROM face`)[0].Root.Atom
+	face := mustSelect(t, db, `SELECT ALL FROM face`)[0].Root.Rec.Decode()
 	got, err := c.FetchAtom(uint64(face.Addr))
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +368,7 @@ func TestStageModifyUsesDictionaryIdentifier(t *testing.T) {
 	if err != nil || resp.Count != 1 {
 		t.Fatalf("Checkin: %+v, %v", resp, err)
 	}
-	if got := mustSelect(t, db, `SELECT ALL FROM part WHERE n = 0`)[0].Root.Atom.Values[4].S; got != "renamed" {
+	if got := mustSelect(t, db, `SELECT ALL FROM part WHERE n = 0`)[0].Root.Values()[4].S; got != "renamed" {
 		t.Fatalf("server holds name %q after checkin", got)
 	}
 }

@@ -54,7 +54,7 @@ func realResponseFrames(t testing.TB) [][]byte {
 	// alone it is a frame with unknown type ordinals.
 	add(stream, &reply{OK: true, Count: 2, Epoch: 7, TraceID: "1a2b-3", Molecules: cube})
 	add(new(encoder), &reply{OK: true, Count: 9, Molecules: mustSelect(t, kinds, `SELECT ALL FROM owner-part`)})
-	add(new(encoder), &reply{OK: true, Atom: cube[0].Root.Atom})
+	add(new(encoder), &reply{OK: true, Atom: cube[0].Root.Rec})
 	add(new(encoder), &reply{OK: true, Count: 2, Inserted: []addr.LogicalAddr{addr.New(1, 1), addr.New(65535, 1<<47)}})
 	add(new(encoder), &reply{OK: true, Message: "pong"})
 	add(new(encoder), &reply{Error: "shed: 4 requests in flight", Retryable: true})

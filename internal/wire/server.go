@@ -673,11 +673,13 @@ func (s *Server) dispatch(req *Request, tr *obs.Trace) *reply {
 		}
 		return resp
 	case OpGetAtom:
-		at, err := s.db.System().Get(addr.LogicalAddr(req.Addr), nil)
+		sn := s.db.System().OpenSnapshot()
+		rec, err := sn.Get(addr.LogicalAddr(req.Addr))
+		sn.Close()
 		if err != nil {
 			return &reply{Error: err.Error()}
 		}
-		return &reply{OK: true, Atom: at}
+		return &reply{OK: true, Atom: rec}
 	case OpStats:
 		// Message is the one-line summary, which also says when WAL
 		// checkpoints are failing and why: the one fact no metric carries.

@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// TestStatsOp exercises the stats op end to end: the decoded-atom cache is
+// TestStatsOp exercises the stats op end to end: the atom cache is
 // visible over the wire, and a repeated checkout shows up as cache hits.
 func TestStatsOp(t *testing.T) {
 	_, srv := startServer(t)

@@ -73,13 +73,15 @@ type Config struct {
 	// plans, keyed by statement text and schema version (0 keeps the
 	// default of core.DefaultPlanCacheSize; negative disables plan caching).
 	PlanCacheSize int
-	// AtomCacheSize is the atom budget of the decoded-atom cache between
-	// the page buffer and molecule assembly: repeated checkouts of the same
-	// design objects are served from decoded memory without page fixes or
-	// codec runs. The budget is charged by each atom's decoded byte
-	// footprint, so wide CAD atoms displace proportionally more narrow ones.
-	// 0 keeps the default (access.DefaultAtomCacheAtoms); negative disables
-	// the cache. Size it to the hot working set's atom count.
+	// AtomCacheSize is the atom budget of the atom cache between the page
+	// buffer and molecule assembly: repeated checkouts of the same design
+	// objects are served from cached record images — the bytes assembly
+	// reads references from and the wire ships — without directory probes,
+	// page fixes or record copies. Each configured atom buys 256 bytes; an
+	// entry is charged its image length plus a fixed 96 bytes, so wide CAD
+	// atoms displace proportionally more narrow ones. 0 keeps the default
+	// (access.DefaultAtomCacheAtoms, 2 MiB); negative disables the cache.
+	// Size it to the hot working set's atom count.
 	AtomCacheSize int
 	// WAL enables the write-ahead log: DML is logged before it touches
 	// pages, Tx.Commit blocks until the commit record is on stable storage
