@@ -13,10 +13,12 @@ import (
 	"time"
 
 	"prima/internal/access"
+	"prima/internal/access/addr"
 	"prima/internal/access/atom"
 	"prima/internal/access/mdindex"
 	"prima/internal/baseline"
 	"prima/internal/catalog"
+	"prima/internal/storage/segment"
 	"prima/internal/workload/brepgen"
 	"prima/internal/workload/mapgen"
 	"prima/internal/workload/vlsigen"
@@ -24,17 +26,7 @@ import (
 
 func benchScene(b *testing.B, n int, ldl string) *DB {
 	b.Helper()
-	db, err := Open(Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { db.Close() })
-	if _, err := db.Exec(brepgen.SchemaDDL); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := brepgen.BuildScene(db.Engine(), n); err != nil {
-		b.Fatal(err)
-	}
+	db, _ := benchSceneConfig(b, Config{}, n)
 	if ldl != "" {
 		if _, err := db.Exec(ldl); err != nil {
 			b.Fatal(err)
@@ -42,6 +34,118 @@ func benchScene(b *testing.B, n int, ldl string) *DB {
 	}
 	return db
 }
+
+// benchSceneConfig opens a database under cfg and builds n cubes in it.
+func benchSceneConfig(b *testing.B, cfg Config, n int) (*DB, []*brepgen.Cube) {
+	b.Helper()
+	db, err := Open(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	if _, err := db.Exec(brepgen.SchemaDDL); err != nil {
+		b.Fatal(err)
+	}
+	cubes, err := brepgen.BuildScene(db.Engine(), n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return db, cubes
+}
+
+// coldScene is the scene of the storage-side benchmarks: 64 cubes under the
+// smallest buffer the configuration admits, one stripe of eight 8 KiB frames,
+// a small fraction of the pages the scene's atoms lie on.
+func coldScene(b *testing.B) (*DB, []*brepgen.Cube) {
+	return benchSceneConfig(b, Config{BufferBytes: 64 << 10}, 64)
+}
+
+// benchBufferFix fixes and releases the pages a checkout of the cold scene
+// reads, round and round. With miss set that is every data page of the scene
+// in turn, which under LRU never finds one resident; without, one page.
+func benchBufferFix(b *testing.B, miss bool) {
+	db, cubes := coldScene(b)
+	sys := db.System()
+	var pages []segment.PageID
+	seen := map[segment.PageID]bool{}
+	for _, c := range cubes {
+		for _, level := range [][]addr.LogicalAddr{{c.Brep}, c.Faces, c.Edges, c.Points} {
+			for _, a := range level {
+				ref, ok := sys.Directory().LookupStruct(a, 0)
+				seg, found := sys.PrimarySegment(a.Type())
+				if !ok || !found {
+					b.Fatalf("atom %v has no primary record", a)
+				}
+				if pid := (segment.PageID{Seg: seg, No: ref.Where.Page}); !seen[pid] {
+					seen[pid] = true
+					pages = append(pages, pid)
+				}
+			}
+		}
+	}
+	if !miss {
+		pages = pages[:1]
+	}
+	pool := sys.Pool()
+	for _, pid := range pages { // fill the pool; the one page of a hit run stays
+		h, err := pool.Fix(pid)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Release()
+	}
+	before := pool.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := pool.Fix(pages[i%len(pages)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Release()
+	}
+	b.StopTimer()
+	st := pool.Stats()
+	if misses := st.Misses - before.Misses; misses != 0 && !miss || misses != int64(b.N) && miss {
+		b.Fatalf("%d misses over %d fixes of %d pages", misses, b.N, len(pages))
+	}
+	if st.FrameAllocs != before.FrameAllocs {
+		b.Fatalf("a full pool allocated %d frames", st.FrameAllocs-before.FrameAllocs)
+	}
+}
+
+// BenchmarkBufferFix measures the storage system's one read-side call: a
+// fix that finds its page resident, and one that evicts a page, recycles its
+// frame and reads the device.
+func BenchmarkBufferFix(b *testing.B) {
+	b.Run("hit", func(b *testing.B) { benchBufferFix(b, false) })
+	b.Run("miss", func(b *testing.B) { benchBufferFix(b, true) })
+}
+
+// benchGetBatchCold reads one cube of the cold scene per iteration, level by
+// level through a snapshot with the atom cache off: directory lookup, batched
+// record read, page fixes that mostly miss, one image copy per atom.
+func benchGetBatchCold(b *testing.B) {
+	db, cubes := coldScene(b)
+	sys := db.System()
+	sys.SetAtomCacheSize(-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := cubes[i%len(cubes)]
+		sn := sys.OpenSnapshot()
+		for _, level := range [][]addr.LogicalAddr{{c.Brep}, c.Faces, c.Edges, c.Points} {
+			if recs, err := sn.GetBatch(level); err != nil || len(recs) != len(level) {
+				b.Fatalf("GetBatch: %d records, %v", len(recs), err)
+			}
+		}
+		sn.Close()
+	}
+}
+
+// BenchmarkGetBatchCold measures the access system's batched read below both
+// caches — the unit of work of a checkout over a design larger than memory.
+func BenchmarkGetBatchCold(b *testing.B) { benchGetBatchCold(b) }
 
 // BenchmarkFig21_Modeling measures record counts of the three modeling
 // approaches (the benchmark reports records-per-object as metrics).

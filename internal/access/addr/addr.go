@@ -20,7 +20,7 @@ package addr
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -112,38 +112,135 @@ var (
 	ErrDupStruct   = errors.New("addr: structure already holds a record for this atom")
 )
 
-// entry is the directory's per-atom record list.
-type entry struct {
-	refs []RecordRef
+// slotsPerPage is the number of sequence numbers one table page covers.
+const slotsPerPage = 512
+
+// slot is one atom's place in its type's table. The first record reference
+// lives in the slot itself; an atom with more than one — a type with sort
+// orders, partitions or clusters — keeps the rest in perType.more. A slot
+// holds no pointer: the collector never looks inside a table page.
+type slot struct {
+	first RecordRef
+	live  bool // the address is handed out and not released
+	has   bool // first is set
 }
 
-// perType holds all entries of one atom type plus scan bookkeeping.
+// perType is the table of one atom type: sequence numbers are handed out
+// densely from 1, so slot seq sits at pages[seq/slotsPerPage][seq%slotsPerPage]
+// and table order is system-defined order.
 type perType struct {
-	entries map[uint64]*entry
-	order   []uint64 // seq numbers, lazily sorted for system-defined scans
-	sorted  bool
+	pages   []*[slotsPerPage]slot
+	more    map[uint64][]RecordRef // references beyond the first, by sequence number
+	count   int                    // live slots
 	nextSeq uint64
 }
 
+// at returns the slot of seq, nil if the table has no page for it yet.
+func (p *perType) at(seq uint64) *slot {
+	if pg := seq / slotsPerPage; pg < uint64(len(p.pages)) && p.pages[pg] != nil {
+		return &p.pages[pg][seq%slotsPerPage]
+	}
+	return nil
+}
+
+// grow returns the slot of seq, adding table pages as needed.
+func (p *perType) grow(seq uint64) *slot {
+	pg := seq / slotsPerPage
+	for uint64(len(p.pages)) <= pg {
+		p.pages = append(p.pages, nil)
+	}
+	if p.pages[pg] == nil {
+		p.pages[pg] = new([slotsPerPage]slot)
+	}
+	return &p.pages[pg][seq%slotsPerPage]
+}
+
+// end returns the sequence number scans stop before: the next one to be
+// handed out, or where the table ends if that comes first.
+func (p *perType) end() uint64 {
+	return min(p.nextSeq, uint64(len(p.pages))*slotsPerPage)
+}
+
+// appendRefs appends the record references of sl, the slot of seq, to dst.
+func (p *perType) appendRefs(dst []RecordRef, seq uint64, sl *slot) []RecordRef {
+	if sl.has {
+		dst = append(dst, sl.first)
+	}
+	return append(dst, p.more[seq]...)
+}
+
+// setRefs makes refs, which it keeps, the reference list of sl.
+func (p *perType) setRefs(seq uint64, sl *slot, refs []RecordRef) {
+	if sl.has = len(refs) > 0; sl.has {
+		sl.first = refs[0]
+	}
+	if len(refs) > 1 {
+		p.more[seq] = refs[1:]
+	} else {
+		delete(p.more, seq)
+	}
+}
+
+// find returns the reference of sl, the slot of seq, that structure s owns.
+func (p *perType) find(seq uint64, sl *slot, s StructID) *RecordRef {
+	if sl.has && sl.first.Struct == s {
+		return &sl.first
+	}
+	rest := p.more[seq]
+	for i := range rest {
+		if rest[i].Struct == s {
+			return &rest[i]
+		}
+	}
+	return nil
+}
+
 // Directory is the addressing structure: logical address → physical record
-// references. It is safe for concurrent use.
+// references, one dense table per atom type. It is safe for concurrent use.
 type Directory struct {
 	mu    sync.RWMutex
-	types map[TypeID]*perType
+	types []*perType // by TypeID; nil for a type no address was ever asked for
 }
 
 // NewDirectory creates an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{types: make(map[TypeID]*perType)}
+func NewDirectory() *Directory { return &Directory{} }
+
+// typ returns t's table, nil if there is none.
+func (d *Directory) typ(t TypeID) *perType {
+	if int(t) < len(d.types) {
+		return d.types[t]
+	}
+	return nil
 }
 
+// pt returns t's table, creating it if there is none.
 func (d *Directory) pt(t TypeID) *perType {
-	p, ok := d.types[t]
-	if !ok {
-		p = &perType{entries: make(map[uint64]*entry), sorted: true, nextSeq: 1}
-		d.types[t] = p
+	for int(t) >= len(d.types) {
+		d.types = append(d.types, nil)
 	}
-	return p
+	if d.types[t] == nil {
+		d.types[t] = &perType{nextSeq: 1, more: map[uint64][]RecordRef{}}
+	}
+	return d.types[t]
+}
+
+// live returns a's table and slot, nils if a is not a live address.
+func (d *Directory) live(a LogicalAddr) (*perType, *slot) {
+	if p := d.typ(a.Type()); p != nil {
+		if sl := p.at(a.Seq()); sl != nil && sl.live {
+			return p, sl
+		}
+	}
+	return nil, nil
+}
+
+// lookupLocked is live with ErrUnknownAddr for an address that is not.
+func (d *Directory) lookupLocked(a LogicalAddr) (*perType, *slot, error) {
+	p, sl := d.live(a)
+	if sl == nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrUnknownAddr, a)
+	}
+	return p, sl, nil
 }
 
 // NewAddr allocates a fresh logical address for an atom of type t and
@@ -154,9 +251,8 @@ func (d *Directory) NewAddr(t TypeID) LogicalAddr {
 	p := d.pt(t)
 	seq := p.nextSeq
 	p.nextSeq++
-	p.entries[seq] = &entry{}
-	p.order = append(p.order, seq)
-	// Appending in ascending seq order keeps the slice sorted.
+	p.grow(seq).live = true
+	p.count++
 	return New(t, seq)
 }
 
@@ -164,12 +260,8 @@ func (d *Directory) NewAddr(t TypeID) LogicalAddr {
 func (d *Directory) Exists(a LogicalAddr) bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	p, ok := d.types[a.Type()]
-	if !ok {
-		return false
-	}
-	_, ok = p.entries[a.Seq()]
-	return ok
+	_, sl := d.live(a)
+	return sl != nil
 }
 
 // Register adds a record reference to a's list. Each storage structure may
@@ -177,16 +269,18 @@ func (d *Directory) Exists(a LogicalAddr) bool {
 func (d *Directory) Register(a LogicalAddr, ref RecordRef) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, err := d.lookupLocked(a)
+	p, sl, err := d.lookupLocked(a)
 	if err != nil {
 		return err
 	}
-	for _, r := range e.refs {
-		if r.Struct == ref.Struct {
-			return fmt.Errorf("%w: %v struct %d", ErrDupStruct, a, ref.Struct)
-		}
+	if p.find(a.Seq(), sl, ref.Struct) != nil {
+		return fmt.Errorf("%w: %v struct %d", ErrDupStruct, a, ref.Struct)
 	}
-	e.refs = append(e.refs, ref)
+	if !sl.has { // the common case: the primary record, no list to build
+		sl.first, sl.has = ref, true
+		return nil
+	}
+	p.setRefs(a.Seq(), sl, append(p.appendRefs(nil, a.Seq(), sl), ref))
 	return nil
 }
 
@@ -195,52 +289,39 @@ func (d *Directory) Register(a LogicalAddr, ref RecordRef) error {
 func (d *Directory) Unregister(a LogicalAddr, s StructID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, err := d.lookupLocked(a)
+	p, sl, err := d.lookupLocked(a)
 	if err != nil {
 		return err
 	}
-	for i, r := range e.refs {
-		if r.Struct == s {
-			e.refs = append(e.refs[:i], e.refs[i+1:]...)
-			return nil
-		}
-	}
+	refs := slices.DeleteFunc(p.appendRefs(nil, a.Seq(), sl), func(r RecordRef) bool { return r.Struct == s })
+	p.setRefs(a.Seq(), sl, refs)
 	return nil
 }
 
 // Update replaces the RID of the given structure's record (e.g. after the
 // record moved to another page).
 func (d *Directory) Update(a LogicalAddr, s StructID, where RID) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, err := d.lookupLocked(a)
-	if err != nil {
-		return err
-	}
-	for i := range e.refs {
-		if e.refs[i].Struct == s {
-			e.refs[i].Where = where
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %v has no record in struct %d", ErrUnknownAddr, a, s)
+	return d.modify(a, s, func(r *RecordRef) { r.Where = where })
 }
 
 // SetValid flips the validity bit of the given structure's record.
 func (d *Directory) SetValid(a LogicalAddr, s StructID, valid bool) error {
+	return d.modify(a, s, func(r *RecordRef) { r.Valid = valid })
+}
+
+func (d *Directory) modify(a LogicalAddr, s StructID, change func(*RecordRef)) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, err := d.lookupLocked(a)
+	p, sl, err := d.lookupLocked(a)
 	if err != nil {
 		return err
 	}
-	for i := range e.refs {
-		if e.refs[i].Struct == s {
-			e.refs[i].Valid = valid
-			return nil
-		}
+	r := p.find(a.Seq(), sl, s)
+	if r == nil {
+		return fmt.Errorf("%w: %v has no record in struct %d", ErrUnknownAddr, a, s)
 	}
-	return fmt.Errorf("%w: %v has no record in struct %d", ErrUnknownAddr, a, s)
+	change(r)
+	return nil
 }
 
 // InvalidateOthers clears the validity bit of every record of a except the
@@ -249,16 +330,22 @@ func (d *Directory) SetValid(a LogicalAddr, s StructID, valid bool) error {
 func (d *Directory) InvalidateOthers(a LogicalAddr, keep StructID) ([]RecordRef, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, err := d.lookupLocked(a)
+	p, sl, err := d.lookupLocked(a)
 	if err != nil {
 		return nil, err
 	}
 	var stale []RecordRef
-	for i := range e.refs {
-		if e.refs[i].Struct != keep && e.refs[i].Valid {
-			e.refs[i].Valid = false
-			stale = append(stale, e.refs[i])
+	invalidate := func(r *RecordRef) {
+		if r.Struct != keep && r.Valid {
+			r.Valid = false
+			stale = append(stale, *r)
 		}
+	}
+	if sl.has {
+		invalidate(&sl.first)
+	}
+	for i := range p.more[a.Seq()] {
+		invalidate(&p.more[a.Seq()][i])
 	}
 	return stale, nil
 }
@@ -267,41 +354,23 @@ func (d *Directory) InvalidateOthers(a LogicalAddr, keep StructID) ([]RecordRef,
 func (d *Directory) Lookup(a LogicalAddr) ([]RecordRef, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	e, err := d.lookupLocked(a)
+	p, sl, err := d.lookupLocked(a)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]RecordRef, len(e.refs))
-	copy(out, e.refs)
-	return out, nil
+	return p.appendRefs([]RecordRef{}, a.Seq(), sl), nil
 }
 
 // LookupStruct returns the record reference owned by structure s, if any.
 func (d *Directory) LookupStruct(a LogicalAddr, s StructID) (RecordRef, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	e, err := d.lookupLocked(a)
-	if err != nil {
-		return RecordRef{}, false
-	}
-	for _, r := range e.refs {
-		if r.Struct == s {
-			return r, true
+	if p, sl := d.live(a); sl != nil {
+		if r := p.find(a.Seq(), sl, s); r != nil {
+			return *r, true
 		}
 	}
 	return RecordRef{}, false
-}
-
-func (d *Directory) lookupLocked(a LogicalAddr) (*entry, error) {
-	p, ok := d.types[a.Type()]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownAddr, a)
-	}
-	e, ok := p.entries[a.Seq()]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownAddr, a)
-	}
-	return e, nil
 }
 
 // Release frees a logical address after its atom was deleted, returning the
@@ -309,17 +378,15 @@ func (d *Directory) lookupLocked(a LogicalAddr) (*entry, error) {
 func (d *Directory) Release(a LogicalAddr) ([]RecordRef, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	p, ok := d.types[a.Type()]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownAddr, a)
+	p, sl, err := d.lookupLocked(a)
+	if err != nil {
+		return nil, err
 	}
-	e, ok := p.entries[a.Seq()]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownAddr, a)
-	}
-	delete(p.entries, a.Seq())
-	p.sorted = false // order slice now contains a dead seq
-	return e.refs, nil
+	refs := p.appendRefs(nil, a.Seq(), sl)
+	delete(p.more, a.Seq())
+	*sl = slot{}
+	p.count--
+	return refs, nil
 }
 
 // Revive re-creates the entry for a released address (transaction undo of a
@@ -328,15 +395,13 @@ func (d *Directory) Revive(a LogicalAddr) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p := d.pt(a.Type())
-	if _, live := p.entries[a.Seq()]; live {
+	sl := p.grow(a.Seq())
+	if sl.live {
 		return fmt.Errorf("addr: revive of live address %v", a)
 	}
-	p.entries[a.Seq()] = &entry{}
-	p.order = append(p.order, a.Seq())
-	p.sorted = false
-	if p.nextSeq <= a.Seq() {
-		p.nextSeq = a.Seq() + 1
-	}
+	sl.live = true
+	p.count++
+	p.nextSeq = max(p.nextSeq, a.Seq()+1)
 	return nil
 }
 
@@ -344,60 +409,37 @@ func (d *Directory) Revive(a LogicalAddr) error {
 func (d *Directory) Count(t TypeID) int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	p, ok := d.types[t]
-	if !ok {
-		return 0
+	if p := d.typ(t); p != nil {
+		return p.count
 	}
-	return len(p.entries)
-}
-
-// ensureSortedLocked compacts out dead sequence numbers and restores the
-// ascending order slice. Callers hold d.mu.
-func (p *perType) ensureSortedLocked() {
-	if p.sorted {
-		return
-	}
-	live := p.order[:0]
-	for _, seq := range p.order {
-		if _, ok := p.entries[seq]; ok {
-			live = append(live, seq)
-		}
-	}
-	p.order = live
-	sort.Slice(p.order, func(i, j int) bool { return p.order[i] < p.order[j] })
-	p.sorted = true
+	return 0
 }
 
 // Scan calls fn for every live atom of type t in system-defined order
 // (ascending sequence number, the insertion order). fn receives the address
-// and a copy of its reference list; returning false stops the scan.
-// The scan works on a snapshot of the address list, so fn may mutate the
-// directory.
+// and a copy of its reference list, fn's until it returns; returning false
+// stops the scan. No lock is held while fn runs, so fn may mutate the
+// directory; atoms inserted after the scan began are not visited.
 func (d *Directory) Scan(t TypeID, fn func(a LogicalAddr, refs []RecordRef) bool) {
-	d.mu.Lock()
-	p, ok := d.types[t]
-	if !ok {
-		d.mu.Unlock()
+	d.mu.RLock()
+	p := d.typ(t)
+	if p == nil {
+		d.mu.RUnlock()
 		return
 	}
-	p.ensureSortedLocked()
-	snapshot := make([]uint64, len(p.order))
-	copy(snapshot, p.order)
-	d.mu.Unlock()
+	end := p.end()
+	d.mu.RUnlock()
 
-	for _, seq := range snapshot {
+	var refs []RecordRef
+	for seq := uint64(1); seq < end; seq++ {
 		d.mu.RLock()
-		e, ok := p.entries[seq]
-		var refs []RecordRef
-		if ok {
-			refs = make([]RecordRef, len(e.refs))
-			copy(refs, e.refs)
+		sl := p.at(seq)
+		live := sl != nil && sl.live
+		if live {
+			refs = p.appendRefs(refs[:0], seq, sl)
 		}
 		d.mu.RUnlock()
-		if !ok {
-			continue // deleted while scanning
-		}
-		if !fn(New(t, seq), refs) {
+		if live && !fn(New(t, seq), refs) {
 			return
 		}
 	}
@@ -409,26 +451,20 @@ func (d *Directory) Scan(t TypeID, fn func(a LogicalAddr, refs []RecordRef) bool
 // sequence number, so deletions and inserts between calls are tolerated (a
 // chunk never repeats an address).
 func (d *Directory) ScanRange(t TypeID, after uint64, limit int) []LogicalAddr {
-	if limit <= 0 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	p := d.typ(t)
+	if p == nil {
 		return nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	p, ok := d.types[t]
-	if !ok {
-		return nil
-	}
-	// ensureSortedLocked leaves p.order all-live, and d.mu is held
-	// throughout, so the window is a straight slice.
-	p.ensureSortedLocked()
-	i := sort.Search(len(p.order), func(i int) bool { return p.order[i] > after })
-	j := i + limit
-	if j > len(p.order) {
-		j = len(p.order)
-	}
-	out := make([]LogicalAddr, 0, j-i)
-	for ; i < j; i++ {
-		out = append(out, New(t, p.order[i]))
+	var out []LogicalAddr
+	for seq, end := after+1, p.end(); seq < end && len(out) < limit; seq++ {
+		if sl := p.at(seq); sl != nil && sl.live {
+			if out == nil { // the window past the last atom allocates nothing
+				out = make([]LogicalAddr, 0, min(limit, p.count))
+			}
+			out = append(out, New(t, seq))
+		}
 	}
 	return out
 }
@@ -439,23 +475,21 @@ func (d *Directory) ScanRange(t TypeID, after uint64, limit int) []LogicalAddr {
 func (d *Directory) MaxSeq(t TypeID) uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	p, ok := d.types[t]
-	if !ok {
-		return 0
+	if p := d.typ(t); p != nil {
+		return p.nextSeq - 1
 	}
-	return p.nextSeq - 1
+	return 0
 }
 
 // Types returns all type ids with at least one live atom, ascending.
 func (d *Directory) Types() []TypeID {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]TypeID, 0, len(d.types))
+	var out []TypeID
 	for t, p := range d.types {
-		if len(p.entries) > 0 {
-			out = append(out, t)
+		if p != nil && p.count > 0 {
+			out = append(out, TypeID(t))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

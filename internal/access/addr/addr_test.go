@@ -3,8 +3,8 @@ package addr
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 )
 
 func TestLogicalAddrParts(t *testing.T) {
@@ -275,79 +275,238 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: the directory behaves like a map of addr -> ref-set under random
-// register/unregister/release sequences, and snapshots preserve it exactly.
-func TestDirectoryQuick(t *testing.T) {
-	f := func(seed int64) bool {
+// dirModel is the obvious directory: a map from live address to its
+// reference list in registration order, and the next sequence number of each
+// type.
+type dirModel struct {
+	refs map[LogicalAddr][]RecordRef
+	next map[TypeID]uint64
+}
+
+// sorted returns the live addresses of type t, ascending.
+func (m *dirModel) sorted(t TypeID) []LogicalAddr {
+	var out []LogicalAddr
+	for a := range m.refs {
+		if a.Type() == t {
+			out = append(out, a)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// check compares every read the directory offers against the model.
+func (m *dirModel) check(t *testing.T, d *Directory, rng *rand.Rand, types int) {
+	t.Helper()
+	var wantTypes []TypeID
+	for ty := TypeID(0); ty < TypeID(types); ty++ {
+		live := m.sorted(ty)
+		if len(live) > 0 {
+			wantTypes = append(wantTypes, ty)
+		}
+		if got := d.Count(ty); got != len(live) {
+			t.Fatalf("Count(%d) = %d, want %d", ty, got, len(live))
+		}
+		wantMax := uint64(0)
+		if n := m.next[ty]; n > 0 {
+			wantMax = n - 1
+		}
+		if got := d.MaxSeq(ty); got != wantMax {
+			t.Fatalf("MaxSeq(%d) = %d, want %d", ty, got, wantMax)
+		}
+		i := 0
+		d.Scan(ty, func(a LogicalAddr, refs []RecordRef) bool {
+			if i >= len(live) || a != live[i] || !slices.Equal(refs, m.refs[a]) {
+				t.Fatalf("Scan(%d) visit %d: %v %v, model has %v", ty, i, a, refs, live)
+			}
+			i++
+			return true
+		})
+		if i != len(live) {
+			t.Fatalf("Scan(%d) visited %d atoms, want %d", ty, i, len(live))
+		}
+		after, limit := uint64(rng.Intn(int(wantMax)+2)), 1+rng.Intn(len(live)+2)
+		var window []LogicalAddr
+		for _, a := range live {
+			if a.Seq() > after && len(window) < limit {
+				window = append(window, a)
+			}
+		}
+		if got := d.ScanRange(ty, after, limit); !slices.Equal(got, window) {
+			t.Fatalf("ScanRange(%d, %d, %d) = %v, want %v", ty, after, limit, got, window)
+		}
+		// Every sequence number of the type, live or not.
+		for seq := uint64(0); seq <= wantMax+1; seq++ {
+			a := New(ty, seq)
+			want, live := m.refs[a]
+			if d.Exists(a) != live {
+				t.Fatalf("Exists(%v) = %v", a, !live)
+			}
+			got, err := d.Lookup(a)
+			if live != (err == nil) || !slices.Equal(got, want) {
+				t.Fatalf("Lookup(%v) = %v, %v; want %v", a, got, err, want)
+			}
+			for s := StructID(0); s < 5; s++ {
+				i := slices.IndexFunc(want, func(r RecordRef) bool { return r.Struct == s })
+				got, ok := d.LookupStruct(a, s)
+				if ok != (i >= 0) || ok && got != want[i] {
+					t.Fatalf("LookupStruct(%v, %d) = %+v, %v; model has %v", a, s, got, ok, want)
+				}
+			}
+		}
+	}
+	if got := d.Types(); !slices.Equal(got, wantTypes) {
+		t.Fatalf("Types = %v, want %v", got, wantTypes)
+	}
+}
+
+// Property: under random sequences of every mutation the directory answers
+// every read like the map model does — reference lists in registration order,
+// scans in sequence order — across table pages, revived addresses beyond the
+// highest one handed out and a type emptied by deletes, and a snapshot
+// restores exactly that state.
+func TestDirectoryAgainstModel(t *testing.T) {
+	const types = 4
+	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		d := NewDirectory()
-		model := map[LogicalAddr]map[StructID]RecordRef{}
-		var live []LogicalAddr
-		for op := 0; op < 300; op++ {
-			switch rng.Intn(4) {
-			case 0: // new atom
-				a := d.NewAddr(TypeID(rng.Intn(4)))
-				model[a] = map[StructID]RecordRef{}
-				live = append(live, a)
-			case 1: // register
-				if len(live) == 0 {
+		m := &dirModel{refs: map[LogicalAddr][]RecordRef{}, next: map[TypeID]uint64{}}
+		pick := func() (LogicalAddr, bool) {
+			ty := TypeID(rng.Intn(types))
+			if m.next[ty] <= 1 {
+				return 0, false
+			}
+			return New(ty, 1+uint64(rng.Intn(int(m.next[ty])))), true // live, released or never handed out
+		}
+		for op := 0; op < 1000; op++ {
+			switch k := rng.Intn(20); {
+			case k < 6:
+				ty := TypeID(rng.Intn(types))
+				if m.next[ty] == 0 {
+					m.next[ty] = 1
+				}
+				a := d.NewAddr(ty)
+				if a != New(ty, m.next[ty]) {
+					t.Fatalf("seed %d: NewAddr(%d) = %v, want sequence %d", seed, ty, a, m.next[ty])
+				}
+				m.next[ty]++
+				m.refs[a] = nil
+			case k < 10:
+				a, ok := pick()
+				if !ok {
 					continue
 				}
-				a := live[rng.Intn(len(live))]
-				s := StructID(rng.Intn(5))
-				ref := RecordRef{Struct: s, Kind: StructKind(rng.Intn(4)), Where: RID{Page: rng.Uint32() % 1000, Slot: uint16(rng.Intn(100))}, Valid: rng.Intn(2) == 0}
+				ref := RecordRef{Struct: StructID(rng.Intn(5)), Kind: StructKind(rng.Intn(4)), Where: RID{Page: rng.Uint32() % 1000, Slot: uint16(rng.Intn(100))}, Valid: rng.Intn(2) == 0}
 				err := d.Register(a, ref)
-				if _, dup := model[a][s]; dup {
-					if !errors.Is(err, ErrDupStruct) {
-						return false
-					}
-				} else if err != nil {
-					return false
-				} else {
-					model[a][s] = ref
+				refs, live := m.refs[a]
+				dup := slices.ContainsFunc(refs, func(r RecordRef) bool { return r.Struct == ref.Struct })
+				switch {
+				case !live && !errors.Is(err, ErrUnknownAddr), live && dup && !errors.Is(err, ErrDupStruct), live && !dup && err != nil:
+					t.Fatalf("seed %d: Register(%v, %+v) = %v with %v registered", seed, a, ref, err, refs)
+				case live && !dup:
+					m.refs[a] = append(refs, ref)
 				}
-			case 2: // unregister
-				if len(live) == 0 {
+			case k < 12:
+				a, ok := pick()
+				if !ok {
 					continue
 				}
-				a := live[rng.Intn(len(live))]
 				s := StructID(rng.Intn(5))
-				if err := d.Unregister(a, s); err != nil {
-					return false
+				refs, live := m.refs[a]
+				if err := d.Unregister(a, s); live != (err == nil) {
+					t.Fatalf("seed %d: Unregister(%v) = %v", seed, a, err)
 				}
-				delete(model[a], s)
-			case 3: // release
-				if len(live) == 0 {
+				if live {
+					m.refs[a] = slices.DeleteFunc(refs, func(r RecordRef) bool { return r.Struct == s })
+				}
+			case k < 15:
+				a, ok := pick()
+				if !ok {
 					continue
 				}
-				i := rng.Intn(len(live))
-				a := live[i]
-				if _, err := d.Release(a); err != nil {
-					return false
+				s := StructID(rng.Intn(5))
+				i := slices.IndexFunc(m.refs[a], func(r RecordRef) bool { return r.Struct == s })
+				var err error
+				if rng.Intn(2) == 0 {
+					where := RID{Page: rng.Uint32() % 1000, Slot: uint16(rng.Intn(100))}
+					if err = d.Update(a, s, where); i >= 0 {
+						m.refs[a][i].Where = where
+					}
+				} else {
+					valid := rng.Intn(2) == 0
+					if err = d.SetValid(a, s, valid); i >= 0 {
+						m.refs[a][i].Valid = valid
+					}
 				}
-				delete(model, a)
-				live = append(live[:i], live[i+1:]...)
+				if (i >= 0) != (err == nil) {
+					t.Fatalf("seed %d: Update/SetValid(%v, %d) = %v with %v registered", seed, a, s, err, m.refs[a])
+				}
+			case k < 16:
+				a, ok := pick()
+				if !ok {
+					continue
+				}
+				keep := StructID(rng.Intn(5))
+				var want []RecordRef
+				for i, r := range m.refs[a] {
+					if r.Struct != keep && r.Valid {
+						m.refs[a][i].Valid = false
+						want = append(want, m.refs[a][i])
+					}
+				}
+				_, live := m.refs[a]
+				if got, err := d.InvalidateOthers(a, keep); live != (err == nil) || !slices.Equal(got, want) {
+					t.Fatalf("seed %d: InvalidateOthers(%v, %d) = %v, %v; want %v", seed, a, keep, got, err, want)
+				}
+			case k < 18:
+				a, ok := pick()
+				if !ok {
+					continue
+				}
+				want, live := m.refs[a]
+				if got, err := d.Release(a); live != (err == nil) || !slices.Equal(got, want) {
+					t.Fatalf("seed %d: Release(%v) = %v, %v; want %v", seed, a, got, err, want)
+				}
+				delete(m.refs, a)
+			case k < 19:
+				// Revive a released address, a live one (refused), or, one
+				// time in four, one up to three table pages beyond the highest
+				// handed out.
+				ty := TypeID(rng.Intn(types))
+				seq := 1 + uint64(rng.Intn(int(m.next[ty])+1))
+				if rng.Intn(4) == 0 {
+					seq += uint64(rng.Intn(3 * slotsPerPage))
+				}
+				a := New(ty, seq)
+				_, live := m.refs[a]
+				if err := d.Revive(a); live == (err == nil) {
+					t.Fatalf("seed %d: Revive(%v) = %v, live %v", seed, a, err, live)
+				}
+				if !live {
+					m.refs[a] = nil
+					m.next[ty] = max(m.next[ty], a.Seq()+1)
+				}
+			default:
+				// Empty a type by deletes, through a scan that mutates the
+				// directory as it goes.
+				ty := TypeID(rng.Intn(types))
+				d.Scan(ty, func(a LogicalAddr, _ []RecordRef) bool {
+					if _, err := d.Release(a); err != nil {
+						t.Fatalf("seed %d: Release(%v) within Scan: %v", seed, a, err)
+					}
+					delete(m.refs, a)
+					return true
+				})
+			}
+			if op%250 == 249 {
+				m.check(t, d, rng, types)
 			}
 		}
-		// Snapshot round-trip then compare against the model.
+		m.check(t, d, rng, types)
 		d2, err := LoadSnapshot(d.Snapshot())
 		if err != nil {
-			return false
+			t.Fatalf("seed %d: LoadSnapshot: %v", seed, err)
 		}
-		for a, refs := range model {
-			got, err := d2.Lookup(a)
-			if err != nil || len(got) != len(refs) {
-				return false
-			}
-			for _, r := range got {
-				if refs[r.Struct] != r {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
+		m.check(t, d2, rng, types)
 	}
 }

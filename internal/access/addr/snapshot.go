@@ -29,43 +29,41 @@ func (d *Directory) Snapshot() []byte {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 
-	size := 8
+	size, ntypes := 8, 0
 	for _, p := range d.types {
-		size += 2 + 8 + 4
-		for _, e := range p.entries {
-			size += 8 + 2 + len(e.refs)*12
+		if p == nil {
+			continue
+		}
+		ntypes++
+		size += 2 + 8 + 4 + p.count*(8+2+12)
+		for _, rest := range p.more {
+			size += len(rest) * 12
 		}
 	}
 	buf := make([]byte, 0, size)
-	var scratch [12]byte
-
-	put16 := func(v uint16) {
-		binary.BigEndian.PutUint16(scratch[:2], v)
-		buf = append(buf, scratch[:2]...)
-	}
-	put32 := func(v uint32) {
-		binary.BigEndian.PutUint32(scratch[:4], v)
-		buf = append(buf, scratch[:4]...)
-	}
-	put64 := func(v uint64) {
-		binary.BigEndian.PutUint64(scratch[:8], v)
-		buf = append(buf, scratch[:8]...)
-	}
-
-	put32(snapMagic)
-	put32(uint32(len(d.types)))
+	buf = binary.BigEndian.AppendUint32(buf, snapMagic)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(ntypes))
+	var refs []RecordRef
 	for t, p := range d.types {
-		put16(uint16(t))
-		put64(p.nextSeq)
-		put32(uint32(len(p.entries)))
-		for seq, e := range p.entries {
-			put64(seq)
-			put16(uint16(len(e.refs)))
-			for _, r := range e.refs {
-				put32(uint32(r.Struct))
+		if p == nil {
+			continue
+		}
+		buf = binary.BigEndian.AppendUint16(buf, uint16(t))
+		buf = binary.BigEndian.AppendUint64(buf, p.nextSeq)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(p.count))
+		for seq, end := uint64(1), p.end(); seq < end; seq++ {
+			sl := p.at(seq)
+			if sl == nil || !sl.live {
+				continue
+			}
+			refs = p.appendRefs(refs[:0], seq, sl)
+			buf = binary.BigEndian.AppendUint64(buf, seq)
+			buf = binary.BigEndian.AppendUint16(buf, uint16(len(refs)))
+			for _, r := range refs {
+				buf = binary.BigEndian.AppendUint32(buf, uint32(r.Struct))
 				buf = append(buf, byte(r.Kind))
-				put32(r.Where.Page)
-				put16(r.Where.Slot)
+				buf = binary.BigEndian.AppendUint32(buf, r.Where.Page)
+				buf = binary.BigEndian.AppendUint16(buf, r.Where.Slot)
 				if r.Valid {
 					buf = append(buf, 1)
 				} else {
@@ -90,23 +88,26 @@ func LoadSnapshot(data []byte) (*Directory, error) {
 		p := d.pt(t)
 		p.nextSeq = r.u64()
 		nentry := int(r.u32())
-		for j := 0; j < nentry; j++ {
-			seq := r.u64()
+		for j := 0; j < nentry && r.err == nil; j++ {
+			a := New(t, r.u64())
 			nrefs := int(r.u16())
-			e := &entry{refs: make([]RecordRef, 0, nrefs)}
-			for k := 0; k < nrefs; k++ {
+			// The table is as long as its highest sequence number: one the
+			// type never handed out is a torn file, not a table to build.
+			if a.Seq() == 0 || a.Seq() >= p.nextSeq || d.Revive(a) != nil {
+				return nil, fmt.Errorf("addr: snapshot: bad or repeated address %v (next is %d)", a, p.nextSeq)
+			}
+			for k := 0; k < nrefs && r.err == nil; k++ {
 				ref := RecordRef{
 					Struct: StructID(r.u32()),
 					Kind:   StructKind(r.u8()),
 					Where:  RID{Page: r.u32(), Slot: r.u16()},
 					Valid:  r.u8() == 1,
 				}
-				e.refs = append(e.refs, ref)
+				if err := d.Register(a, ref); err != nil {
+					return nil, fmt.Errorf("addr: snapshot: %w", err)
+				}
 			}
-			p.entries[seq] = e
-			p.order = append(p.order, seq)
 		}
-		p.sorted = false
 		if r.err != nil {
 			return nil, fmt.Errorf("addr: snapshot truncated at type %d", t)
 		}

@@ -274,7 +274,7 @@ func (t *BTree) loadNode(no uint32) (bool, []entry, uint32, error) {
 }
 
 func (t *BTree) storeNode(no uint32, leaf bool, entries []entry, next uint32, fresh bool) error {
-	var h *buffer.Handle
+	var h buffer.Handle
 	var err error
 	if fresh {
 		h, err = t.pool.FixNew(segment.PageID{Seg: t.seg.ID(), No: no})

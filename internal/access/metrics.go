@@ -1,5 +1,10 @@
 package access
 
+import (
+	"runtime"
+	"runtime/metrics"
+)
+
 // This file registers pull-model mirrors for every counter the storage and
 // access layers already maintain, so one obs.Registry snapshot unifies what
 // used to be scattered across AtomCacheStats, buffer.Stats, device.IOStats,
@@ -27,6 +32,9 @@ func (s *System) registerMetrics() {
 	r.CounterFunc("buffer_misses", func() uint64 { return uint64(s.pool.Stats().Misses) })
 	r.CounterFunc("buffer_evictions", func() uint64 { return uint64(s.pool.Stats().Evictions) })
 	r.CounterFunc("buffer_writebacks", func() uint64 { return uint64(s.pool.Stats().Writebacks) })
+	// A full pool recycles its frames: allocs rising as fast as the misses is a leak.
+	r.CounterFunc("buffer_frame_allocs_total", func() uint64 { return uint64(s.pool.Stats().FrameAllocs) })
+	r.CounterFunc("buffer_frames_recycled_total", func() uint64 { return uint64(s.pool.Stats().FramesRecycled) })
 
 	// File manager I/O.
 	r.CounterFunc("io_reads", func() uint64 { return uint64(s.files.Stats().Reads) })
@@ -54,4 +62,18 @@ func (s *System) registerMetrics() {
 	r.CounterFunc("wal_batches", func() uint64 { st, _ := s.WALStats(); return st.Batches })
 	r.CounterFunc("wal_checkpoints", func() uint64 { st, _ := s.WALStats(); return st.Checkpoints })
 	r.CounterFunc("wal_recoveries", func() uint64 { st, _ := s.WALStats(); return st.Recoveries })
+
+	// The Go runtime's share of "why was this slow". Reading MemStats stops
+	// the world for the read: a scrape can afford that, a request could not.
+	mem := func() (m runtime.MemStats) { runtime.ReadMemStats(&m); return m }
+	r.GaugeFunc("runtime_heap_inuse_bytes", func() float64 { return float64(mem().HeapInuse) })
+	r.GaugeFunc("runtime_gc_pause_seconds", func() float64 { return float64(mem().PauseTotalNs) / 1e9 })
+	r.GaugeFunc("runtime_gc_cpu_seconds", func() float64 {
+		s := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}}
+		if metrics.Read(s); s[0].Value.Kind() == metrics.KindFloat64 {
+			return s[0].Value.Float64()
+		}
+		return 0
+	})
+	r.GaugeFunc("runtime_goroutines", func() float64 { return float64(runtime.NumGoroutine()) })
 }

@@ -143,9 +143,6 @@ func (c *Config) makePool() (*buffer.Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	if shards == 1 {
-		return buffer.NewPool(factory()), nil
-	}
 	return buffer.NewShardedPool(factory, shards), nil
 }
 
@@ -365,6 +362,15 @@ func (s *System) Directory() *addr.Directory { return s.dir }
 
 // Pool exposes the buffer pool (statistics for experiments).
 func (s *System) Pool() *buffer.Pool { return s.pool }
+
+// PrimarySegment returns the segment holding the primary records of type t:
+// with Directory it names the page of an atom (benchmarks of the buffer).
+func (s *System) PrimarySegment(t addr.TypeID) (segment.ID, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	id, ok := s.primarySegs[t]
+	return id, ok
+}
 
 // Files exposes the file manager (I/O statistics for experiments).
 func (s *System) Files() *device.Manager { return s.files }

@@ -10,6 +10,7 @@ import (
 	"prima/internal/access"
 	"prima/internal/access/addr"
 	"prima/internal/core"
+	"prima/internal/race"
 	"prima/internal/workload/brepgen"
 )
 
@@ -209,12 +210,13 @@ func TestAssembleDirectRootGone(t *testing.T) {
 // carries record images and a level is read where the assembler keeps it: 10
 // per warm checkout serial and 27 with two workers (13 and 30 before); 4.2
 // per molecule of a scan serial and 6.4 with two workers (8.2 and 10.3
-// before); 52 for a cube read cold with the cache off, 91 with it on.
+// before); 48 for a cube read cold with the cache off, 87 with it on (52 and
+// 91 while every page fix allocated its handle).
 
 // TestAllocsWarmCheckout: one cached plan, one cube, every atom in the atom
 // cache, through Plan.Open and Collect.
 func TestAllocsWarmCheckout(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	e, _ := sceneEngine(t, 4)
@@ -245,7 +247,7 @@ func TestAllocsWarmCheckout(t *testing.T) {
 
 // TestAllocsMaterialization: the 60-cube scan, serial and parallel.
 func TestAllocsMaterialization(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const cubes = 60
@@ -280,7 +282,7 @@ func TestAllocsMaterialization(t *testing.T) {
 // one image copy per atom — with the cache on, the entry that keeps the image
 // besides — and no Value: nothing is decoded on the way.
 func TestAllocsColdBatch(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	e, cubes := sceneEngine(t, 4)
@@ -297,7 +299,7 @@ func TestAllocsColdBatch(t *testing.T) {
 			}
 		}
 	}
-	const perLevel = 8 // the result, the miss positions, RIDs, stamps, ReadBatch's two slices, slack
+	const perLevel = 6 // the result, the miss positions, RIDs, stamps, ReadBatch's two slices; a page fix is none
 	sys.SetAtomCacheSize(-1)
 	got := testing.AllocsPerRun(100, read)
 	if budget := float64(brepgen.CubeAtoms + perLevel*len(levels)); got > budget {

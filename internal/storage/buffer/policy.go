@@ -1,9 +1,6 @@
 package buffer
 
-import (
-	"container/list"
-	"fmt"
-)
+import "fmt"
 
 // Policy is a page replacement strategy. The paper (§3.3) observes that
 // classic algorithms are "only tailored to one page size" and discusses two
@@ -21,14 +18,57 @@ type Policy interface {
 	OnTouch(f *frame)
 	// OnRemove records that f left the pool.
 	OnRemove(f *frame)
-	// EvictFor selects victim frames that must leave the pool so a new
-	// page of the given size fits. Pinned frames are skipped. It returns
-	// ErrNoVictim if the space cannot be freed.
-	EvictFor(size int) ([]*frame, error)
-	// CanHold reports whether a page of the given size can ever reside in
-	// the pool (e.g. fits its partition).
-	CanHold(size int) bool
+	// Victim returns the next frame that must leave the pool so a new page
+	// of the given size fits, nil once it does. Pinned frames are skipped.
+	// It returns ErrNoVictim, before anything has been evicted, if the
+	// space cannot be freed.
+	Victim(size int) (*frame, error)
 }
+
+// chain is a recency chain threaded through the frames themselves, a ring
+// closed by root: root.next is the most recently used frame, root.prev the
+// coldest.
+type chain struct {
+	root frame
+	n    int
+}
+
+func (c *chain) pushFront(f *frame) {
+	if c.root.next == nil {
+		c.root.next, c.root.prev = &c.root, &c.root
+	}
+	f.prev, f.next = &c.root, c.root.next
+	f.prev.next, f.next.prev = f, f
+	c.n++
+}
+
+func (c *chain) remove(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+	c.n--
+}
+
+// coldest returns the coldest unpinned frame, provided the unpinned frames
+// from the cold end on cover need, each counting cost(f) towards it.
+func (c *chain) coldest(need int64, cost func(f *frame) int64) *frame {
+	var victim *frame
+	for f := c.root.prev; f != nil && f != &c.root && need > 0; f = f.prev {
+		if f.pins > 0 {
+			continue
+		}
+		if victim == nil {
+			victim = f
+		}
+		need -= cost(f)
+	}
+	if need > 0 {
+		return nil
+	}
+	return victim
+}
+
+func frameBytes(f *frame) int64 { return int64(len(f.data)) }
+func oneFrame(*frame) int64     { return 1 }
 
 // --- size-aware LRU (PRIMA's modified LRU) ---------------------------------
 
@@ -39,52 +79,39 @@ type Policy interface {
 type sizeAwareLRU struct {
 	capacity int64 // bytes
 	resident int64 // bytes currently held
-	chain    *list.List
+	chain    chain
 }
 
 // NewSizeAwareLRU returns PRIMA's modified LRU with a byte budget.
 func NewSizeAwareLRU(capacityBytes int64) Policy {
-	return &sizeAwareLRU{capacity: capacityBytes, chain: list.New()}
+	return &sizeAwareLRU{capacity: capacityBytes}
 }
 
-func (p *sizeAwareLRU) CanHold(size int) bool { return int64(size) <= p.capacity }
-
 func (p *sizeAwareLRU) OnInsert(f *frame) {
-	f.lruElem = p.chain.PushFront(f)
+	p.chain.pushFront(f)
 	p.resident += int64(len(f.data))
 }
 
-func (p *sizeAwareLRU) OnTouch(f *frame) {
-	p.chain.MoveToFront(f.lruElem)
-}
+func (p *sizeAwareLRU) OnTouch(f *frame) { p.chain.remove(f); p.chain.pushFront(f) }
 
 func (p *sizeAwareLRU) OnRemove(f *frame) {
-	p.chain.Remove(f.lruElem)
-	f.lruElem = nil
+	p.chain.remove(f)
 	p.resident -= int64(len(f.data))
 }
 
-func (p *sizeAwareLRU) EvictFor(size int) ([]*frame, error) {
-	if !p.CanHold(size) {
+func (p *sizeAwareLRU) Victim(size int) (*frame, error) {
+	if int64(size) > p.capacity {
 		return nil, fmt.Errorf("%w: page of %d bytes exceeds pool capacity %d", ErrNoVictim, size, p.capacity)
 	}
 	need := int64(size) - (p.capacity - p.resident)
 	if need <= 0 {
 		return nil, nil
 	}
-	var victims []*frame
-	for e := p.chain.Back(); e != nil && need > 0; e = e.Prev() {
-		f := e.Value.(*frame)
-		if f.pins > 0 {
-			continue
-		}
-		victims = append(victims, f)
-		need -= int64(len(f.data))
+	f := p.chain.coldest(need, frameBytes)
+	if f == nil {
+		return nil, fmt.Errorf("%w: %d bytes needed, too few unpinned frames", ErrNoVictim, need)
 	}
-	if need > 0 {
-		return nil, fmt.Errorf("%w: %d bytes still needed, all remaining frames pinned", ErrNoVictim, need)
-	}
-	return victims, nil
+	return f, nil
 }
 
 // --- statically partitioned LRU --------------------------------------------
@@ -103,28 +130,23 @@ type partitionedLRU struct {
 func NewPartitionedLRU(shares map[int]int64) Policy {
 	parts := make(map[int]*sizeAwareLRU, len(shares))
 	for size, budget := range shares {
-		parts[size] = &sizeAwareLRU{capacity: budget, chain: list.New()}
+		parts[size] = &sizeAwareLRU{capacity: budget}
 	}
 	return &partitionedLRU{parts: parts}
 }
 
 func (p *partitionedLRU) part(size int) *sizeAwareLRU { return p.parts[size] }
 
-func (p *partitionedLRU) CanHold(size int) bool {
-	part := p.part(size)
-	return part != nil && part.CanHold(size)
-}
-
 func (p *partitionedLRU) OnInsert(f *frame) { p.part(len(f.data)).OnInsert(f) }
 func (p *partitionedLRU) OnTouch(f *frame)  { p.part(len(f.data)).OnTouch(f) }
 func (p *partitionedLRU) OnRemove(f *frame) { p.part(len(f.data)).OnRemove(f) }
 
-func (p *partitionedLRU) EvictFor(size int) ([]*frame, error) {
+func (p *partitionedLRU) Victim(size int) (*frame, error) {
 	part := p.part(size)
 	if part == nil {
 		return nil, fmt.Errorf("%w: no partition for page size %d", ErrNoVictim, size)
 	}
-	return part.EvictFor(size)
+	return part.Victim(size)
 }
 
 // --- classic frame-count LRU ------------------------------------------------
@@ -135,39 +157,26 @@ func (p *partitionedLRU) EvictFor(size int) ([]*frame, error) {
 // which is the deficiency motivating the modified algorithm.
 type classicLRU struct {
 	maxFrames int
-	chain     *list.List
+	chain     chain
 }
 
 // NewClassicLRU returns a frame-count LRU holding at most maxFrames pages.
 func NewClassicLRU(maxFrames int) Policy {
-	return &classicLRU{maxFrames: maxFrames, chain: list.New()}
+	return &classicLRU{maxFrames: maxFrames}
 }
 
-func (p *classicLRU) CanHold(int) bool { return p.maxFrames >= 1 }
+func (p *classicLRU) OnInsert(f *frame) { p.chain.pushFront(f) }
+func (p *classicLRU) OnTouch(f *frame)  { p.chain.remove(f); p.chain.pushFront(f) }
+func (p *classicLRU) OnRemove(f *frame) { p.chain.remove(f) }
 
-func (p *classicLRU) OnInsert(f *frame) { f.lruElem = p.chain.PushFront(f) }
-func (p *classicLRU) OnTouch(f *frame)  { p.chain.MoveToFront(f.lruElem) }
-func (p *classicLRU) OnRemove(f *frame) {
-	p.chain.Remove(f.lruElem)
-	f.lruElem = nil
-}
-
-func (p *classicLRU) EvictFor(int) ([]*frame, error) {
-	if p.chain.Len() < p.maxFrames {
+func (p *classicLRU) Victim(int) (*frame, error) {
+	need := p.chain.n - p.maxFrames + 1
+	if need <= 0 {
 		return nil, nil
 	}
-	need := p.chain.Len() - p.maxFrames + 1
-	var victims []*frame
-	for e := p.chain.Back(); e != nil && need > 0; e = e.Prev() {
-		f := e.Value.(*frame)
-		if f.pins > 0 {
-			continue
-		}
-		victims = append(victims, f)
-		need--
-	}
-	if need > 0 {
+	f := p.chain.coldest(int64(need), oneFrame)
+	if f == nil {
 		return nil, fmt.Errorf("%w: all frames pinned", ErrNoVictim)
 	}
-	return victims, nil
+	return f, nil
 }

@@ -14,16 +14,23 @@
 // stays single-lock; pages of different shards proceed fully in parallel.
 // NewPool builds the degenerate one-shard pool (exact historical semantics);
 // NewShardedPool stripes the budget over many shards.
+//
+// The buffer is fixed: a frame that loses its page goes onto its shard's free
+// list of that page size and serves the next miss of the size, so in steady
+// state a fix, hit or miss, allocates nothing. Replacement decides which page
+// leaves; recycling only decides where the next page's bytes come from.
 package buffer
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
 	"prima/internal/obs"
+	"prima/internal/race"
+	"prima/internal/storage/device"
 	"prima/internal/storage/page"
 	"prima/internal/storage/segment"
 )
@@ -48,18 +55,24 @@ type LogGate interface {
 	FlushTo(lsn uint64) error
 }
 
-// frame is a resident page.
+// frame is one page-sized piece of the buffer: resident while a page lives in
+// it, on its shard's free list of that size otherwise.
 type frame struct {
 	pid     segment.PageID
 	data    []byte
 	pins    int
 	dirty   bool
 	pageLSN uint64 // log position that must be durable before writeback
-	lruElem *list.Element
+	// prev and next thread the policy's recency chain while the frame is
+	// resident; next alone threads the free list.
+	prev, next *frame
 }
 
-// Handle is a fixed (pinned) page. It must be released with Unfix exactly
-// once; the page data must not be touched after release.
+// Handle is a fixed (pinned) page. It must be released exactly once. The
+// bytes Page returns die at Release: once unpinned the frame may be recycled
+// for another page, so whoever wants a record past Release copies it out.
+// Under -race a recycled frame is filled with 0xDB: a reader that held on
+// fails page validation instead of seeing another page's records.
 type Handle struct {
 	shard *shard
 	frame *frame
@@ -67,16 +80,16 @@ type Handle struct {
 
 // Page returns the fixed page for reading or writing. Callers that modify
 // the page must call MarkDirty before unfixing.
-func (h *Handle) Page() page.Page { return page.Page(h.frame.data) }
+func (h Handle) Page() page.Page { return page.Page(h.frame.data) }
 
 // PageID returns the identity of the fixed page.
-func (h *Handle) PageID() segment.PageID { return h.frame.pid }
+func (h Handle) PageID() segment.PageID { return h.frame.pid }
 
 // MarkDirty records that the page content changed and must be written back.
 // With a log gate installed, the frame is stamped with the log's current
 // append position: the mutation's log records lie below it, so forcing the
 // log to the stamp before writeback preserves WAL-before-page.
-func (h *Handle) MarkDirty() {
+func (h Handle) MarkDirty() {
 	var lsn uint64
 	if g := h.shard.pool.gate; g != nil {
 		lsn = g.WriteLSN()
@@ -97,8 +110,12 @@ type Stats struct {
 	Misses     int64
 	Evictions  int64
 	Writebacks int64
-	HitsBySize map[int]int64
-	MissBySize map[int]int64
+	// FrameAllocs counts misses that had to allocate a frame, FramesRecycled
+	// those served from a free list: all but cross-size ones in a full pool.
+	FrameAllocs    int64
+	FramesRecycled int64
+	HitsBySize     map[int]int64
+	MissBySize     map[int]int64
 }
 
 // HitRatio returns hits / (hits+misses), or 0 when idle.
@@ -110,18 +127,17 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// add accumulates other into s.
-func (s *Stats) add(other Stats) {
-	s.Hits += other.Hits
-	s.Misses += other.Misses
-	s.Evictions += other.Evictions
-	s.Writebacks += other.Writebacks
-	for k, v := range other.HitsBySize {
-		s.HitsBySize[k] += v
-	}
-	for k, v := range other.MissBySize {
-		s.MissBySize[k] += v
-	}
+// sizeClasses is the number of page sizes a frame can have, sizeClass the
+// index of one in device.BlockSizes: 512 bytes doubling up to 8 KiB.
+const sizeClasses = len(device.BlockSizes)
+
+func sizeClass(size int) int { return bits.TrailingZeros(uint(size / device.B512)) }
+
+// counters is a shard's share of Stats, with the per-size counts as arrays
+// indexed by size class: a fix counts without touching a map.
+type counters struct {
+	hits, misses, evictions, writebacks, allocs, recycled int64
+	hitsBySize, missBySize                                [sizeClasses]int64
 }
 
 // shard is one lock stripe of the pool: a frame table plus a policy instance
@@ -131,16 +147,43 @@ type shard struct {
 	mu     sync.Mutex
 	policy Policy
 	frames map[segment.PageID]*frame
-	stats  Stats
+	// free heads the free list of each size class: frames whose page was
+	// evicted or invalidated. Resident and free bytes together never exceed
+	// what the policy admits as resident.
+	free  [sizeClasses]*frame
+	stats counters
 }
 
 func newShard(pool *Pool, policy Policy) *shard {
-	return &shard{
-		pool:   pool,
-		policy: policy,
-		frames: make(map[segment.PageID]*frame),
-		stats:  Stats{HitsBySize: make(map[int]int64), MissBySize: make(map[int]int64)},
+	return &shard{pool: pool, policy: policy, frames: make(map[segment.PageID]*frame)}
+}
+
+// takeFrame returns a frame of the given size, off the free list if it can.
+func (sh *shard) takeFrame(size int) *frame {
+	c := sizeClass(size)
+	if f := sh.free[c]; f != nil {
+		sh.free[c], f.next = f.next, nil
+		sh.stats.recycled++
+		return f
 	}
+	// Nothing of this size to reuse: the buffer grows by a frame. The policy
+	// made room among the resident pages only, so what the other free lists
+	// hold goes to the collector first, or the shard would exceed its budget.
+	sh.free = [sizeClasses]*frame{}
+	sh.stats.allocs++
+	return &frame{data: make([]byte, size)}
+}
+
+// freeFrame puts f, out of the policy and the frame table, on its free list.
+func (sh *shard) freeFrame(f *frame) {
+	if race.Enabled { // poison: see Handle
+		for i := range f.data {
+			f.data[i] = 0xDB
+		}
+	}
+	c := sizeClass(len(f.data))
+	*f = frame{data: f.data, next: sh.free[c]}
+	sh.free[c] = f
 }
 
 // Pool is the database buffer. It is safe for concurrent use; individual
@@ -174,11 +217,7 @@ func (p *Pool) SetMissHist(h *obs.Histogram) { p.missNs = h }
 // NewPool creates a single-shard buffer pool with the given replacement
 // policy — the fully serialized configuration, kept for tools and tests that
 // reason about exact eviction order.
-func NewPool(p Policy) *Pool {
-	pool := &Pool{segments: make(map[segment.ID]*segment.Segment), mask: 0}
-	pool.shards = []*shard{newShard(pool, p)}
-	return pool
-}
+func NewPool(p Policy) *Pool { return NewShardedPool(func() Policy { return p }, 1) }
 
 // RoundShards returns the shard count a sharded pool will actually use for
 // a request of n: the next power of two, minimum 1. Budget planners divide
@@ -239,8 +278,22 @@ func (p *Pool) Stats() Stats {
 	out := Stats{HitsBySize: make(map[int]int64), MissBySize: make(map[int]int64)}
 	for _, sh := range p.shards {
 		sh.mu.Lock()
-		out.add(sh.stats)
+		c := sh.stats
 		sh.mu.Unlock()
+		out.Hits += c.hits
+		out.Misses += c.misses
+		out.Evictions += c.evictions
+		out.Writebacks += c.writebacks
+		out.FrameAllocs += c.allocs
+		out.FramesRecycled += c.recycled
+		for i, size := range device.BlockSizes {
+			if c.hitsBySize[i] != 0 {
+				out.HitsBySize[size] += c.hitsBySize[i]
+			}
+			if c.missBySize[i] != 0 {
+				out.MissBySize[size] += c.missBySize[i]
+			}
+		}
 	}
 	return out
 }
@@ -249,7 +302,7 @@ func (p *Pool) Stats() Stats {
 func (p *Pool) ResetStats() {
 	for _, sh := range p.shards {
 		sh.mu.Lock()
-		sh.stats = Stats{HitsBySize: make(map[int]int64), MissBySize: make(map[int]int64)}
+		sh.stats = counters{}
 		sh.mu.Unlock()
 	}
 }
@@ -286,69 +339,73 @@ func (p *Pool) Pinned() int {
 // Fix pins the page into the buffer, reading it from its segment on a miss,
 // and returns a handle. The page must exist on disk (use FixNew for pages
 // that were just allocated and never written).
-func (p *Pool) Fix(pid segment.PageID) (*Handle, error) {
+func (p *Pool) Fix(pid segment.PageID) (Handle, error) {
 	return p.shardOf(pid).fix(pid, false)
 }
 
 // FixNew pins a freshly allocated page without reading the device. The frame
 // starts zeroed and dirty; the caller must Init the page before use.
-func (p *Pool) FixNew(pid segment.PageID) (*Handle, error) {
+func (p *Pool) FixNew(pid segment.PageID) (Handle, error) {
 	return p.shardOf(pid).fix(pid, true)
 }
 
-func (sh *shard) fix(pid segment.PageID, fresh bool) (*Handle, error) {
+func (sh *shard) fix(pid segment.PageID, fresh bool) (Handle, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
 	if f, ok := sh.frames[pid]; ok {
 		f.pins++
 		sh.policy.OnTouch(f)
-		sh.stats.Hits++
-		sh.stats.HitsBySize[len(f.data)]++
-		return &Handle{shard: sh, frame: f}, nil
+		sh.stats.hits++
+		sh.stats.hitsBySize[sizeClass(len(f.data))]++
+		return Handle{shard: sh, frame: f}, nil
 	}
 
 	seg, ok := sh.pool.segment(pid.Seg)
 	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNotRegistered, pid)
+		return Handle{}, fmt.Errorf("%w: %v", ErrNotRegistered, pid)
 	}
 	size := seg.PageSize()
-	sh.stats.Misses++
-	sh.stats.MissBySize[size]++
+	sh.stats.misses++
+	sh.stats.missBySize[sizeClass(size)]++
 
 	if err := sh.makeRoomLocked(size); err != nil {
-		return nil, err
+		return Handle{}, err
 	}
 
-	f := &frame{pid: pid, data: make([]byte, size), pins: 1}
+	f := sh.takeFrame(size)
 	if fresh {
+		clear(f.data)
 		f.dirty = true
 		if g := sh.pool.gate; g != nil {
 			f.pageLSN = g.WriteLSN()
 		}
 	} else {
 		readStart := time.Now()
-		if err := seg.ReadPage(pid.No, f.data); err != nil {
-			return nil, fmt.Errorf("buffer: fix %v: %w", pid, err)
+		err := seg.ReadPage(pid.No, f.data)
+		if err == nil {
+			err = page.Page(f.data).Validate()
 		}
-		if err := page.Page(f.data).Validate(); err != nil {
-			return nil, fmt.Errorf("buffer: fix %v: %w", pid, err)
+		if err != nil {
+			sh.freeFrame(f)
+			return Handle{}, fmt.Errorf("buffer: fix %v: %w", pid, err)
 		}
 		sh.pool.missNs.ObserveSince(readStart)
 	}
+	f.pid, f.pins = pid, 1
 	sh.frames[pid] = f
 	sh.policy.OnInsert(f)
-	return &Handle{shard: sh, frame: f}, nil
+	return Handle{shard: sh, frame: f}, nil
 }
 
-// makeRoomLocked evicts victims chosen by the shard's policy until a page of
-// the given size fits. Dirty victims are written back.
+// makeRoomLocked evicts the victims the shard's policy names, one at a time,
+// until a page of the given size fits. Dirty victims are written back.
 func (sh *shard) makeRoomLocked(size int) error {
-	victims, err := sh.policy.EvictFor(size)
-	if err != nil {
-		return err
-	}
-	for _, f := range victims {
+	for {
+		f, err := sh.policy.Victim(size)
+		if f == nil {
+			return err
+		}
 		if f.dirty {
 			if err := sh.writebackLocked(f); err != nil {
 				return err
@@ -356,9 +413,9 @@ func (sh *shard) makeRoomLocked(size int) error {
 		}
 		sh.policy.OnRemove(f)
 		delete(sh.frames, f.pid)
-		sh.stats.Evictions++
+		sh.freeFrame(f)
+		sh.stats.evictions++
 	}
-	return nil
 }
 
 func (sh *shard) writebackLocked(f *frame) error {
@@ -376,15 +433,12 @@ func (sh *shard) writebackLocked(f *frame) error {
 		return fmt.Errorf("buffer: writeback %v: %w", f.pid, err)
 	}
 	f.dirty = false
-	sh.stats.Writebacks++
+	sh.stats.writebacks++
 	return nil
 }
 
-// Unfix releases a handle obtained from Fix or FixNew.
-func (p *Pool) Unfix(h *Handle) { h.Release() }
-
-// Release is a convenience alias so handles can be released with defer.
-func (h *Handle) Release() {
+// Release unpins the page; Handle's comment says what becomes of its bytes.
+func (h Handle) Release() {
 	h.shard.mu.Lock()
 	if h.frame.pins > 0 {
 		h.frame.pins--
@@ -436,6 +490,7 @@ func (p *Pool) Invalidate(pid segment.PageID) error {
 	}
 	sh.policy.OnRemove(f)
 	delete(sh.frames, pid)
+	sh.freeFrame(f)
 	return nil
 }
 
@@ -453,6 +508,7 @@ func (p *Pool) Close() error {
 			sh.policy.OnRemove(f)
 		}
 		sh.frames = make(map[segment.PageID]*frame)
+		sh.free = [sizeClasses]*frame{}
 		sh.mu.Unlock()
 	}
 	return nil

@@ -59,10 +59,15 @@ func TestShardedPoolRoundsToPowerOfTwo(t *testing.T) {
 func TestShardedPoolConcurrent(t *testing.T) {
 	const nPages = 64
 	seg, pages := newSeg(t, 1, device.B1K, nPages)
-	// Each shard holds ~4 pages: plenty of eviction and writeback traffic.
-	pool := NewShardedPool(func() Policy { return NewSizeAwareLRU(4 * device.B1K) }, 4)
+	// Each shard holds half of its ~16 pages: plenty of eviction and
+	// writeback traffic, and a frame for every worker should all eight pin
+	// pages of one shard at once.
+	pool := NewShardedPool(func() Policy { return NewSizeAwareLRU(8 * device.B1K) }, 4)
 	pool.Register(seg)
 
+	// The pool does not latch fixed pages: writers of one page coordinate
+	// among themselves, here with a mutex per page.
+	var latch [nPages]sync.Mutex
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -70,16 +75,19 @@ func TestShardedPoolConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
-				no := pages[(g*131+i*17)%nPages]
+				idx := (g*131 + i*17) % nPages
+				no := pages[idx]
 				h, err := pool.Fix(segment.PageID{Seg: 1, No: no})
 				if err != nil {
 					errs <- fmt.Errorf("worker %d: Fix %d: %v", g, no, err)
 					return
 				}
 				if i%7 == 0 {
+					latch[idx].Lock()
 					if _, err := h.Page().Insert([]byte{byte(g), byte(i)}); err == nil {
 						h.MarkDirty()
 					}
+					latch[idx].Unlock()
 				}
 				h.Release()
 			}

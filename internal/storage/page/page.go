@@ -143,13 +143,15 @@ func (p Page) SealChecksum() {
 	binary.BigEndian.PutUint32(p[offChecksum:], p.computeChecksum())
 }
 
+// zeroChecksum stands in for the checksum field while the sum is computed.
+var zeroChecksum [4]byte
+
 func (p Page) computeChecksum() uint32 {
-	var zero [4]byte
-	h := crc32.New(castagnoli)
-	h.Write(p[:offChecksum])
-	h.Write(zero[:])
-	h.Write(p[offChecksum+4:])
-	sum := h.Sum32()
+	// Not a hash.Hash32 nor a local zero field: either is a heap object per
+	// call, and the buffer validates every page it reads.
+	sum := crc32.Update(0, castagnoli, p[:offChecksum])
+	sum = crc32.Update(sum, castagnoli, zeroChecksum[:])
+	sum = crc32.Update(sum, castagnoli, p[offChecksum+4:])
 	if sum == 0 {
 		sum = 1 // reserve 0 for "not sealed"
 	}

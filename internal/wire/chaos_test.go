@@ -95,14 +95,12 @@ func TestChaosMixedTrafficUnderFaults(t *testing.T) {
 			}
 			defer c.Close()
 			// Each client owns solid <id> for its checkins.
-			if _, err := c.Checkout(fmt.Sprintf(`SELECT ALL FROM solid WHERE solid_no = %d`, id)); err != nil {
-				t.Errorf("client %d: own-solid checkout: %v", id, err)
+			own, err := c.Checkout(fmt.Sprintf(`SELECT ALL FROM solid WHERE solid_no = %d`, id))
+			if err != nil || len(own) != 1 {
+				t.Errorf("client %d: own-solid checkout: %d molecules, %v", id, len(own), err)
 				return
 			}
-			var solidAddr uint64
-			for a := range cBuffer(c) {
-				solidAddr = a
-			}
+			solidAddr := own[0].Root
 			for i := 0; i < ops; i++ {
 				switch i % 5 {
 				case 0:
@@ -253,15 +251,4 @@ func TestChaosMixedTrafficUnderFaults(t *testing.T) {
 		execFails += r.execFails
 	}
 	t.Logf("chaos: %d clients x %d ops, %d unacknowledged writes (tolerated)", clients, ops, execFails)
-}
-
-// cBuffer exposes the client's object buffer addresses to the test.
-func cBuffer(c *Client) map[uint64]AtomJSON {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[uint64]AtomJSON, len(c.buffer))
-	for k, v := range c.buffer {
-		out[k] = v
-	}
-	return out
 }

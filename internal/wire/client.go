@@ -81,9 +81,9 @@ type Client struct {
 	wbuf, rbuf []byte
 	dec        decoder
 
-	// Object buffer: checked-out atoms by address, plus recorded local
-	// changes awaiting checkin.
-	buffer  map[uint64]AtomJSON
+	// Object buffer: checked-out atoms by address, as record images, plus
+	// recorded local changes awaiting checkin.
+	buffer  map[uint64]buffered
 	pending []string // MQL statements to run at checkin
 }
 
@@ -99,7 +99,7 @@ func DialConfig(address string, cfg ClientConfig) (*Client, error) {
 		address: address,
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
-		buffer:  map[uint64]AtomJSON{},
+		buffer:  map[uint64]buffered{},
 		dec:     decoder{idents: map[string]string{}},
 	}
 	conn, err := c.dial()
@@ -252,6 +252,7 @@ func (c *Client) attempt(req *Request) (*Response, []MoleculeJSON, error) {
 		return nil, nil, err
 	}
 	resp := &Response{}
+	c.dec.held, c.dec.hold = c.dec.held[:0], req.Op == OpCheckout
 	for {
 		c.armDeadline()
 		body, err := readFrame(c.conn, c.rbuf)
@@ -267,9 +268,14 @@ func (c *Client) attempt(req *Request) (*Response, []MoleculeJSON, error) {
 		if err := resp.err(); err != nil {
 			return resp, nil, err
 		}
-		if !resp.More || req.Op != OpCheckout {
-			return resp, resp.Molecules, nil
+		if resp.More && req.Op == OpCheckout {
+			continue
 		}
+		// A checkout arrived whole: its atoms replace what the buffer held of them.
+		for _, h := range c.dec.held {
+			c.buffer[h.addr] = h.buffered
+		}
+		return resp, resp.Molecules, nil
 	}
 }
 
@@ -309,13 +315,6 @@ func (c *Client) CheckoutTraced(query string) ([]MoleculeJSON, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, m := range mols {
-		for _, a := range m.Atoms {
-			c.buffer[a.Addr] = a
-		}
-	}
 	return mols, resp.TraceID, nil
 }
 
@@ -329,12 +328,16 @@ func (c *Client) Slow(n int) ([]*obs.TraceSnapshot, error) {
 	return resp.Traces, nil
 }
 
-// Local returns a buffered atom without any server communication.
+// Local returns a buffered atom without any server communication: its
+// checked-out image rendered for this call, under the literals staged since.
 func (c *Client) Local(addr uint64) (AtomJSON, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	a, ok := c.buffer[addr]
-	return a, ok
+	b, ok := c.buffer[addr]
+	if !ok {
+		return AtomJSON{}, false
+	}
+	return c.dec.rendered(addr, b), true
 }
 
 // Metrics fetches the server's full metrics snapshot — every counter, gauge
@@ -371,12 +374,12 @@ func (c *Client) FetchAtom(a uint64) (AtomJSON, error) {
 func (c *Client) StageModify(typeName string, a uint64, attr, valueLiteral string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	buffered, ok := c.buffer[a]
+	b, ok := c.buffer[a]
 	if !ok {
 		return fmt.Errorf("wire: StageModify %s %v: atom not in object buffer (check it out first)", typeName, addr.LogicalAddr(a))
 	}
-	if buffered.Type != typeName {
-		return fmt.Errorf("wire: StageModify: buffered atom %v is a %s, not a %s", addr.LogicalAddr(a), buffered.Type, typeName)
+	if b.t.name != typeName {
+		return fmt.Errorf("wire: StageModify: buffered atom %v is a %s, not a %s", addr.LogicalAddr(a), b.t.name, typeName)
 	}
 	// The type dictionary of the connection the atom arrived on named the
 	// type's IDENTIFIER attribute.
@@ -384,8 +387,11 @@ func (c *Client) StageModify(typeName string, a uint64, attr, valueLiteral strin
 	if ident == "" {
 		return fmt.Errorf("wire: StageModify: server announced no IDENTIFIER attribute for %s", typeName)
 	}
-	buffered.Values[attr] = valueLiteral
-	c.buffer[a] = buffered
+	if b.staged == nil {
+		b.staged = map[string]string{}
+		c.buffer[a] = b
+	}
+	b.staged[attr] = valueLiteral
 	// Address literal keys the MODIFY to exactly this atom; the addr
 	// package owns the type/sequence layout of logical addresses.
 	la := addr.LogicalAddr(a)

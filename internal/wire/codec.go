@@ -463,6 +463,25 @@ type decoder struct {
 	lit   []byte    // the literals of the molecule being decoded, end to end
 	atoms []pending // its atoms, waiting for the arena string
 	ends  []litEnd  // where each literal ends in lit
+
+	// held lists the atoms decoded since it was emptied, as an object buffer
+	// keeps them, if hold is set: the response is a checkout's.
+	held []heldAtom
+	hold bool
+}
+
+// buffered is an atom as the object buffer holds it: its type and its record
+// image, the unit the read path carries — a piece of the one pointer-free blob
+// its molecule's images were copied into; rendered once, it renders again.
+type buffered struct {
+	t      *wireType
+	image  []byte
+	staged map[string]string // StageModify's literals over it, by attribute
+}
+
+type heldAtom struct {
+	addr uint64
+	buffered
 }
 
 // pending is a decoded atom whose values still lie in decoder.lit.
@@ -510,7 +529,7 @@ func (d *decoder) response(body []byte, resp *Response) error {
 		case entryAtom:
 			d.lit, d.atoms, d.ends = d.lit[:0], d.atoms[:0], d.ends[:0]
 			a := make([]AtomJSON, 1)
-			a[0].Addr = d.atom(&r)
+			a[0].Addr, _, _ = d.atom(&r)
 			if r.err == nil {
 				d.render(a)
 				resp.Atom = &a[0]
@@ -560,7 +579,8 @@ func (d *decoder) typeEntry(r *reader) {
 	}
 }
 
-// molecule reads a molecule entry.
+// molecule reads a molecule entry: it renders the atoms for the caller and
+// appends them to d.held, their images copied out of the frame as one blob.
 func (d *decoder) molecule(r *reader) (MoleculeJSON, bool) {
 	m := MoleculeJSON{Root: r.addr()}
 	n := r.count(4) // ordinal, address, attribute count
@@ -569,32 +589,53 @@ func (d *decoder) molecule(r *reader) (MoleculeJSON, bool) {
 	}
 	d.lit, d.atoms, d.ends = d.lit[:0], d.atoms[:0], d.ends[:0]
 	m.Atoms = make([]AtomJSON, n)
+	first, size := len(d.held), 0
 	for i := range m.Atoms {
-		m.Atoms[i].Addr = d.atom(r)
+		a, t, image := d.atom(r)
+		m.Atoms[i].Addr = a
+		if d.hold {
+			d.held = append(d.held, heldAtom{a, buffered{t: t, image: image}})
+			size += len(image)
+		}
 	}
 	if r.err != nil {
+		d.held = d.held[:first]
 		return m, false
+	}
+	blob := make([]byte, 0, size)
+	for i := first; i < len(d.held); i++ {
+		h := &d.held[i]
+		blob = append(blob, h.image...)
+		h.image = blob[len(blob)-len(h.image) : len(blob) : len(blob)]
 	}
 	d.render(m.Atoms)
 	return m, true
 }
 
 // atom reads one atom: it renders the image's non-NULL values onto d.lit,
-// queues the atom in d.atoms and returns its address.
-func (d *decoder) atom(r *reader) uint64 {
+// queues the atom in d.atoms and returns its address, its type and the image
+// where it lies in the frame.
+func (d *decoder) atom(r *reader) (uint64, *wireType, []byte) {
 	ord := r.uvarint()
 	a := r.addr()
 	if r.err != nil {
-		return 0
+		return 0, nil, nil
 	}
 	if ord >= uint64(len(d.types)) {
 		r.fail("unknown type ordinal %d", ord)
-		return 0
+		return 0, nil, nil
 	}
-	t := d.types[ord]
+	t, from := d.types[ord], r.b
+	d.image(t, r)
+	return a, t, from[:len(from)-len(r.b)]
+}
+
+// image reads the record image of a t: it renders its non-NULL values onto
+// d.lit and queues the atom in d.atoms.
+func (d *decoder) image(t *wireType, r *reader) {
 	if len(r.b) < 2 || int(binary.BigEndian.Uint16(r.b)) != len(t.attrs) {
 		r.fail("%s image does not hold %d attributes", t.name, len(t.attrs))
-		return 0
+		return
 	}
 	data := r.b[2:]
 	first := len(d.ends)
@@ -606,13 +647,24 @@ func (d *decoder) atom(r *reader) uint64 {
 		var err error
 		if d.lit, data, err = atom.AppendLiteral(d.lit, data); err != nil {
 			r.fail("%s.%s: %v", t.name, t.attrs[i], err)
-			return 0
+			return
 		}
 		d.ends = append(d.ends, litEnd{i, len(d.lit)})
 	}
 	r.b = data
 	d.atoms = append(d.atoms, pending{t, len(d.ends) - first})
-	return a
+}
+
+// rendered renders a buffered atom afresh, staged literals over the image's.
+func (d *decoder) rendered(a uint64, b buffered) AtomJSON {
+	d.lit, d.atoms, d.ends = d.lit[:0], d.atoms[:0], d.ends[:0]
+	d.image(b.t, &reader{b: b.image}) // rendered once already: it cannot fail
+	out := []AtomJSON{{Addr: a}}
+	d.render(out)
+	for attr, lit := range b.staged {
+		out[0].Values[attr] = lit
+	}
+	return out[0]
 }
 
 // render turns the queued atoms into out's Type and Values: one arena string

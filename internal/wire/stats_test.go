@@ -38,4 +38,21 @@ func TestStatsOp(t *testing.T) {
 	if st2.Gauge("atom_cache_atoms") == 0 {
 		t.Fatalf("no atoms cached after checkout: %+v", st2.Gauges)
 	}
+
+	// The buffer's frame counters and the runtime's gauges travel with the
+	// rest: building the scene allocated frames, and a process that serves
+	// this request has a heap and goroutines.
+	if _, ok := st2.Counters["buffer_frames_recycled_total"]; !ok || st2.Counter("buffer_frame_allocs_total") == 0 {
+		t.Errorf("buffer frame counters: %d allocated, recycled present %v", st2.Counter("buffer_frame_allocs_total"), ok)
+	}
+	for _, name := range []string{"runtime_heap_inuse_bytes", "runtime_goroutines"} {
+		if st2.Gauge(name) <= 0 {
+			t.Errorf("%s = %v, want it positive", name, st2.Gauge(name))
+		}
+	}
+	for _, name := range []string{"runtime_gc_cpu_seconds", "runtime_gc_pause_seconds"} {
+		if v, ok := st2.Gauges[name]; !ok || v < 0 {
+			t.Errorf("%s = %v, registered %v", name, v, ok)
+		}
+	}
 }

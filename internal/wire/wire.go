@@ -97,10 +97,9 @@ type MoleculeJSON struct {
 }
 
 // AtomJSON is a checked-out atom. Values are rendered in MQL literal syntax,
-// NULL attributes omitted. The literals of one molecule are substrings of one
-// arena string: it stays reachable as long as any of them does, and is
-// freed once every atom of the molecule has left the object buffer (a
-// repeated checkout of the molecule replaces them all).
+// NULL attributes omitted, and are the caller's own: the object buffer keeps
+// the atom's record image and renders it afresh for Local. The literals of
+// one molecule are substrings of one arena string.
 type AtomJSON struct {
 	Addr   uint64
 	Type   string
