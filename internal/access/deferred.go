@@ -191,14 +191,7 @@ func (s *System) invalidateRedundant(a addr.LogicalAddr, changed map[int]bool) e
 			if p == nil {
 				continue
 			}
-			touched := false
-			for _, idx := range p.attrIdxs {
-				if changed[idx] {
-					touched = true
-					break
-				}
-			}
-			if touched && ref.Valid {
+			if touches(p.attrIdxs, changed) && ref.Valid {
 				if err := s.dir.SetValid(a, ref.Struct, false); err != nil {
 					return err
 				}
@@ -207,19 +200,7 @@ func (s *System) invalidateRedundant(a addr.LogicalAddr, changed map[int]bool) e
 		case addr.KindCluster:
 			// Cluster payloads hold full atom images: always stale. The
 			// rebuild task is keyed by the occurrence's root atom.
-			s.mu.RLock()
-			cl := s.clusters[ref.Struct]
-			var root addr.LogicalAddr
-			found := false
-			if cl != nil {
-				for r, header := range cl.occurrences {
-					if header == ref.Where.Page {
-						root, found = r, true
-						break
-					}
-				}
-			}
-			s.mu.RUnlock()
+			root, found := s.clusterRootOf(ref)
 			if !found {
 				continue
 			}
@@ -232,4 +213,19 @@ func (s *System) invalidateRedundant(a addr.LogicalAddr, changed map[int]bool) e
 		}
 	}
 	return nil
+}
+
+// clusterRootOf returns the root atom of the cluster occurrence whose page
+// sequence holds the cluster record ref.
+func (s *System) clusterRootOf(ref addr.RecordRef) (addr.LogicalAddr, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if cl := s.clusters[ref.Struct]; cl != nil {
+		for r, header := range cl.occurrences {
+			if header == ref.Where.Page {
+				return r, true
+			}
+		}
+	}
+	return 0, false
 }

@@ -294,7 +294,7 @@ func TestNegativeCacheProbes(t *testing.T) {
 	}
 
 	// Resurrection must kill the negative entry.
-	if err := s.RawResurrect(victim, pre.Values); err != nil {
+	if err := s.RawResurrect(victim, pre.Values, 0); err != nil {
 		t.Fatalf("RawResurrect: %v", err)
 	}
 	if _, err := s.Get(victim, nil); err != nil {

@@ -2,6 +2,7 @@ package access
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -75,7 +76,18 @@ func (a *Atom) Value(name string) (atom.Value, bool) {
 // assigned by the system ("it is generated by the access system when an
 // atom is inserted"). Reference values trigger the implicit partner updates
 // that keep associations symmetric.
+//
+// The System mutators are the no-transaction form for loaders and tools: their
+// writes are logged as autocommit, admitted by no scope and never undone.
+// Statements write through the Writer their transaction or autocommit scope
+// hands them.
 func (s *System) Insert(typeName string, values map[string]atom.Value) (addr.LogicalAddr, error) {
+	return s.Writer(0, nil).Insert(typeName, values)
+}
+
+// Insert is System.Insert in w's write context.
+func (w Writer) Insert(typeName string, values map[string]atom.Value) (_ addr.LogicalAddr, err error) {
+	s := w.s
 	t, err := s.typeOf(typeName)
 	if err != nil {
 		return 0, err
@@ -84,6 +96,12 @@ func (s *System) Insert(typeName string, values map[string]atom.Value) (addr.Log
 	// updates) from its first log record to the last page write.
 	defer s.walOpBegin()()
 	a := s.dir.NewAddr(t.ID)
+	if err := w.acquire(a); err != nil {
+		s.dir.Release(a)
+		return 0, err
+	}
+	// Released last: after the write span closes and the cache barrier ran.
+	defer func() { w.release(a, wal.RecInsert, nil, err) }()
 	// Open the multi-version write span with a tombstone pre-image ("did not
 	// exist before this write") before anything becomes visible, and drop any
 	// negative cache entry for the address (it stops not-existing now).
@@ -114,65 +132,25 @@ func (s *System) Insert(typeName string, values map[string]atom.Value) (addr.Log
 		}
 	}
 
-	if err := s.hookBeforeWrite(a); err != nil {
-		s.dir.Release(a)
-		return 0, err
-	}
-
 	// Log the insert ahead of any page write; if a later physical step
 	// fails, the compensating delete makes the logged pair a net no-op.
-	if err := s.walAppend(wal.RecInsert, a, t.Name, nil, vec); err != nil {
+	if err := w.walAppend(wal.RecInsert, a, t.Name, nil, vec); err != nil {
 		s.dir.Release(a)
 		return 0, err
 	}
-	comp := func() { s.walCompensate(wal.RecDelete, a, t.Name, vec, nil) }
+	comp := func() { w.walCompensate(wal.RecDelete, a, t.Name, vec, nil) }
 
-	// Primary record.
-	prim, err := s.primary(t)
-	if err != nil {
-		s.dir.Release(a)
-		comp()
-		return 0, err
-	}
-	var rid addr.RID
-	if err := withEncodedAtom(vec, func(rec []byte) error {
-		var err error
-		rid, err = prim.Insert(rec)
-		return err
-	}); err != nil {
-		s.dir.Release(a)
-		comp()
-		return 0, err
-	}
-	if err := s.dir.Register(a, addr.RecordRef{Kind: addr.KindPrimary, Where: rid, Valid: true}); err != nil {
-		comp()
-		return 0, err
-	}
-
-	// Redundant structures.
-	for _, ap := range s.accessPathsOf(typeName) {
-		if err := s.indexInsert(ap, vec, a); err != nil {
-			comp()
-			return 0, err
+	if err := s.store(t, a, vec, comp); err != nil {
+		if _, ok := s.dir.LookupStruct(a, 0); !ok {
+			s.dir.Release(a) // never registered: the address stays free
 		}
-	}
-	for _, so := range s.sortOrdersOf(typeName) {
-		if err := s.sortOrderInsert(so, vec, a); err != nil {
-			comp()
-			return 0, err
-		}
-	}
-	for _, p := range s.partitionsOf(typeName) {
-		if err := s.partitionInsert(p, vec, a); err != nil {
-			comp()
-			return 0, err
-		}
+		return 0, err
 	}
 
 	// Implicit partner updates (back-references).
 	for _, i := range t.RefAttrs() {
 		for target := range vec[i].AllRefs() {
-			if err := s.addBackRef(t, i, a, target); err != nil {
+			if err := w.addBackRef(t, i, a, target); err != nil {
 				comp()
 				return 0, err
 			}
@@ -188,8 +166,51 @@ func (s *System) Insert(typeName string, values map[string]atom.Value) (addr.Log
 			}
 		}
 	}
-	s.hookDidInsert(a)
 	return a, nil
+}
+
+// store writes atom a's primary record, registers it with the directory and
+// enters vals into the type's access paths, sort orders and partitions. comp
+// compensates the logged insert when a step fails. Insert and RawResurrect
+// share it.
+func (s *System) store(t *catalog.AtomType, a addr.LogicalAddr, vals []atom.Value, comp func()) error {
+	prim, err := s.primary(t)
+	if err != nil {
+		comp()
+		return err
+	}
+	var rid addr.RID
+	if err := withEncodedAtom(vals, func(rec []byte) error {
+		var err error
+		rid, err = prim.Insert(rec)
+		return err
+	}); err != nil {
+		comp()
+		return err
+	}
+	if err := s.dir.Register(a, addr.RecordRef{Kind: addr.KindPrimary, Where: rid, Valid: true}); err != nil {
+		comp()
+		return err
+	}
+	for _, ap := range s.accessPathsOf(t.Name) {
+		if err := s.indexInsert(ap, vals, a); err != nil {
+			comp()
+			return err
+		}
+	}
+	for _, so := range s.sortOrdersOf(t.Name) {
+		if err := s.sortOrderInsert(so, vals, a); err != nil {
+			comp()
+			return err
+		}
+	}
+	for _, p := range s.partitionsOf(t.Name) {
+		if err := s.partitionInsert(p, vals, a); err != nil {
+			comp()
+			return err
+		}
+	}
+	return nil
 }
 
 // checkRefTargets validates that every address in v exists and has the
@@ -213,35 +234,33 @@ func (s *System) checkRefTargets(t *catalog.AtomType, attrIdx int, v atom.Value)
 
 // addBackRef performs the implicit update on the partner atom: target's
 // back attribute gains a reference to a.
-func (s *System) addBackRef(t *catalog.AtomType, attrIdx int, a, target addr.LogicalAddr) error {
-	_, backAttr, _ := t.Attrs[attrIdx].Type.RefTarget()
-	pt, err := s.typeByID(target.Type())
-	if err != nil {
-		return err
-	}
-	bi, ok := pt.AttrIndex(backAttr)
-	if !ok {
-		return fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, pt.Name, backAttr)
-	}
-	partner, err := s.Get(target, nil)
-	if err != nil {
-		return err
-	}
-	old := partner.Values[bi]
-	if old.ContainsRef(a) {
-		return nil // already symmetric
-	}
-	nv := make([]atom.Value, len(partner.Values))
-	copy(nv, partner.Values)
-	nv[bi] = old.WithRef(a)
-	return s.updateRaw(pt, target, partner.Values, nv, map[int]bool{bi: true})
+func (w Writer) addBackRef(t *catalog.AtomType, attrIdx int, a, target addr.LogicalAddr) error {
+	return w.editBackRef(t, attrIdx, target, func(v atom.Value) (atom.Value, bool) {
+		if v.ContainsRef(a) {
+			return v, false // already symmetric
+		}
+		return v.WithRef(a), true
+	})
 }
 
 // removeBackRef removes a's entry from target's back attribute.
-func (s *System) removeBackRef(t *catalog.AtomType, attrIdx int, a, target addr.LogicalAddr) error {
-	if !s.dir.Exists(target) {
+func (w Writer) removeBackRef(t *catalog.AtomType, attrIdx int, a, target addr.LogicalAddr) error {
+	if !w.s.dir.Exists(target) {
 		return nil // partner already deleted
 	}
+	return w.editBackRef(t, attrIdx, target, func(v atom.Value) (atom.Value, bool) {
+		if !v.ContainsRef(a) {
+			return v, false
+		}
+		return v.WithoutRef(a), true
+	})
+}
+
+// editBackRef rewrites target's back attribute of t's reference attribute
+// attrIdx to what edit makes of it, unless edit reports no change. target is
+// admitted before it is read.
+func (w Writer) editBackRef(t *catalog.AtomType, attrIdx int, target addr.LogicalAddr, edit func(atom.Value) (atom.Value, bool)) (err error) {
+	s := w.s
 	_, backAttr, _ := t.Attrs[attrIdx].Type.RefTarget()
 	pt, err := s.typeByID(target.Type())
 	if err != nil {
@@ -251,18 +270,24 @@ func (s *System) removeBackRef(t *catalog.AtomType, attrIdx int, a, target addr.
 	if !ok {
 		return fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, pt.Name, backAttr)
 	}
+	if err := w.acquire(target); err != nil {
+		return err
+	}
+	var kind wal.Kind // stays 0 when nothing is written
+	var pre []atom.Value
+	defer func() { w.release(target, kind, pre, err) }()
 	partner, err := s.Get(target, nil)
 	if err != nil {
 		return err
 	}
-	old := partner.Values[bi]
-	if !old.ContainsRef(a) {
+	v, changed := edit(partner.Values[bi])
+	if !changed {
 		return nil
 	}
-	nv := make([]atom.Value, len(partner.Values))
-	copy(nv, partner.Values)
-	nv[bi] = old.WithoutRef(a)
-	return s.updateRaw(pt, target, partner.Values, nv, map[int]bool{bi: true})
+	nv := slices.Clone(partner.Values)
+	nv[bi] = v
+	kind, pre = wal.RecUpdate, partner.Values
+	return w.updateRaw(pt, target, partner.Values, nv, map[int]bool{bi: true})
 }
 
 // Get reads an atom. attrs selects attributes to materialize (nil = all);
@@ -440,18 +465,29 @@ func (s *System) getFromPartition(t *catalog.AtomType, a addr.LogicalAddr, refs 
 // the partner updates maintaining back-references; redundant records are
 // refreshed by deferred update.
 func (s *System) Update(a addr.LogicalAddr, changes map[string]atom.Value) error {
+	return s.Writer(0, nil).Update(a, changes)
+}
+
+// Update is System.Update in w's write context.
+func (w Writer) Update(a addr.LogicalAddr, changes map[string]atom.Value) (err error) {
+	s := w.s
 	t, err := s.typeByID(a.Type())
 	if err != nil {
 		return err
 	}
 	// Checkpoint op span: see Insert.
 	defer s.walOpBegin()()
+	if err := w.acquire(a); err != nil {
+		return err
+	}
+	var old []atom.Value
+	defer func() { w.release(a, wal.RecUpdate, old, err) }()
 	cur, err := s.Get(a, nil)
 	if err != nil {
 		return err
 	}
-	nv := make([]atom.Value, len(cur.Values))
-	copy(nv, cur.Values)
+	old = cur.Values
+	nv := slices.Clone(cur.Values)
 	changed := map[int]bool{}
 	for name, v := range changes {
 		i, ok := t.AttrIndex(name)
@@ -486,35 +522,27 @@ func (s *System) Update(a addr.LogicalAddr, changes map[string]atom.Value) error
 		}
 		for x := range newSet {
 			if !oldSet[x] {
-				if err := s.addBackRef(t, i, a, x); err != nil {
+				if err := w.addBackRef(t, i, a, x); err != nil {
 					return err
 				}
 			}
 		}
 		for x := range oldSet {
 			if !newSet[x] {
-				if err := s.removeBackRef(t, i, a, x); err != nil {
+				if err := w.removeBackRef(t, i, a, x); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	return s.updateRaw(t, a, cur.Values, nv, changed)
+	return w.updateRaw(t, a, cur.Values, nv, changed)
 }
 
 // updateRaw rewrites the primary record and maintains indexes without any
-// integrity side effects (used by Update and by the implicit partner
-// updates themselves).
-func (s *System) updateRaw(t *catalog.AtomType, a addr.LogicalAddr, old, nv []atom.Value, changed map[int]bool) error {
-	return s.updateRawInner(t, a, old, nv, changed, true)
-}
-
-func (s *System) updateRawInner(t *catalog.AtomType, a addr.LogicalAddr, old, nv []atom.Value, changed map[int]bool, hooked bool) error {
-	if hooked {
-		if err := s.hookBeforeWrite(a); err != nil {
-			return err
-		}
-	}
+// integrity side effects (used by Update, by the implicit partner updates
+// themselves and by undo). The caller has admitted a.
+func (w Writer) updateRaw(t *catalog.AtomType, a addr.LogicalAddr, old, nv []atom.Value, changed map[int]bool) error {
+	s := w.s
 	// Multi-version write span: the pre-image is installed here, before any
 	// physical record changes, so snapshot readers that observe this write's
 	// effects always find the old image in the chain.
@@ -525,20 +553,13 @@ func (s *System) updateRawInner(t *catalog.AtomType, a addr.LogicalAddr, old, nv
 	defer s.cacheInvalidate(a)
 	// Log the update ahead of any page write; on a later physical failure
 	// the reversed compensation makes the logged pair a net no-op.
-	if err := s.walAppend(wal.RecUpdate, a, t.Name, old, nv); err != nil {
+	if err := w.walAppend(wal.RecUpdate, a, t.Name, old, nv); err != nil {
 		return err
 	}
-	comp := func() { s.walCompensate(wal.RecUpdate, a, t.Name, nv, old) }
+	comp := func() { w.walCompensate(wal.RecUpdate, a, t.Name, nv, old) }
 	// Access paths reposition immediately when their key changed.
 	for _, ap := range s.accessPathsOf(t.Name) {
-		touched := false
-		for _, idx := range ap.attrIdxs {
-			if changed[idx] {
-				touched = true
-				break
-			}
-		}
-		if !touched {
+		if !touches(ap.attrIdxs, changed) {
 			continue
 		}
 		if err := s.indexDelete(ap, old, a); err != nil {
@@ -553,14 +574,7 @@ func (s *System) updateRawInner(t *catalog.AtomType, a addr.LogicalAddr, old, nv
 	// Sort order trees reposition immediately when the sort key changed
 	// (the redundant record copy itself is refreshed lazily).
 	for _, so := range s.sortOrdersOf(t.Name) {
-		touched := false
-		for _, idx := range so.attrIdxs {
-			if changed[idx] {
-				touched = true
-				break
-			}
-		}
-		if !touched {
+		if !touches(so.attrIdxs, changed) {
 			continue
 		}
 		if err := so.tree.Delete(so.sortKey(old), a); err != nil {
@@ -604,99 +618,121 @@ func (s *System) updateRawInner(t *catalog.AtomType, a addr.LogicalAddr, old, nv
 		comp()
 		return err
 	}
-	if hooked {
-		s.hookDidUpdate(a, t.Name, old)
-	}
 	return nil
+}
+
+// touches reports whether any of the attribute indices idxs changed.
+func touches(idxs []int, changed map[int]bool) bool {
+	return slices.ContainsFunc(idxs, func(i int) bool { return changed[i] })
 }
 
 // Connect adds target to a's reference attribute attr (and maintains the
 // back-reference). This realizes MQL's component connection.
 func (s *System) Connect(a addr.LogicalAddr, attr string, target addr.LogicalAddr) error {
-	t, err := s.typeByID(a.Type())
-	if err != nil {
-		return err
-	}
-	i, ok := t.AttrIndex(attr)
-	if !ok {
-		return fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, t.Name, attr)
-	}
-	cur, err := s.Get(a, nil)
-	if err != nil {
-		return err
-	}
-	return s.Update(a, map[string]atom.Value{attr: cur.Values[i].WithRef(target)})
+	return s.Writer(0, nil).Connect(a, attr, target)
 }
 
 // Disconnect removes target from a's reference attribute attr.
 func (s *System) Disconnect(a addr.LogicalAddr, attr string, target addr.LogicalAddr) error {
-	t, err := s.typeByID(a.Type())
+	return s.Writer(0, nil).Disconnect(a, attr, target)
+}
+
+// Connect is System.Connect in w's write context.
+func (w Writer) Connect(a addr.LogicalAddr, attr string, target addr.LogicalAddr) error {
+	return w.editRef(a, attr, func(v atom.Value) atom.Value { return v.WithRef(target) })
+}
+
+// Disconnect is System.Disconnect in w's write context.
+func (w Writer) Disconnect(a addr.LogicalAddr, attr string, target addr.LogicalAddr) error {
+	return w.editRef(a, attr, func(v atom.Value) atom.Value { return v.WithoutRef(target) })
+}
+
+// editRef replaces a's reference attribute attr by what edit makes of it. It
+// holds a from the read to the update, so no concurrent writer can change the
+// reference set in between; the update records the undo.
+func (w Writer) editRef(a addr.LogicalAddr, attr string, edit func(atom.Value) atom.Value) (err error) {
+	if err := w.acquire(a); err != nil {
+		return err
+	}
+	defer func() { w.release(a, 0, nil, err) }()
+	cur, err := w.s.Get(a, nil)
 	if err != nil {
 		return err
 	}
-	i, ok := t.AttrIndex(attr)
+	v, ok := cur.Value(attr)
 	if !ok {
-		return fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, t.Name, attr)
+		return fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, cur.Type.Name, attr)
 	}
-	cur, err := s.Get(a, nil)
-	if err != nil {
-		return err
-	}
-	return s.Update(a, map[string]atom.Value{attr: cur.Values[i].WithoutRef(target)})
+	return w.Update(a, map[string]atom.Value{attr: edit(v)})
 }
 
 // Delete removes atom a: partner atoms drop their back-references
 // (automatic disconnection), all physical records are reclaimed, and the
 // logical address is released.
-func (s *System) Delete(a addr.LogicalAddr) error {
+func (s *System) Delete(a addr.LogicalAddr) error { return s.Writer(0, nil).Delete(a) }
+
+// Delete is System.Delete in w's write context.
+func (w Writer) Delete(a addr.LogicalAddr) (err error) {
+	s := w.s
 	t, err := s.typeByID(a.Type())
 	if err != nil {
 		return err
 	}
 	// Checkpoint op span: see Insert.
 	defer s.walOpBegin()()
+	if err := w.acquire(a); err != nil {
+		return err
+	}
+	var pre []atom.Value
+	defer func() { w.release(a, wal.RecDelete, pre, err) }()
 	cur, err := s.Get(a, nil)
 	if err != nil {
 		return err
 	}
-	if err := s.hookBeforeWrite(a); err != nil {
-		return err
-	}
+	pre = cur.Values
 	// Multi-version write span: snapshot readers keep seeing the deleted
 	// atom's pre-image (and enumerate its address) until no snapshot from
 	// before this delete remains open.
 	defer s.mvBegin(t, a, cur.Values)()
-	// Deferred like updateRawInner's barrier: even a partially failed
+	// Deferred like updateRaw's barrier: even a partially failed
 	// delete (e.g. a record reclaim error after the directory release) must
 	// drop the cached image.
 	defer s.cacheInvalidate(a)
 
 	// Log the delete ahead of any page write; a compensating insert voids
 	// the logged pair if a later physical step fails.
-	if err := s.walAppend(wal.RecDelete, a, t.Name, cur.Values, nil); err != nil {
+	if err := w.walAppend(wal.RecDelete, a, t.Name, cur.Values, nil); err != nil {
 		return err
 	}
-	comp := func() { s.walCompensate(wal.RecInsert, a, t.Name, nil, cur.Values) }
+	comp := func() { w.walCompensate(wal.RecInsert, a, t.Name, nil, cur.Values) }
 
 	// Implicit disconnection from all partners.
 	for _, i := range t.RefAttrs() {
 		for target := range cur.Values[i].AllRefs() {
-			if err := s.removeBackRef(t, i, a, target); err != nil {
+			if err := w.removeBackRef(t, i, a, target); err != nil {
 				comp()
 				return err
 			}
 		}
 	}
 
+	return s.drop(t, a, cur.Values, comp)
+}
+
+// drop removes atom a, whose values are vals, from the access paths and sort
+// orders, dissolves the cluster occurrences it roots, releases its address
+// and reclaims its physical records. comp compensates the logged delete when
+// a step up to the release fails. Delete and RawDelete share it.
+func (s *System) drop(t *catalog.AtomType, a addr.LogicalAddr, vals []atom.Value, comp func()) error {
 	// Access paths and sort order trees drop their entries immediately.
 	for _, ap := range s.accessPathsOf(t.Name) {
-		if err := s.indexDelete(ap, cur.Values, a); err != nil {
+		if err := s.indexDelete(ap, vals, a); err != nil {
 			comp()
 			return err
 		}
 	}
 	for _, so := range s.sortOrdersOf(t.Name) {
-		if err := so.tree.Delete(so.sortKey(cur.Values), a); err != nil {
+		if err := so.tree.Delete(so.sortKey(vals), a); err != nil {
 			comp()
 			return err
 		}
@@ -749,25 +785,11 @@ func (s *System) Delete(a addr.LogicalAddr) error {
 		case addr.KindCluster:
 			// The payload still holds a stale image; queue a rebuild of
 			// the containing occurrence.
-			s.mu.RLock()
-			cl := s.clusters[ref.Struct]
-			var root addr.LogicalAddr
-			found := false
-			if cl != nil {
-				for r, header := range cl.occurrences {
-					if header == ref.Where.Page {
-						root, found = r, true
-						break
-					}
-				}
-			}
-			s.mu.RUnlock()
-			if found && root != a {
+			if root, found := s.clusterRootOf(ref); found && root != a {
 				s.deferq.push(deferTask{kind: taskCluster, a: root, structID: ref.Struct})
 			}
 		}
 	}
-	s.hookDidDelete(a, t.Name, cur.Values)
 	return nil
 }
 

@@ -231,13 +231,6 @@ type System struct {
 	// and transaction manager all reach the one tracer through here.
 	tracer *obs.Tracer
 
-	// walSink is the span the write-ahead log attributes appended bytes to
-	// while a traced statement executes (nil between traced statements).
-	// Attribution is best-effort under concurrent writers: traced writers
-	// each install their own span and the last store wins, which is the
-	// accepted cost of keeping walAppend lock-free.
-	walSink atomic.Pointer[obs.Span]
-
 	// atoms is the atom cache (nil = disabled); swapped atomically
 	// by SetAtomCacheSize. Its counters live here so statistics accumulate
 	// across resizes.
@@ -248,16 +241,12 @@ type System struct {
 	// present (its cost is one atomic counter when no snapshot is open).
 	mv *mvStore
 
-	// hook is the transaction layer's mutation observer (see SetHook).
-	hook hookHolder
-
-	// wal is the write-ahead log (nil when Config.WAL is off). txidFn
-	// attributes mutations to top-level transactions; walRecovering is set
-	// only during the single-threaded recovery replay in Open, where the
-	// Raw* operators must not re-log the history they are repeating.
+	// wal is the write-ahead log (nil when Config.WAL is off).
+	// walRecovering is set only during the single-threaded recovery replay in
+	// Open, where the Raw* operators must not re-log the history they are
+	// repeating.
 	wal           *wal.Log
 	walRecovering bool
-	txidFn        atomic.Pointer[func() uint64]
 	ckptMu        sync.Mutex
 	walStop       chan struct{}
 	walDone       chan struct{}
@@ -347,11 +336,6 @@ func (s *System) Obs() *obs.Registry { return s.reg }
 // Tracer exposes the database-wide request tracer (see obs.Tracer). Never
 // nil after Open; whether it traces anything depends on its knobs.
 func (s *System) Tracer() *obs.Tracer { return s.tracer }
-
-// SetWALTraceSink installs (or, with nil, removes) the span that walAppend
-// charges CtrWALBytes to. The engine brackets traced statement execution
-// with it; see the walSink field for the concurrency caveat.
-func (s *System) SetWALTraceSink(sp *obs.Span) { s.walSink.Store(sp) }
 
 // Schema exposes the catalog.
 func (s *System) Schema() *catalog.Schema { return s.schema }

@@ -87,22 +87,6 @@ func writeFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// walTxID asks the installed transaction-id source (the transaction manager)
-// which top-level transaction the current mutation belongs to. 0 is the
-// autocommit scope: always redone, never rolled back.
-func (s *System) walTxID() uint64 {
-	if fn := s.txidFn.Load(); fn != nil {
-		return (*fn)()
-	}
-	return 0
-}
-
-// SetTxIDSource installs the function that attributes mutations to their
-// top-level transaction (the transaction manager's current root id).
-func (s *System) SetTxIDSource(fn func() uint64) {
-	s.txidFn.Store(&fn)
-}
-
 // walOpBegin marks a logged mutation as in flight for checkpointing: until
 // the returned release runs, a fuzzy checkpoint will not truncate the log
 // past the operation's first record, even though the operation's page writes
@@ -117,16 +101,17 @@ func (s *System) walOpBegin() func() {
 	return w.OpBegin()
 }
 
-// walAppend logs one atom mutation ahead of its physical application. The
+// walAppend logs one atom mutation ahead of its physical application,
+// attributed to w's transaction and charged to w's span. The
 // images are encoded with the atom codec into pooled scratch buffers — the
 // log copies them into its write buffer before returning. An error means the
 // record could not be logged and the mutation must not proceed.
-func (s *System) walAppend(kind wal.Kind, a addr.LogicalAddr, typeName string, undo, redo []atom.Value) error {
-	w := s.wal
-	if w == nil || s.walRecovering {
+func (w Writer) walAppend(kind wal.Kind, a addr.LogicalAddr, typeName string, undo, redo []atom.Value) error {
+	l := w.s.wal
+	if l == nil || w.s.walRecovering {
 		return nil
 	}
-	rec := wal.Record{Kind: kind, TxID: s.walTxID(), Addr: uint64(a), TypeName: typeName}
+	rec := wal.Record{Kind: kind, TxID: w.txID, Addr: uint64(a), TypeName: typeName}
 	var ub, rb *[]byte
 	if undo != nil {
 		ub = encScratch.Get().(*[]byte)
@@ -136,10 +121,8 @@ func (s *System) walAppend(kind wal.Kind, a addr.LogicalAddr, typeName string, u
 		rb = encScratch.Get().(*[]byte)
 		rec.Redo = atom.AppendAtom((*rb)[:0], redo)
 	}
-	if sp := s.walSink.Load(); sp != nil {
-		sp.Add(obs.CtrWALBytes, int64(len(rec.Undo)+len(rec.Redo)))
-	}
-	_, err := w.Append(&rec)
+	w.span.Add(obs.CtrWALBytes, int64(len(rec.Undo)+len(rec.Redo)))
+	_, err := l.Append(&rec)
 	if ub != nil {
 		*ub = rec.Undo[:0]
 		encScratch.Put(ub)
@@ -158,8 +141,8 @@ func (s *System) walAppend(kind wal.Kind, a addr.LogicalAddr, typeName string, u
 // whose physical application failed, so replaying the pair nets out to
 // nothing. Best effort: if the log itself is failing, recovery re-runs
 // against whatever prefix survived.
-func (s *System) walCompensate(kind wal.Kind, a addr.LogicalAddr, typeName string, undo, redo []atom.Value) {
-	_ = s.walAppend(kind, a, typeName, undo, redo)
+func (w Writer) walCompensate(kind wal.Kind, a addr.LogicalAddr, typeName string, undo, redo []atom.Value) {
+	_ = w.walAppend(kind, a, typeName, undo, redo)
 }
 
 // WALCommit durably commits the transaction's log records (group commit).
@@ -296,7 +279,7 @@ func (ap *walApplier) Undo(r *wal.Record) error {
 // is dropped and the atom re-created from the log image.
 func (s *System) applyImage(a addr.LogicalAddr, vals []atom.Value) error {
 	if s.dir.Exists(a) {
-		if err := s.RawOverwrite(a, vals); err == nil {
+		if err := s.RawOverwrite(a, vals, 0); err == nil {
 			return nil
 		}
 		if refs, err := s.dir.Release(a); err == nil {
@@ -304,7 +287,7 @@ func (s *System) applyImage(a addr.LogicalAddr, vals []atom.Value) error {
 		}
 		s.cacheInvalidate(a)
 	}
-	return s.RawResurrect(a, vals)
+	return s.RawResurrect(a, vals, 0)
 }
 
 // applyDelete makes atom a not exist.
@@ -312,7 +295,7 @@ func (s *System) applyDelete(a addr.LogicalAddr) error {
 	if !s.dir.Exists(a) {
 		return nil
 	}
-	if err := s.RawDelete(a); err != nil {
+	if err := s.RawDelete(a, 0); err != nil {
 		// Stale base state: drop the directory entry, reclaim what can be
 		// reclaimed and move on — the log, not the heap, is authoritative.
 		if refs, rerr := s.dir.Release(a); rerr == nil {

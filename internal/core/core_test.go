@@ -42,7 +42,7 @@ func mustQuery(t testing.TB, e *core.Engine, q string) *core.Result {
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	r, err := e.Execute(stmt)
+	r, err := e.Execute(stmt, e.System().Writer(0, nil))
 	if err != nil {
 		t.Fatalf("execute %q: %v", q, err)
 	}
@@ -272,7 +272,7 @@ func TestOptimizerDirectRootAccess(t *testing.T) {
 	if plan.AccessKind != "direct" || plan.DirectRoot != a {
 		t.Fatalf("plan chose %s/%v, want direct/%v", plan.AccessKind, plan.DirectRoot, a)
 	}
-	r2, err := e.Execute(stmt)
+	r2, err := e.Execute(stmt, e.System().Writer(0, nil))
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -315,7 +315,7 @@ func TestOptimizerChoosesAccessPath(t *testing.T) {
 		t.Fatalf("access path roots = %v, %v", roots, err)
 	}
 	// Result identical to the scan-based plan.
-	r, err := e.Execute(stmt)
+	r, err := e.Execute(stmt, e.System().Writer(0, nil))
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -336,7 +336,7 @@ func TestOptimizerChoosesCluster(t *testing.T) {
 	if plan.AccessKind != "cluster" || plan.Cluster != "brep_cl" {
 		t.Fatalf("plan chose %s, want cluster brep_cl", plan.AccessKind)
 	}
-	r, err := e.Execute(stmt)
+	r, err := e.Execute(stmt, e.System().Writer(0, nil))
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -446,7 +446,7 @@ func TestSemanticErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", q, err)
 		}
-		if _, err := e.Execute(stmt); err == nil {
+		if _, err := e.Execute(stmt, e.System().Writer(0, nil)); err == nil {
 			t.Errorf("Execute(%q) succeeded, want error", q)
 		}
 	}
@@ -493,7 +493,7 @@ func TestCheckIntegrityStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 	stmt, _ := mql.ParseOne(`CHECK INTEGRITY brep`)
-	if _, err := e.Execute(stmt); err == nil {
+	if _, err := e.Execute(stmt, e.System().Writer(0, nil)); err == nil {
 		t.Fatal("cardinality violation not detected")
 	}
 }

@@ -261,11 +261,13 @@ type Result struct {
 
 // execCtx carries the per-request execution context down the statement
 // dispatch: the pinned snapshot epoch (nil = current), the request trace
-// (nil = untraced — every span operation no-ops), and the script parse time
-// so EXPLAIN ANALYZE can report the parse stage it arrived through.
+// (nil = untraced — every span operation no-ops), the write context DML
+// mutates through, and the script parse time so EXPLAIN ANALYZE can report
+// the parse stage it arrived through.
 type execCtx struct {
 	epoch   *uint64
 	tr      *obs.Trace
+	w       access.Writer
 	parseNs int64
 }
 
@@ -273,22 +275,26 @@ type execCtx struct {
 // returning one result per statement. Single-statement SELECT, DELETE and
 // MODIFY scripts are served through the plan cache: a repeated statement
 // text skips parsing and planning entirely and goes straight to execution.
+// DML writes through the access system's no-transaction form (loaders and
+// tools); the other entry points name their write context.
 func (e *Engine) ExecuteScript(src string) ([]*Result, error) {
-	return e.executeScript(src, execCtx{})
+	return e.executeScript(src, execCtx{w: e.sys.Writer(0, nil)})
 }
 
-// ExecuteScriptTraced is ExecuteScript recording parse/plan/assemble/apply
-// spans under tr's root span (nil tr is ExecuteScript).
-func (e *Engine) ExecuteScriptTraced(src string, tr *obs.Trace) ([]*Result, error) {
-	return e.executeScript(src, execCtx{tr: tr})
+// ExecuteScriptTraced is ExecuteScript writing through w and recording
+// parse/plan/assemble/apply spans under tr's root span (nil tr records
+// nothing).
+func (e *Engine) ExecuteScriptTraced(src string, tr *obs.Trace, w access.Writer) ([]*Result, error) {
+	return e.executeScript(src, execCtx{tr: tr, w: w})
 }
 
 // ExecuteScriptAt runs the script with every SELECT reading at the given
 // snapshot epoch, which the caller must hold open through a live snapshot
-// (the transaction layer pins one at Begin). DML statements always run
-// against current state — writes cannot apply to history.
-func (e *Engine) ExecuteScriptAt(src string, epoch uint64) ([]*Result, error) {
-	return e.executeScript(src, execCtx{epoch: &epoch})
+// (the transaction layer pins one at Begin), and DML writing through w. DML
+// statements always run against current state — writes cannot apply to
+// history.
+func (e *Engine) ExecuteScriptAt(src string, epoch uint64, w access.Writer) ([]*Result, error) {
+	return e.executeScript(src, execCtx{epoch: &epoch, w: w})
 }
 
 func (e *Engine) executeScript(src string, ctx execCtx) ([]*Result, error) {
@@ -306,7 +312,7 @@ func (e *Engine) executeScript(src string, ctx execCtx) ([]*Result, error) {
 			r, err = e.runSelect(v, ctx)
 		case *cachedDML:
 			ctx.tr.SetAttr("plan_cache", "hit")
-			r, err = e.runDML(v, ctx.tr)
+			r, err = e.runDML(v, ctx)
 		default:
 			hit = false
 		}
@@ -343,13 +349,13 @@ func (e *Engine) executeScript(src string, ctx execCtx) ([]*Result, error) {
 				var c *cachedDML
 				if c, err = e.prepareDMLStage(ctx.tr, func() (*cachedDML, error) { return e.prepareDelete(v, depth) }); err == nil {
 					e.plans.putMiss(key, c)
-					r, err = e.runDML(c, ctx.tr)
+					r, err = e.runDML(c, ctx)
 				}
 			case *mql.Modify:
 				var c *cachedDML
 				if c, err = e.prepareDMLStage(ctx.tr, func() (*cachedDML, error) { return e.prepareModify(v, depth) }); err == nil {
 					e.plans.putMiss(key, c)
-					r, err = e.runDML(c, ctx.tr)
+					r, err = e.runDML(c, ctx)
 				}
 			default:
 				r, err = e.execute(s, ctx)
@@ -434,8 +440,10 @@ func (e *Engine) runSelect(p *Plan, ctx execCtx) (*Result, error) {
 	return &Result{Kind: "molecules", Molecules: mols, Count: len(mols)}, nil
 }
 
-// Execute runs a single parsed statement.
-func (e *Engine) Execute(stmt mql.Stmt) (*Result, error) { return e.execute(stmt, execCtx{}) }
+// Execute runs a single parsed statement, writing through w.
+func (e *Engine) Execute(stmt mql.Stmt, w access.Writer) (*Result, error) {
+	return e.execute(stmt, execCtx{w: w})
+}
 
 func (e *Engine) execute(stmt mql.Stmt, ctx execCtx) (*Result, error) {
 	res, err := e.executeInner(stmt, ctx)
@@ -554,19 +562,19 @@ func (e *Engine) executeInner(stmt mql.Stmt, ctx execCtx) (*Result, error) {
 		return e.execExplain(s, ctx)
 
 	case *mql.Insert:
-		return e.execInsert(s, ctx.tr)
+		return e.execInsert(s, ctx)
 
 	case *mql.Delete:
-		return e.execDelete(s, ctx.tr)
+		return e.execDelete(s, ctx)
 
 	case *mql.Modify:
-		return e.execModify(s, ctx.tr)
+		return e.execModify(s, ctx)
 
 	case *mql.Connect:
-		return e.execConnect(s.From, s.To, s.Via, true)
+		return e.execConnect(s.From, s.To, s.Via, true, ctx.w)
 
 	case *mql.Disconnect:
-		return e.execConnect(s.From, s.To, s.Via, false)
+		return e.execConnect(s.From, s.To, s.Via, false, ctx.w)
 
 	case *mql.CheckIntegrity:
 		if err := e.ensureResolved(); err != nil {
@@ -595,12 +603,12 @@ func okResult(err error, msg string) (*Result, error) {
 	return &Result{Kind: "ok", Message: msg}, nil
 }
 
-func (e *Engine) execInsert(s *mql.Insert, tr *obs.Trace) (*Result, error) {
+func (e *Engine) execInsert(s *mql.Insert, ctx execCtx) (*Result, error) {
 	if err := e.ensureResolved(); err != nil {
 		return nil, err
 	}
-	sp := e.applySpan(tr)
-	defer e.endApplySpan(sp)
+	sp, w := ctx.apply()
+	defer sp.End()
 	res := &Result{Kind: "inserted"}
 	for _, row := range s.Rows {
 		values := map[string]atom.Value{}
@@ -611,7 +619,7 @@ func (e *Engine) execInsert(s *mql.Insert, tr *obs.Trace) (*Result, error) {
 			}
 			values[attr] = v
 		}
-		a, err := e.sys.Insert(s.AtomType, values)
+		a, err := w.Insert(s.AtomType, values)
 		if err != nil {
 			return nil, err
 		}
@@ -660,28 +668,18 @@ func (e *Engine) prepareModify(s *mql.Modify, depth int) (*cachedDML, error) {
 	return &cachedDML{kind: "modify", plan: plan, changes: changes}, nil
 }
 
-// applySpan opens the "apply" span of a mutating statement and installs it
-// as the write-ahead log's byte-attribution sink; endApplySpan removes the
-// sink and closes the span. Both are nil-safe for untraced requests.
-func (e *Engine) applySpan(tr *obs.Trace) *obs.Span {
-	sp := tr.Root().Child("apply")
-	if sp != nil {
-		e.sys.SetWALTraceSink(sp)
-	}
-	return sp
-}
-
-func (e *Engine) endApplySpan(sp *obs.Span) {
-	if sp != nil {
-		e.sys.SetWALTraceSink(nil)
-		sp.End()
-	}
+// apply opens the "apply" span of a mutating statement and returns it with
+// the statement's write context charging its log bytes to it; the caller ends
+// the span. Untraced requests get a nil span and an untraced writer.
+func (ctx execCtx) apply() (*obs.Span, access.Writer) {
+	sp := ctx.tr.Root().Child("apply")
+	return sp, ctx.w.Traced(sp)
 }
 
 // runDML executes a prepared DELETE or MODIFY. The qualification read runs
 // under an "assemble" span like a SELECT; the mutations run under "apply".
-func (e *Engine) runDML(c *cachedDML, tr *obs.Trace) (*Result, error) {
-	asp := tr.Root().Child("assemble")
+func (e *Engine) runDML(c *cachedDML, ctx execCtx) (*Result, error) {
+	asp := ctx.tr.Root().Child("assemble")
 	annotatePlanSpan(asp, c.plan)
 	cur, err := c.plan.open(nil, asp)
 	if err != nil {
@@ -694,8 +692,8 @@ func (e *Engine) runDML(c *cachedDML, tr *obs.Trace) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp := e.applySpan(tr)
-	defer e.endApplySpan(sp)
+	sp, w := ctx.apply()
+	defer sp.End()
 	if c.kind == "delete" {
 		deleted := map[addr.LogicalAddr]bool{}
 		for _, m := range mols {
@@ -703,7 +701,7 @@ func (e *Engine) runDML(c *cachedDML, tr *obs.Trace) (*Result, error) {
 				if deleted[a] || !e.sys.Directory().Exists(a) {
 					continue
 				}
-				if err := e.sys.Delete(a); err != nil {
+				if err := w.Delete(a); err != nil {
 					return nil, err
 				}
 				deleted[a] = true
@@ -713,7 +711,7 @@ func (e *Engine) runDML(c *cachedDML, tr *obs.Trace) (*Result, error) {
 	}
 	n := 0
 	for _, m := range mols {
-		if err := e.sys.Update(m.Root.Addr(), c.changes); err != nil {
+		if err := w.Update(m.Root.Addr(), c.changes); err != nil {
 			return nil, err
 		}
 		n++
@@ -724,23 +722,23 @@ func (e *Engine) runDML(c *cachedDML, tr *obs.Trace) (*Result, error) {
 // execDelete deletes all component atoms of every qualified molecule
 // ("removal of single components as well as of whole component sets,
 // thereby automatically disconnecting these parts").
-func (e *Engine) execDelete(s *mql.Delete, tr *obs.Trace) (*Result, error) {
+func (e *Engine) execDelete(s *mql.Delete, ctx execCtx) (*Result, error) {
 	c, err := e.prepareDelete(s, e.planDepth())
 	if err != nil {
 		return nil, err
 	}
-	return e.runDML(c, tr)
+	return e.runDML(c, ctx)
 }
 
-func (e *Engine) execModify(s *mql.Modify, tr *obs.Trace) (*Result, error) {
+func (e *Engine) execModify(s *mql.Modify, ctx execCtx) (*Result, error) {
 	c, err := e.prepareModify(s, e.planDepth())
 	if err != nil {
 		return nil, err
 	}
-	return e.runDML(c, tr)
+	return e.runDML(c, ctx)
 }
 
-func (e *Engine) execConnect(from, to mql.Expr, via string, connect bool) (*Result, error) {
+func (e *Engine) execConnect(from, to mql.Expr, via string, connect bool, w access.Writer) (*Result, error) {
 	if err := e.ensureResolved(); err != nil {
 		return nil, err
 	}
@@ -756,9 +754,9 @@ func (e *Engine) execConnect(from, to mql.Expr, via string, connect bool) (*Resu
 		return nil, fmt.Errorf("%w: CONNECT requires address literals", ErrSemantic)
 	}
 	if connect {
-		err = e.sys.Connect(fv.A, via, tv.A)
+		err = w.Connect(fv.A, via, tv.A)
 	} else {
-		err = e.sys.Disconnect(fv.A, via, tv.A)
+		err = w.Disconnect(fv.A, via, tv.A)
 	}
 	if err != nil {
 		return nil, err

@@ -124,7 +124,7 @@ func TestParallelCursorErrorPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if _, err := e.Execute(stmt); err == nil {
+	if _, err := e.Execute(stmt, e.System().Writer(0, nil)); err == nil {
 		t.Fatal("expected recursion depth error through the parallel cursor")
 	}
 }
@@ -217,7 +217,7 @@ func TestConcurrentQueries(t *testing.T) {
 				errs <- err
 				return
 			}
-			r, err := e.Execute(stmt)
+			r, err := e.Execute(stmt, e.System().Writer(0, nil))
 			if err != nil {
 				errs <- err
 				return

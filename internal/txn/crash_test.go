@@ -102,7 +102,7 @@ func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) cras
 		var stagedLive []addr.LogicalAddr
 		tx := m.Begin()
 		nops := 1 + rng.Intn(3)
-		doErr := tx.Do(func() error {
+		doErr := tx.Do(func(w access.Writer) error {
 			for o := 0; o < nops; o++ {
 				pool := append(append([]addr.LogicalAddr{}, live...), stagedLive...)
 				k := rng.Intn(10)
@@ -110,7 +110,7 @@ func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) cras
 				case len(pool) == 0 || k < 5: // insert
 					v := nextVal
 					nextVal++
-					a, err := sys.Insert("part", map[string]atom.Value{"no": atom.Int(v)})
+					a, err := w.Insert("part", map[string]atom.Value{"no": atom.Int(v)})
 					if err != nil {
 						return err
 					}
@@ -124,7 +124,7 @@ func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) cras
 					}
 					v := nextVal
 					nextVal++
-					if err := sys.Update(a, map[string]atom.Value{"no": atom.Int(v)}); err != nil {
+					if err := w.Update(a, map[string]atom.Value{"no": atom.Int(v)}); err != nil {
 						return err
 					}
 					staged[a] = v
@@ -133,7 +133,7 @@ func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) cras
 					if staged[a] == -1 {
 						continue
 					}
-					if err := sys.Delete(a); err != nil {
+					if err := w.Delete(a); err != nil {
 						return err
 					}
 					staged[a] = -1
@@ -325,5 +325,74 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 			out := crashRun(t, dir, plan, seed)
 			recoverAndVerify(t, dir, out, fmt.Sprintf("crash at write %d (torn %d)", j, torn))
 		})
+	}
+}
+
+// TestCrashKeepsAutocommitWrittenWhileTxOpen: the write-ahead log attributes
+// every record to the write context that made it. An autocommit write acked
+// while a transaction's statement runs, made durable by a later commit,
+// survives a crash that leaves the transaction a loser: its record carries
+// no transaction id, so recovery redoes it and undoes only the loser's own
+// write.
+func TestCrashKeepsAutocommitWrittenWhileTxOpen(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	setupCrashDB(t, dir)
+	plan := device.NewCrashPlan()
+	wrap := func(name string, d device.Device) device.Device {
+		fd := device.NewFault(d)
+		fd.SetVolatile(true)
+		fd.SetPlan(plan, false)
+		return fd
+	}
+	sys, err := access.Open(crashCfg(dir, wrap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(sys)
+	insert := func() addr.LogicalAddr {
+		t.Helper()
+		var a addr.LogicalAddr
+		tx := m.Begin()
+		if err := tx.Do(func(w access.Writer) error {
+			var err error
+			a, err = w.Insert("part", map[string]atom.Value{"no": atom.Int(1)})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	a, b := insert(), insert()
+
+	loser := m.Begin()
+	finish := inStatement(t, loser, a)
+	if err := setNo(m.Autocommit(), b, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := finish(); err != nil {
+		t.Fatal(err)
+	}
+	insert() // its commit forces the log, the autocommit record included
+	writes, syncs := plan.Counts()
+	plan.CrashAtWrite(writes+1, 0)
+	plan.CrashAtSync(syncs + 1)
+	_ = sys.Close() // the first write or sync of the close crashes
+	if !plan.Crashed() {
+		t.Fatal("crash did not fire")
+	}
+
+	sys, err = access.Open(crashCfg(dir, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if got := no(t, sys, a); got != 1 {
+		t.Errorf("loser's write survived: a = %d, want 1", got)
+	}
+	if got := no(t, sys, b); got != 5 {
+		t.Errorf("acked autocommit write lost: b = %d, want 5", got)
 	}
 }

@@ -16,6 +16,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,6 +24,7 @@ import (
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
 	"prima/internal/obs"
+	"prima/internal/storage/wal"
 )
 
 // Errors returned by the transaction layer.
@@ -30,7 +32,6 @@ var (
 	ErrDone         = errors.New("txn: transaction already finished")
 	ErrChildActive  = errors.New("txn: child transactions still active")
 	ErrLockConflict = errors.New("txn: lock conflict")
-	ErrNotOwner     = errors.New("txn: operation outside transaction scope")
 	// ErrPoisoned means a rollback failed partway: locks were released over
 	// a possibly half-undone sphere, so the in-memory state can no longer be
 	// trusted. New work is refused; reopen the database (whose write-ahead
@@ -38,58 +39,87 @@ var (
 	ErrPoisoned = errors.New("txn: manager poisoned by failed rollback, reopen the database")
 )
 
-// opKind tags undo log entries.
-type opKind uint8
-
-const (
-	opInsert opKind = iota
-	opUpdate
-	opDelete
-)
-
-// logEntry is one undoable mutation.
+// logEntry is one undoable mutation: its kind and, for updates and deletes,
+// the atom's pre-image.
 type logEntry struct {
-	kind     opKind
-	a        addr.LogicalAddr
-	typeName string
-	pre      []atom.Value // pre-image for update/delete
+	kind wal.Kind
+	a    addr.LogicalAddr
+	pre  []atom.Value
 }
 
-// Manager coordinates transactions over one access system.
+// Manager coordinates transactions over one access system. Every write names
+// its scope explicitly (a Tx, or the manager's autocommit scope), so
+// transactions on disjoint atoms run their statements concurrently.
 type Manager struct {
 	sys *access.System
 
 	mu     sync.Mutex
 	nextID uint64
 	locks  map[addr.LogicalAddr]*Tx // exclusive holders
+	// pins counts the autocommit writes in flight on each atom: a
+	// transaction may not lock an atom one of them is mutating (see
+	// autocommit).
+	pins map[addr.LogicalAddr]int
 	// poisoned is set when an abort's undo failed partway (see ErrPoisoned).
 	poisoned error
-	// writer serializes mutating statements so the single system hook can
-	// attribute mutations to the right transaction.
-	writer  sync.Mutex
-	current *Tx
 
 	// commitNs observes top-level commit latency — lock release plus the
-	// group-commit wait that dominates it when the WAL is on.
-	commitNs *obs.Histogram
+	// group-commit wait that dominates it when the WAL is on. The counters
+	// and the gauge make waiting visible: refused writes, finished and live
+	// transactions (nested ones included).
+	commitNs                   *obs.Histogram
+	conflicts, commits, aborts *obs.Counter
+	active                     *obs.Gauge
 }
 
-// NewManager creates a transaction manager and installs its hook. It also
-// becomes the access system's transaction-id source, so write-ahead log
-// records carry the top-level transaction they belong to.
+// NewManager creates a transaction manager over sys.
 func NewManager(sys *access.System) *Manager {
-	m := &Manager{sys: sys, locks: map[addr.LogicalAddr]*Tx{}, commitNs: sys.Obs().Histogram("txn_commit_ns")}
-	sys.SetHook((*managerHook)(m))
-	sys.SetTxIDSource(func() uint64 {
-		m.mu.Lock()
-		cur := m.current
-		m.mu.Unlock()
-		if cur == nil {
-			return 0
-		}
-		return cur.rootID()
-	})
-	return m
+	reg := sys.Obs()
+	return &Manager{
+		sys:       sys,
+		locks:     map[addr.LogicalAddr]*Tx{},
+		pins:      map[addr.LogicalAddr]int{},
+		commitNs:  reg.Histogram("txn_commit_ns"),
+		conflicts: reg.Counter("txn_lock_conflicts_total"),
+		commits:   reg.Counter("txn_commits_total"),
+		aborts:    reg.Counter("txn_aborts_total"),
+		active:    reg.Gauge("txn_active"),
+	}
+}
+
+// Autocommit returns the write context of statements outside any
+// transaction: logged as autocommit (tx id 0, always redone), refused on a
+// poisoned manager or on an atom a transaction holds, never undone.
+func (m *Manager) Autocommit() access.Writer { return m.sys.Writer(0, (*autocommit)(m)) }
+
+// autocommit is the manager's scope for writes outside any transaction. It
+// pins each atom for the one mutation it admits: a transaction that locked
+// the atom in between would read a pre-image the autocommit write then
+// overwrites, and its abort would clobber an acknowledged write.
+type autocommit Manager
+
+func (ac *autocommit) Acquire(a addr.LogicalAddr) error {
+	m := (*Manager)(ac)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.poisoned != nil {
+		return ErrPoisoned
+	}
+	if holder, held := m.locks[a]; held {
+		m.conflicts.Inc()
+		return fmt.Errorf("%w: atom %v held by transaction %d", ErrLockConflict, a, holder.id)
+	}
+	m.pins[a]++
+	return nil
+}
+
+func (ac *autocommit) Release(a addr.LogicalAddr, _ wal.Kind, _ []atom.Value, _ error) {
+	m := (*Manager)(ac)
+	m.mu.Lock()
+	if m.pins[a]--; m.pins[a] == 0 {
+		delete(m.pins, a)
+	}
+	m.mu.Unlock()
 }
 
 // Tx is one transaction (top-level or nested). Every transaction pins a
@@ -117,6 +147,7 @@ func (m *Manager) Begin() *Tx {
 		return &Tx{m: m, dead: true, done: true, locks: map[addr.LogicalAddr]bool{}}
 	}
 	m.nextID++
+	m.active.Add(1)
 	return &Tx{m: m, id: m.nextID, locks: map[addr.LogicalAddr]bool{}, snap: m.sys.OpenSnapshot()}
 }
 
@@ -125,15 +156,24 @@ func (m *Manager) Begin() *Tx {
 func (t *Tx) Begin() (*Tx, error) {
 	t.m.mu.Lock()
 	defer t.m.mu.Unlock()
-	if t.dead || t.m.poisoned != nil {
-		return nil, ErrPoisoned
-	}
-	if t.done {
-		return nil, ErrDone
+	if err := t.liveLocked(); err != nil {
+		return nil, err
 	}
 	t.m.nextID++
+	t.m.active.Add(1)
 	t.children++
 	return &Tx{m: t.m, id: t.m.nextID, parent: t, locks: map[addr.LogicalAddr]bool{}, snap: t.m.sys.OpenSnapshot()}, nil
+}
+
+// liveLocked reports why t can take no more work, if it cannot.
+func (t *Tx) liveLocked() error {
+	if t.dead || t.m.poisoned != nil {
+		return ErrPoisoned
+	}
+	if t.done {
+		return ErrDone
+	}
+	return nil
 }
 
 // ID returns the transaction id.
@@ -166,29 +206,21 @@ func (t *Tx) refreshLocked() {
 	old.Close()
 }
 
-// Do runs fn with this transaction bound as the mutation scope: every
-// access-system write inside fn is locked for and logged to t.
-func (t *Tx) Do(fn func() error) error {
+// Do runs fn with t's write context: every mutation fn makes through w is
+// locked for t, recorded in t's undo log and attributed to t's top-level
+// transaction in the write-ahead log. Statements of different transactions
+// run concurrently; one transaction's statements, Commit and Abort must not
+// overlap.
+func (t *Tx) Do(fn func(w access.Writer) error) error {
 	t.m.mu.Lock()
-	if t.dead || t.m.poisoned != nil {
+	if err := t.liveLocked(); err != nil {
 		t.m.mu.Unlock()
-		return ErrPoisoned
-	}
-	if t.done {
-		t.m.mu.Unlock()
-		return ErrDone
+		return err
 	}
 	before := len(t.log)
 	t.m.mu.Unlock()
-
-	t.m.writer.Lock()
-	defer t.m.writer.Unlock()
-	t.m.mu.Lock()
-	t.m.current = t
-	t.m.mu.Unlock()
 	defer func() {
 		t.m.mu.Lock()
-		t.m.current = nil
 		// Read-your-writes: a transaction that mutated atoms inside fn must
 		// see its own effects on the next read, so its view advances to the
 		// epoch its writes closed. Read-only spheres keep their frozen view.
@@ -197,7 +229,7 @@ func (t *Tx) Do(fn func() error) error {
 		}
 		t.m.mu.Unlock()
 	}()
-	return fn()
+	return fn(t.m.sys.Writer(t.rootID(), t))
 }
 
 // isAncestorOf reports whether t is an ancestor of (or equal to) o.
@@ -210,24 +242,43 @@ func (t *Tx) isAncestorOf(o *Tx) bool {
 	return false
 }
 
-// lock acquires an exclusive atom lock for t (Moss rule: conflicting
-// holders must be ancestors).
-func (m *Manager) lock(t *Tx, a addr.LogicalAddr) error {
+// Acquire locks atom a for t, following Moss: every other holder must be an
+// ancestor of t, and an atom an autocommit write is mutating is a conflict.
+// It makes *Tx an access.Scope.
+func (t *Tx) Acquire(a addr.LogicalAddr) error {
+	m := t.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	holder, held := m.locks[a]
-	if !held || holder == t {
-		m.locks[a] = t
-		t.locks[a] = true
-		return nil
+	if err := t.liveLocked(); err != nil {
+		return err
 	}
-	if holder.isAncestorOf(t) {
-		// Ancestor retains the lock; the child may use and re-own it.
-		m.locks[a] = t
-		t.locks[a] = true
-		return nil
+	if holder, held := m.locks[a]; held && !holder.isAncestorOf(t) {
+		m.conflicts.Inc()
+		return fmt.Errorf("%w: atom %v held by transaction %d", ErrLockConflict, a, holder.id)
 	}
-	return fmt.Errorf("%w: atom %v held by transaction %d", ErrLockConflict, a, holder.id)
+	if m.pins[a] > 0 {
+		m.conflicts.Inc()
+		return fmt.Errorf("%w: atom %v in use by an autocommit write", ErrLockConflict, a)
+	}
+	// An ancestor retains its lock; the child may use and re-own it.
+	m.locks[a] = t
+	t.locks[a] = true
+	return nil
+}
+
+// Release records how to undo t's mutation of a, if it wrote anything; the
+// lock stays until t finishes.
+func (t *Tx) Release(a addr.LogicalAddr, kind wal.Kind, pre []atom.Value, err error) {
+	if err != nil || kind == 0 {
+		return
+	}
+	e := logEntry{kind: kind, a: a, pre: slices.Clone(pre)}
+	for i := range e.pre {
+		e.pre[i] = e.pre[i].Clone()
+	}
+	t.m.mu.Lock()
+	t.log = append(t.log, e)
+	t.m.mu.Unlock()
 }
 
 // Commit finishes t. A nested commit hands its undo log and locks to the
@@ -241,20 +292,10 @@ func (t *Tx) Commit() error {
 		defer t.m.commitNs.ObserveSince(time.Now())
 	}
 	t.m.mu.Lock()
-	if t.dead {
+	if err := t.finishLocked(t.m.commits); err != nil {
 		t.m.mu.Unlock()
-		return ErrPoisoned
+		return err
 	}
-	if t.done {
-		t.m.mu.Unlock()
-		return ErrDone
-	}
-	if t.children > 0 {
-		t.m.mu.Unlock()
-		return ErrChildActive
-	}
-	t.done = true
-	t.snap.Close()
 	if t.parent != nil {
 		defer t.m.mu.Unlock()
 		t.parent.children--
@@ -287,11 +328,7 @@ func (t *Tx) Commit() error {
 		walErr = t.m.sys.WALCommit(t.id)
 	}
 	t.m.mu.Lock()
-	for a := range t.locks {
-		if t.m.locks[a] == t {
-			delete(t.m.locks, a)
-		}
-	}
+	t.unlockLocked()
 	t.m.mu.Unlock()
 	return walErr
 }
@@ -308,69 +345,41 @@ func (t *Tx) Commit() error {
 // cleanly during recovery).
 func (t *Tx) Abort() error {
 	t.m.mu.Lock()
-	if t.dead {
+	if err := t.finishLocked(t.m.aborts); err != nil {
 		t.m.mu.Unlock()
-		return ErrPoisoned
+		return err
 	}
-	if t.done {
-		t.m.mu.Unlock()
-		return ErrDone
-	}
-	if t.children > 0 {
-		t.m.mu.Unlock()
-		return ErrChildActive
-	}
-	t.done = true
-	t.snap.Close()
 	log := t.log
 	t.m.mu.Unlock()
 
-	// Undo without the hook observing (rollback must not lock or log-for-undo
-	// itself), but with t bound as the current scope so the write-ahead log
-	// attributes the rollback's own page writes to this transaction.
-	t.m.writer.Lock()
-	t.m.sys.SetHook(nil)
-	t.m.mu.Lock()
-	prev := t.m.current
-	t.m.current = t
-	t.m.mu.Unlock()
+	// Undo applies the raw inverses — no locking, no undo logging of its
+	// own — while t still holds its locks; the write-ahead log attributes the
+	// rollback's own page writes to t's top-level transaction.
+	root := t.rootID()
 	var undoErrs []error
 	for i := len(log) - 1; i >= 0; i-- {
 		e := log[i]
 		var err error
 		switch e.kind {
-		case opInsert:
-			err = t.m.sys.RawDelete(e.a)
-		case opUpdate:
-			err = t.m.sys.RawOverwrite(e.a, e.pre)
-		case opDelete:
-			err = t.m.sys.RawResurrect(e.a, e.pre)
+		case wal.RecInsert:
+			err = t.m.sys.RawDelete(e.a, root)
+		case wal.RecUpdate:
+			err = t.m.sys.RawOverwrite(e.a, e.pre, root)
+		case wal.RecDelete:
+			err = t.m.sys.RawResurrect(e.a, e.pre, root)
 		}
 		if err != nil {
 			undoErrs = append(undoErrs, fmt.Errorf("txn: undo %v: %w", e.a, err))
 		}
 	}
 	undoErr := errors.Join(undoErrs...)
-	t.m.mu.Lock()
-	t.m.current = prev
-	t.m.mu.Unlock()
-	t.m.sys.SetHook((*managerHook)(t.m))
-	t.m.writer.Unlock()
 
 	wrote := len(log) > 0
 	t.m.mu.Lock()
 	if t.parent != nil {
 		t.parent.children--
 	}
-	for a := range t.locks {
-		if t.m.locks[a] == t {
-			if t.parent != nil && t.parent.locks[a] {
-				t.m.locks[a] = t.parent
-			} else {
-				delete(t.m.locks, a)
-			}
-		}
-	}
+	t.unlockLocked()
 	if undoErr != nil && t.m.poisoned == nil {
 		t.m.poisoned = undoErr
 	}
@@ -387,66 +396,35 @@ func (t *Tx) Abort() error {
 	return nil
 }
 
-// managerHook adapts Manager to the access.Hook interface.
-type managerHook Manager
-
-func (h *managerHook) m() *Manager { return (*Manager)(h) }
-
-// BeforeWrite locks the atom for the current transaction. Writes outside
-// any transaction scope pass through unlocked (autocommit).
-func (h *managerHook) BeforeWrite(a addr.LogicalAddr) error {
-	m := h.m()
-	m.mu.Lock()
-	cur := m.current
-	poisoned := m.poisoned
-	m.mu.Unlock()
-	if poisoned != nil {
+// finishLocked marks t finished, counting it under outcome, unless it cannot
+// finish: stillborn, already finished, or with children still active.
+func (t *Tx) finishLocked(outcome *obs.Counter) error {
+	switch {
+	case t.dead:
 		return ErrPoisoned
+	case t.done:
+		return ErrDone
+	case t.children > 0:
+		return ErrChildActive
 	}
-	if cur == nil {
-		// Autocommit write: it must not bypass existing locks.
-		m.mu.Lock()
-		holder, held := m.locks[a]
-		m.mu.Unlock()
-		if held {
-			return fmt.Errorf("%w: atom %v held by transaction %d", ErrLockConflict, a, holder.id)
-		}
-		return nil
-	}
-	return m.lock(cur, a)
+	t.done = true
+	t.m.active.Add(-1)
+	outcome.Inc()
+	t.snap.Close()
+	return nil
 }
 
-func (h *managerHook) DidInsert(a addr.LogicalAddr) {
-	m := h.m()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.current != nil {
-		m.current.log = append(m.current.log, logEntry{kind: opInsert, a: a})
-	}
-}
-
-func (h *managerHook) DidUpdate(a addr.LogicalAddr, typeName string, old []atom.Value) {
-	m := h.m()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.current != nil {
-		pre := make([]atom.Value, len(old))
-		for i, v := range old {
-			pre[i] = v.Clone()
+// unlockLocked releases t's locks: one re-owned from the parent returns to
+// it, every other one is freed.
+func (t *Tx) unlockLocked() {
+	for a := range t.locks {
+		if t.m.locks[a] != t {
+			continue
 		}
-		m.current.log = append(m.current.log, logEntry{kind: opUpdate, a: a, typeName: typeName, pre: pre})
-	}
-}
-
-func (h *managerHook) DidDelete(a addr.LogicalAddr, typeName string, old []atom.Value) {
-	m := h.m()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.current != nil {
-		pre := make([]atom.Value, len(old))
-		for i, v := range old {
-			pre[i] = v.Clone()
+		if t.parent != nil && t.parent.locks[a] {
+			t.m.locks[a] = t.parent
+		} else {
+			delete(t.m.locks, a)
 		}
-		m.current.log = append(m.current.log, logEntry{kind: opDelete, a: a, typeName: typeName, pre: pre})
 	}
 }

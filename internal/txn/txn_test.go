@@ -8,6 +8,7 @@ import (
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
 	"prima/internal/catalog"
+	"prima/internal/storage/wal"
 )
 
 // newSys builds an in-memory access system with a parts/links schema (n:m).
@@ -47,12 +48,12 @@ func TestAbortUndoesInsertUpdateDelete(t *testing.T) {
 
 	tx := m.Begin()
 	var inserted addr.LogicalAddr
-	err = tx.Do(func() error {
+	err = tx.Do(func(w access.Writer) error {
 		var err error
-		if inserted, err = sys.Insert("part", map[string]atom.Value{"no": atom.Int(2)}); err != nil {
+		if inserted, err = w.Insert("part", map[string]atom.Value{"no": atom.Int(2)}); err != nil {
 			return err
 		}
-		if err := sys.Update(base, map[string]atom.Value{"no": atom.Int(99)}); err != nil {
+		if err := w.Update(base, map[string]atom.Value{"no": atom.Int(99)}); err != nil {
 			return err
 		}
 		return nil
@@ -79,7 +80,7 @@ func TestAbortUndoesInsertUpdateDelete(t *testing.T) {
 
 	// Delete undo restores the atom under the same address.
 	tx2 := m.Begin()
-	err = tx2.Do(func() error { return sys.Delete(base) })
+	err = tx2.Do(func(w access.Writer) error { return w.Delete(base) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestAbortRestoresReferenceSymmetry(t *testing.T) {
 
 	tx := m.Begin()
 	// Delete b inside the transaction: a loses its reference.
-	if err := tx.Do(func() error { return sys.Delete(b) }); err != nil {
+	if err := tx.Do(func(w access.Writer) error { return w.Delete(b) }); err != nil {
 		t.Fatal(err)
 	}
 	at, _ := sys.Get(a, nil)
@@ -139,9 +140,9 @@ func TestNestedCommitAndSelectiveAbort(t *testing.T) {
 
 	parent := m.Begin()
 	var p1, p2 addr.LogicalAddr
-	if err := parent.Do(func() error {
+	if err := parent.Do(func(w access.Writer) error {
 		var err error
-		p1, err = sys.Insert("part", map[string]atom.Value{"no": atom.Int(10)})
+		p1, err = w.Insert("part", map[string]atom.Value{"no": atom.Int(10)})
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -152,9 +153,9 @@ func TestNestedCommitAndSelectiveAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Do(func() error {
+	if err := c1.Do(func(w access.Writer) error {
 		var err error
-		p2, err = sys.Insert("part", map[string]atom.Value{"no": atom.Int(11)})
+		p2, err = w.Insert("part", map[string]atom.Value{"no": atom.Int(11)})
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -169,13 +170,13 @@ func TestNestedCommitAndSelectiveAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	var p3 addr.LogicalAddr
-	if err := c2.Do(func() error {
+	if err := c2.Do(func(w access.Writer) error {
 		var err error
-		p3, err = sys.Insert("part", map[string]atom.Value{"no": atom.Int(12)})
+		p3, err = w.Insert("part", map[string]atom.Value{"no": atom.Int(12)})
 		if err != nil {
 			return err
 		}
-		return sys.Update(p1, map[string]atom.Value{"no": atom.Int(1000)})
+		return w.Update(p1, map[string]atom.Value{"no": atom.Int(1000)})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -209,16 +210,16 @@ func TestLockConflictBetweenTopLevel(t *testing.T) {
 	a, _ := sys.Insert("part", map[string]atom.Value{"no": atom.Int(1)})
 
 	t1 := m.Begin()
-	if err := t1.Do(func() error {
-		return sys.Update(a, map[string]atom.Value{"no": atom.Int(2)})
+	if err := t1.Do(func(w access.Writer) error {
+		return w.Update(a, map[string]atom.Value{"no": atom.Int(2)})
 	}); err != nil {
 		t.Fatal(err)
 	}
 
 	// A sibling top-level transaction conflicts.
 	t2 := m.Begin()
-	err := t2.Do(func() error {
-		return sys.Update(a, map[string]atom.Value{"no": atom.Int(3)})
+	err := t2.Do(func(w access.Writer) error {
+		return w.Update(a, map[string]atom.Value{"no": atom.Int(3)})
 	})
 	if !errors.Is(err, ErrLockConflict) {
 		t.Fatalf("conflicting write = %v, want ErrLockConflict", err)
@@ -228,7 +229,7 @@ func TestLockConflictBetweenTopLevel(t *testing.T) {
 	}
 
 	// Autocommit writes also respect the lock.
-	if err := sys.Update(a, map[string]atom.Value{"no": atom.Int(4)}); !errors.Is(err, ErrLockConflict) {
+	if err := m.Autocommit().Update(a, map[string]atom.Value{"no": atom.Int(4)}); !errors.Is(err, ErrLockConflict) {
 		t.Fatalf("autocommit bypassed lock: %v", err)
 	}
 
@@ -251,8 +252,8 @@ func TestChildMayUseParentLocks(t *testing.T) {
 	a, _ := sys.Insert("part", map[string]atom.Value{"no": atom.Int(1)})
 
 	parent := m.Begin()
-	if err := parent.Do(func() error {
-		return sys.Update(a, map[string]atom.Value{"no": atom.Int(2)})
+	if err := parent.Do(func(w access.Writer) error {
+		return w.Update(a, map[string]atom.Value{"no": atom.Int(2)})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -261,8 +262,8 @@ func TestChildMayUseParentLocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Moss: the child may acquire a lock its ancestor holds.
-	if err := child.Do(func() error {
-		return sys.Update(a, map[string]atom.Value{"no": atom.Int(3)})
+	if err := child.Do(func(w access.Writer) error {
+		return w.Update(a, map[string]atom.Value{"no": atom.Int(3)})
 	}); err != nil {
 		t.Fatalf("child blocked by ancestor lock: %v", err)
 	}
@@ -308,7 +309,7 @@ func TestLifecycleErrors(t *testing.T) {
 		t.Fatalf("abort after commit = %v", err)
 	}
 	// Do on a finished transaction.
-	if err := tx.Do(func() error { return nil }); !errors.Is(err, ErrDone) {
+	if err := tx.Do(func(access.Writer) error { return nil }); !errors.Is(err, ErrDone) {
 		t.Fatalf("Do after commit = %v", err)
 	}
 	// Begin on a finished transaction.
@@ -328,12 +329,12 @@ func TestAbortUndoesAllEntriesDespiteFailures(t *testing.T) {
 
 	tx := m.Begin()
 	var inserted addr.LogicalAddr
-	err = tx.Do(func() error {
+	err = tx.Do(func(w access.Writer) error {
 		var err error
-		if inserted, err = sys.Insert("part", map[string]atom.Value{"no": atom.Int(2)}); err != nil {
+		if inserted, err = w.Insert("part", map[string]atom.Value{"no": atom.Int(2)}); err != nil {
 			return err
 		}
-		return sys.Update(base, map[string]atom.Value{"no": atom.Int(99)})
+		return w.Update(base, map[string]atom.Value{"no": atom.Int(99)})
 	})
 	if err != nil {
 		t.Fatalf("Do: %v", err)
@@ -343,7 +344,7 @@ func TestAbortUndoesAllEntriesDespiteFailures(t *testing.T) {
 	// address that does not exist. Undo runs in reverse order, so this entry
 	// fails first — the real entries after it must still be undone.
 	bogus := addr.New(base.Type(), 1<<40)
-	tx.log = append(tx.log, logEntry{kind: opUpdate, a: bogus, typeName: "part"})
+	tx.log = append(tx.log, logEntry{kind: wal.RecUpdate, a: bogus})
 
 	if err := tx.Abort(); err == nil {
 		t.Fatal("Abort succeeded despite an impossible undo entry")
@@ -363,7 +364,7 @@ func TestAbortUndoesAllEntriesDespiteFailures(t *testing.T) {
 
 	// The manager is poisoned: all further work is refused.
 	dead := m.Begin()
-	if err := dead.Do(func() error { return nil }); !errors.Is(err, ErrPoisoned) {
+	if err := dead.Do(func(access.Writer) error { return nil }); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("Do on stillborn tx = %v, want ErrPoisoned", err)
 	}
 	if err := dead.Commit(); !errors.Is(err, ErrPoisoned) {
@@ -376,7 +377,7 @@ func TestAbortUndoesAllEntriesDespiteFailures(t *testing.T) {
 		t.Fatalf("nested Begin on stillborn tx = %v, want ErrPoisoned", err)
 	}
 	// Autocommit writes are blocked too.
-	if _, err := sys.Insert("part", map[string]atom.Value{"no": atom.Int(3)}); !errors.Is(err, ErrPoisoned) {
+	if _, err := m.Autocommit().Insert("part", map[string]atom.Value{"no": atom.Int(3)}); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("autocommit insert on poisoned manager = %v, want ErrPoisoned", err)
 	}
 }

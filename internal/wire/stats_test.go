@@ -55,4 +55,14 @@ func TestStatsOp(t *testing.T) {
 			t.Errorf("%s = %v, registered %v", name, v, ok)
 		}
 	}
+	// Transaction waiting and throughput travel too (they move in the txn
+	// package's TestTxnMetrics).
+	for _, name := range []string{"txn_lock_conflicts_total", "txn_commits_total", "txn_aborts_total"} {
+		if _, ok := st2.Counters[name]; !ok {
+			t.Errorf("counter %s not on the stats op", name)
+		}
+	}
+	if _, ok := st2.Gauges["txn_active"]; !ok {
+		t.Error("gauge txn_active not on the stats op")
+	}
 }

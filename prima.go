@@ -158,16 +158,17 @@ func (db *DB) Close() error { return db.sys.Close() }
 func (db *DB) Checkpoint() error { return db.sys.Checkpoint() }
 
 // Exec parses and executes an MQL script (one or more statements separated
-// by semicolons) in autocommit mode, returning one result per statement.
+// by semicolons) in autocommit mode, returning one result per statement. An
+// autocommit write fails with a lock conflict on an atom a transaction holds.
 func (db *DB) Exec(src string) ([]*Result, error) {
-	return db.engine.ExecuteScript(src)
+	return db.engine.ExecuteScriptTraced(src, nil, db.txm.Autocommit())
 }
 
 // ExecTraced is Exec with the script's stages (parse, plan, assemble,
 // apply) recorded as child spans of tr's root. A nil trace behaves exactly
 // like Exec; the caller owns tr and decides when to Finish it.
 func (db *DB) ExecTraced(src string, tr *obs.Trace) ([]*Result, error) {
-	return db.engine.ExecuteScriptTraced(src, tr)
+	return db.engine.ExecuteScriptTraced(src, tr, db.txm.Autocommit())
 }
 
 // Tracer returns the database's request tracer — the sampling/slow-query
@@ -176,13 +177,13 @@ func (db *DB) ExecTraced(src string, tr *obs.Trace) ([]*Result, error) {
 // setters; Recent and Slow read the retained trace rings.
 func (db *DB) Tracer() *obs.Tracer { return db.sys.Tracer() }
 
-// ExecOne executes exactly one statement.
+// ExecOne executes exactly one statement in autocommit mode.
 func (db *DB) ExecOne(src string) (*Result, error) {
 	stmt, err := mql.ParseOne(src)
 	if err != nil {
 		return nil, err
 	}
-	return db.engine.Execute(stmt)
+	return db.engine.Execute(stmt, db.txm.Autocommit())
 }
 
 // Query prepares a SELECT and returns a one-molecule-at-a-time cursor. The
@@ -262,12 +263,14 @@ func (t *Tx) Begin() (*Tx, error) {
 // transaction's snapshot epoch as of the start of the script — concurrent
 // committers stay invisible, and the transaction's own earlier Exec calls
 // are visible (each mutating Exec advances the transaction's view). DML
-// always applies to current state under the transaction's locks.
+// always applies to current state under the transaction's locks. Statements
+// of different transactions run concurrently; one transaction's Exec calls
+// must not overlap each other or its Commit/Abort.
 func (t *Tx) Exec(src string) ([]*Result, error) {
 	var out []*Result
-	err := t.inner.Do(func() error {
+	err := t.inner.Do(func(w access.Writer) error {
 		var err error
-		out, err = t.db.engine.ExecuteScriptAt(src, t.inner.Epoch())
+		out, err = t.db.engine.ExecuteScriptAt(src, t.inner.Epoch(), w)
 		return err
 	})
 	return out, err

@@ -1,9 +1,11 @@
 package prima
 
 import (
+	"errors"
 	"path/filepath"
 	"testing"
 
+	"prima/internal/txn"
 	"prima/internal/workload/brepgen"
 )
 
@@ -138,6 +140,42 @@ func TestTransactionsEndToEnd(t *testing.T) {
 	res, _ = db.ExecOne(`SELECT ALL FROM solid`)
 	if len(res.Molecules) != 1 {
 		t.Fatalf("%d solids after abort, want 1", len(res.Molecules))
+	}
+}
+
+// TestAutocommitRespectsTransactionLocks: Exec, ExecOne and ExecTraced write
+// in the manager's autocommit scope, which refuses an atom a transaction
+// holds and admits it again once the transaction finished.
+func TestAutocommitRespectsTransactionLocks(t *testing.T) {
+	db := openMem(t)
+	if _, err := db.Exec(brepgen.SchemaDDL); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`INSERT INTO solid (solid_no, description) VALUES (1, 'base')`); err != nil {
+		t.Fatal(err)
+	}
+	const modify = `MODIFY solid SET description = 'auto' WHERE solid_no = 1`
+	tx := db.Begin()
+	if _, err := tx.Exec(`MODIFY solid SET description = 'tx' WHERE solid_no = 1`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(modify); !errors.Is(err, txn.ErrLockConflict) {
+		t.Fatalf("Exec on a locked atom = %v, want ErrLockConflict", err)
+	}
+	if _, err := db.ExecOne(modify); !errors.Is(err, txn.ErrLockConflict) {
+		t.Fatalf("ExecOne on a locked atom = %v, want ErrLockConflict", err)
+	}
+	if _, err := db.ExecTraced(modify, db.Tracer().BeginForced("modify")); !errors.Is(err, txn.ErrLockConflict) {
+		t.Fatalf("ExecTraced on a locked atom = %v, want ErrLockConflict", err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(modify); err != nil {
+		t.Fatalf("Exec after the transaction aborted: %v", err)
+	}
+	if m := db.Metrics(); m.Counter("txn_lock_conflicts_total") != 3 || m.Counter("txn_aborts_total") != 1 {
+		t.Fatalf("txn metrics: %d conflicts, %d aborts; want 3, 1", m.Counter("txn_lock_conflicts_total"), m.Counter("txn_aborts_total"))
 	}
 }
 
