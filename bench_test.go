@@ -510,10 +510,12 @@ func BenchmarkDeferredUpdate(b *testing.B) {
 }
 
 // benchParallelMaterialization is the multi-level molecule scan shared by
-// BenchmarkParallelMaterialization and the CI bench gate.
-func benchParallelMaterialization(b *testing.B, workers int) {
+// BenchmarkParallelMaterialization and the CI bench gate. The scan's 64
+// roots are one chunk, so at GOMAXPROCS procs the cursor reads ahead on
+// min(procs, 8) workers, and at 1 assembles inline.
+func benchParallelMaterialization(b *testing.B, procs int) {
 	db := benchScene(b, 64, "")
-	db.Engine().SetAssemblyWorkers(workers)
+	withProcs(b, procs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -546,9 +548,9 @@ func BenchmarkParallelMaterialization(b *testing.B) {
 // benchSnapshotScanUnderDML runs the molecule scan while a writer goroutine
 // continuously mutates the scanned atoms and churns unrelated ones: every
 // cursor reads at its open epoch, so the molecule count must hold exactly.
-func benchSnapshotScanUnderDML(b *testing.B, workers int) {
+func benchSnapshotScanUnderDML(b *testing.B, procs int) {
 	db := benchScene(b, 64, "")
-	db.Engine().SetAssemblyWorkers(workers)
+	withProcs(b, procs)
 	stop := make(chan struct{})
 	errc := make(chan error, 1)
 	var wg sync.WaitGroup
@@ -610,13 +612,14 @@ func BenchmarkSnapshotScanUnderDML(b *testing.B) {
 	b.Run("parallel8", func(b *testing.B) { benchSnapshotScanUnderDML(b, 8) })
 }
 
-// BenchmarkSemanticParallelism (A5): worker sweep over a molecule-set query
-// (speedup requires multiple CPUs; see EXPERIMENTS.md).
+// BenchmarkSemanticParallelism (A5): GOMAXPROCS sweep over a molecule-set
+// query, whose cursor reads ahead on one worker per proc (speedup requires
+// multiple CPUs; see EXPERIMENTS.md).
 func BenchmarkSemanticParallelism(b *testing.B) {
 	db := benchScene(b, 32, `CREATE ATOM_CLUSTER cl ON brep-face-edge-point`)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			db.Engine().SetAssemblyWorkers(workers)
+			withProcs(b, workers)
 			for i := 0; i < b.N; i++ {
 				cur, err := db.Query(`SELECT ALL FROM brep-face-edge-point`)
 				if err != nil {

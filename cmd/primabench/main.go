@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"prima"
@@ -604,16 +605,19 @@ func a5() error {
 	defer db.Close()
 	// Cluster-based assembly: the cursor pipeline's workers read disjoint
 	// page sequences and decode independently, the shape that exposes the
-	// inherent parallelism of molecule-set operations.
+	// inherent parallelism of molecule-set operations. A cursor over many
+	// roots reads ahead on min(GOMAXPROCS, 8) workers, so the sweep is over
+	// GOMAXPROCS.
 	if _, err := db.Exec(`CREATE ATOM_CLUSTER cl ON brep-face-edge-point`); err != nil {
 		return err
 	}
 	q := `SELECT ALL FROM brep-face-edge-point`
 	base := time.Duration(0)
-	fmt.Println("workers | ms/query | speedup")
+	fmt.Println("GOMAXPROCS | ms/query | speedup")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, w := range []int{1, 2, 4, 8} {
 		const reps = 5
-		db.Engine().SetAssemblyWorkers(w)
+		runtime.GOMAXPROCS(w)
 		start := time.Now()
 		for i := 0; i < reps; i++ {
 			cur, err := db.Query(q)
@@ -633,7 +637,7 @@ func a5() error {
 		if w == 1 {
 			base = d
 		}
-		fmt.Printf("%7d | %8.2f | %5.2fx\n", w, d.Seconds()*1000, float64(base)/float64(d))
+		fmt.Printf("%10d | %8.2f | %5.2fx\n", w, d.Seconds()*1000, float64(base)/float64(d))
 	}
 	return nil
 }

@@ -169,8 +169,7 @@ func (s *localSession) run(src string, maxMol int) error {
 }
 
 func (s *localSession) stats() error {
-	fmt.Print(s.db.Stats())
-	return nil
+	return s.db.Metrics().PrometheusText(os.Stdout)
 }
 
 func (s *localSession) slow(n int) error {
@@ -225,6 +224,9 @@ func (s *remoteSession) stats() error {
 	if ms.Gauge("wal_enabled") != 0 {
 		fmt.Printf("wal:    %d appends, %d commits, %d syncs, %d checkpoints\n",
 			ms.Counter("wal_appends"), ms.Counter("wal_commits"), ms.Counter("wal_syncs"), ms.Counter("wal_checkpoints"))
+		if ms.Gauge("wal_checkpoint_failing") != 0 {
+			fmt.Println("wal:    CHECKPOINT FAILING (the log is not being truncated)")
+		}
 	}
 	return nil
 }

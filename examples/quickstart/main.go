@@ -5,6 +5,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"prima"
 )
@@ -83,5 +84,8 @@ func main() {
 		fmt.Print(mol)
 	}
 
-	fmt.Println("stats:", db.Stats())
+	fmt.Println("== metrics ==")
+	if err := db.Metrics().PrometheusText(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }

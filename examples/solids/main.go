@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"prima"
 	"prima/internal/workload/brepgen"
@@ -70,5 +71,8 @@ func main() {
 	  WHERE brep_no = 3
 	  AND EXISTS_AT_LEAST (2) edge: edge.length > 1.0`)
 
-	fmt.Println("stats:", db.Stats())
+	fmt.Println("== metrics ==")
+	if err := db.Metrics().PrometheusText(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }

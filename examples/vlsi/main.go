@@ -59,9 +59,9 @@ func main() {
 	}
 	fmt.Printf("%d net(s) with fanout >= 6 (check drive strength!)\n", len(res.Molecules))
 
-	// Intra-query parallelism over the molecule set: the cursor assembles
-	// molecules on four workers and still delivers them in root order.
-	db.Engine().SetAssemblyWorkers(4)
+	// Intra-query parallelism over the molecule set: a cursor over many
+	// roots assembles molecules on one worker per CPU (up to eight) and still
+	// delivers them in root order.
 	cur, err := db.Query(`SELECT ALL FROM cell-pin-net`)
 	if err != nil {
 		log.Fatal(err)

@@ -273,6 +273,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if _, err := LoadSnapshot([]byte{1, 2, 3, 4, 5, 6, 7, 8}); err == nil {
 		t.Fatal("garbage snapshot accepted")
 	}
+	if _, err := LoadSnapshot(hostileSnapshot()); err == nil {
+		t.Fatal("snapshot naming sequence number 2^39 of 2^40 accepted")
+	}
 }
 
 // dirModel is the obvious directory: a map from live address to its

@@ -1,8 +1,10 @@
 package addr
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Snapshot layout (big-endian):
@@ -75,53 +77,112 @@ func (d *Directory) Snapshot() []byte {
 	return buf
 }
 
-// LoadSnapshot reconstructs a directory from Snapshot output.
+// maxTablePages is the fixed ceiling of LoadSnapshot: the page pointers of
+// every type's table together, 1Mi of them (8 MiB), which covers 2^29
+// sequence numbers handed out across all types. A snapshot claiming more is
+// refused as corrupt rather than trusted with the memory: a directory only
+// gets there by handing out half a billion addresses.
+const maxTablePages = 1 << 20
+
+// LoadSnapshot reconstructs a directory from Snapshot output. It trusts
+// nothing it reads: types and sequence numbers must ascend as Snapshot
+// writes them, every count is paid for by the bytes that follow it, and the
+// tables together span at most maxTablePages pages, so hostile input fails
+// with an error in time and memory proportional to its length plus that
+// ceiling.
 func LoadSnapshot(data []byte) (*Directory, error) {
 	d := NewDirectory()
 	r := reader{data: data}
 	if r.u32() != snapMagic {
 		return nil, fmt.Errorf("addr: snapshot: bad magic")
 	}
-	ntypes := int(r.u32())
-	for i := 0; i < ntypes; i++ {
-		t := TypeID(r.u16())
+	ntypes := r.u32()
+	tablePages, prevType := uint64(0), -1
+	var refs, sorted []RecordRef
+	for i := uint32(0); i < ntypes && r.err == nil; i++ {
+		t, nextSeq, nentry := TypeID(r.u16()), r.u64(), r.u32()
+		if r.err != nil {
+			break
+		}
+		if int(t) <= prevType {
+			return nil, fmt.Errorf("addr: snapshot: type %d out of order", t)
+		}
+		prevType = int(t)
+		// A table holds a page for every sequence number below nextSeq.
+		pages := (nextSeq + slotsPerPage - 1) / slotsPerPage
+		if nextSeq == 0 || pages > maxTablePages-tablePages {
+			return nil, fmt.Errorf("addr: snapshot: type %d: next sequence number %d out of range", t, nextSeq)
+		}
+		tablePages += pages
 		p := d.pt(t)
-		p.nextSeq = r.u64()
-		nentry := int(r.u32())
-		for j := 0; j < nentry && r.err == nil; j++ {
-			a := New(t, r.u64())
-			nrefs := int(r.u16())
-			// The table is as long as its highest sequence number: one the
-			// type never handed out is a torn file, not a table to build.
-			if a.Seq() == 0 || a.Seq() >= p.nextSeq || d.Revive(a) != nil {
-				return nil, fmt.Errorf("addr: snapshot: bad or repeated address %v (next is %d)", a, p.nextSeq)
+		p.nextSeq = nextSeq
+		p.pages = make([]*[slotsPerPage]slot, pages)
+		last := uint64(0)
+		for j := uint32(0); j < nentry && r.err == nil; j++ {
+			seq, nrefs := r.u64(), int(r.u16())
+			if r.err != nil {
+				break
 			}
-			for k := 0; k < nrefs && r.err == nil; k++ {
-				ref := RecordRef{
+			if seq <= last || seq >= nextSeq {
+				return nil, fmt.Errorf("addr: snapshot: bad or repeated address %v (next is %d)", New(t, seq), nextSeq)
+			}
+			last = seq
+			if !r.has(nrefs * refBytes) {
+				break // before a count the input cannot back sizes anything
+			}
+			refs = refs[:0]
+			for k := 0; k < nrefs; k++ {
+				refs = append(refs, RecordRef{
 					Struct: StructID(r.u32()),
 					Kind:   StructKind(r.u8()),
 					Where:  RID{Page: r.u32(), Slot: r.u16()},
 					Valid:  r.u8() == 1,
-				}
-				if err := d.Register(a, ref); err != nil {
-					return nil, fmt.Errorf("addr: snapshot: %w", err)
+				})
+			}
+			sorted = append(sorted[:0], refs...)
+			slices.SortFunc(sorted, func(a, b RecordRef) int { return cmp.Compare(a.Struct, b.Struct) })
+			for k := 1; k < len(sorted); k++ {
+				if sorted[k].Struct == sorted[k-1].Struct {
+					return nil, fmt.Errorf("addr: snapshot: %w: %v struct %d", ErrDupStruct, New(t, seq), sorted[k].Struct)
 				}
 			}
+			keep := refs // setRefs keeps all but the first
+			if len(refs) > 1 {
+				keep = slices.Clone(refs)
+			}
+			sl := p.grow(seq)
+			sl.live = true
+			p.count++
+			p.setRefs(seq, sl, keep)
 		}
 		if r.err != nil {
-			return nil, fmt.Errorf("addr: snapshot truncated at type %d", t)
+			return nil, fmt.Errorf("addr: snapshot: type %d: %v", t, r.err)
 		}
 	}
 	if r.err != nil {
-		return nil, fmt.Errorf("addr: snapshot truncated")
+		return nil, fmt.Errorf("addr: snapshot: %v", r.err)
+	}
+	if r.off != len(data) {
+		return nil, fmt.Errorf("addr: snapshot: %d bytes past the last type", len(data)-r.off)
 	}
 	return d, nil
 }
+
+// refBytes is the encoded size of one record reference.
+const refBytes = 4 + 1 + 4 + 2 + 1
 
 type reader struct {
 	data []byte
 	off  int
 	err  error
+}
+
+// has reports whether n more bytes follow, failing the read if not.
+func (r *reader) has(n int) bool {
+	if r.err == nil && r.off+n > len(r.data) {
+		r.err = fmt.Errorf("short read")
+	}
+	return r.err == nil
 }
 
 func (r *reader) take(n int) []byte {

@@ -62,6 +62,14 @@ func (s *System) registerMetrics() {
 	r.CounterFunc("wal_batches", func() uint64 { st, _ := s.WALStats(); return st.Batches })
 	r.CounterFunc("wal_checkpoints", func() uint64 { st, _ := s.WALStats(); return st.Checkpoints })
 	r.CounterFunc("wal_recoveries", func() uint64 { st, _ := s.WALStats(); return st.Recoveries })
+	// 1 while the latest checkpoint attempt failed: the log's replay prefix
+	// is not being truncated (WALCheckpointErr says why).
+	r.GaugeFunc("wal_checkpoint_failing", func() float64 {
+		if s.WALCheckpointErr() != nil {
+			return 1
+		}
+		return 0
+	})
 
 	// The Go runtime's share of "why was this slow". Reading MemStats stops
 	// the world for the read: a scrape can afford that, a request could not.

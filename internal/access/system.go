@@ -55,13 +55,6 @@ type Config struct {
 	// so every stripe still holds a useful number of pages; 1 disables
 	// striping.
 	BufferShards int
-	// AtomCacheSize is the atom budget of the atom cache — checked record
-	// images — that sits between the buffer pool and molecule assembly (0
-	// picks DefaultAtomCacheAtoms; negative disables the cache). Sized in
-	// atoms of acAtomBytes each, charged by image length: a budget of the
-	// working set's atom count makes repeated checkouts serve entirely from
-	// memory.
-	AtomCacheSize int
 	// WAL enables the write-ahead log: mutations are logged before they
 	// touch pages, commits become durable via group commit, and Open runs
 	// crash recovery before serving requests.
@@ -69,12 +62,6 @@ type Config struct {
 	// GroupCommitMaxWait bounds how long a committing transaction waits for
 	// companions to share its fsync (default wal.DefaultGroupCommitMaxWait).
 	GroupCommitMaxWait time.Duration
-	// GroupCommitBatch caps how many commits share one fsync (default
-	// wal.DefaultGroupCommitBatch).
-	GroupCommitBatch int
-	// WALSegmentBlocks sets the log segment size in 8K blocks (default
-	// wal.DefaultSegmentBlocks).
-	WALSegmentBlocks int
 	// WALCheckpointBytes is the log growth between automatic checkpoints
 	// (default wal.DefaultCheckpointBytes).
 	WALCheckpointBytes int64
@@ -126,9 +113,6 @@ func (c *Config) fill() error {
 	}
 	for c.BufferShards > 1 && c.BufferBytes/int64(c.BufferShards) < minPerShard {
 		c.BufferShards /= 2
-	}
-	if c.AtomCacheSize == 0 {
-		c.AtomCacheSize = DefaultAtomCacheAtoms
 	}
 	return nil
 }
@@ -302,7 +286,8 @@ func Open(cfg Config) (*System, error) {
 		Logf:          cfg.TraceLogf,
 	})
 	s.pool.SetMissHist(s.reg.Histogram("buffer_read_ns"))
-	s.atoms.Store(newAtomCache(cfg.AtomCacheSize, cfg.BufferShards, nil, &s.acStats))
+	// The atom cache starts at its default budget; SetAtomCacheSize resizes it.
+	s.atoms.Store(newAtomCache(DefaultAtomCacheAtoms, cfg.BufferShards, nil, &s.acStats))
 	s.mv = newMVStore()
 	loaded := false
 	if cfg.Dir != "" {

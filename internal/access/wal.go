@@ -22,9 +22,7 @@ import (
 // any new commit is acknowledged. Called once from Open, single-threaded.
 func (s *System) openWAL() error {
 	wl, err := wal.Open(s.files, wal.Options{
-		SegmentBlocks:      s.cfg.WALSegmentBlocks,
 		GroupCommitMaxWait: s.cfg.GroupCommitMaxWait,
-		GroupCommitBatch:   s.cfg.GroupCommitBatch,
 		CheckpointBytes:    s.cfg.WALCheckpointBytes,
 		AppendNs:           s.reg.Histogram("wal_append_ns"),
 		FsyncNs:            s.reg.Histogram("wal_fsync_ns"),

@@ -716,23 +716,36 @@ func (as *assembler) linkAtom(n *asmNode, a addr.LogicalAddr, level int) (*MAtom
 	return ma, nil
 }
 
+// rootChunk is how many candidate roots a cursor takes from its access at a
+// time: the unit of lazy root streaming and of read-ahead dispatch, and the
+// input a cursor derives its assembly width from.
+var rootChunk = 64
+
+// maxAssemblyWorkers caps one cursor's read-ahead, so one query does not
+// monopolize a big host.
+const maxAssemblyWorkers = 8
+
 // Cursor delivers the qualified molecules of a plan one at a time — the
 // one-molecule-at-a-time interface of the molecule management (§3.1). Roots
-// stream lazily from the access system in chunks; when the engine's
-// assembly parallelism is above one, a bounded worker pool materializes
-// molecules concurrently while Next still delivers them in root order.
+// stream lazily from the access system in chunks. The first chunk decides
+// how the cursor assembles (see start): one root — a point checkout, a
+// direct-address MODIFY — on the caller's goroutine; a molecule set on a
+// bounded worker pool that materializes molecules concurrently while Next
+// still delivers them in root order, the "semantic parallelism" of
+// molecule-set operations (§4).
 type Cursor struct {
-	plan *Plan
-	src  rootSource
-	snap *access.Snapshot
-	done bool
+	plan    *Plan
+	src     rootSource
+	snap    *access.Snapshot
+	started bool
+	done    bool
 
-	// Serial mode: the assembler and the current root chunk.
+	// Inline assembly: the assembler and the current root chunk.
 	asm     *assembler
 	pending []addr.LogicalAddr
 	pos     int
 
-	// Parallel mode.
+	// Read-ahead assembly.
 	pipe *pipeline
 
 	// asmNs accumulates wall time spent inside Next — the assembly stage as
@@ -759,11 +772,10 @@ func (p *Plan) Open() (*Cursor, error) { return p.open(nil, nil) }
 // transaction layer pins one at Begin and reuses its epoch for every cursor
 // it opens); nil pins the current epoch. The cursor's snapshot charges its
 // read-path counters (atoms decoded, cache hits, pages pinned, decode time)
-// to sp and Close ends it; the span is attached before the pipeline starts,
-// so parallel assembly workers record into it from the first read. A nil sp
-// means untraced.
+// to sp and Close ends it; the span is attached before any assembly starts,
+// so read-ahead workers record into it from the first read. A nil sp means
+// untraced.
 func (p *Plan) open(epoch *uint64, sp *obs.Span) (*Cursor, error) {
-	workers, chunk := p.engine.assemblyConfig()
 	var sn *access.Snapshot
 	if epoch != nil {
 		sn = p.engine.sys.SnapshotAt(*epoch)
@@ -771,18 +783,18 @@ func (p *Plan) open(epoch *uint64, sp *obs.Span) (*Cursor, error) {
 		sn = p.engine.sys.OpenSnapshot()
 	}
 	sn.SetTraceSpan(sp)
-	c := &Cursor{plan: p, snap: sn, src: p.rootSource(chunk, sn), span: sp}
-	if workers > 1 {
-		c.pipe = startPipeline(p, sn, c.src, workers)
-	} else {
-		c.asm = newAssembler(p, sn)
-	}
-	// Safety net for abandoned cursors: neither the snapshot nor the
-	// pipeline goroutines reference the Cursor, so when a caller drops it
-	// without Close the finalizer still releases the epoch (and winds the
-	// workers down first — off the finalizer goroutine, since joining them
-	// can block).
-	pipe := c.pipe
+	c := &Cursor{plan: p, snap: sn, src: p.rootSource(rootChunk, sn), span: sp}
+	c.guard(nil)
+	return c, nil
+}
+
+// guard is the safety net for abandoned cursors: neither the snapshot nor
+// the pipeline goroutines reference the Cursor, so when a caller drops it
+// without Close the finalizer still releases the epoch (and winds the
+// workers of pipe down first — off the finalizer goroutine, since joining
+// them can block).
+func (c *Cursor) guard(pipe *pipeline) {
+	sn := c.snap
 	runtime.SetFinalizer(c, func(_ *Cursor) {
 		go func() {
 			if pipe != nil {
@@ -792,7 +804,28 @@ func (p *Plan) open(epoch *uint64, sp *obs.Span) (*Cursor, error) {
 			sn.Close()
 		}()
 	})
-	return c, nil
+}
+
+// start takes the cursor's first root chunk and derives the assembly width
+// from it: min(GOMAXPROCS, maxAssemblyWorkers, roots in the chunk). At
+// width one the cursor assembles on the caller's goroutine, which is every
+// cursor over one root; above one an order-preserving pipeline reads ahead
+// on that many workers.
+func (c *Cursor) start() error {
+	c.started = true
+	first, err := c.src.next()
+	if err != nil {
+		return err
+	}
+	if workers := min(runtime.GOMAXPROCS(0), maxAssemblyWorkers, len(first)); workers > 1 {
+		c.pipe = startPipeline(c.plan, c.snap, c.src, first, workers)
+		runtime.SetFinalizer(c, nil)
+		c.guard(c.pipe)
+		return nil
+	}
+	c.asm = newAssembler(c.plan, c.snap)
+	c.pending = first
+	return nil
 }
 
 // Epoch returns the snapshot epoch the cursor reads at.
@@ -805,7 +838,8 @@ type asmResult struct {
 }
 
 // pipeline runs the order-preserving parallel assembly: a dispatcher streams
-// roots from the source, handing each root a one-slot result channel that is
+// roots from the source, starting with the chunk the cursor already took,
+// handing each root a one-slot result channel that is
 // queued in dispatch order; workers assemble out of order and fulfill their
 // slot; the consumer drains slots in order. In-flight molecules are bounded
 // by the queue capacities, so huge result sets stream instead of piling up.
@@ -821,7 +855,7 @@ type asmJob struct {
 	out  chan asmResult
 }
 
-func startPipeline(p *Plan, sn *access.Snapshot, src rootSource, workers int) *pipeline {
+func startPipeline(p *Plan, sn *access.Snapshot, src rootSource, first []addr.LogicalAddr, workers int) *pipeline {
 	pl := &pipeline{
 		ordered: make(chan chan asmResult, workers*2),
 		stop:    make(chan struct{}),
@@ -855,20 +889,7 @@ func startPipeline(p *Plan, sn *access.Snapshot, src rootSource, workers int) *p
 		defer pl.wg.Done()
 		defer close(jobs)
 		defer close(pl.ordered)
-		for {
-			batch, err := src.next()
-			if err != nil {
-				out := make(chan asmResult, 1)
-				out <- asmResult{err: err}
-				select {
-				case pl.ordered <- out:
-				case <-pl.stop:
-				}
-				return
-			}
-			if len(batch) == 0 {
-				return
-			}
+		for batch := first; len(batch) > 0; {
 			for _, root := range batch {
 				out := make(chan asmResult, 1)
 				select {
@@ -884,6 +905,16 @@ func startPipeline(p *Plan, sn *access.Snapshot, src rootSource, workers int) *p
 					out <- asmResult{}
 					return
 				}
+			}
+			var err error
+			if batch, err = src.next(); err != nil {
+				out := make(chan asmResult, 1)
+				out <- asmResult{err: err}
+				select {
+				case pl.ordered <- out:
+				case <-pl.stop:
+				}
+				return
 			}
 		}
 	}()
@@ -901,6 +932,12 @@ func (c *Cursor) Next() (*Molecule, error) {
 	}
 	nextStart := time.Now()
 	defer func() { c.asmNs += time.Since(nextStart).Nanoseconds() }()
+	if !c.started {
+		if err := c.start(); err != nil {
+			c.done = true
+			return nil, err
+		}
+	}
 	if c.pipe != nil {
 		for {
 			out, ok := <-c.pipe.ordered
@@ -960,7 +997,7 @@ func (c *Cursor) emit(m *Molecule) {
 	c.span.Add(obs.CtrAtoms, int64(m.Size()))
 }
 
-// Close releases the cursor and its snapshot. A parallel pipeline is joined
+// Close releases the cursor and its snapshot. A read-ahead pipeline is joined
 // first: when Close returns, no worker touches buffer pages anymore and the
 // epoch's history is free to be reclaimed.
 func (c *Cursor) Close() {

@@ -125,9 +125,9 @@ func TestAssembleMaxDepthExceeded(t *testing.T) {
 	e := newEngine(t)
 	solids(t, e, 4, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 4})
 	q := `SELECT ALL FROM piece_list WHERE piece_list(0).solid_no = 1`
-	defer e.SetAssemblyWorkers(e.AssemblyWorkers())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 4} {
-		e.SetAssemblyWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		e.SetMaxRecursionDepth(2)
 		_, err := e.Execute(parseSelect(t, q), e.System().Writer(0, nil))
 		if !errors.Is(err, core.ErrSemantic) || !strings.Contains(err.Error(), "recursion deeper than 2") {
@@ -194,9 +194,9 @@ func TestAssembleDirectRootGone(t *testing.T) {
 	if err := e.System().Delete(cubes[0].Brep); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	defer e.SetAssemblyWorkers(e.AssemblyWorkers())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 4} {
-		e.SetAssemblyWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		if r := mustQuery(t, e, q); len(r.Molecules) != 0 {
 			t.Fatalf("workers=%d: %d molecules for a root that is gone, want 0", workers, len(r.Molecules))
 		}
@@ -208,19 +208,43 @@ func TestAssembleDirectRootGone(t *testing.T) {
 // one allocation per atom would add (a cube is 27 atoms), so that
 // `go test ./...` catches one coming back. Measured since the read path
 // carries record images and a level is read where the assembler keeps it: 10
-// per warm checkout serial and 27 with two workers (13 and 30 before); 4.2
-// per molecule of a scan serial and 6.4 with two workers (8.2 and 10.3
-// before); 48 for a cube read cold with the cache off, 87 with it on (52 and
-// 91 while every page fix allocated its handle).
+// per warm checkout inline (11 through an access path) and 27 when every
+// cursor ran the two-worker pipeline (13 and 30 before); 4.2 per molecule of a scan inline and 6.4
+// with two workers (8.2 and 10.3 before); 48 for a cube read cold with the
+// cache off, 87 with it on (52 and 91 while every page fix allocated its
+// handle).
 
-// TestAllocsWarmCheckout: one cached plan, one cube, every atom in the atom
-// cache, through Plan.Open and Collect.
+// allocsPerRunAt is testing.AllocsPerRun at GOMAXPROCS procs, which a
+// cursor derives its assembly width from; AllocsPerRun itself runs at
+// GOMAXPROCS 1, where every cursor assembles inline.
+func allocsPerRunAt(procs, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// TestAllocsWarmCheckout: one cached plan, one cube found through the
+// brep_no access path as every checkout of the bench workloads is, every
+// atom in the atom cache, through Plan.Open and Collect. A cursor over one
+// root assembles inline at any GOMAXPROCS, so the inline budget holds at 1,
+// 2 and 4: the read-ahead pipeline coming back to point checkouts would
+// break it.
 func TestAllocsWarmCheckout(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	e, _ := sceneEngine(t, 4)
+	mustQuery(t, e, `CREATE ACCESS PATH bno ON brep (brep_no) USING BTREE`)
 	p := planFor(t, e, `SELECT ALL FROM brep-face-edge-point WHERE brep_no = 2`)
+	if p.AccessKind != "accesspath" {
+		t.Fatalf("AccessKind = %s, want accesspath", p.AccessKind)
+	}
 	checkout := func() {
 		cur, err := p.Open()
 		if err != nil {
@@ -232,20 +256,16 @@ func TestAllocsWarmCheckout(t *testing.T) {
 			t.Fatalf("checkout: %d molecules, %v", len(mols), err)
 		}
 	}
-	for _, workers := range []int{1, core.DefaultAssemblyWorkers()} {
-		e.SetAssemblyWorkers(workers)
-		checkout() // warm the atom cache
-		budget := 20.0
-		if workers > 1 {
-			budget += 8 * float64(workers)
-		}
-		if got := testing.AllocsPerRun(200, checkout); got > budget {
-			t.Errorf("workers=%d: warm cube checkout: %.0f allocs, budget %.0f", workers, got, budget)
+	for _, procs := range []int{1, 2, 4} {
+		const budget = 20.0
+		if got := allocsPerRunAt(procs, 200, checkout); got > budget {
+			t.Errorf("GOMAXPROCS=%d: warm cube checkout: %.0f allocs, budget %.0f", procs, got, budget)
 		}
 	}
 }
 
-// TestAllocsMaterialization: the 60-cube scan, serial and parallel.
+// TestAllocsMaterialization: the 60-cube scan, inline at GOMAXPROCS 1 and
+// read ahead on four workers at GOMAXPROCS 4.
 func TestAllocsMaterialization(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -264,14 +284,12 @@ func TestAllocsMaterialization(t *testing.T) {
 			t.Fatalf("scan: %d molecules, %v", len(mols), err)
 		}
 	}
-	for _, workers := range []int{1, core.DefaultAssemblyWorkers()} {
-		e.SetAssemblyWorkers(workers)
-		scan()
+	for _, workers := range []int{1, 4} {
 		budget := 7.0 * cubes
 		if workers > 1 {
 			budget = 10*cubes + 8*float64(workers)
 		}
-		if got := testing.AllocsPerRun(20, scan); got > budget {
+		if got := allocsPerRunAt(workers, 20, scan); got > budget {
 			t.Errorf("workers=%d: %d-cube materialization: %.0f allocs, budget %.0f", workers, cubes, got, budget)
 		}
 	}

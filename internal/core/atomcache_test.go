@@ -47,11 +47,11 @@ func TestDifferentialAtomCache(t *testing.T) {
 	for i, q := range corpus {
 		enabled[i] = renderSet(mustQuery(t, e, q).Molecules)
 	}
-	if st := e.AtomCacheStats(); st.Hits == 0 || st.Invalidations == 0 {
+	if st := e.System().AtomCacheStats(); st.Hits == 0 || st.Invalidations == 0 {
 		t.Fatalf("corpus did not exercise the cache: %+v", st)
 	}
 
-	e.SetAtomCacheSize(0)
+	e.System().SetAtomCacheSize(0)
 	for i, q := range corpus {
 		disabled := renderSet(mustQuery(t, e, q).Molecules)
 		if len(disabled) != len(enabled[i]) {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -32,34 +31,16 @@ type Engine struct {
 	mu          sync.Mutex
 	maxDepth    int
 	schemaDirty bool // associations not yet re-validated after DDL
-	workers     int  // degree of parallel molecule assembly (1 = serial)
-	chunk       int  // root chunk size for lazy streaming and dispatch
 }
 
-// DefaultAssemblyWorkers sizes the per-cursor assembly pool when a caller
-// opts into parallelism without naming a degree: one worker per CPU, capped
-// so one query does not monopolize a big host.
-func DefaultAssemblyWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	return n
-}
-
-// New creates a data system over an access system instance. Cursors run
-// parallel by default (DefaultAssemblyWorkers): every cursor reads through a
-// snapshot of its open epoch, so read-ahead workers and concurrent DML can
-// never produce a torn molecule — SetAssemblyWorkers(1) selects the serial
-// cursor for comparison or for single-core hosts.
+// New creates a data system over an access system instance. Each cursor
+// picks its own assembly width from its first root chunk (see Cursor).
 func New(sys *access.System) *Engine {
 	e := &Engine{
 		sys:         sys,
 		maxDepth:    64,
 		plans:       newPlanCache(DefaultPlanCacheSize),
 		schemaDirty: true,
-		workers:     DefaultAssemblyWorkers(),
-		chunk:       64,
 		parseNs:     sys.Obs().Histogram("core_parse_ns"),
 		planNs:      sys.Obs().Histogram("core_plan_ns"),
 		assembleNs:  sys.Obs().Histogram("core_assemble_ns"),
@@ -84,46 +65,6 @@ func (e *Engine) SetMaxRecursionDepth(d int) {
 	e.mu.Unlock()
 }
 
-// SetAssemblyWorkers sets the degree of intra-query parallelism of molecule
-// materialization: cursors assemble molecules on a pool of n workers while
-// preserving delivery order. n <= 1 selects the serial cursor; the default
-// is DefaultAssemblyWorkers. Either way cursors read at their open epoch, so
-// interleaving iteration with DML is safe — parallelism only changes how far
-// assembly runs ahead of the consumer.
-func (e *Engine) SetAssemblyWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.mu.Lock()
-	e.workers = n
-	e.mu.Unlock()
-}
-
-// AssemblyWorkers returns the configured assembly parallelism.
-func (e *Engine) AssemblyWorkers() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.workers
-}
-
-// SetAssemblyChunk sets the root chunk size used for lazy root streaming
-// and worker dispatch.
-func (e *Engine) SetAssemblyChunk(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.mu.Lock()
-	e.chunk = n
-	e.mu.Unlock()
-}
-
-// assemblyConfig snapshots the cursor tuning knobs.
-func (e *Engine) assemblyConfig() (workers, chunk int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.workers, e.chunk
-}
-
 // planDepth snapshots the one knob that shapes a prepared plan, the
 // recursion bound. The cache key and the plan itself are always built from
 // one snapshot, so a concurrent SetMaxRecursionDepth can never publish a plan
@@ -143,14 +84,6 @@ func (e *Engine) SetPlanCacheSize(n int) { e.plans.resize(n) }
 // actually planned fresh, so DDL and insert traffic does not dilute the
 // ratio.
 func (e *Engine) PlanCacheStats() (hits, misses uint64, size int) { return e.plans.stats() }
-
-// SetAtomCacheSize resizes (or, with n <= 0, disables) the access system's
-// atom cache.
-func (e *Engine) SetAtomCacheSize(n int) { e.sys.SetAtomCacheSize(n) }
-
-// AtomCacheStats reports the atom cache counters of the underlying
-// access system.
-func (e *Engine) AtomCacheStats() access.AtomCacheStats { return e.sys.AtomCacheStats() }
 
 // planKeyFor builds the cache key of a statement: schema version plus the
 // recursion bound that will shape the plan, then the statement text. DDL

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"testing"
 
 	"prima/internal/access"
 	"prima/internal/access/addr"
@@ -15,6 +16,14 @@ import (
 // reference_test.go.
 func (e *Engine) ReferenceSelect(sel *mql.Select) ([]*Molecule, error) {
 	return e.referenceSelect(sel)
+}
+
+// SetRootChunk lowers the cursor root chunk for one test, so a small scene
+// spans several chunks; the default comes back at cleanup.
+func SetRootChunk(t testing.TB, n int) {
+	old := rootChunk
+	rootChunk = n
+	t.Cleanup(func() { rootChunk = old })
 }
 
 // Roots enumerates the plan's candidate roots (non-scan accesses).

@@ -11,6 +11,14 @@ import (
 	"prima/internal/mql"
 )
 
+// withProcs runs the rest of the test at GOMAXPROCS n, the platform input a
+// cursor's assembly width is derived from: 1 keeps every cursor inline, 4
+// lets a cursor over several roots read ahead on up to four workers.
+func withProcs(t testing.TB, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 // openCursor plans and opens a SELECT.
 func openCursor(t testing.TB, e *core.Engine, q string) *core.Cursor {
 	t.Helper()
@@ -35,7 +43,7 @@ func TestParallelCursorMatchesSerial(t *testing.T) {
 	e, _ := sceneEngine(t, 12)
 	q := `SELECT ALL FROM brep-face-edge-point`
 
-	e.SetAssemblyWorkers(1)
+	withProcs(t, 1)
 	serialCur := openCursor(t, e, q)
 	serial, err := serialCur.Collect()
 	serialCur.Close()
@@ -43,8 +51,8 @@ func TestParallelCursorMatchesSerial(t *testing.T) {
 		t.Fatalf("serial Collect: %v", err)
 	}
 
-	e.SetAssemblyWorkers(4)
-	e.SetAssemblyChunk(5) // force multiple chunks
+	runtime.GOMAXPROCS(4)
+	core.SetRootChunk(t, 5) // force multiple chunks
 	parCur := openCursor(t, e, q)
 	parallel, err := parCur.Collect()
 	parCur.Close()
@@ -69,8 +77,8 @@ func TestParallelCursorMatchesSerial(t *testing.T) {
 // decide per molecule under parallel assembly.
 func TestParallelCursorQualification(t *testing.T) {
 	e, _ := sceneEngine(t, 10)
-	e.SetAssemblyWorkers(4)
-	e.SetAssemblyChunk(3)
+	withProcs(t, 4)
+	core.SetRootChunk(t, 3)
 	r := mustQuery(t, e, `SELECT ALL FROM brep-face-edge-point WHERE brep_no >= 4 AND brep_no <= 7`)
 	if len(r.Molecules) != 4 {
 		t.Fatalf("got %d molecules, want 4", len(r.Molecules))
@@ -88,8 +96,8 @@ func TestParallelCursorQualification(t *testing.T) {
 // under -race this also exercises the shutdown paths).
 func TestParallelCursorEarlyClose(t *testing.T) {
 	e, _ := sceneEngine(t, 20)
-	e.SetAssemblyWorkers(4)
-	e.SetAssemblyChunk(2)
+	withProcs(t, 4)
+	core.SetRootChunk(t, 2)
 	cur := openCursor(t, e, `SELECT ALL FROM brep-face-edge-point`)
 	for i := 0; i < 3; i++ {
 		m, err := cur.Next()
@@ -119,7 +127,7 @@ func TestParallelCursorErrorPropagation(t *testing.T) {
 	mustQuery(t, e, fmt.Sprintf(`CONNECT %v TO %v VIA sub`, r.Inserted[1], r.Inserted[2]))
 
 	e.SetMaxRecursionDepth(1)
-	e.SetAssemblyWorkers(4)
+	withProcs(t, 4)
 	stmt, err := mql.ParseOne(`SELECT ALL FROM solid.sub-solid (RECURSIVE)`)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -133,8 +141,8 @@ func TestParallelCursorErrorPropagation(t *testing.T) {
 // finalizer safety net must still shut the pipeline's goroutines down.
 func TestAbandonedCursorWindsDown(t *testing.T) {
 	e, _ := sceneEngine(t, 20)
-	e.SetAssemblyWorkers(4)
-	e.SetAssemblyChunk(2)
+	withProcs(t, 4)
+	core.SetRootChunk(t, 2)
 	base := runtime.NumGoroutine()
 	func() {
 		cur := openCursor(t, e, `SELECT ALL FROM brep-face-edge-point`)
@@ -159,7 +167,7 @@ func TestAbandonedCursorWindsDown(t *testing.T) {
 func TestScanSnapshotBound(t *testing.T) {
 	e := newEngine(t)
 	mustQuery(t, e, `INSERT INTO solid (solid_no) VALUES (1), (2), (3), (4), (5)`)
-	e.SetAssemblyChunk(2)
+	core.SetRootChunk(t, 2)
 	cur := openCursor(t, e, `SELECT ALL FROM solid`)
 	defer cur.Close()
 	n := 0
@@ -187,8 +195,8 @@ func TestScanSnapshotBound(t *testing.T) {
 // -race no background page read overlaps the update.
 func TestCloseJoinsWorkers(t *testing.T) {
 	e, _ := sceneEngine(t, 16)
-	e.SetAssemblyWorkers(4)
-	e.SetAssemblyChunk(2)
+	withProcs(t, 4)
+	core.SetRootChunk(t, 2)
 	cur := openCursor(t, e, `SELECT ALL FROM brep-face-edge-point`)
 	if _, err := cur.Next(); err != nil {
 		t.Fatalf("Next: %v", err)
@@ -204,7 +212,7 @@ func TestCloseJoinsWorkers(t *testing.T) {
 // sharded buffer pool, batched reads and pipeline all under -race.
 func TestConcurrentQueries(t *testing.T) {
 	e, _ := sceneEngine(t, 8)
-	e.SetAssemblyWorkers(3)
+	withProcs(t, 3)
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for g := 0; g < 8; g++ {

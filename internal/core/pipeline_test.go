@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -215,22 +216,22 @@ func wireBytes(t *testing.T, mols []*core.Molecule) []byte {
 // with the molecule multiset the reference model (reference_test.go)
 // computes from the unrestricted molecule set — the same rendered trees and
 // byte-identical wire frames from the one-pass assembler and the reference
-// assembler — under serial and default assembly parallelism, with the
-// atom cache on and off.
+// assembler — inline and read ahead (GOMAXPROCS 1 and 4), with the atom
+// cache on and off.
 func checkAgainstReference(t *testing.T, e *core.Engine, corpus []string) {
 	t.Helper()
-	defer e.SetAssemblyWorkers(e.AssemblyWorkers())
-	defer e.SetAtomCacheSize(access.DefaultAtomCacheAtoms)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer e.System().SetAtomCacheSize(access.DefaultAtomCacheAtoms)
 	for _, q := range corpus {
 		ref, err := e.ReferenceSelect(parseSelect(t, q))
 		if err != nil {
 			t.Fatalf("reference %s: %v", q, err)
 		}
 		want, wantWire := renderSet(ref), wireBytes(t, ref)
-		for _, workers := range []int{1, core.DefaultAssemblyWorkers()} {
+		for _, workers := range []int{1, 4} {
 			for _, cache := range []int{access.DefaultAtomCacheAtoms, 0} {
-				e.SetAssemblyWorkers(workers)
-				e.SetAtomCacheSize(cache)
+				runtime.GOMAXPROCS(workers)
+				e.System().SetAtomCacheSize(cache)
 				mols := mustQuery(t, e, q).Molecules
 				have := renderSet(mols)
 				if len(want) != len(have) {
@@ -346,7 +347,7 @@ func TestPlanCache(t *testing.T) {
 // cached plan — the sharing contract of the cache (exercised under -race).
 func TestPlanCacheConcurrentCursors(t *testing.T) {
 	e, _ := sceneEngine(t, 8)
-	e.SetAssemblyWorkers(4) // parallel pipeline + pushdown + compiled eval
+	withProcs(t, 4) // read-ahead pipeline + pushdown + compiled eval
 	q := `SELECT ALL FROM brep-face-edge-point WHERE edge.length > 1.5 AND brep_no > 1`
 	p, err := e.PlanQuery(q)
 	if err != nil {

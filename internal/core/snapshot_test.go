@@ -2,30 +2,23 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"prima/internal/core"
 )
 
-// TestDefaultAssemblyParallel pins the new default: cursors run on the
-// parallel pipeline out of the box, snapshot isolation making that safe.
-func TestDefaultAssemblyParallel(t *testing.T) {
-	e := newEngine(t)
-	if got, want := e.AssemblyWorkers(), core.DefaultAssemblyWorkers(); got != want {
-		t.Fatalf("default AssemblyWorkers = %d, want DefaultAssemblyWorkers() = %d", got, want)
-	}
-}
-
 // TestSnapshotCursorFrozenUnderDML is the isolation acceptance test (run it
 // under -race): a cursor opened before concurrent DELETE/MODIFY traffic must
-// deliver exactly the pre-DML state — parallel read-ahead included.
+// deliver exactly the pre-DML state — parallel read-ahead included. The
+// subtests run at GOMAXPROCS 1 (inline) and 4 (read-ahead).
 func TestSnapshotCursorFrozenUnderDML(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			e, _ := sceneEngine(t, 10)
-			e.SetAssemblyWorkers(workers)
-			e.SetAssemblyChunk(3) // several chunks, so iteration overlaps the writer
+			withProcs(t, workers)
+			core.SetRootChunk(t, 3) // several chunks, so iteration overlaps the writer
 			q := `SELECT ALL FROM brep-face-edge-point`
 
 			baseCur := openCursor(t, e, q)
@@ -84,7 +77,7 @@ func TestSnapshotCursorFrozenUnderDML(t *testing.T) {
 // TestDifferentialSnapshotVsSerial extends the differential corpus with
 // interleaved DML: for every query, a cursor that survives deletes, updates
 // and inserts mid-iteration must equal the uninterrupted pre-DML collect —
-// for the serial and the parallel cursor alike.
+// for the inline and the read-ahead cursor alike (GOMAXPROCS 1 and 4).
 func TestDifferentialSnapshotVsSerial(t *testing.T) {
 	corpus := []string{
 		`SELECT ALL FROM brep-face-edge-point`,
@@ -101,11 +94,12 @@ func TestDifferentialSnapshotVsSerial(t *testing.T) {
 		`MODIFY solid SET description = 'dml' WHERE solid_no > 0`,
 		`INSERT INTO solid (solid_no) VALUES (8001), (8002)`,
 	}
+	core.SetRootChunk(t, 2)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 4} {
+		runtime.GOMAXPROCS(workers)
 		for _, q := range corpus {
 			e, _ := sceneEngine(t, 8)
-			e.SetAssemblyWorkers(workers)
-			e.SetAssemblyChunk(2)
 
 			baseCur := openCursor(t, e, q)
 			baseline, err := baseCur.Collect()

@@ -58,7 +58,7 @@ func realResponseFrames(t testing.TB) [][]byte {
 	add(new(encoder), &reply{OK: true, Count: 2, Inserted: []addr.LogicalAddr{addr.New(1, 1), addr.New(65535, 1<<47)}})
 	add(new(encoder), &reply{OK: true, Message: "pong"})
 	add(new(encoder), &reply{Error: "shed: 4 requests in flight", Retryable: true})
-	add(new(encoder), &reply{OK: true, Message: scene.Stats(), Diag: &diagPayload{Metrics: scene.Metrics()}})
+	add(new(encoder), &reply{OK: true, Message: "wal checkpoint failing: injected sync fault", Diag: &diagPayload{Metrics: scene.Metrics()}})
 	return frames
 }
 

@@ -681,9 +681,13 @@ func (s *Server) dispatch(req *Request, tr *obs.Trace) *reply {
 		}
 		return &reply{OK: true, Atom: rec}
 	case OpStats:
-		// Message is the one-line summary, which also says when WAL
-		// checkpoints are failing and why: the one fact no metric carries.
-		return &reply{OK: true, Message: s.db.Stats(), Diag: &diagPayload{Metrics: s.db.Metrics()}}
+		// The metrics say whether WAL checkpoints are failing
+		// (wal_checkpoint_failing); Message says why, while they are.
+		rep := &reply{OK: true, Diag: &diagPayload{Metrics: s.db.Metrics()}}
+		if err := s.db.System().WALCheckpointErr(); err != nil {
+			rep.Message = "wal checkpoint failing: " + err.Error()
+		}
+		return rep
 	default:
 		return &reply{Error: "unknown op " + req.Op.String()}
 	}

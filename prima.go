@@ -26,7 +26,6 @@ package prima
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"prima/internal/access"
@@ -49,40 +48,16 @@ type (
 	LogicalAddr = addr.LogicalAddr
 )
 
-// Config tunes a database instance.
+// Config tunes a database instance. It holds what callers set; the rest is
+// derived (a cursor's assembly width from its roots and GOMAXPROCS) or fixed
+// at its default (8 KiB pages, size-aware LRU, recursion depth 64, 128
+// cached plans, a 2 MiB atom cache — db.System().SetAtomCacheSize resizes
+// the cache at run time).
 type Config struct {
 	// Dir is the database directory; empty runs fully in memory.
 	Dir string
-	// PageSize of primary containers: 512, 1024, 2048, 4096 or 8192
-	// (default 8192).
-	PageSize int
 	// BufferBytes is the buffer pool budget (default 4 MiB).
 	BufferBytes int64
-	// Policy selects the replacement policy: "size-aware-lru" (default),
-	// "partitioned-lru" or "classic-lru".
-	Policy string
-	// MaxRecursionDepth bounds recursive molecule evaluation (default 64).
-	MaxRecursionDepth int
-	// AssemblyWorkers is the degree of intra-query parallelism of molecule
-	// materialization. 0 keeps the default, DefaultAssemblyWorkers(): every
-	// cursor reads through a snapshot of its open epoch, so parallel
-	// read-ahead is safe even when iteration interleaves with DML. 1 selects
-	// the serial cursor (same snapshot semantics, no read-ahead).
-	AssemblyWorkers int
-	// PlanCacheSize caps the engine's LRU of prepared SELECT/DELETE/MODIFY
-	// plans, keyed by statement text and schema version (0 keeps the
-	// default of core.DefaultPlanCacheSize; negative disables plan caching).
-	PlanCacheSize int
-	// AtomCacheSize is the atom budget of the atom cache between the page
-	// buffer and molecule assembly: repeated checkouts of the same design
-	// objects are served from cached record images — the bytes assembly
-	// reads references from and the wire ships — without directory probes,
-	// page fixes or record copies. Each configured atom buys 256 bytes; an
-	// entry is charged its image length plus a fixed 96 bytes, so wide CAD
-	// atoms displace proportionally more narrow ones. 0 keeps the default
-	// (access.DefaultAtomCacheAtoms, 2 MiB); negative disables the cache.
-	// Size it to the hot working set's atom count.
-	AtomCacheSize int
 	// WAL enables the write-ahead log: DML is logged before it touches
 	// pages, Tx.Commit blocks until the commit record is on stable storage
 	// (group commit), and Open replays the log after a crash.
@@ -106,11 +81,6 @@ type Config struct {
 	TraceLogf func(format string, args ...any)
 }
 
-// DefaultAssemblyWorkers returns the default degree of parallel molecule
-// assembly: one worker per CPU, capped at 8. It is what Config.
-// AssemblyWorkers = 0 selects.
-func DefaultAssemblyWorkers() int { return core.DefaultAssemblyWorkers() }
-
 // DB is a PRIMA database handle.
 type DB struct {
 	sys    *access.System
@@ -122,10 +92,7 @@ type DB struct {
 func Open(cfg Config) (*DB, error) {
 	sys, err := access.Open(access.Config{
 		Dir:                cfg.Dir,
-		PageSize:           cfg.PageSize,
 		BufferBytes:        cfg.BufferBytes,
-		Policy:             cfg.Policy,
-		AtomCacheSize:      cfg.AtomCacheSize,
 		WAL:                cfg.WAL,
 		GroupCommitMaxWait: cfg.GroupCommitMaxWait,
 		WALCheckpointBytes: cfg.WALCheckpointBytes,
@@ -136,19 +103,7 @@ func Open(cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := core.New(sys)
-	if cfg.MaxRecursionDepth > 0 {
-		engine.SetMaxRecursionDepth(cfg.MaxRecursionDepth)
-	}
-	if cfg.AssemblyWorkers > 0 {
-		engine.SetAssemblyWorkers(cfg.AssemblyWorkers)
-	}
-	if cfg.PlanCacheSize > 0 {
-		engine.SetPlanCacheSize(cfg.PlanCacheSize)
-	} else if cfg.PlanCacheSize < 0 {
-		engine.SetPlanCacheSize(0)
-	}
-	return &DB{sys: sys, engine: engine, txm: txn.NewManager(sys)}, nil
+	return &DB{sys: sys, engine: core.New(sys), txm: txn.NewManager(sys)}, nil
 }
 
 // Close checkpoints and releases the database.
@@ -302,31 +257,6 @@ func (db *DB) OpenSnapshots() int { return db.sys.OpenSnapshots() }
 func (db *DB) Registry() *obs.Registry { return db.sys.Obs() }
 
 // Metrics takes one coherent snapshot of every registered metric — the same
-// data the wire `stats` op and primad's /metrics endpoint serve.
+// data the wire `stats` op and primad's /metrics endpoint serve;
+// PrometheusText renders it for people.
 func (db *DB) Metrics() *obs.MetricsSnapshot { return db.sys.Obs().Snapshot() }
-
-// Stats summarizes atom cache, buffer, device and WAL activity, rendered
-// from one Metrics snapshot so the string view and /metrics can never
-// disagree.
-func (db *DB) Stats() string {
-	ms := db.Metrics()
-	ds := db.sys.Files().Stats()
-	hits, misses := float64(ms.Counter("buffer_hits")), float64(ms.Counter("buffer_misses"))
-	ratio := 0.0
-	if hits+misses > 0 {
-		ratio = 100 * hits / (hits + misses)
-	}
-	out := fmt.Sprintf("atoms: %d hits / %d misses, %d invalidations, %d/%d cached; buffer: %d hits / %d misses (%.1f%%), %d evictions; io: %s",
-		ms.Counter("atom_cache_hits"), ms.Counter("atom_cache_misses"), ms.Counter("atom_cache_invalidations"),
-		int(ms.Gauge("atom_cache_atoms")), int(ms.Gauge("atom_cache_budget")),
-		ms.Counter("buffer_hits"), ms.Counter("buffer_misses"), ratio, ms.Counter("buffer_evictions"), ds)
-	if ms.Gauge("wal_enabled") != 0 {
-		out += fmt.Sprintf("; wal: %d records / %d bytes, %d commits in %d batches (%d syncs), %d checkpoints, %d recoveries",
-			ms.Counter("wal_appends"), ms.Counter("wal_bytes"), ms.Counter("wal_commits"),
-			ms.Counter("wal_batches"), ms.Counter("wal_syncs"), ms.Counter("wal_checkpoints"), ms.Counter("wal_recoveries"))
-		if cerr := db.sys.WALCheckpointErr(); cerr != nil {
-			out += fmt.Sprintf("; CHECKPOINT FAILING: %v", cerr)
-		}
-	}
-	return out
-}

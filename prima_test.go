@@ -3,11 +3,19 @@ package prima
 import (
 	"errors"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"prima/internal/txn"
 	"prima/internal/workload/brepgen"
 )
+
+// withProcs runs the rest of a test or benchmark at GOMAXPROCS n, the
+// platform input a cursor derives its assembly width from.
+func withProcs(t testing.TB, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 func openMem(t testing.TB) *DB {
 	t.Helper()
@@ -67,7 +75,7 @@ func TestCursorAndParallelAgree(t *testing.T) {
 	}
 	q := `SELECT ALL FROM brep-face WHERE brep_no >= 3`
 
-	db.Engine().SetAssemblyWorkers(1)
+	withProcs(t, 1)
 	cur, err := db.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +85,7 @@ func TestCursorAndParallelAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Engine().SetAssemblyWorkers(4)
+	runtime.GOMAXPROCS(4)
 	pcur, err := db.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +218,7 @@ func TestPersistentDatabase(t *testing.T) {
 	if len(res.Molecules) != 1 || res.Molecules[0].Size() != brepgen.CubeAtoms {
 		t.Fatalf("reopened molecule wrong: %d", len(res.Molecules))
 	}
-	if db2.Stats() == "" {
-		t.Fatal("Stats empty")
+	if ms := db2.Metrics(); ms.Gauge("wal_checkpoint_failing") != 0 || ms.Counter("buffer_hits")+ms.Counter("buffer_misses") == 0 {
+		t.Fatalf("metrics after reopen: checkpoint failing %v, %d buffer fixes", ms.Gauge("wal_checkpoint_failing"), ms.Counter("buffer_hits")+ms.Counter("buffer_misses"))
 	}
 }
