@@ -744,26 +744,26 @@ func BenchmarkRepeatedCheckout(b *testing.B) {
 	b.Run("cache_on", func(b *testing.B) { benchRepeatedCheckout(b, 1<<16) })
 }
 
-// BenchmarkPlanCache measures repeated-statement execution with and without
-// the plan cache: hits skip parsing and planning entirely and go straight to
-// cursor execution.
+// BenchmarkPlanCache measures single-statement execution through the plan
+// cache with the same literal on every op and with a new literal on every
+// op. Both are served by one prepared shape — the second binds its literal
+// at open — and return the same molecule.
 func BenchmarkPlanCache(b *testing.B) {
-	q := `SELECT brep_no FROM brep
-	      WHERE brep_no = 7 AND (hull <> EMPTY OR brep_no > 100)`
+	const q = `SELECT brep_no FROM brep
+	      WHERE brep_no = 7 AND (hull <> EMPTY OR brep_no > %d)`
 	for _, tc := range []struct {
-		name string
-		size int
+		name  string
+		bound func(i int) int
 	}{
-		{"cache_off", 0},
-		{"cache_on", 128},
+		{"same_literal", func(int) int { return 100 }},
+		{"new_literal", func(i int) int { return 100 + i }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			db := benchScene(b, 8, `CREATE ACCESS PATH bno ON brep (brep_no) USING BTREE`)
-			db.Engine().SetPlanCacheSize(tc.size)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Exec(q); err != nil {
+				if _, err := db.Exec(fmt.Sprintf(q, tc.bound(i))); err != nil {
 					b.Fatal(err)
 				}
 			}

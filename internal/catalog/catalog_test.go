@@ -10,7 +10,7 @@ import (
 // solidSchema builds the Fig. 2.3 schema (solid, brep, face, edge, point)
 // programmatically. HULL_DIM(3) is modeled as ARRAY_OF(REAL, 6) — a
 // min/max bounding box per dimension (documented substitution).
-func solidSchema(t *testing.T) *Schema {
+func solidSchema(t testing.TB) *Schema {
 	t.Helper()
 	s := NewSchema()
 

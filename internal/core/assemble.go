@@ -539,7 +539,7 @@ func (as *assembler) build(a addr.LogicalAddr, root access.Record) (*Molecule, e
 		return nil, nil
 	}
 	if p.whereC != nil {
-		keep, err := p.whereC.Eval(m)
+		keep, err := p.whereC.Eval(m, p.params)
 		if err != nil {
 			return nil, err
 		}
@@ -547,7 +547,7 @@ func (as *assembler) build(a addr.LogicalAddr, root access.Record) (*Molecule, e
 			return nil, nil
 		}
 	}
-	if err := p.engine.applyProjection(p.Project, m); err != nil {
+	if err := applyProjection(p.Project, m, p.params); err != nil {
 		return nil, err
 	}
 	return m, nil

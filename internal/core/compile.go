@@ -19,12 +19,14 @@ import (
 // against.
 
 // cscratch is the per-evaluation scratch of one compiled predicate:
-// quantifier bindings by slot, and one value buffer per attribute operand.
-// It is pooled by the owning compiledPred, so steady-state evaluation does
-// not allocate.
+// quantifier bindings by slot, one value buffer per attribute operand, and
+// the bound parameter vector that parameter operands read (nil for a plan
+// prepared from a statement tree). It is pooled by the owning compiledPred,
+// so steady-state evaluation does not allocate.
 type cscratch struct {
-	bound []*MAtom
-	bufs  [][]atom.Value
+	bound  []*MAtom
+	bufs   [][]atom.Value
+	params []atom.Value
 }
 
 // cnode is one compiled predicate node.
@@ -38,10 +40,13 @@ type compiledPred struct {
 	pool sync.Pool
 }
 
-// Eval decides the predicate for one molecule.
-func (cp *compiledPred) Eval(m *Molecule) (bool, error) {
+// Eval decides the predicate for one molecule under the bound parameters
+// (nil: the literals it was compiled from).
+func (cp *compiledPred) Eval(m *Molecule, params []atom.Value) (bool, error) {
 	s := cp.pool.Get().(*cscratch)
+	s.params = params
 	ok, err := cp.fn(m, s)
+	s.params = nil
 	cp.pool.Put(s)
 	return ok, err
 }
@@ -260,18 +265,20 @@ func cmpHolds(op mql.CmpOp, cmp int) bool {
 }
 
 // coperand is one comparison operand: a literal (pre-wrapped in a shared,
-// read-only one-element slice) or a compiled attribute reference with its
-// dedicated scratch buffer.
+// read-only one-element slice) — read from the bound parameters when it is
+// a parameter — or a compiled attribute reference with its dedicated
+// scratch buffer.
 type coperand struct {
 	ref    *cref
 	bufIdx int
 	lit    []atom.Value
+	param  int
 }
 
 func (pc *predCompiler) compileOperand(x mql.Expr) (*coperand, error) {
 	switch v := x.(type) {
 	case *mql.Lit:
-		return &coperand{lit: []atom.Value{v.V}}, nil
+		return &coperand{lit: []atom.Value{v.V}, param: v.Param}, nil
 	case *mql.AttrRef:
 		cr, err := pc.compileRef(v)
 		if err != nil {
@@ -285,6 +292,9 @@ func (pc *predCompiler) compileOperand(x mql.Expr) (*coperand, error) {
 
 func (o *coperand) values(m *Molecule, s *cscratch) []atom.Value {
 	if o.ref == nil {
+		if o.param > 0 && s.params != nil {
+			return s.params[o.param-1 : o.param : o.param]
+		}
 		return o.lit
 	}
 	return o.ref.values(m, s, o.bufIdx)

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"maps"
 	"sync"
 	"time"
 
@@ -22,8 +22,9 @@ type Engine struct {
 	plans *planCache
 
 	// Per-stage latency observers (from the access system's registry):
-	// parsing, planning (cache misses only — hits skip the stage), and
-	// molecule assembly (accumulated per cursor, observed at Close).
+	// parsing (lexing every script, parsing a statement the plan cache
+	// cannot serve), planning (cache misses only — hits skip the stage),
+	// and molecule assembly (accumulated per cursor, observed at Close).
 	parseNs    *obs.Histogram
 	planNs     *obs.Histogram
 	assembleNs *obs.Histogram
@@ -39,7 +40,7 @@ func New(sys *access.System) *Engine {
 	e := &Engine{
 		sys:         sys,
 		maxDepth:    64,
-		plans:       newPlanCache(DefaultPlanCacheSize),
+		plans:       newPlanCache(),
 		schemaDirty: true,
 		parseNs:     sys.Obs().Histogram("core_parse_ns"),
 		planNs:      sys.Obs().Histogram("core_plan_ns"),
@@ -51,9 +52,6 @@ func New(sys *access.System) *Engine {
 	reg.GaugeFunc("plan_cache_size", func() float64 { _, _, n := e.PlanCacheStats(); return float64(n) })
 	return e
 }
-
-// DefaultPlanCacheSize is the default capacity of the engine's plan cache.
-const DefaultPlanCacheSize = 128
 
 // System exposes the underlying access system.
 func (e *Engine) System() *access.System { return e.sys }
@@ -75,62 +73,52 @@ func (e *Engine) planDepth() int {
 	return e.maxDepth
 }
 
-// SetPlanCacheSize resizes the engine's plan cache; n <= 0 disables caching
-// and drops all cached plans.
-func (e *Engine) SetPlanCacheSize(n int) { e.plans.resize(n) }
-
-// PlanCacheStats reports plan cache hits, misses and current size. A miss is
-// counted only when a cacheable statement (SELECT, DELETE, MODIFY) was
-// actually planned fresh, so DDL and insert traffic does not dilute the
-// ratio.
+// PlanCacheStats reports plan cache hits, misses and current size. One
+// lookup is counted per statement the cache can serve — every SELECT, DELETE
+// and MODIFY of a script and the SELECT of an EXPLAIN — so DDL and insert
+// traffic does not dilute the ratio; a miss is counted when the statement
+// was actually prepared fresh.
 func (e *Engine) PlanCacheStats() (hits, misses uint64, size int) { return e.plans.stats() }
-
-// planKeyFor builds the cache key of a statement: schema version plus the
-// recursion bound that will shape the plan, then the statement text. DDL
-// bumps the schema version, so stale plans miss naturally and age out of
-// the LRU.
-func (e *Engine) planKeyFor(depth int, src string) string {
-	return fmt.Sprintf("%d\x00%d\x00%s", e.sys.Schema().Version(), depth, src)
-}
 
 // ErrNotSelect is returned by PlanQuery for statements that are not SELECTs.
 var ErrNotSelect = errors.New("core: not a SELECT statement")
 
-// PlanQuery prepares a single SELECT statement, consulting the plan cache
-// keyed by statement text and schema version so repeated queries skip both
-// parsing and planning. Returned plans are immutable and may be shared by
-// concurrent cursors.
+// PlanQuery prepares a single SELECT statement through the plan cache: a
+// statement of a shape prepared before skips parsing and planning, and the
+// returned plan is the shape's plan with this statement's literals bound.
+// Returned plans are immutable and may be shared by concurrent cursors.
 func (e *Engine) PlanQuery(src string) (*Plan, error) { return e.cachedSelect(src, nil) }
 
-// cachedSelect is the one plan lookup of single-SELECT entry points: probe
-// the cache, else parse, plan and publish. Planning is recorded as a "plan"
-// span on tr (a cache hit sets the root's plan_cache attribute instead); a
-// nil tr records nothing.
+// cachedSelect is the plan lookup of single-SELECT entry points. Lexing is
+// recorded as a "parse" span on tr and planning as a "plan" span (a cache
+// hit sets the root's plan_cache attribute instead); a nil tr records
+// nothing.
 func (e *Engine) cachedSelect(src string, tr *obs.Trace) (*Plan, error) {
-	depth := e.planDepth()
-	key := e.planKeyFor(depth, src)
-	if p, ok := e.plans.get(key).(*Plan); ok {
-		tr.SetAttr("plan_cache", "hit")
-		return p, nil
-	}
-	p, err := e.planStage(tr, func() (*Plan, error) {
-		parseStart := time.Now()
-		stmt, err := mql.ParseOne(src)
-		e.parseNs.ObserveSince(parseStart)
-		if err != nil {
-			return nil, err
-		}
-		sel, ok := stmt.(*mql.Select)
-		if !ok {
-			return nil, ErrNotSelect
-		}
-		return e.planSelect(sel, depth)
-	})
+	stmts, _, err := e.lex(src, tr)
 	if err != nil {
 		return nil, err
 	}
-	e.plans.putMiss(key, p)
-	return p, nil
+	if len(stmts) != 1 {
+		return nil, fmt.Errorf("%w: expected exactly one statement, got %d", mql.ErrSyntax, len(stmts))
+	}
+	st := &stmts[0]
+	if st.Verb != "SELECT" {
+		if _, err := st.Parse(); err != nil {
+			return nil, err
+		}
+		return nil, ErrNotSelect
+	}
+	prep := e.lookup(st, tr)
+	if prep == nil {
+		ast, err := e.parse(st)
+		if err != nil {
+			return nil, err
+		}
+		if prep, err = e.prepareStage(st, ast, tr); err != nil {
+			return nil, err
+		}
+	}
+	return prep.plan.bind(st.Params), nil
 }
 
 // OpenQueryTraced is PlanQuery plus a cursor open, with tracing: the plan
@@ -152,18 +140,63 @@ func (e *Engine) OpenQueryTraced(src string, tr *obs.Trace) (*Cursor, error) {
 	return cur, nil
 }
 
-// maybeCacheable reports whether the script's first keyword can be a
-// plan-cacheable statement (SELECT, DELETE or MODIFY) — the cheap pre-filter
-// that keeps DDL and insert traffic off the plan-cache probe.
-func maybeCacheable(src string) bool {
-	i := 0
-	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
-		i++
+// lex splits a script into its statements under a "parse" span and returns
+// the time it took.
+func (e *Engine) lex(src string, tr *obs.Trace) ([]mql.Statement, int64, error) {
+	sp := tr.Root().Child("parse")
+	start := time.Now()
+	stmts, err := mql.Lex(src)
+	ns := time.Since(start).Nanoseconds()
+	e.parseNs.Observe(ns)
+	sp.End()
+	return stmts, ns, err
+}
+
+// parse parses one statement of a script.
+func (e *Engine) parse(st *mql.Statement) (mql.Stmt, error) {
+	defer e.parseNs.ObserveSince(time.Now())
+	return st.Parse()
+}
+
+// lookup returns the prepared form of the statement's shape from the plan
+// cache, counting the hit, or nil.
+func (e *Engine) lookup(st *mql.Statement, tr *obs.Trace) *prepared {
+	p := e.plans.get(e.sys.Schema().Version(), e.planDepth(), st.Shape, st.Params, true)
+	if p != nil {
+		tr.SetAttr("plan_cache", "hit")
 	}
-	rest := len(src) - i
-	return (rest >= 6 && (strings.EqualFold(src[i:i+6], "SELECT") ||
-		strings.EqualFold(src[i:i+6], "DELETE") ||
-		strings.EqualFold(src[i:i+6], "MODIFY")))
+	return p
+}
+
+// prepareStage prepares the parsed statement of a shape the cache missed
+// and publishes it, under a "plan" span annotated with the chosen access and
+// pushdown facts.
+func (e *Engine) prepareStage(st *mql.Statement, ast mql.Stmt, tr *obs.Trace) (*prepared, error) {
+	version, depth := e.sys.Schema().Version(), e.planDepth()
+	sp := tr.Root().Child("plan")
+	sp.SetAttr("plan_cache", "miss")
+	defer sp.End()
+	var prep *prepared
+	var err error
+	switch v := ast.(type) {
+	case *mql.Select:
+		prep, err = e.prepareSelect(v, depth)
+	case *mql.Explain:
+		prep, err = e.prepareSelect(v.Query, depth)
+	case *mql.Delete:
+		prep, err = e.prepareDelete(v, depth)
+	case *mql.Modify:
+		prep, err = e.prepareModify(v, depth)
+	default:
+		err = fmt.Errorf("%w: cannot prepare %T", ErrSemantic, ast)
+	}
+	if err != nil {
+		return nil, err
+	}
+	prep.fixed = fixedParams(ast, st.Params)
+	annotatePlanSpan(sp, prep.plan)
+	e.plans.putMiss(version, depth, st.Shape, prep)
+	return prep, nil
 }
 
 // ensureResolved re-validates association symmetry after DDL. DDL scripts
@@ -195,7 +228,7 @@ type Result struct {
 // execCtx carries the per-request execution context down the statement
 // dispatch: the pinned snapshot epoch (nil = current), the request trace
 // (nil = untraced — every span operation no-ops), the write context DML
-// mutates through, and the script parse time so EXPLAIN ANALYZE can report
+// mutates through, and the script's parse time so EXPLAIN ANALYZE can report
 // the parse stage it arrived through.
 type execCtx struct {
 	epoch   *uint64
@@ -205,11 +238,11 @@ type execCtx struct {
 }
 
 // ExecuteScript parses and executes a semicolon-separated MQL script,
-// returning one result per statement. Single-statement SELECT, DELETE and
-// MODIFY scripts are served through the plan cache: a repeated statement
-// text skips parsing and planning entirely and goes straight to execution.
-// DML writes through the access system's no-transaction form (loaders and
-// tools); the other entry points name their write context.
+// returning one result per statement. Every SELECT, DELETE and MODIFY is
+// served through the plan cache: a statement of a shape prepared before
+// skips parsing and planning and runs its shape's plan with its own literals
+// bound. DML writes through the access system's no-transaction form
+// (loaders and tools); the other entry points name their write context.
 func (e *Engine) ExecuteScript(src string) ([]*Result, error) {
 	return e.executeScript(src, execCtx{w: e.sys.Writer(0, nil)})
 }
@@ -231,77 +264,75 @@ func (e *Engine) ExecuteScriptAt(src string, epoch uint64, w access.Writer) ([]*
 }
 
 func (e *Engine) executeScript(src string, ctx execCtx) ([]*Result, error) {
-	var depth int
-	var key string
-	if maybeCacheable(src) {
-		depth = e.planDepth()
-		key = e.planKeyFor(depth, src)
-		var r *Result
-		var err error
-		hit := true
-		switch v := e.plans.get(key).(type) {
-		case *Plan:
-			ctx.tr.SetAttr("plan_cache", "hit")
-			r, err = e.runSelect(v, ctx)
-		case *cachedDML:
-			ctx.tr.SetAttr("plan_cache", "hit")
-			r, err = e.runDML(v, ctx)
-		default:
-			hit = false
-		}
-		if hit {
-			if err != nil {
-				return nil, fmt.Errorf("statement 1: %w", err)
-			}
-			return []*Result{r}, nil
-		}
-	}
-	psp := ctx.tr.Root().Child("parse")
-	parseStart := time.Now()
-	stmts, err := mql.Parse(src)
-	ctx.parseNs = time.Since(parseStart).Nanoseconds()
-	e.parseNs.Observe(ctx.parseNs)
-	psp.End()
+	stmts, lexNs, err := e.lex(src, ctx.tr)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Result, 0, len(stmts))
-	for i, s := range stmts {
-		var r *Result
-		var err error
-		if len(stmts) == 1 && key != "" {
-			// Cacheable single statement that missed: prepare, publish, run.
-			switch v := s.(type) {
-			case *mql.Select:
-				var p *Plan
-				if p, err = e.planStage(ctx.tr, func() (*Plan, error) { return e.planSelect(v, depth) }); err == nil {
-					e.plans.putMiss(key, p)
-					r, err = e.runSelect(p, ctx)
-				}
-			case *mql.Delete:
-				var c *cachedDML
-				if c, err = e.prepareDMLStage(ctx.tr, func() (*cachedDML, error) { return e.prepareDelete(v, depth) }); err == nil {
-					e.plans.putMiss(key, c)
-					r, err = e.runDML(c, ctx)
-				}
-			case *mql.Modify:
-				var c *cachedDML
-				if c, err = e.prepareDMLStage(ctx.tr, func() (*cachedDML, error) { return e.prepareModify(v, depth) }); err == nil {
-					e.plans.putMiss(key, c)
-					r, err = e.runDML(c, ctx)
-				}
-			default:
-				r, err = e.execute(s, ctx)
-			}
-		} else {
-			r, err = e.execute(s, ctx)
+	ctx.parseNs = lexNs
+	// A script runs only if all of it parses. Every statement of a shape
+	// parses or none does, so one whose shape the cache holds is known to;
+	// the others are parsed before the first statement runs — all but a
+	// leading prepared statement, which looks itself up first.
+	var one [1]mql.Stmt
+	asts := one[:]
+	if len(stmts) > 1 {
+		asts = make([]mql.Stmt, len(stmts))
+	}
+	version, depth := e.sys.Schema().Version(), e.planDepth()
+	for i := range stmts {
+		st := &stmts[i]
+		if st.Shape != nil && (i == 0 || e.plans.get(version, depth, st.Shape, st.Params, false) != nil) {
+			continue
 		}
+		if asts[i], err = e.parse(st); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]*Result, 0, len(stmts))
+	for i := range stmts {
+		st, ast := &stmts[i], asts[i]
+		var prep *prepared
+		if st.Shape != nil {
+			if prep = e.lookup(st, ctx.tr); prep == nil && ast == nil {
+				// The leading statement, or one whose cached shape DDL
+				// earlier in the script has outdated since the pre-check
+				// (it parses: its shape does).
+				if ast, err = e.parse(st); err != nil {
+					return nil, err
+				}
+			}
+		}
+		r, err := e.runStatement(st, prep, ast, ctx)
 		if err != nil {
 			return out, fmt.Errorf("statement %d: %w", i+1, err)
 		}
 		out = append(out, r)
 	}
 	return out, nil
+}
+
+// runStatement executes one statement of a script: a prepared shape with the
+// statement's literals bound (prep is nil on a cache miss: ast is prepared
+// and published first), or any other statement from its tree.
+func (e *Engine) runStatement(st *mql.Statement, prep *prepared, ast mql.Stmt, ctx execCtx) (*Result, error) {
+	if st.Shape == nil {
+		return e.execute(ast, ctx)
+	}
+	planStart := time.Now()
+	if prep == nil {
+		var err error
+		if prep, err = e.prepareStage(st, ast, ctx.tr); err != nil {
+			return nil, err
+		}
+	}
+	switch {
+	case st.Verb == "EXPLAIN":
+		plan := prep.plan.bind(st.Params)
+		return e.explain(plan, st.Analyze, st, time.Since(planStart).Nanoseconds(), ctx)
+	case prep.kind == "select":
+		return e.runSelect(prep.plan.bind(st.Params), ctx)
+	}
+	return e.runDML(prep, st.Params, ctx)
 }
 
 // planStage wraps a fresh planning call in a "plan" span annotated with the
@@ -315,18 +346,6 @@ func (e *Engine) planStage(tr *obs.Trace, plan func() (*Plan, error)) (*Plan, er
 	}
 	sp.End()
 	return p, err
-}
-
-// prepareDMLStage is planStage for prepared DELETE/MODIFY statements.
-func (e *Engine) prepareDMLStage(tr *obs.Trace, prep func() (*cachedDML, error)) (*cachedDML, error) {
-	sp := tr.Root().Child("plan")
-	sp.SetAttr("plan_cache", "miss")
-	c, err := prep()
-	if err == nil {
-		annotatePlanSpan(sp, c.plan)
-	}
-	sp.End()
-	return c, err
 }
 
 // annotatePlanSpan records the plan facts EXPLAIN renders — access kind,
@@ -562,43 +581,100 @@ func (e *Engine) execInsert(s *mql.Insert, ctx execCtx) (*Result, error) {
 	return res, nil
 }
 
-// cachedDML is a prepared DELETE or MODIFY statement: the qualification is a
-// prepared molecule plan (the same object the plan cache shares between
-// SELECT cursors) plus, for MODIFY, the lowered SET values. Like cached
-// SELECT plans it is immutable after preparation — changes is read-only —
+// prepared is a statement prepared once per shape: the molecule plan of a
+// SELECT (an EXPLAIN of it shares it) or of a DELETE's or MODIFY's
+// qualification, and for MODIFY the lowered SET values with the parameter
+// each came from. fixed lists the shape's structural literals (see
+// fixedParams): a statement of the shape whose values differ there is not
+// served by it. Like the plans it holds it is immutable after preparation
 // and safe for concurrent execution.
-type cachedDML struct {
-	kind    string // "delete" | "modify"
-	plan    *Plan
-	changes map[string]atom.Value // modify only
+type prepared struct {
+	kind      string // "select" | "delete" | "modify"
+	plan      *Plan
+	changes   map[string]atom.Value // modify only
+	setParams []setParam            // modify: the SET values that are parameters
+	fixed     []fixedParam
+}
+
+type setParam struct {
+	attr  string
+	param int
+}
+
+type fixedParam struct {
+	ord int // 0-based
+	v   atom.Value
+}
+
+// fixedParams lists the parameters of a shape that the statement's tree
+// does not carry as Lit nodes — quantifier counts, recursion levels,
+// constructor elements, which the plan bakes in — with this statement's
+// values.
+func fixedParams(ast mql.Stmt, params []atom.Value) []fixedParam {
+	slotted := make([]bool, len(params))
+	mql.WalkLits(ast, func(l *mql.Lit) {
+		if l.Param > 0 {
+			slotted[l.Param-1] = true
+		}
+	})
+	var fixed []fixedParam
+	for i, ok := range slotted {
+		if !ok {
+			fixed = append(fixed, fixedParam{i, params[i]})
+		}
+	}
+	return fixed
+}
+
+// fits reports whether a statement of the shape with these parameters
+// agrees with the prepared one on every structural literal.
+func (p *prepared) fits(params []atom.Value) bool {
+	for _, f := range p.fixed {
+		if v := params[f.ord]; v.K != f.v.K || atom.Compare(v, f.v) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// prepareSelect prepares a SELECT under one planDepth snapshot.
+func (e *Engine) prepareSelect(s *mql.Select, depth int) (*prepared, error) {
+	plan, err := e.planSelect(s, depth)
+	if err != nil {
+		return nil, err
+	}
+	return &prepared{kind: "select", plan: plan}, nil
 }
 
 // prepareDelete lowers a DELETE into its prepared form under one planDepth
 // snapshot.
-func (e *Engine) prepareDelete(s *mql.Delete, depth int) (*cachedDML, error) {
+func (e *Engine) prepareDelete(s *mql.Delete, depth int) (*prepared, error) {
 	plan, err := e.planSelect(&mql.Select{All: true, From: s.From, Where: s.Where}, depth)
 	if err != nil {
 		return nil, err
 	}
-	return &cachedDML{kind: "delete", plan: plan}, nil
+	return &prepared{kind: "delete", plan: plan}, nil
 }
 
 // prepareModify lowers a MODIFY into its prepared form: qualification plan
 // plus the SET values, lowered once.
-func (e *Engine) prepareModify(s *mql.Modify, depth int) (*cachedDML, error) {
+func (e *Engine) prepareModify(s *mql.Modify, depth int) (*prepared, error) {
 	plan, err := e.planSelect(&mql.Select{All: true, From: &mql.MolComponent{Name: s.AtomType}, Where: s.Where}, depth)
 	if err != nil {
 		return nil, err
 	}
-	changes := map[string]atom.Value{}
+	prep := &prepared{kind: "modify", plan: plan, changes: map[string]atom.Value{}}
 	for _, as := range s.Set {
 		v, err := mql.LitValue(as.Value)
 		if err != nil {
 			return nil, err
 		}
-		changes[as.Attr] = v
+		prep.changes[as.Attr] = v
+		if lit, ok := as.Value.(*mql.Lit); ok && lit.Param > 0 {
+			prep.setParams = append(prep.setParams, setParam{as.Attr, lit.Param})
+		}
 	}
-	return &cachedDML{kind: "modify", plan: plan, changes: changes}, nil
+	return prep, nil
 }
 
 // apply opens the "apply" span of a mutating statement and returns it with
@@ -609,12 +685,14 @@ func (ctx execCtx) apply() (*obs.Span, access.Writer) {
 	return sp, ctx.w.Traced(sp)
 }
 
-// runDML executes a prepared DELETE or MODIFY. The qualification read runs
-// under an "assemble" span like a SELECT; the mutations run under "apply".
-func (e *Engine) runDML(c *cachedDML, ctx execCtx) (*Result, error) {
+// runDML executes a prepared DELETE or MODIFY with params bound (nil: the
+// literals it was prepared from). The qualification read runs under an
+// "assemble" span like a SELECT; the mutations run under "apply".
+func (e *Engine) runDML(c *prepared, params []atom.Value, ctx execCtx) (*Result, error) {
+	plan := c.plan.bind(params)
 	asp := ctx.tr.Root().Child("assemble")
-	annotatePlanSpan(asp, c.plan)
-	cur, err := c.plan.open(nil, asp)
+	annotatePlanSpan(asp, plan)
+	cur, err := plan.open(nil, asp)
 	if err != nil {
 		asp.End()
 		return nil, err
@@ -642,9 +720,16 @@ func (e *Engine) runDML(c *cachedDML, ctx execCtx) (*Result, error) {
 		}
 		return &Result{Kind: "count", Count: len(deleted), Message: fmt.Sprintf("%d atoms deleted", len(deleted))}, nil
 	}
+	changes := c.changes
+	if len(c.setParams) > 0 && params != nil {
+		changes = maps.Clone(changes)
+		for _, sp := range c.setParams {
+			changes[sp.attr] = params[sp.param-1]
+		}
+	}
 	n := 0
 	for _, m := range mols {
-		if err := w.Update(m.Root.Addr(), c.changes); err != nil {
+		if err := w.Update(m.Root.Addr(), changes); err != nil {
 			return nil, err
 		}
 		n++
@@ -660,7 +745,7 @@ func (e *Engine) execDelete(s *mql.Delete, ctx execCtx) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.runDML(c, ctx)
+	return e.runDML(c, nil, ctx)
 }
 
 func (e *Engine) execModify(s *mql.Modify, ctx execCtx) (*Result, error) {
@@ -668,7 +753,7 @@ func (e *Engine) execModify(s *mql.Modify, ctx execCtx) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.runDML(c, ctx)
+	return e.runDML(c, nil, ctx)
 }
 
 func (e *Engine) execConnect(from, to mql.Expr, via string, connect bool, w access.Writer) (*Result, error) {

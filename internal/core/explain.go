@@ -14,23 +14,41 @@ import (
 
 // EXPLAIN [ANALYZE]: render a SELECT's prepared plan as an indented tree —
 // the chosen root access with its bounds, the pushed-down conjuncts per
-// component, the residual predicate, and whether the statement is
-// plan-cacheable. ANALYZE additionally executes the query
+// component, the residual predicate, whether the statement is
+// plan-cacheable, and — for a statement of a script — its shape and bound
+// parameter values. ANALYZE additionally executes the query
 // under a forced trace and annotates the output with actual per-stage
 // timings (parse/plan/assemble/decode), atom and molecule counts, and the
 // cache hit ratio of the run.
 
-// execExplain handles the *mql.Explain statement.
+// execExplain handles an *mql.Explain statement tree: the SELECT is planned
+// fresh.
 func (e *Engine) execExplain(s *mql.Explain, ctx execCtx) (*Result, error) {
 	planStart := time.Now()
 	plan, err := e.PlanSelect(s.Query)
-	planNs := time.Since(planStart).Nanoseconds()
 	if err != nil {
 		return nil, err
 	}
+	return e.explain(plan, s.Analyze, nil, time.Since(planStart).Nanoseconds(), ctx)
+}
+
+// explain renders the plan of an EXPLAIN — with the shape and parameters of
+// st, the statement of a script it was bound for, when st is not nil — and
+// under ANALYZE runs it.
+func (e *Engine) explain(plan *Plan, analyze bool, st *mql.Statement, planNs int64, ctx execCtx) (*Result, error) {
 	var b strings.Builder
 	renderPlan(&b, plan)
-	if !s.Analyze {
+	if st != nil {
+		fmt.Fprintf(&b, "  shape: %s\n", mql.ShapeText(st.Shape))
+		if len(st.Params) > 0 {
+			b.WriteString("  params:")
+			for i, v := range st.Params {
+				fmt.Fprintf(&b, " $%d=%s", i+1, v)
+			}
+			b.WriteByte('\n')
+		}
+	}
+	if !analyze {
 		return &Result{Kind: "explain", Message: strings.TrimRight(b.String(), "\n")}, nil
 	}
 
@@ -97,12 +115,12 @@ func renderPlan(b *strings.Builder, p *Plan) {
 	renderNode(b, p.Mol.Root, pushed, 1)
 
 	if p.Where != nil {
-		fmt.Fprintf(b, "  residual predicate: %s\n", exprString(p.Where))
+		fmt.Fprintf(b, "  residual predicate: %s\n", exprString(p.Where, p.params))
 	}
 	if p.Project != nil && !p.Project.all {
 		fmt.Fprintf(b, "  projection: %d item(s)\n", len(p.Project.perType))
 	}
-	b.WriteString("  cacheable: yes (plan cache, keyed by text and schema version)\n")
+	b.WriteString("  cacheable: yes (plan cache, keyed by shape, schema version and recursion bound)\n")
 }
 
 func renderNode(b *strings.Builder, n *catalog.MolNode, pushed map[string][]CompCond, depth int) {
@@ -215,16 +233,20 @@ func boundsString(start, stop *atom.Value) string {
 	return fmt.Sprintf("[%s, %s]", lo, hi)
 }
 
-// exprString renders an MQL predicate back to source-like text.
-func exprString(e mql.Expr) string {
+// exprString renders an MQL predicate back to source-like text, its
+// parameters bound to params (nil: the literals of the tree).
+func exprString(e mql.Expr, params []atom.Value) string {
 	switch x := e.(type) {
 	case *mql.Binary:
-		return fmt.Sprintf("(%s %s %s)", exprString(x.L), x.Op, exprString(x.R))
+		return fmt.Sprintf("(%s %s %s)", exprString(x.L, params), x.Op, exprString(x.R, params))
 	case *mql.Not:
-		return "NOT " + exprString(x.X)
+		return "NOT " + exprString(x.X, params)
 	case *mql.Compare:
-		return fmt.Sprintf("%s %s %s", exprString(x.L), x.Op, exprString(x.R))
+		return fmt.Sprintf("%s %s %s", exprString(x.L, params), x.Op, exprString(x.R, params))
 	case *mql.Lit:
+		if x.Param > 0 && params != nil {
+			return params[x.Param-1].String()
+		}
 		return x.V.String()
 	case *mql.EmptyLit:
 		return "EMPTY"
@@ -240,9 +262,9 @@ func exprString(e mql.Expr) string {
 	case *mql.Quant:
 		switch x.Kind {
 		case "EXISTS_AT_LEAST", "EXISTS_EXACTLY":
-			return fmt.Sprintf("%s (%d) %s (%s)", x.Kind, x.N, x.Var, exprString(x.Cond))
+			return fmt.Sprintf("%s (%d) %s (%s)", x.Kind, x.N, x.Var, exprString(x.Cond, params))
 		}
-		return fmt.Sprintf("%s %s (%s)", x.Kind, x.Var, exprString(x.Cond))
+		return fmt.Sprintf("%s %s (%s)", x.Kind, x.Var, exprString(x.Cond, params))
 	default:
 		return fmt.Sprintf("%T", e)
 	}

@@ -245,6 +245,22 @@ func checkAgainstReference(t *testing.T, e *core.Engine, corpus []string) {
 				if haveWire := wireBytes(t, mols); !bytes.Equal(wantWire, haveWire) {
 					t.Fatalf("workers=%d cache=%d %s: wire frames differ (%d vs %d bytes) though the rendered trees agree", workers, cache, q, len(wantWire), len(haveWire))
 				}
+				// The statement once more, served from the plan of its
+				// shape prepared for a sibling's literals, its own bound.
+				if _, err := e.ExecuteScript(sibling(q)); err != nil {
+					t.Fatalf("sibling of %s: %v", q, err)
+				}
+				h0, _, _ := e.PlanCacheStats()
+				rs, err := e.ExecuteScript(q)
+				if err != nil {
+					t.Fatalf("%s from its shape: %v", q, err)
+				}
+				if h1, _, _ := e.PlanCacheStats(); h1 != h0+1 {
+					t.Fatalf("%s: not served from the shape its sibling %s prepared", q, sibling(q))
+				}
+				if have := renderSet(rs[0].Molecules); !slices.Equal(want, have) {
+					t.Fatalf("workers=%d cache=%d %s from its shape: reference %d molecules, engine %d\nreference:\n%v\nengine:\n%v", workers, cache, q, len(want), len(have), want, have)
+				}
 			}
 		}
 	}
@@ -328,19 +344,6 @@ func TestPlanCache(t *testing.T) {
 		t.Fatalf("depth change returned the plan cached under the old bound (MaxDepth %d)", p2.MaxDepth)
 	}
 	e.SetMaxRecursionDepth(64)
-
-	// Disabling drops all plans and stops caching.
-	e.SetPlanCacheSize(0)
-	if _, _, size := e.PlanCacheStats(); size != 0 {
-		t.Fatalf("disabled cache still holds %d plans", size)
-	}
-	if _, err := e.ExecuteScript(q); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, size := e.PlanCacheStats(); size != 0 {
-		t.Fatal("disabled cache cached a plan")
-	}
-	e.SetPlanCacheSize(core.DefaultPlanCacheSize)
 }
 
 // TestPlanCacheConcurrentCursors opens concurrent cursors over one shared

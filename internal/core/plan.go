@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"prima/internal/access"
@@ -57,6 +58,18 @@ type Plan struct {
 
 	whereC *compiledPred // compiled residual predicate (nil iff Where is nil)
 	asm    *asmNode      // Mol's tree as assembly walks it
+
+	// Parameter slots (see bind): the parameter ordinal each RootSSA value
+	// came from (0 = not a parameter), and what the access bounds are folded
+	// from — the RootSSA conjunct of a "direct" or "accesspath" access, the
+	// attributes of a range access.
+	rootParams  []int
+	accessCond  int
+	accessAttrs []string
+	// params are the bound parameter values of a plan bound from a shape's
+	// template; nil for a plan prepared from a statement tree, whose values
+	// are its own literals.
+	params []atom.Value
 }
 
 // CompCond is one pushed-down component conjunct: the molecule is pruned
@@ -70,6 +83,7 @@ type CompCond struct {
 	SSA      access.SSA
 	Min      int
 	ord      int // ordinal of TypeName in the molecule type's AtomTypes()
+	param    int // parameter ordinal of the SSA's value (0 = not a parameter)
 }
 
 // projection compiled from the SELECT list.
@@ -136,11 +150,57 @@ func (e *Engine) planSelect(sel *mql.Select, depth int) (*Plan, error) {
 
 	// Query preparation: extract pushed-down root restrictions, push
 	// single-component conjuncts into assembly, and choose the root access.
-	p.RootSSA = e.extractRootSSA(sel.Where, mol, root)
+	p.RootSSA, p.rootParams = e.extractRootSSA(sel.Where, mol, root)
 	p.CompSSA = e.extractComponentSSA(sel.Where, mol, root)
 	p.asm = e.asmTree(mol)
 	e.chooseRootAccess(p)
+	p.foldAccess()
 	return p, nil
+}
+
+// bind returns the plan with its parameter slots filled from params, the
+// values of a statement of the shape the plan was prepared for: the RootSSA
+// and CompSSA values, the access bounds folded from them, and the compiled
+// predicates' parameter operands, which read params through their scratch.
+// The template is left untouched, and is its own binding for a statement
+// without parameters. The access choice itself never depends on a value —
+// only on a literal's kind, which is part of the shape.
+func (p *Plan) bind(params []atom.Value) *Plan {
+	if len(params) == 0 {
+		return p
+	}
+	bp := &boundPlan{Plan: *p}
+	b := &bp.Plan
+	b.params = params
+	if len(p.rootParams) > 0 {
+		b.RootSSA = append(bp.root[:0:len(bp.root)], p.RootSSA...)
+		for i, o := range p.rootParams {
+			if o > 0 {
+				b.RootSSA[i].Value = params[o-1]
+			}
+		}
+	}
+	if len(p.CompSSA) > 0 {
+		b.CompSSA = slices.Clone(p.CompSSA)
+		conds := make([]access.Cond, len(p.CompSSA))
+		for i := range b.CompSSA {
+			cc := &b.CompSSA[i]
+			conds[i] = cc.SSA[0]
+			if cc.param > 0 {
+				conds[i].Value = params[cc.param-1]
+			}
+			cc.SSA = conds[i : i+1 : i+1]
+		}
+	}
+	b.foldAccess()
+	return b
+}
+
+// boundPlan holds a bound plan with room for a short RootSSA — a point
+// lookup has one conjunct — so binding one allocates once.
+type boundPlan struct {
+	Plan
+	root [2]access.Cond
 }
 
 // compileProjection lowers the SELECT list.
@@ -397,7 +457,7 @@ func (e *Engine) uniqueOwner(attr string, molTypes []string) (string, error) {
 // false for comparisons that are not a ref/literal pair or whose operator has
 // no SSA equivalent — unrecognized operators are skipped, never mapped to a
 // zero-valued (wrong) condition.
-func normalizeCompare(v *mql.Compare) (ref *mql.AttrRef, op access.Op, val atom.Value, ok bool) {
+func normalizeCompare(v *mql.Compare) (ref *mql.AttrRef, op access.Op, lit *mql.Lit, ok bool) {
 	ref, refL := v.L.(*mql.AttrRef)
 	lit, litR := v.R.(*mql.Lit)
 	flip := false
@@ -405,7 +465,7 @@ func normalizeCompare(v *mql.Compare) (ref *mql.AttrRef, op access.Op, val atom.
 		ref2, okRef := v.R.(*mql.AttrRef)
 		lit2, okLit := v.L.(*mql.Lit)
 		if !okRef || !okLit {
-			return nil, 0, atom.Value{}, false
+			return nil, 0, nil, false
 		}
 		ref, lit, flip = ref2, lit2, true
 	}
@@ -423,7 +483,7 @@ func normalizeCompare(v *mql.Compare) (ref *mql.AttrRef, op access.Op, val atom.
 	case mql.CmpGE:
 		op = access.OpGE
 	default:
-		return nil, 0, atom.Value{}, false
+		return nil, 0, nil, false
 	}
 	if flip {
 		switch op {
@@ -437,15 +497,15 @@ func normalizeCompare(v *mql.Compare) (ref *mql.AttrRef, op access.Op, val atom.
 			op = access.OpLE
 		}
 	}
-	return ref, op, lit.V, true
+	return ref, op, lit, true
 }
 
 // extractRootSSA pulls conjuncts of the form <rootAttr> op <literal> out of
 // the WHERE clause — "qualifications 'pushed down' for efficiency reasons".
 // Level-0 references (seed qualification of recursive molecules) also
-// restrict the root.
-func (e *Engine) extractRootSSA(where mql.Expr, mol *catalog.MoleculeType, root *catalog.AtomType) access.SSA {
-	var ssa access.SSA
+// restrict the root. params holds, by conjunct, the parameter ordinal of its
+// value (0 = none).
+func (e *Engine) extractRootSSA(where mql.Expr, mol *catalog.MoleculeType, root *catalog.AtomType) (ssa access.SSA, params []int) {
 	var walk func(x mql.Expr)
 	walk = func(x mql.Expr) {
 		switch v := x.(type) {
@@ -455,8 +515,11 @@ func (e *Engine) extractRootSSA(where mql.Expr, mol *catalog.MoleculeType, root 
 				walk(v.R)
 			}
 		case *mql.Compare:
-			if ref, op, val, ok := normalizeCompare(v); ok {
-				ssaAppend(&ssa, e, ref, mol, root, op, val)
+			if ref, op, lit, ok := normalizeCompare(v); ok {
+				if attr, ok := e.rootAttr(ref, mol, root, lit.V); ok {
+					ssa = append(ssa, access.Cond{Attr: attr, Op: op, Value: lit.V})
+					params = append(params, lit.Param)
+				}
 				return
 			}
 			// attr = EMPTY pushdown.
@@ -468,8 +531,10 @@ func (e *Engine) extractRootSSA(where mql.Expr, mol *catalog.MoleculeType, root 
 						switch v.Op {
 						case mql.CmpEQ:
 							ssa = append(ssa, access.Cond{Attr: tgt.attr, Op: access.OpEmpty})
+							params = append(params, 0)
 						case mql.CmpNE:
 							ssa = append(ssa, access.Cond{Attr: tgt.attr, Op: access.OpNotEmpty})
+							params = append(params, 0)
 						}
 					}
 				}
@@ -477,7 +542,7 @@ func (e *Engine) extractRootSSA(where mql.Expr, mol *catalog.MoleculeType, root 
 		}
 	}
 	walk(where)
-	return ssa
+	return ssa, params
 }
 
 // extractComponentSSA pulls counting-existential single-component conjuncts
@@ -491,7 +556,8 @@ func (e *Engine) extractRootSSA(where mql.Expr, mol *catalog.MoleculeType, root 
 // conservative.
 func (e *Engine) extractComponentSSA(where mql.Expr, mol *catalog.MoleculeType, root *catalog.AtomType) []CompCond {
 	var out []CompCond
-	push := func(ref *mql.AttrRef, op access.Op, val atom.Value, mustType string, min int) {
+	push := func(ref *mql.AttrRef, op access.Op, lit *mql.Lit, mustType string, min int) {
+		val := lit.V
 		if val.IsNull() {
 			return // IS-NULL semantics stay in the residual predicate
 		}
@@ -508,6 +574,7 @@ func (e *Engine) extractComponentSSA(where mql.Expr, mol *catalog.MoleculeType, 
 			SSA:      access.SSA{{Attr: tgt.attr, Op: op, Value: val}},
 			Min:      min,
 			ord:      ord,
+			param:    lit.Param,
 		})
 	}
 	var walk func(x mql.Expr)
@@ -519,8 +586,8 @@ func (e *Engine) extractComponentSSA(where mql.Expr, mol *catalog.MoleculeType, 
 				walk(v.R)
 			}
 		case *mql.Compare:
-			if ref, op, val, ok := normalizeCompare(v); ok {
-				push(ref, op, val, "", 1)
+			if ref, op, lit, ok := normalizeCompare(v); ok {
+				push(ref, op, lit, "", 1)
 			}
 		case *mql.Quant:
 			// EXISTS t: t.attr op literal is the explicit spelling of the
@@ -539,8 +606,8 @@ func (e *Engine) extractComponentSSA(where mql.Expr, mol *catalog.MoleculeType, 
 				return
 			}
 			if cmp, ok := v.Cond.(*mql.Compare); ok {
-				if ref, op, val, ok := normalizeCompare(cmp); ok {
-					push(ref, op, val, v.Var, min)
+				if ref, op, lit, ok := normalizeCompare(cmp); ok {
+					push(ref, op, lit, v.Var, min)
 				}
 			}
 		}
@@ -549,18 +616,17 @@ func (e *Engine) extractComponentSSA(where mql.Expr, mol *catalog.MoleculeType, 
 	return out
 }
 
-func ssaAppend(ssa *access.SSA, e *Engine, ref *mql.AttrRef, mol *catalog.MoleculeType, root *catalog.AtomType, op access.Op, v atom.Value) {
+// rootAttr returns the root attribute ref names when ref op v pushes down as
+// a root SSA conjunct: a non-NULL comparison on a plain root attribute.
+func (e *Engine) rootAttr(ref *mql.AttrRef, mol *catalog.MoleculeType, root *catalog.AtomType, v atom.Value) (string, bool) {
 	if v.IsNull() {
-		return // IS-NULL semantics are handled by the evaluator, not SSAs
+		return "", false // IS-NULL semantics are handled by the evaluator, not SSAs
 	}
 	tgt, err := e.resolveRefTarget(ref, mol)
-	if err != nil || tgt.typeName != root.Name || len(tgt.fields) != 0 {
-		return
+	if err != nil || tgt.typeName != root.Name || len(tgt.fields) != 0 || (tgt.hasLevel && tgt.level != 0) {
+		return "", false
 	}
-	if tgt.hasLevel && tgt.level != 0 {
-		return
-	}
-	*ssa = append(*ssa, access.Cond{Attr: tgt.attr, Op: op, Value: v})
+	return tgt.attr, true
 }
 
 // chooseRootAccess picks the cheapest root access: an access path for an
@@ -569,7 +635,9 @@ func ssaAppend(ssa *access.SSA, e *Engine, ref *mql.AttrRef, mol *catalog.Molecu
 // <, <=, >, >= restrictions, else an atom cluster materializing the
 // molecule, else the atom-type scan. This is the molecule-type-specific
 // optimization of §3.1 ("aware of access methods, sort orders, partitions
-// of atom types, and physical clusters").
+// of atom types, and physical clusters"). The choice depends on the RootSSA's
+// attributes, operators and value kinds, never on a value: it records what
+// the bounds are folded from, and foldAccess folds them.
 func (e *Engine) chooseRootAccess(p *Plan) {
 	schema := e.sys.Schema()
 	// Equality on the root's IDENTIFIER attribute: the surrogate IS the
@@ -578,7 +646,7 @@ func (e *Engine) chooseRootAccess(p *Plan) {
 	// statements ("MODIFY ... WHERE part_id = @t.seq") O(1) instead of an
 	// atom-type scan.
 	identAttr := p.Root.Attrs[p.Root.IdentIndex()].Name
-	for _, c := range p.RootSSA {
+	for i, c := range p.RootSSA {
 		if c.Op != access.OpEQ || c.Attr != identAttr {
 			continue
 		}
@@ -586,11 +654,11 @@ func (e *Engine) chooseRootAccess(p *Plan) {
 			continue
 		}
 		p.AccessKind = "direct"
-		p.DirectRoot = c.Value.A
+		p.accessCond = i
 		return
 	}
 	// Access path on an EQ-restricted root attribute.
-	for _, c := range p.RootSSA {
+	for i, c := range p.RootSSA {
 		if c.Op != access.OpEQ {
 			continue
 		}
@@ -598,7 +666,7 @@ func (e *Engine) chooseRootAccess(p *Plan) {
 			if ap.Method == "BTREE" && ap.Attrs[0] == c.Attr {
 				p.AccessKind = "accesspath"
 				p.PathName = ap.Name
-				p.PathKey = c.Value
+				p.accessCond = i
 				return
 			}
 		}
@@ -610,10 +678,10 @@ func (e *Engine) chooseRootAccess(p *Plan) {
 		if ap.Method != "BTREE" || len(ap.Attrs) != 1 {
 			continue
 		}
-		if start, stop, ok := rangeBounds(p.RootSSA, ap.Attrs[0]); ok {
+		if _, _, ok := rangeBounds(p.RootSSA, ap.Attrs[0]); ok {
 			p.AccessKind = "pathrange"
 			p.PathName = ap.Name
-			p.PathStart, p.PathStop = start, stop
+			p.accessAttrs = ap.Attrs
 			return
 		}
 	}
@@ -627,25 +695,12 @@ func (e *Engine) chooseRootAccess(p *Plan) {
 		if ap.Method != "GRID" {
 			continue
 		}
-		ranges := make([]mdindex.Range, len(ap.Attrs))
-		bounded := 0
-		for i, attr := range ap.Attrs {
-			if eq, ok := eqBound(p.RootSSA, attr); ok {
-				ranges[i] = mdindex.Range{Start: eq, Stop: eq}
-				bounded++
-				continue
-			}
-			if start, stop, ok := rangeBounds(p.RootSSA, attr); ok {
-				ranges[i] = mdindex.Range{Start: start, Stop: stop}
-				bounded++
-			}
-		}
-		if bounded == 0 {
+		if gridRanges(p.RootSSA, ap.Attrs) == nil {
 			continue
 		}
 		p.AccessKind = "gridrange"
 		p.PathName = ap.Name
-		p.PathRanges = ranges
+		p.accessAttrs = ap.Attrs
 		return
 	}
 	// Single-attribute ascending sort order with start/stop bounds.
@@ -653,10 +708,10 @@ func (e *Engine) chooseRootAccess(p *Plan) {
 		if len(so.Attrs) != 1 || (len(so.Desc) > 0 && so.Desc[0]) {
 			continue
 		}
-		if start, stop, ok := rangeBounds(p.RootSSA, so.Attrs[0]); ok {
+		if _, _, ok := rangeBounds(p.RootSSA, so.Attrs[0]); ok {
 			p.AccessKind = "sortrange"
 			p.SortOrder = so.Name
-			p.PathStart, p.PathStop = start, stop
+			p.accessAttrs = so.Attrs
 			return
 		}
 	}
@@ -668,6 +723,44 @@ func (e *Engine) chooseRootAccess(p *Plan) {
 			return
 		}
 	}
+}
+
+// foldAccess folds the access bounds from the RootSSA's values: the direct
+// root, the access-path key, the range or grid-box bounds.
+func (p *Plan) foldAccess() {
+	switch p.AccessKind {
+	case "direct":
+		p.DirectRoot = p.RootSSA[p.accessCond].Value.A
+	case "accesspath":
+		p.PathKey = p.RootSSA[p.accessCond].Value
+	case "pathrange", "sortrange":
+		p.PathStart, p.PathStop, _ = rangeBounds(p.RootSSA, p.accessAttrs[0])
+	case "gridrange":
+		p.PathRanges = gridRanges(p.RootSSA, p.accessAttrs)
+	}
+}
+
+// gridRanges folds equality and range conjuncts on the grid's attributes
+// into one inclusive box, unbounded dimensions open; nil when no dimension
+// is bounded.
+func gridRanges(ssa access.SSA, attrs []string) []mdindex.Range {
+	ranges := make([]mdindex.Range, len(attrs))
+	bounded := 0
+	for i, attr := range attrs {
+		if eq, ok := eqBound(ssa, attr); ok {
+			ranges[i] = mdindex.Range{Start: eq, Stop: eq}
+			bounded++
+			continue
+		}
+		if start, stop, ok := rangeBounds(ssa, attr); ok {
+			ranges[i] = mdindex.Range{Start: start, Stop: stop}
+			bounded++
+		}
+	}
+	if bounded == 0 {
+		return nil
+	}
+	return ranges
 }
 
 // eqBound returns the value of an equality conjunct on the attribute, if

@@ -3,85 +3,84 @@ package core
 import (
 	"container/list"
 	"sync"
+
+	"prima/internal/access/atom"
 )
 
-// planCache is an LRU of prepared statements keyed by statement text plus
-// schema version (and the planner knobs that shaped the plan), so the wire
-// server and ExecuteScript stop re-parsing and re-planning repeated queries.
-// Entries are *Plan for SELECTs and *cachedDML for DELETE/MODIFY statements
-// (whose molecule qualification is itself a prepared plan). Cached entries
-// are immutable after preparation and shared freely: all per-execution state
-// (root streaming, assembly pipeline, predicate scratch) lives in cursors or
-// pooled scratch, never in the plan.
+// planCache is an LRU of prepared statements keyed by statement shape (see
+// mql.Statement) plus the schema version and the recursion bound that shaped
+// the plan, so the wire server and ExecuteScript prepare each statement
+// shape once and bind its literals at open. DDL bumps the schema version, so
+// stale plans miss naturally and age out of the LRU. Entries are immutable
+// after preparation and shared freely: all per-execution state (bound
+// parameters, root streaming, assembly, predicate scratch) lives in bound
+// plans, cursors or pooled scratch, never in the entry.
 type planCache struct {
 	mu     sync.Mutex
-	cap    int
 	ll     *list.List // front = most recently used
-	byKey  map[string]*list.Element
+	byKey  map[planKey]*list.Element
 	hits   uint64
 	misses uint64
 }
 
+// planCacheShapes bounds the cache. A design's clients send tens of
+// statement shapes; the bound only guards against a client that sends
+// unboundedly many.
+const planCacheShapes = 512
+
+type planKey struct {
+	version uint64
+	depth   int
+	shape   string
+}
+
 type planEntry struct {
-	key  string
-	plan any
+	key  planKey
+	prep *prepared
 }
 
-func newPlanCache(capacity int) *planCache {
-	return &planCache{cap: capacity, ll: list.New(), byKey: map[string]*list.Element{}}
+func newPlanCache() *planCache {
+	return &planCache{ll: list.New(), byKey: map[planKey]*list.Element{}}
 }
 
-// get returns the cached entry for the key, or nil. Misses are not counted
-// here — only putMiss records one, when a cacheable statement was actually
-// planned fresh — so probe traffic never skews the ratio.
-func (c *planCache) get(key string) any {
+// get returns the statement prepared for the shape, or nil when there is
+// none or its structural literals differ from params. Misses are not
+// counted here — only putMiss records one, when a statement was actually
+// prepared fresh — and count says whether a hit is: the syntax pre-check of
+// a script's later statements peeks without counting.
+func (c *planCache) get(version uint64, depth int, shape []byte, params []atom.Value, count bool) *prepared {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap <= 0 {
-		return nil
-	}
-	el, ok := c.byKey[key]
+	el, ok := c.byKey[planKey{version, depth, string(shape)}]
 	if !ok {
 		return nil
 	}
-	c.hits++
+	p := el.Value.(*planEntry).prep
+	if !p.fits(params) {
+		return nil
+	}
+	if count {
+		c.hits++
+	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*planEntry).plan
+	return p
 }
 
-// putMiss stores a freshly planned statement and counts the miss that led
-// to it.
-func (c *planCache) putMiss(key string, p any) {
+// putMiss stores a freshly prepared statement and counts the miss that led
+// to it. It replaces an entry of the same shape whose structural literals
+// differed.
+func (c *planCache) putMiss(version uint64, depth int, shape []byte, p *prepared) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap <= 0 {
-		return
-	}
 	c.misses++
+	key := planKey{version, depth, string(shape)}
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*planEntry).plan = p
+		el.Value.(*planEntry).prep = p
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(&planEntry{key: key, plan: p})
-	c.evictOverLocked(c.cap)
-}
-
-// resize changes the capacity; n <= 0 disables and clears the cache.
-func (c *planCache) resize(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cap = n
-	if n <= 0 {
-		c.ll.Init()
-		c.byKey = map[string]*list.Element{}
-		return
-	}
-	c.evictOverLocked(n)
-}
-
-func (c *planCache) evictOverLocked(n int) {
-	for c.ll.Len() > n {
+	c.byKey[key] = c.ll.PushFront(&planEntry{key: key, prep: p})
+	for c.ll.Len() > planCacheShapes {
 		el := c.ll.Back()
 		c.ll.Remove(el)
 		delete(c.byKey, el.Value.(*planEntry).key)

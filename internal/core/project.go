@@ -7,8 +7,9 @@ import "prima/internal/access/atom"
 // attribute lists restrict values, unmentioned types become hidden
 // connectors (kept only where needed for molecule structure). An atom whose
 // attributes are restricted gets a projected image — the dropped attributes
-// NULL — cut from an arena the molecule's projected images share.
-func (e *Engine) applyProjection(p *projection, m *Molecule) error {
+// NULL — cut from an arena the molecule's projected images share. params
+// are the plan's bound parameters.
+func applyProjection(p *projection, m *Molecule, params []atom.Value) error {
 	if p == nil || p.all {
 		return nil
 	}
@@ -31,7 +32,7 @@ func (e *Engine) applyProjection(p *projection, m *Molecule) error {
 			if pseudo != nil {
 				pseudo.ByType[0][0] = ma
 				pseudo.Root = ma
-				ok, err := tp.whereC.Eval(pseudo)
+				ok, err := tp.whereC.Eval(pseudo, params)
 				if err != nil {
 					return err
 				}

@@ -232,8 +232,13 @@ type Compare struct {
 }
 
 // Lit is a literal value (number, string, boolean, NULL, address, or a
-// {...} / [...] / (...) constructor).
-type Lit struct{ V atom.Value }
+// {...} / [...] / (...) constructor). A scalar number, string or address
+// literal is a parameter of its statement's shape: Param is its 1-based
+// ordinal (see Statement). Keywords and constructors have Param 0.
+type Lit struct {
+	V     atom.Value
+	Param int
+}
 
 // EmptyLit is the EMPTY keyword (repeating group emptiness test).
 type EmptyLit struct{}

@@ -86,6 +86,34 @@ func isIdentPart(b byte) bool {
 
 func isDigit(b byte) bool { return b >= '0' && b <= '9' }
 
+// keywordText maps each keyword to itself, so the lexer can name a keyword
+// by its canonical string.
+var keywordText = func() map[string]string {
+	m := make(map[string]string, len(keywords))
+	for k := range keywords {
+		m[k] = k
+	}
+	return m
+}()
+
+// keyword returns the upper-case spelling of word if it is a keyword in any
+// case, without allocating: identifiers are looked up on every statement.
+func keyword(word string) (string, bool) {
+	var buf [16]byte // longer than any keyword
+	if len(word) > len(buf) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywordText[string(buf[:len(word)])]
+	return kw, ok
+}
+
 // next returns the next token.
 func (l *lexer) next() (token, error) {
 	if err := l.skipSpace(); err != nil {
@@ -104,10 +132,9 @@ func (l *lexer) next() (token, error) {
 			l.nextByte()
 		}
 		word := l.src[start:l.pos]
-		up := strings.ToUpper(word)
-		if keywords[up] {
+		if kw, ok := keyword(word); ok {
 			t.kind = tokKeyword
-			t.text = up
+			t.text = kw
 		} else {
 			t.kind = tokIdent
 			t.text = word
@@ -281,24 +308,29 @@ func (l *lexer) lexNumber() (token, error) {
 // magnitude below it.
 const maxStatementTokens = 1 << 18
 
-// lexAll tokenizes the whole input (parser convenience), refusing a
-// statement of more than maxStatementTokens tokens as soon as it has seen
-// that many.
+// lexAll tokenizes the whole input (parser convenience), numbering the
+// scalar literals of each statement and refusing a statement of more than
+// maxStatementTokens tokens as soon as it has seen that many.
 func lexAll(src string) ([]token, error) {
 	l := newLexer(src)
-	var out []token
-	inStatement := 0
+	out := make([]token, 0, min(len(src)/4+4, 1024))
+	inStatement, literals := 0, 0
 	for {
 		t, err := l.next()
 		if err != nil {
 			return nil, err
+		}
+		switch t.kind {
+		case tokInt, tokReal, tokString, tokAddr:
+			literals++
+			t.param = literals
 		}
 		out = append(out, t)
 		switch t.kind {
 		case tokEOF:
 			return out, nil
 		case tokSemi:
-			inStatement = 0
+			inStatement, literals = 0, 0
 		default:
 			if inStatement++; inStatement > maxStatementTokens {
 				return nil, fmt.Errorf("%w: line %d col %d: statement longer than %d tokens", ErrSyntax, t.line, t.col, maxStatementTokens)

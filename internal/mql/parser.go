@@ -1097,27 +1097,15 @@ func (p *parser) valueExpr() (Expr, error) {
 		p.advance()
 		n := p.peek()
 		switch n.kind {
-		case tokInt:
+		case tokInt, tokReal:
 			p.advance()
-			return &Lit{V: atom.Int(-n.i)}, nil
-		case tokReal:
-			p.advance()
-			return &Lit{V: atom.Real(-n.f)}, nil
+			return &Lit{V: literalValue(n, true), Param: n.param}, nil
 		default:
 			return nil, p.errf("expected a number after '-'")
 		}
-	case tokInt:
+	case tokInt, tokReal, tokString, tokAddr:
 		p.advance()
-		return &Lit{V: atom.Int(t.i)}, nil
-	case tokReal:
-		p.advance()
-		return &Lit{V: atom.Real(t.f)}, nil
-	case tokString:
-		p.advance()
-		return &Lit{V: atom.Str(t.text)}, nil
-	case tokAddr:
-		p.advance()
-		return &Lit{V: atom.Ref(addr.LogicalAddr(uint64(t.i)))}, nil
+		return &Lit{V: literalValue(t, false), Param: t.param}, nil
 	case tokKeyword:
 		switch t.text {
 		case "NULL":
@@ -1157,6 +1145,27 @@ func (p *parser) valueExpr() (Expr, error) {
 		return &Lit{V: atom.Value{K: atom.KindRecord, E: elems}}, nil
 	default:
 		return nil, p.errf("expected a value, got %s", t.kind)
+	}
+}
+
+// literalValue is the value of a scalar literal token, negated when a '-'
+// precedes it.
+func literalValue(t token, neg bool) atom.Value {
+	switch t.kind {
+	case tokInt:
+		if neg {
+			return atom.Int(-t.i)
+		}
+		return atom.Int(t.i)
+	case tokReal:
+		if neg {
+			return atom.Real(-t.f)
+		}
+		return atom.Real(t.f)
+	case tokString:
+		return atom.Str(t.text)
+	default:
+		return atom.Ref(addr.LogicalAddr(uint64(t.i)))
 	}
 }
 

@@ -106,6 +106,10 @@ type token struct {
 	f    float64
 	line int
 	col  int
+	// param is the 1-based ordinal of a scalar literal (integer, real,
+	// string, address) among the literals of its statement; 0 for every
+	// other token. See Statement.
+	param int
 }
 
 // keywords of MQL (normalized upper-case).

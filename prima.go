@@ -144,7 +144,8 @@ func (db *DB) ExecOne(src string) (*Result, error) {
 // Query prepares a SELECT and returns a one-molecule-at-a-time cursor. The
 // cursor reads at a snapshot of the epoch it opened over: concurrent DML
 // never tears or shifts its result set. Plans are served from the engine's
-// plan cache, so repeated query texts skip parsing and planning.
+// plan cache, so a statement of a shape seen before — the same text up to
+// its literals — skips parsing and planning.
 func (db *DB) Query(src string) (*Cursor, error) {
 	plan, err := db.engine.PlanQuery(src)
 	if err != nil {
