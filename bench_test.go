@@ -1,9 +1,10 @@
 package prima
 
 // One testing.B benchmark per paper artifact (tables and figures) plus the
-// ablations; `go test -bench=. -benchmem` regenerates every series. The
-// narrative sweep variants with I/O accounting live in cmd/primabench;
-// EXPERIMENTS.md records both.
+// ablations; `go test -bench=. -benchmem` regenerates every series, and
+// the figures that make a claim (Fig. 3.2 here, A1's BenchmarkPolicies in
+// internal/storage/buffer) fail when it no longer holds. EXPERIMENTS.md
+// records the runs.
 
 import (
 	"fmt"
@@ -344,22 +345,51 @@ func BenchmarkFig31_LayerOps(b *testing.B) {
 }
 
 // BenchmarkFig32_ClusterVsNoCluster: molecule construction with and without
-// the atom cluster (the I/O-count version runs in cmd/primabench).
+// the atom cluster. 50 cubes lie under coldScene's 64 KiB buffer with the
+// atom cache off, so every molecule is built from pages. One fixed pass over
+// the 50 molecules counts the device blocks each side moves
+// (blocks/molecule), and the benchmark fails unless the cluster moves fewer:
+// the paper's claim that a cluster brings a molecule in with chained I/O
+// where per-atom construction re-reads scattered primary pages.
 func BenchmarkFig32_ClusterVsNoCluster(b *testing.B) {
+	const n = 50
+	blocks := map[string]int64{}
 	for _, tc := range []struct{ name, ldl string }{
 		{"no_cluster", ""},
 		{"cluster", `CREATE ATOM_CLUSTER cl ON brep-face-edge-point`},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			db := benchScene(b, 50, tc.ldl)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := fmt.Sprintf(`SELECT ALL FROM brep-face-edge-point WHERE brep_no = %d`, i%50+1)
-				if _, err := db.ExecOne(q); err != nil {
+			db, _ := benchSceneConfig(b, Config{BufferBytes: 64 << 10}, n)
+			if tc.ldl != "" {
+				if _, err := db.Exec(tc.ldl); err != nil {
 					b.Fatal(err)
 				}
 			}
+			sys := db.System()
+			sys.SetAtomCacheSize(-1)
+			checkout := func(i int) {
+				res, err := db.ExecOne(fmt.Sprintf(`SELECT ALL FROM brep-face-edge-point WHERE brep_no = %d`, i%n+1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Molecules) != 1 || res.Molecules[0].Size() != brepgen.CubeAtoms {
+					b.Fatalf("brep_no = %d: %d molecules", i%n+1, len(res.Molecules))
+				}
+			}
+			sys.Files().ResetStats()
+			for i := 0; i < n; i++ {
+				checkout(i)
+			}
+			blocks[tc.name] = sys.Files().Stats().BlocksTransferred()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				checkout(i)
+			}
+			b.ReportMetric(float64(blocks[tc.name])/n, "blocks/molecule")
 		})
+	}
+	if c, nc := blocks["cluster"], blocks["no_cluster"]; len(blocks) == 2 && c >= nc {
+		b.Fatalf("one pass over %d molecules moved %d device blocks through the atom cluster, %d without: the cluster must move fewer", n, c, nc)
 	}
 }
 
@@ -463,7 +493,8 @@ func BenchmarkPartitionProjection(b *testing.B) {
 }
 
 // BenchmarkDeferredUpdate (A4): update cost with redundancy under deferred
-// propagation, against propagation drains.
+// propagation, against propagation drains. update_deferred reports the
+// propagation tasks its updates queued.
 func BenchmarkDeferredUpdate(b *testing.B) {
 	db, err := Open(Config{})
 	if err != nil {
@@ -489,11 +520,17 @@ func BenchmarkDeferredUpdate(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("update_deferred", func(b *testing.B) {
+		if err := sys.PropagateDeferred(); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := sys.Update(addrs[i%len(addrs)], map[string]atom.Value{"description": atom.Str(fmt.Sprintf("v%d", i))}); err != nil {
 				b.Fatal(err)
 			}
 		}
+		// The redundant records the updates left stale, one task each.
+		b.ReportMetric(float64(sys.PendingDeferred()), "pending-tasks")
 	})
 	b.Run("propagate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

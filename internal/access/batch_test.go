@@ -211,11 +211,11 @@ func TestConfigShardRounding(t *testing.T) {
 }
 
 // TestShardShrinkKeepsStructurePagesServable reproduces a config that works
-// unsharded and must keep working sharded: a small partitioned-lru budget
-// with small primary pages still has to serve the fixed-4K structure
-// segments (B*-trees), so fill() must shrink the stripe count accordingly.
+// unsharded and must keep working sharded: a small budget with small primary
+// pages still has to serve the fixed-4K structure segments (B*-trees), so
+// fill() must shrink the stripe count accordingly.
 func TestShardShrinkKeepsStructurePagesServable(t *testing.T) {
-	s, err := Open(Config{PageSize: 512, BufferBytes: 64 << 10, Policy: "partitioned-lru", BufferShards: 16})
+	s, err := Open(Config{PageSize: 512, BufferBytes: 64 << 10, BufferShards: 16})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

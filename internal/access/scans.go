@@ -1,7 +1,6 @@
 package access
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -735,7 +734,3 @@ func (s *System) HasCluster(name string) bool {
 	_, err := s.clusterByName(name)
 	return err == nil
 }
-
-// ErrStopScan may be returned by callers through panic-free early exits in
-// helper loops; exported for symmetry with other sentinel errors.
-var ErrStopScan = errors.New("access: scan stopped")

@@ -47,9 +47,6 @@ type Config struct {
 	PageSize int
 	// BufferBytes is the buffer pool budget (default 4 MiB).
 	BufferBytes int64
-	// Policy selects the replacement policy: "size-aware-lru" (default),
-	// "partitioned-lru" or "classic-lru".
-	Policy string
 	// BufferShards is the number of lock stripes of the buffer pool
 	// (rounded up to a power of two). 0 picks one stripe per CPU, capped
 	// so every stripe still holds a useful number of pages; 1 disables
@@ -89,9 +86,6 @@ func (c *Config) fill() error {
 	if c.BufferBytes == 0 {
 		c.BufferBytes = 4 << 20
 	}
-	if c.Policy == "" {
-		c.Policy = "size-aware-lru"
-	}
 	if c.BufferShards == 0 {
 		c.BufferShards = runtime.NumCPU()
 		if c.BufferShards > 16 {
@@ -104,13 +98,9 @@ func (c *Config) fill() error {
 	c.BufferShards = buffer.RoundShards(c.BufferShards)
 	// Every stripe must still hold a handful of the largest block-size
 	// pages — structure segments (B*-trees, partitions) use fixed 4K pages
-	// no matter what PageSize says — and a partitioned policy splits each
-	// stripe further into one part per block size. Shrink the stripe count
-	// until a stripe can serve what a single-stripe pool could.
-	minPerShard := 8 * int64(device.B8K)
-	if c.Policy == "partitioned-lru" {
-		minPerShard = int64(len(device.BlockSizes)) * 4 * int64(device.B8K)
-	}
+	// no matter what PageSize says. Shrink the stripe count until a stripe
+	// can serve what a single-stripe pool could.
+	const minPerShard = 8 * int64(device.B8K)
 	for c.BufferShards > 1 && c.BufferBytes/int64(c.BufferShards) < minPerShard {
 		c.BufferShards /= 2
 	}
@@ -119,39 +109,10 @@ func (c *Config) fill() error {
 
 // makePool builds the (possibly lock-striped) buffer pool: the byte budget
 // is divided evenly over the stripes and each stripe runs an independent
-// instance of the configured replacement policy.
-func (c *Config) makePool() (*buffer.Pool, error) {
-	shards := c.BufferShards
-	perShard := c.BufferBytes / int64(shards)
-	factory, err := c.policyFactory(perShard)
-	if err != nil {
-		return nil, err
-	}
-	return buffer.NewShardedPool(factory, shards), nil
-}
-
-func (c *Config) policyFactory(budget int64) (func() buffer.Policy, error) {
-	switch c.Policy {
-	case "size-aware-lru":
-		return func() buffer.Policy { return buffer.NewSizeAwareLRU(budget) }, nil
-	case "partitioned-lru":
-		per := budget / int64(len(device.BlockSizes))
-		return func() buffer.Policy {
-			shares := make(map[int]int64, len(device.BlockSizes))
-			for _, s := range device.BlockSizes {
-				shares[s] = per
-			}
-			return buffer.NewPartitionedLRU(shares)
-		}, nil
-	case "classic-lru":
-		n := int(budget / int64(c.PageSize))
-		if n < 4 {
-			n = 4
-		}
-		return func() buffer.Policy { return buffer.NewClassicLRU(n) }, nil
-	default:
-		return nil, fmt.Errorf("access: unknown buffer policy %q", c.Policy)
-	}
+// size-aware LRU.
+func (c *Config) makePool() *buffer.Pool {
+	perShard := c.BufferBytes / int64(c.BufferShards)
+	return buffer.NewShardedPool(func() buffer.Policy { return buffer.NewSizeAwareLRU(perShard) }, c.BufferShards)
 }
 
 // sortOrderStruct is a materialized sort order: a redundant copy of every
@@ -258,14 +219,10 @@ func Open(cfg Config) (*System, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	pool, err := cfg.makePool()
-	if err != nil {
-		return nil, err
-	}
 	s := &System{
 		cfg:         cfg,
 		files:       device.NewManager(cfg.Dir),
-		pool:        pool,
+		pool:        cfg.makePool(),
 		reg:         obs.NewRegistry(),
 		nextSegID:   1,
 		primaries:   make(map[addr.TypeID]*record.Container),

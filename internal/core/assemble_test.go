@@ -129,7 +129,7 @@ func TestAssembleMaxDepthExceeded(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		runtime.GOMAXPROCS(workers)
 		e.SetMaxRecursionDepth(2)
-		_, err := e.Execute(parseSelect(t, q), e.System().Writer(0, nil))
+		_, err := execOne(e, q)
 		if !errors.Is(err, core.ErrSemantic) || !strings.Contains(err.Error(), "recursion deeper than 2") {
 			t.Fatalf("workers=%d: depth 3 under bound 2: %v, want the recursion error", workers, err)
 		}

@@ -36,13 +36,15 @@ func sceneEngine(t testing.TB, n int) (*core.Engine, []*brepgen.Cube) {
 	return e, cubes
 }
 
+// execOne runs one statement through the script path, writing without a
+// transaction.
+func execOne(e *core.Engine, q string) (*core.Result, error) {
+	return e.ExecuteOne(q, e.System().Writer(0, nil))
+}
+
 func mustQuery(t testing.TB, e *core.Engine, q string) *core.Result {
 	t.Helper()
-	stmt, err := mql.ParseOne(q)
-	if err != nil {
-		t.Fatalf("parse %q: %v", q, err)
-	}
-	r, err := e.Execute(stmt, e.System().Writer(0, nil))
+	r, err := execOne(e, q)
 	if err != nil {
 		t.Fatalf("execute %q: %v", q, err)
 	}
@@ -264,17 +266,17 @@ func TestOptimizerDirectRootAccess(t *testing.T) {
 
 	// Equality on the IDENTIFIER attribute plans a direct access — no scan,
 	// no index — and still assembles the full molecule.
-	stmt, _ := mql.ParseOne(`SELECT ALL FROM brep-face WHERE brep_id = ` + lit)
-	plan, err := e.PlanSelect(stmt.(*mql.Select))
+	q := `SELECT ALL FROM brep-face WHERE brep_id = ` + lit
+	plan, err := e.PlanQuery(q)
 	if err != nil {
-		t.Fatalf("PlanSelect: %v", err)
+		t.Fatalf("PlanQuery: %v", err)
 	}
 	if plan.AccessKind != "direct" || plan.DirectRoot != a {
 		t.Fatalf("plan chose %s/%v, want direct/%v", plan.AccessKind, plan.DirectRoot, a)
 	}
-	r2, err := e.Execute(stmt, e.System().Writer(0, nil))
+	r2, err := execOne(e, q)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("ExecuteOne: %v", err)
 	}
 	if len(r2.Molecules) != 1 || len(r2.Molecules[0].AtomsOf("face")) != 6 {
 		t.Fatalf("direct query result wrong: %d molecules", len(r2.Molecules))
@@ -302,10 +304,10 @@ func TestOptimizerChoosesAccessPath(t *testing.T) {
 	e, _ := sceneEngine(t, 10)
 	mustQuery(t, e, `CREATE ACCESS PATH brep_no_idx ON brep (brep_no) USING BTREE`)
 
-	stmt, _ := mql.ParseOne(`SELECT ALL FROM brep-face WHERE brep_no = 7`)
-	plan, err := e.PlanSelect(stmt.(*mql.Select))
+	q := `SELECT ALL FROM brep-face WHERE brep_no = 7`
+	plan, err := e.PlanQuery(q)
 	if err != nil {
-		t.Fatalf("PlanSelect: %v", err)
+		t.Fatalf("PlanQuery: %v", err)
 	}
 	if plan.AccessKind != "accesspath" || plan.PathName != "brep_no_idx" {
 		t.Fatalf("plan chose %s/%s, want accesspath/brep_no_idx", plan.AccessKind, plan.PathName)
@@ -315,9 +317,9 @@ func TestOptimizerChoosesAccessPath(t *testing.T) {
 		t.Fatalf("access path roots = %v, %v", roots, err)
 	}
 	// Result identical to the scan-based plan.
-	r, err := e.Execute(stmt, e.System().Writer(0, nil))
+	r, err := execOne(e, q)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("ExecuteOne: %v", err)
 	}
 	if len(r.Molecules) != 1 || len(r.Molecules[0].AtomsOf("face")) != 6 {
 		t.Fatalf("indexed query result wrong: %d molecules", len(r.Molecules))
@@ -328,24 +330,23 @@ func TestOptimizerChoosesCluster(t *testing.T) {
 	e, _ := sceneEngine(t, 4)
 	mustQuery(t, e, `CREATE ATOM_CLUSTER brep_cl ON brep-face-edge-point`)
 
-	stmt, _ := mql.ParseOne(`SELECT ALL FROM brep-face-edge-point WHERE brep_no = 2`)
-	plan, err := e.PlanSelect(stmt.(*mql.Select))
+	q := `SELECT ALL FROM brep-face-edge-point WHERE brep_no = 2`
+	plan, err := e.PlanQuery(q)
 	if err != nil {
-		t.Fatalf("PlanSelect: %v", err)
+		t.Fatalf("PlanQuery: %v", err)
 	}
 	if plan.AccessKind != "cluster" || plan.Cluster != "brep_cl" {
 		t.Fatalf("plan chose %s, want cluster brep_cl", plan.AccessKind)
 	}
-	r, err := e.Execute(stmt, e.System().Writer(0, nil))
+	r, err := execOne(e, q)
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("ExecuteOne: %v", err)
 	}
 	if len(r.Molecules) != 1 || r.Molecules[0].Size() != brepgen.CubeAtoms {
 		t.Fatalf("cluster-based query wrong: %d molecules", len(r.Molecules))
 	}
 	// A sub-structure query is also covered by the cluster.
-	stmt2, _ := mql.ParseOne(`SELECT ALL FROM brep-face`)
-	plan2, err := e.PlanSelect(stmt2.(*mql.Select))
+	plan2, err := e.PlanQuery(`SELECT ALL FROM brep-face`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +354,7 @@ func TestOptimizerChoosesCluster(t *testing.T) {
 		t.Fatalf("sub-structure plan chose %s, want cluster", plan2.AccessKind)
 	}
 	// But a different root is not.
-	stmt3, _ := mql.ParseOne(`SELECT ALL FROM face-edge`)
-	plan3, err := e.PlanSelect(stmt3.(*mql.Select))
+	plan3, err := e.PlanQuery(`SELECT ALL FROM face-edge`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,20 +442,18 @@ func TestSemanticErrors(t *testing.T) {
 		`MODIFY solid SET ghost = 1 WHERE solid_no = 1`,
 	}
 	for _, q := range bad {
-		stmt, err := mql.ParseOne(q)
-		if err != nil {
+		if _, err := mql.Parse(q); err != nil {
 			t.Fatalf("parse %q: %v", q, err)
 		}
-		if _, err := e.Execute(stmt, e.System().Writer(0, nil)); err == nil {
-			t.Errorf("Execute(%q) succeeded, want error", q)
+		if _, err := execOne(e, q); err == nil {
+			t.Errorf("ExecuteOne(%q) succeeded, want error", q)
 		}
 	}
 }
 
 func TestCursorOneMoleculeAtATime(t *testing.T) {
 	e, _ := sceneEngine(t, 6)
-	stmt, _ := mql.ParseOne(`SELECT ALL FROM brep-face WHERE brep_no >= 3`)
-	plan, err := e.PlanSelect(stmt.(*mql.Select))
+	plan, err := e.PlanQuery(`SELECT ALL FROM brep-face WHERE brep_no >= 3`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,8 +490,7 @@ func TestCheckIntegrityStatement(t *testing.T) {
 	if _, err := e.System().Insert("brep", nil); err != nil {
 		t.Fatal(err)
 	}
-	stmt, _ := mql.ParseOne(`CHECK INTEGRITY brep`)
-	if _, err := e.Execute(stmt, e.System().Writer(0, nil)); err == nil {
+	if _, err := execOne(e, `CHECK INTEGRITY brep`); err == nil {
 		t.Fatal("cardinality violation not detected")
 	}
 }

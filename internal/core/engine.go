@@ -95,11 +95,11 @@ func (e *Engine) PlanQuery(src string) (*Plan, error) { return e.cachedSelect(sr
 // nothing.
 func (e *Engine) cachedSelect(src string, tr *obs.Trace) (*Plan, error) {
 	stmts, _, err := e.lex(src, tr)
+	if err == nil {
+		err = exactlyOne(stmts)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("%w: expected exactly one statement, got %d", mql.ErrSyntax, len(stmts))
 	}
 	st := &stmts[0]
 	if st.Verb != "SELECT" {
@@ -150,6 +150,15 @@ func (e *Engine) lex(src string, tr *obs.Trace) ([]mql.Statement, int64, error) 
 	e.parseNs.Observe(ns)
 	sp.End()
 	return stmts, ns, err
+}
+
+// exactlyOne refuses a text of other than one statement, before any of it
+// runs.
+func exactlyOne(stmts []mql.Statement) error {
+	if len(stmts) != 1 {
+		return fmt.Errorf("%w: expected exactly one statement, got %d", mql.ErrSyntax, len(stmts))
+	}
+	return nil
 }
 
 // parse parses one statement of a script.
@@ -228,13 +237,15 @@ type Result struct {
 // execCtx carries the per-request execution context down the statement
 // dispatch: the pinned snapshot epoch (nil = current), the request trace
 // (nil = untraced — every span operation no-ops), the write context DML
-// mutates through, and the script's parse time so EXPLAIN ANALYZE can report
-// the parse stage it arrived through.
+// mutates through, the script's parse time so EXPLAIN ANALYZE can report
+// the parse stage it arrived through, and whether the text must be exactly
+// one statement (ExecuteOne).
 type execCtx struct {
 	epoch   *uint64
 	tr      *obs.Trace
 	w       access.Writer
 	parseNs int64
+	one     bool
 }
 
 // ExecuteScript parses and executes a semicolon-separated MQL script,
@@ -263,8 +274,22 @@ func (e *Engine) ExecuteScriptAt(src string, epoch uint64, w access.Writer) ([]*
 	return e.executeScript(src, execCtx{epoch: &epoch, w: w})
 }
 
+// ExecuteOne runs a text of exactly one statement through the script path,
+// writing through w: a text of any other count is a syntax error, refused
+// before anything runs. Its errors carry no statement number.
+func (e *Engine) ExecuteOne(src string, w access.Writer) (*Result, error) {
+	out, err := e.executeScript(src, execCtx{w: w, one: true})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
 func (e *Engine) executeScript(src string, ctx execCtx) ([]*Result, error) {
 	stmts, lexNs, err := e.lex(src, ctx.tr)
+	if err == nil && ctx.one {
+		err = exactlyOne(stmts)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +329,10 @@ func (e *Engine) executeScript(src string, ctx execCtx) ([]*Result, error) {
 		}
 		r, err := e.runStatement(st, prep, ast, ctx)
 		if err != nil {
-			return out, fmt.Errorf("statement %d: %w", i+1, err)
+			if !ctx.one {
+				err = fmt.Errorf("statement %d: %w", i+1, err)
+			}
+			return out, err
 		}
 		out = append(out, r)
 	}
@@ -333,19 +361,6 @@ func (e *Engine) runStatement(st *mql.Statement, prep *prepared, ast mql.Stmt, c
 		return e.runSelect(prep.plan.bind(st.Params), ctx)
 	}
 	return e.runDML(prep, st.Params, ctx)
-}
-
-// planStage wraps a fresh planning call in a "plan" span annotated with the
-// chosen access and pushdown facts.
-func (e *Engine) planStage(tr *obs.Trace, plan func() (*Plan, error)) (*Plan, error) {
-	sp := tr.Root().Child("plan")
-	sp.SetAttr("plan_cache", "miss")
-	p, err := plan()
-	if err == nil {
-		annotatePlanSpan(sp, p)
-	}
-	sp.End()
-	return p, err
 }
 
 // annotatePlanSpan records the plan facts EXPLAIN renders — access kind,
@@ -392,11 +407,6 @@ func (e *Engine) runSelect(p *Plan, ctx execCtx) (*Result, error) {
 	return &Result{Kind: "molecules", Molecules: mols, Count: len(mols)}, nil
 }
 
-// Execute runs a single parsed statement, writing through w.
-func (e *Engine) Execute(stmt mql.Stmt, w access.Writer) (*Result, error) {
-	return e.execute(stmt, execCtx{w: w})
-}
-
 func (e *Engine) execute(stmt mql.Stmt, ctx execCtx) (*Result, error) {
 	res, err := e.executeInner(stmt, ctx)
 	if err == nil && isDDL(stmt) {
@@ -422,6 +432,9 @@ func isDDL(stmt mql.Stmt) bool {
 	return false
 }
 
+// executeInner runs a statement the plan cache does not prepare: DDL, LDL,
+// INSERT, CONNECT/DISCONNECT and the maintenance statements. SELECT, EXPLAIN,
+// DELETE and MODIFY carry a shape and run from their prepared form.
 func (e *Engine) executeInner(stmt mql.Stmt, ctx execCtx) (*Result, error) {
 	switch s := stmt.(type) {
 	case *mql.CreateAtomType:
@@ -503,24 +516,8 @@ func (e *Engine) executeInner(stmt mql.Stmt, ctx execCtx) (*Result, error) {
 			Name: s.Name, Molecule: m,
 		}), "atom cluster "+s.Name+" created")
 
-	case *mql.Select:
-		plan, err := e.planStage(ctx.tr, func() (*Plan, error) { return e.PlanSelect(s) })
-		if err != nil {
-			return nil, err
-		}
-		return e.runSelect(plan, ctx)
-
-	case *mql.Explain:
-		return e.execExplain(s, ctx)
-
 	case *mql.Insert:
 		return e.execInsert(s, ctx)
-
-	case *mql.Delete:
-		return e.execDelete(s, ctx)
-
-	case *mql.Modify:
-		return e.execModify(s, ctx)
 
 	case *mql.Connect:
 		return e.execConnect(s.From, s.To, s.Via, true, ctx.w)
@@ -685,9 +682,11 @@ func (ctx execCtx) apply() (*obs.Span, access.Writer) {
 	return sp, ctx.w.Traced(sp)
 }
 
-// runDML executes a prepared DELETE or MODIFY with params bound (nil: the
-// literals it was prepared from). The qualification read runs under an
-// "assemble" span like a SELECT; the mutations run under "apply".
+// runDML executes a prepared DELETE or MODIFY with params bound. A DELETE
+// removes all component atoms of every qualified molecule ("removal of
+// single components as well as of whole component sets, thereby
+// automatically disconnecting these parts"). The qualification read runs
+// under an "assemble" span like a SELECT; the mutations run under "apply".
 func (e *Engine) runDML(c *prepared, params []atom.Value, ctx execCtx) (*Result, error) {
 	plan := c.plan.bind(params)
 	asp := ctx.tr.Root().Child("assemble")
@@ -721,7 +720,7 @@ func (e *Engine) runDML(c *prepared, params []atom.Value, ctx execCtx) (*Result,
 		return &Result{Kind: "count", Count: len(deleted), Message: fmt.Sprintf("%d atoms deleted", len(deleted))}, nil
 	}
 	changes := c.changes
-	if len(c.setParams) > 0 && params != nil {
+	if len(c.setParams) > 0 {
 		changes = maps.Clone(changes)
 		for _, sp := range c.setParams {
 			changes[sp.attr] = params[sp.param-1]
@@ -735,25 +734,6 @@ func (e *Engine) runDML(c *prepared, params []atom.Value, ctx execCtx) (*Result,
 		n++
 	}
 	return &Result{Kind: "count", Count: n, Message: fmt.Sprintf("%d atoms modified", n)}, nil
-}
-
-// execDelete deletes all component atoms of every qualified molecule
-// ("removal of single components as well as of whole component sets,
-// thereby automatically disconnecting these parts").
-func (e *Engine) execDelete(s *mql.Delete, ctx execCtx) (*Result, error) {
-	c, err := e.prepareDelete(s, e.planDepth())
-	if err != nil {
-		return nil, err
-	}
-	return e.runDML(c, nil, ctx)
-}
-
-func (e *Engine) execModify(s *mql.Modify, ctx execCtx) (*Result, error) {
-	c, err := e.prepareModify(s, e.planDepth())
-	if err != nil {
-		return nil, err
-	}
-	return e.runDML(c, nil, ctx)
 }
 
 func (e *Engine) execConnect(from, to mql.Expr, via string, connect bool, w access.Writer) (*Result, error) {

@@ -15,38 +15,23 @@ import (
 // EXPLAIN [ANALYZE]: render a SELECT's prepared plan as an indented tree —
 // the chosen root access with its bounds, the pushed-down conjuncts per
 // component, the residual predicate, whether the statement is
-// plan-cacheable, and — for a statement of a script — its shape and bound
-// parameter values. ANALYZE additionally executes the query
-// under a forced trace and annotates the output with actual per-stage
-// timings (parse/plan/assemble/decode), atom and molecule counts, and the
-// cache hit ratio of the run.
+// plan-cacheable, and its shape and bound parameter values. ANALYZE
+// additionally executes the query under a forced trace and annotates the
+// output with actual per-stage timings (parse/plan/assemble/decode), atom and
+// molecule counts, and the cache hit ratio of the run.
 
-// execExplain handles an *mql.Explain statement tree: the SELECT is planned
-// fresh.
-func (e *Engine) execExplain(s *mql.Explain, ctx execCtx) (*Result, error) {
-	planStart := time.Now()
-	plan, err := e.PlanSelect(s.Query)
-	if err != nil {
-		return nil, err
-	}
-	return e.explain(plan, s.Analyze, nil, time.Since(planStart).Nanoseconds(), ctx)
-}
-
-// explain renders the plan of an EXPLAIN — with the shape and parameters of
-// st, the statement of a script it was bound for, when st is not nil — and
-// under ANALYZE runs it.
+// explain renders the plan of an EXPLAIN with the shape and parameters of
+// st, the statement it was bound for, and under ANALYZE runs it.
 func (e *Engine) explain(plan *Plan, analyze bool, st *mql.Statement, planNs int64, ctx execCtx) (*Result, error) {
 	var b strings.Builder
 	renderPlan(&b, plan)
-	if st != nil {
-		fmt.Fprintf(&b, "  shape: %s\n", mql.ShapeText(st.Shape))
-		if len(st.Params) > 0 {
-			b.WriteString("  params:")
-			for i, v := range st.Params {
-				fmt.Fprintf(&b, " $%d=%s", i+1, v)
-			}
-			b.WriteByte('\n')
+	fmt.Fprintf(&b, "  shape: %s\n", mql.ShapeText(st.Shape))
+	if len(st.Params) > 0 {
+		b.WriteString("  params:")
+		for i, v := range st.Params {
+			fmt.Fprintf(&b, " $%d=%s", i+1, v)
 		}
+		b.WriteByte('\n')
 	}
 	if !analyze {
 		return &Result{Kind: "explain", Message: strings.TrimRight(b.String(), "\n")}, nil

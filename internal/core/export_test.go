@@ -18,6 +18,10 @@ func (e *Engine) ReferenceSelect(sel *mql.Select) ([]*Molecule, error) {
 	return e.referenceSelect(sel)
 }
 
+// ResetPlanCache empties the plan cache and its counters: the next statement
+// of every shape is planned fresh.
+func (e *Engine) ResetPlanCache() { e.plans = newPlanCache() }
+
 // SetRootChunk lowers the cursor root chunk for one test, so a small scene
 // spans several chunks; the default comes back at cleanup.
 func SetRootChunk(t testing.TB, n int) {

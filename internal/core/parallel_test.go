@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"prima/internal/core"
-	"prima/internal/mql"
 )
 
 // withProcs runs the rest of the test at GOMAXPROCS n, the platform input a
@@ -22,11 +21,7 @@ func withProcs(t testing.TB, n int) {
 // openCursor plans and opens a SELECT.
 func openCursor(t testing.TB, e *core.Engine, q string) *core.Cursor {
 	t.Helper()
-	stmt, err := mql.ParseOne(q)
-	if err != nil {
-		t.Fatalf("parse %q: %v", q, err)
-	}
-	plan, err := e.PlanSelect(stmt.(*mql.Select))
+	plan, err := e.PlanQuery(q)
 	if err != nil {
 		t.Fatalf("plan %q: %v", q, err)
 	}
@@ -128,11 +123,7 @@ func TestParallelCursorErrorPropagation(t *testing.T) {
 
 	e.SetMaxRecursionDepth(1)
 	withProcs(t, 4)
-	stmt, err := mql.ParseOne(`SELECT ALL FROM solid.sub-solid (RECURSIVE)`)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if _, err := e.Execute(stmt, e.System().Writer(0, nil)); err == nil {
+	if _, err := execOne(e, `SELECT ALL FROM solid.sub-solid (RECURSIVE)`); err == nil {
 		t.Fatal("expected recursion depth error through the parallel cursor")
 	}
 }
@@ -220,12 +211,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			q := fmt.Sprintf(`SELECT ALL FROM brep-face-edge-point WHERE brep_no = %d`, g%8+1)
-			stmt, err := mql.ParseOne(q)
-			if err != nil {
-				errs <- err
-				return
-			}
-			r, err := e.Execute(stmt, e.System().Writer(0, nil))
+			r, err := execOne(e, q)
 			if err != nil {
 				errs <- err
 				return

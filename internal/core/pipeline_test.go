@@ -20,12 +20,15 @@ import (
 // parseSelect parses a single SELECT.
 func parseSelect(t testing.TB, q string) *mql.Select {
 	t.Helper()
-	stmt, err := mql.ParseOne(q)
+	stmts, err := mql.Parse(q)
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	sel, ok := stmt.(*mql.Select)
-	if !ok {
+	var sel *mql.Select
+	if len(stmts) == 1 {
+		sel, _ = stmts[0].(*mql.Select)
+	}
+	if sel == nil {
 		t.Fatalf("%q is not a SELECT", q)
 	}
 	return sel
@@ -34,7 +37,7 @@ func parseSelect(t testing.TB, q string) *mql.Select {
 // planFor prepares a plan for a single SELECT without executing it.
 func planFor(t testing.TB, e *core.Engine, q string) *core.Plan {
 	t.Helper()
-	p, err := e.PlanSelect(parseSelect(t, q))
+	p, err := e.PlanQuery(q)
 	if err != nil {
 		t.Fatalf("plan %q: %v", q, err)
 	}

@@ -101,14 +101,9 @@ type typeProjection struct {
 	subType *catalog.MoleculeType // single-type pseudo molecule for whereC
 }
 
-// PlanSelect validates a SELECT statement against the schema and prepares
-// an executable plan.
-func (e *Engine) PlanSelect(sel *mql.Select) (*Plan, error) {
-	return e.planSelect(sel, e.planDepth())
-}
-
-// planSelect prepares a plan under one planDepth snapshot — callers that
-// cache the plan pass the same snapshot they keyed it with.
+// planSelect validates a SELECT statement against the schema and prepares
+// an executable plan under one planDepth snapshot — callers that cache the
+// plan pass the same snapshot they keyed it with.
 func (e *Engine) planSelect(sel *mql.Select, depth int) (*Plan, error) {
 	defer e.planNs.ObserveSince(time.Now())
 	if err := e.ensureResolved(); err != nil {

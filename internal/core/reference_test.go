@@ -115,7 +115,7 @@ func (p *Plan) referenceMolecules() ([]*Molecule, error) {
 // interpreter, and project the survivors with the interpreter deciding the
 // qualified-projection predicates.
 func (e *Engine) referenceSelect(sel *mql.Select) ([]*Molecule, error) {
-	all, err := e.PlanSelect(&mql.Select{All: true, From: sel.From})
+	all, err := e.planSelect(&mql.Select{All: true, From: sel.From}, e.planDepth())
 	if err != nil {
 		return nil, err
 	}

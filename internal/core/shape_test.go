@@ -185,8 +185,8 @@ func TestShapeVariants(t *testing.T) {
 
 // TestShapeScriptDML runs DELETE and MODIFY statements inside multi-statement
 // scripts through the plan cache on one engine, and the same statements one
-// by one through fresh planning on a twin, and compares the states the two
-// reach after every script.
+// by one on a twin whose plan cache is emptied before each, so every one is
+// planned fresh, and compares the states the two reach after every script.
 func TestShapeScriptDML(t *testing.T) {
 	cached, cubes := sceneEngine(t, 6)
 	fresh, _ := sceneEngine(t, 6)
@@ -219,18 +219,14 @@ func TestShapeScriptDML(t *testing.T) {
 	for _, script := range scripts {
 		h0, _, _ := cached.PlanCacheStats()
 		rs := runScript(t, cached, script)
-		stmts, err := mql.Lex(script)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range stmts {
-			ast, err := stmts[i].Parse()
+		for i, q := range strings.Split(script, ";") {
+			fresh.ResetPlanCache()
+			r, err := fresh.ExecuteOne(q, fresh.System().Writer(0, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := fresh.Execute(ast, fresh.System().Writer(0, nil))
-			if err != nil {
-				t.Fatal(err)
+			if h, m, _ := fresh.PlanCacheStats(); h != 0 || m != 1 {
+				t.Fatalf("%s: statement %d was not planned fresh (%d hits, %d misses)", script, i+1, h, m)
 			}
 			if r.Count != rs[i].Count {
 				t.Fatalf("%s: statement %d counts %d through the plan cache, %d planned fresh", script, i+1, rs[i].Count, r.Count)

@@ -155,9 +155,21 @@ func TestParseFig23DDL(t *testing.T) {
 	}
 }
 
+// parseOne parses a text of exactly one statement.
+func parseOne(src string) (Stmt, error) {
+	stmts, err := Parse(src)
+	if err == nil && len(stmts) != 1 {
+		err = fmt.Errorf("%w: expected exactly one statement, got %d", ErrSyntax, len(stmts))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return stmts[0], nil
+}
+
 func TestParseTable21Queries(t *testing.T) {
 	// (a) vertical access to network molecules.
-	s, err := ParseOne(`SELECT ALL FROM brep-face-edge-point WHERE brep_no = 1713`)
+	s, err := parseOne(`SELECT ALL FROM brep-face-edge-point WHERE brep_no = 1713`)
 	if err != nil {
 		t.Fatalf("(a): %v", err)
 	}
@@ -183,7 +195,7 @@ func TestParseTable21Queries(t *testing.T) {
 	}
 
 	// (b) vertical access to recursive molecules with seed qualification.
-	s, err = ParseOne(`SELECT ALL FROM piece_list WHERE piece_list(0).solid_no = 4711`)
+	s, err = parseOne(`SELECT ALL FROM piece_list WHERE piece_list(0).solid_no = 4711`)
 	if err != nil {
 		t.Fatalf("(b): %v", err)
 	}
@@ -194,7 +206,7 @@ func TestParseTable21Queries(t *testing.T) {
 	}
 
 	// (c) horizontal access with unqualified projection.
-	s, err = ParseOne(`SELECT solid_no, description FROM solid WHERE sub = EMPTY`)
+	s, err = parseOne(`SELECT solid_no, description FROM solid WHERE sub = EMPTY`)
 	if err != nil {
 		t.Fatalf("(c): %v", err)
 	}
@@ -207,7 +219,7 @@ func TestParseTable21Queries(t *testing.T) {
 	}
 
 	// (d) branching FROM, quantifier, qualified projection.
-	s, err = ParseOne(`
+	s, err = parseOne(`
 	  SELECT edge, (point,
 	         face := SELECT face_id, square_dim
 	                 FROM face
@@ -245,7 +257,7 @@ func TestParseTable21Queries(t *testing.T) {
 }
 
 func TestParseDML(t *testing.T) {
-	s, err := ParseOne(`INSERT INTO solid (solid_no, description, sub) VALUES (1, 'base', {@1.2, @1.3})`)
+	s, err := parseOne(`INSERT INTO solid (solid_no, description, sub) VALUES (1, 'base', {@1.2, @1.3})`)
 	if err != nil {
 		t.Fatalf("INSERT: %v", err)
 	}
@@ -258,7 +270,7 @@ func TestParseDML(t *testing.T) {
 		t.Fatalf("set literal = %v", set)
 	}
 
-	s, err = ParseOne(`MODIFY solid SET description = 'changed', solid_no = -5 WHERE solid_no = 1`)
+	s, err = parseOne(`MODIFY solid SET description = 'changed', solid_no = -5 WHERE solid_no = 1`)
 	if err != nil {
 		t.Fatalf("MODIFY: %v", err)
 	}
@@ -271,7 +283,7 @@ func TestParseDML(t *testing.T) {
 		t.Fatalf("negative literal = %v", v)
 	}
 
-	s, err = ParseOne(`DELETE FROM brep-face WHERE brep_no = 9`)
+	s, err = parseOne(`DELETE FROM brep-face WHERE brep_no = 9`)
 	if err != nil {
 		t.Fatalf("DELETE: %v", err)
 	}
@@ -280,7 +292,7 @@ func TestParseDML(t *testing.T) {
 		t.Fatalf("DELETE = %+v", del)
 	}
 
-	s, err = ParseOne(`CONNECT @1.1 TO @1.2 VIA sub`)
+	s, err = parseOne(`CONNECT @1.1 TO @1.2 VIA sub`)
 	if err != nil {
 		t.Fatalf("CONNECT: %v", err)
 	}
@@ -288,7 +300,7 @@ func TestParseDML(t *testing.T) {
 	if con.Via != "sub" {
 		t.Fatalf("CONNECT = %+v", con)
 	}
-	if _, err = ParseOne(`DISCONNECT @1.1 FROM @1.2 VIA sub`); err != nil {
+	if _, err = parseOne(`DISCONNECT @1.1 FROM @1.2 VIA sub`); err != nil {
 		t.Fatalf("DISCONNECT: %v", err)
 	}
 }

@@ -62,18 +62,6 @@ func Parse(src string) ([]Stmt, error) {
 	}
 }
 
-// ParseOne parses exactly one statement.
-func ParseOne(src string) (Stmt, error) {
-	stmts, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("%w: expected exactly one statement, got %d", ErrSyntax, len(stmts))
-	}
-	return stmts[0], nil
-}
-
 func (p *parser) peek() token { return p.toks[p.pos] }
 func (p *parser) peek2() token {
 	if p.pos+1 < len(p.toks) {

@@ -362,17 +362,23 @@ func TestCloseFlushes(t *testing.T) {
 	}
 }
 
-// BenchmarkPolicies drives a hot/cold reference pattern over mixed page
-// sizes under each policy; the interesting output is the hit ratio (see
-// experiment A1 in EXPERIMENTS.md for the full sweep).
+// BenchmarkPolicies (A1) compares size-aware LRU — one pool shared by all
+// page sizes — with static partitioning — one part per size — at one 40 KiB
+// budget over 512-byte and 8 KiB pages. A fixed pass of two phases, 200
+// rounds over 32 small pages and then 200 over 4 large ones, reports its hit
+// ratio (pass-hit-ratio); the benchmark fails unless size-aware LRU beats
+// partitioning on it, since in each phase a partition leaves the other
+// part's budget idle. The timed loop interleaves both sizes (hit-ratio).
 func BenchmarkPolicies(b *testing.B) {
+	const budget = 40 * 1024
+	pass := map[string]float64{}
 	for _, tc := range []struct {
 		name   string
 		policy func() Policy
 	}{
-		{"size-aware", func() Policy { return NewSizeAwareLRU(48 * 1024) }},
+		{"size-aware", func() Policy { return NewSizeAwareLRU(budget) }},
 		{"partitioned", func() Policy {
-			return NewPartitionedLRU(map[int]int64{device.B512: 24 * 1024, device.B8K: 24 * 1024})
+			return NewPartitionedLRU(map[int]int64{device.B512: budget / 2, device.B8K: budget / 2})
 		}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
@@ -381,23 +387,40 @@ func BenchmarkPolicies(b *testing.B) {
 			pool := NewPool(tc.policy())
 			pool.Register(small)
 			pool.Register(big)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var pid segment.PageID
-				if i%4 == 0 {
-					pid = segment.PageID{Seg: 2, No: bigPages[i%len(bigPages)]}
-				} else {
-					pid = segment.PageID{Seg: 1, No: smallPages[i%len(smallPages)]}
-				}
+			fix := func(pid segment.PageID) {
 				h, err := pool.Fix(pid)
 				if err != nil {
 					b.Fatal(err)
 				}
 				h.Release()
 			}
+			for _, phase := range []struct {
+				seg   segment.ID
+				pages []uint32
+			}{{1, smallPages[:32]}, {2, bigPages[:4]}} {
+				for round := 0; round < 200; round++ {
+					for _, no := range phase.pages {
+						fix(segment.PageID{Seg: phase.seg, No: no})
+					}
+				}
+			}
+			pass[tc.name] = pool.Stats().HitRatio()
+			pool.ResetStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%4 == 0 {
+					fix(segment.PageID{Seg: 2, No: bigPages[i%len(bigPages)]})
+				} else {
+					fix(segment.PageID{Seg: 1, No: smallPages[i%len(smallPages)]})
+				}
+			}
 			b.ReportMetric(pool.Stats().HitRatio(), "hit-ratio")
+			b.ReportMetric(pass[tc.name], "pass-hit-ratio")
 		})
+	}
+	if sa, pt := pass["size-aware"], pass["partitioned"]; len(pass) == 2 && sa <= pt {
+		b.Fatalf("fixed pass: size-aware LRU hit ratio %.3f, static partitioning %.3f: size-aware must beat partitioning", sa, pt)
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"prima/internal/access"
 	"prima/internal/access/addr"
 	"prima/internal/core"
-	"prima/internal/mql"
 	"prima/internal/obs"
 	"prima/internal/txn"
 )
@@ -50,8 +49,8 @@ type (
 
 // Config tunes a database instance. It holds what callers set; the rest is
 // derived (a cursor's assembly width from its roots and GOMAXPROCS) or fixed
-// at its default (8 KiB pages, size-aware LRU, recursion depth 64, 128
-// cached plans, a 2 MiB atom cache — db.System().SetAtomCacheSize resizes
+// at its default (8 KiB pages, size-aware LRU, recursion depth 64, 512
+// cached statement shapes, a 2 MiB atom cache — db.System().SetAtomCacheSize resizes
 // the cache at run time).
 type Config struct {
 	// Dir is the database directory; empty runs fully in memory.
@@ -132,13 +131,11 @@ func (db *DB) ExecTraced(src string, tr *obs.Trace) ([]*Result, error) {
 // setters; Recent and Slow read the retained trace rings.
 func (db *DB) Tracer() *obs.Tracer { return db.sys.Tracer() }
 
-// ExecOne executes exactly one statement in autocommit mode.
+// ExecOne executes exactly one statement in autocommit mode, through the
+// plan cache like Exec. A text of any other number of statements is a syntax
+// error, and none of it runs.
 func (db *DB) ExecOne(src string) (*Result, error) {
-	stmt, err := mql.ParseOne(src)
-	if err != nil {
-		return nil, err
-	}
-	return db.engine.Execute(stmt, db.txm.Autocommit())
+	return db.engine.ExecuteOne(src, db.txm.Autocommit())
 }
 
 // Query prepares a SELECT and returns a one-molecule-at-a-time cursor. The

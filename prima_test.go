@@ -2,10 +2,13 @@ package prima
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
+	"prima/internal/mql"
 	"prima/internal/txn"
 	"prima/internal/workload/brepgen"
 )
@@ -220,5 +223,69 @@ func TestPersistentDatabase(t *testing.T) {
 	}
 	if ms := db2.Metrics(); ms.Gauge("wal_checkpoint_failing") != 0 || ms.Counter("buffer_hits")+ms.Counter("buffer_misses") == 0 {
 		t.Fatalf("metrics after reopen: checkpoint failing %v, %d buffer fixes", ms.Gauge("wal_checkpoint_failing"), ms.Counter("buffer_hits")+ms.Counter("buffer_misses"))
+	}
+}
+
+// TestExecOneUsesShapeCache: ExecOne runs the script path, so literal
+// variants of one statement shape are planned once and served from the plan
+// cache after.
+func TestExecOneUsesShapeCache(t *testing.T) {
+	db := openMem(t)
+	if _, err := db.Exec(brepgen.SchemaDDL); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := brepgen.BuildScene(db.Engine(), 4); err != nil {
+		t.Fatal(err)
+	}
+	h0, m0, _ := db.Engine().PlanCacheStats()
+	for n := 1; n <= 4; n++ {
+		res, err := db.ExecOne(fmt.Sprintf(`SELECT ALL FROM brep-face WHERE brep_no = %d`, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Molecules) != 1 {
+			t.Fatalf("brep_no = %d: %d molecules, want 1", n, len(res.Molecules))
+		}
+	}
+	if h1, m1, _ := db.Engine().PlanCacheStats(); h1-h0 != 3 || m1-m0 != 1 {
+		t.Fatalf("four variants of one shape: %d hits, %d misses; want 3, 1", h1-h0, m1-m0)
+	}
+}
+
+// TestExecOneExplainShowsShape: an EXPLAIN sent through ExecOne is served
+// from its SELECT's shape and prints the shape and the bound parameters.
+func TestExecOneExplainShowsShape(t *testing.T) {
+	db := openMem(t)
+	if _, err := db.Exec(brepgen.SchemaDDL); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.ExecOne(`EXPLAIN SELECT ALL FROM brep WHERE brep_no = 7`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"  shape: SELECT ALL FROM brep WHERE brep_no = $1\n", "  params: $1=7"} {
+		if !strings.Contains(res.Message, want) {
+			t.Fatalf("EXPLAIN output lacks %q:\n%s", want, res.Message)
+		}
+	}
+}
+
+// TestExecOneRefusesTwoStatements: a text of two statements is a syntax
+// error, refused before either runs.
+func TestExecOneRefusesTwoStatements(t *testing.T) {
+	db := openMem(t)
+	if _, err := db.Exec(brepgen.SchemaDDL); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.ExecOne(`INSERT INTO solid (solid_no) VALUES (1); SELECT ALL FROM solid`)
+	if !errors.Is(err, mql.ErrSyntax) || res != nil {
+		t.Fatalf("ExecOne of two statements = %v, %v; want a syntax error", res, err)
+	}
+	rs, err := db.Exec(`SELECT ALL FROM solid`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rs[0].Molecules); n != 0 {
+		t.Fatalf("%d solids after a refused two-statement ExecOne, want 0", n)
 	}
 }
