@@ -32,6 +32,11 @@ func (s *System) registerMetrics() {
 	r.CounterFunc("buffer_misses", func() uint64 { return uint64(s.pool.Stats().Misses) })
 	r.CounterFunc("buffer_evictions", func() uint64 { return uint64(s.pool.Stats().Evictions) })
 	r.CounterFunc("buffer_writebacks", func() uint64 { return uint64(s.pool.Stats().Writebacks) })
+	// The writebacks made to free a frame, inside some request's miss; the
+	// rest are checkpoints'. Replacement keeps revised pages dirty until the
+	// checkpoint, so the gauge shows what the next one will write.
+	r.CounterFunc("buffer_evict_writebacks_total", func() uint64 { return uint64(s.pool.Stats().EvictWritebacks) })
+	r.GaugeFunc("buffer_dirty_frames", func() float64 { return float64(s.pool.Dirty()) })
 	// A full pool recycles its frames: allocs rising as fast as the misses is a leak.
 	r.CounterFunc("buffer_frame_allocs_total", func() uint64 { return uint64(s.pool.Stats().FrameAllocs) })
 	r.CounterFunc("buffer_frames_recycled_total", func() uint64 { return uint64(s.pool.Stats().FramesRecycled) })

@@ -170,6 +170,11 @@ type System struct {
 	// (page fix + record decode), the stage molecule assembly fans out on.
 	reg      *obs.Registry
 	decodeNs *obs.Histogram
+	// ckptNs times checkpoints. ckptFileBytes counts what they write to the
+	// files kept whole beside the segments (schema, directory and grid
+	// snapshots, manifest), which no device counter sees.
+	ckptNs        *obs.Histogram
+	ckptFileBytes *obs.Counter
 
 	// tracer owns per-request traces for the same reason reg owns metrics:
 	// the access system sits below every layer, so the wire server, engine
@@ -237,6 +242,8 @@ func Open(cfg Config) (*System, error) {
 		s.files.SetWrap(cfg.FileWrap)
 	}
 	s.decodeNs = s.reg.Histogram("access_decode_ns")
+	s.ckptNs = s.reg.Histogram("wal_checkpoint_ns")
+	s.ckptFileBytes = s.reg.Counter("checkpoint_file_bytes_total")
 	s.tracer = obs.NewTracer(obs.TracerConfig{
 		SampleRate:    cfg.TraceSampleRate,
 		SlowThreshold: cfg.SlowQueryThreshold,
@@ -427,6 +434,7 @@ func (s *System) Checkpoint() error {
 func (s *System) checkpoint() error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
+	defer s.ckptNs.ObserveSince(time.Now())
 	var token *wal.CheckpointToken
 	if s.wal != nil {
 		token = s.wal.BeginCheckpoint()
@@ -458,10 +466,19 @@ func (s *System) checkpoint() error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(s.cfg.Dir, "schema.json"), schemaData); err != nil {
+	if err := s.writeCheckpointFile("schema.json", schemaData); err != nil {
 		return fmt.Errorf("access: write schema: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(s.cfg.Dir, "directory.snap"), s.dir.Snapshot()); err != nil {
+	// The snapshot holds every atom an insert has begun, committed or not.
+	// Force the log records behind them first: an atom the snapshot keeps
+	// and the durable log does not know could never be undone.
+	dirSnap := s.dir.Snapshot()
+	if s.wal != nil {
+		if err := s.wal.FlushTo(s.wal.WriteLSN()); err != nil {
+			return err
+		}
+	}
+	if err := s.writeCheckpointFile("directory.snap", dirSnap); err != nil {
 		return fmt.Errorf("access: write directory: %w", err)
 	}
 
@@ -497,7 +514,7 @@ func (s *System) checkpoint() error {
 			am.TreeMeta = ap.tree.MetaPage()
 		} else {
 			am.GridFile = "grid_" + name + ".snap"
-			if err := writeFileAtomic(filepath.Join(s.cfg.Dir, am.GridFile), ap.grid.Snapshot()); err != nil {
+			if err := s.writeCheckpointFile(am.GridFile, ap.grid.Snapshot()); err != nil {
 				s.mu.RUnlock()
 				return fmt.Errorf("access: write grid: %w", err)
 			}
@@ -517,7 +534,7 @@ func (s *System) checkpoint() error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(s.cfg.Dir, "manifest.json"), data); err != nil {
+	if err := s.writeCheckpointFile("manifest.json", data); err != nil {
 		return fmt.Errorf("access: write manifest: %w", err)
 	}
 	if err := s.files.Sync(); err != nil {
@@ -526,6 +543,16 @@ func (s *System) checkpoint() error {
 	if s.wal != nil {
 		return s.wal.EndCheckpoint(token)
 	}
+	return nil
+}
+
+// writeCheckpointFile rewrites one of the files a checkpoint keeps whole in
+// the database directory and counts its bytes.
+func (s *System) writeCheckpointFile(name string, data []byte) error {
+	if err := writeFileAtomic(filepath.Join(s.cfg.Dir, name), data); err != nil {
+		return err
+	}
+	s.ckptFileBytes.Add(uint64(len(data)))
 	return nil
 }
 

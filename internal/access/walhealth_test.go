@@ -1,8 +1,12 @@
 package access
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
+	"prima/internal/access/atom"
+	"prima/internal/catalog"
 	"prima/internal/storage/device"
 )
 
@@ -54,5 +58,63 @@ func TestCheckpointHealthSurfaced(t *testing.T) {
 	}
 	if g := failing(); g != 0 {
 		t.Fatalf("after a successful checkpoint: wal_checkpoint_failing = %v, want 0", g)
+	}
+}
+
+// A checkpoint is timed and counts the bytes of the files it rewrites whole
+// beside the segments; the buffer reports the dirty frames it leaves behind
+// for the next one.
+func TestCheckpointMetrics(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	part, err := catalog.NewAtomType("part", []catalog.Attribute{
+		{Name: "id", Type: catalog.SpecIdent()},
+		{Name: "no", Type: catalog.SpecInt()},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Schema().AddAtomType(part); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Schema().ResolveAssociations(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := s.Insert("part", map[string]atom.Value{"no": atom.Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.Obs().Snapshot()
+	if g := before.Gauge("buffer_dirty_frames"); g == 0 {
+		t.Fatal("buffer_dirty_frames = 0 after inserts")
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	after := s.Obs().Snapshot()
+	var files uint64
+	for _, name := range []string{"schema.json", "directory.snap", "manifest.json"} {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files += uint64(fi.Size())
+	}
+	if got := after.Counter("checkpoint_file_bytes_total") - before.Counter("checkpoint_file_bytes_total"); got != files {
+		t.Fatalf("checkpoint_file_bytes_total grew by %d, the checkpoint wrote %d file bytes", got, files)
+	}
+	if n := after.Hist("wal_checkpoint_ns").Count - before.Hist("wal_checkpoint_ns").Count; n != 1 {
+		t.Fatalf("wal_checkpoint_ns observed %d checkpoints, want 1", n)
+	}
+	if g := after.Gauge("buffer_dirty_frames"); g != 0 {
+		t.Fatalf("buffer_dirty_frames = %v after a checkpoint", g)
+	}
+	if _, ok := after.Counters["buffer_evict_writebacks_total"]; !ok {
+		t.Fatal("buffer_evict_writebacks_total not registered")
 	}
 }

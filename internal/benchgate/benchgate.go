@@ -69,6 +69,10 @@ func Run(t *testing.T, baselinePath string, benches map[string]func(b *testing.B
 			continue
 		}
 		res := testing.Benchmark(fn)
+		if res.N == 0 { // failed: its 0 ns/op would pass any limit
+			t.Errorf("%s: the benchmark failed and ran no iterations", name)
+			continue
+		}
 		results[name] = Baseline{
 			AllocsPerOp: float64(res.AllocsPerOp()),
 			Headroom:    base.Headroom,

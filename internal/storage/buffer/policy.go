@@ -9,6 +9,17 @@ import "fmt"
 // in one pool — the road PRIMA takes. All three variants are implemented so
 // experiment A1 can compare them.
 //
+// All three replace clean pages first within the colder half of their
+// recency order (CFLRU, Park et al. 2006, with its window fixed at half):
+// a dirty page there is written back and evicted only once that half holds
+// no clean unpinned page. A design that is read widely while a small part
+// of it is revised over and over keeps the revised pages until the
+// checkpoint writes each once, instead of writing one back per revision;
+// the hotter half stays plain LRU, so pages every request walks are never
+// given up for a cold dirty one. With no dirty page resident the policies
+// are plain LRU. "Half" is measured in the unit each policy budgets: bytes,
+// or frames for the classic LRU.
+//
 // Policies are driven by the pool under the pool's lock; they are not safe
 // for standalone concurrent use.
 type Policy interface {
@@ -18,6 +29,9 @@ type Policy interface {
 	OnTouch(f *frame)
 	// OnRemove records that f left the pool.
 	OnRemove(f *frame)
+	// OnCleaned records that writebacks made resident frames clean without
+	// evicting them.
+	OnCleaned()
 	// Victim returns the next frame that must leave the pool so a new page
 	// of the given size fits, nil once it does. Pinned frames are skipped.
 	// It returns ErrNoVictim, before anything has been evicted, if the
@@ -25,89 +39,193 @@ type Policy interface {
 	Victim(size int) (*frame, error)
 }
 
-// chain is a recency chain threaded through the frames themselves, a ring
-// closed by root: root.next is the most recently used frame, root.prev the
-// coldest.
+// chain is the recency order of a policy's frames, split in two halves by
+// cost. The hot half is the longest run of most recently used frames that
+// costs at most half of all of them; the cold half is the rest. Each half is
+// a ring threaded through the frames' prev/next and closed by its root:
+// root.next is the half's most recently used frame, root.prev its coldest.
+// The cold half's clean frames are threaded a second time, in the same
+// order, through cprev/cnext, so the coldest clean frame is found without
+// walking past dirty ones: every operation but OnCleaned costs O(1) plus
+// the pinned frames a victim search skips.
 type chain struct {
-	root frame
-	n    int
+	hot, cold, clean frame // ring roots
+	hotCost, cost    int64 // of the hot half, of all frames
+	byFrames         bool  // a frame costs 1, not its bytes
 }
 
-func (c *chain) pushFront(f *frame) {
-	if c.root.next == nil {
-		c.root.next, c.root.prev = &c.root, &c.root
+func (c *chain) init(byFrames bool) {
+	for _, r := range []*frame{&c.hot, &c.cold} {
+		r.prev, r.next = r, r
 	}
-	f.prev, f.next = &c.root, c.root.next
+	c.clean.cprev, c.clean.cnext = &c.clean, &c.clean
+	c.byFrames = byFrames
+}
+
+func (c *chain) costOf(f *frame) int64 {
+	if c.byFrames {
+		return 1
+	}
+	return int64(len(f.data))
+}
+
+// linkAfter puts f into at's ring right after at.
+func linkAfter(at, f *frame) {
+	f.prev, f.next = at, at.next
 	f.prev.next, f.next.prev = f, f
-	c.n++
+}
+
+func unlink(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
+// threadAfter puts f into at's clean thread right after at.
+func threadAfter(at, f *frame) {
+	f.cprev, f.cnext = at, at.cnext
+	f.cprev.cnext, f.cnext.cprev = f, f
+}
+
+// unthread takes f off the clean thread, if it is on it: a frame being
+// dirtied or leaving the cold half.
+func unthread(f *frame) {
+	if f.cnext == nil {
+		return
+	}
+	f.cprev.cnext, f.cnext.cprev = f.cnext, f.cprev
+	f.cprev, f.cnext = nil, nil
+}
+
+func (c *chain) insert(f *frame) {
+	linkAfter(&c.hot, f)
+	c.hotCost += c.costOf(f)
+	c.cost += c.costOf(f)
+	c.balance()
+}
+
+func (c *chain) touch(f *frame) {
+	unlink(f)
+	linkAfter(&c.hot, f)
+	if f.cold {
+		f.cold = false
+		unthread(f)
+		c.hotCost += c.costOf(f)
+		c.balance()
+	}
 }
 
 func (c *chain) remove(f *frame) {
-	f.prev.next, f.next.prev = f.next, f.prev
-	f.prev, f.next = nil, nil
-	c.n--
+	unlink(f)
+	unthread(f)
+	c.cost -= c.costOf(f)
+	if !f.cold {
+		c.hotCost -= c.costOf(f)
+	}
+	c.balance()
 }
 
-// coldest returns the coldest unpinned frame, provided the unpinned frames
-// from the cold end on cover need, each counting cost(f) towards it.
-func (c *chain) coldest(need int64, cost func(f *frame) int64) *frame {
-	var victim *frame
-	for f := c.root.prev; f != nil && f != &c.root && need > 0; f = f.prev {
+// rethread rebuilds the clean thread from the cold ring, after writebacks
+// cleaned cold frames in no particular order.
+func (c *chain) rethread() {
+	c.clean.cprev, c.clean.cnext = &c.clean, &c.clean
+	for f := c.cold.next; f != &c.cold; f = f.next {
+		if !f.dirty {
+			threadAfter(c.clean.cprev, f)
+		}
+	}
+}
+
+// balance moves the boundary back to the middle: the coldest hot frames go
+// cold while the hot half costs more than half, the newest cold frame goes
+// hot while the hot half has room for it.
+func (c *chain) balance() {
+	for 2*c.hotCost > c.cost {
+		f := c.hot.prev
+		unlink(f)
+		linkAfter(&c.cold, f)
+		f.cold = true
+		if !f.dirty {
+			threadAfter(&c.clean, f)
+		}
+		c.hotCost -= c.costOf(f)
+	}
+	for f := c.cold.next; f != &c.cold && 2*(c.hotCost+c.costOf(f)) <= c.cost; f = c.cold.next {
+		unlink(f)
+		unthread(f)
+		linkAfter(c.hot.prev, f)
+		f.cold = false
+		c.hotCost += c.costOf(f)
+	}
+}
+
+// victim returns the next frame to evict, provided the unpinned frames
+// cover need, each counting its cost towards it, and the number of frames
+// it considered. The cold half's clean frames come first, coldest first,
+// then its dirty ones; the hot half only once the cold one is all pinned.
+func (c *chain) victim(need int64) (victim *frame, visited int) {
+	take := func(f *frame) bool {
+		visited++
 		if f.pins > 0 {
-			continue
+			return false
 		}
 		if victim == nil {
 			victim = f
 		}
-		need -= cost(f)
+		need -= c.costOf(f)
+		return need <= 0
 	}
-	if need > 0 {
-		return nil
+	for f := c.clean.cprev; f != &c.clean; f = f.cprev {
+		if take(f) {
+			return victim, visited
+		}
 	}
-	return victim
+	for f := c.cold.prev; f != &c.cold; f = f.prev {
+		if f.dirty && take(f) { // the clean ones were counted above
+			return victim, visited
+		}
+	}
+	for f := c.hot.prev; f != &c.hot; f = f.prev {
+		if take(f) {
+			return victim, visited
+		}
+	}
+	return nil, visited
 }
-
-func frameBytes(f *frame) int64 { return int64(len(f.data)) }
-func oneFrame(*frame) int64     { return 1 }
 
 // --- size-aware LRU (PRIMA's modified LRU) ---------------------------------
 
 // sizeAwareLRU keeps a single recency chain over pages of all sizes and
 // charges residency in bytes: to admit an incoming page it evicts from the
-// cold end until enough bytes are free. This is the paper's "well-known LRU
+// cold half until enough bytes are free. This is the paper's "well-known LRU
 // algorithm altered in an appropriate way".
 type sizeAwareLRU struct {
 	capacity int64 // bytes
-	resident int64 // bytes currently held
-	chain    chain
+	chain    chain // costs in bytes: chain.cost is what is resident
 }
 
 // NewSizeAwareLRU returns PRIMA's modified LRU with a byte budget.
-func NewSizeAwareLRU(capacityBytes int64) Policy {
-	return &sizeAwareLRU{capacity: capacityBytes}
+func NewSizeAwareLRU(capacityBytes int64) Policy { return newSizeAwareLRU(capacityBytes) }
+
+func newSizeAwareLRU(capacity int64) *sizeAwareLRU {
+	p := &sizeAwareLRU{capacity: capacity}
+	p.chain.init(false)
+	return p
 }
 
-func (p *sizeAwareLRU) OnInsert(f *frame) {
-	p.chain.pushFront(f)
-	p.resident += int64(len(f.data))
-}
-
-func (p *sizeAwareLRU) OnTouch(f *frame) { p.chain.remove(f); p.chain.pushFront(f) }
-
-func (p *sizeAwareLRU) OnRemove(f *frame) {
-	p.chain.remove(f)
-	p.resident -= int64(len(f.data))
-}
+func (p *sizeAwareLRU) OnInsert(f *frame) { p.chain.insert(f) }
+func (p *sizeAwareLRU) OnTouch(f *frame)  { p.chain.touch(f) }
+func (p *sizeAwareLRU) OnRemove(f *frame) { p.chain.remove(f) }
+func (p *sizeAwareLRU) OnCleaned()        { p.chain.rethread() }
 
 func (p *sizeAwareLRU) Victim(size int) (*frame, error) {
 	if int64(size) > p.capacity {
 		return nil, fmt.Errorf("%w: page of %d bytes exceeds pool capacity %d", ErrNoVictim, size, p.capacity)
 	}
-	need := int64(size) - (p.capacity - p.resident)
+	need := int64(size) - (p.capacity - p.chain.cost)
 	if need <= 0 {
 		return nil, nil
 	}
-	f := p.chain.coldest(need, frameBytes)
+	f, _ := p.chain.victim(need)
 	if f == nil {
 		return nil, fmt.Errorf("%w: %d bytes needed, too few unpinned frames", ErrNoVictim, need)
 	}
@@ -130,7 +248,7 @@ type partitionedLRU struct {
 func NewPartitionedLRU(shares map[int]int64) Policy {
 	parts := make(map[int]*sizeAwareLRU, len(shares))
 	for size, budget := range shares {
-		parts[size] = &sizeAwareLRU{capacity: budget}
+		parts[size] = newSizeAwareLRU(budget)
 	}
 	return &partitionedLRU{parts: parts}
 }
@@ -140,6 +258,12 @@ func (p *partitionedLRU) part(size int) *sizeAwareLRU { return p.parts[size] }
 func (p *partitionedLRU) OnInsert(f *frame) { p.part(len(f.data)).OnInsert(f) }
 func (p *partitionedLRU) OnTouch(f *frame)  { p.part(len(f.data)).OnTouch(f) }
 func (p *partitionedLRU) OnRemove(f *frame) { p.part(len(f.data)).OnRemove(f) }
+
+func (p *partitionedLRU) OnCleaned() {
+	for _, part := range p.parts {
+		part.OnCleaned()
+	}
+}
 
 func (p *partitionedLRU) Victim(size int) (*frame, error) {
 	part := p.part(size)
@@ -152,29 +276,32 @@ func (p *partitionedLRU) Victim(size int) (*frame, error) {
 // --- classic frame-count LRU ------------------------------------------------
 
 // classicLRU is the textbook algorithm "tailored to one page size": it
-// budgets frames, not bytes. With uniform page sizes it is exactly LRU; with
-// mixed sizes it misbehaves (an 8K page costs the same as a 512-byte page),
+// budgets frames, not bytes. With uniform, clean pages it is exactly LRU;
+// with mixed sizes it misbehaves (an 8K page costs the same as a 512-byte page),
 // which is the deficiency motivating the modified algorithm.
 type classicLRU struct {
 	maxFrames int
-	chain     chain
+	chain     chain // costs in frames
 }
 
 // NewClassicLRU returns a frame-count LRU holding at most maxFrames pages.
 func NewClassicLRU(maxFrames int) Policy {
-	return &classicLRU{maxFrames: maxFrames}
+	p := &classicLRU{maxFrames: maxFrames}
+	p.chain.init(true)
+	return p
 }
 
-func (p *classicLRU) OnInsert(f *frame) { p.chain.pushFront(f) }
-func (p *classicLRU) OnTouch(f *frame)  { p.chain.remove(f); p.chain.pushFront(f) }
+func (p *classicLRU) OnInsert(f *frame) { p.chain.insert(f) }
+func (p *classicLRU) OnTouch(f *frame)  { p.chain.touch(f) }
 func (p *classicLRU) OnRemove(f *frame) { p.chain.remove(f) }
+func (p *classicLRU) OnCleaned()        { p.chain.rethread() }
 
 func (p *classicLRU) Victim(int) (*frame, error) {
-	need := p.chain.n - p.maxFrames + 1
+	need := p.chain.cost - int64(p.maxFrames) + 1
 	if need <= 0 {
 		return nil, nil
 	}
-	f := p.chain.coldest(int64(need), oneFrame)
+	f, _ := p.chain.victim(need)
 	if f == nil {
 		return nil, fmt.Errorf("%w: all frames pinned", ErrNoVictim)
 	}

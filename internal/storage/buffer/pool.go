@@ -5,7 +5,9 @@
 // semantics, and writes dirty pages back on eviction or flush. Replacement
 // is pluggable: the paper's modified LRU that handles different page sizes
 // within one buffer, a statically partitioned buffer, and the classic
-// single-size LRU are all provided (see policy.go).
+// single-size LRU are all provided (see policy.go). Each evicts clean pages
+// first in the colder half of its recency order, so a page that is revised
+// over and over stays dirty in the buffer until the checkpoint writes it.
 //
 // To keep concurrent molecule assemblers from serializing on one latch, the
 // pool is lock-striped: frames are spread over N shards keyed by a hash of
@@ -62,10 +64,13 @@ type frame struct {
 	data    []byte
 	pins    int
 	dirty   bool
+	cold    bool   // in the cold half of the policy's recency chain
 	pageLSN uint64 // log position that must be durable before writeback
 	// prev and next thread the policy's recency chain while the frame is
-	// resident; next alone threads the free list.
-	prev, next *frame
+	// resident; next alone threads the free list. cprev and cnext thread
+	// the chain's clean cold frames.
+	prev, next   *frame
+	cprev, cnext *frame
 }
 
 // Handle is a fixed (pinned) page. It must be released exactly once. The
@@ -95,7 +100,11 @@ func (h Handle) MarkDirty() {
 		lsn = g.WriteLSN()
 	}
 	h.shard.mu.Lock()
-	h.frame.dirty = true
+	if !h.frame.dirty {
+		h.frame.dirty = true
+		h.shard.dirty++
+		unthread(h.frame)
+	}
 	if lsn > h.frame.pageLSN {
 		h.frame.pageLSN = lsn
 	}
@@ -110,6 +119,9 @@ type Stats struct {
 	Misses     int64
 	Evictions  int64
 	Writebacks int64
+	// EvictWritebacks counts the writebacks made to free a frame: the
+	// share of Writebacks that ran inside some fix's miss.
+	EvictWritebacks int64
 	// FrameAllocs counts misses that had to allocate a frame, FramesRecycled
 	// those served from a free list: all but cross-size ones in a full pool.
 	FrameAllocs    int64
@@ -136,8 +148,8 @@ func sizeClass(size int) int { return bits.TrailingZeros(uint(size / device.B512
 // counters is a shard's share of Stats, with the per-size counts as arrays
 // indexed by size class: a fix counts without touching a map.
 type counters struct {
-	hits, misses, evictions, writebacks, allocs, recycled int64
-	hitsBySize, missBySize                                [sizeClasses]int64
+	hits, misses, evictions, writebacks, evictWritebacks, allocs, recycled int64
+	hitsBySize, missBySize                                                 [sizeClasses]int64
 }
 
 // shard is one lock stripe of the pool: a frame table plus a policy instance
@@ -151,6 +163,7 @@ type shard struct {
 	// evicted or invalidated. Resident and free bytes together never exceed
 	// what the policy admits as resident.
 	free  [sizeClasses]*frame
+	dirty int // resident dirty frames
 	stats counters
 }
 
@@ -284,6 +297,7 @@ func (p *Pool) Stats() Stats {
 		out.Misses += c.misses
 		out.Evictions += c.evictions
 		out.Writebacks += c.writebacks
+		out.EvictWritebacks += c.evictWritebacks
 		out.FrameAllocs += c.allocs
 		out.FramesRecycled += c.recycled
 		for i, size := range device.BlockSizes {
@@ -313,6 +327,17 @@ func (p *Pool) Resident() int {
 	for _, sh := range p.shards {
 		sh.mu.Lock()
 		n += len(sh.frames)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// Dirty returns the number of resident dirty pages.
+func (p *Pool) Dirty() int {
+	n := 0
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+		n += sh.dirty
 		sh.mu.Unlock()
 	}
 	return n
@@ -377,6 +402,7 @@ func (sh *shard) fix(pid segment.PageID, fresh bool) (Handle, error) {
 	if fresh {
 		clear(f.data)
 		f.dirty = true
+		sh.dirty++
 		if g := sh.pool.gate; g != nil {
 			f.pageLSN = g.WriteLSN()
 		}
@@ -410,6 +436,7 @@ func (sh *shard) makeRoomLocked(size int) error {
 			if err := sh.writebackLocked(f); err != nil {
 				return err
 			}
+			sh.stats.evictWritebacks++
 		}
 		sh.policy.OnRemove(f)
 		delete(sh.frames, f.pid)
@@ -433,7 +460,21 @@ func (sh *shard) writebackLocked(f *frame) error {
 		return fmt.Errorf("buffer: writeback %v: %w", f.pid, err)
 	}
 	f.dirty = false
+	sh.dirty--
 	sh.stats.writebacks++
+	return nil
+}
+
+// flushLocked writes every dirty frame of the shard back.
+func (sh *shard) flushLocked() error {
+	defer sh.policy.OnCleaned()
+	for _, f := range sh.frames {
+		if f.dirty {
+			if err := sh.writebackLocked(f); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
@@ -455,22 +496,22 @@ func (p *Pool) Flush(pid segment.PageID) error {
 	if !ok || !f.dirty {
 		return nil
 	}
-	return sh.writebackLocked(f)
+	if err := sh.writebackLocked(f); err != nil {
+		return err
+	}
+	sh.policy.OnCleaned()
+	return nil
 }
 
 // FlushAll writes every dirty resident page back to its segment.
 func (p *Pool) FlushAll() error {
 	for _, sh := range p.shards {
 		sh.mu.Lock()
-		for _, f := range sh.frames {
-			if f.dirty {
-				if err := sh.writebackLocked(f); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-			}
-		}
+		err := sh.flushLocked()
 		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -488,6 +529,9 @@ func (p *Pool) Invalidate(pid segment.PageID) error {
 	if f.pins > 0 {
 		return fmt.Errorf("%w: %v", ErrStillPinned, pid)
 	}
+	if f.dirty {
+		sh.dirty--
+	}
 	sh.policy.OnRemove(f)
 	delete(sh.frames, pid)
 	sh.freeFrame(f)
@@ -498,13 +542,11 @@ func (p *Pool) Invalidate(pid segment.PageID) error {
 func (p *Pool) Close() error {
 	for _, sh := range p.shards {
 		sh.mu.Lock()
+		if err := sh.flushLocked(); err != nil {
+			sh.mu.Unlock()
+			return err
+		}
 		for _, f := range sh.frames {
-			if f.dirty {
-				if err := sh.writebackLocked(f); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-			}
 			sh.policy.OnRemove(f)
 		}
 		sh.frames = make(map[segment.PageID]*frame)

@@ -16,16 +16,21 @@ import (
 )
 
 // crashCfg returns the access configuration the crash tests run under: a
-// tiny buffer pool (so dirty pages hit the device before checkpoints),
-// aggressive checkpointing and a short group-commit window.
+// buffer pool of four pages, smaller than the workload's padded atoms (so
+// dirty pages hit the device inside evictions, between checkpoints), and a
+// short group-commit window. The log's growth never triggers a checkpoint:
+// the workload checkpoints itself, every crashCheckpointEvery transactions,
+// so each crash point falls at the same place in every run. (A background
+// checkpoint would flush pages the workload is writing: the unlatched page
+// race of ROADMAP item 1, which -race reports.)
 func crashCfg(dir string, wrap func(string, device.Device) device.Device) access.Config {
 	return access.Config{
 		Dir:                dir,
 		WAL:                true,
 		PageSize:           1024,
-		BufferBytes:        64 << 10,
+		BufferBytes:        4 << 10,
 		GroupCommitMaxWait: 100 * time.Microsecond,
-		WALCheckpointBytes: 16 << 10,
+		WALCheckpointBytes: 1 << 40,
 		FileWrap:           wrap,
 	}
 }
@@ -41,6 +46,7 @@ func setupCrashDB(t *testing.T, dir string) {
 	part, err := catalog.NewAtomType("part", []catalog.Attribute{
 		{Name: "id", Type: catalog.SpecIdent()},
 		{Name: "no", Type: catalog.SpecInt()},
+		{Name: "pad", Type: catalog.SpecString()},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +72,19 @@ type crashOutcome struct {
 	model    map[addr.LogicalAddr]int64 // acked-committed state
 	ever     map[addr.LogicalAddr]bool  // every address allocated pre-crash
 	inFlight map[addr.LogicalAddr]int64 // nil unless the crash hit a Commit; -1 = deleted
+	// evictWritebacks counts the pages written back to free a frame, for
+	// a run that did not crash.
+	evictWritebacks int64
 }
 
-const crashTxns = 30
+const (
+	crashTxns            = 30
+	crashCheckpointEvery = 8
+)
+
+// crashPad fills a part to a quarter of a page: the parts a run leaves live
+// span more pages than the buffer holds.
+var crashPad = atom.Str(strings.Repeat("p", 240))
 
 func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) crashOutcome {
 	t.Helper()
@@ -97,6 +113,14 @@ func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) cras
 	nextVal := int64(1)
 
 	for i := 0; i < crashTxns; i++ {
+		if i > 0 && i%crashCheckpointEvery == 0 {
+			if err := sys.Checkpoint(); err != nil {
+				if plan.Crashed() {
+					return out
+				}
+				t.Fatalf("checkpoint before txn %d: %v", i, err)
+			}
+		}
 		// Stage this transaction's intended effects: -1 marks a delete.
 		staged := map[addr.LogicalAddr]int64{}
 		var stagedLive []addr.LogicalAddr
@@ -110,7 +134,7 @@ func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) cras
 				case len(pool) == 0 || k < 5: // insert
 					v := nextVal
 					nextVal++
-					a, err := w.Insert("part", map[string]atom.Value{"no": atom.Int(v)})
+					a, err := w.Insert("part", map[string]atom.Value{"no": atom.Int(v), "pad": crashPad})
 					if err != nil {
 						return err
 					}
@@ -181,6 +205,7 @@ func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) cras
 		// Map iteration order is random; restore determinism for target picks.
 		sortAddrs(live)
 	}
+	out.evictWritebacks = sys.Pool().Stats().EvictWritebacks
 	return out
 }
 
@@ -293,6 +318,9 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 	}
 	if len(out.model) == 0 {
 		t.Fatal("rehearsal committed nothing")
+	}
+	if out.evictWritebacks == 0 {
+		t.Fatal("rehearsal wrote no page back to free a frame: no crash point falls inside an eviction")
 	}
 	recoverAndVerify(t, rehearsalDir, out, "rehearsal")
 
