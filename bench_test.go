@@ -56,15 +56,9 @@ func benchSceneConfig(b *testing.B, cfg Config, n int) (*DB, []*brepgen.Cube) {
 
 // coldScene is the scene of the storage-side benchmarks: 64 cubes under the
 // smallest buffer the configuration admits, one stripe of eight 8 KiB frames,
-// a small fraction of the pages the scene's atoms lie on. It is checkpointed,
-// as a database being served is after set-up: every page starts clean, so
-// replacement, which keeps dirty pages until a checkpoint, is plain LRU.
+// a small fraction of the pages the scene's atoms lie on.
 func coldScene(b *testing.B) (*DB, []*brepgen.Cube) {
-	db, cubes := benchSceneConfig(b, Config{BufferBytes: 64 << 10}, 64)
-	if err := db.Checkpoint(); err != nil {
-		b.Fatal(err)
-	}
-	return db, cubes
+	return benchSceneConfig(b, Config{BufferBytes: 64 << 10}, 64)
 }
 
 // benchBufferFix fixes and releases the pages a checkout of the cold scene

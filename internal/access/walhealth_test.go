@@ -3,8 +3,11 @@ package access
 import (
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"prima/internal/access/addr"
 	"prima/internal/access/atom"
 	"prima/internal/catalog"
 	"prima/internal/storage/device"
@@ -116,5 +119,106 @@ func TestCheckpointMetrics(t *testing.T) {
 	}
 	if _, ok := after.Counters["buffer_evict_writebacks_total"]; !ok {
 		t.Fatal("buffer_evict_writebacks_total not registered")
+	}
+}
+
+// syncTap runs tap before every Sync of the device it wraps.
+type syncTap struct {
+	device.Device
+	tap func()
+}
+
+func (d syncTap) Sync() error {
+	d.tap()
+	return d.Device.Sync()
+}
+
+// The directory snapshot holds every atom an insert has begun, committed or
+// not. An insert whose log record is appended after the checkpoint's page
+// flush has nothing forcing that record before the snapshot is written: the
+// checkpoint must force the log itself, or a crash leaves an atom in the
+// snapshot that recovery has no record to undo.
+func TestCheckpointForcesLogBeforeDirectory(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, WAL: true, WALCheckpointBytes: 1 << 40}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := catalog.NewAtomType("part", []catalog.Attribute{
+		{Name: "id", Type: catalog.SpecIdent()},
+		{Name: "no", Type: catalog.SpecInt()},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Schema().AddAtomType(part); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Schema().ResolveAssociations(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every device loses what it was not synced when the plan fires. The
+	// first segment sync after the page flush runs an uncommitted insert;
+	// the log's next sync then crashes.
+	plan := device.NewCrashPlan()
+	var inFlight atomic.Pointer[func()]
+	var crashNextLogSync atomic.Bool
+	cfg.FileWrap = func(name string, d device.Device) device.Device {
+		fd := device.NewFault(d)
+		fd.SetVolatile(true)
+		fd.SetPlan(plan, false)
+		if strings.HasPrefix(name, "wal_") {
+			return syncTap{fd, func() {
+				if crashNextLogSync.CompareAndSwap(true, false) {
+					_, syncs := plan.Counts()
+					plan.CrashAtSync(syncs + 1)
+				}
+			}}
+		}
+		return syncTap{fd, func() {
+			if f := inFlight.Swap(nil); f != nil {
+				(*f)()
+			}
+		}}
+	}
+	s, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := s.Insert("part", map[string]atom.Value{"no": atom.Int(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loser addr.LogicalAddr
+	var loserErr error
+	insert := func() {
+		loser, loserErr = s.Writer(7, nil).Insert("part", map[string]atom.Value{"no": atom.Int(2)})
+		crashNextLogSync.Store(true)
+	}
+	inFlight.Store(&insert)
+	if err := s.Checkpoint(); err == nil {
+		t.Fatal("the checkpoint survived its crash")
+	}
+	if loserErr != nil || !plan.Crashed() {
+		t.Fatalf("insert during the checkpoint: %v; crashed: %v", loserErr, plan.Crashed())
+	}
+	_ = s.Close() // fails: the devices are dead
+
+	cfg.FileWrap = nil
+	s, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if !s.Directory().Exists(committed) {
+		t.Fatal("the atom inserted before the checkpoint was lost")
+	}
+	if s.Directory().Exists(loser) {
+		t.Fatal("the uncommitted insert survived the crash: the directory snapshot holds it and the log does not")
 	}
 }

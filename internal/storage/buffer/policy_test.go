@@ -42,10 +42,18 @@ func pids(nos []uint32) []segment.PageID {
 	return out
 }
 
+// logged installs a log gate on pool, as a database with a write-ahead log
+// has: replacement keeps dirty pages only then. The gate's position stays 0,
+// so no writeback forces it and it is safe beside concurrent fixes.
+func logged(pool *Pool) *Pool {
+	pool.SetLogGate(&fakeGate{})
+	return pool
+}
+
 // checkChain verifies the split of c: the hot half is the longest run of
-// most recent frames costing at most half of all, the clean thread holds
-// exactly the cold half's clean frames in the cold ring's order, and the
-// costs add up.
+// most recent frames costing at most half of all, the cold ring is in the
+// order its frames went cold, the clean thread holds exactly the cold
+// half's clean frames in the cold ring's order, and the costs add up.
 func checkChain(t *testing.T, c *chain) {
 	t.Helper()
 	var hot, all int64
@@ -59,6 +67,9 @@ func checkChain(t *testing.T, c *chain) {
 	for f := c.cold.next; f != &c.cold; f = f.next {
 		if !f.cold {
 			t.Fatalf("frame %v in the cold ring is marked hot", f.pid)
+		}
+		if f.next != &c.cold && f.next.coldAt > f.coldAt || f.coldAt > c.left {
+			t.Fatalf("frame %v went cold at %d, the next colder at %d, the clock reads %d", f.pid, f.coldAt, f.next.coldAt, c.left)
 		}
 		if !f.dirty {
 			clean = append(clean, f)
@@ -91,7 +102,7 @@ func checkChain(t *testing.T, c *chain) {
 // evicts the coldest clean frame of the colder half and writes nothing.
 func TestColdestDirtyPassedOverForClean(t *testing.T) {
 	seg, pages := newSeg(t, 1, device.B1K, 9)
-	pool := NewPool(NewSizeAwareLRU(8 * device.B1K))
+	pool := logged(NewPool(NewSizeAwareLRU(8 * device.B1K)))
 	pool.Register(seg)
 	p := pids(pages)
 
@@ -109,6 +120,93 @@ func TestColdestDirtyPassedOverForClean(t *testing.T) {
 	}
 	if pool.Dirty() != 1 {
 		t.Fatalf("%d dirty frames, want 1", pool.Dirty())
+	}
+}
+
+// TestDirtyFrameWaitIsBounded: a dirty frame nobody revises again is kept
+// back in the colder half until frames costing keepDirtyTurns times the
+// chain have left it, then leaves as the coldest frame, written back once.
+func TestDirtyFrameWaitIsBounded(t *testing.T) {
+	const frames = 8
+	wait := keepDirtyTurns * frames
+	seg, pages := newSeg(t, 1, device.B1K, frames+wait+1)
+	pool := logged(NewPool(NewSizeAwareLRU(frames * device.B1K)))
+	pool.Register(seg)
+	p := pids(pages)
+
+	fixRelease(t, pool, p[0], true)
+	for _, pid := range p[1:frames] {
+		fixRelease(t, pool, pid, false)
+	}
+	for _, pid := range p[frames : frames+wait] {
+		fixRelease(t, pool, pid, false)
+	}
+	if st := pool.Stats(); st.Evictions != int64(wait) || st.Writebacks != 0 || !isResident(pool, p[0]) {
+		t.Fatalf("%d evictions, %d writebacks, dirty page resident: %v; want %d, 0, true", st.Evictions, st.Writebacks, isResident(pool, p[0]), wait)
+	}
+	fixRelease(t, pool, p[frames+wait], false)
+	if st := pool.Stats(); st.Evictions != int64(wait)+1 || st.EvictWritebacks != 1 || isResident(pool, p[0]) {
+		t.Fatalf("%d evictions, %d writebacks to evict, dirty page resident: %v; want %d, 1, false", st.Evictions, st.EvictWritebacks, isResident(pool, p[0]), wait+1)
+	}
+}
+
+// TestWithoutLogPlainLRU: a pool without a log gate has no checkpoint to
+// wait for, so the coldest frame leaves, dirty or not.
+func TestWithoutLogPlainLRU(t *testing.T) {
+	seg, pages := newSeg(t, 1, device.B1K, 9)
+	pool := NewPool(NewSizeAwareLRU(8 * device.B1K))
+	pool.Register(seg)
+	p := pids(pages)
+
+	fixRelease(t, pool, p[0], true)
+	for _, pid := range p[1:8] {
+		fixRelease(t, pool, pid, false)
+	}
+	fixRelease(t, pool, p[8], false)
+	st := pool.Stats()
+	if st.Evictions != 1 || st.Writebacks != 1 || st.EvictWritebacks != 1 {
+		t.Fatalf("%d evictions, %d writebacks (%d to evict); want 1, 1, 1", st.Evictions, st.Writebacks, st.EvictWritebacks)
+	}
+	if isResident(pool, p[0]) || !isResident(pool, p[1]) {
+		t.Fatal("want the coldest page evicted although dirty")
+	}
+}
+
+// TestReadsAfterLoad: pages a load dirtied must not keep reads out of the
+// colder half for good once writes stop. A working set of three quarters
+// of the pool, read over and over after the load, misses only on its first
+// pass without a log (plain LRU), and with one stops missing once the
+// load's pages have waited out keepDirtyTurns, though no checkpoint comes.
+func TestReadsAfterLoad(t *testing.T) {
+	const frames, loaded, working = 16, 32, 12
+	for _, tc := range []struct {
+		name   string
+		pool   *Pool
+		rounds int // passes that may miss
+	}{
+		{"no log", NewPool(NewSizeAwareLRU(frames * device.B1K)), 1},
+		{"log", logged(NewPool(NewSizeAwareLRU(frames * device.B1K))), keepDirtyTurns*frames/working + 2},
+	} {
+		seg, pages := newSeg(t, 1, device.B1K, loaded+working)
+		tc.pool.Register(seg)
+		p := pids(pages)
+		for _, pid := range p[:loaded] {
+			fixRelease(t, tc.pool, pid, true)
+		}
+		for r := 0; r < tc.rounds; r++ {
+			for _, pid := range p[loaded:] {
+				fixRelease(t, tc.pool, pid, false)
+			}
+		}
+		before := tc.pool.Stats()
+		for r := 0; r < 5; r++ {
+			for _, pid := range p[loaded:] {
+				fixRelease(t, tc.pool, pid, false)
+			}
+		}
+		if misses := tc.pool.Stats().Misses - before.Misses; misses != 0 {
+			t.Fatalf("%s: %d misses over 5 passes of %d pages after %d passes; want 0", tc.name, misses, working, tc.rounds)
+		}
 	}
 }
 
@@ -169,7 +267,7 @@ func TestWholeColdHalfDirty(t *testing.T) {
 // frames cannot cover fails before anything is evicted.
 func TestCleanFirstSkipsPinned(t *testing.T) {
 	seg, pages := newSeg(t, 1, device.B1K, 9)
-	pool := NewPool(NewSizeAwareLRU(8 * device.B1K))
+	pool := logged(NewPool(NewSizeAwareLRU(8 * device.B1K)))
 	pool.Register(seg)
 	p := pids(pages)
 
@@ -192,7 +290,7 @@ func TestCleanFirstSkipsPinned(t *testing.T) {
 
 	small, smallPages := newSeg(t, 1, device.B512, 8)
 	big, bigPages := newSeg(t, 2, device.B8K, 1)
-	pool = NewPool(NewSizeAwareLRU(10 * 1024))
+	pool = logged(NewPool(NewSizeAwareLRU(10 * 1024)))
 	pool.Register(small)
 	pool.Register(big)
 	var handles []Handle
@@ -263,9 +361,10 @@ func TestHalvesSplitByBudgetUnit(t *testing.T) {
 	}
 }
 
-// TestVictimVisitsIndependentOfDirty: the search for a victim does not walk
-// past the dirty frames of the colder half, however many there are.
-func TestVictimVisitsIndependentOfDirty(t *testing.T) {
+// TestCleanVictimPastDirtyFrames: however many dirty frames are colder,
+// the coldest clean frame of the colder half is the clean thread's tail,
+// where the victim search starts, so finding it costs one step.
+func TestCleanVictimPastDirtyFrames(t *testing.T) {
 	for _, dirty := range []int{10, 100, 1000} {
 		p := NewClassicLRU(2*dirty + 2).(*classicLRU)
 		for i := 0; i < dirty; i++ {
@@ -276,15 +375,16 @@ func TestVictimVisitsIndependentOfDirty(t *testing.T) {
 		for i := 0; i <= dirty; i++ {
 			p.OnInsert(&frame{data: make([]byte, device.B1K)})
 		}
-		if !clean.cold {
-			t.Fatalf("%d dirty: the clean frame is not in the colder half", dirty)
+		checkChain(t, &p.chain)
+		if !clean.cold || p.chain.clean.cprev != clean || p.chain.cold.prev == clean {
+			t.Fatalf("%d dirty: the clean frame is not the clean thread's coldest behind colder dirty ones", dirty)
 		}
-		f, err := p.Victim(device.B1K)
+		f, err := p.Victim(device.B1K, true)
 		if err != nil || f != clean {
 			t.Fatalf("%d dirty: Victim = %p, %v; want the clean frame", dirty, f, err)
 		}
-		if _, visited := p.chain.victim(1); visited != 1 {
-			t.Fatalf("%d dirty: the victim search visited %d frames, want 1", dirty, visited)
+		if f, err := p.Victim(device.B1K, false); err != nil || f != p.chain.cold.prev || !f.dirty {
+			t.Fatalf("%d dirty: without keepDirty, Victim = %p, %v; want the coldest frame", dirty, f, err)
 		}
 	}
 }
@@ -293,7 +393,7 @@ func TestVictimVisitsIndependentOfDirty(t *testing.T) {
 // frames, they leave in plain LRU order again.
 func TestFlushKeepsRecencyOrder(t *testing.T) {
 	seg, pages := newSeg(t, 1, device.B1K, 12)
-	pool := NewPool(NewSizeAwareLRU(8 * device.B1K))
+	pool := logged(NewPool(NewSizeAwareLRU(8 * device.B1K)))
 	pool.Register(seg)
 	p := pids(pages)
 	for i, pid := range p[:8] {
@@ -315,7 +415,7 @@ func TestFlushKeepsRecencyOrder(t *testing.T) {
 // is dirtied there leaves the clean thread.
 func TestColdFrameDirtiedWhilePinned(t *testing.T) {
 	seg, pages := newSeg(t, 1, device.B1K, 9)
-	pool := NewPool(NewSizeAwareLRU(8 * device.B1K))
+	pool := logged(NewPool(NewSizeAwareLRU(8 * device.B1K)))
 	pool.Register(seg)
 	p := pids(pages)
 	h, err := pool.Fix(p[0])
@@ -336,24 +436,28 @@ func TestColdFrameDirtiedWhilePinned(t *testing.T) {
 
 // TestRevisedPagesWaitForCheckpoint is the write-amplification regression:
 // a few pages revised every round, between reads streaming over more pages
-// than the pool holds. Plain LRU writes each revised page back every round;
-// clean-first keeps them until FlushAll writes each once.
+// than the pool holds. With a log, clean-first keeps them until FlushAll
+// writes each once; without one, plain LRU writes each back every round.
 func TestRevisedPagesWaitForCheckpoint(t *testing.T) {
 	const frames, revised, streamed, rounds = 16, 4, 40, 10
-	seg, pages := newSeg(t, 1, device.B1K, revised+streamed)
-	pool := NewPool(NewSizeAwareLRU(frames * device.B1K))
-	pool.Register(seg)
-	p := pids(pages)
-	hot, stream := p[:revised], p[revised:]
-	for r := 0; r < rounds; r++ {
-		for i, pid := range hot {
-			fixRelease(t, pool, pid, true)
-			for _, s := range stream[i*streamed/revised : (i+1)*streamed/revised] {
-				fixRelease(t, pool, s, false)
+	run := func(pool *Pool) Stats {
+		seg, pages := newSeg(t, 1, device.B1K, revised+streamed)
+		pool.Register(seg)
+		p := pids(pages)
+		hot, stream := p[:revised], p[revised:]
+		for r := 0; r < rounds; r++ {
+			for i, pid := range hot {
+				fixRelease(t, pool, pid, true)
+				for _, s := range stream[i*streamed/revised : (i+1)*streamed/revised] {
+					fixRelease(t, pool, s, false)
+				}
 			}
 		}
+		return pool.Stats()
 	}
-	st := pool.Stats()
+
+	pool := logged(NewPool(NewSizeAwareLRU(frames * device.B1K)))
+	st := run(pool)
 	if st.Writebacks != 0 || st.EvictWritebacks != 0 {
 		t.Fatalf("%d writebacks (%d to evict) over %d rounds; want 0 before the checkpoint", st.Writebacks, st.EvictWritebacks, rounds)
 	}
@@ -366,6 +470,10 @@ func TestRevisedPagesWaitForCheckpoint(t *testing.T) {
 	if st := pool.Stats(); st.Writebacks != revised || pool.Dirty() != 0 {
 		t.Fatalf("FlushAll: %d writebacks, %d dirty; want %d and 0", st.Writebacks, pool.Dirty(), revised)
 	}
+
+	if st := run(NewPool(NewSizeAwareLRU(frames * device.B1K))); st.EvictWritebacks < (rounds-1)*revised {
+		t.Fatalf("without a log, %d writebacks to evict over %d rounds; want plain LRU's %d a round", st.EvictWritebacks, rounds, revised)
+	}
 }
 
 // TestChainInvariantsRandomOps drives one pool over mixed page sizes with a
@@ -374,7 +482,7 @@ func TestRevisedPagesWaitForCheckpoint(t *testing.T) {
 func TestChainInvariantsRandomOps(t *testing.T) {
 	seg1, pages1 := newSeg(t, 1, device.B1K, 48)
 	seg2, pages2 := newSeg(t, 2, device.B4K, 8)
-	pool := NewPool(NewSizeAwareLRU(24 * device.B1K))
+	pool := logged(NewPool(NewSizeAwareLRU(24 * device.B1K)))
 	pool.Register(seg1)
 	pool.Register(seg2)
 	c := &pool.shards[0].policy.(*sizeAwareLRU).chain
@@ -437,7 +545,7 @@ func TestChainInvariantsRandomOps(t *testing.T) {
 func TestFlushAllBesideWriters(t *testing.T) {
 	const nPages = 64
 	seg, pages := newSeg(t, 1, device.B1K, nPages)
-	pool := NewShardedPool(func() Policy { return NewSizeAwareLRU(8 * device.B1K) }, 4)
+	pool := logged(NewShardedPool(func() Policy { return NewSizeAwareLRU(8 * device.B1K) }, 4))
 	pool.Register(seg)
 	var wg sync.WaitGroup
 	errs := make(chan error, 5)

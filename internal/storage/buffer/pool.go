@@ -5,9 +5,10 @@
 // semantics, and writes dirty pages back on eviction or flush. Replacement
 // is pluggable: the paper's modified LRU that handles different page sizes
 // within one buffer, a statically partitioned buffer, and the classic
-// single-size LRU are all provided (see policy.go). Each evicts clean pages
-// first in the colder half of its recency order, so a page that is revised
-// over and over stays dirty in the buffer until the checkpoint writes it.
+// single-size LRU are all provided (see policy.go). With a log gate
+// installed, each evicts clean pages first in the colder half of its recency
+// order, so a page that is revised over and over stays dirty in the buffer
+// until the checkpoint writes it.
 //
 // To keep concurrent molecule assemblers from serializing on one latch, the
 // pool is lock-striped: frames are spread over N shards keyed by a hash of
@@ -65,6 +66,7 @@ type frame struct {
 	pins    int
 	dirty   bool
 	cold    bool   // in the cold half of the policy's recency chain
+	coldAt  int64  // the chain's clock (chain.left) when the frame went cold
 	pageLSN uint64 // log position that must be durable before writeback
 	// prev and next thread the policy's recency chain while the frame is
 	// resident; next alone threads the free list. cprev and cnext thread
@@ -220,7 +222,9 @@ type Pool struct {
 }
 
 // SetLogGate installs the write-ahead log the pool must force before writing
-// dirty pages. Call before the pool is used concurrently.
+// dirty pages. Call before the pool is used concurrently. With a log,
+// replacement keeps dirty pages until the checkpoints the log's growth
+// schedules (see Policy).
 func (p *Pool) SetLogGate(g LogGate) { p.gate = g }
 
 // SetMissHist installs the latency observer for miss-path page reads. Call
@@ -428,7 +432,7 @@ func (sh *shard) fix(pid segment.PageID, fresh bool) (Handle, error) {
 // until a page of the given size fits. Dirty victims are written back.
 func (sh *shard) makeRoomLocked(size int) error {
 	for {
-		f, err := sh.policy.Victim(size)
+		f, err := sh.policy.Victim(size, sh.pool.gate != nil)
 		if f == nil {
 			return err
 		}

@@ -15,39 +15,62 @@ import (
 	"prima/internal/storage/device"
 )
 
-// crashCfg returns the access configuration the crash tests run under: a
-// buffer pool of four pages, smaller than the workload's padded atoms (so
-// dirty pages hit the device inside evictions, between checkpoints), and a
-// short group-commit window. The log's growth never triggers a checkpoint:
-// the workload checkpoints itself, every crashCheckpointEvery transactions,
-// so each crash point falls at the same place in every run. (A background
-// checkpoint would flush pages the workload is writing: the unlatched page
-// race of ROADMAP item 1, which -race reports.)
-func crashCfg(dir string, wrap func(string, device.Device) device.Device) access.Config {
+// crashScene is what a crash test's workload runs in: the buffer pool's
+// budget and the padding each part carries.
+type crashScene struct {
+	bufferBytes int64
+	pad         int // bytes; 0 leaves parts without a pad attribute
+}
+
+var (
+	// crashFits holds the workload's pages in the buffer: they reach the
+	// device through checkpoints and Close.
+	crashFits = crashScene{bufferBytes: 64 << 10}
+	// crashPressure gives the buffer four pages and each part a quarter of
+	// one: the parts a run leaves live span more pages than the buffer
+	// holds, so dirty pages also reach the device inside evictions, between
+	// checkpoints.
+	crashPressure = crashScene{bufferBytes: 4 << 10, pad: 240}
+)
+
+// config returns the access configuration the crash tests run under: the
+// scene's buffer, aggressive checkpointing (every 16 KiB of log, from the
+// log's own checkpoint loop) and a short group-commit window.
+func (sc crashScene) config(dir string, wrap func(string, device.Device) device.Device) access.Config {
 	return access.Config{
 		Dir:                dir,
 		WAL:                true,
 		PageSize:           1024,
-		BufferBytes:        4 << 10,
+		BufferBytes:        sc.bufferBytes,
 		GroupCommitMaxWait: 100 * time.Microsecond,
-		WALCheckpointBytes: 1 << 40,
+		WALCheckpointBytes: 16 << 10,
 		FileWrap:           wrap,
 	}
 }
 
+// crashCfg is the configuration of the tests that run in crashFits.
+func crashCfg(dir string, wrap func(string, device.Device) device.Device) access.Config {
+	return crashFits.config(dir, wrap)
+}
+
 // setupCrashDB creates a database directory holding just the schema, so
 // every incarnation under test starts from the same durable base state.
-func setupCrashDB(t *testing.T, dir string) {
+func setupCrashDB(t *testing.T, dir string) { setupCrashScene(t, crashFits, dir) }
+
+func setupCrashScene(t *testing.T, sc crashScene, dir string) {
 	t.Helper()
-	sys, err := access.Open(crashCfg(dir, nil))
+	sys, err := access.Open(sc.config(dir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := catalog.NewAtomType("part", []catalog.Attribute{
+	attrs := []catalog.Attribute{
 		{Name: "id", Type: catalog.SpecIdent()},
 		{Name: "no", Type: catalog.SpecInt()},
-		{Name: "pad", Type: catalog.SpecString()},
-	}, nil)
+	}
+	if sc.pad > 0 {
+		attrs = append(attrs, catalog.Attribute{Name: "pad", Type: catalog.SpecString()})
+	}
+	part, err := catalog.NewAtomType("part", attrs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,16 +100,9 @@ type crashOutcome struct {
 	evictWritebacks int64
 }
 
-const (
-	crashTxns            = 30
-	crashCheckpointEvery = 8
-)
+const crashTxns = 30
 
-// crashPad fills a part to a quarter of a page: the parts a run leaves live
-// span more pages than the buffer holds.
-var crashPad = atom.Str(strings.Repeat("p", 240))
-
-func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) crashOutcome {
+func crashRun(t *testing.T, sc crashScene, dir string, plan *device.CrashPlan, seed int64) crashOutcome {
 	t.Helper()
 	wrap := func(name string, d device.Device) device.Device {
 		fd := device.NewFault(d)
@@ -98,7 +114,7 @@ func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) cras
 		model: map[addr.LogicalAddr]int64{},
 		ever:  map[addr.LogicalAddr]bool{},
 	}
-	sys, err := access.Open(crashCfg(dir, wrap))
+	sys, err := access.Open(sc.config(dir, wrap))
 	if err != nil {
 		if plan.Crashed() {
 			return out // crash during open-time recovery/checkpoint
@@ -111,16 +127,15 @@ func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) cras
 	rng := rand.New(rand.NewSource(seed))
 	var live []addr.LogicalAddr // committed live addresses, insertion order
 	nextVal := int64(1)
+	fields := func(v int64) map[string]atom.Value {
+		f := map[string]atom.Value{"no": atom.Int(v)}
+		if sc.pad > 0 {
+			f["pad"] = atom.Str(strings.Repeat("p", sc.pad))
+		}
+		return f
+	}
 
 	for i := 0; i < crashTxns; i++ {
-		if i > 0 && i%crashCheckpointEvery == 0 {
-			if err := sys.Checkpoint(); err != nil {
-				if plan.Crashed() {
-					return out
-				}
-				t.Fatalf("checkpoint before txn %d: %v", i, err)
-			}
-		}
 		// Stage this transaction's intended effects: -1 marks a delete.
 		staged := map[addr.LogicalAddr]int64{}
 		var stagedLive []addr.LogicalAddr
@@ -134,7 +149,7 @@ func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) cras
 				case len(pool) == 0 || k < 5: // insert
 					v := nextVal
 					nextVal++
-					a, err := w.Insert("part", map[string]atom.Value{"no": atom.Int(v), "pad": crashPad})
+					a, err := w.Insert("part", fields(v))
 					if err != nil {
 						return err
 					}
@@ -249,9 +264,9 @@ func checkState(sys *access.System, out crashOutcome, model map[addr.LogicalAddr
 // recoverAndVerify reopens the crashed database without fault injection,
 // letting write-ahead-log recovery run, and checks the committed-prefix
 // property; then proves the database is still writable.
-func recoverAndVerify(t *testing.T, dir string, out crashOutcome, point string) {
+func recoverAndVerify(t *testing.T, sc crashScene, dir string, out crashOutcome, point string) {
 	t.Helper()
-	sys, err := access.Open(crashCfg(dir, nil))
+	sys, err := access.Open(sc.config(dir, nil))
 	if err != nil {
 		t.Fatalf("%s: reopen after crash: %v", point, err)
 	}
@@ -304,14 +319,27 @@ func recoverAndVerify(t *testing.T, dir string, out crashOutcome, point string) 
 // each crash that exactly the acked-committed prefix survived and the
 // database still works.
 func TestCrashRecoveryEveryPoint(t *testing.T) {
+	crashEveryPoint(t, crashFits, false)
+}
+
+// TestCrashRecoveryUnderBufferPressure is the property test in crashPressure:
+// a crash point also falls inside writebacks made to free a frame, while the
+// log's checkpoint loop runs beside the transactions.
+func TestCrashRecoveryUnderBufferPressure(t *testing.T) {
+	crashEveryPoint(t, crashPressure, true)
+}
+
+// crashEveryPoint runs the property test in sc; with evicts set, the
+// rehearsal must write a dirty page back to free a frame.
+func crashEveryPoint(t *testing.T, sc crashScene, evicts bool) {
 	const seed = 7
 
 	// Rehearsal: count the workload's crash points.
 	base := t.TempDir()
 	rehearsalDir := filepath.Join(base, "rehearsal")
-	setupCrashDB(t, rehearsalDir)
+	setupCrashScene(t, sc, rehearsalDir)
 	plan := device.NewCrashPlan() // never armed
-	out := crashRun(t, rehearsalDir, plan, seed)
+	out := crashRun(t, sc, rehearsalDir, plan, seed)
 	writes, syncs := plan.Counts()
 	if syncs < 5 || writes < 10 {
 		t.Fatalf("rehearsal too quiet: %d writes, %d syncs", writes, syncs)
@@ -319,10 +347,10 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 	if len(out.model) == 0 {
 		t.Fatal("rehearsal committed nothing")
 	}
-	if out.evictWritebacks == 0 {
+	if evicts && out.evictWritebacks == 0 {
 		t.Fatal("rehearsal wrote no page back to free a frame: no crash point falls inside an eviction")
 	}
-	recoverAndVerify(t, rehearsalDir, out, "rehearsal")
+	recoverAndVerify(t, sc, rehearsalDir, out, "rehearsal")
 
 	syncStep, writeStep := 1, 7
 	if testing.Short() {
@@ -333,11 +361,11 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 		k := k
 		t.Run(fmt.Sprintf("sync-%d", k), func(t *testing.T) {
 			dir := filepath.Join(base, fmt.Sprintf("sync%d", k))
-			setupCrashDB(t, dir)
+			setupCrashScene(t, sc, dir)
 			plan := device.NewCrashPlan()
 			plan.CrashAtSync(k)
-			out := crashRun(t, dir, plan, seed)
-			recoverAndVerify(t, dir, out, fmt.Sprintf("crash at sync %d", k))
+			out := crashRun(t, sc, dir, plan, seed)
+			recoverAndVerify(t, sc, dir, out, fmt.Sprintf("crash at sync %d", k))
 		})
 	}
 
@@ -347,11 +375,11 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 		torn := rng.Intn(3 * 1024)
 		t.Run(fmt.Sprintf("write-%d", j), func(t *testing.T) {
 			dir := filepath.Join(base, fmt.Sprintf("write%d", j))
-			setupCrashDB(t, dir)
+			setupCrashScene(t, sc, dir)
 			plan := device.NewCrashPlan()
 			plan.CrashAtWrite(j, torn)
-			out := crashRun(t, dir, plan, seed)
-			recoverAndVerify(t, dir, out, fmt.Sprintf("crash at write %d (torn %d)", j, torn))
+			out := crashRun(t, sc, dir, plan, seed)
+			recoverAndVerify(t, sc, dir, out, fmt.Sprintf("crash at write %d (torn %d)", j, torn))
 		})
 	}
 }
