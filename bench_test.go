@@ -2,9 +2,9 @@ package prima
 
 // One testing.B benchmark per paper artifact (tables and figures) plus the
 // ablations; `go test -bench=. -benchmem` regenerates every series, and
-// the figures that make a claim (Fig. 3.2 here, A1's BenchmarkPolicies in
-// internal/storage/buffer) fail when it no longer holds. EXPERIMENTS.md
-// records the runs.
+// the figures that make a claim (Fig. 3.2 and the reads after a load here,
+// A1's BenchmarkPolicies in internal/storage/buffer) fail when it no longer
+// holds. EXPERIMENTS.md records the runs.
 
 import (
 	"fmt"
@@ -390,6 +390,58 @@ func BenchmarkFig32_ClusterVsNoCluster(b *testing.B) {
 	}
 	if c, nc := blocks["cluster"], blocks["no_cluster"]; len(blocks) == 2 && c >= nc {
 		b.Fatalf("one pass over %d molecules moved %d device blocks through the atom cluster, %d without: the cluster must move fewer", n, c, nc)
+	}
+}
+
+// BenchmarkReadAfterLoad reads a design straight after loading it, with no
+// checkpoint between: 300 cubes under a 256 KiB buffer, the atom cache off,
+// four reads in five going to a fifth of the cubes. With the write-ahead log
+// on, replacement keeps dirty pages back for the checkpoint, and log growth
+// never brings one to a database that stopped writing; the benchmark fails
+// unless the load's dirty pages leave the buffer to the reads about as
+// plain LRU does without a log.
+func BenchmarkReadAfterLoad(b *testing.B) {
+	const n, reads = 300, 2000
+	misses := map[string]float64{}
+	for _, tc := range []struct {
+		name string
+		wal  bool
+	}{{"no_log", false}, {"log", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := Config{BufferBytes: 256 << 10}
+			if tc.wal {
+				cfg.WAL, cfg.Dir = true, b.TempDir()
+			}
+			db, _ := benchSceneConfig(b, cfg, n)
+			sys := db.System()
+			sys.SetAtomCacheSize(-1)
+			checkout := func(i int) {
+				k := i * 7919 % n
+				if i%5 != 0 {
+					k = i * 7919 % (n / 5)
+				}
+				res, err := db.ExecOne(fmt.Sprintf(`SELECT ALL FROM brep-face-edge-point WHERE brep_no = %d`, k+1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Molecules) != 1 {
+					b.Fatalf("brep_no = %d: %d molecules", k+1, len(res.Molecules))
+				}
+			}
+			before := sys.Pool().Stats().Misses
+			for i := 0; i < reads; i++ {
+				checkout(i)
+			}
+			misses[tc.name] = float64(sys.Pool().Stats().Misses-before) / reads
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				checkout(i)
+			}
+			b.ReportMetric(misses[tc.name], "misses/molecule")
+		})
+	}
+	if l, nl := misses["log"], misses["no_log"]; len(misses) == 2 && l > 1.25*nl {
+		b.Fatalf("reading a design just loaded missed %.2f times per molecule with the log on, %.2f with it off", l, nl)
 	}
 }
 

@@ -53,8 +53,9 @@ type Policy interface {
 // The cold half's clean frames are threaded a second time, in the same
 // order, through cprev/cnext, so the coldest clean frame is found without
 // walking past dirty ones: every operation but OnCleaned costs O(1) plus
-// the frames a victim search skips, which are the pinned ones (and, without
-// keepDirty, nothing else).
+// the frames a victim search passes over, which are pinned ones, and the
+// cold half's clean ones a second time when they could not cover the need
+// alone.
 type chain struct {
 	hot, cold, clean frame // ring roots
 	hotCost, cost    int64 // of the hot half, of all frames

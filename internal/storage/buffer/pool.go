@@ -8,7 +8,7 @@
 // single-size LRU are all provided (see policy.go). With a log gate
 // installed, each evicts clean pages first in the colder half of its recency
 // order, so a page that is revised over and over stays dirty in the buffer
-// until the checkpoint writes it.
+// until the checkpoint writes it, within a bounded wait.
 //
 // To keep concurrent molecule assemblers from serializing on one latch, the
 // pool is lock-striped: frames are spread over N shards keyed by a hash of
@@ -223,8 +223,8 @@ type Pool struct {
 
 // SetLogGate installs the write-ahead log the pool must force before writing
 // dirty pages. Call before the pool is used concurrently. With a log,
-// replacement keeps dirty pages until the checkpoints the log's growth
-// schedules (see Policy).
+// replacement keeps dirty pages back, for a bounded wait, for the
+// checkpoints the log's growth schedules (see Policy).
 func (p *Pool) SetLogGate(g LogGate) { p.gate = g }
 
 // SetMissHist installs the latency observer for miss-path page reads. Call
