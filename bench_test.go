@@ -2,7 +2,8 @@ package prima
 
 // One testing.B benchmark per paper artifact (tables and figures) plus the
 // ablations; `go test -bench=. -benchmem` regenerates every series, and
-// the figures that make a claim (Fig. 3.2 and the reads after a load here,
+// the figures that make a claim (Fig. 3.2, the reads after a load, and the
+// linear costs of set-oriented DML and of writes beside a long reader here,
 // A1's BenchmarkPolicies in internal/storage/buffer) fail when it no longer
 // holds. EXPERIMENTS.md records the runs.
 
@@ -699,6 +700,116 @@ func benchSnapshotScanUnderDML(b *testing.B, procs int) {
 func BenchmarkSnapshotScanUnderDML(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchSnapshotScanUnderDML(b, 1) })
 	b.Run("parallel8", func(b *testing.B) { benchSnapshotScanUnderDML(b, 8) })
+}
+
+// BenchmarkSetOrientedDelete deletes every molecule of a 100-cube and a
+// 400-cube design in one statement and reports each size's cost per deleted
+// atom: the best of several rounds, each deleting a fresh design of each
+// size in turn, so that a slow spell of the machine falls on both sizes.
+// Each write's pre-image is reclaimed as soon as no snapshot can reach it,
+// so the cost per atom must not grow with the design: the benchmark fails
+// when the 400-cube design pays more than twice the 100-cube one per atom.
+func BenchmarkSetOrientedDelete(b *testing.B) {
+	best := map[int]time.Duration{}
+	round := func() {
+		for _, n := range []int{100, 400} {
+			b.StopTimer()
+			db, _ := benchSceneConfig(b, Config{}, n)
+			b.StartTimer()
+			start := time.Now()
+			res, err := db.ExecOne(`DELETE FROM brep-face-edge-point WHERE brep_no >= 0`)
+			spent := time.Since(start)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Count != n*brepgen.CubeAtoms {
+				b.Fatalf("deleted %d atoms of %d cubes, want %d", res.Count, n, n*brepgen.CubeAtoms)
+			}
+			if d, ok := best[n]; !ok || spent < d {
+				best[n] = spent
+			}
+			b.StopTimer()
+			db.Close()
+			b.StartTimer()
+		}
+	}
+	for i := 0; i < 3; i++ {
+		round()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	perAtom := func(n int) float64 { return float64(best[n].Nanoseconds()) / 1e3 / float64(n*brepgen.CubeAtoms) }
+	b.ReportMetric(perAtom(100), "us/atom-100cubes")
+	b.ReportMetric(perAtom(400), "us/atom-400cubes")
+	if small, large := perAtom(100), perAtom(400); large > 2*small {
+		b.Fatalf("a set-oriented DELETE cost %.1f us per atom over 400 cubes, %.1f over 100: the cost per atom must not grow with the design", large, small)
+	}
+}
+
+// BenchmarkPinnedSnapshotWrite writes single atoms beside one snapshot, the
+// stand-in for a long design transaction, that pins 1k versions in one
+// database and 16k in another. Rounds of 256 point writes alternate between
+// the two, and each side's best round gives its cost per write, which must
+// not grow with the history the snapshot holds: the benchmark fails when the
+// 16k side pays more than twice the 1k side per write.
+func BenchmarkPinnedSnapshotWrite(b *testing.B) {
+	const rounds, pass = 10, 256
+	type side struct {
+		write func(i int)
+		best  time.Duration
+	}
+	var sides [2]side
+	for k, versions := range []int{1 << 10, 16 << 10} {
+		db, err := Open(Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { db.Close() })
+		if _, err := db.Exec(`CREATE ATOM_TYPE node (node_id : IDENTIFIER, n : INTEGER)`); err != nil {
+			b.Fatal(err)
+		}
+		sys := db.System()
+		addrs := make([]addr.LogicalAddr, versions)
+		for i := range addrs {
+			if addrs[i], err = sys.Insert("node", map[string]atom.Value{"n": atom.Int(0)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Cleanup(sys.OpenSnapshot().Close)
+		sides[k].write = func(i int) {
+			if err := sys.Update(addrs[i%versions], map[string]atom.Value{"n": atom.Int(int64(i))}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := range addrs {
+			sides[k].write(i)
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		for k := range sides {
+			start := time.Now()
+			for i := 0; i < pass; i++ {
+				sides[k].write(i)
+			}
+			if spent := time.Since(start); r == 0 || spent < sides[k].best {
+				sides[k].best = spent
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sides[i%2].write(i)
+	}
+	b.StopTimer()
+	small := float64(sides[0].best.Nanoseconds()) / 1e3 / pass
+	large := float64(sides[1].best.Nanoseconds()) / 1e3 / pass
+	b.ReportMetric(small, "us/write-1k")
+	b.ReportMetric(large, "us/write-16k")
+	if large > 2*small {
+		b.Fatalf("a point write under a pinned snapshot cost %.1f us beside 16k retained versions, %.1f beside 1k: the cost per write must not grow with the history held", large, small)
+	}
 }
 
 // BenchmarkSemanticParallelism (A5): GOMAXPROCS sweep over a molecule-set

@@ -51,6 +51,17 @@ func (s *System) registerMetrics() {
 	// MVCC snapshot store.
 	r.GaugeFunc("mvcc_open_snapshots", func() float64 { return float64(s.OpenSnapshots()) })
 	r.GaugeFunc("mvcc_versions", func() float64 { return float64(s.mv.entries.Load()) })
+	// Writes begun since the oldest open snapshot's epoch: the history it
+	// pins. A forgotten transaction shows as a lag that only grows.
+	r.GaugeFunc("mvcc_oldest_snapshot_lag_writes", func() float64 {
+		m := s.mv
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if len(m.snaps) == 0 {
+			return 0
+		}
+		return float64(m.nextW - m.minSnap)
+	})
 
 	// Write-ahead log. The mirrors report zeros when the WAL is off, with
 	// wal_enabled distinguishing "off" from "idle".

@@ -20,9 +20,9 @@ import (
 // against the epoch they captured at open, so a cursor that reads ahead of
 // its consumer (the parallel assembly pipeline) can never observe a writer's
 // mutation mid-iteration. Old versions are reclaimed as soon as no open
-// snapshot can reach them — GC is driven by write completion and by
-// Snapshot.Close, so a write-only or snapshot-free workload keeps every
-// chain empty and pays a single atomic load per read.
+// snapshot can reach them, from one queue of writes in id order that write
+// completion and Snapshot.Close pop up to the reclaim limit: a snapshot-free
+// workload keeps every chain empty, and a long reader taxes no writer.
 //
 // Epochs come from one global write counter (the generalized version stamp):
 // a write span gets id w = nextW+1 and stays "active" until its mutation is
@@ -38,11 +38,6 @@ import (
 
 // mvShardCount is the number of chain-map lock stripes (power of two).
 const mvShardCount = 64
-
-// mvSweepThreshold triggers a full sweep from writeEnd when the total number
-// of chain entries exceeds it — a safety net against long-lived snapshots
-// accumulating unbounded history while targeted pruning is blocked.
-const mvSweepThreshold = 512
 
 // mvVersion is one chain entry: the atom's record visible at epochs < w.
 // The zero record says that the atom did not exist before write w.
@@ -74,6 +69,11 @@ type mvStore struct {
 	ended   *sync.Cond          // on mu: a write span ended (see AwaitWrites)
 	snaps   map[uint64]int      // open snapshots per epoch (refcounted)
 	minSnap uint64              // min key of snaps (valid while len(snaps) > 0)
+	// queue[qHead:] holds the chain address of each write not yet reclaimed,
+	// in id order: ids are handed out and queued together under mu, so the
+	// queue holds exactly the ids nextW-queued+1 .. nextW.
+	queue []addr.LogicalAddr
+	qHead int
 }
 
 func newMVStore() *mvStore {
@@ -105,7 +105,8 @@ func (m *mvStore) epochLocked() uint64 {
 }
 
 // reclaimLimitLocked returns the highest write id whose pre-images no open
-// snapshot can reach: entries with w <= limit are dead.
+// snapshot can reach: entries with w <= limit are dead. The limit never
+// decreases, and every write up to it has ended, so its entry is installed.
 func (m *mvStore) reclaimLimitLocked() uint64 {
 	limit := m.epochLocked()
 	if len(m.snaps) > 0 && m.minSnap < limit {
@@ -123,6 +124,7 @@ func (m *mvStore) writeBegin(a addr.LogicalAddr, pre Record) uint64 {
 	m.nextW++
 	w := m.nextW
 	m.active[w] = struct{}{}
+	m.queue = append(m.queue, a)
 	m.mu.Unlock()
 
 	// Count before installing: a reader that loads entries == 0 after its
@@ -146,18 +148,39 @@ func (m *mvStore) writeBegin(a addr.LogicalAddr, pre Record) uint64 {
 	return w
 }
 
-// writeEnd closes write span w over atom a and reclaims whatever history
-// became unreachable. With no snapshot open this prunes the just-installed
-// entry immediately, so chains stay empty in steady state.
-func (m *mvStore) writeEnd(a addr.LogicalAddr, w uint64) {
+// writeEnd closes write span w and reclaims whatever history became
+// unreachable, so with no snapshot open chains stay empty in steady state.
+func (m *mvStore) writeEnd(w uint64) {
 	m.mu.Lock()
 	delete(m.active, w)
-	limit := m.reclaimLimitLocked()
 	m.ended.Broadcast()
-	m.mu.Unlock()
-	m.pruneChain(a, limit)
-	if m.entries.Load() > mvSweepThreshold {
-		m.sweep(limit)
+	m.reclaimAndUnlock()
+}
+
+// reclaimAndUnlock prunes the chains of the queued writes the reclaim limit
+// has passed; called with mu held, it releases it. It pops them 32 at a time
+// onto the stack and prunes with mu free. A pass that pops fewer is done:
+// whoever advances the limit after its look runs a pass of its own.
+func (m *mvStore) reclaimAndUnlock() {
+	var batch [32]addr.LogicalAddr
+	for {
+		limit := m.reclaimLimitLocked()
+		// The queue holds ids nextW-queued+1 .. nextW: pop those up to limit.
+		queued := uint64(len(m.queue) - m.qHead)
+		n := copy(batch[:], m.queue[m.qHead:m.qHead+int(limit+queued-m.nextW)])
+		m.qHead += n
+		if m.qHead*2 >= len(m.queue) {
+			m.queue = m.queue[:copy(m.queue, m.queue[m.qHead:])]
+			m.qHead = 0
+		}
+		m.mu.Unlock()
+		for _, a := range batch[:n] {
+			m.pruneChain(a, limit)
+		}
+		if n < len(batch) {
+			return
+		}
+		m.mu.Lock()
 	}
 }
 
@@ -180,34 +203,6 @@ func (m *mvStore) pruneChain(a addr.LogicalAddr, limit uint64) {
 	sh.mu.Unlock()
 	if n > 0 {
 		m.entries.Add(int64(-n))
-	}
-}
-
-// sweep reclaims dead entries across all shards.
-func (m *mvStore) sweep(limit uint64) {
-	var removed int64
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for a, chain := range sh.chains {
-			n := 0
-			for n < len(chain) && chain[n].w <= limit {
-				n++
-			}
-			if n == 0 {
-				continue
-			}
-			removed += int64(n)
-			if n == len(chain) {
-				delete(sh.chains, a)
-			} else {
-				sh.chains[a] = append([]mvVersion(nil), chain[n:]...)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if removed > 0 {
-		m.entries.Add(-removed)
 	}
 }
 
@@ -288,7 +283,7 @@ func (s *System) mvBegin(t *catalog.AtomType, a addr.LogicalAddr, pre []atom.Val
 		rec = Record{Type: t, Addr: a, Image: atom.ImageOf(pre)}
 	}
 	w := s.mv.writeBegin(a, rec)
-	return func() { s.mv.writeEnd(a, w) }
+	return func() { s.mv.writeEnd(w) }
 }
 
 // --- snapshots ------------------------------------------------------------------
@@ -398,25 +393,16 @@ func (sn *Snapshot) Close() {
 	}
 	m := sn.sys.mv
 	m.mu.Lock()
-	if n := m.snaps[sn.epoch]; n > 1 {
-		m.snaps[sn.epoch] = n - 1
-	} else {
+	if m.snaps[sn.epoch]--; m.snaps[sn.epoch] == 0 {
 		delete(m.snaps, sn.epoch)
-		if len(m.snaps) > 0 && sn.epoch == m.minSnap {
-			min := uint64(math.MaxUint64)
+		if sn.epoch == m.minSnap {
+			m.minSnap = math.MaxUint64
 			for e := range m.snaps {
-				if e < min {
-					min = e
-				}
+				m.minSnap = min(m.minSnap, e)
 			}
-			m.minSnap = min
 		}
 	}
-	limit := m.reclaimLimitLocked()
-	m.mu.Unlock()
-	if m.entries.Load() > 0 {
-		m.sweep(limit)
-	}
+	m.reclaimAndUnlock()
 }
 
 // Resolve reads address a at the snapshot's epoch: a decided chain serves

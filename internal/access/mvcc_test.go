@@ -2,7 +2,11 @@ package access
 
 import (
 	"errors"
+	"math/rand/v2"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -438,4 +442,203 @@ func TestAwaitWritesGivesReadYourWrites(t *testing.T) {
 		t.Fatalf("after AwaitWrites the session reads n = %d, want its own 100", got)
 	}
 	s.AwaitWrites(0) // a session that never wrote does not wait
+}
+
+// bareMV is a multi-version store with no pages behind it: the System around
+// it serves only snapshots, so a test drives write spans by hand and the
+// "current state" is whatever its fetch function says.
+func bareMV() (*System, *mvStore) {
+	m := newMVStore()
+	return &System{mv: m}, m
+}
+
+// queued is how many writes the reclamation queue still holds.
+func (m *mvStore) queued() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.queue) - m.qHead
+}
+
+// intRec is a record whose image holds the one value v.
+func intRec(v int64) Record { return Record{Image: atom.ImageOf([]atom.Value{atom.Int(v)})} }
+
+// TestMVStoreInterleavedWritersReclaim: a write that ends while an older one
+// is still in flight keeps its entry (a snapshot opened now would sit below
+// the older write and need it); once the older write ends, both entries go,
+// with no snapshot ever opened.
+func TestMVStoreInterleavedWritersReclaim(t *testing.T) {
+	_, m := bareMV()
+	w1 := m.writeBegin(addr.New(1, 1), intRec(0))
+	w2 := m.writeBegin(addr.New(1, 2), intRec(0))
+	m.writeEnd(w2)
+	if got := m.entries.Load(); got != 2 {
+		t.Fatalf("entries = %d while the older write is in flight, want 2", got)
+	}
+	m.writeEnd(w1)
+	if got, q := m.entries.Load(), m.queued(); got != 0 || q != 0 {
+		t.Fatalf("entries = %d, queued = %d after both writes ended, want 0 and 0", got, q)
+	}
+}
+
+// TestMVStorePinnedSnapshotKeepsItsHistory: history from before a snapshot
+// is gone by the time it opens, even the part a stalled writer held back;
+// the snapshot then keeps exactly the entries written after it, resolves
+// each address to its pre-image, and its Close frees them all.
+func TestMVStorePinnedSnapshotKeepsItsHistory(t *testing.T) {
+	s, m := bareMV()
+	stalled := m.writeBegin(addr.New(1, 1000), intRec(0))
+	for i := uint64(1); i <= 10; i++ {
+		m.writeEnd(m.writeBegin(addr.New(1, i), intRec(0)))
+	}
+	m.writeEnd(stalled)
+	if got := m.entries.Load(); got != 0 {
+		t.Fatalf("entries = %d before the snapshot opened, want 0", got)
+	}
+
+	sn := s.OpenSnapshot()
+	const n, spread = 100, 50
+	for i := 0; i < n; i++ {
+		m.writeEnd(m.writeBegin(addr.New(1, uint64(i%spread)), intRec(int64(i))))
+	}
+	if got, q := m.entries.Load(), m.queued(); got != n || q != n {
+		t.Fatalf("entries = %d, queued = %d under the snapshot, want %d and %d", got, q, n, n)
+	}
+	for i := 0; i < spread; i++ {
+		rec, err := sn.Resolve(addr.New(1, uint64(i)), func() (Record, error) { return intRec(-1), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := rec.Image.Attr(0).I; v != int64(i) {
+			t.Fatalf("address %d resolves to %d at the snapshot, want its first pre-image %d", i, v, i)
+		}
+	}
+	sn.Close()
+	if got, q := m.entries.Load(), m.queued(); got != 0 || q != 0 {
+		t.Fatalf("entries = %d, queued = %d after Close, want 0 and 0", got, q)
+	}
+}
+
+// TestMVStoreConcurrentSnapshotsReadTheirEpoch runs writers, snapshots that
+// open and close, and reads through them at once. Writers of one address
+// take turns, as atom locks make them, and count it up by one per write, so
+// the value a snapshot must read is the number of that address's writes at
+// or below its epoch. The writers go on after the last snapshot closed, and
+// at the end every entry is reclaimed, with no Close left to sweep it.
+func TestMVStoreConcurrentSnapshotsReadTheirEpoch(t *testing.T) {
+	s, m := bareMV()
+	const atoms, writers, writes, readers, snaps = 8, 4, 400, 2, 150
+	var cur [atoms]atomic.Int64
+	var turns [atoms]sync.Mutex
+	type write struct {
+		w uint64
+		i int
+	}
+	type read struct {
+		e    uint64
+		i    int
+		v    int64
+		torn bool
+	}
+	logs := make([][]write, writers)
+	seen := make([][]read, readers)
+	var wg, rg sync.WaitGroup
+	readersDone := make(chan struct{})
+	for g := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewPCG(uint64(g), 1))
+			for range writes {
+				i := r.IntN(atoms)
+				turns[i].Lock()
+				v := cur[i].Load()
+				w := m.writeBegin(addr.New(1, uint64(i)), intRec(v))
+				cur[i].Store(v + 1)
+				runtime.Gosched() // a mutation takes a while: let other writers begin
+				m.writeEnd(w)
+				turns[i].Unlock()
+				logs[g] = append(logs[g], write{w, i})
+			}
+			// Once the last snapshot closed, each writer goes on over atoms
+			// of its own, which no later write of the atom prunes by chance.
+			<-readersDone
+			for k := range writes {
+				a := addr.New(2, uint64(g*writes+k))
+				w := m.writeBegin(a, intRec(0))
+				runtime.Gosched()
+				m.writeEnd(w)
+			}
+		}()
+	}
+	for g := range readers {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for range snaps {
+				sn := s.OpenSnapshot()
+				for i := range atoms {
+					a := addr.New(1, uint64(i))
+					rec, err := sn.Resolve(a, func() (Record, error) { return intRec(cur[i].Load()), nil })
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					v := rec.Image.Attr(0).I
+					// A second look through the chains alone must agree.
+					pre, ok := m.versionAt(a, sn.Epoch())
+					seen[g] = append(seen[g], read{sn.Epoch(), i, v, ok && pre.Image.Attr(0).I != v})
+				}
+				sn.Close()
+			}
+		}()
+	}
+	rg.Wait()
+	close(readersDone)
+	wg.Wait()
+
+	ids := make([][]uint64, atoms)
+	for _, l := range logs {
+		for _, wr := range l {
+			ids[wr.i] = append(ids[wr.i], wr.w)
+		}
+	}
+	for i := range ids {
+		slices.Sort(ids[i])
+	}
+	for _, l := range seen {
+		for _, rd := range l {
+			want, _ := slices.BinarySearch(ids[rd.i], rd.e+1)
+			if rd.v != int64(want) || rd.torn {
+				t.Fatalf("a snapshot at epoch %d read atom %d as %d (chains agree: %v), want %d", rd.e, rd.i, rd.v, !rd.torn, want)
+			}
+		}
+	}
+	if got, q := m.entries.Load(), m.queued(); got != 0 || q != 0 {
+		t.Fatalf("entries = %d, queued = %d after every write ended and every snapshot closed, want 0 and 0", got, q)
+	}
+}
+
+// TestOldestSnapshotLagGauge: the gauge counts the writes begun since the
+// oldest open snapshot's epoch, and drops to 0 when none is open.
+func TestOldestSnapshotLagGauge(t *testing.T) {
+	s, addrs := nodeSystem(t, 2)
+	lag := func() float64 { return s.Obs().Snapshot().Gauge("mvcc_oldest_snapshot_lag_writes") }
+	if got := lag(); got != 0 {
+		t.Fatalf("lag = %v with no snapshot open, want 0", got)
+	}
+	sn := s.OpenSnapshot()
+	for i := 1; i <= 3; i++ {
+		if err := s.Update(addrs[0], map[string]atom.Value{"n": atom.Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	young := s.OpenSnapshot()
+	if got := lag(); got != 3 {
+		t.Fatalf("lag = %v after three writes under the oldest snapshot, want 3", got)
+	}
+	sn.Close()
+	if got := lag(); got != 0 {
+		t.Fatalf("lag = %v with only a snapshot of the current epoch open, want 0", got)
+	}
+	young.Close()
 }

@@ -696,8 +696,8 @@ func (e *Engine) runDML(c *prepared, params []atom.Value, ctx execCtx) (*Result,
 		asp.End()
 		return nil, err
 	}
-	defer cur.Close()
 	mols, err := cur.Collect()
+	cur.Close() // before apply, or its snapshot pins every pre-image the apply makes
 	asp.End()
 	if err != nil {
 		return nil, err

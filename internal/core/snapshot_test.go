@@ -6,7 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"prima/internal/access"
+	"prima/internal/access/addr"
+	"prima/internal/access/atom"
 	"prima/internal/core"
+	"prima/internal/storage/wal"
 )
 
 // TestSnapshotCursorFrozenUnderDML is the isolation acceptance test (run it
@@ -169,4 +173,45 @@ func renderSetEqual(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// openSnapshotsAtAcquire is a write scope that notes how many snapshots are
+// open each time a mutation is admitted.
+type openSnapshotsAtAcquire struct {
+	sys  *access.System
+	open []int
+}
+
+func (p *openSnapshotsAtAcquire) Acquire(addr.LogicalAddr) error {
+	p.open = append(p.open, p.sys.OpenSnapshots())
+	return nil
+}
+
+func (p *openSnapshotsAtAcquire) Release(addr.LogicalAddr, wal.Kind, []atom.Value, error) {}
+
+// TestDMLClosesCursorBeforeApply: a set-oriented MODIFY or DELETE qualifies
+// its molecules through a cursor, whose snapshot would pin every pre-image
+// the statement's own writes produce. It is closed before the first write.
+func TestDMLClosesCursorBeforeApply(t *testing.T) {
+	e, _ := sceneEngine(t, 4)
+	for _, q := range []string{
+		`MODIFY face SET square_dim = 9.5 WHERE square_dim > -1000.0`,
+		`DELETE FROM brep-face-edge-point WHERE brep_no >= 0`,
+	} {
+		p := &openSnapshotsAtAcquire{sys: e.System()}
+		tr := e.System().Tracer().BeginForced("dml")
+		_, err := e.ExecuteScriptTraced(q, tr, e.System().Writer(0, p))
+		tr.Finish()
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(p.open) == 0 {
+			t.Fatalf("%s admitted no write", q)
+		}
+		for i, n := range p.open {
+			if n != 0 {
+				t.Fatalf("%s: %d snapshots open when write %d was admitted, want 0", q, n, i)
+			}
+		}
+	}
 }
