@@ -207,6 +207,15 @@ func (c *atomCache) get(a addr.LogicalAddr) (atom.Image, bool) {
 	return img, true
 }
 
+// holds reports whether a has an entry, without counting a lookup.
+func (c *atomCache) holds(a addr.LogicalAddr) bool {
+	sh := c.shardOf(a)
+	sh.mu.Lock()
+	_, ok := sh.entries[a]
+	sh.mu.Unlock()
+	return ok
+}
+
 // stamp captures a's version stamp. Readers call it before fixing any page
 // of the atom's record (or probing the directory); put refuses the result if
 // the stamp moved since.

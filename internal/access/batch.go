@@ -51,20 +51,24 @@ func recordsOf(addrs []addr.LogicalAddr) []Record {
 // cache hits are filled in first; the misses are grouped by primary container
 // and by page, so one directory lookup and one buffer fix serve every atom
 // that shares a page — what molecule assembly issues for each level's
-// fan-out. A missed record is checked once and, unless publish is off (scans
-// read every atom once), published to the cache under the version stamp
-// captured before its page read; an image that fails the check fails the
-// batch and is never cached. After an error recs is filled in part. Cache
-// hits/misses, atoms read and distinct pages touched are charged to sp
-// (nil-safe no-ops when the request is untraced).
+// fan-out, and, as a batch of one, every single-atom read. A missed record
+// is checked once and, unless publish is off (scans read every atom once),
+// published to the cache under the version stamp captured before its page
+// read; an image that fails the check fails the batch and is never cached.
+// After an error recs is filled in part. A batch that missed is timed into
+// access_decode_ns. Cache hits/misses, atoms read, distinct pages touched and
+// the time are charged to sp (nil-safe no-ops when the request is untraced).
 func (s *System) fill(recs []Record, sp *obs.Span, publish bool) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	start := time.Now()
+	var miss []int
 	defer func() {
 		el := time.Since(start).Nanoseconds()
-		s.decodeNs.Observe(el)
+		if miss != nil {
+			s.decodeNs.Observe(el)
+		}
 		sp.Add(obs.CtrDecodeNs, el)
 	}()
 
@@ -73,7 +77,11 @@ func (s *System) fill(recs []Record, sp *obs.Span, publish bool) error {
 
 	// Cache hits are filled in place; miss collects the positions still to
 	// read. A level is almost always one atom type: t is resolved per run.
-	var miss []int
+	// Up to eight misses (nearly every level) the scratch stays on the stack.
+	var missBuf [8]int
+	var ridBuf [8]addr.RID
+	var stampBuf [8]uint64
+	var dataBuf [8][]byte
 	var t *catalog.AtomType
 	for i := range recs {
 		rec := &recs[i]
@@ -95,45 +103,42 @@ func (s *System) fill(recs []Record, sp *obs.Span, publish bool) error {
 			}
 		}
 		if miss == nil {
-			miss = make([]int, 0, len(recs)-i)
+			miss = scratch(missBuf[:], len(recs)-i)[:0]
 		}
 		miss = append(miss, i)
 	}
-	if sp != nil {
-		sp.Add(obs.CtrCacheHits, int64(len(recs)-len(miss)))
-		sp.Add(obs.CtrCacheMisses, int64(len(miss)))
-	}
+	sp.Add(obs.CtrCacheHits, int64(len(recs)-len(miss)))
+	sp.Add(obs.CtrCacheMisses, int64(len(miss)))
 
 	// Read the misses type by type, in order of first appearance: each type
 	// owns one primary container. The first round normally takes all of miss
-	// and rest stays empty.
-	for len(miss) > 0 {
-		t := recs[miss[0]].Type
-		idxs, rest := miss[:0], []int(nil)
-		for _, i := range miss {
+	// and rest stays empty; miss itself stays set for the timing above.
+	for todo := miss; len(todo) > 0; {
+		t := recs[todo[0]].Type
+		idxs, rest := todo[:0], []int(nil)
+		for _, i := range todo {
 			if recs[i].Type == t {
 				idxs = append(idxs, i) // in place: never ahead of the read position
 			} else {
 				rest = append(rest, i)
 			}
 		}
-		miss = rest
-		rids := make([]addr.RID, len(idxs))
+		todo = rest
+		rids := scratch(ridBuf[:], len(idxs))
 		var stamps []uint64
 		if publish {
-			stamps = make([]uint64, len(idxs))
+			stamps = scratch(stampBuf[:], len(idxs))
 		}
 		for j, i := range idxs {
 			a := recs[i].Addr
 			if publish {
-				// Capture before the directory probe and page read, like
-				// cached does.
-				stamps[j] = cache.stamp(a)
+				stamps[j] = cache.stamp(a) // before the directory probe and page read
 			}
 			ref, ok := s.dir.LookupStruct(a, 0)
 			if !ok {
 				if publish {
-					// Publish the negative fact, like readRecord does.
+					// Remember the miss: inserts and resurrections bump the
+					// stamp, so it cannot outlive the address coming to life.
 					cache.put(a, atom.Image{}, stamps[j])
 				}
 				return fmt.Errorf("%w: %v", ErrNoAtom, a)
@@ -144,14 +149,13 @@ func (s *System) fill(recs []Record, sp *obs.Span, publish bool) error {
 		if err != nil {
 			return err
 		}
-		data, pages, err := prim.ReadBatch(rids)
+		data := scratch(dataBuf[:], len(idxs))
+		pages, err := prim.ReadBatch(rids, data)
 		if err != nil {
 			return err
 		}
-		if sp != nil {
-			sp.Add(obs.CtrAtomsDecoded, int64(len(idxs)))
-			sp.Add(obs.CtrPagesPinned, int64(pages))
-		}
+		sp.Add(obs.CtrAtomsDecoded, int64(len(idxs)))
+		sp.Add(obs.CtrPagesPinned, int64(pages))
 		// Each record is its own fresh copy, so an image may outlive the
 		// batch in the cache and LRU eviction frees memory atom by atom.
 		for j, i := range idxs {
@@ -166,4 +170,12 @@ func (s *System) fill(recs []Record, sp *obs.Span, publish bool) error {
 		}
 	}
 	return nil
+}
+
+// scratch returns buf[:n] when n fits it, else a new slice of length n.
+func scratch[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
 }

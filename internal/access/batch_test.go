@@ -8,6 +8,7 @@ import (
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
 	"prima/internal/catalog"
+	"prima/internal/race"
 )
 
 // batchSystem builds an in-memory system with a simple wide/narrow type and
@@ -283,5 +284,73 @@ func TestScanAddrsAfterPaging(t *testing.T) {
 	}
 	if len(chunk) == 0 || chunk[0] != addrs[15] {
 		t.Fatalf("paging over deletions: first = %v, want %v", chunk, addrs[15])
+	}
+}
+
+// TestDecodeHistogramTimesMisses: access_decode_ns times record fetch and
+// image check on cache misses, so a batch the atom cache serves whole adds no
+// sample and a batch that missed adds exactly one.
+func TestDecodeHistogramTimesMisses(t *testing.T) {
+	s, addrs := nodeSystem(t, 16)
+	samples := func() uint64 { return s.decodeNs.Snapshot().Count }
+	s.SetAtomCacheSize(0)
+	s.SetAtomCacheSize(1 << 20)
+	before := samples()
+	if _, err := s.GetBatch(addrs, nil); err != nil {
+		t.Fatalf("cold GetBatch: %v", err)
+	}
+	if got := samples() - before; got != 1 {
+		t.Fatalf("cold GetBatch added %d samples, want 1", got)
+	}
+	before = samples()
+	if _, err := s.GetBatch(addrs, nil); err != nil {
+		t.Fatalf("warm GetBatch: %v", err)
+	}
+	if _, err := s.Get(addrs[0], nil); err != nil {
+		t.Fatalf("warm Get: %v", err)
+	}
+	if got := samples() - before; got != 0 {
+		t.Fatalf("warm reads added %d samples, want 0", got)
+	}
+}
+
+// TestAllocsSingleRead: a one-atom read is a batch of one through fill and
+// must cost no more than the record copy and the decode, so the batch scratch
+// has to stay on the stack; an update's pre-image read is one such read.
+func TestAllocsSingleRead(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s, addrs := nodeSystem(t, 64)
+	get := func() {
+		if _, err := s.Get(addrs[7], nil); err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+	}
+	changes := map[string]atom.Value{"n": atom.Int(0)}
+	k := int64(0)
+	update := func() {
+		k++
+		changes["n"] = atom.Int(k)
+		if err := s.Update(addrs[9], changes); err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		cache  int
+		fn     func()
+		budget float64
+	}{
+		{"warm Get", 1 << 20, get, 2},
+		{"Get, cache off", 0, get, 3},
+		{"Update, cache on", 1 << 20, update, 13},
+		{"Update, cache off", 0, update, 12},
+	} {
+		s.SetAtomCacheSize(c.cache)
+		c.fn()
+		if got := testing.AllocsPerRun(100, c.fn); got > c.budget {
+			t.Errorf("%s: %.0f allocs, budget %.0f", c.name, got, c.budget)
+		}
 	}
 }

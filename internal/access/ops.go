@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
@@ -296,116 +295,49 @@ func (w Writer) editBackRef(t *catalog.AtomType, attrIdx int, target addr.Logica
 // one with minimum access cost should be selected" — unless the atom cache
 // already holds the atom's image. The returned Atom is a private decode.
 func (s *System) Get(a addr.LogicalAddr, attrs []string) (*Atom, error) {
-	if attrs == nil {
-		rec, err := s.record(a)
+	var want []int
+	if attrs != nil {
+		t, err := s.typeByID(a.Type())
 		if err != nil {
 			return nil, err
 		}
-		return rec.Decode(), nil
-	}
-	t, err := s.typeByID(a.Type())
-	if err != nil {
-		return nil, err
-	}
-	want := make([]int, 0, len(attrs))
-	for _, name := range attrs {
-		i, ok := t.AttrIndex(name)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, t.Name, name)
+		want = make([]int, 0, len(attrs))
+		for _, name := range attrs {
+			i, ok := t.AttrIndex(name)
+			if !ok {
+				return nil, fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, t.Name, name)
+			}
+			want = append(want, i)
 		}
-		want = append(want, i)
-	}
-	cache := s.cache()
-	rec, stamp, err := s.cached(cache, t, a)
-	if err != nil {
-		return nil, err
-	}
-	if rec.Image.IsZero() {
-		// Try a covering, valid partition before the primary record.
-		if refs, err := s.dir.Lookup(a); err == nil {
-			if at, ok, err := s.getFromPartition(t, a, refs, want); err != nil || ok {
-				return at, err
+		if cache := s.cache(); cache == nil || !cache.holds(a) {
+			// Try a covering, valid partition before the primary record.
+			if refs, err := s.dir.Lookup(a); err == nil {
+				if at, ok, err := s.getFromPartition(t, a, refs, want); err != nil || ok {
+					return at, err
+				}
 			}
 		}
-		if rec, err = s.readRecord(cache, t, a, stamp); err != nil {
-			return nil, err
-		}
 	}
-	proj := t.NewAtomValues(a)
+	rec, err := s.record(a)
+	if err != nil {
+		return nil, err
+	}
+	if want == nil {
+		return rec.Decode(), nil
+	}
+	proj := rec.Type.NewAtomValues(a)
 	for _, i := range want {
 		proj[i] = rec.Image.Attr(i)
 	}
-	return &Atom{Type: t, Addr: a, Values: proj}, nil
+	return &Atom{Type: rec.Type, Addr: a, Values: proj}, nil
 }
 
-// record reads atom a's record image: from the atom cache when it is there,
-// else from the primary record.
+// record reads atom a's record image: a batch of one through fill, so it
+// is served from the atom cache when the image is there.
 func (s *System) record(a addr.LogicalAddr) (Record, error) {
-	t, err := s.typeByID(a.Type())
-	if err != nil {
-		return Record{}, err
-	}
-	cache := s.cache()
-	rec, stamp, err := s.cached(cache, t, a)
-	if err != nil || !rec.Image.IsZero() {
-		return rec, err
-	}
-	return s.readRecord(cache, t, a, stamp)
-}
-
-// cached probes the atom cache for a. A hit returns the record; a miss
-// returns the zero Record and the version stamp to publish the read under,
-// captured before the directory is probed or any page fixed: a write that
-// lands after this point bumps the stamp and whatever readRecord publishes
-// is refused (see atomcache.go).
-func (s *System) cached(cache *atomCache, t *catalog.AtomType, a addr.LogicalAddr) (Record, uint64, error) {
-	if cache == nil {
-		return Record{}, 0, nil
-	}
-	if img, ok := cache.get(a); ok {
-		if img.IsZero() {
-			// Negative hit: the address is known not to exist.
-			return Record{}, 0, fmt.Errorf("%w: %v", ErrNoAtom, a)
-		}
-		return Record{Type: t, Addr: a, Image: img}, 0, nil
-	}
-	return Record{}, cache.stamp(a), nil
-}
-
-// readRecord reads atom a's primary record, checks the image and publishes
-// it to the cache under the stamp cached captured.
-func (s *System) readRecord(cache *atomCache, t *catalog.AtomType, a addr.LogicalAddr, stamp uint64) (Record, error) {
-	ref, ok := s.dir.LookupStruct(a, 0)
-	if !ok {
-		if cache != nil {
-			// Remember the miss: hot existence probes of deleted atoms skip
-			// the directory next time. Inserts and resurrections bump the
-			// stamp, so the entry cannot outlive the address coming to life.
-			cache.put(a, atom.Image{}, stamp)
-		}
-		return Record{}, fmt.Errorf("%w: %v", ErrNoAtom, a)
-	}
-	prim, err := s.primary(t)
-	if err != nil {
-		return Record{}, err
-	}
-	// Timed like the batched miss path: record fetch plus image check. Cache
-	// hits pay nothing.
-	start := time.Now()
-	data, err := prim.Read(ref.Where)
-	if err != nil {
-		return Record{}, err
-	}
-	// The record is a fresh copy; the image owns it from here on.
-	img, err := atom.CheckImage(data)
-	if err != nil {
-		return Record{}, err
-	}
-	s.decodeNs.ObserveSince(start)
-	if cache != nil {
-		cache.put(a, img, stamp)
-	}
-	return Record{Type: t, Addr: a, Image: img}, nil
+	recs := [1]Record{{Addr: a}}
+	err := s.fill(recs[:], nil, true)
+	return recs[0], err
 }
 
 // getFromPartition serves a projected read from a covering partition.

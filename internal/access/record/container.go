@@ -128,10 +128,7 @@ func (c *Container) Insert(rec []byte) (addr.RID, error) {
 	if len(rec)+1 > c.stubLimit() {
 		return c.insertSpilled(rec)
 	}
-	stored := make([]byte, 0, len(rec)+1)
-	stored = append(stored, flagInline)
-	stored = append(stored, rec...)
-	return c.insertStored(stored)
+	return c.insertStored(append([]byte{flagInline}, rec...))
 }
 
 func (c *Container) insertSpilled(rec []byte) (addr.RID, error) {
@@ -166,100 +163,106 @@ func (c *Container) insertStored(stored []byte) (addr.RID, error) {
 		if c.fsi[no] < len(stored) {
 			continue
 		}
-		rid, ok, err := c.tryInsertLocked(no, stored)
+		rid, err := c.insertLocked(no, false, stored)
+		if errors.Is(err, page.ErrNoSpace) {
+			continue
+		}
 		if err != nil {
 			return addr.RID{}, err
 		}
-		if ok {
-			c.hint = idx
-			return rid, nil
-		}
+		c.hint = idx
+		return rid, nil
 	}
 	// No page fits: allocate a new one.
 	no, err := c.seg.AllocatePage()
 	if err != nil {
 		return addr.RID{}, fmt.Errorf("record: allocate page: %w", err)
 	}
-	h, err := c.pool.FixNew(segment.PageID{Seg: c.seg.ID(), No: no})
+	rid, err := c.insertLocked(no, true, stored)
 	if err != nil {
 		return addr.RID{}, err
 	}
-	pg := h.Page()
-	pg.Init(page.TypeData, uint32(c.seg.ID()), no)
-	slot, err := pg.Insert(stored)
-	if err != nil {
-		h.Release()
-		return addr.RID{}, fmt.Errorf("record: insert into fresh page: %w", err)
-	}
-	h.MarkDirty()
-	c.fsi[no] = pg.FreeSpace()
-	h.Release()
 	c.pages = append(c.pages, no)
 	c.hint = len(c.pages) - 1
+	return rid, nil
+}
+
+// insertLocked stores stored in page no, formatting the page first when it
+// is fresh, and records the page's free space, also when stored does not fit
+// (page.ErrNoSpace).
+func (c *Container) insertLocked(no uint32, fresh bool, stored []byte) (addr.RID, error) {
+	var slot int
+	free, err := c.modify(no, fresh, func(pg page.Page) (bool, error) {
+		if fresh {
+			pg.Init(page.TypeData, uint32(c.seg.ID()), no)
+		}
+		var err error
+		slot, err = pg.Insert(stored)
+		return err == nil, err
+	})
+	if err != nil && !errors.Is(err, page.ErrNoSpace) {
+		return addr.RID{}, fmt.Errorf("record: insert: %w", err)
+	}
+	c.fsi[no] = free
+	if err != nil {
+		return addr.RID{}, err
+	}
 	c.count++
 	return addr.RID{Page: no, Slot: uint16(slot)}, nil
 }
 
-func (c *Container) tryInsertLocked(no uint32, stored []byte) (addr.RID, bool, error) {
+// view fixes data page no, runs fn over it and releases it.
+func (c *Container) view(no uint32, fn func(page.Page) error) error {
 	h, err := c.pool.Fix(segment.PageID{Seg: c.seg.ID(), No: no})
 	if err != nil {
-		return addr.RID{}, false, err
+		return fmt.Errorf("record: fix page %d: %w", no, err)
 	}
-	pg := h.Page()
-	slot, err := pg.Insert(stored)
-	if errors.Is(err, page.ErrNoSpace) {
-		c.fsi[no] = pg.FreeSpace()
-		h.Release()
-		return addr.RID{}, false, nil
-	}
-	if err != nil {
-		h.Release()
-		return addr.RID{}, false, fmt.Errorf("record: insert: %w", err)
-	}
-	h.MarkDirty()
-	c.fsi[no] = pg.FreeSpace()
-	h.Release()
-	c.count++
-	return addr.RID{Page: no, Slot: uint16(slot)}, true, nil
+	defer h.Release()
+	return fn(h.Page())
 }
 
-// Read returns a copy of the record at rid.
+// modify is view for a change: the page is marked dirty when fn reports that
+// it changed it, and a fresh page is fixed without being read. It returns the
+// page's free space after fn.
+func (c *Container) modify(no uint32, fresh bool, fn func(page.Page) (bool, error)) (int, error) {
+	fix := c.pool.Fix
+	if fresh {
+		fix = c.pool.FixNew
+	}
+	h, err := fix(segment.PageID{Seg: c.seg.ID(), No: no})
+	if err != nil {
+		return 0, fmt.Errorf("record: fix page %d: %w", no, err)
+	}
+	defer h.Release()
+	changed, err := fn(h.Page())
+	if changed {
+		h.MarkDirty()
+	}
+	return h.Page().FreeSpace(), err
+}
+
+// Read returns a copy of the record at rid: a batch of one.
 func (c *Container) Read(rid addr.RID) ([]byte, error) {
-	h, err := c.pool.Fix(segment.PageID{Seg: c.seg.ID(), No: rid.Page})
-	if err != nil {
-		return nil, fmt.Errorf("record: read %v: %w", rid, err)
-	}
-	stored, err := h.Page().Read(int(rid.Slot))
-	if err != nil {
-		h.Release()
-		return nil, fmt.Errorf("%w: %v (%v)", ErrNotFound, rid, err)
-	}
-	out, spillPage, err := c.decodeStored(stored)
-	h.Release()
-	if err != nil {
-		return nil, err
-	}
-	if spillPage != 0 {
-		seq, err := pageseq.Open(c.seg, spillPage)
-		if err != nil {
-			return nil, fmt.Errorf("record: open spill of %v: %w", rid, err)
-		}
-		return seq.ReadAll()
-	}
-	return out, nil
+	rids, out := [1]addr.RID{rid}, [1][]byte{}
+	_, err := c.ReadBatch(rids[:], out[:])
+	return out[0], err
 }
 
-// ReadBatch returns copies of the records at rids, aligned with the input
-// slice, and the number of data pages it fixed. Reads are grouped by page so
+// ReadBatch fills out, aligned with rids, with copies of the records at rids
+// and returns the number of data pages it fixed. Reads are grouped by page so
 // every data page is fixed exactly once per batch no matter how many records
 // it serves — the unit of work behind the access system's batched atom reads.
 // The grouping is one index slice ordered by page: a molecule level's records
 // were stored one after the other, so it is nearly always in order already.
-func (c *Container) ReadBatch(rids []addr.RID) (out [][]byte, pages int, err error) {
-	out = make([][]byte, len(rids))
-	order := make([]int32, len(rids))
-	for i := range order {
-		order[i] = int32(i)
+// Up to eight records it stays on the stack.
+func (c *Container) ReadBatch(rids []addr.RID, out [][]byte) (pages int, err error) {
+	var orderBuf [8]int32
+	order := orderBuf[:0]
+	if len(rids) > len(orderBuf) {
+		order = make([]int32, 0, len(rids))
+	}
+	for i := range rids {
+		order = append(order, int32(i))
 	}
 	byPage := func(i, j int32) int { return cmp.Compare(rids[i].Page, rids[j].Page) }
 	if !slices.IsSortedFunc(order, byPage) {
@@ -277,43 +280,41 @@ func (c *Container) ReadBatch(rids []addr.RID) (out [][]byte, pages int, err err
 		for hi < len(order) && rids[order[hi]].Page == no {
 			hi++
 		}
-		h, err := c.pool.Fix(segment.PageID{Seg: c.seg.ID(), No: no})
+		err := c.view(no, func(pg page.Page) error {
+			for _, i := range order[lo:hi] {
+				stored, err := pg.Read(int(rids[i].Slot))
+				if err != nil {
+					return fmt.Errorf("%w: %v (%v)", ErrNotFound, rids[i], err)
+				}
+				data, spill, err := c.decodeStored(stored)
+				if err != nil {
+					return err
+				}
+				if spill != 0 {
+					spills = append(spills, spillRef{idx: int(i), header: spill})
+				} else {
+					out[i] = data
+				}
+			}
+			return nil
+		})
 		if err != nil {
-			return nil, 0, fmt.Errorf("record: read page %d: %w", no, err)
+			return 0, err
 		}
-		pg := h.Page()
-		for _, i := range order[lo:hi] {
-			stored, err := pg.Read(int(rids[i].Slot))
-			if err != nil {
-				h.Release()
-				return nil, 0, fmt.Errorf("%w: %v (%v)", ErrNotFound, rids[i], err)
-			}
-			data, spill, err := c.decodeStored(stored)
-			if err != nil {
-				h.Release()
-				return nil, 0, err
-			}
-			if spill != 0 {
-				spills = append(spills, spillRef{idx: int(i), header: spill})
-			} else {
-				out[i] = data
-			}
-		}
-		h.Release()
 		lo = hi
 	}
 	// Spilled records read their page sequences after the slotted page is
-	// unfixed, exactly like the single-record path.
+	// unfixed.
 	for _, sp := range spills {
 		seq, err := pageseq.Open(c.seg, sp.header)
 		if err != nil {
-			return nil, 0, fmt.Errorf("record: open spill of %v: %w", rids[sp.idx], err)
+			return 0, fmt.Errorf("record: open spill of %v: %w", rids[sp.idx], err)
 		}
 		if out[sp.idx], err = seq.ReadAll(); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 	}
-	return out, pages, nil
+	return pages, nil
 }
 
 // decodeStored interprets a stored byte string. For inline records it
@@ -340,49 +341,40 @@ func (c *Container) decodeStored(stored []byte) ([]byte, uint32, error) {
 // Update replaces the record at rid. The record may move; the (possibly
 // new) address is returned and the caller must update the directory.
 func (c *Container) Update(rid addr.RID, rec []byte) (addr.RID, error) {
-	// Resolve the current stub first to free any old spill.
-	h, err := c.pool.Fix(segment.PageID{Seg: c.seg.ID(), No: rid.Page})
-	if err != nil {
-		return addr.RID{}, fmt.Errorf("record: update %v: %w", rid, err)
-	}
-	pg := h.Page()
-	stored, err := pg.Read(int(rid.Slot))
-	if err != nil {
-		h.Release()
-		return addr.RID{}, fmt.Errorf("%w: %v (%v)", ErrNotFound, rid, err)
-	}
-	_, oldSpill, err := c.decodeStored(stored)
-	if err != nil {
-		h.Release()
-		return addr.RID{}, err
-	}
-
-	if len(rec)+1 <= c.stubLimit() {
-		newStored := make([]byte, 0, len(rec)+1)
-		newStored = append(newStored, flagInline)
-		newStored = append(newStored, rec...)
-		if err := pg.Update(int(rid.Slot), newStored); err == nil {
-			h.MarkDirty()
-			c.mu.Lock()
-			c.fsi[rid.Page] = pg.FreeSpace()
-			c.mu.Unlock()
-			h.Release()
-			c.freeSpill(oldSpill)
-			return rid, nil
-		} else if !errors.Is(err, page.ErrNoSpace) {
-			h.Release()
-			return addr.RID{}, fmt.Errorf("record: update in place: %w", err)
+	// Resolve the current stub first to free any old spill; a version that
+	// stays inline is written in place when the page has room.
+	inline := len(rec)+1 <= c.stubLimit()
+	var oldSpill uint32
+	free, err := c.modify(rid.Page, false, func(pg page.Page) (bool, error) {
+		stored, err := pg.Read(int(rid.Slot))
+		if err != nil {
+			return false, fmt.Errorf("%w: %v (%v)", ErrNotFound, rid, err)
 		}
+		if _, oldSpill, err = c.decodeStored(stored); err != nil || !inline {
+			return false, err
+		}
+		err = pg.Update(int(rid.Slot), append([]byte{flagInline}, rec...))
+		return err == nil, err
+	})
+	if errors.Is(err, page.ErrNoSpace) {
 		// Page cannot hold the new version: move the record.
-		h.Release()
 		if err := c.Delete(rid); err != nil {
 			return addr.RID{}, err
 		}
 		return c.Insert(rec)
 	}
+	if err != nil {
+		return addr.RID{}, err
+	}
+	if inline {
+		c.mu.Lock()
+		c.fsi[rid.Page] = free
+		c.mu.Unlock()
+		c.freeSpill(oldSpill)
+		return rid, nil
+	}
 
 	// New version spills.
-	h.Release()
 	if oldSpill != 0 {
 		// Rewrite the existing sequence; the stub may need updating if the
 		// sequence moved.
@@ -414,19 +406,16 @@ func (c *Container) Update(rid addr.RID, rec []byte) (addr.RID, error) {
 }
 
 func (c *Container) pointStubAt(rid addr.RID, headerPage uint32) error {
-	h, err := c.pool.Fix(segment.PageID{Seg: c.seg.ID(), No: rid.Page})
-	if err != nil {
-		return err
-	}
-	defer h.Release()
 	var stub [5]byte
 	stub[0] = flagSpilled
 	binary.BigEndian.PutUint32(stub[1:], headerPage)
-	if err := h.Page().Update(int(rid.Slot), stub[:]); err != nil {
-		return fmt.Errorf("record: update spill stub: %w", err)
-	}
-	h.MarkDirty()
-	return nil
+	_, err := c.modify(rid.Page, false, func(pg page.Page) (bool, error) {
+		if err := pg.Update(int(rid.Slot), stub[:]); err != nil {
+			return false, fmt.Errorf("record: update spill stub: %w", err)
+		}
+		return true, nil
+	})
+	return err
 }
 
 func (c *Container) freeSpill(headerPage uint32) {
@@ -440,31 +429,25 @@ func (c *Container) freeSpill(headerPage uint32) {
 
 // Delete removes the record at rid, freeing any spill pages.
 func (c *Container) Delete(rid addr.RID) error {
-	h, err := c.pool.Fix(segment.PageID{Seg: c.seg.ID(), No: rid.Page})
+	var spill uint32
+	free, err := c.modify(rid.Page, false, func(pg page.Page) (bool, error) {
+		stored, err := pg.Read(int(rid.Slot))
+		if err != nil {
+			return false, fmt.Errorf("%w: %v (%v)", ErrNotFound, rid, err)
+		}
+		if _, spill, err = c.decodeStored(stored); err != nil {
+			return false, err
+		}
+		err = pg.Delete(int(rid.Slot))
+		return err == nil, err
+	})
 	if err != nil {
-		return fmt.Errorf("record: delete %v: %w", rid, err)
-	}
-	pg := h.Page()
-	stored, err := pg.Read(int(rid.Slot))
-	if err != nil {
-		h.Release()
-		return fmt.Errorf("%w: %v (%v)", ErrNotFound, rid, err)
-	}
-	_, spill, err := c.decodeStored(stored)
-	if err != nil {
-		h.Release()
 		return err
 	}
-	if err := pg.Delete(int(rid.Slot)); err != nil {
-		h.Release()
-		return fmt.Errorf("record: delete: %w", err)
-	}
-	h.MarkDirty()
 	c.mu.Lock()
-	c.fsi[rid.Page] = pg.FreeSpace()
+	c.fsi[rid.Page] = free
 	c.count--
 	c.mu.Unlock()
-	h.Release()
 	c.freeSpill(spill)
 	return nil
 }
@@ -478,30 +461,27 @@ func (c *Container) Scan(fn func(rid addr.RID, rec []byte) bool) error {
 	c.mu.Unlock()
 
 	for _, no := range pages {
-		h, err := c.pool.Fix(segment.PageID{Seg: c.seg.ID(), No: no})
-		if err != nil {
-			return fmt.Errorf("record: scan page %d: %w", no, err)
-		}
-		pg := h.Page()
 		type item struct {
 			slot  int
 			data  []byte
 			spill uint32
 		}
 		var items []item
-		var decodeErr error
-		pg.ForEach(func(slot int, stored []byte) bool {
-			data, spill, err := c.decodeStored(stored)
-			if err != nil {
-				decodeErr = err
-				return false
-			}
-			items = append(items, item{slot, data, spill})
-			return true
-		})
-		h.Release()
-		if decodeErr != nil {
+		err := c.view(no, func(pg page.Page) error {
+			var decodeErr error
+			pg.ForEach(func(slot int, stored []byte) bool {
+				data, spill, err := c.decodeStored(stored)
+				if err != nil {
+					decodeErr = err
+					return false
+				}
+				items = append(items, item{slot, data, spill})
+				return true
+			})
 			return decodeErr
+		})
+		if err != nil {
+			return err
 		}
 		for _, it := range items {
 			data := it.data

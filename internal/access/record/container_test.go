@@ -93,7 +93,7 @@ func TestLongRecordSpill(t *testing.T) {
 	}
 }
 
-// TestReadBatch holds the batched read to the single-record one: the output
+// TestReadBatch holds the batched read to one-record reads: the output
 // is aligned with the input whatever order the RIDs come in — shuffled across
 // pages, with duplicates, with a spilled record among them — every data page
 // is fixed once, and one missing slot fails the batch.
@@ -119,7 +119,8 @@ func TestReadBatch(t *testing.T) {
 	check := func(name string, batch []addr.RID, wantPages int) {
 		t.Helper()
 		before := c.pool.Stats()
-		got, pages, err := c.ReadBatch(batch)
+		got := make([][]byte, len(batch))
+		pages, err := c.ReadBatch(batch, got)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -148,7 +149,7 @@ func TestReadBatch(t *testing.T) {
 	if err := c.Delete(rids[5]); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.ReadBatch(shuffled); !errors.Is(err, ErrNotFound) {
+	if _, err := c.ReadBatch(shuffled, make([][]byte, len(shuffled))); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("batch over a deleted slot: %v, want ErrNotFound", err)
 	}
 }

@@ -1,6 +1,7 @@
 package access
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -299,7 +300,8 @@ func (s *System) SortScan(sortOrderName string, ssa SSA, start, stop []atom.Valu
 			}
 		}
 		if len(validIdx) > 0 {
-			if recs, _, err := so.container.ReadBatch(rids); err == nil {
+			recs := make([][]byte, len(rids))
+			if _, err := so.container.ReadBatch(rids, recs); err == nil {
 				for j, i := range validIdx {
 					if values, err := atom.DecodeAtomOwned(recs[j]); err == nil {
 						atoms[i] = &Atom{Type: t, Addr: pend[i], Values: values}
@@ -543,7 +545,7 @@ func (s *System) readOccurrence(cl *clusterStruct, root addr.LogicalAddr) (*Clus
 	if err != nil {
 		return nil, err
 	}
-	addrs, offs, lens, err := parseClusterTable(payload)
+	entries, err := parseClusterTable(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -551,12 +553,12 @@ func (s *System) readOccurrence(cl *clusterStruct, root addr.LogicalAddr) (*Clus
 	// Staleness check: any invalid or missing member ref forces a rebuild
 	// (lazy deferred-update propagation).
 	stale := false
-	for _, a := range addrs {
-		if !s.dir.Exists(a) {
+	for _, e := range entries {
+		if !s.dir.Exists(e.addr) {
 			stale = true
 			break
 		}
-		ref, ok := s.dir.LookupStruct(a, cl.def.ID)
+		ref, ok := s.dir.LookupStruct(e.addr, cl.def.ID)
 		if !ok || !ref.Valid || ref.Where.Page != header {
 			stale = true
 			break
@@ -578,29 +580,29 @@ func (s *System) readOccurrence(cl *clusterStruct, root addr.LogicalAddr) (*Clus
 		if payload, err = seq.ReadAll(); err != nil {
 			return nil, err
 		}
-		if addrs, offs, lens, err = parseClusterTable(payload); err != nil {
+		if entries, err = parseClusterTable(payload); err != nil {
 			return nil, err
 		}
 	}
 
 	occ := &ClusterOccurrence{
 		Root:    root,
-		Records: make([]Record, len(addrs)),
-		byAddr:  make(map[addr.LogicalAddr]int, len(addrs)),
+		Records: make([]Record, len(entries)),
+		byAddr:  make(map[addr.LogicalAddr]int, len(entries)),
 	}
-	for i, a := range addrs {
-		t, err := s.typeByID(a.Type())
+	for i, e := range entries {
+		t, err := s.typeByID(e.addr.Type())
 		if err != nil {
 			return nil, err
 		}
 		// The payload is a fresh chained-I/O copy owned by this occurrence;
 		// the images slice it.
-		img, err := atom.CheckImage(payload[offs[i] : offs[i]+lens[i]])
+		img, err := atom.CheckImage(payload[e.off : e.off+e.len])
 		if err != nil {
 			return nil, err
 		}
-		occ.Records[i] = Record{Type: t, Addr: a, Image: img}
-		occ.byAddr[a] = i
+		occ.Records[i] = Record{Type: t, Addr: e.addr, Image: img}
+		occ.byAddr[e.addr] = i
 	}
 	return occ, nil
 }
@@ -699,23 +701,26 @@ func (s *System) ClusterReadAtom(clusterName string, a addr.LogicalAddr) (*Atom,
 	if err != nil {
 		return nil, err
 	}
-	// Read just the table head, then the member's byte range.
+	// Read just the table head and the member's row, then its byte range.
 	var head [4]byte
 	if _, err := seq.ReadAt(head[:], 0); err != nil {
 		return nil, err
 	}
-	n := int(uint32(head[0])<<24 | uint32(head[1])<<16 | uint32(head[2])<<8 | uint32(head[3]))
-	if int(ref.Where.Slot) >= n {
+	if n := binary.BigEndian.Uint32(head[:]); uint32(ref.Where.Slot) >= n {
 		return nil, fmt.Errorf("access: cluster slot %d out of range %d", ref.Where.Slot, n)
 	}
-	var ent [16]byte
-	if _, err := seq.ReadAt(ent[:], int64(4+int(ref.Where.Slot)*16)); err != nil {
+	var row [16]byte
+	if n, err := seq.ReadAt(row[:], int64(4+int(ref.Where.Slot)*16)); err != nil {
+		return nil, err
+	} else if n < len(row) {
+		return nil, fmt.Errorf("access: truncated cluster table")
+	}
+	e, err := decodeClusterEntry(row[:], seq.Len())
+	if err != nil {
 		return nil, err
 	}
-	off := uint32(ent[8])<<24 | uint32(ent[9])<<16 | uint32(ent[10])<<8 | uint32(ent[11])
-	length := uint32(ent[12])<<24 | uint32(ent[13])<<16 | uint32(ent[14])<<8 | uint32(ent[15])
-	buf := make([]byte, length)
-	if _, err := seq.ReadAt(buf, int64(off)); err != nil {
+	buf := make([]byte, e.len)
+	if _, err := seq.ReadAt(buf, int64(e.off)); err != nil {
 		return nil, err
 	}
 	values, err := atom.DecodeAtomOwned(buf)

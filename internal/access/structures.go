@@ -327,25 +327,44 @@ type memberAtom struct {
 	values []atom.Value
 }
 
-// parseClusterTable decodes the relative address table of a cluster payload.
-func parseClusterTable(payload []byte) ([]addr.LogicalAddr, []uint32, []uint32, error) {
+// clusterEntry is one row of a cluster payload's relative address table: a
+// member atom and the byte range of its image in the payload.
+type clusterEntry struct {
+	addr     addr.LogicalAddr
+	off, len int
+}
+
+// parseClusterTable decodes and checks the relative address table of a
+// cluster payload.
+func parseClusterTable(payload []byte) ([]clusterEntry, error) {
 	if len(payload) < 4 {
-		return nil, nil, nil, fmt.Errorf("access: truncated cluster payload")
+		return nil, fmt.Errorf("access: truncated cluster payload")
 	}
-	n := int(binary.BigEndian.Uint32(payload))
-	if len(payload) < 4+n*16 {
-		return nil, nil, nil, fmt.Errorf("access: truncated cluster table")
+	n := uint64(binary.BigEndian.Uint32(payload))
+	if uint64(len(payload)) < 4+n*16 {
+		return nil, fmt.Errorf("access: truncated cluster table")
 	}
-	addrs := make([]addr.LogicalAddr, n)
-	offs := make([]uint32, n)
-	lens := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		base := 4 + i*16
-		addrs[i] = addr.LogicalAddr(binary.BigEndian.Uint64(payload[base:]))
-		offs[i] = binary.BigEndian.Uint32(payload[base+8:])
-		lens[i] = binary.BigEndian.Uint32(payload[base+12:])
+	entries := make([]clusterEntry, n)
+	for i := range entries {
+		var err error
+		if entries[i], err = decodeClusterEntry(payload[4+i*16:], len(payload)); err != nil {
+			return nil, err
+		}
 	}
-	return addrs, offs, lens, nil
+	return entries, nil
+}
+
+// decodeClusterEntry decodes the table row at the head of row and checks that
+// the member's byte range lies within a payload of size bytes; the sum is
+// taken in 64 bits, so a stored offset and length cannot wrap past the check.
+func decodeClusterEntry(row []byte, size int) (clusterEntry, error) {
+	a := addr.LogicalAddr(binary.BigEndian.Uint64(row))
+	off := uint64(binary.BigEndian.Uint32(row[8:]))
+	n := uint64(binary.BigEndian.Uint32(row[12:]))
+	if off+n > uint64(size) {
+		return clusterEntry{}, fmt.Errorf("access: cluster member %v at %d+%d past the payload's %d bytes", a, off, n, size)
+	}
+	return clusterEntry{addr: a, off: int(off), len: int(n)}, nil
 }
 
 // collectClusterMembers gathers the atoms of one molecule occurrence
@@ -414,13 +433,13 @@ func (s *System) buildClusterOccurrence(cl *clusterStruct, root addr.LogicalAddr
 		if err != nil {
 			return err
 		}
-		oldAddrs, _, _, err := parseClusterTable(oldPayload)
+		old, err := parseClusterTable(oldPayload)
 		if err != nil {
 			return err
 		}
-		for _, a := range oldAddrs {
-			if s.dir.Exists(a) {
-				_ = s.dir.Unregister(a, cl.def.ID)
+		for _, e := range old {
+			if s.dir.Exists(e.addr) {
+				_ = s.dir.Unregister(e.addr, cl.def.ID)
 			}
 		}
 		if err := oldSeq.Delete(); err != nil {
@@ -468,13 +487,13 @@ func (s *System) dropClusterOccurrence(cl *clusterStruct, root addr.LogicalAddr)
 	if err != nil {
 		return err
 	}
-	addrs, _, _, err := parseClusterTable(payload)
+	entries, err := parseClusterTable(payload)
 	if err != nil {
 		return err
 	}
-	for _, a := range addrs {
-		if s.dir.Exists(a) {
-			_ = s.dir.Unregister(a, cl.def.ID)
+	for _, e := range entries {
+		if s.dir.Exists(e.addr) {
+			_ = s.dir.Unregister(e.addr, cl.def.ID)
 		}
 	}
 	return seq.Delete()

@@ -1,11 +1,14 @@
 package access
 
 import (
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
 	"prima/internal/catalog"
+	"prima/internal/storage/pageseq"
 )
 
 func insertDocs(t testing.TB, s *System, n int) []addr.LogicalAddr {
@@ -563,4 +566,95 @@ func TestClusterPersistence(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("cluster scan after reopen = %d, %v", n, err)
 	}
+}
+
+// occurrencePayload builds cluster pc over clusterSystem and returns the
+// system, the root of its first occurrence, the sequence holding that
+// occurrence and the payload stored there.
+func occurrencePayload(t testing.TB) (*System, addr.LogicalAddr, *pageseq.Sequence, []byte) {
+	t.Helper()
+	s, parents := clusterSystem(t)
+	if err := s.CreateCluster(clusterDef("pc")); err != nil {
+		t.Fatalf("CreateCluster: %v", err)
+	}
+	cl, err := s.clusterByName("pc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := cl.seqs[parents[0]]
+	payload, err := seq.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, parents[0], seq, payload
+}
+
+// TestClusterTableRejectsBadEntries: a cluster payload whose relative
+// address table is cut short or points outside the payload fails the read
+// with an error — both the occurrence read and the single-member read —
+// instead of slicing out of range.
+func TestClusterTableRejectsBadEntries(t *testing.T) {
+	s, root, seq, good := occurrencePayload(t)
+	n := int(binary.BigEndian.Uint32(good))
+	row := func(i int) []byte { return good[4+16*i:] }
+	member := func(i int) addr.LogicalAddr { return addr.LogicalAddr(binary.BigEndian.Uint64(row(i))) }
+	setRow1 := func(off, n uint32) []byte {
+		p := slices.Clone(good)
+		binary.BigEndian.PutUint32(p[4+16+8:], off)
+		binary.BigEndian.PutUint32(p[4+16+12:], n)
+		return p
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		slot    int // the member whose single read must fail
+	}{
+		{"truncated table", good[:4+16], 1},
+		{"truncated payload", good[:len(good)-1], n - 1},
+		{"entry past the end", setRow1(binary.BigEndian.Uint32(row(1)[8:]), uint32(len(good))), 1},
+		{"wrapping off+len", setRow1(0xFFFFFFF0, 0x20), 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if ns, err := seq.Rewrite(c.payload); err != nil || ns != seq {
+				t.Fatalf("rewrite moved the sequence or failed: %v", err)
+			}
+			if _, err := s.ClusterOccurrenceOf("pc", root); err == nil {
+				t.Error("ClusterOccurrenceOf read it")
+			}
+			if _, err := s.ClusterReadAtom("pc", member(c.slot)); err == nil {
+				t.Errorf("ClusterReadAtom read member %d", c.slot)
+			}
+		})
+	}
+	if _, err := seq.Rewrite(good); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := s.ClusterReadAtom("pc", member(i)); err != nil {
+			t.Fatalf("ClusterReadAtom %d after restoring the payload: %v", i, err)
+		}
+	}
+}
+
+// FuzzClusterTable feeds hostile cluster payloads to the relative address
+// table parser: it must return an error or rows whose byte ranges lie inside
+// the payload, never panic or allocate beyond what the payload backs. The
+// seeds are a real occurrence and its truncations; CI runs the target for
+// 20 s:
+//
+//	go test ./internal/access -run '^$' -fuzz FuzzClusterTable -fuzztime 20s
+func FuzzClusterTable(f *testing.F) {
+	_, _, _, payload := occurrencePayload(f)
+	f.Add(payload)
+	f.Add(payload[:len(payload)-1])
+	f.Add(payload[:4+16])
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		entries, err := parseClusterTable(payload)
+		if err != nil {
+			return
+		}
+		for _, e := range entries {
+			_, _ = atom.CheckImage(payload[e.off : e.off+e.len])
+		}
+	})
 }

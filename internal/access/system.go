@@ -166,8 +166,8 @@ type System struct {
 	// reg is the database-wide metrics registry: the access system owns it
 	// because it sits below every other layer — the engine, transaction
 	// manager and wire server all pull their handles from here so one
-	// snapshot covers the whole stack. decodeNs times batched atom reads
-	// (page fix + record decode), the stage molecule assembly fans out on.
+	// snapshot covers the whole stack. decodeNs times batched atom reads that
+	// missed the cache (page fix + record check), the stage assembly fans out on.
 	reg      *obs.Registry
 	decodeNs *obs.Histogram
 	// ckptNs times checkpoints. ckptFileBytes counts what they write to the

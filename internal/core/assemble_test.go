@@ -317,7 +317,11 @@ func TestAllocsColdBatch(t *testing.T) {
 			}
 		}
 	}
-	const perLevel = 6 // the result, the miss positions, RIDs, stamps, ReadBatch's two slices; a page fix is none
+	// The result slice per level. Up to eight misses the read scratch stays on
+	// the stack; a level wider than that (a cube's 12 edges) puts its miss
+	// positions, RIDs, stamps and ReadBatch's two slices on the heap. A page
+	// fix is none.
+	const perLevel = 3
 	sys.SetAtomCacheSize(-1)
 	got := testing.AllocsPerRun(100, read)
 	if budget := float64(brepgen.CubeAtoms + perLevel*len(levels)); got > budget {
