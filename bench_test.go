@@ -446,6 +446,48 @@ func BenchmarkReadAfterLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkSceneBuild builds a 200-cube design with the write-ahead log on,
+// as every bench workload's set-up does, and reports the cost and the log
+// records appended per atom. Each cube is one atom set, so each of its 28
+// atoms is logged once with its back-references: the benchmark fails when
+// the log takes well over one record per atom (a checkpoint adds a record of
+// its own; per-atom inserts took 4.5).
+func BenchmarkSceneBuild(b *testing.B) {
+	const n, atoms = 200, 200 * (brepgen.CubeAtoms + 1) // the solid too
+	var spent time.Duration
+	var records uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db, err := Open(Config{Dir: b.TempDir(), WAL: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := db.Exec(brepgen.SchemaDDL); err != nil {
+			b.Fatal(err)
+		}
+		before, _ := db.System().WALStats()
+		b.StartTimer()
+		start := time.Now()
+		if _, err := brepgen.BuildScene(db.Engine(), n); err != nil {
+			b.Fatal(err)
+		}
+		spent += time.Since(start)
+		b.StopTimer()
+		after, _ := db.System().WALStats()
+		records += after.Appends - before.Appends
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	perAtom := float64(records) / float64(b.N*atoms)
+	b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N*atoms), "ns/atom")
+	b.ReportMetric(perAtom, "records/atom")
+	if perAtom > 1.1 {
+		b.Fatalf("building %d cubes appended %.2f log records per atom, want 1", n, perAtom)
+	}
+}
+
 // BenchmarkSortScanModes (A2): sorted reads with and without a sort order.
 func BenchmarkSortScanModes(b *testing.B) {
 	setup := func(b *testing.B, ldl bool) *DB {

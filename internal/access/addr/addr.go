@@ -243,17 +243,24 @@ func (d *Directory) lookupLocked(a LogicalAddr) (*perType, *slot, error) {
 	return p, sl, nil
 }
 
-// NewAddr allocates a fresh logical address for an atom of type t and
-// registers an empty record list for it.
-func (d *Directory) NewAddr(t TypeID) LogicalAddr {
+// Reserve hands out a fresh logical address for an atom of type t without
+// making it live: Revive does that once the atom is stored. A reserved
+// address that never goes live is a gap in the table and is never reused.
+func (d *Directory) Reserve(t TypeID) LogicalAddr {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p := d.pt(t)
 	seq := p.nextSeq
 	p.nextSeq++
-	p.grow(seq).live = true
-	p.count++
 	return New(t, seq)
+}
+
+// NewAddr allocates a fresh logical address for an atom of type t and
+// registers an empty record list for it: Reserve and Revive in one.
+func (d *Directory) NewAddr(t TypeID) LogicalAddr {
+	a := d.Reserve(t)
+	_ = d.Revive(a) // a fresh address is never live
+	return a
 }
 
 // Exists reports whether a is a live address.
@@ -389,8 +396,9 @@ func (d *Directory) Release(a LogicalAddr) ([]RecordRef, error) {
 	return refs, nil
 }
 
-// Revive re-creates the entry for a released address (transaction undo of a
-// delete). It fails if the address is still live.
+// Revive makes a reserved address live, or re-creates the entry for a
+// released one (transaction undo of a delete). It fails if the address is
+// still live.
 func (d *Directory) Revive(a LogicalAddr) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

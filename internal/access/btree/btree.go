@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"prima/internal/access/addr"
@@ -299,10 +300,20 @@ func (t *BTree) storeNode(no uint32, leaf bool, entries []entry, next uint32, fr
 func (t *BTree) Insert(key atom.Value, a addr.LogicalAddr) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.insertLocked(key, a)
+}
 
-	maxEntry := t.seg.PageSize() / 4
-	if entryBytes(entry{key: key}, false) > maxEntry {
-		return fmt.Errorf("%w: %d bytes", ErrKeyTooLarge, entryBytes(entry{key: key}, false))
+// checkKey rejects a key too large for a node to hold four of.
+func (t *BTree) checkKey(key atom.Value) error {
+	if n := entryBytes(entry{key: key}, false); n > t.seg.PageSize()/4 {
+		return fmt.Errorf("%w: %d bytes", ErrKeyTooLarge, n)
+	}
+	return nil
+}
+
+func (t *BTree) insertLocked(key atom.Value, a addr.LogicalAddr) error {
+	if err := t.checkKey(key); err != nil {
+		return err
 	}
 
 	if t.root == 0 {
@@ -438,6 +449,99 @@ func (t *BTree) Insert(key atom.Value, a addr.LogicalAddr) error {
 		isLeaf = false
 		childNext = pnext
 	}
+}
+
+// Pair is one entry to Build a tree from: an attribute value and the
+// logical address of the atom holding it.
+type Pair struct {
+	Key  atom.Value
+	Addr addr.LogicalAddr
+}
+
+// Build adds pairs to the tree; it sorts them in place. On an empty tree,
+// the backfill of a new access path, it builds the tree bottom-up: the
+// sorted entries are packed into chained leaves and each level of
+// separators into the nodes above, every node written once. A tree that
+// already holds entries takes them one Insert at a time.
+func (t *BTree) Build(pairs []Pair) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.root != 0 {
+		for _, p := range pairs {
+			if err := t.insertLocked(p.Key, p.Addr); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if len(pairs) == 0 {
+		return nil
+	}
+	slices.SortFunc(pairs, func(x, y Pair) int { return cmp(x.Key, x.Addr, y.Key, y.Addr) })
+	level := make([]entry, len(pairs))
+	for i, p := range pairs {
+		if err := t.checkKey(p.Key); err != nil {
+			return err
+		}
+		if i > 0 && cmp(p.Key, p.Addr, pairs[i-1].Key, pairs[i-1].Addr) == 0 {
+			return ErrDupEntry
+		}
+		level[i] = entry{key: p.Key, addr: p.Addr}
+	}
+	for leaf := true; ; leaf = false {
+		up, err := t.buildLevel(level, leaf)
+		if err != nil {
+			return err
+		}
+		if len(up) == 1 {
+			t.root = up[0].child
+			break
+		}
+		level = up
+	}
+	t.size = len(pairs)
+	return t.writeMeta()
+}
+
+// buildLevel packs one level's sorted entries into as few nodes as hold
+// them, chaining leaves in key order, and returns the separators of the
+// level above: each node's maximum entry with the node as its child.
+func (t *BTree) buildLevel(entries []entry, leaf bool) ([]entry, error) {
+	room := t.seg.PageSize() - page.HeaderSize
+	var cuts []int // end of each node's run of entries
+	used := 0
+	for i, e := range entries {
+		n := entryBytes(e, leaf)
+		if used+n > room {
+			cuts = append(cuts, i)
+			used = 0
+		}
+		used += n
+	}
+	cuts = append(cuts, len(entries))
+	nos := make([]uint32, len(cuts))
+	for i := range nos {
+		no, err := t.allocNode()
+		if err != nil {
+			return nil, err
+		}
+		nos[i] = no
+	}
+	up := make([]entry, len(cuts))
+	start := 0
+	for i, end := range cuts {
+		var next uint32
+		if leaf && i+1 < len(nos) {
+			next = nos[i+1]
+		}
+		if err := t.storeNode(nos[i], leaf, entries[start:end], next, true); err != nil {
+			return nil, err
+		}
+		hi := entries[end-1]
+		up[i] = entry{key: hi.key, addr: hi.addr, child: nos[i]}
+		start = end
+	}
+	return up, nil
 }
 
 // ErrDupEntry signals an exact (key, addr) duplicate.
@@ -676,12 +780,13 @@ func (t *BTree) scanDesc(start, stop *atom.Value, fn func(atom.Value, addr.Logic
 		}
 		f := &stack[len(stack)-1]
 		if stop != nil {
-			// Choose the first child that can contain keys <= stop... the
-			// last child whose subtree intersects (-inf, stop]: the first
-			// entry with max >= stop, or the last entry otherwise.
+			// Choose the last child whose subtree intersects (-inf, stop]:
+			// the first entry with max > stop, or the last entry otherwise.
+			// (A child whose max equals stop may be followed by one that
+			// starts with more entries of key stop.)
 			f.idx = len(f.entries) - 1
 			for i, e := range f.entries {
-				if atom.Compare(e.key, *stop) >= 0 {
+				if atom.Compare(e.key, *stop) > 0 {
 					f.idx = i
 					break
 				}

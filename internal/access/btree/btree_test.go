@@ -517,3 +517,149 @@ func TestProbedReadsMatchDecodedNodes(t *testing.T) {
 		check(nil, &hi)
 	}
 }
+
+// scanAll collects a tree's entries between the bounds in one direction.
+func scanAll(t *testing.T, tr *BTree, start, stop *atom.Value, desc bool) []Pair {
+	t.Helper()
+	var out []Pair
+	if err := tr.Scan(start, stop, desc, func(k atom.Value, a addr.LogicalAddr) bool {
+		out = append(out, Pair{Key: k, Addr: a})
+		return true
+	}); err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	return out
+}
+
+// modelScan is Scan over a sorted slice of the live pairs.
+func modelScan(live []Pair, start, stop *atom.Value, desc bool) []Pair {
+	lo, hi := 0, len(live)
+	if start != nil {
+		lo = sort.Search(len(live), func(i int) bool { return atom.Compare(live[i].Key, *start) >= 0 })
+	}
+	if stop != nil {
+		hi = sort.Search(len(live), func(i int) bool { return atom.Compare(live[i].Key, *stop) > 0 })
+	}
+	out := slices.Clone(live[lo:max(lo, hi)])
+	if desc {
+		slices.Reverse(out)
+	}
+	return out
+}
+
+// sameAsModel fails unless each tree answers Search and scans both ways,
+// bounded and open, as the sorted slice of live pairs does.
+func sameAsModel(t *testing.T, live []Pair, keys int, trees ...*BTree) {
+	t.Helper()
+	slices.SortFunc(live, func(x, y Pair) int { return cmp(x.Key, x.Addr, y.Key, y.Addr) })
+	check := func(what string, got, want []Pair) {
+		t.Helper()
+		if !slices.EqualFunc(got, want, func(p, q Pair) bool { return p.Addr == q.Addr && p.Key.Equal(q.Key) }) {
+			t.Fatalf("%s: %d entries, want %d (or other entries)", what, len(got), len(want))
+		}
+	}
+	for ti, tr := range trees {
+		if tr.Len() != len(live) {
+			t.Fatalf("tree %d: Len %d, want %d", ti, tr.Len(), len(live))
+		}
+		for _, desc := range []bool{false, true} {
+			check("full scan", scanAll(t, tr, nil, nil, desc), modelScan(live, nil, nil, desc))
+			for k := -1; k <= keys; k += 29 {
+				lo, hi := atom.Int(int64(k)), atom.Int(int64(k+11))
+				check("bounded scan", scanAll(t, tr, &lo, &hi, desc), modelScan(live, &lo, &hi, desc))
+				check("open start", scanAll(t, tr, nil, &hi, desc), modelScan(live, nil, &hi, desc))
+				check("open stop", scanAll(t, tr, &lo, nil, desc), modelScan(live, &lo, nil, desc))
+			}
+		}
+		for k := -1; k <= keys; k += 3 {
+			key := atom.Int(int64(k))
+			got, err := tr.Search(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []addr.LogicalAddr
+			for _, p := range modelScan(live, &key, &key, false) {
+				want = append(want, p.Addr)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("tree %d: Search(%d) = %v, want %v", ti, k, got, want)
+			}
+		}
+	}
+}
+
+// TestBuildMatchesInserts builds a tree bottom-up from shuffled pairs, with
+// duplicate keys over three levels of small nodes, and a tree that takes the
+// same pairs one Insert at a time. Both must answer Search and scans both
+// ways as a sorted slice does, and go on doing so through later Inserts and
+// Deletes. (Descending scans bounded at a key whose duplicates span two
+// leaves used to miss entries in either tree.)
+func TestBuildMatchesInserts(t *testing.T) {
+	const keys = 1500
+	rng := rand.New(rand.NewSource(3))
+	var live []Pair
+	for seq := uint64(1); seq <= 3*keys; seq++ {
+		live = append(live, Pair{Key: atom.Int(int64(rng.Intn(keys))), Addr: addr.New(1, seq)})
+	}
+	built, inserted := newTree(t, device.B1K), newTree(t, device.B1K)
+	for _, p := range live {
+		if err := inserted.Insert(p.Key, p.Addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pairs := slices.Clone(live)
+	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+	if err := built.Build(pairs); err != nil {
+		t.Fatal(err)
+	}
+	if h, err := built.Height(); err != nil || h < 3 {
+		t.Fatalf("built tree height %d (%v), want at least 3 levels", h, err)
+	}
+	sameAsModel(t, live, keys, built, inserted)
+
+	for seq := uint64(3*keys + 1); seq <= 4*keys; seq++ {
+		p := Pair{Key: atom.Int(int64(rng.Intn(keys + 20))), Addr: addr.New(1, seq)}
+		for _, tr := range []*BTree{built, inserted} {
+			if err := tr.Insert(p.Key, p.Addr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		live = append(live, p)
+	}
+	rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+	for _, p := range live[:keys] {
+		for _, tr := range []*BTree{built, inserted} {
+			if err := tr.Delete(p.Key, p.Addr); err != nil {
+				t.Fatalf("Delete %v: %v", p, err)
+			}
+		}
+	}
+	sameAsModel(t, live[keys:], keys+20, built, inserted)
+}
+
+// TestBuildRejectsAndAppends covers Build's other cases: a duplicate pair or
+// an oversized key fails it, and a tree that holds entries takes the pairs
+// as Inserts.
+func TestBuildRejectsAndAppends(t *testing.T) {
+	dup := []Pair{{atom.Int(1), addr.New(1, 1)}, {atom.Int(1), addr.New(1, 1)}}
+	if err := newTree(t, device.B1K).Build(dup); !errors.Is(err, ErrDupEntry) {
+		t.Fatalf("Build of a duplicate pair = %v, want ErrDupEntry", err)
+	}
+	big := []Pair{{atom.Str(string(make([]byte, 600))), addr.New(1, 1)}}
+	if err := newTree(t, device.B1K).Build(big); !errors.Is(err, ErrKeyTooLarge) {
+		t.Fatalf("Build of an oversized key = %v, want ErrKeyTooLarge", err)
+	}
+	tr := newTree(t, device.B1K)
+	if err := tr.Build(nil); err != nil || tr.Len() != 0 {
+		t.Fatalf("Build of nothing: %v, Len %d", err, tr.Len())
+	}
+	if err := tr.Insert(atom.Int(5), addr.New(1, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Build([]Pair{{atom.Int(7), addr.New(1, 2)}, {atom.Int(3), addr.New(1, 1)}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := scanAll(t, tr, nil, nil, false); len(got) != 3 || got[0].Addr != addr.New(1, 1) || got[2].Addr != addr.New(1, 2) {
+		t.Fatalf("after Build on a non-empty tree: %v", got)
+	}
+}

@@ -84,86 +84,15 @@ func (s *System) Insert(typeName string, values map[string]atom.Value) (addr.Log
 	return s.Writer(0, nil).Insert(typeName, values)
 }
 
-// Insert is System.Insert in w's write context.
-func (w Writer) Insert(typeName string, values map[string]atom.Value) (_ addr.LogicalAddr, err error) {
-	s := w.s
-	t, err := s.typeOf(typeName)
+// Insert is System.Insert in w's write context: a set of one.
+func (w Writer) Insert(typeName string, values map[string]atom.Value) (addr.LogicalAddr, error) {
+	set := w.s.NewAtomSet()
+	a, err := set.Add(typeName, values)
+	if err == nil {
+		err = w.InsertSet(set)
+	}
 	if err != nil {
 		return 0, err
-	}
-	// Checkpoint op span: covers this mutation (and its implicit partner
-	// updates) from its first log record to the last page write.
-	defer s.walOpBegin()()
-	a := s.dir.NewAddr(t.ID)
-	if err := w.acquire(a); err != nil {
-		s.dir.Release(a)
-		return 0, err
-	}
-	// Released last: after the write span closes and the cache barrier ran.
-	defer func() { w.release(a, wal.RecInsert, nil, err) }()
-	// Open the multi-version write span with a tombstone pre-image ("did not
-	// exist before this write") before anything becomes visible, and drop any
-	// negative cache entry for the address (it stops not-existing now).
-	defer s.mvBegin(t, a, nil)()
-	defer s.cacheInvalidate(a)
-	vec := t.NewAtomValues(a)
-	for name, v := range values {
-		i, ok := t.AttrIndex(name)
-		if !ok {
-			s.dir.Release(a)
-			return 0, fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, typeName, name)
-		}
-		if i == t.IdentIndex() {
-			s.dir.Release(a)
-			return 0, fmt.Errorf("%w: %s.%s", ErrReadOnlyAttr, typeName, name)
-		}
-		vec[i] = v
-	}
-	if err := t.CheckValues(vec); err != nil {
-		s.dir.Release(a)
-		return 0, err
-	}
-	// Validate outgoing references before any write.
-	for _, i := range t.RefAttrs() {
-		if err := s.checkRefTargets(t, i, vec[i]); err != nil {
-			s.dir.Release(a)
-			return 0, err
-		}
-	}
-
-	// Log the insert ahead of any page write; if a later physical step
-	// fails, the compensating delete makes the logged pair a net no-op.
-	if err := w.walAppend(wal.RecInsert, a, t.Name, nil, vec); err != nil {
-		s.dir.Release(a)
-		return 0, err
-	}
-	comp := func() { w.walCompensate(wal.RecDelete, a, t.Name, vec, nil) }
-
-	if err := s.store(t, a, vec, comp); err != nil {
-		if _, ok := s.dir.LookupStruct(a, 0); !ok {
-			s.dir.Release(a) // never registered: the address stays free
-		}
-		return 0, err
-	}
-
-	// Implicit partner updates (back-references).
-	for _, i := range t.RefAttrs() {
-		for target := range vec[i].AllRefs() {
-			if err := w.addBackRef(t, i, a, target); err != nil {
-				comp()
-				return 0, err
-			}
-		}
-	}
-
-	// Cluster maintenance: a new root atom spawns a new occurrence.
-	for _, cl := range s.clustersInvolving(typeName) {
-		if cl.def.RootType() == typeName {
-			if err := s.buildClusterOccurrence(cl, a); err != nil {
-				comp()
-				return 0, err
-			}
-		}
 	}
 	return a, nil
 }
@@ -212,9 +141,10 @@ func (s *System) store(t *catalog.AtomType, a addr.LogicalAddr, vals []atom.Valu
 	return nil
 }
 
-// checkRefTargets validates that every address in v exists and has the
-// attribute's declared target type.
-func (s *System) checkRefTargets(t *catalog.AtomType, attrIdx int, v atom.Value) error {
+// checkRefTargets validates that every address in v is live, or a member
+// of the set being inserted (member may be nil), and has the attribute's
+// declared target type.
+func (s *System) checkRefTargets(t *catalog.AtomType, attrIdx int, v atom.Value, member func(addr.LogicalAddr) bool) error {
 	targetType, _, ok := t.Attrs[attrIdx].Type.RefTarget()
 	if !ok {
 		return nil
@@ -224,7 +154,7 @@ func (s *System) checkRefTargets(t *catalog.AtomType, attrIdx int, v atom.Value)
 		return err
 	}
 	for target := range v.AllRefs() {
-		if target.Type() != tt.ID || !s.dir.Exists(target) {
+		if target.Type() != tt.ID || !(member != nil && member(target)) && !s.dir.Exists(target) {
 			return fmt.Errorf("%w: %s.%s -> %v (want live %s)", ErrBadRef, t.Name, t.Attrs[attrIdx].Name, target, targetType)
 		}
 	}
@@ -260,14 +190,13 @@ func (w Writer) removeBackRef(t *catalog.AtomType, attrIdx int, a, target addr.L
 // admitted before it is read.
 func (w Writer) editBackRef(t *catalog.AtomType, attrIdx int, target addr.LogicalAddr, edit func(atom.Value) (atom.Value, bool)) (err error) {
 	s := w.s
-	_, backAttr, _ := t.Attrs[attrIdx].Type.RefTarget()
 	pt, err := s.typeByID(target.Type())
 	if err != nil {
 		return err
 	}
-	bi, ok := pt.AttrIndex(backAttr)
-	if !ok {
-		return fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, pt.Name, backAttr)
+	bi, err := backAttr(t, attrIdx, pt)
+	if err != nil {
+		return err
 	}
 	if err := w.acquire(target); err != nil {
 		return err
@@ -441,7 +370,7 @@ func (w Writer) Update(a addr.LogicalAddr, changes map[string]atom.Value) (err e
 		if !changed[i] {
 			continue
 		}
-		if err := s.checkRefTargets(t, i, nv[i]); err != nil {
+		if err := s.checkRefTargets(t, i, nv[i], nil); err != nil {
 			return err
 		}
 		oldSet := map[addr.LogicalAddr]bool{}

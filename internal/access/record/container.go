@@ -320,21 +320,31 @@ func (c *Container) ReadBatch(rids []addr.RID, out [][]byte) (pages int, err err
 // decodeStored interprets a stored byte string. For inline records it
 // returns a copy; for spilled ones the sequence header page.
 func (c *Container) decodeStored(stored []byte) ([]byte, uint32, error) {
+	spill, err := spillOf(stored)
+	if err != nil || spill != 0 {
+		return nil, spill, err
+	}
+	out := make([]byte, len(stored)-1)
+	copy(out, stored[1:])
+	return out, 0, nil
+}
+
+// spillOf reads a stored byte string's flag, and a spilled record's sequence
+// header page, in place: it returns 0 for an inline record.
+func spillOf(stored []byte) (uint32, error) {
 	if len(stored) < 1 {
-		return nil, 0, fmt.Errorf("record: empty stored record")
+		return 0, fmt.Errorf("record: empty stored record")
 	}
 	switch stored[0] {
 	case flagInline:
-		out := make([]byte, len(stored)-1)
-		copy(out, stored[1:])
-		return out, 0, nil
+		return 0, nil
 	case flagSpilled:
 		if len(stored) != 5 {
-			return nil, 0, fmt.Errorf("record: bad spill stub length %d", len(stored))
+			return 0, fmt.Errorf("record: bad spill stub length %d", len(stored))
 		}
-		return nil, binary.BigEndian.Uint32(stored[1:]), nil
+		return binary.BigEndian.Uint32(stored[1:]), nil
 	default:
-		return nil, 0, fmt.Errorf("record: bad record flag %#x", stored[0])
+		return 0, fmt.Errorf("record: bad record flag %#x", stored[0])
 	}
 }
 
@@ -350,7 +360,7 @@ func (c *Container) Update(rid addr.RID, rec []byte) (addr.RID, error) {
 		if err != nil {
 			return false, fmt.Errorf("%w: %v (%v)", ErrNotFound, rid, err)
 		}
-		if _, oldSpill, err = c.decodeStored(stored); err != nil || !inline {
+		if oldSpill, err = spillOf(stored); err != nil || !inline {
 			return false, err
 		}
 		err = pg.Update(int(rid.Slot), append([]byte{flagInline}, rec...))
@@ -435,7 +445,7 @@ func (c *Container) Delete(rid addr.RID) error {
 		if err != nil {
 			return false, fmt.Errorf("%w: %v (%v)", ErrNotFound, rid, err)
 		}
-		if _, spill, err = c.decodeStored(stored); err != nil {
+		if spill, err = spillOf(stored); err != nil {
 			return false, err
 		}
 		err = pg.Delete(int(rid.Slot))

@@ -432,3 +432,24 @@ func BenchmarkContainerRead(b *testing.B) {
 		}
 	}
 }
+
+// TestAllocsUpdateInPlace pins the allocations of an in-place update of an
+// inline record: the new stored byte string is the one. Update reads the old
+// record's flag where it lies; a copy of the old record made that two.
+func TestAllocsUpdateInPlace(t *testing.T) {
+	c := newContainer(t, device.B8K)
+	rec := bytes.Repeat([]byte{7}, 100)
+	rid, err := c.Insert(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		rec[0]++
+		if got, err := c.Update(rid, rec); err != nil || got != rid {
+			t.Fatalf("Update = %v, %v; want in place at %v", got, err, rid)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("an in-place update of a 100-byte record allocated %.1f times, want 1", allocs)
+	}
+}

@@ -131,11 +131,13 @@ func (s *System) CreateAccessPath(def *catalog.AccessPathDef) error {
 	s.accessPaths[def.Name] = ap
 	s.mu.Unlock()
 
-	// Backfill from existing atoms.
+	// Backfill from existing atoms. A B-tree is built from all of them at
+	// once, bottom-up.
 	t, err := s.typeOf(def.AtomType)
 	if err != nil {
 		return err
 	}
+	var pairs []btree.Pair
 	var addErr error
 	s.dir.Scan(t.ID, func(a addr.LogicalAddr, _ []addr.RecordRef) bool {
 		at, err := s.Get(a, nil)
@@ -143,12 +145,16 @@ func (s *System) CreateAccessPath(def *catalog.AccessPathDef) error {
 			addErr = err
 			return false
 		}
-		if err := s.indexInsert(ap, at.Values, a); err != nil {
-			addErr = err
-			return false
+		if ap.tree != nil {
+			pairs = append(pairs, btree.Pair{Key: at.Values[ap.attrIdxs[0]], Addr: a})
+			return true
 		}
-		return true
+		addErr = s.indexInsert(ap, at.Values, a)
+		return addErr == nil
 	})
+	if addErr == nil && ap.tree != nil {
+		addErr = ap.tree.Build(pairs)
+	}
 	return addErr
 }
 

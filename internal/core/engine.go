@@ -558,6 +558,9 @@ func (e *Engine) execInsert(s *mql.Insert, ctx execCtx) (*Result, error) {
 	}
 	sp, w := ctx.apply()
 	defer sp.End()
+	// The rows are one atom set: each row is written once, and an atom
+	// several rows reference gets one partner update.
+	set := e.sys.NewAtomSet()
 	res := &Result{Kind: "inserted"}
 	for _, row := range s.Rows {
 		values := map[string]atom.Value{}
@@ -568,11 +571,14 @@ func (e *Engine) execInsert(s *mql.Insert, ctx execCtx) (*Result, error) {
 			}
 			values[attr] = v
 		}
-		a, err := w.Insert(s.AtomType, values)
+		a, err := set.Add(s.AtomType, values)
 		if err != nil {
 			return nil, err
 		}
 		res.Inserted = append(res.Inserted, a)
+	}
+	if err := w.InsertSet(set); err != nil {
+		return nil, err
 	}
 	res.Count = len(res.Inserted)
 	return res, nil

@@ -381,3 +381,91 @@ func TestAbortUndoesAllEntriesDespiteFailures(t *testing.T) {
 		t.Fatalf("autocommit insert on poisoned manager = %v, want ErrPoisoned", err)
 	}
 }
+
+// TestAbortUndoesInsertSet: a set inserted in a transaction is undone by
+// its abort, every member and every partner edit; a set whose partner
+// another transaction holds fails before writing anything.
+func TestAbortUndoesInsertSet(t *testing.T) {
+	sys := newSys(t)
+	m := NewManager(sys)
+	b1, err := sys.Insert("part", map[string]atom.Value{"no": atom.Int(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := sys.Insert("part", map[string]atom.Value{"no": atom.Int(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	usedBy := func(a addr.LogicalAddr) atom.Value {
+		t.Helper()
+		at, err := sys.Get(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ := at.Value("used_by")
+		return v
+	}
+	var members []addr.LogicalAddr
+	insertSet := func(w access.Writer) error {
+		set := sys.NewAtomSet()
+		m1, err := set.Add("part", map[string]atom.Value{"no": atom.Int(10), "uses": atom.RefSet(b1)})
+		if err != nil {
+			return err
+		}
+		m2, err := set.Add("part", map[string]atom.Value{"no": atom.Int(11), "uses": atom.RefSet(b1, b2, m1)})
+		if err != nil {
+			return err
+		}
+		members = []addr.LogicalAddr{m1, m2}
+		return w.InsertSet(set)
+	}
+
+	tx := m.Begin()
+	if err := tx.Do(insertSet); err != nil {
+		t.Fatal(err)
+	}
+	if v := usedBy(b1); !v.ContainsRef(members[0]) || !v.ContainsRef(members[1]) {
+		t.Fatalf("b1.used_by = %v inside the transaction, want both members", v)
+	}
+	if v := usedBy(members[0]); !v.ContainsRef(members[1]) {
+		t.Fatalf("m1.used_by = %v, want m2", v)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range members {
+		if sys.Directory().Exists(a) {
+			t.Fatalf("member %v survived the abort", a)
+		}
+	}
+	for _, b := range []addr.LogicalAddr{b1, b2} {
+		if v := usedBy(b); len(v.E) != 0 {
+			t.Fatalf("partner %v.used_by = %v after the abort, want empty", b, v)
+		}
+	}
+
+	holder := m.Begin()
+	if err := holder.Do(func(w access.Writer) error {
+		return w.Update(b2, map[string]atom.Value{"no": atom.Int(20)})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tx = m.Begin()
+	if err := tx.Do(insertSet); !errors.Is(err, ErrLockConflict) {
+		t.Fatalf("set over a held partner: %v, want ErrLockConflict", err)
+	}
+	for _, a := range members {
+		if sys.Directory().Exists(a) {
+			t.Fatalf("member %v of a refused set is live", a)
+		}
+	}
+	if v := usedBy(b1); len(v.E) != 0 {
+		t.Fatalf("a refused set edited b1.used_by to %v", v)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}

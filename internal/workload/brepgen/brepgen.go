@@ -91,9 +91,23 @@ type Cube struct {
 }
 
 // BuildCube inserts one unit cube at origin offset off with the given solid
-// and brep numbers. Edge lengths are size; face areas size².
+// and brep numbers, as one atom set: each of its 28 atoms is written once,
+// with its back-references. Edge lengths are size; face areas size².
 func BuildCube(e *core.Engine, solidNo, brepNo int, off, size float64) (*Cube, error) {
-	sys := e.System()
+	set := e.System().NewAtomSet()
+	c, err := cubeAtoms(set.Add, solidNo, brepNo, off, size)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.System().InsertSet(set); err != nil {
+		return nil, fmt.Errorf("brepgen: cube %d: %w", solidNo, err)
+	}
+	return c, nil
+}
+
+// cubeAtoms hands add the atoms of one cube in a fixed order, each
+// referencing only atoms added before it, and returns their addresses.
+func cubeAtoms(add func(typeName string, values map[string]atom.Value) (addr.LogicalAddr, error), solidNo, brepNo int, off, size float64) (*Cube, error) {
 	c := &Cube{}
 
 	// 8 corner points, indexed by bit pattern zyx.
@@ -101,7 +115,7 @@ func BuildCube(e *core.Engine, solidNo, brepNo int, off, size float64) (*Cube, e
 		x := off + size*float64(i&1)
 		y := off + size*float64((i>>1)&1)
 		z := off + size*float64((i>>2)&1)
-		a, err := sys.Insert("point", map[string]atom.Value{
+		a, err := add("point", map[string]atom.Value{
 			"placement": atom.Record(atom.Real(x), atom.Real(y), atom.Real(z)),
 		})
 		if err != nil {
@@ -111,20 +125,20 @@ func BuildCube(e *core.Engine, solidNo, brepNo int, off, size float64) (*Cube, e
 	}
 
 	// 12 edges: vertex pairs differing in exactly one bit.
-	edgeIdx := map[[2]int]int{}
+	var pairs [][2]int
 	for i := 0; i < 8; i++ {
 		for j := i + 1; j < 8; j++ {
 			if bits.OnesCount(uint(i^j)) != 1 {
 				continue
 			}
-			a, err := sys.Insert("edge", map[string]atom.Value{
+			a, err := add("edge", map[string]atom.Value{
 				"length":   atom.Real(size),
 				"boundary": atom.RefSet(c.Points[i], c.Points[j]),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("brepgen: edge %d-%d: %w", i, j, err)
 			}
-			edgeIdx[[2]int{i, j}] = len(c.Edges)
+			pairs = append(pairs, [2]int{i, j})
 			c.Edges = append(c.Edges, a)
 		}
 	}
@@ -134,7 +148,7 @@ func BuildCube(e *core.Engine, solidNo, brepNo int, off, size float64) (*Cube, e
 		for side := 0; side < 2; side++ {
 			var border []addr.LogicalAddr
 			var corners []addr.LogicalAddr
-			for pair, idx := range edgeIdx {
+			for idx, pair := range pairs {
 				i, j := pair[0], pair[1]
 				if (i>>axis)&1 == side && (j>>axis)&1 == side {
 					border = append(border, c.Edges[idx])
@@ -145,7 +159,7 @@ func BuildCube(e *core.Engine, solidNo, brepNo int, off, size float64) (*Cube, e
 					corners = append(corners, c.Points[i])
 				}
 			}
-			a, err := sys.Insert("face", map[string]atom.Value{
+			a, err := add("face", map[string]atom.Value{
 				"square_dim": atom.Real(size * size),
 				"border":     atom.RefSet(border...),
 				"crosspoint": atom.RefSet(corners...),
@@ -163,7 +177,7 @@ func BuildCube(e *core.Engine, solidNo, brepNo int, off, size float64) (*Cube, e
 		atom.Real(off), atom.Real(off+size),
 		atom.Real(off), atom.Real(off+size),
 	)
-	brep, err := sys.Insert("brep", map[string]atom.Value{
+	brep, err := add("brep", map[string]atom.Value{
 		"brep_no": atom.Int(int64(brepNo)),
 		"hull":    hull,
 		"faces":   atom.RefSet(c.Faces...),
@@ -175,7 +189,7 @@ func BuildCube(e *core.Engine, solidNo, brepNo int, off, size float64) (*Cube, e
 	}
 	c.Brep = brep
 
-	solid, err := sys.Insert("solid", map[string]atom.Value{
+	solid, err := add("solid", map[string]atom.Value{
 		"solid_no":    atom.Int(int64(solidNo)),
 		"description": atom.Str(fmt.Sprintf("cube %d", solidNo)),
 		"brep":        atom.Ref(brep),

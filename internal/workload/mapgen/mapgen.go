@@ -55,7 +55,9 @@ func Build(e *core.Engine, maps, regionsPerMap, sitesPerRegion int, seed int64) 
 	w := &World{}
 	kinds := []string{"urban", "forest", "water", "farmland"}
 	for m := 0; m < maps; m++ {
-		ma, err := sys.Insert("map", map[string]atom.Value{
+		// A map with its regions and sites is one atom set.
+		set := sys.NewAtomSet()
+		ma, err := set.Add("map", map[string]atom.Value{
 			"name":  atom.Str(fmt.Sprintf("sheet-%d", m)),
 			"scale": atom.Int(int64(25000 * (m + 1))),
 		})
@@ -64,7 +66,7 @@ func Build(e *core.Engine, maps, regionsPerMap, sitesPerRegion int, seed int64) 
 		}
 		w.Maps = append(w.Maps, ma)
 		for r := 0; r < regionsPerMap; r++ {
-			re, err := sys.Insert("region", map[string]atom.Value{
+			re, err := set.Add("region", map[string]atom.Value{
 				"name": atom.Str(fmt.Sprintf("r%d-%d", m, r)),
 				"kind": atom.Str(kinds[(m+r)%len(kinds)]),
 				"map":  atom.Ref(ma),
@@ -74,7 +76,7 @@ func Build(e *core.Engine, maps, regionsPerMap, sitesPerRegion int, seed int64) 
 			}
 			w.Regions = append(w.Regions, re)
 			for s := 0; s < sitesPerRegion; s++ {
-				si, err := sys.Insert("site", map[string]atom.Value{
+				si, err := set.Add("site", map[string]atom.Value{
 					"name":   atom.Str(fmt.Sprintf("s%d", len(w.Sites))),
 					"x":      atom.Real(rng.Float64() * 100),
 					"y":      atom.Real(rng.Float64() * 100),
@@ -86,6 +88,9 @@ func Build(e *core.Engine, maps, regionsPerMap, sitesPerRegion int, seed int64) 
 				}
 				w.Sites = append(w.Sites, si)
 			}
+		}
+		if err := sys.InsertSet(set); err != nil {
+			return nil, fmt.Errorf("mapgen: map %d: %w", m, err)
 		}
 	}
 	return w, nil

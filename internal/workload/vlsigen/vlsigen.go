@@ -51,8 +51,11 @@ func Build(e *core.Engine, cells, pinsPerCell, nets int, seed int64) (*Netlist, 
 	rng := rand.New(rand.NewSource(seed))
 	nl := &Netlist{}
 
+	// The nets are one atom set, and each cell with its pins another: a net
+	// gets one partner update per cell that wires it.
+	set := sys.NewAtomSet()
 	for i := 0; i < nets; i++ {
-		a, err := sys.Insert("net", map[string]atom.Value{
+		a, err := set.Add("net", map[string]atom.Value{
 			"signal": atom.Str(fmt.Sprintf("sig%d", i)),
 		})
 		if err != nil {
@@ -60,9 +63,13 @@ func Build(e *core.Engine, cells, pinsPerCell, nets int, seed int64) (*Netlist, 
 		}
 		nl.Nets = append(nl.Nets, a)
 	}
+	if err := sys.InsertSet(set); err != nil {
+		return nil, fmt.Errorf("vlsigen: nets: %w", err)
+	}
 	kinds := []string{"nand", "nor", "inv", "dff", "mux"}
 	for i := 0; i < cells; i++ {
-		c, err := sys.Insert("cell", map[string]atom.Value{
+		set := sys.NewAtomSet()
+		c, err := set.Add("cell", map[string]atom.Value{
 			"name": atom.Str(fmt.Sprintf("u%d", i)),
 			"kind": atom.Str(kinds[i%len(kinds)]),
 		})
@@ -72,7 +79,7 @@ func Build(e *core.Engine, cells, pinsPerCell, nets int, seed int64) (*Netlist, 
 		nl.Cells = append(nl.Cells, c)
 		for p := 0; p < pinsPerCell; p++ {
 			net := nl.Nets[rng.Intn(len(nl.Nets))]
-			pin, err := sys.Insert("pin", map[string]atom.Value{
+			pin, err := set.Add("pin", map[string]atom.Value{
 				"pos":  atom.Int(int64(p)),
 				"cell": atom.Ref(c),
 				"net":  atom.Ref(net),
@@ -81,6 +88,9 @@ func Build(e *core.Engine, cells, pinsPerCell, nets int, seed int64) (*Netlist, 
 				return nil, fmt.Errorf("vlsigen: pin: %w", err)
 			}
 			nl.Pins = append(nl.Pins, pin)
+		}
+		if err := sys.InsertSet(set); err != nil {
+			return nil, fmt.Errorf("vlsigen: cell %d: %w", i, err)
 		}
 	}
 	return nl, nil
