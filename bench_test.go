@@ -449,9 +449,10 @@ func BenchmarkReadAfterLoad(b *testing.B) {
 // BenchmarkSceneBuild builds a 200-cube design with the write-ahead log on,
 // as every bench workload's set-up does, and reports the cost and the log
 // records appended per atom. Each cube is one atom set, so each of its 28
-// atoms is logged once with its back-references: the benchmark fails when
-// the log takes well over one record per atom (a checkpoint adds a record of
-// its own; per-atom inserts took 4.5).
+// atoms is logged once with its back-references, and the set ends with a
+// commit mark: the benchmark fails when the log takes well over one record
+// per atom (a checkpoint adds a record of its own; per-atom inserts took
+// 4.5).
 func BenchmarkSceneBuild(b *testing.B) {
 	const n, atoms = 200, 200 * (brepgen.CubeAtoms + 1) // the solid too
 	var spent time.Duration
@@ -484,7 +485,7 @@ func BenchmarkSceneBuild(b *testing.B) {
 	b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N*atoms), "ns/atom")
 	b.ReportMetric(perAtom, "records/atom")
 	if perAtom > 1.1 {
-		b.Fatalf("building %d cubes appended %.2f log records per atom, want 1", n, perAtom)
+		b.Fatalf("building %d cubes appended %.2f log records per atom, want about 1", n, perAtom)
 	}
 }
 

@@ -255,14 +255,6 @@ func (d *Directory) Reserve(t TypeID) LogicalAddr {
 	return New(t, seq)
 }
 
-// NewAddr allocates a fresh logical address for an atom of type t and
-// registers an empty record list for it: Reserve and Revive in one.
-func (d *Directory) NewAddr(t TypeID) LogicalAddr {
-	a := d.Reserve(t)
-	_ = d.Revive(a) // a fresh address is never live
-	return a
-}
-
 // Exists reports whether a is a live address.
 func (d *Directory) Exists(a LogicalAddr) bool {
 	d.mu.RLock()

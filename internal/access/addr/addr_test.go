@@ -29,11 +29,21 @@ func TestLogicalAddrParts(t *testing.T) {
 	}
 }
 
+// newAddr reserves a fresh address of type t in d and makes it live, as an
+// insert does once its atom is stored.
+func newAddr(d *Directory, t TypeID) LogicalAddr {
+	a := d.Reserve(t)
+	if err := d.Revive(a); err != nil {
+		panic(err) // a reserved address is never live
+	}
+	return a
+}
+
 func TestNewAddrMonotonic(t *testing.T) {
 	d := NewDirectory()
 	prev := uint64(0)
 	for i := 0; i < 100; i++ {
-		a := d.NewAddr(3)
+		a := newAddr(d, 3)
 		if a.Seq() <= prev {
 			t.Fatalf("sequence not monotonic: %d after %d", a.Seq(), prev)
 		}
@@ -49,7 +59,7 @@ func TestNewAddrMonotonic(t *testing.T) {
 
 func TestRegisterLookupUnregister(t *testing.T) {
 	d := NewDirectory()
-	a := d.NewAddr(1)
+	a := newAddr(d, 1)
 
 	refs, err := d.Lookup(a)
 	if err != nil || len(refs) != 0 {
@@ -95,7 +105,7 @@ func TestRegisterLookupUnregister(t *testing.T) {
 
 func TestUpdateAndValidity(t *testing.T) {
 	d := NewDirectory()
-	a := d.NewAddr(1)
+	a := newAddr(d, 1)
 	for i, k := range []StructKind{KindPrimary, KindSortOrder, KindPartition} {
 		ref := RecordRef{Struct: StructID(i), Kind: k, Where: RID{Page: uint32(i)}, Valid: true}
 		if err := d.Register(a, ref); err != nil {
@@ -149,7 +159,7 @@ func TestReleaseAndScan(t *testing.T) {
 	d := NewDirectory()
 	var addrs []LogicalAddr
 	for i := 0; i < 10; i++ {
-		a := d.NewAddr(2)
+		a := newAddr(d, 2)
 		if err := d.Register(a, RecordRef{Struct: 0, Kind: KindPrimary, Valid: true}); err != nil {
 			t.Fatalf("Register: %v", err)
 		}
@@ -209,9 +219,9 @@ func TestReleaseAndScan(t *testing.T) {
 
 func TestTypes(t *testing.T) {
 	d := NewDirectory()
-	d.NewAddr(5)
-	d.NewAddr(2)
-	a := d.NewAddr(9)
+	newAddr(d, 5)
+	newAddr(d, 2)
+	a := newAddr(d, 9)
 	if _, err := d.Release(a); err != nil {
 		t.Fatalf("Release: %v", err)
 	}
@@ -225,7 +235,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	d := NewDirectory()
 	var addrs []LogicalAddr
 	for i := 0; i < 20; i++ {
-		a := d.NewAddr(TypeID(1 + i%3))
+		a := newAddr(d, TypeID(1+i%3))
 		addrs = append(addrs, a)
 		d.Register(a, RecordRef{Struct: 0, Kind: KindPrimary, Where: RID{Page: uint32(i), Slot: uint16(i)}, Valid: true})
 		if i%2 == 0 {
@@ -261,7 +271,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// Sequence counters continue after the snapshot (no address reuse).
-	n := d2.NewAddr(1)
+	n := newAddr(d2, 1)
 	if d.Exists(n) {
 		t.Fatal("restored directory reused a live sequence number")
 	}
@@ -388,9 +398,9 @@ func TestDirectoryAgainstModel(t *testing.T) {
 				if m.next[ty] == 0 {
 					m.next[ty] = 1
 				}
-				a := d.NewAddr(ty)
+				a := newAddr(d, ty)
 				if a != New(ty, m.next[ty]) {
-					t.Fatalf("seed %d: NewAddr(%d) = %v, want sequence %d", seed, ty, a, m.next[ty])
+					t.Fatalf("seed %d: newAddr(%d) = %v, want sequence %d", seed, ty, a, m.next[ty])
 				}
 				m.next[ty]++
 				m.refs[a] = nil

@@ -53,7 +53,7 @@ func sampleDirectory() *Directory {
 	d := NewDirectory()
 	var ones []LogicalAddr
 	for i := 0; i < 5000; i++ {
-		ones = append(ones, d.NewAddr(1))
+		ones = append(ones, newAddr(d, 1))
 	}
 	for i, a := range ones {
 		if i == 10 || i == 2600 || i == 4998 {
@@ -63,7 +63,7 @@ func sampleDirectory() *Directory {
 		d.Release(a)
 	}
 	for i := 0; i < 40; i++ {
-		a := d.NewAddr(7)
+		a := newAddr(d, 7)
 		d.Register(a, RecordRef{Kind: KindPrimary, Where: RID{Page: uint32(i)}, Valid: true})
 		if i%2 == 0 {
 			d.Register(a, RecordRef{Struct: 9, Kind: KindSortOrder, Where: RID{Page: 100, Slot: uint16(i)}, Valid: i%4 == 0})

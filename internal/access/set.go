@@ -29,13 +29,9 @@ var ErrSetUsed = errors.New("access: atom set already inserted")
 type AtomSet struct {
 	s       *System
 	members []setMember
-	pos     map[addr.LogicalAddr]int // member address -> index, past setScanMax members
+	pos     map[addr.LogicalAddr]int // member address -> index
 	used    bool
 }
-
-// setScanMax is the member count up to which a set finds a member by
-// scanning, without an index.
-const setScanMax = 8
 
 // setMember is one atom of a set: its values as Add was given them until
 // InsertSet adds the back-references.
@@ -63,7 +59,9 @@ type backRef struct {
 }
 
 // NewAtomSet returns an empty set of atoms to insert into s.
-func (s *System) NewAtomSet() *AtomSet { return &AtomSet{s: s} }
+func (s *System) NewAtomSet() *AtomSet {
+	return &AtomSet{s: s, pos: map[addr.LogicalAddr]int{}}
+}
 
 // Add adds an atom of the named type to the set and returns its address.
 // values maps attribute names to values; omitted attributes take their zero
@@ -97,31 +95,9 @@ func (set *AtomSet) Add(typeName string, values map[string]atom.Value) (addr.Log
 	if err := t.CheckValues(vec); err != nil {
 		return 0, err
 	}
+	set.pos[a] = len(set.members)
 	set.members = append(set.members, setMember{t: t, a: a, vals: vec})
-	switch n := len(set.members); {
-	case n == setScanMax+1:
-		set.pos = make(map[addr.LogicalAddr]int, 2*n)
-		for j, m := range set.members {
-			set.pos[m.a] = j
-		}
-	case n > setScanMax+1:
-		set.pos[a] = n - 1
-	}
 	return a, nil
-}
-
-// member returns the index of the member at address a.
-func (set *AtomSet) member(a addr.LogicalAddr) (int, bool) {
-	if set.pos != nil {
-		j, ok := set.pos[a]
-		return j, ok
-	}
-	for j := range set.members {
-		if set.members[j].a == a {
-			return j, true
-		}
-	}
-	return 0, false
 }
 
 // InsertSet is Writer.InsertSet in the no-transaction form of System.Insert.
@@ -139,6 +115,12 @@ func (s *System) InsertSet(set *AtomSet) error { return s.Writer(0, nil).InsertS
 // it. When a write fails, the members and partners already written are
 // rolled back (logged as compensations); a page write that fails halfway
 // leaves that one atom as Insert would.
+//
+// A set is atomic in the log too. In a transaction its records are the
+// transaction's. An autocommit set of more than one record takes a
+// transaction id of its own and ends with an (unforced) commit mark, so
+// recovery rolls back a set a crash cut short instead of redoing a prefix
+// whose images reference members that were never logged.
 func (w Writer) InsertSet(set *AtomSet) (err error) {
 	s := w.s
 	if set.s != s {
@@ -196,7 +178,17 @@ func (w Writer) InsertSet(set *AtomSet) (err error) {
 	if err := set.readPartners(partners, refs); err != nil {
 		return err
 	}
-	return w.writeSet(set, partners)
+	records := len(set.members)
+	for _, p := range partners {
+		if p.changed != nil {
+			records++
+		}
+	}
+	own := w.txID == 0 && s.wal != nil && !s.walRecovering && records > 1
+	if own {
+		w.txID = s.NewTxID()
+	}
+	return w.writeSet(set, partners, own)
 }
 
 // backRefs validates the members' references, as Add gave them, and lists
@@ -221,7 +213,7 @@ func (set *AtomSet) backRefs() ([]backRef, error) {
 
 // holds reports whether a is a member's address.
 func (set *AtomSet) holds(a addr.LogicalAddr) bool {
-	_, ok := set.member(a)
+	_, ok := set.pos[a]
 	return ok
 }
 
@@ -232,7 +224,7 @@ func (set *AtomSet) applyBackRefs(refs []backRef) ([]*setPartner, error) {
 	var partners []*setPartner
 	seen := map[addr.LogicalAddr]bool{}
 	for _, r := range refs {
-		if j, ok := set.member(r.target); ok {
+		if j, ok := set.pos[r.target]; ok {
 			m := &set.members[j]
 			bi, err := backAttr(r.t, r.attr, m.t)
 			if err != nil {
@@ -304,17 +296,24 @@ func backAttr(t *catalog.AtomType, attr int, pt *catalog.AtomType) (int, error) 
 
 // writeSet logs and stores the members, updates the partners and builds the
 // cluster occurrences rooted at members; on a failure it rolls back what it
-// wrote. The first member's write span is held open to the end.
-func (w Writer) writeSet(set *AtomSet, partners []*setPartner) (err error) {
+// wrote. The first member's write span is held open to the end. With own
+// set, the set's records carry a transaction id of their own, and writeSet
+// ends them with a commit mark, or after a rollback an abort mark.
+func (w Writer) writeSet(set *AtomSet, partners []*setPartner, own bool) (err error) {
 	s := w.s
 	first := set.members[0]
 	defer s.mvBegin(first.t, first.a, nil)()
 	// Deferred after the span opened, so it runs while the span is open:
-	// no snapshot sees the rolled-back writes.
+	// no snapshot sees the rolled-back writes, and none sees a member
+	// before the commit mark is in the log, so a writer that learned a
+	// member's address from a snapshot logs its reference after the mark.
 	stored, updated := 0, 0
 	defer func() {
 		if err != nil {
 			w.rollbackSet(set.members[:stored], partners[:updated])
+			if own {
+				_ = w.walMark(wal.RecAbort) // a lost mark leaves a loser: the same state
+			}
 		}
 	}()
 	for k, m := range set.members {
@@ -340,6 +339,9 @@ func (w Writer) writeSet(set *AtomSet, partners []*setPartner) (err error) {
 				}
 			}
 		}
+	}
+	if own {
+		return w.walMark(wal.RecCommit)
 	}
 	return nil
 }

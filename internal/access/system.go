@@ -197,9 +197,15 @@ type System struct {
 	// repeating.
 	wal           *wal.Log
 	walRecovering bool
-	ckptMu        sync.Mutex
-	walStop       chan struct{}
-	walDone       chan struct{}
+	// walRoots collects, during recovery replay, the cluster roots the
+	// replay re-created; their occurrences are built once the replay ends.
+	walRoots map[addr.LogicalAddr]bool
+	// txSeq numbers the transactions the log attributes records to: the
+	// transaction manager's and the atom sets' of autocommit writes.
+	txSeq   atomic.Uint64
+	ckptMu  sync.Mutex
+	walStop chan struct{}
+	walDone chan struct{}
 	// walCkptErr holds the outcome of the most recent checkpoint attempt
 	// (nil on success): the operator-visible signal that log truncation has
 	// stalled. See WALCheckpointErr.

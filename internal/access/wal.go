@@ -2,8 +2,10 @@ package access
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"prima/internal/access/addr"
@@ -32,9 +34,12 @@ func (s *System) openWAL() error {
 		return fmt.Errorf("access: open wal: %w", err)
 	}
 	s.wal = wl
-	s.walRecovering = true
+	s.walRecovering, s.walRoots = true, map[addr.LogicalAddr]bool{}
 	_, rerr := wl.Recover(&walApplier{s: s})
-	s.walRecovering = false
+	if rerr == nil {
+		rerr = s.buildReplayedClusters()
+	}
+	s.walRecovering, s.walRoots = false, nil
 	if rerr == nil {
 		// The log gate goes in only after replay: pages dirtied by recovery
 		// carry records that are already durable (they were just read from the
@@ -51,6 +56,29 @@ func (s *System) openWAL() error {
 	s.walStop = make(chan struct{})
 	s.walDone = make(chan struct{})
 	go s.walCheckpointLoop()
+	return nil
+}
+
+// buildReplayedClusters builds the cluster occurrences of the roots that
+// recovery replay re-created and that are still live after it.
+func (s *System) buildReplayedClusters() error {
+	roots := slices.Sorted(maps.Keys(s.walRoots))
+	for _, a := range roots {
+		if !s.dir.Exists(a) {
+			continue // undone, or deleted later in the log
+		}
+		t, err := s.typeByID(a.Type())
+		if err != nil {
+			return err
+		}
+		for _, cl := range s.clustersInvolving(t.Name) {
+			if cl.def.RootType() == t.Name {
+				if err := s.buildClusterOccurrence(cl, a); err != nil {
+					return fmt.Errorf("access: cluster %s of %v: %w", cl.def.Name, a, err)
+				}
+			}
+		}
+	}
 	return nil
 }
 
@@ -141,6 +169,26 @@ func (w Writer) walAppend(kind wal.Kind, a addr.LogicalAddr, typeName string, un
 // against whatever prefix survived.
 func (w Writer) walCompensate(kind wal.Kind, a addr.LogicalAddr, typeName string, undo, redo []atom.Value) {
 	_ = w.walAppend(kind, a, typeName, undo, redo)
+}
+
+// NewTxID returns a transaction id that no other write context of s uses:
+// the transaction manager numbers its transactions with it, and an
+// autocommit atom set takes one so that its records are atomic in the log.
+func (s *System) NewTxID() uint64 { return s.txSeq.Add(1) }
+
+// walMark appends the commit or abort mark of w's transaction without
+// forcing the log: a crash that loses the mark leaves a loser, which
+// recovery rolls back whole. Without a log, or during recovery replay, it is
+// a no-op.
+func (w Writer) walMark(kind wal.Kind) error {
+	l := w.s.wal
+	if l == nil || w.s.walRecovering {
+		return nil
+	}
+	if _, err := l.Append(&wal.Record{Kind: kind, TxID: w.txID}); err != nil {
+		return fmt.Errorf("access: log %s of transaction %d: %w", kind, w.txID, err)
+	}
+	return nil
 }
 
 // WALCommit durably commits the transaction's log records (group commit).

@@ -143,11 +143,18 @@ func (s *System) RawResurrect(a addr.LogicalAddr, values []atom.Value, txID uint
 		return err
 	}
 	for _, cl := range s.clustersInvolving(t.Name) {
-		if cl.def.RootType() == t.Name {
-			if err := s.buildClusterOccurrence(cl, a); err != nil {
-				comp()
-				return err
-			}
+		if cl.def.RootType() != t.Name {
+			continue
+		}
+		if s.walRecovering {
+			// The root's image may reference atoms the log replays after
+			// it (members of the same atom set): build once replay ends.
+			s.walRoots[a] = true
+			continue
+		}
+		if err := s.buildClusterOccurrence(cl, a); err != nil {
+			comp()
+			return err
 		}
 	}
 	return nil

@@ -37,8 +37,9 @@ func appends(t *testing.T, sys *access.System) uint64 {
 }
 
 // TestMultiRowInsertUpdatesPartnerOnce: the rows of one INSERT are one atom
-// set, so ten faces that reference one brep are ten log records and the
-// brep's one partner update, which gives it all ten back-references.
+// set, so ten faces that reference one brep are ten log records, the brep's
+// one partner update, which gives it all ten back-references, and the set's
+// commit mark.
 func TestMultiRowInsertUpdatesPartnerOnce(t *testing.T) {
 	e, sys := walEngine(t)
 	brep := mustQuery(t, e, `INSERT INTO brep (brep_no) VALUES (1)`).Inserted[0]
@@ -48,8 +49,8 @@ func TestMultiRowInsertUpdatesPartnerOnce(t *testing.T) {
 	}
 	before := appends(t, sys)
 	res := mustQuery(t, e, `INSERT INTO face (square_dim, brep) VALUES `+strings.Join(rows, ", "))
-	if got := appends(t, sys) - before; got != 11 {
-		t.Fatalf("a 10-row INSERT referencing one brep appended %d log records, want 10 inserts and 1 update", got)
+	if got := appends(t, sys) - before; got != 12 {
+		t.Fatalf("a 10-row INSERT referencing one brep appended %d log records, want 10 inserts, 1 update and a commit mark", got)
 	}
 	at, err := sys.Get(brep, nil)
 	if err != nil {

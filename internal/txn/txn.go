@@ -53,9 +53,8 @@ type logEntry struct {
 type Manager struct {
 	sys *access.System
 
-	mu     sync.Mutex
-	nextID uint64
-	locks  map[addr.LogicalAddr]*Tx // exclusive holders
+	mu    sync.Mutex
+	locks map[addr.LogicalAddr]*Tx // exclusive holders
 	// pins counts the autocommit writes in flight on each atom: a
 	// transaction may not lock an atom one of them is mutating (see
 	// autocommit).
@@ -146,9 +145,8 @@ func (m *Manager) Begin() *Tx {
 	if m.poisoned != nil {
 		return &Tx{m: m, dead: true, done: true, locks: map[addr.LogicalAddr]bool{}}
 	}
-	m.nextID++
 	m.active.Add(1)
-	return &Tx{m: m, id: m.nextID, locks: map[addr.LogicalAddr]bool{}, snap: m.sys.OpenSnapshot()}
+	return &Tx{m: m, id: m.sys.NewTxID(), locks: map[addr.LogicalAddr]bool{}, snap: m.sys.OpenSnapshot()}
 }
 
 // Begin starts a nested child transaction. The child opens at the current
@@ -159,10 +157,9 @@ func (t *Tx) Begin() (*Tx, error) {
 	if err := t.liveLocked(); err != nil {
 		return nil, err
 	}
-	t.m.nextID++
 	t.m.active.Add(1)
 	t.children++
-	return &Tx{m: t.m, id: t.m.nextID, parent: t, locks: map[addr.LogicalAddr]bool{}, snap: t.m.sys.OpenSnapshot()}, nil
+	return &Tx{m: t.m, id: t.m.sys.NewTxID(), parent: t, locks: map[addr.LogicalAddr]bool{}, snap: t.m.sys.OpenSnapshot()}, nil
 }
 
 // liveLocked reports why t can take no more work, if it cannot.
