@@ -272,15 +272,15 @@ func (m *mvStore) chainAddrsOf(tid addr.TypeID, after, bound, e uint64) []addr.L
 
 // --- write span integration ----------------------------------------------------
 
-// mvBegin opens a write span for a with the given pre-image (nil = the atom
-// does not exist yet) and returns the closure that closes it; mutation paths
-// use `defer s.mvBegin(t, a, pre)()` so the span covers exactly the mutation
-// (install happens at the defer statement, before any record changes; the
-// close runs on every exit path).
-func (s *System) mvBegin(t *catalog.AtomType, a addr.LogicalAddr, pre []atom.Value) func() {
+// mvBegin opens a write span for a with the given pre-image (the zero image
+// = the atom does not exist yet) and returns the closure that closes it;
+// mutation paths use `defer s.mvBegin(t, a, pre)()` so the span covers
+// exactly the mutation (install happens at the defer statement, before any
+// record changes; the close runs on every exit path).
+func (s *System) mvBegin(t *catalog.AtomType, a addr.LogicalAddr, pre atom.Image) func() {
 	var rec Record
-	if pre != nil {
-		rec = Record{Type: t, Addr: a, Image: atom.ImageOf(pre)}
+	if !pre.IsZero() {
+		rec = Record{Type: t, Addr: a, Image: pre}
 	}
 	w := s.mv.writeBegin(a, rec)
 	return func() { s.mv.writeEnd(w) }

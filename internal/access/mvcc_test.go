@@ -406,7 +406,7 @@ func TestAwaitWritesGivesReadYourWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	endOther := s.mvBegin(cur.Type, addrs[1], cur.Values) // another session, stalled mid-write
+	endOther := s.mvBegin(cur.Type, addrs[1], atom.ImageOf(cur.Values)) // another session, stalled mid-write
 
 	if err := s.Update(addrs[0], map[string]atom.Value{"n": atom.Int(100)}); err != nil {
 		t.Fatal(err)

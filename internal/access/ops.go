@@ -88,19 +88,24 @@ func (s *System) Insert(typeName string, values map[string]atom.Value) (addr.Log
 func (w Writer) Insert(typeName string, values map[string]atom.Value) (addr.LogicalAddr, error) {
 	set := w.s.NewAtomSet()
 	a, err := set.Add(typeName, values)
-	if err == nil {
-		err = w.InsertSet(set)
-	}
-	if err != nil {
+	if err = w.writeOne(set, err); err != nil {
 		return 0, err
 	}
 	return a, nil
 }
 
+// writeOne writes set, a set of one, unless adding its member failed with
+// err.
+func (w Writer) writeOne(set *AtomSet, err error) error {
+	if err != nil {
+		return err
+	}
+	return w.WriteSet(set)
+}
+
 // store writes atom a's primary record, registers it with the directory and
 // enters vals into the type's access paths, sort orders and partitions. comp
-// compensates the logged insert when a step fails. Insert and RawResurrect
-// share it.
+// compensates the logged insert when a step fails.
 func (s *System) store(t *catalog.AtomType, a addr.LogicalAddr, vals []atom.Value, comp func()) error {
 	prim, err := s.primary(t)
 	if err != nil {
@@ -139,83 +144,6 @@ func (s *System) store(t *catalog.AtomType, a addr.LogicalAddr, vals []atom.Valu
 		}
 	}
 	return nil
-}
-
-// checkRefTargets validates that every address in v is live, or a member
-// of the set being inserted (member may be nil), and has the attribute's
-// declared target type.
-func (s *System) checkRefTargets(t *catalog.AtomType, attrIdx int, v atom.Value, member func(addr.LogicalAddr) bool) error {
-	targetType, _, ok := t.Attrs[attrIdx].Type.RefTarget()
-	if !ok {
-		return nil
-	}
-	tt, err := s.typeOf(targetType)
-	if err != nil {
-		return err
-	}
-	for target := range v.AllRefs() {
-		if target.Type() != tt.ID || !(member != nil && member(target)) && !s.dir.Exists(target) {
-			return fmt.Errorf("%w: %s.%s -> %v (want live %s)", ErrBadRef, t.Name, t.Attrs[attrIdx].Name, target, targetType)
-		}
-	}
-	return nil
-}
-
-// addBackRef performs the implicit update on the partner atom: target's
-// back attribute gains a reference to a.
-func (w Writer) addBackRef(t *catalog.AtomType, attrIdx int, a, target addr.LogicalAddr) error {
-	return w.editBackRef(t, attrIdx, target, func(v atom.Value) (atom.Value, bool) {
-		if v.ContainsRef(a) {
-			return v, false // already symmetric
-		}
-		return v.WithRef(a), true
-	})
-}
-
-// removeBackRef removes a's entry from target's back attribute.
-func (w Writer) removeBackRef(t *catalog.AtomType, attrIdx int, a, target addr.LogicalAddr) error {
-	if !w.s.dir.Exists(target) {
-		return nil // partner already deleted
-	}
-	return w.editBackRef(t, attrIdx, target, func(v atom.Value) (atom.Value, bool) {
-		if !v.ContainsRef(a) {
-			return v, false
-		}
-		return v.WithoutRef(a), true
-	})
-}
-
-// editBackRef rewrites target's back attribute of t's reference attribute
-// attrIdx to what edit makes of it, unless edit reports no change. target is
-// admitted before it is read.
-func (w Writer) editBackRef(t *catalog.AtomType, attrIdx int, target addr.LogicalAddr, edit func(atom.Value) (atom.Value, bool)) (err error) {
-	s := w.s
-	pt, err := s.typeByID(target.Type())
-	if err != nil {
-		return err
-	}
-	bi, err := backAttr(t, attrIdx, pt)
-	if err != nil {
-		return err
-	}
-	if err := w.acquire(target); err != nil {
-		return err
-	}
-	var kind wal.Kind // stays 0 when nothing is written
-	var pre []atom.Value
-	defer func() { w.release(target, kind, pre, err) }()
-	partner, err := s.Get(target, nil)
-	if err != nil {
-		return err
-	}
-	v, changed := edit(partner.Values[bi])
-	if !changed {
-		return nil
-	}
-	nv := slices.Clone(partner.Values)
-	nv[bi] = v
-	kind, pre = wal.RecUpdate, partner.Values
-	return w.updateRaw(pt, target, partner.Values, nv, map[int]bool{bi: true})
 }
 
 // Get reads an atom. attrs selects attributes to materialize (nil = all);
@@ -329,85 +257,20 @@ func (s *System) Update(a addr.LogicalAddr, changes map[string]atom.Value) error
 	return s.Writer(0, nil).Update(a, changes)
 }
 
-// Update is System.Update in w's write context.
-func (w Writer) Update(a addr.LogicalAddr, changes map[string]atom.Value) (err error) {
-	s := w.s
-	t, err := s.typeByID(a.Type())
-	if err != nil {
-		return err
-	}
-	// Checkpoint op span: see Insert.
-	defer s.walOpBegin()()
-	if err := w.acquire(a); err != nil {
-		return err
-	}
-	var old []atom.Value
-	defer func() { w.release(a, wal.RecUpdate, old, err) }()
-	cur, err := s.Get(a, nil)
-	if err != nil {
-		return err
-	}
-	old = cur.Values
-	nv := slices.Clone(cur.Values)
-	changed := map[int]bool{}
-	for name, v := range changes {
-		i, ok := t.AttrIndex(name)
-		if !ok {
-			return fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, t.Name, name)
-		}
-		if i == t.IdentIndex() {
-			return fmt.Errorf("%w: %s.%s", ErrReadOnlyAttr, t.Name, name)
-		}
-		if err := t.Attrs[i].Type.Check(v); err != nil {
-			return err
-		}
-		nv[i] = v
-		changed[i] = true
-	}
-
-	// Reference maintenance: diff old and new target sets per ref attr.
-	for _, i := range t.RefAttrs() {
-		if !changed[i] {
-			continue
-		}
-		if err := s.checkRefTargets(t, i, nv[i], nil); err != nil {
-			return err
-		}
-		oldSet := map[addr.LogicalAddr]bool{}
-		for x := range cur.Values[i].AllRefs() {
-			oldSet[x] = true
-		}
-		newSet := map[addr.LogicalAddr]bool{}
-		for x := range nv[i].AllRefs() {
-			newSet[x] = true
-		}
-		for x := range newSet {
-			if !oldSet[x] {
-				if err := w.addBackRef(t, i, a, x); err != nil {
-					return err
-				}
-			}
-		}
-		for x := range oldSet {
-			if !newSet[x] {
-				if err := w.removeBackRef(t, i, a, x); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return w.updateRaw(t, a, cur.Values, nv, changed)
+// Update is System.Update in w's write context: a set of one.
+func (w Writer) Update(a addr.LogicalAddr, changes map[string]atom.Value) error {
+	set := w.s.NewAtomSet()
+	return w.writeOne(set, set.Update(a, changes))
 }
 
-// updateRaw rewrites the primary record and maintains indexes without any
-// integrity side effects (used by Update, by the implicit partner updates
-// themselves and by undo). The caller has admitted a.
+// updateRaw logs atom a's update from old to nv, rewrites its primary
+// record and repositions a in the access paths and sort orders whose keys
+// changed, without any integrity side effects (used by atom sets and by
+// undo). The caller has admitted a and opened its multi-version write span,
+// so snapshot readers that observe this write's effects always find the old
+// image in the chain.
 func (w Writer) updateRaw(t *catalog.AtomType, a addr.LogicalAddr, old, nv []atom.Value, changed map[int]bool) error {
 	s := w.s
-	// Multi-version write span: the pre-image is installed here, before any
-	// physical record changes, so snapshot readers that observe this write's
-	// effects always find the old image in the chain.
-	defer s.mvBegin(t, a, old)()
 	// Atom cache write barrier, deferred so it runs after the
 	// primary record write on success AND on every error path past this
 	// point — a half-applied update must not leave its pre-image cached.
@@ -498,33 +361,16 @@ func (s *System) Disconnect(a addr.LogicalAddr, attr string, target addr.Logical
 	return s.Writer(0, nil).Disconnect(a, attr, target)
 }
 
-// Connect is System.Connect in w's write context.
+// Connect is System.Connect in w's write context: a set of one.
 func (w Writer) Connect(a addr.LogicalAddr, attr string, target addr.LogicalAddr) error {
-	return w.editRef(a, attr, func(v atom.Value) atom.Value { return v.WithRef(target) })
+	set := w.s.NewAtomSet()
+	return w.writeOne(set, set.Connect(a, attr, target))
 }
 
-// Disconnect is System.Disconnect in w's write context.
+// Disconnect is System.Disconnect in w's write context: a set of one.
 func (w Writer) Disconnect(a addr.LogicalAddr, attr string, target addr.LogicalAddr) error {
-	return w.editRef(a, attr, func(v atom.Value) atom.Value { return v.WithoutRef(target) })
-}
-
-// editRef replaces a's reference attribute attr by what edit makes of it. It
-// holds a from the read to the update, so no concurrent writer can change the
-// reference set in between; the update records the undo.
-func (w Writer) editRef(a addr.LogicalAddr, attr string, edit func(atom.Value) atom.Value) (err error) {
-	if err := w.acquire(a); err != nil {
-		return err
-	}
-	defer func() { w.release(a, 0, nil, err) }()
-	cur, err := w.s.Get(a, nil)
-	if err != nil {
-		return err
-	}
-	v, ok := cur.Value(attr)
-	if !ok {
-		return fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, cur.Type.Name, attr)
-	}
-	return w.Update(a, map[string]atom.Value{attr: edit(v)})
+	set := w.s.NewAtomSet()
+	return w.writeOne(set, set.Disconnect(a, attr, target))
 }
 
 // Delete removes atom a: partner atoms drop their back-references
@@ -532,58 +378,62 @@ func (w Writer) editRef(a addr.LogicalAddr, attr string, edit func(atom.Value) a
 // logical address is released.
 func (s *System) Delete(a addr.LogicalAddr) error { return s.Writer(0, nil).Delete(a) }
 
-// Delete is System.Delete in w's write context.
-func (w Writer) Delete(a addr.LogicalAddr) (err error) {
-	s := w.s
-	t, err := s.typeByID(a.Type())
-	if err != nil {
-		return err
-	}
-	// Checkpoint op span: see Insert.
-	defer s.walOpBegin()()
-	if err := w.acquire(a); err != nil {
-		return err
-	}
-	var pre []atom.Value
-	defer func() { w.release(a, wal.RecDelete, pre, err) }()
-	cur, err := s.Get(a, nil)
-	if err != nil {
-		return err
-	}
-	pre = cur.Values
-	// Multi-version write span: snapshot readers keep seeing the deleted
-	// atom's pre-image (and enumerate its address) until no snapshot from
-	// before this delete remains open.
-	defer s.mvBegin(t, a, cur.Values)()
-	// Deferred like updateRaw's barrier: even a partially failed
-	// delete (e.g. a record reclaim error after the directory release) must
-	// drop the cached image.
-	defer s.cacheInvalidate(a)
+// Delete is System.Delete in w's write context: a set of one.
+func (w Writer) Delete(a addr.LogicalAddr) error {
+	set := w.s.NewAtomSet()
+	return w.writeOne(set, set.Delete(a))
+}
 
+// insertLogged logs atom a's insert with values vals and stores it, making
+// its address live; a store that fails before the atom is registered leaves
+// the address dead. The caller has admitted a and opened its write span
+// with a tombstone pre-image ("did not exist before this write").
+func (w Writer) insertLogged(t *catalog.AtomType, a addr.LogicalAddr, vals []atom.Value) error {
+	s := w.s
+	// Drop any negative cache entry for the address: it stops not-existing.
+	// Deferred, so failed inserts are covered too.
+	defer s.cacheInvalidate(a)
+	// Log the insert ahead of any page write; if a later physical step
+	// fails, the compensating delete makes the logged pair a net no-op.
+	if err := w.walAppend(wal.RecInsert, a, t.Name, nil, vals); err != nil {
+		return err
+	}
+	comp := func() { w.walCompensate(wal.RecDelete, a, t.Name, vals, nil) }
+	if err := s.dir.Revive(a); err != nil {
+		comp()
+		return err
+	}
+	if err := s.store(t, a, vals, comp); err != nil {
+		if _, ok := s.dir.LookupStruct(a, 0); !ok {
+			_, _ = s.dir.Release(a) // never registered: the address goes dead
+		}
+		return err
+	}
+	return nil
+}
+
+// deleteLogged logs the delete of atom a, whose values are vals, and drops
+// it, without disconnecting partners. The caller has admitted a and opened
+// its write span with vals' image: snapshot readers keep seeing the deleted
+// atom (and enumerate its address) until no snapshot from before the delete
+// remains open.
+func (w Writer) deleteLogged(t *catalog.AtomType, a addr.LogicalAddr, vals []atom.Value) error {
+	// Deferred like updateRaw's barrier: even a partially failed delete
+	// (e.g. a record reclaim error after the directory release) must drop
+	// the cached image.
+	defer w.s.cacheInvalidate(a)
 	// Log the delete ahead of any page write; a compensating insert voids
 	// the logged pair if a later physical step fails.
-	if err := w.walAppend(wal.RecDelete, a, t.Name, cur.Values, nil); err != nil {
+	if err := w.walAppend(wal.RecDelete, a, t.Name, vals, nil); err != nil {
 		return err
 	}
-	comp := func() { w.walCompensate(wal.RecInsert, a, t.Name, nil, cur.Values) }
-
-	// Implicit disconnection from all partners.
-	for _, i := range t.RefAttrs() {
-		for target := range cur.Values[i].AllRefs() {
-			if err := w.removeBackRef(t, i, a, target); err != nil {
-				comp()
-				return err
-			}
-		}
-	}
-
-	return s.drop(t, a, cur.Values, comp)
+	return w.s.drop(t, a, vals, func() { w.walCompensate(wal.RecInsert, a, t.Name, nil, vals) })
 }
 
 // drop removes atom a, whose values are vals, from the access paths and sort
 // orders, dissolves the cluster occurrences it roots, releases its address
 // and reclaims its physical records. comp compensates the logged delete when
-// a step up to the release fails. Delete and RawDelete share it.
+// a step up to the release fails.
 func (s *System) drop(t *catalog.AtomType, a addr.LogicalAddr, vals []atom.Value, comp func()) error {
 	// Access paths and sort order trees drop their entries immediately.
 	for _, ap := range s.accessPathsOf(t.Name) {

@@ -11,20 +11,26 @@ import (
 	"prima/internal/storage/wal"
 )
 
-// ErrSetUsed is returned by InsertSet for a set that was already inserted
-// (or whose insert failed).
-var ErrSetUsed = errors.New("access: atom set already inserted")
+// ErrSetUsed is returned by WriteSet, and by the methods that add to a set,
+// for a set that was already written (or whose write failed).
+var ErrSetUsed = errors.New("access: atom set already written")
 
-// AtomSet collects the atoms of one set-oriented insert (Writer.InsertSet).
-// Its members may reference each other and existing atoms. Back-references
-// among members are applied in memory, so each member is logged and stored
-// once, with its final values; an existing atom that members reference gets
-// one partner update, however many references point at it.
+// AtomSet collects the writes of one set-oriented call of the access system
+// (Writer.WriteSet): atoms to insert (Add), to update (Update, Connect,
+// Disconnect) and to delete (Delete). It is the access system's only write
+// path: Insert, Update, Connect, Disconnect and Delete write sets of one.
+//
+// The implicit partner updates that keep associations symmetric are the
+// set's: each member's reference changes are applied to the other members in
+// memory, and every other atom they reach, its partner, is updated once,
+// however many references point at it. A member's reference to a member the
+// set deletes is an error; a partner the set deletes, or that is no longer
+// live, is left alone.
 //
 // Add gives a member its logical address at once, so later members and the
-// caller can reference it, but the address goes live only when InsertSet
-// has logged and stored the member: a set that fails, or is never inserted,
-// leaves no live address. A set is inserted at most once and is not safe for
+// caller can reference it, but the address goes live only when WriteSet has
+// logged and stored the member: a set that fails, or is never written,
+// leaves no live address. A set is written at most once and is not safe for
 // concurrent use.
 type AtomSet struct {
 	s       *System
@@ -33,41 +39,54 @@ type AtomSet struct {
 	used    bool
 }
 
-// setMember is one atom of a set: its values as Add was given them until
-// InsertSet adds the back-references.
+// setMember is one atom of a set: a member the caller added, or a partner
+// WriteSet added.
 type setMember struct {
-	t    *catalog.AtomType
-	a    addr.LogicalAddr
-	vals []atom.Value
+	t *catalog.AtomType
+	a addr.LogicalAddr
+	// kind is the member's write: wal.RecInsert, RecUpdate or RecDelete. A
+	// partner is 0 until a back-reference changes it.
+	kind  wal.Kind
+	edits []setEdit // update: the changes, applied to the pre-image in order
+	backs []int     // update: the back attributes back-references changed
+	// img and pre are the pre-image read after admission (updates, deletes
+	// and partners); vals are the values to write (all but deletes).
+	img       atom.Image
+	pre, vals []atom.Value
 }
 
-// setPartner is an existing atom that members reference: the pre-image
-// InsertSet read and the values it writes back.
-type setPartner struct {
-	t       *catalog.AtomType
-	a       addr.LogicalAddr
-	pre, nv []atom.Value
-	changed map[int]bool // nil: the partner is symmetric already
+// setEdit is one change of an updated member: attribute i takes v, or, for
+// a connection, gains (op > 0) or loses (op < 0) the reference v.A.
+type setEdit struct {
+	i  int
+	op int
+	v  atom.Value
 }
 
-// backRef is the implicit partner update one reference implies: target's
-// back attribute of t's reference attribute attr gains from.
+// backRef is the implicit partner update one reference change implies:
+// target's back attribute of t's reference attribute attr gains from (add)
+// or loses it.
 type backRef struct {
 	t            *catalog.AtomType
 	attr         int
 	from, target addr.LogicalAddr
+	add          bool
 }
 
-// NewAtomSet returns an empty set of atoms to insert into s.
+// NewAtomSet returns an empty set of writes to s.
 func (s *System) NewAtomSet() *AtomSet {
 	return &AtomSet{s: s, pos: map[addr.LogicalAddr]int{}}
 }
 
-// Add adds an atom of the named type to the set and returns its address.
+// Len returns the number of atoms added to the set. WriteSet adds the
+// partners it updates.
+func (set *AtomSet) Len() int { return len(set.members) }
+
+// Add adds an atom of the named type to insert and returns its address.
 // values maps attribute names to values; omitted attributes take their zero
 // value, and the IDENTIFIER is assigned by the system ("it is generated by
 // the access system when an atom is inserted"). Reference targets are
-// checked when the set is inserted.
+// checked when the set is written.
 func (set *AtomSet) Add(typeName string, values map[string]atom.Value) (addr.LogicalAddr, error) {
 	if set.used {
 		return 0, ErrSetUsed
@@ -77,51 +96,143 @@ func (set *AtomSet) Add(typeName string, values map[string]atom.Value) (addr.Log
 	if err != nil {
 		return 0, err
 	}
-	for name := range values {
-		i, ok := t.AttrIndex(name)
-		if !ok {
-			return 0, fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, typeName, name)
-		}
-		if i == t.IdentIndex() {
-			return 0, fmt.Errorf("%w: %s.%s", ErrReadOnlyAttr, typeName, name)
-		}
-	}
-	a := s.dir.Reserve(t.ID)
-	vec := t.NewAtomValues(a)
+	vec := t.NewAtomValues(0)
 	for name, v := range values {
-		i, _ := t.AttrIndex(name)
+		i, err := attrIndex(t, name)
+		if err != nil {
+			return 0, err
+		}
 		vec[i] = v
 	}
 	if err := t.CheckValues(vec); err != nil {
 		return 0, err
 	}
-	set.pos[a] = len(set.members)
-	set.members = append(set.members, setMember{t: t, a: a, vals: vec})
+	a := s.dir.Reserve(t.ID)
+	vec[t.IdentIndex()] = atom.Ident(a)
+	set.add(setMember{t: t, a: a, kind: wal.RecInsert, vals: vec})
 	return a, nil
 }
 
-// InsertSet is Writer.InsertSet in the no-transaction form of System.Insert.
-func (s *System) InsertSet(set *AtomSet) error { return s.Writer(0, nil).InsertSet(set) }
+// Update adds an update of atom a to the set: the named attributes take the
+// given values. Reference changes imply the partner updates that maintain
+// back-references; redundant records are refreshed by deferred update.
+func (set *AtomSet) Update(a addr.LogicalAddr, changes map[string]atom.Value) error {
+	_, err := set.member(a, wal.RecUpdate)
+	for name, v := range changes {
+		if err == nil {
+			err = set.edit(a, name, 0, v)
+		}
+	}
+	return err
+}
 
-// InsertSet inserts the members of set in w's write context, in the order
-// they were added.
+// Change adds to the set the change of a's attribute attr to v: Update of
+// one attribute.
+func (set *AtomSet) Change(a addr.LogicalAddr, attr string, v atom.Value) error {
+	return set.edit(a, attr, 0, v)
+}
+
+// Connect adds to the set the connection of target to a's reference
+// attribute attr, made to a's values as WriteSet reads them. This realizes
+// MQL's component connection.
+func (set *AtomSet) Connect(a addr.LogicalAddr, attr string, target addr.LogicalAddr) error {
+	return set.edit(a, attr, 1, atom.Ref(target))
+}
+
+// Disconnect adds to the set the removal of target from a's reference
+// attribute attr.
+func (set *AtomSet) Disconnect(a addr.LogicalAddr, attr string, target addr.LogicalAddr) error {
+	return set.edit(a, attr, -1, atom.Ref(target))
+}
+
+// edit adds the edit of a's attribute attr to a's update member; a new value
+// is type-checked at once.
+func (set *AtomSet) edit(a addr.LogicalAddr, attr string, op int, v atom.Value) error {
+	m, err := set.member(a, wal.RecUpdate)
+	if err != nil {
+		return err
+	}
+	i, err := attrIndex(m.t, attr)
+	if err != nil {
+		return err
+	}
+	if op == 0 {
+		if err := m.t.Attrs[i].Type.Check(v); err != nil {
+			return err
+		}
+	}
+	m.edits = append(m.edits, setEdit{i: i, op: op, v: v})
+	return nil
+}
+
+// Delete adds the deletion of atom a to the set: its partners drop their
+// back-references (automatic disconnection), all its physical records are
+// reclaimed, and its logical address is released. Deleting a member the set
+// deletes already adds nothing.
+func (set *AtomSet) Delete(a addr.LogicalAddr) error {
+	_, err := set.member(a, wal.RecDelete)
+	return err
+}
+
+// member returns a's member, an update or a delete as kind says, adding it
+// to the set first. A member of the other kind, or an insert, is an error.
+func (set *AtomSet) member(a addr.LogicalAddr, kind wal.Kind) (*setMember, error) {
+	if set.used {
+		return nil, ErrSetUsed
+	}
+	if j, ok := set.pos[a]; ok {
+		if m := &set.members[j]; m.kind == kind {
+			return m, nil
+		}
+		return nil, fmt.Errorf("access: the set writes %v twice", a)
+	}
+	t, err := set.s.typeByID(a.Type())
+	if err != nil {
+		return nil, err
+	}
+	return set.add(setMember{t: t, a: a, kind: kind}), nil
+}
+
+func (set *AtomSet) add(m setMember) *setMember {
+	set.pos[m.a] = len(set.members)
+	set.members = append(set.members, m)
+	return &set.members[len(set.members)-1]
+}
+
+// attrIndex resolves an attribute a write may set: any but the IDENTIFIER.
+func attrIndex(t *catalog.AtomType, name string) (int, error) {
+	i, ok := t.AttrIndex(name)
+	if !ok {
+		return 0, fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, t.Name, name)
+	}
+	if i == t.IdentIndex() {
+		return 0, fmt.Errorf("%w: %s.%s", ErrReadOnlyAttr, t.Name, name)
+	}
+	return i, nil
+}
+
+// WriteSet is Writer.WriteSet in the no-transaction form of System.Insert.
+func (s *System) WriteSet(set *AtomSet) error { return s.Writer(0, nil).WriteSet(set) }
+
+// WriteSet writes the members of set in w's write context, in the order
+// they were added, and the partner updates they imply.
 //
-// Nothing is written until every member and every partner is admitted by
-// the scope, every reference target is live or a member, and every member's
-// final values type-check. Then each member is logged (one RecInsert) and
-// stored, each partner gets its one update, and cluster occurrences rooted
-// at members are built. The set's first multi-version write span stays open
-// until its last write ends, so a snapshot sees all of the set or none of
-// it. When a write fails, the members and partners already written are
-// rolled back (logged as compensations); a page write that fails halfway
-// leaves that one atom as Insert would.
+// Nothing is written until every member is admitted by the scope and its
+// pre-image read, every added reference targets a live atom or a member the
+// set does not delete, every partner is admitted and read, and every
+// written vector type-checks. Then each member is logged (one record) and
+// applied, each changed partner gets its one update, and cluster
+// occurrences rooted at inserted members are built. The set's first
+// multi-version write span stays open until its last write ends, so a
+// snapshot sees all of the set or none of it. When a write fails, the writes
+// already made are rolled back (logged as compensations); a page write that
+// fails halfway leaves that one atom as its own compensation left it.
 //
 // A set is atomic in the log too. In a transaction its records are the
 // transaction's. An autocommit set of more than one record takes a
 // transaction id of its own and ends with an (unforced) commit mark, so
-// recovery rolls back a set a crash cut short instead of redoing a prefix
-// whose images reference members that were never logged.
-func (w Writer) InsertSet(set *AtomSet) (err error) {
+// recovery rolls back a set a crash cut short instead of redoing a prefix.
+func (w Writer) WriteSet(set *AtomSet) (err error) {
 	s := w.s
 	if set.s != s {
 		return fmt.Errorf("access: atom set of another system")
@@ -136,51 +247,46 @@ func (w Writer) InsertSet(set *AtomSet) (err error) {
 	// Checkpoint op span: covers the whole set, from its first log record
 	// to the last page write.
 	defer s.walOpBegin()()
-	var partners []*setPartner
-	admitted, partnersAdmitted := 0, 0
+	admitted := 0
 	// Released last: after the write spans closed and the cache barriers ran.
 	defer func() {
 		for _, m := range set.members[:admitted] {
-			w.release(m.a, wal.RecInsert, nil, err)
-		}
-		for _, p := range partners[:partnersAdmitted] {
-			kind := wal.Kind(0) // nothing written
-			if p.changed != nil {
-				kind = wal.RecUpdate
-			}
-			w.release(p.a, kind, p.pre, err)
+			w.release(m.a, m.kind, m.pre, err)
 		}
 	}()
-	for _, m := range set.members {
-		if err := w.acquire(m.a); err != nil {
-			return err
+	// admit admits and reads the members from admitted on.
+	admit := func() error {
+		for _, m := range set.members[admitted:] {
+			if err := w.acquire(m.a); err != nil {
+				return err
+			}
+			admitted++
 		}
-		admitted++
+		return set.read()
 	}
-	refs, err := set.backRefs()
+	if err := admit(); err != nil {
+		return err
+	}
+	refs, err := set.applyEdits()
 	if err != nil {
 		return err
 	}
-	if partners, err = set.applyBackRefs(refs); err != nil {
+	if err := admit(); err != nil { // the partners applyEdits added
 		return err
 	}
+	for _, r := range refs {
+		if err := set.members[set.pos[r.target]].applyBackRef(r); err != nil {
+			return err
+		}
+	}
+	records := 0
 	for _, m := range set.members {
-		if err := m.t.CheckValues(m.vals); err != nil {
-			return err
+		if m.vals != nil {
+			if err := m.t.CheckValues(m.vals); err != nil {
+				return err
+			}
 		}
-	}
-	for _, p := range partners {
-		if err := w.acquire(p.a); err != nil {
-			return err
-		}
-		partnersAdmitted++
-	}
-	if err := set.readPartners(partners, refs); err != nil {
-		return err
-	}
-	records := len(set.members)
-	for _, p := range partners {
-		if p.changed != nil {
+		if m.kind != 0 {
 			records++
 		}
 	}
@@ -188,97 +294,160 @@ func (w Writer) InsertSet(set *AtomSet) (err error) {
 	if own {
 		w.txID = s.NewTxID()
 	}
-	return w.writeSet(set, partners, own)
+	return w.writeSet(set, own)
 }
 
-// backRefs validates the members' references, as Add gave them, and lists
-// the partner updates they imply in member order. Listing them all before
-// applying any keeps back-references from implying partner updates of their
-// own, so a set stores the values that inserting its members one by one
-// would.
-func (set *AtomSet) backRefs() ([]backRef, error) {
-	var refs []backRef
-	for _, m := range set.members {
-		for _, i := range m.t.RefAttrs() {
-			if err := set.s.checkRefTargets(m.t, i, m.vals[i], set.holds); err != nil {
-				return nil, err
-			}
-			for target := range m.vals[i].AllRefs() {
-				refs = append(refs, backRef{t: m.t, attr: i, from: m.a, target: target})
-			}
-		}
-	}
-	return refs, nil
-}
-
-// holds reports whether a is a member's address.
-func (set *AtomSet) holds(a addr.LogicalAddr) bool {
-	_, ok := set.pos[a]
-	return ok
-}
-
-// applyBackRefs applies the back-references whose target is a member to that
-// member's values, and returns the existing atoms the others target, one
-// each, in the order they are first referenced.
-func (set *AtomSet) applyBackRefs(refs []backRef) ([]*setPartner, error) {
-	var partners []*setPartner
-	seen := map[addr.LogicalAddr]bool{}
-	for _, r := range refs {
-		if j, ok := set.pos[r.target]; ok {
-			m := &set.members[j]
-			bi, err := backAttr(r.t, r.attr, m.t)
-			if err != nil {
-				return nil, err
-			}
-			if !m.vals[bi].ContainsRef(r.from) {
-				m.vals[bi] = m.vals[bi].WithRef(r.from)
-			}
+// read reads the pre-image of every admitted member that exists already and
+// has none yet: the updates, deletes and partners.
+func (set *AtomSet) read() error {
+	for i := range set.members {
+		m := &set.members[i]
+		if m.kind == wal.RecInsert || m.pre != nil {
 			continue
 		}
-		if !seen[r.target] {
-			seen[r.target] = true
-			pt, err := set.s.typeByID(r.target.Type())
-			if err != nil {
-				return nil, err
-			}
-			partners = append(partners, &setPartner{t: pt, a: r.target})
+		rec, err := set.s.record(m.a)
+		if err != nil {
+			return err
+		}
+		m.img, m.pre = rec.Image, rec.Image.Values()
+		if m.kind != wal.RecDelete {
+			m.vals = slices.Clone(m.pre)
 		}
 	}
-	return partners, nil
+	return nil
 }
 
-// readPartners reads each admitted partner's pre-image and applies the
-// back-references that target it to a copy.
-func (set *AtomSet) readPartners(partners []*setPartner, refs []backRef) error {
-	byAddr := make(map[addr.LogicalAddr]*setPartner, len(partners))
-	for _, p := range partners {
-		cur, err := set.s.Get(p.a, nil)
-		if err != nil {
-			return err
+// applyEdits makes the members' reference changes in member order, as
+// writing the members one by one would: an update's edits are applied to
+// its values, and the back-references each change implies are applied to
+// the members they target at once. It returns the back-references that
+// target other atoms and adds each such atom to the set as a partner,
+// unless a removal finds it no longer live.
+func (set *AtomSet) applyEdits() ([]backRef, error) {
+	var out, rs []backRef
+	for k := range set.members {
+		var err error
+		if rs, err = set.refChanges(&set.members[k], rs[:0]); err != nil {
+			return nil, err
 		}
-		p.pre = cur.Values
-		byAddr[p.a] = p
+		for _, r := range rs {
+			if j, ok := set.pos[r.target]; ok {
+				if err := set.members[j].applyBackRef(r); err != nil {
+					return nil, err
+				}
+			} else if r.add || set.s.dir.Exists(r.target) {
+				out = append(out, r)
+			}
+		}
 	}
-	for _, r := range refs {
-		p := byAddr[r.target]
-		if p == nil {
-			continue // a member
+	for _, r := range out {
+		if _, ok := set.pos[r.target]; ok {
+			continue
 		}
-		bi, err := backAttr(r.t, r.attr, p.t)
+		pt, err := set.s.typeByID(r.target.Type())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		v := p.pre[bi]
-		if p.nv != nil {
-			v = p.nv[bi]
+		set.add(setMember{t: pt, a: r.target})
+	}
+	return out, nil
+}
+
+// refChanges applies member m's edits, if it is an update, and appends to
+// rs the back-references its reference changes imply: an insert adds all
+// its references, an update adds and removes what its edits change, and a
+// delete removes all of them. An added reference must target a live atom or
+// a member the set does not delete.
+func (set *AtomSet) refChanges(m *setMember, rs []backRef) ([]backRef, error) {
+	var err error
+	diff := func(i int, old, nv atom.Value) {
+		if err != nil || !m.t.Attrs[i].Type.IsRef() {
+			return
 		}
-		if v.ContainsRef(r.from) {
-			continue // already symmetric
+		for x := range nv.AllRefs() {
+			if !old.ContainsRef(x) {
+				if err = set.checkTarget(m.t, i, x); err != nil {
+					return
+				}
+				rs = append(rs, backRef{t: m.t, attr: i, from: m.a, target: x, add: true})
+			}
 		}
-		if p.nv == nil {
-			p.nv, p.changed = slices.Clone(p.pre), map[int]bool{}
+		for x := range old.AllRefs() {
+			if !nv.ContainsRef(x) {
+				rs = append(rs, backRef{t: m.t, attr: i, from: m.a, target: x})
+			}
 		}
-		p.nv[bi], p.changed[bi] = v.WithRef(r.from), true
+	}
+	switch m.kind {
+	case wal.RecInsert:
+		for i, v := range m.vals {
+			diff(i, atom.Null(), v)
+		}
+	case wal.RecUpdate:
+		for _, e := range m.edits {
+			old, nv := m.vals[e.i], e.v
+			switch {
+			case e.op > 0:
+				nv = old.WithRef(e.v.A)
+			case e.op < 0:
+				nv = old.WithoutRef(e.v.A)
+			}
+			m.vals[e.i] = nv
+			diff(e.i, old, nv)
+		}
+	case wal.RecDelete:
+		for i, v := range m.pre {
+			diff(i, v, atom.Null())
+		}
+	}
+	return rs, err
+}
+
+// checkTarget validates that target, added to t's reference attribute i,
+// has the attribute's declared target type and is live or a member the set
+// does not delete.
+func (set *AtomSet) checkTarget(t *catalog.AtomType, i int, target addr.LogicalAddr) error {
+	targetType, _, _ := t.Attrs[i].Type.RefTarget()
+	tt, err := set.s.typeOf(targetType)
+	if err != nil {
+		return err
+	}
+	live := false
+	if target.Type() == tt.ID {
+		if j, ok := set.pos[target]; ok {
+			live = set.members[j].kind != wal.RecDelete
+		} else {
+			live = set.s.dir.Exists(target)
+		}
+	}
+	if !live {
+		return fmt.Errorf("%w: %s.%s -> %v (want live %s)", ErrBadRef, t.Name, t.Attrs[i].Name, target, targetType)
+	}
+	return nil
+}
+
+// applyBackRef applies back-reference r to member m's values, unless the
+// set deletes m. A partner's first change makes it an update.
+func (m *setMember) applyBackRef(r backRef) error {
+	if m.kind == wal.RecDelete {
+		return nil
+	}
+	bi, err := backAttr(r.t, r.attr, m.t)
+	if err != nil {
+		return err
+	}
+	v := m.vals[bi]
+	if v.ContainsRef(r.from) == r.add {
+		return nil // symmetric already
+	}
+	if r.add {
+		m.vals[bi] = v.WithRef(r.from)
+	} else {
+		m.vals[bi] = v.WithoutRef(r.from)
+	}
+	m.backs = append(m.backs, bi)
+	if m.kind == 0 {
+		m.kind = wal.RecUpdate
 	}
 	return nil
 }
@@ -294,49 +463,42 @@ func backAttr(t *catalog.AtomType, attr int, pt *catalog.AtomType) (int, error) 
 	return bi, nil
 }
 
-// writeSet logs and stores the members, updates the partners and builds the
-// cluster occurrences rooted at members; on a failure it rolls back what it
-// wrote. The first member's write span is held open to the end. With own
-// set, the set's records carry a transaction id of their own, and writeSet
-// ends them with a commit mark, or after a rollback an abort mark.
-func (w Writer) writeSet(set *AtomSet, partners []*setPartner, own bool) (err error) {
+// writeSet logs and applies the members that write, in order, and builds
+// the cluster occurrences rooted at inserted members; on a failure it rolls
+// back what it wrote. The first member's write span is held open to the
+// end. With own set, the set's records carry a transaction id of their own,
+// and writeSet ends them with a commit mark, or after a rollback an abort
+// mark.
+func (w Writer) writeSet(set *AtomSet, own bool) (err error) {
 	s := w.s
-	first := set.members[0]
-	defer s.mvBegin(first.t, first.a, nil)()
+	first := &set.members[0]
+	defer s.mvBegin(first.t, first.a, first.img)()
 	// Deferred after the span opened, so it runs while the span is open:
 	// no snapshot sees the rolled-back writes, and none sees a member
 	// before the commit mark is in the log, so a writer that learned a
 	// member's address from a snapshot logs its reference after the mark.
-	stored, updated := 0, 0
+	written := 0
 	defer func() {
 		if err != nil {
-			w.rollbackSet(set.members[:stored], partners[:updated])
+			w.rollbackSet(set.members[:written])
 			if own {
 				_ = w.walMark(wal.RecAbort) // a lost mark leaves a loser: the same state
 			}
 		}
 	}()
-	for k, m := range set.members {
-		if err := w.storeMember(m, k == 0); err != nil {
-			return err
-		}
-		stored++
-	}
-	for _, p := range partners {
-		if p.changed != nil {
-			if err := w.updateRaw(p.t, p.a, p.pre, p.nv, p.changed); err != nil {
+	for k := range set.members {
+		if m := &set.members[k]; m.kind != 0 {
+			if err := w.writeMember(m, k == 0); err != nil {
 				return err
 			}
 		}
-		updated++
+		written++
 	}
 	// Cluster maintenance: a new root atom spawns a new occurrence.
 	for _, m := range set.members {
-		for _, cl := range s.clustersInvolving(m.t.Name) {
-			if cl.def.RootType() == m.t.Name {
-				if err := s.buildClusterOccurrence(cl, m.a); err != nil {
-					return err
-				}
+		if m.kind == wal.RecInsert {
+			if err := s.buildRootedClusters(m.t, m.a); err != nil {
+				return err
 			}
 		}
 	}
@@ -346,47 +508,42 @@ func (w Writer) writeSet(set *AtomSet, partners []*setPartner, own bool) (err er
 	return nil
 }
 
-// storeMember logs member m's insert and stores it, making its address live.
-// Its write span opens with a tombstone pre-image ("did not exist before this
-// write") before the address goes live; the first member's span is opened,
-// and closed, by writeSet.
-func (w Writer) storeMember(m setMember, first bool) error {
-	s := w.s
+// writeMember logs member m's write and applies it, inside a write span
+// whose pre-image is m's (a tombstone for an insert); the first member's
+// span is opened, and closed, by writeSet.
+func (w Writer) writeMember(m *setMember, first bool) error {
 	if !first {
-		defer s.mvBegin(m.t, m.a, nil)()
+		defer w.s.mvBegin(m.t, m.a, m.img)()
 	}
-	// Drop any negative cache entry for the address: it stops not-existing.
-	defer s.cacheInvalidate(m.a)
-	// Log the insert ahead of any page write; if a later physical step
-	// fails, the compensating delete makes the logged pair a net no-op.
-	if err := w.walAppend(wal.RecInsert, m.a, m.t.Name, nil, m.vals); err != nil {
-		return err
+	switch m.kind {
+	case wal.RecInsert:
+		return w.insertLogged(m.t, m.a, m.vals)
+	case wal.RecDelete:
+		return w.deleteLogged(m.t, m.a, m.pre)
 	}
-	comp := func() { w.walCompensate(wal.RecDelete, m.a, m.t.Name, m.vals, nil) }
-	if err := s.dir.Revive(m.a); err != nil {
-		comp()
-		return err
+	changed := map[int]bool{}
+	for _, e := range m.edits {
+		changed[e.i] = true
 	}
-	if err := s.store(m.t, m.a, m.vals, comp); err != nil {
-		if _, ok := s.dir.LookupStruct(m.a, 0); !ok {
-			_, _ = s.dir.Release(m.a) // never registered: the address goes dead
-		}
-		return err
+	for _, bi := range m.backs {
+		changed[bi] = true
 	}
-	return nil
+	return w.updateRaw(m.t, m.a, m.pre, m.vals, changed)
 }
 
-// rollbackSet undoes a failed set's writes, newest first: the partner
-// updates, then the stored members. Best effort, like any compensation: the
-// failure that stopped the set may stop its undo too.
-func (w Writer) rollbackSet(members []setMember, partners []*setPartner) {
+// rollbackSet undoes a failed set's writes, newest first, each by the raw
+// inverse of its kind. Best effort, like any compensation: the failure that
+// stopped the set may stop its undo too.
+func (w Writer) rollbackSet(members []setMember) {
 	s := w.s
-	for i := len(partners) - 1; i >= 0; i-- {
-		if p := partners[i]; p.changed != nil {
-			_ = s.RawOverwrite(p.a, p.pre, w.txID)
-		}
-	}
 	for i := len(members) - 1; i >= 0; i-- {
-		_ = s.RawDelete(members[i].a, w.txID)
+		switch m := members[i]; m.kind {
+		case wal.RecInsert:
+			_ = s.RawDelete(m.a, w.txID)
+		case wal.RecUpdate:
+			_ = s.RawOverwrite(m.a, m.pre, w.txID)
+		case wal.RecDelete:
+			_ = s.RawResurrect(m.a, m.pre, w.txID)
+		}
 	}
 }

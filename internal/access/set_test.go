@@ -30,8 +30,8 @@ func TestInsertSetRollsBackOnWriteFailure(t *testing.T) {
 	if _, err := set.Add("doc", map[string]atom.Value{"title": atom.Str(strings.Repeat("x", 2000)), "authors": atom.RefSet(author)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.InsertSet(set); !errors.Is(err, btree.ErrKeyTooLarge) {
-		t.Fatalf("InsertSet = %v, want ErrKeyTooLarge", err)
+	if err := s.WriteSet(set); !errors.Is(err, btree.ErrKeyTooLarge) {
+		t.Fatalf("WriteSet = %v, want ErrKeyTooLarge", err)
 	}
 	if s.Directory().Exists(d1) {
 		t.Fatalf("member %v stored before the failure is still live", d1)
@@ -46,7 +46,7 @@ func TestInsertSetRollsBackOnWriteFailure(t *testing.T) {
 	if v, _ := at.Value("docs"); len(v.E) != 0 {
 		t.Fatalf("partner edited by a failed set: docs = %v", v)
 	}
-	if err := s.InsertSet(set); !errors.Is(err, ErrSetUsed) {
-		t.Fatalf("second InsertSet of a set = %v, want ErrSetUsed", err)
+	if err := s.WriteSet(set); !errors.Is(err, ErrSetUsed) {
+		t.Fatalf("second WriteSet of a set = %v, want ErrSetUsed", err)
 	}
 }

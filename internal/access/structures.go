@@ -630,6 +630,19 @@ func (s *System) clustersInvolving(typeName string) []*clusterStruct {
 	return out
 }
 
+// buildRootedClusters builds the occurrences of the clusters whose root type
+// is t for root atom a.
+func (s *System) buildRootedClusters(t *catalog.AtomType, a addr.LogicalAddr) error {
+	for _, cl := range s.clustersInvolving(t.Name) {
+		if cl.def.RootType() == t.Name {
+			if err := s.buildClusterOccurrence(cl, a); err != nil {
+				return fmt.Errorf("access: cluster %s of %v: %w", cl.def.Name, a, err)
+			}
+		}
+	}
+	return nil
+}
+
 // clusterByName returns the live cluster structure with the given name.
 func (s *System) clusterByName(name string) (*clusterStruct, error) {
 	s.mu.RLock()

@@ -197,8 +197,9 @@ type System struct {
 	// repeating.
 	wal           *wal.Log
 	walRecovering bool
-	// walRoots collects, during recovery replay, the cluster roots the
-	// replay re-created; their occurrences are built once the replay ends.
+	// walRoots collects, during recovery replay, the atoms the replay
+	// re-created; the occurrences of the clusters they root are built once
+	// the replay ends.
 	walRoots map[addr.LogicalAddr]bool
 	// txSeq numbers the transactions the log attributes records to: the
 	// transaction manager's and the atom sets' of autocommit writes.

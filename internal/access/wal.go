@@ -59,11 +59,10 @@ func (s *System) openWAL() error {
 	return nil
 }
 
-// buildReplayedClusters builds the cluster occurrences of the roots that
+// buildReplayedClusters builds the cluster occurrences of the atoms that
 // recovery replay re-created and that are still live after it.
 func (s *System) buildReplayedClusters() error {
-	roots := slices.Sorted(maps.Keys(s.walRoots))
-	for _, a := range roots {
+	for _, a := range slices.Sorted(maps.Keys(s.walRoots)) {
 		if !s.dir.Exists(a) {
 			continue // undone, or deleted later in the log
 		}
@@ -71,12 +70,8 @@ func (s *System) buildReplayedClusters() error {
 		if err != nil {
 			return err
 		}
-		for _, cl := range s.clustersInvolving(t.Name) {
-			if cl.def.RootType() == t.Name {
-				if err := s.buildClusterOccurrence(cl, a); err != nil {
-					return fmt.Errorf("access: cluster %s of %v: %w", cl.def.Name, a, err)
-				}
-			}
+		if err := s.buildRootedClusters(t, a); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -79,17 +79,19 @@ func (s *System) RawOverwrite(a addr.LogicalAddr, values []atom.Value, txID uint
 	// Checkpoint op span: rollback mutations log like any others, so they
 	// pin the replay start the same way (no-op during recovery replay).
 	defer s.walOpBegin()()
-	cur, err := s.Get(a, nil)
+	cur, err := s.record(a)
 	if err != nil {
 		return err
 	}
+	defer s.mvBegin(t, a, cur.Image)()
+	old := cur.Image.Values()
 	changed := map[int]bool{}
 	for i := range values {
-		if !cur.Values[i].Equal(values[i]) {
+		if !old[i].Equal(values[i]) {
 			changed[i] = true
 		}
 	}
-	return s.Writer(txID, nil).updateRaw(t, a, cur.Values, values, changed)
+	return s.Writer(txID, nil).updateRaw(t, a, old, values, changed)
 }
 
 // RawDelete removes an atom without disconnecting partners. Recovery-only.
@@ -100,17 +102,12 @@ func (s *System) RawDelete(a addr.LogicalAddr, txID uint64) error {
 	}
 	// Checkpoint op span: see RawOverwrite.
 	defer s.walOpBegin()()
-	cur, err := s.Get(a, nil)
+	cur, err := s.record(a)
 	if err != nil {
 		return err
 	}
-	defer s.mvBegin(t, a, cur.Values)()
-	defer s.cacheInvalidate(a)
-	w := s.Writer(txID, nil)
-	if err := w.walAppend(wal.RecDelete, a, t.Name, cur.Values, nil); err != nil {
-		return err
-	}
-	return s.drop(t, a, cur.Values, func() { w.walCompensate(wal.RecInsert, a, t.Name, nil, cur.Values) })
+	defer s.mvBegin(t, a, cur.Image)()
+	return s.Writer(txID, nil).deleteLogged(t, a, cur.Image.Values())
 }
 
 // RawResurrect re-creates a previously deleted atom under its old logical
@@ -124,38 +121,18 @@ func (s *System) RawResurrect(a addr.LogicalAddr, values []atom.Value, txID uint
 	defer s.walOpBegin()()
 	// Snapshot readers from before the resurrection must keep seeing the
 	// address as absent: install a tombstone pre-image before reviving.
-	defer s.mvBegin(t, a, nil)()
-	w := s.Writer(txID, nil)
-	if err := w.walAppend(wal.RecInsert, a, t.Name, nil, values); err != nil {
+	defer s.mvBegin(t, a, atom.Image{})()
+	// The address is being re-used: the insert's cache barrier makes sure
+	// no image read before the delete can be published against the
+	// resurrected atom.
+	if err := s.Writer(txID, nil).insertLogged(t, a, values); err != nil {
 		return err
 	}
-	comp := func() { w.walCompensate(wal.RecDelete, a, t.Name, values, nil) }
-	if err := s.dir.Revive(a); err != nil {
-		comp()
-		return err
+	if s.walRecovering {
+		// A root's image may reference atoms the log replays after it
+		// (members of the same atom set): build once replay ends.
+		s.walRoots[a] = true
+		return nil
 	}
-	// The address is being re-used: make sure no image read before the
-	// delete can be published against the resurrected atom (deferred so
-	// failed resurrections are covered too; the bump also drops any negative
-	// cache entry recorded while the atom was deleted).
-	defer s.cacheInvalidate(a)
-	if err := s.store(t, a, values, comp); err != nil {
-		return err
-	}
-	for _, cl := range s.clustersInvolving(t.Name) {
-		if cl.def.RootType() != t.Name {
-			continue
-		}
-		if s.walRecovering {
-			// The root's image may reference atoms the log replays after
-			// it (members of the same atom set): build once replay ends.
-			s.walRoots[a] = true
-			continue
-		}
-		if err := s.buildClusterOccurrence(cl, a); err != nil {
-			comp()
-			return err
-		}
-	}
-	return nil
+	return s.buildRootedClusters(t, a)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"sync"
 	"time"
 
@@ -577,7 +576,7 @@ func (e *Engine) execInsert(s *mql.Insert, ctx execCtx) (*Result, error) {
 		}
 		res.Inserted = append(res.Inserted, a)
 	}
-	if err := w.InsertSet(set); err != nil {
+	if err := w.WriteSet(set); err != nil {
 		return nil, err
 	}
 	res.Count = len(res.Inserted)
@@ -592,15 +591,17 @@ func (e *Engine) execInsert(s *mql.Insert, ctx execCtx) (*Result, error) {
 // served by it. Like the plans it holds it is immutable after preparation
 // and safe for concurrent execution.
 type prepared struct {
-	kind      string // "select" | "delete" | "modify"
-	plan      *Plan
-	changes   map[string]atom.Value // modify only
-	setParams []setParam            // modify: the SET values that are parameters
-	fixed     []fixedParam
+	kind    string // "select" | "delete" | "modify"
+	plan    *Plan
+	changes []change // modify only
+	fixed   []fixedParam
 }
 
-type setParam struct {
+// change is one SET assignment of a MODIFY: attr takes v, or the statement's
+// parameter param (1-based) when it is one.
+type change struct {
 	attr  string
+	v     atom.Value
 	param int
 }
 
@@ -666,16 +667,17 @@ func (e *Engine) prepareModify(s *mql.Modify, depth int) (*prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	prep := &prepared{kind: "modify", plan: plan, changes: map[string]atom.Value{}}
+	prep := &prepared{kind: "modify", plan: plan}
 	for _, as := range s.Set {
 		v, err := mql.LitValue(as.Value)
 		if err != nil {
 			return nil, err
 		}
-		prep.changes[as.Attr] = v
-		if lit, ok := as.Value.(*mql.Lit); ok && lit.Param > 0 {
-			prep.setParams = append(prep.setParams, setParam{as.Attr, lit.Param})
+		ch := change{attr: as.Attr, v: v}
+		if lit, ok := as.Value.(*mql.Lit); ok {
+			ch.param = lit.Param
 		}
+		prep.changes = append(prep.changes, ch)
 	}
 	return prep, nil
 }
@@ -688,9 +690,10 @@ func (ctx execCtx) apply() (*obs.Span, access.Writer) {
 	return sp, ctx.w.Traced(sp)
 }
 
-// runDML executes a prepared DELETE or MODIFY with params bound. A DELETE
-// removes all component atoms of every qualified molecule ("removal of
-// single components as well as of whole component sets, thereby
+// runDML executes a prepared DELETE or MODIFY with params bound, as one atom
+// set: the statement is all-or-nothing, and snapshots see all of it or none.
+// A DELETE removes all component atoms of every qualified molecule ("removal
+// of single components as well as of whole component sets, thereby
 // automatically disconnecting these parts"). The qualification read runs
 // under an "assemble" span like a SELECT; the mutations run under "apply".
 func (e *Engine) runDML(c *prepared, params []atom.Value, ctx execCtx) (*Result, error) {
@@ -710,36 +713,40 @@ func (e *Engine) runDML(c *prepared, params []atom.Value, ctx execCtx) (*Result,
 	}
 	sp, w := ctx.apply()
 	defer sp.End()
+	set := e.sys.NewAtomSet()
 	if c.kind == "delete" {
-		deleted := map[addr.LogicalAddr]bool{}
 		for _, m := range mols {
 			for _, a := range m.SortedAddrs() {
-				if deleted[a] || !e.sys.Directory().Exists(a) {
+				if !e.sys.Directory().Exists(a) {
 					continue
 				}
-				if err := w.Delete(a); err != nil {
+				if err := set.Delete(a); err != nil {
 					return nil, err
 				}
-				deleted[a] = true
 			}
 		}
-		return &Result{Kind: "count", Count: len(deleted), Message: fmt.Sprintf("%d atoms deleted", len(deleted))}, nil
-	}
-	changes := c.changes
-	if len(c.setParams) > 0 {
-		changes = maps.Clone(changes)
-		for _, sp := range c.setParams {
-			changes[sp.attr] = params[sp.param-1]
+	} else {
+		for _, m := range mols {
+			for _, ch := range c.changes {
+				v := ch.v
+				if ch.param > 0 {
+					v = params[ch.param-1]
+				}
+				if err := set.Change(m.Root.Addr(), ch.attr, v); err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
-	n := 0
-	for _, m := range mols {
-		if err := w.Update(m.Root.Addr(), changes); err != nil {
-			return nil, err
-		}
-		n++
+	n := set.Len()
+	if err := w.WriteSet(set); err != nil {
+		return nil, err
 	}
-	return &Result{Kind: "count", Count: n, Message: fmt.Sprintf("%d atoms modified", n)}, nil
+	msg := "%d atoms modified"
+	if c.kind == "delete" {
+		msg = "%d atoms deleted"
+	}
+	return &Result{Kind: "count", Count: n, Message: fmt.Sprintf(msg, n)}, nil
 }
 
 func (e *Engine) execConnect(from, to mql.Expr, via string, connect bool, w access.Writer) (*Result, error) {

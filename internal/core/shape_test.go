@@ -9,10 +9,12 @@ import (
 	"sync"
 	"testing"
 
+	"prima/internal/access"
 	"prima/internal/access/addr"
 	"prima/internal/core"
 	"prima/internal/mql"
 	"prima/internal/race"
+	"prima/internal/txn"
 	"prima/internal/workload/brepgen"
 )
 
@@ -368,7 +370,7 @@ func TestAllocsColdCheckout(t *testing.T) {
 
 // TestAllocsCheckinScript: a checkin — three MODIFY statements of one shape
 // in one script, each a direct-address lookup — with new literals on every
-// call. Each statement is served from its shape: no parse, no plan — 117
+// call. Each statement is served from its shape: no parse, no plan — 87
 // allocations for the three, most of them the updates'; parsing the script
 // and preparing each statement afresh costs about 100 more.
 func TestAllocsCheckinScript(t *testing.T) {
@@ -392,8 +394,55 @@ func TestAllocsCheckinScript(t *testing.T) {
 			t.Fatalf("checkin: %v", err)
 		}
 	}
-	const budget = 130.0
+	const budget = 95.0
 	if got := allocsPerRunAt(1, 200, checkin); got > budget {
 		t.Errorf("three-MODIFY checkin with new literals: %.0f allocs, budget %.0f", got, budget)
+	}
+}
+
+// TestAllocsModifyOneAtom: the checkin statement shape — a MODIFY of one
+// face through its address, a new literal on every call — run through
+// ExecuteOne in autocommit with the log on: a set of one update with no
+// partner, one log record and no commit mark, 35 allocations. The update's
+// pre-image is the record image read after admission, never re-encoded.
+func TestAllocsModifyOneAtom(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	sys, err := access.Open(access.Config{Dir: t.TempDir(), WAL: true, WALCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	e := core.New(sys)
+	if err := brepgen.InstallSchema(e); err != nil {
+		t.Fatal(err)
+	}
+	cubes, err := brepgen.BuildScene(e, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := txn.NewManager(sys).Autocommit()
+	var stmts []string
+	for rev := 0; rev < 64; rev++ {
+		f := cubes[rev%8].Faces[rev%brepgen.CubeFaces]
+		stmts = append(stmts, fmt.Sprintf("MODIFY face SET square_dim = %d.5 WHERE face_id = @%d.%d", rev, f.Type(), f.Seq()))
+	}
+	next := 0
+	modify := func() {
+		r, err := e.ExecuteOne(stmts[next%len(stmts)], w)
+		next++
+		if err != nil || r.Count != 1 {
+			t.Fatalf("modify: %v", err)
+		}
+	}
+	before, _ := sys.WALStats()
+	modify()
+	if after, _ := sys.WALStats(); after.Appends-before.Appends != 1 {
+		t.Fatalf("a one-atom MODIFY appended %d log records, want 1", after.Appends-before.Appends)
+	}
+	const budget = 36.0
+	if got := allocsPerRunAt(1, 200, modify); got > budget {
+		t.Errorf("one-atom MODIFY in autocommit: %.0f allocs, budget %.0f", got, budget)
 	}
 }

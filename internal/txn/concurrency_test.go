@@ -129,8 +129,9 @@ func TestDisjointTransactionsRunConcurrently(t *testing.T) {
 // a transaction loops Begin/Update/Abort while an autocommit writer stamps
 // increasing revisions. Every write is refused or admitted whole, so at
 // quiescence the atom holds the last acknowledged revision — an abort never
-// restores a pre-image older than a write acked after it was read. Run it
-// under -race.
+// restores a pre-image older than a write acked after it was read. Each
+// round makes at least 1,000 autocommit attempts and goes on until one is
+// admitted, failing after 30 seconds without one. Run it under -race.
 func TestAbortedTxNeverClobbersAckedAutocommit(t *testing.T) {
 	sys := newSys(t)
 	m := NewManager(sys)
@@ -156,8 +157,11 @@ func TestAbortedTxNeverClobbersAckedAutocommit(t *testing.T) {
 				}
 			}
 		}()
+		// At least 1,000 attempts, and on until one is admitted: a loaded
+		// machine can starve the writer of admissions for a while.
 		acked := int64(-2)
-		for i := 0; i < 1000; i++ {
+		deadline := time.Now().Add(30 * time.Second)
+		for i := 0; i < 1000 || acked == -2 && time.Now().Before(deadline); i++ {
 			rev++
 			if err := setNo(m.Autocommit(), a, rev); err == nil {
 				acked = rev

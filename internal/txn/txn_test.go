@@ -417,7 +417,7 @@ func TestAbortUndoesInsertSet(t *testing.T) {
 			return err
 		}
 		members = []addr.LogicalAddr{m1, m2}
-		return w.InsertSet(set)
+		return w.WriteSet(set)
 	}
 
 	tx := m.Begin()

@@ -99,7 +99,7 @@ func BuildCube(e *core.Engine, solidNo, brepNo int, off, size float64) (*Cube, e
 	if err != nil {
 		return nil, err
 	}
-	if err := e.System().InsertSet(set); err != nil {
+	if err := e.System().WriteSet(set); err != nil {
 		return nil, fmt.Errorf("brepgen: cube %d: %w", solidNo, err)
 	}
 	return c, nil
@@ -216,43 +216,32 @@ func BuildScene(e *core.Engine, n int) ([]*Cube, error) {
 
 // BuildAssembly creates a recursive solid assembly: a complete tree of the
 // given depth and branching factor connected through sub/super (the
-// piece_list structure). Solids are numbered breadth-first starting at
-// baseNo; the root gets baseNo. It returns the root address and the total
-// number of solids created.
+// piece_list structure), as one atom set. Solids are numbered in preorder
+// starting at baseNo; the root gets baseNo. It returns the root address and
+// the total number of solids created.
 func BuildAssembly(e *core.Engine, baseNo, depth, branching int) (addr.LogicalAddr, int, error) {
-	sys := e.System()
-	no := baseNo
-	var build func(level int) (addr.LogicalAddr, error)
-	count := 0
-	build = func(level int) (addr.LogicalAddr, error) {
-		myNo := no
-		no++
-		count++
-		a, err := sys.Insert("solid", map[string]atom.Value{
-			"solid_no":    atom.Int(int64(myNo)),
+	set := e.System().NewAtomSet()
+	var build func(level int, super addr.LogicalAddr) (addr.LogicalAddr, error)
+	build = func(level int, super addr.LogicalAddr) (addr.LogicalAddr, error) {
+		vals := map[string]atom.Value{
+			"solid_no":    atom.Int(int64(baseNo + set.Len())),
 			"description": atom.Str(fmt.Sprintf("assembly level %d", level)),
-		})
-		if err != nil {
-			return 0, err
 		}
-		if level < depth {
-			var subs []addr.LogicalAddr
-			for i := 0; i < branching; i++ {
-				c, err := build(level + 1)
-				if err != nil {
-					return 0, err
-				}
-				subs = append(subs, c)
-			}
-			if err := sys.Update(a, map[string]atom.Value{"sub": atom.RefSet(subs...)}); err != nil {
-				return 0, err
-			}
+		if level > 0 {
+			vals["super"] = atom.RefSet(super) // the super gains its sub in the set
 		}
-		return a, nil
+		a, err := set.Add("solid", vals)
+		for i := 0; err == nil && level < depth && i < branching; i++ {
+			_, err = build(level+1, a)
+		}
+		return a, err
 	}
-	root, err := build(0)
+	root, err := build(0, 0)
+	if err == nil {
+		err = e.System().WriteSet(set)
+	}
 	if err != nil {
 		return 0, 0, fmt.Errorf("brepgen: assembly: %w", err)
 	}
-	return root, count, nil
+	return root, set.Len(), nil
 }

@@ -49,7 +49,7 @@ func TestSetBuiltSceneMatchesOneByOne(t *testing.T) {
 	if err := addAssembly(set.Add, 1000, solids); err != nil {
 		t.Fatal(err)
 	}
-	if err := bySet.System().InsertSet(set); err != nil {
+	if err := bySet.System().WriteSet(set); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= n; i++ {
@@ -94,7 +94,9 @@ func TestSetBuiltSceneMatchesOneByOne(t *testing.T) {
 
 // TestCubeSetAppendsOneRecordPerAtom: a cube is one set, so each of its 28
 // atoms is one log record, back-references included, and the set's commit
-// mark is one more.
+// mark is one more. A DELETE of the cube's brep molecule is one set too: its
+// 27 deletes, the one update of the solid that loses its brep, and the
+// commit mark.
 func TestCubeSetAppendsOneRecordPerAtom(t *testing.T) {
 	sys, err := access.Open(access.Config{Dir: t.TempDir(), WAL: true, WALCheckpointBytes: -1})
 	if err != nil {
@@ -113,12 +115,21 @@ func TestCubeSetAppendsOneRecordPerAtom(t *testing.T) {
 	if got, want := after.Appends-before.Appends, uint64(CubeAtoms+1)+1; got != want {
 		t.Fatalf("a cube appended %d log records, want %d inserts and a commit mark", got, want-1)
 	}
+	before = after
+	if _, err := e.ExecuteScript(`DELETE FROM brep-face-edge-point WHERE brep_no = 1`); err != nil {
+		t.Fatal(err)
+	}
+	after, _ = sys.WALStats()
+	if got, want := after.Appends-before.Appends, uint64(CubeAtoms+1+1); got != want {
+		t.Fatalf("a cube DELETE appended %d log records, want %d deletes, the solid's update and a commit mark", got, CubeAtoms)
+	}
 }
 
 // checkSnapshot reads the atoms a fresh snapshot shows, among the newest
 // `recent` addresses of each type (all for 0), and fails on a reference to
 // an atom the snapshot does not show or whose back-reference it does not
-// show, or on a brep without its whole cube.
+// show, on a brep without its whole cube, or on a face, edge or point
+// without its brep.
 func checkSnapshot(sys *access.System, recent uint64) error {
 	sn := sys.OpenSnapshot()
 	defer sn.Close()
@@ -164,7 +175,13 @@ func checkSnapshot(sys *access.System, recent uint64) error {
 						}
 					}
 				}
-				if typ != "brep" {
+				switch typ {
+				case "solid":
+					continue
+				case "face", "edge", "point":
+					if v, _ := at.Value("brep"); v.A.IsZero() {
+						return fmt.Errorf("%s %v has no brep", typ, a)
+					}
 					continue
 				}
 				faces, _ := at.Value("faces")
@@ -181,10 +198,10 @@ func checkSnapshot(sys *access.System, recent uint64) error {
 }
 
 // TestSnapshotsSeeWholeSets runs snapshot readers beside a loop of cube sets
-// and of assembly sets that update existing solids: no reader ever sees a
-// partial cube or a reference to an atom it cannot see. The readers check
-// the newest atoms only, so that they open many snapshots while sets are in
-// flight.
+// and of assembly sets that update existing solids, and then beside DELETE
+// statements of cubes: no reader ever sees a partial cube or a reference to
+// an atom it cannot see. The readers check the newest atoms only, so that
+// they open many snapshots while sets are in flight.
 func TestSnapshotsSeeWholeSets(t *testing.T) {
 	e := newEngine(t)
 	sys := e.System()
@@ -223,8 +240,17 @@ func TestSnapshotsSeeWholeSets(t *testing.T) {
 		if err := addAssembly(set.Add, 1000+2*i, solids[len(solids)-3:]); err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.InsertSet(set); err != nil {
+		if err := sys.WriteSet(set); err != nil {
 			t.Fatal(err)
+		}
+	}
+	for i := 150; i > 100; i -= 2 {
+		r, err := e.ExecuteScript(fmt.Sprintf(`DELETE FROM brep-face-edge-point WHERE brep_no = %d`, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r[0].Count != CubeAtoms {
+			t.Fatalf("cube %d: DELETE deleted %d atoms, want %d", i, r[0].Count, CubeAtoms)
 		}
 	}
 	close(stop)

@@ -89,7 +89,7 @@ func Build(e *core.Engine, maps, regionsPerMap, sitesPerRegion int, seed int64) 
 				w.Sites = append(w.Sites, si)
 			}
 		}
-		if err := sys.InsertSet(set); err != nil {
+		if err := sys.WriteSet(set); err != nil {
 			return nil, fmt.Errorf("mapgen: map %d: %w", m, err)
 		}
 	}

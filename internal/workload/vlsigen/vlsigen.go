@@ -63,7 +63,7 @@ func Build(e *core.Engine, cells, pinsPerCell, nets int, seed int64) (*Netlist, 
 		}
 		nl.Nets = append(nl.Nets, a)
 	}
-	if err := sys.InsertSet(set); err != nil {
+	if err := sys.WriteSet(set); err != nil {
 		return nil, fmt.Errorf("vlsigen: nets: %w", err)
 	}
 	kinds := []string{"nand", "nor", "inv", "dff", "mux"}
@@ -89,7 +89,7 @@ func Build(e *core.Engine, cells, pinsPerCell, nets int, seed int64) (*Netlist, 
 			}
 			nl.Pins = append(nl.Pins, pin)
 		}
-		if err := sys.InsertSet(set); err != nil {
+		if err := sys.WriteSet(set); err != nil {
 			return nil, fmt.Errorf("vlsigen: cell %d: %w", i, err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"prima/internal/access/addr"
 	"prima/internal/mql"
 	"prima/internal/txn"
 	"prima/internal/workload/brepgen"
@@ -187,6 +188,99 @@ func TestAutocommitRespectsTransactionLocks(t *testing.T) {
 	}
 	if m := db.Metrics(); m.Counter("txn_lock_conflicts_total") != 3 || m.Counter("txn_aborts_total") != 1 {
 		t.Fatalf("txn metrics: %d conflicts, %d aborts; want 3, 1", m.Counter("txn_lock_conflicts_total"), m.Counter("txn_aborts_total"))
+	}
+}
+
+// sceneState renders every atom of the Fig. 2.3 types with its values, and
+// fails unless every reference is symmetric: its target exists and lists the
+// atom in the back attribute.
+func sceneState(t *testing.T, db *DB) string {
+	t.Helper()
+	sys := db.System()
+	var b strings.Builder
+	for _, typ := range []string{"solid", "brep", "face", "edge", "point"} {
+		as, err := sys.ScanAddrs(typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range as {
+			at, err := sys.Get(a, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintln(&b, a, at.Values)
+			for _, i := range at.Type.RefAttrs() {
+				_, back, _ := at.Type.Attrs[i].Type.RefTarget()
+				for target := range at.Values[i].AllRefs() {
+					partner, err := sys.Get(target, nil)
+					if err != nil {
+						t.Fatalf("%s %v.%s -> %v: %v", typ, a, at.Type.Attrs[i].Name, target, err)
+					}
+					if v, _ := partner.Value(back); !v.ContainsRef(a) {
+						t.Fatalf("%s %v.%s -> %v, whose %s is %v", typ, a, at.Type.Attrs[i].Name, target, back, v)
+					}
+				}
+			}
+		}
+	}
+	return b.String()
+}
+
+// TestStatementsAreAtomic: a DELETE or MODIFY statement is one atom set, so
+// a lock conflict on any of its atoms, or on a partner, refuses all of it.
+// A transaction holds the last face of a five-cube scene; a DELETE of every
+// cube and a MODIFY of every face fail and change nothing. With the first
+// cube's sixth face held too, deleting that cube's brep fails and leaves
+// every face.brep/brep.faces pair symmetric. Once the transaction aborted,
+// the statements run whole.
+func TestStatementsAreAtomic(t *testing.T) {
+	db := openMem(t)
+	if _, err := db.Exec(brepgen.SchemaDDL); err != nil {
+		t.Fatal(err)
+	}
+	cubes, err := brepgen.BuildScene(db.Engine(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	lock := func(f addr.LogicalAddr) {
+		t.Helper()
+		if _, err := tx.Exec(fmt.Sprintf("MODIFY face SET square_dim = 1.5 WHERE face_id = @%d.%d", f.Type(), f.Seq())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused := func(stmt string) {
+		t.Helper()
+		before := sceneState(t, db)
+		if _, err := db.ExecOne(stmt); !errors.Is(err, txn.ErrLockConflict) {
+			t.Fatalf("%s = %v, want ErrLockConflict", stmt, err)
+		}
+		if sceneState(t, db) != before {
+			t.Fatalf("%s failed but changed the scene", stmt)
+		}
+	}
+	const deleteAll = `DELETE FROM brep-face-edge-point WHERE brep_no >= 1`
+	const modifyAll = `MODIFY face SET square_dim = 9.5 WHERE square_dim >= 0`
+	lock(cubes[4].Faces[brepgen.CubeFaces-1])
+	refused(deleteAll)
+	refused(modifyAll)
+	lock(cubes[0].Faces[brepgen.CubeFaces-1])
+	refused(`DELETE FROM brep WHERE brep_no = 1`)
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []struct {
+		stmt string
+		want int
+	}{{modifyAll, 5 * brepgen.CubeFaces}, {`DELETE FROM brep WHERE brep_no = 1`, 1}, {deleteAll, 4 * brepgen.CubeAtoms}} {
+		r, err := db.ExecOne(run.stmt)
+		if err != nil {
+			t.Fatalf("%s after the abort: %v", run.stmt, err)
+		}
+		if r.Count != run.want {
+			t.Fatalf("%s after the abort: count %d, want %d", run.stmt, r.Count, run.want)
+		}
+		sceneState(t, db)
 	}
 }
 
