@@ -117,13 +117,15 @@ func (set *AtomSet) Add(typeName string, values map[string]atom.Value) (addr.Log
 // given values. Reference changes imply the partner updates that maintain
 // back-references; redundant records are refreshed by deferred update.
 func (set *AtomSet) Update(a addr.LogicalAddr, changes map[string]atom.Value) error {
-	_, err := set.member(a, wal.RecUpdate)
+	if _, err := set.member(a, wal.RecUpdate); err != nil {
+		return err
+	}
 	for name, v := range changes {
-		if err == nil {
-			err = set.edit(a, name, 0, v)
+		if err := set.edit(a, name, 0, v); err != nil {
+			return err
 		}
 	}
-	return err
+	return nil
 }
 
 // Change adds to the set the change of a's attribute attr to v: Update of

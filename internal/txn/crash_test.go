@@ -357,13 +357,14 @@ func crashEveryPoint(t *testing.T, sc crashScene, evicts bool) {
 		syncStep, writeStep = 4, 29
 	}
 	// The log's checkpoint loop runs beside the workload, so its timing
-	// moves a run's count of writes and syncs by about a tenth from one run
-	// to the next. The crash points reach a quarter past the rehearsal's
-	// counts, so the tail of a run that does more I/O than the rehearsal is
-	// crashed at too; a point past a run's last write or sync leaves that
-	// run uncrashed, and recovery must keep all of it.
-	syncs += syncs / 4
-	writes += writes / 4
+	// moves a run's count of writes and syncs by up to a sixth from one run
+	// to the next. The crash points reach half past the rehearsal's counts,
+	// so the tail of a run that does more I/O than the rehearsal is crashed
+	// at too, and a quiet rehearsal still names the same crash points; a
+	// point past a run's last write or sync leaves that run uncrashed, and
+	// recovery must keep all of it.
+	syncs += syncs / 2
+	writes += writes / 2
 
 	for k := 1; k <= syncs; k += syncStep {
 		k := k
