@@ -15,9 +15,12 @@ import (
 // testSchema installs a small two-type schema with an n:m association
 // (person.knows <-> person.known_by is deliberately NOT used; we use
 // doc/author to exercise cross-type n:m) plus scalars for indexing.
-func newSystem(t testing.TB) *System {
+func newSystem(t testing.TB) *System { return newSystemWith(t, Config{}) }
+
+// newSystemWith is newSystem under cfg.
+func newSystemWith(t testing.TB, cfg Config) *System {
 	t.Helper()
-	s, err := Open(Config{})
+	s, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

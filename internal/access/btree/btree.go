@@ -303,8 +303,9 @@ func (t *BTree) Insert(key atom.Value, a addr.LogicalAddr) error {
 	return t.insertLocked(key, a)
 }
 
-// checkKey rejects a key too large for a node to hold four of.
-func (t *BTree) checkKey(key atom.Value) error {
+// CheckKey rejects a key too large for a node to hold four of, as Insert
+// would: a writer checks its keys before it logs anything.
+func (t *BTree) CheckKey(key atom.Value) error {
 	if n := entryBytes(entry{key: key}, false); n > t.seg.PageSize()/4 {
 		return fmt.Errorf("%w: %d bytes", ErrKeyTooLarge, n)
 	}
@@ -312,7 +313,7 @@ func (t *BTree) checkKey(key atom.Value) error {
 }
 
 func (t *BTree) insertLocked(key atom.Value, a addr.LogicalAddr) error {
-	if err := t.checkKey(key); err != nil {
+	if err := t.CheckKey(key); err != nil {
 		return err
 	}
 
@@ -480,7 +481,7 @@ func (t *BTree) Build(pairs []Pair) error {
 	slices.SortFunc(pairs, func(x, y Pair) int { return cmp(x.Key, x.Addr, y.Key, y.Addr) })
 	level := make([]entry, len(pairs))
 	for i, p := range pairs {
-		if err := t.checkKey(p.Key); err != nil {
+		if err := t.CheckKey(p.Key); err != nil {
 			return err
 		}
 		if i > 0 && cmp(p.Key, p.Addr, pairs[i-1].Key, pairs[i-1].Addr) == 0 {

@@ -165,9 +165,9 @@ func (s *System) propagateOne(t deferTask) error {
 }
 
 // invalidateRedundant marks the redundant records of atom a stale after its
-// primary was updated, queueing propagation. changed lists the modified
-// attribute indices; structures whose content is untouched stay valid.
-func (s *System) invalidateRedundant(a addr.LogicalAddr, changed map[int]bool) error {
+// primary was updated from old to nv, queueing propagation; structures whose
+// content is untouched stay valid.
+func (s *System) invalidateRedundant(a addr.LogicalAddr, old, nv []atom.Value) error {
 	refs, err := s.dir.Lookup(a)
 	if err != nil {
 		return err
@@ -191,7 +191,7 @@ func (s *System) invalidateRedundant(a addr.LogicalAddr, changed map[int]bool) e
 			if p == nil {
 				continue
 			}
-			if touches(p.attrIdxs, changed) && ref.Valid {
+			if !sameKey(p.attrIdxs, old, nv) && ref.Valid {
 				if err := s.dir.SetValid(a, ref.Struct, false); err != nil {
 					return err
 				}

@@ -298,8 +298,8 @@ func TestNegativeCacheProbes(t *testing.T) {
 	}
 
 	// Resurrection must kill the negative entry.
-	if err := s.RawResurrect(victim, pre.Values, 0); err != nil {
-		t.Fatalf("RawResurrect: %v", err)
+	if err := s.Writer(0, nil).Restore(victim, pre.Values); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
 	if _, err := s.Get(victim, nil); err != nil {
 		t.Fatalf("Get after resurrect: %v", err)

@@ -1,14 +1,15 @@
 package access
 
 import (
+	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
+	"prima/internal/access/btree"
+	"prima/internal/access/mdindex"
 	"prima/internal/catalog"
-	"prima/internal/storage/wal"
 )
 
 // Atom is the unit of the decoded access system interface — DML, scans,
@@ -34,6 +35,14 @@ type Record struct {
 // Decode returns the record as a freshly decoded Atom.
 func (r Record) Decode() *Atom {
 	return &Atom{Type: r.Type, Addr: r.Addr, Values: r.Image.Values()}
+}
+
+// values decodes the record's values, nil for the zero Record.
+func (r Record) values() []atom.Value {
+	if r.Image.IsZero() {
+		return nil
+	}
+	return r.Image.Values()
 }
 
 // Value decodes the named attribute alone.
@@ -103,13 +112,12 @@ func (w Writer) writeOne(set *AtomSet, err error) error {
 	return w.WriteSet(set)
 }
 
-// store writes atom a's primary record, registers it with the directory and
-// enters vals into the type's access paths, sort orders and partitions. comp
-// compensates the logged insert when a step fails.
-func (s *System) store(t *catalog.AtomType, a addr.LogicalAddr, vals []atom.Value, comp func()) error {
+// store writes the records of atom a, whose values are vals: the primary
+// record, registered with the directory, and its records in the type's sort
+// orders and partitions.
+func (s *System) store(t *catalog.AtomType, a addr.LogicalAddr, vals []atom.Value) error {
 	prim, err := s.primary(t)
 	if err != nil {
-		comp()
 		return err
 	}
 	var rid addr.RID
@@ -118,29 +126,133 @@ func (s *System) store(t *catalog.AtomType, a addr.LogicalAddr, vals []atom.Valu
 		rid, err = prim.Insert(rec)
 		return err
 	}); err != nil {
-		comp()
 		return err
 	}
 	if err := s.dir.Register(a, addr.RecordRef{Kind: addr.KindPrimary, Where: rid, Valid: true}); err != nil {
-		comp()
 		return err
-	}
-	for _, ap := range s.accessPathsOf(t.Name) {
-		if err := s.indexInsert(ap, vals, a); err != nil {
-			comp()
-			return err
-		}
 	}
 	for _, so := range s.sortOrdersOf(t.Name) {
 		if err := s.sortOrderInsert(so, vals, a); err != nil {
-			comp()
 			return err
 		}
 	}
 	for _, p := range s.partitionsOf(t.Name) {
 		if err := s.partitionInsert(p, vals, a); err != nil {
-			comp()
 			return err
+		}
+	}
+	return nil
+}
+
+// rewrite replaces atom a's primary record, whose values are cur, with to,
+// and marks the redundant records the change reaches stale (deferred
+// update).
+func (s *System) rewrite(t *catalog.AtomType, a addr.LogicalAddr, cur, to []atom.Value) error {
+	ref, ok := s.dir.LookupStruct(a, 0)
+	if !ok {
+		return fmt.Errorf("%w: %v has no primary record", ErrNoAtom, a)
+	}
+	prim, err := s.primary(t)
+	if err != nil {
+		return err
+	}
+	var nrid addr.RID
+	if err := withEncodedAtom(to, func(rec []byte) error {
+		var err error
+		nrid, err = prim.Update(ref.Where, rec)
+		return err
+	}); err != nil {
+		return err
+	}
+	if nrid != ref.Where {
+		if err := s.dir.Update(a, 0, nrid); err != nil {
+			return err
+		}
+	}
+	return s.invalidateRedundant(a, cur, to)
+}
+
+// moveKeys moves atom a's entries in the access paths and sort orders of t
+// from the keys of the images olds to the key of to; see moveKey.
+func (s *System) moveKeys(t *catalog.AtomType, a addr.LogicalAddr, olds [2][]atom.Value, to []atom.Value, undo bool) error {
+	for _, ap := range s.accessPathsOf(t.Name) {
+		if err := moveKey(ap, a, olds, to, undo); err != nil {
+			return err
+		}
+	}
+	for _, so := range s.sortOrdersOf(t.Name) {
+		if err := moveKey(so, a, olds, to, undo); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// moveKey moves atom a's entry in k from the keys of the images olds to the
+// key of to; an absent image has no key, and an entry whose key to shares
+// stays. With undo set, a missing old entry and a present new one count as
+// moved.
+func moveKey(k keyed, a addr.LogicalAddr, olds [2][]atom.Value, to []atom.Value, undo bool) error {
+	idxs := k.keyAttrs()
+	enter := false
+	for i, old := range olds {
+		if sameKey(idxs, old, to) {
+			continue
+		}
+		enter = true
+		if old == nil || i > 0 && sameKey(idxs, old, olds[0]) {
+			continue
+		}
+		if err := k.remove(old, a); !moved(err, undo) {
+			return err
+		}
+	}
+	if enter && to != nil {
+		if err := k.enter(to, a); !moved(err, undo) {
+			return err
+		}
+	}
+	return nil
+}
+
+// moved reports whether a key entry's move that returned err left the entry
+// as the move wants it: an undo counts a missing old entry and a present new
+// one as moved.
+func moved(err error, undo bool) bool {
+	return err == nil || undo && (errors.Is(err, btree.ErrNotFound) || errors.Is(err, btree.ErrDupEntry) ||
+		errors.Is(err, mdindex.ErrNotFound) || errors.Is(err, mdindex.ErrDup))
+}
+
+// sameKey reports whether the images x and y (nil: absent) agree on the
+// attributes idxs: both absent, or both present with equal values there.
+func sameKey(idxs []int, x, y []atom.Value) bool {
+	if x == nil || y == nil {
+		return x == nil && y == nil
+	}
+	for _, i := range idxs {
+		if !x[i].Equal(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkKeys refuses vals, the values atom a of type t is to take over pre
+// (nil: absent), when a key it enters does not fit its B-tree: a write
+// checks this before it logs anything.
+func (s *System) checkKeys(t *catalog.AtomType, pre, vals []atom.Value) error {
+	for _, ap := range s.accessPathsOf(t.Name) {
+		if ap.tree != nil && !sameKey(ap.attrIdxs, pre, vals) {
+			if err := ap.tree.CheckKey(vals[ap.attrIdxs[0]]); err != nil {
+				return fmt.Errorf("access: access path %s: %w", ap.def.Name, err)
+			}
+		}
+	}
+	for _, so := range s.sortOrdersOf(t.Name) {
+		if !sameKey(so.attrIdxs, pre, vals) {
+			if err := so.tree.CheckKey(so.sortKey(vals)); err != nil {
+				return fmt.Errorf("access: sort order %s: %w", so.def.Name, err)
+			}
 		}
 	}
 	return nil
@@ -263,93 +375,6 @@ func (w Writer) Update(a addr.LogicalAddr, changes map[string]atom.Value) error 
 	return w.writeOne(set, set.Update(a, changes))
 }
 
-// updateRaw logs atom a's update from old to nv, rewrites its primary
-// record and repositions a in the access paths and sort orders whose keys
-// changed, without any integrity side effects (used by atom sets and by
-// undo). The caller has admitted a and opened its multi-version write span,
-// so snapshot readers that observe this write's effects always find the old
-// image in the chain.
-func (w Writer) updateRaw(t *catalog.AtomType, a addr.LogicalAddr, old, nv []atom.Value, changed map[int]bool) error {
-	s := w.s
-	// Atom cache write barrier, deferred so it runs after the
-	// primary record write on success AND on every error path past this
-	// point — a half-applied update must not leave its pre-image cached.
-	defer s.cacheInvalidate(a)
-	// Log the update ahead of any page write; on a later physical failure
-	// the reversed compensation makes the logged pair a net no-op.
-	if err := w.walAppend(wal.RecUpdate, a, t.Name, old, nv); err != nil {
-		return err
-	}
-	comp := func() { w.walCompensate(wal.RecUpdate, a, t.Name, nv, old) }
-	// Access paths reposition immediately when their key changed.
-	for _, ap := range s.accessPathsOf(t.Name) {
-		if !touches(ap.attrIdxs, changed) {
-			continue
-		}
-		if err := s.indexDelete(ap, old, a); err != nil {
-			comp()
-			return err
-		}
-		if err := s.indexInsert(ap, nv, a); err != nil {
-			comp()
-			return err
-		}
-	}
-	// Sort order trees reposition immediately when the sort key changed
-	// (the redundant record copy itself is refreshed lazily).
-	for _, so := range s.sortOrdersOf(t.Name) {
-		if !touches(so.attrIdxs, changed) {
-			continue
-		}
-		if err := so.tree.Delete(so.sortKey(old), a); err != nil {
-			comp()
-			return err
-		}
-		if err := so.tree.Insert(so.sortKey(nv), a); err != nil {
-			comp()
-			return err
-		}
-	}
-
-	// Primary record: the one physical record updated immediately.
-	ref, ok := s.dir.LookupStruct(a, 0)
-	if !ok {
-		comp()
-		return fmt.Errorf("%w: %v has no primary record", ErrNoAtom, a)
-	}
-	prim, err := s.primary(t)
-	if err != nil {
-		comp()
-		return err
-	}
-	var nrid addr.RID
-	if err := withEncodedAtom(nv, func(rec []byte) error {
-		var err error
-		nrid, err = prim.Update(ref.Where, rec)
-		return err
-	}); err != nil {
-		comp()
-		return err
-	}
-	if nrid != ref.Where {
-		if err := s.dir.Update(a, 0, nrid); err != nil {
-			comp()
-			return err
-		}
-	}
-	// All other physical records go stale (deferred update).
-	if err := s.invalidateRedundant(a, changed); err != nil {
-		comp()
-		return err
-	}
-	return nil
-}
-
-// touches reports whether any of the attribute indices idxs changed.
-func touches(idxs []int, changed map[int]bool) bool {
-	return slices.ContainsFunc(idxs, func(i int) bool { return changed[i] })
-}
-
 // Connect adds target to a's reference attribute attr (and maintains the
 // back-reference). This realizes MQL's component connection.
 func (s *System) Connect(a addr.LogicalAddr, attr string, target addr.LogicalAddr) error {
@@ -384,87 +409,35 @@ func (w Writer) Delete(a addr.LogicalAddr) error {
 	return w.writeOne(set, set.Delete(a))
 }
 
-// insertLogged logs atom a's insert with values vals and stores it, making
-// its address live; a store that fails before the atom is registered leaves
-// the address dead. The caller has admitted a and opened its write span
-// with a tombstone pre-image ("did not exist before this write").
-func (w Writer) insertLogged(t *catalog.AtomType, a addr.LogicalAddr, vals []atom.Value) error {
-	s := w.s
-	// Drop any negative cache entry for the address: it stops not-existing.
-	// Deferred, so failed inserts are covered too.
-	defer s.cacheInvalidate(a)
-	// Log the insert ahead of any page write; if a later physical step
-	// fails, the compensating delete makes the logged pair a net no-op.
-	if err := w.walAppend(wal.RecInsert, a, t.Name, nil, vals); err != nil {
+// drop removes atom a from the access paths and sort orders (the keys of the
+// images olds), dissolves the cluster occurrences it roots, releases its
+// address and reclaims its records. An undo finds the address released
+// already, when the write it undoes failed before it went live.
+func (s *System) drop(t *catalog.AtomType, a addr.LogicalAddr, olds [2][]atom.Value, undo bool) error {
+	if err := s.moveKeys(t, a, olds, nil, undo); err != nil {
 		return err
 	}
-	comp := func() { w.walCompensate(wal.RecDelete, a, t.Name, vals, nil) }
-	if err := s.dir.Revive(a); err != nil {
-		comp()
-		return err
-	}
-	if err := s.store(t, a, vals, comp); err != nil {
-		if _, ok := s.dir.LookupStruct(a, 0); !ok {
-			_, _ = s.dir.Release(a) // never registered: the address goes dead
-		}
-		return err
-	}
-	return nil
-}
-
-// deleteLogged logs the delete of atom a, whose values are vals, and drops
-// it, without disconnecting partners. The caller has admitted a and opened
-// its write span with vals' image: snapshot readers keep seeing the deleted
-// atom (and enumerate its address) until no snapshot from before the delete
-// remains open.
-func (w Writer) deleteLogged(t *catalog.AtomType, a addr.LogicalAddr, vals []atom.Value) error {
-	// Deferred like updateRaw's barrier: even a partially failed delete
-	// (e.g. a record reclaim error after the directory release) must drop
-	// the cached image.
-	defer w.s.cacheInvalidate(a)
-	// Log the delete ahead of any page write; a compensating insert voids
-	// the logged pair if a later physical step fails.
-	if err := w.walAppend(wal.RecDelete, a, t.Name, vals, nil); err != nil {
-		return err
-	}
-	return w.s.drop(t, a, vals, func() { w.walCompensate(wal.RecInsert, a, t.Name, nil, vals) })
-}
-
-// drop removes atom a, whose values are vals, from the access paths and sort
-// orders, dissolves the cluster occurrences it roots, releases its address
-// and reclaims its physical records. comp compensates the logged delete when
-// a step up to the release fails.
-func (s *System) drop(t *catalog.AtomType, a addr.LogicalAddr, vals []atom.Value, comp func()) error {
-	// Access paths and sort order trees drop their entries immediately.
-	for _, ap := range s.accessPathsOf(t.Name) {
-		if err := s.indexDelete(ap, vals, a); err != nil {
-			comp()
-			return err
-		}
-	}
-	for _, so := range s.sortOrdersOf(t.Name) {
-		if err := so.tree.Delete(so.sortKey(vals), a); err != nil {
-			comp()
-			return err
-		}
-	}
-
 	// Cluster occurrences rooted here disappear; occurrences containing
 	// this atom as a member are rebuilt lazily.
 	for _, cl := range s.clustersInvolving(t.Name) {
 		if cl.def.RootType() == t.Name {
 			if err := s.dropClusterOccurrence(cl, a); err != nil {
-				comp()
 				return err
 			}
 		}
 	}
-
+	if undo && !s.dir.Exists(a) {
+		return nil
+	}
 	refs, err := s.dir.Release(a)
 	if err != nil {
-		comp()
 		return err
 	}
+	return s.reclaim(t, a, refs)
+}
+
+// reclaim frees the records refs of atom a, whose address was released.
+func (s *System) reclaim(t *catalog.AtomType, a addr.LogicalAddr, refs []addr.RecordRef) error {
 	for _, ref := range refs {
 		switch ref.Kind {
 		case addr.KindPrimary:

@@ -219,16 +219,17 @@ func (s *System) WriteSet(set *AtomSet) error { return s.Writer(0, nil).WriteSet
 // WriteSet writes the members of set in w's write context, in the order
 // they were added, and the partner updates they imply.
 //
-// Nothing is written until every member is admitted by the scope and its
-// pre-image read, every added reference targets a live atom or a member the
-// set does not delete, every partner is admitted and read, and every
-// written vector type-checks. Then each member is logged (one record) and
-// applied, each changed partner gets its one update, and cluster
-// occurrences rooted at inserted members are built. The set's first
-// multi-version write span stays open until its last write ends, so a
-// snapshot sees all of the set or none of it. When a write fails, the writes
-// already made are rolled back (logged as compensations); a page write that
-// fails halfway leaves that one atom as its own compensation left it.
+// Nothing is logged or written until every member is admitted by the scope
+// and its pre-image read, every added reference targets a live atom or a
+// member the set does not delete, every partner is admitted and read, every
+// written vector type-checks and every key it enters fits its B-tree. Then
+// each member is logged (one record) and applied, each changed partner gets
+// its one update, and cluster occurrences rooted at inserted members are
+// built. The set's first multi-version write span stays open until its last
+// write ends, so a snapshot sees all of the set or none of it. Past the
+// checks only a physical failure (device, buffer) can stop a write; every
+// member written then, the failing one included, gets its pre-image back by
+// a logged restore.
 //
 // A set is atomic in the log too. In a transaction its records are the
 // transaction's. An autocommit set of more than one record takes a
@@ -248,7 +249,7 @@ func (w Writer) WriteSet(set *AtomSet) (err error) {
 	}
 	// Checkpoint op span: covers the whole set, from its first log record
 	// to the last page write.
-	defer s.walOpBegin()()
+	defer s.walOpEnd(s.walOpBegin())
 	admitted := 0
 	// Released last: after the write spans closed and the cache barriers ran.
 	defer func() {
@@ -285,6 +286,9 @@ func (w Writer) WriteSet(set *AtomSet) (err error) {
 	for _, m := range set.members {
 		if m.vals != nil {
 			if err := m.t.CheckValues(m.vals); err != nil {
+				return err
+			}
+			if err := s.checkKeys(m.t, m.pre, m.vals); err != nil {
 				return err
 			}
 		}
@@ -489,12 +493,12 @@ func (w Writer) writeSet(set *AtomSet, own bool) (err error) {
 		}
 	}()
 	for k := range set.members {
+		written++ // a member that fails partway is rolled back too
 		if m := &set.members[k]; m.kind != 0 {
 			if err := w.writeMember(m, k == 0); err != nil {
 				return err
 			}
 		}
-		written++
 	}
 	// Cluster maintenance: a new root atom spawns a new occurrence.
 	for _, m := range set.members {
@@ -517,35 +521,16 @@ func (w Writer) writeMember(m *setMember, first bool) error {
 	if !first {
 		defer w.s.mvBegin(m.t, m.a, m.img)()
 	}
-	switch m.kind {
-	case wal.RecInsert:
-		return w.insertLogged(m.t, m.a, m.vals)
-	case wal.RecDelete:
-		return w.deleteLogged(m.t, m.a, m.pre)
-	}
-	changed := map[int]bool{}
-	for _, e := range m.edits {
-		changed[e.i] = true
-	}
-	for _, bi := range m.backs {
-		changed[bi] = true
-	}
-	return w.updateRaw(m.t, m.a, m.pre, m.vals, changed)
+	return w.write(m.t, m.a, m.pre, m.pre, m.vals, false)
 }
 
-// rollbackSet undoes a failed set's writes, newest first, each by the raw
-// inverse of its kind. Best effort, like any compensation: the failure that
-// stopped the set may stop its undo too.
+// rollbackSet undoes a failed set's writes, newest first: each member gets
+// its pre-image back. Best effort, like any undo: the failure that stopped
+// the set may stop its undo too.
 func (w Writer) rollbackSet(members []setMember) {
-	s := w.s
 	for i := len(members) - 1; i >= 0; i-- {
-		switch m := members[i]; m.kind {
-		case wal.RecInsert:
-			_ = s.RawDelete(m.a, w.txID)
-		case wal.RecUpdate:
-			_ = s.RawOverwrite(m.a, m.pre, w.txID)
-		case wal.RecDelete:
-			_ = s.RawResurrect(m.a, m.pre, w.txID)
+		if m := &members[i]; m.kind != 0 {
+			_ = w.restore(m.t, m.a, m.vals, m.pre)
 		}
 	}
 }

@@ -149,7 +149,7 @@ func (s *System) CreateAccessPath(def *catalog.AccessPathDef) error {
 			pairs = append(pairs, btree.Pair{Key: at.Values[ap.attrIdxs[0]], Addr: a})
 			return true
 		}
-		addErr = s.indexInsert(ap, at.Values, a)
+		addErr = ap.enter(at.Values, a)
 		return addErr == nil
 	})
 	if addErr == nil && ap.tree != nil {
@@ -199,26 +199,24 @@ func (s *System) CreateSortOrder(def *catalog.SortOrderDef) error {
 			addErr = err
 			return false
 		}
-		if addErr = s.sortOrderInsert(so, at.Values, a); addErr != nil {
-			return false
+		if addErr = s.sortOrderInsert(so, at.Values, a); addErr == nil {
+			addErr = so.enter(at.Values, a)
 		}
-		return true
+		return addErr == nil
 	})
 	return addErr
 }
 
-// sortOrderInsert adds one atom's redundant copy to a sort order.
+// sortOrderInsert adds one atom's redundant copy to a sort order; its entry
+// in the sort order's tree is so.enter's.
 func (s *System) sortOrderInsert(so *sortOrderStruct, values []atom.Value, a addr.LogicalAddr) error {
 	rid, err := so.container.Insert(atom.EncodeAtom(values))
 	if err != nil {
 		return err
 	}
-	if err := s.dir.Register(a, addr.RecordRef{
+	return s.dir.Register(a, addr.RecordRef{
 		Struct: so.def.ID, Kind: addr.KindSortOrder, Where: rid, Valid: true,
-	}); err != nil {
-		return err
-	}
-	return so.tree.Insert(so.sortKey(values), a)
+	})
 }
 
 // CreatePartition registers and materializes a vertical partition.
@@ -505,20 +503,40 @@ func (s *System) dropClusterOccurrence(cl *clusterStruct, root addr.LogicalAddr)
 	return seq.Delete()
 }
 
-// indexInsert adds an atom to one access path.
-func (s *System) indexInsert(ap *accessPathStruct, values []atom.Value, a addr.LogicalAddr) error {
+// keyed is a structure that enters each atom of its type under a key built
+// from some of its attributes: an access path, or a sort order's tree.
+type keyed interface {
+	keyAttrs() []int
+	enter(values []atom.Value, a addr.LogicalAddr) error
+	remove(values []atom.Value, a addr.LogicalAddr) error
+}
+
+func (ap *accessPathStruct) keyAttrs() []int { return ap.attrIdxs }
+
+// enter adds an atom to the access path.
+func (ap *accessPathStruct) enter(values []atom.Value, a addr.LogicalAddr) error {
 	if ap.tree != nil {
 		return ap.tree.Insert(values[ap.attrIdxs[0]], a)
 	}
 	return ap.grid.Insert(ap.apKeys(values), a)
 }
 
-// indexDelete removes an atom from one access path.
-func (s *System) indexDelete(ap *accessPathStruct, values []atom.Value, a addr.LogicalAddr) error {
+// remove removes an atom from the access path.
+func (ap *accessPathStruct) remove(values []atom.Value, a addr.LogicalAddr) error {
 	if ap.tree != nil {
 		return ap.tree.Delete(values[ap.attrIdxs[0]], a)
 	}
 	return ap.grid.Delete(ap.apKeys(values), a)
+}
+
+func (so *sortOrderStruct) keyAttrs() []int { return so.attrIdxs }
+
+func (so *sortOrderStruct) enter(values []atom.Value, a addr.LogicalAddr) error {
+	return so.tree.Insert(so.sortKey(values), a)
+}
+
+func (so *sortOrderStruct) remove(values []atom.Value, a addr.LogicalAddr) error {
+	return so.tree.Delete(so.sortKey(values), a)
 }
 
 // DropLDL tears down the named LDL structure of any kind.

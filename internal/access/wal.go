@@ -16,8 +16,8 @@ import (
 
 // This file ties the access system to the write-ahead log: every atom
 // mutation appends a logical redo/undo record before the physical record is
-// touched, and recovery replays those records through the same state-tested
-// Raw* operators the transaction layer uses for in-memory rollback.
+// touched, and recovery replays those records through restore, the one
+// inverse that also rolls back failed sets and aborted transactions.
 
 // openWAL opens the log, recovers the database from it, and re-checkpoints
 // so the recovered state (and the log's new generation) are durable before
@@ -109,17 +109,23 @@ func writeFileAtomic(path string, data []byte) error {
 }
 
 // walOpBegin marks a logged mutation as in flight for checkpointing: until
-// the returned release runs, a fuzzy checkpoint will not truncate the log
-// past the operation's first record, even though the operation's page writes
-// may land after the checkpoint's page flush. Entry points bracket their
-// whole mutation (logging through physical application) with it; without a
-// log, or during recovery replay, it is a no-op.
-func (s *System) walOpBegin() func() {
-	w := s.wal
-	if w == nil || s.walRecovering {
-		return func() {}
+// walOpEnd ends it, a fuzzy checkpoint will not truncate the log past the
+// operation's first record, even though the operation's page writes may land
+// after the checkpoint's page flush. Entry points bracket their whole
+// mutation (logging through physical application) with the pair; without a
+// log, or during recovery replay, both are no-ops.
+func (s *System) walOpBegin() uint64 {
+	if s.wal == nil || s.walRecovering {
+		return 0
 	}
-	return w.OpBegin()
+	return s.wal.OpBegin()
+}
+
+// walOpEnd ends the mutation walOpBegin began at op.
+func (s *System) walOpEnd(op uint64) {
+	if s.wal != nil && !s.walRecovering {
+		s.wal.OpEnd(op)
+	}
 }
 
 // walAppend logs one atom mutation ahead of its physical application,
@@ -156,14 +162,6 @@ func (w Writer) walAppend(kind wal.Kind, a addr.LogicalAddr, typeName string, un
 		return fmt.Errorf("access: log %s of %v: %w", kind, a, err)
 	}
 	return nil
-}
-
-// walCompensate appends the logical inverse of an already-logged mutation
-// whose physical application failed, so replaying the pair nets out to
-// nothing. Best effort: if the log itself is failing, recovery re-runs
-// against whatever prefix survived.
-func (w Writer) walCompensate(kind wal.Kind, a addr.LogicalAddr, typeName string, undo, redo []atom.Value) {
-	_ = w.walAppend(kind, a, typeName, undo, redo)
 }
 
 // NewTxID returns a transaction id that no other write context of s uses:
@@ -265,106 +263,62 @@ func (s *System) WALCheckpointErr() error {
 
 // --- recovery applier --------------------------------------------------------
 
-// walApplier adapts the access system's recovery operators to wal.Recover.
-// Both directions are idempotent and state-tested: they inspect the directory
-// before acting, and degrade to drop-and-recreate when the base state a fuzzy
-// checkpoint left behind disagrees with the directory snapshot (a crash
-// between the per-device syncs of one checkpoint legitimately mixes state
-// from two checkpoints; repeating history converges it).
+// walApplier adapts the access system's one inverse, restore, to
+// wal.Recover: redo restores a record's image after, undo its image before.
+// Both are idempotent and state-tested, and degrade to drop-and-recreate
+// when the base state a fuzzy checkpoint left behind disagrees with the
+// directory snapshot (a crash between the per-device syncs of one checkpoint
+// legitimately mixes state from two checkpoints; repeating history converges
+// it).
 type walApplier struct {
 	s *System
 }
 
 // Redo repeats history: the record's post-state is enforced regardless of
 // what the base state already shows.
-func (ap *walApplier) Redo(r *wal.Record) error {
+func (ap *walApplier) Redo(r *wal.Record) error { return ap.restore(r, r.Undo, r.Redo) }
+
+// Undo rolls a loser record back to its pre-state.
+func (ap *walApplier) Undo(r *wal.Record) error { return ap.restore(r, r.Redo, r.Undo) }
+
+// restore makes r's atom equal to the encoded image to (empty: absent) over
+// from. When the directory claims a record that is stale or unreadable, the
+// entry is dropped and the atom re-created from the log image: the log, not
+// the heap, is authoritative.
+func (ap *walApplier) restore(r *wal.Record, from, to []byte) error {
 	s := ap.s
 	a := addr.LogicalAddr(r.Addr)
-	if _, err := s.typeByID(a.Type()); err != nil {
+	t, err := s.typeByID(a.Type())
+	if err != nil {
 		// DDL forces a checkpoint, so every replayed record's type is in the
 		// loaded schema; a miss is real corruption.
 		return fmt.Errorf("%w (%s)", err, r.TypeName)
 	}
-	switch r.Kind {
-	case wal.RecInsert, wal.RecUpdate:
-		vals, err := atom.DecodeAtom(r.Redo)
-		if err != nil {
-			return err
-		}
-		return s.applyImage(a, vals)
-	case wal.RecDelete:
-		return s.applyDelete(a)
-	}
-	return nil
-}
-
-// Undo rolls a loser record back to its pre-state.
-func (ap *walApplier) Undo(r *wal.Record) error {
-	s := ap.s
-	a := addr.LogicalAddr(r.Addr)
-	switch r.Kind {
-	case wal.RecInsert:
-		return s.applyDelete(a)
-	case wal.RecUpdate, wal.RecDelete:
-		vals, err := atom.DecodeAtom(r.Undo)
-		if err != nil {
-			return err
-		}
-		return s.applyImage(a, vals)
-	}
-	return nil
-}
-
-// applyImage makes atom a exist with exactly vals. When the directory claims
-// the atom exists but its physical record is stale or unreadable, the entry
-// is dropped and the atom re-created from the log image.
-func (s *System) applyImage(a addr.LogicalAddr, vals []atom.Value) error {
-	if s.dir.Exists(a) {
-		if err := s.RawOverwrite(a, vals, 0); err == nil {
-			return nil
-		}
-		if refs, err := s.dir.Release(a); err == nil {
-			s.reclaimRefs(a, refs)
-		}
-		s.cacheInvalidate(a)
-	}
-	return s.RawResurrect(a, vals, 0)
-}
-
-// applyDelete makes atom a not exist.
-func (s *System) applyDelete(a addr.LogicalAddr) error {
-	if !s.dir.Exists(a) {
-		return nil
-	}
-	if err := s.RawDelete(a, 0); err != nil {
-		// Stale base state: drop the directory entry, reclaim what can be
-		// reclaimed and move on — the log, not the heap, is authoritative.
-		if refs, rerr := s.dir.Release(a); rerr == nil {
-			s.reclaimRefs(a, refs)
-			s.cacheInvalidate(a)
-			return nil
-		}
-		if !s.dir.Exists(a) {
-			return nil
-		}
+	fv, err := decodeImage(from)
+	if err != nil {
 		return err
 	}
-	return nil
+	tv, err := decodeImage(to)
+	if err != nil {
+		return err
+	}
+	w := s.Writer(0, nil)
+	if w.restore(t, a, fv, tv) == nil {
+		return nil
+	}
+	// Stale base state: drop the directory entry, reclaim what can be
+	// reclaimed, and re-create the atom.
+	if refs, err := s.dir.Release(a); err == nil {
+		_ = s.reclaim(t, a, refs)
+	}
+	s.cacheInvalidate(a)
+	return w.restore(t, a, fv, tv)
 }
 
-// reclaimRefs best-effort frees the physical records of a released directory
-// entry whose normal teardown failed against a stale base state.
-func (s *System) reclaimRefs(a addr.LogicalAddr, refs []addr.RecordRef) {
-	t, err := s.typeByID(a.Type())
-	if err != nil {
-		return
+// decodeImage decodes a log record's image, nil for an empty one (absent).
+func decodeImage(b []byte) ([]atom.Value, error) {
+	if len(b) == 0 {
+		return nil, nil
 	}
-	for _, ref := range refs {
-		if ref.Kind != addr.KindPrimary {
-			continue
-		}
-		if prim, err := s.primary(t); err == nil {
-			_ = prim.Delete(ref.Where)
-		}
-	}
+	return atom.DecodeAtom(b)
 }

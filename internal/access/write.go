@@ -3,6 +3,7 @@ package access
 import (
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
+	"prima/internal/catalog"
 	"prima/internal/obs"
 	"prima/internal/storage/wal"
 )
@@ -61,73 +62,109 @@ func (w Writer) release(a addr.LogicalAddr, kind wal.Kind, pre []atom.Value, err
 	}
 }
 
-// --- raw recovery operations --------------------------------------------------
+// --- writes and their one inverse ---------------------------------------------
 //
-// The transaction layer's undo applies physical inverses without integrity
-// side effects: every logical mutation (including implicit partner updates)
-// produced its own log entry, so undo handles each atom independently. The
-// inverses are logged like any other mutation, attributed to transaction
-// txID (during recovery replay nothing is logged).
+// Every write of an atom is one record from its image before (nil: absent)
+// to its image after, and it is undone by restoring the image before: by
+// the same write with the images swapped. Undo takes no side trip through
+// partners: a set or transaction logged each partner update as a write of
+// its own, so it undoes each atom by itself.
 
-// RawOverwrite replaces an atom's values without reference maintenance.
-// Recovery-only: misuse breaks association symmetry.
-func (s *System) RawOverwrite(a addr.LogicalAddr, values []atom.Value, txID uint64) error {
-	t, err := s.typeByID(a.Type())
-	if err != nil {
+// write logs atom a's write from image from to image to (nil: absent) as one
+// record of w's transaction and applies it over cur, the stored record (nil:
+// absent): the primary record and directory entry, and the type's access
+// paths, sort orders and partitions. A forward write starts from the record
+// it read, so cur is from. An undo (undo set) starts from whatever the write
+// it undoes left, so it moves the keys of cur and of from both, and a
+// missing old entry or a present new one counts as moved.
+func (w Writer) write(t *catalog.AtomType, a addr.LogicalAddr, cur, from, to []atom.Value, undo bool) error {
+	s := w.s
+	// Atom cache write barrier, deferred so it runs after the record writes
+	// on success and on every error path: a half-applied write must not
+	// leave its pre-image cached, nor an address that stops not existing its
+	// negative entry.
+	defer s.cacheInvalidate(a)
+	// Log ahead of any page write. The writer checked every value and key
+	// before, so only a physical failure can stop the write from here; its
+	// set or transaction then undoes it.
+	if err := w.walAppend(recordKind(from, to), a, t.Name, from, to); err != nil {
 		return err
 	}
-	// Checkpoint op span: rollback mutations log like any others, so they
-	// pin the replay start the same way (no-op during recovery replay).
-	defer s.walOpBegin()()
-	cur, err := s.record(a)
-	if err != nil {
-		return err
-	}
-	defer s.mvBegin(t, a, cur.Image)()
-	old := cur.Image.Values()
-	changed := map[int]bool{}
-	for i := range values {
-		if !old[i].Equal(values[i]) {
-			changed[i] = true
+	olds := [2][]atom.Value{cur, from}
+	switch {
+	case to == nil:
+		return s.drop(t, a, olds, undo)
+	case cur == nil:
+		if err := s.dir.Revive(a); err != nil {
+			return err
+		}
+		if err := s.store(t, a, to); err != nil {
+			return err
+		}
+	default:
+		if err := s.rewrite(t, a, cur, to); err != nil {
+			return err
 		}
 	}
-	return s.Writer(txID, nil).updateRaw(t, a, old, values, changed)
+	return s.moveKeys(t, a, olds, to, undo)
 }
 
-// RawDelete removes an atom without disconnecting partners. Recovery-only.
-func (s *System) RawDelete(a addr.LogicalAddr, txID uint64) error {
+// recordKind is the log record kind of a write from image from to image to.
+func recordKind(from, to []atom.Value) wal.Kind {
+	switch {
+	case from == nil:
+		return wal.RecInsert
+	case to == nil:
+		return wal.RecDelete
+	}
+	return wal.RecUpdate
+}
+
+// Restore makes atom a equal to pre (nil: absent) again, undoing a write of
+// w's transaction that completed: the transaction layer's abort restores
+// each atom it wrote, newest write first. It is logged like any write.
+func (w Writer) Restore(a addr.LogicalAddr, pre []atom.Value) error {
+	s := w.s
 	t, err := s.typeByID(a.Type())
 	if err != nil {
 		return err
 	}
-	// Checkpoint op span: see RawOverwrite.
-	defer s.walOpBegin()()
-	cur, err := s.record(a)
+	defer s.walOpEnd(s.walOpBegin())
+	// The write completed, so the log holds the stored record for a.
+	cur, err := s.stored(a)
 	if err != nil {
+		return err
+	}
+	return w.restore(t, a, cur.values(), pre)
+}
+
+// restore makes atom a of type t equal to img (nil: absent) wherever the
+// atom lives: its primary record and directory entry, the access paths,
+// sort orders and partitions of t, the cluster occurrences it roots, the
+// atom cache and the multi-version store. from is the image the log holds
+// for a: what the write being undone wrote, or the pre-image of the write
+// being redone. The stored record may lie anywhere between from and img,
+// when a write failed partway or a checkpoint left an older base state; a
+// record that cannot be read still lets the atom be deleted. restore logs
+// one record from from to img in w's transaction (nothing during replay).
+func (w Writer) restore(t *catalog.AtomType, a addr.LogicalAddr, from, img []atom.Value) error {
+	if from == nil && img == nil {
+		return nil
+	}
+	s := w.s
+	cur, err := s.stored(a)
+	if err != nil && img != nil {
 		return err
 	}
 	defer s.mvBegin(t, a, cur.Image)()
-	return s.Writer(txID, nil).deleteLogged(t, a, cur.Image.Values())
-}
-
-// RawResurrect re-creates a previously deleted atom under its old logical
-// address with the given pre-image. Recovery-only.
-func (s *System) RawResurrect(a addr.LogicalAddr, values []atom.Value, txID uint64) error {
-	t, err := s.typeByID(a.Type())
-	if err != nil {
+	if err := w.write(t, a, cur.values(), from, img, true); err != nil {
 		return err
 	}
-	// Checkpoint op span: see RawOverwrite.
-	defer s.walOpBegin()()
-	// Snapshot readers from before the resurrection must keep seeing the
-	// address as absent: install a tombstone pre-image before reviving.
-	defer s.mvBegin(t, a, atom.Image{})()
-	// The address is being re-used: the insert's cache barrier makes sure
-	// no image read before the delete can be published against the
-	// resurrected atom.
-	if err := s.Writer(txID, nil).insertLogged(t, a, values); err != nil {
-		return err
+	if img == nil || !cur.Image.IsZero() && from != nil {
+		return nil
 	}
+	// The atom comes back, or a failed delete may have dissolved the
+	// cluster occurrences it roots: build them again.
 	if s.walRecovering {
 		// A root's image may reference atoms the log replays after it
 		// (members of the same atom set): build once replay ends.
@@ -135,4 +172,16 @@ func (s *System) RawResurrect(a addr.LogicalAddr, values []atom.Value, txID uint
 		return nil
 	}
 	return s.buildRootedClusters(t, a)
+}
+
+// stored reads atom a's record, the zero Record when a is not live.
+func (s *System) stored(a addr.LogicalAddr) (Record, error) {
+	if !s.dir.Exists(a) {
+		return Record{}, nil
+	}
+	rec, err := s.record(a)
+	if err != nil {
+		return Record{}, err
+	}
+	return rec, nil
 }

@@ -125,7 +125,7 @@ type Log struct {
 	buf       []byte            // unflushed bytes from bufBase (block-aligned)
 	bufBase   uint64            // stream offset of buf[0]
 	active    map[uint64]uint64 // txid -> first LSN, for checkpointing
-	inflight  map[*opSpan]struct{}
+	inflight  map[uint64]int    // start LSN -> operations in flight from it
 	segs      map[uint64]device.Device
 	meta      device.Device
 	scratch   []byte // payload encode buffer
@@ -152,7 +152,7 @@ func Open(files *device.Manager, opts Options) (*Log, error) {
 		opts:        opts,
 		segBytes:    uint64(opts.SegmentBlocks) * blockSize,
 		active:      make(map[uint64]uint64),
-		inflight:    make(map[*opSpan]struct{}),
+		inflight:    make(map[uint64]int),
 		segs:        make(map[uint64]device.Device),
 		blockBuf:    make([]byte, blockSize),
 		gen:         1,
@@ -536,29 +536,29 @@ func (l *Log) drainCommitCh() {
 // checkpoint loop off this channel.
 func (l *Log) Nudge() <-chan struct{} { return l.nudgeCh }
 
-// opSpan marks one logical mutation in flight: its records may already be in
-// the log while its page writes are still landing.
-type opSpan struct {
-	start uint64 // append position when the operation began
+// OpBegin registers an in-flight logical mutation and returns its start, the
+// token OpEnd takes. A fuzzy checkpoint must not advance the replay start
+// past the position at which any still-running operation began: the
+// operation's records can precede the checkpoint while its page writes land
+// after the checkpoint's page flush, so those records must survive
+// truncation for redo. The owner brackets every mutating entry point
+// (including autocommit ones, which the active-transaction table never sees)
+// with OpBegin/OpEnd.
+func (l *Log) OpBegin() uint64 {
+	l.mu.Lock()
+	start := l.appendEnd
+	l.inflight[start]++
+	l.mu.Unlock()
+	return start
 }
 
-// OpBegin registers an in-flight logical mutation and returns its release
-// function. A fuzzy checkpoint must not advance the replay start past the
-// position at which any still-running operation began: the operation's
-// records can precede the checkpoint while its page writes land after the
-// checkpoint's page flush, so those records must survive truncation for
-// redo. The owner brackets every mutating entry point (including autocommit
-// ones, which the active-transaction table never sees) with OpBegin/release.
-func (l *Log) OpBegin() func() {
+// OpEnd ends the operation OpBegin registered at start.
+func (l *Log) OpEnd(start uint64) {
 	l.mu.Lock()
-	sp := &opSpan{start: l.appendEnd}
-	l.inflight[sp] = struct{}{}
-	l.mu.Unlock()
-	return func() {
-		l.mu.Lock()
-		delete(l.inflight, sp)
-		l.mu.Unlock()
+	if l.inflight[start]--; l.inflight[start] <= 0 {
+		delete(l.inflight, start)
 	}
+	l.mu.Unlock()
 }
 
 // CheckpointToken snapshots the state a fuzzy checkpoint began with.
@@ -583,10 +583,8 @@ func (l *Log) BeginCheckpoint() *CheckpointToken {
 		act[k] = v
 	}
 	pin := l.appendEnd
-	for sp := range l.inflight {
-		if sp.start < pin {
-			pin = sp.start
-		}
+	for start := range l.inflight {
+		pin = min(pin, start)
 	}
 	return &CheckpointToken{active: act, beginLSN: pin}
 }

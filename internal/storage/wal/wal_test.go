@@ -465,12 +465,12 @@ func TestCheckpointKeepsCommitDuringCheckpoint(t *testing.T) {
 }
 
 // An autocommit (TxID 0) mutation in flight when a checkpoint begins is
-// never in the active-transaction table; its OpBegin span must pin the
+// never in the active-transaction table; its OpBegin must pin the
 // replay start instead.
 func TestCheckpointKeepsInflightAutocommitOp(t *testing.T) {
 	files := device.NewManager(t.TempDir())
 	l := openLog(t, files, Options{SegmentBlocks: 1})
-	release := l.OpBegin()
+	op := l.OpBegin()
 	lsn, err := l.Append(&Record{Kind: RecInsert, TxID: 0, Addr: 42, Redo: []byte("autocommit")})
 	if err != nil {
 		t.Fatal(err)
@@ -480,7 +480,7 @@ func TestCheckpointKeepsInflightAutocommitOp(t *testing.T) {
 	if err := l.EndCheckpoint(tok); err != nil {
 		t.Fatal(err)
 	}
-	release()
+	l.OpEnd(op)
 	if err := l.FlushTo(l.WriteLSN()); err != nil {
 		t.Fatal(err)
 	}
@@ -513,11 +513,11 @@ func TestCheckpointKeepsInflightAutocommitOp(t *testing.T) {
 func TestOpSpanReleaseUnpins(t *testing.T) {
 	files := device.NewManager(t.TempDir())
 	l := openLog(t, files, Options{SegmentBlocks: 1})
-	release := l.OpBegin()
+	op := l.OpBegin()
 	if _, err := l.Append(&Record{Kind: RecInsert, TxID: 0, Addr: 1, Redo: make([]byte, 1024)}); err != nil {
 		t.Fatal(err)
 	}
-	release()
+	l.OpEnd(op)
 	before := l.WriteLSN()
 	if err := l.EndCheckpoint(l.BeginCheckpoint()); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"prima/internal/access"
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
+	"prima/internal/access/btree"
 	"prima/internal/catalog"
 	"prima/internal/storage/device"
 )
@@ -459,5 +461,122 @@ func TestCrashKeepsAutocommitWrittenWhileTxOpen(t *testing.T) {
 	}
 	if got := no(t, sys, b); got != 5 {
 		t.Errorf("acked autocommit write lost: b = %d, want 5", got)
+	}
+}
+
+// TestCrashAfterRefusedWrites: an INSERT and a MODIFY whose access-path key
+// does not fit its B-tree are refused before they log anything, in
+// autocommit and inside a transaction that then aborts. After a forced
+// commit and a crash, the database opens, and every atom and access-path
+// entry is as it was before the refused writes.
+func TestCrashAfterRefusedWrites(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	sys, err := access.Open(crashCfg(dir, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := catalog.NewAtomType("doc", []catalog.Attribute{
+		{Name: "id", Type: catalog.SpecIdent()},
+		{Name: "title", Type: catalog.SpecString()},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Schema().AddAtomType(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Schema().ResolveAssociations(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CreateAccessPath(&catalog.AccessPathDef{Name: "doc_title", AtomType: "doc", Attrs: []string{"title"}, Method: "BTREE"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	plan := device.NewCrashPlan()
+	wrap := func(name string, d device.Device) device.Device {
+		fd := device.NewFault(d)
+		fd.SetVolatile(true)
+		fd.SetPlan(plan, false)
+		return fd
+	}
+	if sys, err = access.Open(crashCfg(dir, wrap)); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(sys)
+	title := func(s string) map[string]atom.Value { return map[string]atom.Value{"title": atom.Str(s)} }
+	long := title(strings.Repeat("x", 2000))
+	docs := map[string]addr.LogicalAddr{}
+	for _, s := range []string{"kept", "kept in tx", "other"} {
+		if docs[s], err = m.Autocommit().Insert("doc", title(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refuse := func(w access.Writer, modified addr.LogicalAddr) {
+		t.Helper()
+		if _, err := w.Insert("doc", long); !errors.Is(err, btree.ErrKeyTooLarge) {
+			t.Fatalf("INSERT of a 2,000-byte key = %v, want ErrKeyTooLarge", err)
+		}
+		if err := w.Update(modified, long); !errors.Is(err, btree.ErrKeyTooLarge) {
+			t.Fatalf("MODIFY to a 2,000-byte key = %v, want ErrKeyTooLarge", err)
+		}
+	}
+	refuse(m.Autocommit(), docs["kept"])
+	tx := m.Begin()
+	if err := tx.Do(func(w access.Writer) error {
+		if err := w.Update(docs["other"], title("in tx")); err != nil {
+			return err
+		}
+		refuse(w, docs["kept in tx"])
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	tx = m.Begin()
+	if err := tx.Do(func(w access.Writer) error {
+		docs["forced"], err = w.Insert("doc", title("forced"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil { // forces the log
+		t.Fatal(err)
+	}
+	writes, syncs := plan.Counts()
+	plan.CrashAtWrite(writes+1, 0)
+	plan.CrashAtSync(syncs + 1)
+	_ = sys.Close() // the first write or sync of the close crashes
+	if !plan.Crashed() {
+		t.Fatal("crash did not fire")
+	}
+
+	if sys, err = access.Open(crashCfg(dir, nil)); err != nil {
+		t.Fatalf("reopen after the crash: %v", err)
+	}
+	defer sys.Close()
+	if n := sys.Count("doc"); n != len(docs) {
+		t.Fatalf("%d docs after recovery, want %d", n, len(docs))
+	}
+	for want, a := range docs {
+		at, err := sys.Get(a, nil)
+		if err != nil {
+			t.Fatalf("doc %q after recovery: %v", want, err)
+		}
+		if v, _ := at.Value("title"); v.S != want {
+			t.Fatalf("doc %q after recovery is titled %.10q", want, v.S)
+		}
+		if found, err := sys.AccessPathSearch("doc_title", []atom.Value{atom.Str(want)}); err != nil || len(found) != 1 || found[0] != a {
+			t.Fatalf("access path finds %v for %q after recovery, %v", found, want, err)
+		}
+	}
+	for _, gone := range []string{"in tx", long["title"].S} {
+		if found, err := sys.AccessPathSearch("doc_title", []atom.Value{atom.Str(gone)}); err != nil || len(found) != 0 {
+			t.Fatalf("access path finds %v for %.10q after recovery, %v", found, gone, err)
+		}
 	}
 }

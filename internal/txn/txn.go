@@ -8,9 +8,12 @@
 // Writers acquire exclusive atom locks following Moss's rules: a
 // transaction may lock an atom if every other holder is one of its
 // ancestors; on commit the child's locks are inherited by the parent. Lock
-// conflicts fail immediately (no-wait policy): the failed statement leaves
-// partial effects that the caller removes by aborting, which is exactly
-// what the undo log is for.
+// conflicts fail immediately (no-wait policy). A statement writes one atom
+// set, which the access system checks whole before it logs anything and
+// rolls back itself when a write fails, so a failed statement leaves no
+// effects; the caller decides whether the transaction goes on or aborts.
+// The undo log keeps each completed write's pre-image, and an abort
+// restores them, newest first, with the access system's one inverse.
 package txn
 
 import (
@@ -39,12 +42,11 @@ var (
 	ErrPoisoned = errors.New("txn: manager poisoned by failed rollback, reopen the database")
 )
 
-// logEntry is one undoable mutation: its kind and, for updates and deletes,
-// the atom's pre-image.
+// logEntry is one undoable mutation: the atom and its pre-image (nil: the
+// atom did not exist).
 type logEntry struct {
-	kind wal.Kind
-	a    addr.LogicalAddr
-	pre  []atom.Value
+	a   addr.LogicalAddr
+	pre []atom.Value
 }
 
 // Manager coordinates transactions over one access system. Every write names
@@ -269,7 +271,7 @@ func (t *Tx) Release(a addr.LogicalAddr, kind wal.Kind, pre []atom.Value, err er
 	if err != nil || kind == 0 {
 		return
 	}
-	e := logEntry{kind: kind, a: a, pre: slices.Clone(pre)}
+	e := logEntry{a: a, pre: slices.Clone(pre)}
 	for i := range e.pre {
 		e.pre[i] = e.pre[i].Clone()
 	}
@@ -349,24 +351,14 @@ func (t *Tx) Abort() error {
 	log := t.log
 	t.m.mu.Unlock()
 
-	// Undo applies the raw inverses — no locking, no undo logging of its
-	// own — while t still holds its locks; the write-ahead log attributes the
-	// rollback's own page writes to t's top-level transaction.
-	root := t.rootID()
+	// Undo restores each atom's pre-image, newest write first, while t
+	// still holds its locks; no scope admits it, and the write-ahead log
+	// attributes the restores to t's top-level transaction.
+	w := t.m.sys.Writer(t.rootID(), nil)
 	var undoErrs []error
 	for i := len(log) - 1; i >= 0; i-- {
-		e := log[i]
-		var err error
-		switch e.kind {
-		case wal.RecInsert:
-			err = t.m.sys.RawDelete(e.a, root)
-		case wal.RecUpdate:
-			err = t.m.sys.RawOverwrite(e.a, e.pre, root)
-		case wal.RecDelete:
-			err = t.m.sys.RawResurrect(e.a, e.pre, root)
-		}
-		if err != nil {
-			undoErrs = append(undoErrs, fmt.Errorf("txn: undo %v: %w", e.a, err))
+		if err := w.Restore(log[i].a, log[i].pre); err != nil {
+			undoErrs = append(undoErrs, fmt.Errorf("txn: undo %v: %w", log[i].a, err))
 		}
 	}
 	undoErr := errors.Join(undoErrs...)

@@ -8,7 +8,6 @@ import (
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
 	"prima/internal/catalog"
-	"prima/internal/storage/wal"
 )
 
 // newSys builds an in-memory access system with a parts/links schema (n:m).
@@ -340,11 +339,11 @@ func TestAbortUndoesAllEntriesDespiteFailures(t *testing.T) {
 		t.Fatalf("Do: %v", err)
 	}
 
-	// Inject an undoable-looking entry whose undo must fail: an update of an
-	// address that does not exist. Undo runs in reverse order, so this entry
-	// fails first — the real entries after it must still be undone.
-	bogus := addr.New(base.Type(), 1<<40)
-	tx.log = append(tx.log, logEntry{kind: wal.RecUpdate, a: bogus})
+	// Inject an undoable-looking entry whose undo must fail: an atom of a
+	// type the schema does not have. Undo runs in reverse order, so this
+	// entry fails first — the real entries after it must still be undone.
+	bogus := addr.New(base.Type()+1000, 1)
+	tx.log = append(tx.log, logEntry{a: bogus})
 
 	if err := tx.Abort(); err == nil {
 		t.Fatal("Abort succeeded despite an impossible undo entry")
