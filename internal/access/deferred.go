@@ -6,6 +6,7 @@ import (
 
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
+	"prima/internal/catalog"
 )
 
 // Deferred update (§3.2): "Storage redundancy may introduce substantial
@@ -149,33 +150,34 @@ func (s *System) propagateOne(t deferTask) error {
 	case taskCluster:
 		s.mu.RLock()
 		cl := s.clusters[t.structID]
-		var exists bool
-		if cl != nil {
-			_, exists = cl.occurrences[t.a]
-		}
 		s.mu.RUnlock()
-		if cl == nil || !exists || !s.dir.Exists(t.a) {
+		if cl == nil || !s.dir.Exists(t.a) {
 			return nil
 		}
-		return s.buildClusterOccurrence(cl, t.a)
+		cl.mu.Lock()
+		defer cl.mu.Unlock()
+		if ref, ok := s.dir.LookupStruct(t.a, t.structID); ok && ref.Valid {
+			return nil
+		}
+		_, err := s.buildOccurrence(cl, t.a)
+		return err
 
 	default:
 		return fmt.Errorf("access: unknown deferred task kind %d", t.kind)
 	}
 }
 
-// invalidateRedundant marks the redundant records of atom a stale after its
-// primary was updated from old to nv, queueing propagation; structures whose
-// content is untouched stay valid.
-func (s *System) invalidateRedundant(a addr.LogicalAddr, old, nv []atom.Value) error {
+// invalidateRedundant marks the redundant records of atom a of type t stale
+// after its primary was updated from old to nv, queueing propagation;
+// structures whose content is untouched stay valid. Each cluster occurrence
+// holding a, through either image, goes stale too.
+func (s *System) invalidateRedundant(t *catalog.AtomType, a addr.LogicalAddr, old, nv []atom.Value) error {
 	refs, err := s.dir.Lookup(a)
 	if err != nil {
 		return err
 	}
 	for _, ref := range refs {
 		switch ref.Kind {
-		case addr.KindPrimary:
-			continue
 		case addr.KindSortOrder:
 			// Sort order records hold the full atom: always stale.
 			if ref.Valid {
@@ -197,35 +199,10 @@ func (s *System) invalidateRedundant(a addr.LogicalAddr, old, nv []atom.Value) e
 				}
 				s.deferq.push(deferTask{kind: taskPartition, a: a, structID: ref.Struct})
 			}
-		case addr.KindCluster:
-			// Cluster payloads hold full atom images: always stale. The
-			// rebuild task is keyed by the occurrence's root atom.
-			root, found := s.clusterRootOf(ref)
-			if !found {
-				continue
-			}
-			if ref.Valid {
-				if err := s.dir.SetValid(a, ref.Struct, false); err != nil {
-					return err
-				}
-			}
-			s.deferq.push(deferTask{kind: taskCluster, a: root, structID: ref.Struct})
 		}
+	}
+	if cls := s.clustersInvolving(t.Name); len(cls) > 0 {
+		return s.invalidateClusters(cls, t, a, old, nv)
 	}
 	return nil
-}
-
-// clusterRootOf returns the root atom of the cluster occurrence whose page
-// sequence holds the cluster record ref.
-func (s *System) clusterRootOf(ref addr.RecordRef) (addr.LogicalAddr, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if cl := s.clusters[ref.Struct]; cl != nil {
-		for r, header := range cl.occurrences {
-			if header == ref.Where.Page {
-				return r, true
-			}
-		}
-	}
-	return 0, false
 }

@@ -169,7 +169,7 @@ func (s *System) rewrite(t *catalog.AtomType, a addr.LogicalAddr, cur, to []atom
 			return err
 		}
 	}
-	return s.invalidateRedundant(a, cur, to)
+	return s.invalidateRedundant(t, a, cur, to)
 }
 
 // moveKeys moves atom a's entries in the access paths and sort orders of t
@@ -410,15 +410,16 @@ func (w Writer) Delete(a addr.LogicalAddr) error {
 }
 
 // drop removes atom a from the access paths and sort orders (the keys of the
-// images olds), dissolves the cluster occurrences it roots, releases its
+// images olds), dissolves each cluster occurrence it roots, releases its
 // address and reclaims its records. An undo finds the address released
 // already, when the write it undoes failed before it went live.
 func (s *System) drop(t *catalog.AtomType, a addr.LogicalAddr, olds [2][]atom.Value, undo bool) error {
 	if err := s.moveKeys(t, a, olds, nil, undo); err != nil {
 		return err
 	}
-	// Cluster occurrences rooted here disappear; occurrences containing
-	// this atom as a member are rebuilt lazily.
+	// Each cluster occurrence rooted here disappears. One holding this atom
+	// as a member went stale with the partners that referenced it, which
+	// the same set updates.
 	for _, cl := range s.clustersInvolving(t.Name) {
 		if cl.def.RootType() == t.Name {
 			if err := s.dropClusterOccurrence(cl, a); err != nil {
@@ -436,7 +437,10 @@ func (s *System) drop(t *catalog.AtomType, a addr.LogicalAddr, olds [2][]atom.Va
 	return s.reclaim(t, a, refs)
 }
 
-// reclaim frees the records refs of atom a, whose address was released.
+// reclaim frees the records refs of atom a, whose address was released:
+// its primary record and its sort-order and partition copies. Each cluster
+// occurrence a roots went before the release (drop); no other atom's entry
+// locates a cluster record.
 func (s *System) reclaim(t *catalog.AtomType, a addr.LogicalAddr, refs []addr.RecordRef) error {
 	for _, ref := range refs {
 		switch ref.Kind {
@@ -465,12 +469,6 @@ func (s *System) reclaim(t *catalog.AtomType, a addr.LogicalAddr, refs []addr.Re
 				if err := p.container.Delete(ref.Where); err != nil {
 					return err
 				}
-			}
-		case addr.KindCluster:
-			// The payload still holds a stale image; queue a rebuild of
-			// the containing occurrence.
-			if root, found := s.clusterRootOf(ref); found && root != a {
-				s.deferq.push(deferTask{kind: taskCluster, a: root, structID: ref.Struct})
 			}
 		}
 	}

@@ -213,9 +213,9 @@ func (c *Container) insertLocked(no uint32, fresh bool, stored []byte) (addr.RID
 
 // view fixes data page no, runs fn over it and releases it.
 func (c *Container) view(no uint32, fn func(page.Page) error) error {
-	h, err := c.pool.Fix(segment.PageID{Seg: c.seg.ID(), No: no})
+	h, err := c.fix(no, false)
 	if err != nil {
-		return fmt.Errorf("record: fix page %d: %w", no, err)
+		return err
 	}
 	defer h.Release()
 	return fn(h.Page())
@@ -225,13 +225,9 @@ func (c *Container) view(no uint32, fn func(page.Page) error) error {
 // it changed it, and a fresh page is fixed without being read. It returns the
 // page's free space after fn.
 func (c *Container) modify(no uint32, fresh bool, fn func(page.Page) (bool, error)) (int, error) {
-	fix := c.pool.Fix
-	if fresh {
-		fix = c.pool.FixNew
-	}
-	h, err := fix(segment.PageID{Seg: c.seg.ID(), No: no})
+	h, err := c.fix(no, fresh)
 	if err != nil {
-		return 0, fmt.Errorf("record: fix page %d: %w", no, err)
+		return 0, err
 	}
 	defer h.Release()
 	changed, err := fn(h.Page())
@@ -239,6 +235,27 @@ func (c *Container) modify(no uint32, fresh bool, fn func(page.Page) (bool, erro
 		h.MarkDirty()
 	}
 	return h.Page().FreeSpace(), err
+}
+
+// fix fixes data page no, or fresh page no without reading it. A page the
+// segment does not hold, or one never written, holds no record: a record
+// address that outlived its record, a crash included, may point anywhere.
+func (c *Container) fix(no uint32, fresh bool) (buffer.Handle, error) {
+	pid := segment.PageID{Seg: c.seg.ID(), No: no}
+	var h buffer.Handle
+	var err error
+	if fresh {
+		h, err = c.pool.FixNew(pid)
+	} else {
+		h, err = c.pool.Fix(pid)
+	}
+	switch {
+	case errors.Is(err, segment.ErrNotAllocated) || errors.Is(err, page.ErrBadMagic):
+		return h, fmt.Errorf("%w: page %d (%v)", ErrNotFound, no, err)
+	case err != nil:
+		return h, fmt.Errorf("record: fix page %d: %w", no, err)
+	}
+	return h, nil
 }
 
 // Read returns a copy of the record at rid: a batch of one.

@@ -10,6 +10,7 @@ import (
 	"prima/internal/access/addr"
 	"prima/internal/storage/buffer"
 	"prima/internal/storage/device"
+	"prima/internal/storage/page"
 	"prima/internal/storage/segment"
 )
 
@@ -90,6 +91,43 @@ func TestLongRecordSpill(t *testing.T) {
 	}
 	if c.Segment().Allocated() >= before {
 		t.Fatalf("delete did not free spill pages: %d -> %d", before, c.Segment().Allocated())
+	}
+}
+
+// TestStaleAddressIsNotFound: an address whose page the segment does not
+// hold, whose page was never written, or whose page is not a data page (a
+// spilled record's page sequence, whose header counts no slots) locates no
+// record, for reads, updates and deletes alike.
+func TestStaleAddressIsNotFound(t *testing.T) {
+	c := newContainer(t, device.B1K)
+	spilled, err := c.Insert(bytes.Repeat([]byte("L"), 3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqPage uint32 // the header page of the record's page sequence
+	if err := c.view(spilled.Page, func(pg page.Page) error {
+		stored, err := pg.Read(int(spilled.Slot))
+		if err == nil {
+			seqPage, err = spillOf(stored)
+		}
+		return err
+	}); err != nil || seqPage == 0 {
+		t.Fatalf("the record did not spill: %v", err)
+	}
+	unwritten, err := c.Segment().AllocatePage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rid := range []addr.RID{{Page: 9999}, {Page: unwritten}, {Page: seqPage}} {
+		if _, err := c.Read(rid); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Read %v: %v, want ErrNotFound", rid, err)
+		}
+		if _, err := c.Update(rid, []byte("x")); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Update %v: %v, want ErrNotFound", rid, err)
+		}
+		if err := c.Delete(rid); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Delete %v: %v, want ErrNotFound", rid, err)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package access
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -9,7 +8,6 @@ import (
 	"prima/internal/access/atom"
 	"prima/internal/access/mdindex"
 	"prima/internal/catalog"
-	"prima/internal/storage/pageseq"
 )
 
 // Scans (§3.2): "scans are introduced as a concept to control a dynamically
@@ -488,7 +486,7 @@ func (s *System) AccessPathSearch(name string, keys []atom.Value) ([]addr.Logica
 
 // ClusterOccurrence is one materialized atom cluster: the characteristic
 // atom's reference lists plus the member atoms, as checked record images over
-// the one payload the chained read returned.
+// the one payload its record read returned.
 type ClusterOccurrence struct {
 	Root    addr.LogicalAddr
 	Records []Record
@@ -505,43 +503,29 @@ func (o *ClusterOccurrence) Record(a addr.LogicalAddr) (Record, bool) {
 }
 
 // ClusterRoots returns the characteristic (root) atoms of a cluster type in
-// system-defined order.
+// system-defined order: every live atom of its root type.
 func (s *System) ClusterRoots(clusterName string) ([]addr.LogicalAddr, error) {
 	cl, err := s.clusterByName(clusterName)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.RLock()
-	roots := make([]addr.LogicalAddr, 0, len(cl.occurrences))
-	for r := range cl.occurrences {
-		roots = append(roots, r)
-	}
-	s.mu.RUnlock()
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	return roots, nil
+	return s.ScanAddrs(cl.def.RootType())
 }
 
-// readOccurrence loads (rebuilding first if stale) the occurrence rooted at
-// root. Reading the whole cluster costs one chained I/O when the sequence
-// is contiguous — the Fig. 3.2 claim the benchmarks measure.
+// readOccurrence loads the occurrence rooted at root: one record read, the
+// whole cluster in one page (or one chained page sequence when it is longer
+// than half a page) — the Fig. 3.2 claim the benchmarks measure. A stale or
+// missing occurrence is rebuilt first (lazy deferred-update propagation),
+// once for all the readers that find it so.
 func (s *System) readOccurrence(cl *clusterStruct, root addr.LogicalAddr) (*ClusterOccurrence, error) {
-	s.mu.RLock()
-	header, ok := cl.occurrences[root]
-	seq := cl.seqs[root]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: no cluster occurrence rooted at %v", ErrNoAtom, root)
-	}
-	if seq == nil || seq.HeaderPage() != header {
-		var err error
-		if seq, err = pageseq.Open(cl.seg, header); err != nil {
-			return nil, err
+	ref, payload, err := s.storedOccurrence(cl, root)
+	if err == nil && (payload == nil || !ref.Valid) {
+		cl.mu.Lock()
+		if ref, payload, err = s.storedOccurrence(cl, root); err == nil && (payload == nil || !ref.Valid) {
+			payload, err = s.buildOccurrence(cl, root)
 		}
-		s.mu.Lock()
-		cl.seqs[root] = seq
-		s.mu.Unlock()
+		cl.mu.Unlock()
 	}
-	payload, err := seq.ReadAll()
 	if err != nil {
 		return nil, err
 	}
@@ -549,42 +533,6 @@ func (s *System) readOccurrence(cl *clusterStruct, root addr.LogicalAddr) (*Clus
 	if err != nil {
 		return nil, err
 	}
-
-	// Staleness check: any invalid or missing member ref forces a rebuild
-	// (lazy deferred-update propagation).
-	stale := false
-	for _, e := range entries {
-		if !s.dir.Exists(e.addr) {
-			stale = true
-			break
-		}
-		ref, ok := s.dir.LookupStruct(e.addr, cl.def.ID)
-		if !ok || !ref.Valid || ref.Where.Page != header {
-			stale = true
-			break
-		}
-	}
-	if stale {
-		if err := s.buildClusterOccurrence(cl, root); err != nil {
-			return nil, err
-		}
-		s.mu.RLock()
-		header = cl.occurrences[root]
-		s.mu.RUnlock()
-		if seq, err = pageseq.Open(cl.seg, header); err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		cl.seqs[root] = seq
-		s.mu.Unlock()
-		if payload, err = seq.ReadAll(); err != nil {
-			return nil, err
-		}
-		if entries, err = parseClusterTable(payload); err != nil {
-			return nil, err
-		}
-	}
-
 	occ := &ClusterOccurrence{
 		Root:    root,
 		Records: make([]Record, len(entries)),
@@ -595,8 +543,8 @@ func (s *System) readOccurrence(cl *clusterStruct, root addr.LogicalAddr) (*Clus
 		if err != nil {
 			return nil, err
 		}
-		// The payload is a fresh chained-I/O copy owned by this occurrence;
-		// the images slice it.
+		// The payload is a fresh copy owned by this occurrence; the images
+		// slice it.
 		img, err := atom.CheckImage(payload[e.off : e.off+e.len])
 		if err != nil {
 			return nil, err
@@ -680,58 +628,6 @@ func (s *System) ClusterScan(clusterName string, root addr.LogicalAddr, memberTy
 		}
 	}
 	return nil
-}
-
-// ClusterReadAtom reads one member atom directly through the cluster's
-// relative addressing structure without materializing the whole occurrence
-// ("faster access to single atoms of the atom cluster", §3.3).
-func (s *System) ClusterReadAtom(clusterName string, a addr.LogicalAddr) (*Atom, error) {
-	cl, err := s.clusterByName(clusterName)
-	if err != nil {
-		return nil, err
-	}
-	ref, ok := s.dir.LookupStruct(a, cl.def.ID)
-	if !ok {
-		return nil, fmt.Errorf("%w: %v is not clustered in %s", ErrNoAtom, a, clusterName)
-	}
-	if !ref.Valid {
-		return s.Get(a, nil) // stale: read through the primary
-	}
-	seq, err := pageseq.Open(cl.seg, ref.Where.Page)
-	if err != nil {
-		return nil, err
-	}
-	// Read just the table head and the member's row, then its byte range.
-	var head [4]byte
-	if _, err := seq.ReadAt(head[:], 0); err != nil {
-		return nil, err
-	}
-	if n := binary.BigEndian.Uint32(head[:]); uint32(ref.Where.Slot) >= n {
-		return nil, fmt.Errorf("access: cluster slot %d out of range %d", ref.Where.Slot, n)
-	}
-	var row [16]byte
-	if n, err := seq.ReadAt(row[:], int64(4+int(ref.Where.Slot)*16)); err != nil {
-		return nil, err
-	} else if n < len(row) {
-		return nil, fmt.Errorf("access: truncated cluster table")
-	}
-	e, err := decodeClusterEntry(row[:], seq.Len())
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, e.len)
-	if _, err := seq.ReadAt(buf, int64(e.off)); err != nil {
-		return nil, err
-	}
-	values, err := atom.DecodeAtomOwned(buf)
-	if err != nil {
-		return nil, err
-	}
-	t, err := s.typeByID(a.Type())
-	if err != nil {
-		return nil, err
-	}
-	return &Atom{Type: t, Addr: a, Values: values}, nil
 }
 
 // HasCluster reports whether a cluster with the given name exists.

@@ -224,7 +224,7 @@ func (s *System) WriteSet(set *AtomSet) error { return s.Writer(0, nil).WriteSet
 // member the set does not delete, every partner is admitted and read, every
 // written vector type-checks and every key it enters fits its B-tree. Then
 // each member is logged (one record) and applied, each changed partner gets
-// its one update, and cluster occurrences rooted at inserted members are
+// its one update, and the cluster occurrence of each inserted root is
 // built. The set's first multi-version write span stays open until its last
 // write ends, so a snapshot sees all of the set or none of it. Past the
 // checks only a physical failure (device, buffer) can stop a write; every
@@ -470,7 +470,7 @@ func backAttr(t *catalog.AtomType, attr int, pt *catalog.AtomType) (int, error) 
 }
 
 // writeSet logs and applies the members that write, in order, and builds
-// the cluster occurrences rooted at inserted members; on a failure it rolls
+// the cluster occurrence of each inserted root; on a failure it rolls
 // back what it wrote. The first member's write span is held open to the
 // end. With own set, the set's records carry a transaction id of their own,
 // and writeSet ends them with a commit mark, or after a rollback an abort

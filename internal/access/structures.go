@@ -2,6 +2,7 @@ package access
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -12,7 +13,6 @@ import (
 	"prima/internal/access/record"
 	"prima/internal/catalog"
 	"prima/internal/storage/device"
-	"prima/internal/storage/pageseq"
 )
 
 // This file implements the lifecycle of the LDL-declared tuning structures:
@@ -106,12 +106,21 @@ func (ap *accessPathStruct) apKeys(values []atom.Value) []atom.Value {
 
 // --- creation (LDL execution) ------------------------------------------------
 
+// undoFailedLDL tears the LDL structure name down again when building it
+// failed with *err, so a failed statement leaves no definition behind.
+func (s *System) undoFailedLDL(name string, err *error) {
+	if *err != nil {
+		_ = s.DropLDL(name) // the build's error is the one to report
+	}
+}
+
 // CreateAccessPath registers the definition in the catalog and builds the
 // index over the existing atoms.
-func (s *System) CreateAccessPath(def *catalog.AccessPathDef) error {
+func (s *System) CreateAccessPath(def *catalog.AccessPathDef) (err error) {
 	if err := s.schema.AddAccessPath(def); err != nil {
 		return err
 	}
+	defer s.undoFailedLDL(def.Name, &err)
 	ap, err := s.bindAccessPath(def)
 	if err != nil {
 		return err
@@ -160,15 +169,12 @@ func (s *System) CreateAccessPath(def *catalog.AccessPathDef) error {
 
 // CreateSortOrder registers and materializes a sort order over the existing
 // atoms of the type.
-func (s *System) CreateSortOrder(def *catalog.SortOrderDef) error {
+func (s *System) CreateSortOrder(def *catalog.SortOrderDef) (err error) {
 	if err := s.schema.AddSortOrder(def); err != nil {
 		return err
 	}
-	cseg, err := s.newSegment("sortorder_"+def.Name, s.cfg.PageSize, 0)
-	if err != nil {
-		return err
-	}
-	cont, err := record.New(cseg, s.pool)
+	defer s.undoFailedLDL(def.Name, &err)
+	cont, err := s.newContainer("sortorder_"+def.Name, s.cfg.PageSize)
 	if err != nil {
 		return err
 	}
@@ -220,15 +226,12 @@ func (s *System) sortOrderInsert(so *sortOrderStruct, values []atom.Value, a add
 }
 
 // CreatePartition registers and materializes a vertical partition.
-func (s *System) CreatePartition(def *catalog.PartitionDef) error {
+func (s *System) CreatePartition(def *catalog.PartitionDef) (err error) {
 	if err := s.schema.AddPartition(def); err != nil {
 		return err
 	}
-	seg, err := s.newSegment("partition_"+def.Name, device.B4K, 0)
-	if err != nil {
-		return err
-	}
-	cont, err := record.New(seg, s.pool)
+	defer s.undoFailedLDL(def.Name, &err)
+	cont, err := s.newContainer("partition_"+def.Name, device.B4K)
 	if err != nil {
 		return err
 	}
@@ -274,15 +277,19 @@ func (s *System) partitionInsert(p *partitionStruct, values []atom.Value, a addr
 // cluster per existing root atom ("Inserting a characteristic atom generates
 // a new atom cluster consisting of the characteristic atom and all atoms
 // referenced by it").
-func (s *System) CreateCluster(def *catalog.ClusterDef) error {
+func (s *System) CreateCluster(def *catalog.ClusterDef) (err error) {
 	if err := s.schema.AddCluster(def); err != nil {
 		return err
 	}
-	seg, err := s.newSegment("cluster_"+def.Name, s.cfg.PageSize, 0)
+	defer s.undoFailedLDL(def.Name, &err)
+	cont, err := s.newContainer("cluster_"+def.Name, s.cfg.PageSize)
 	if err != nil {
 		return err
 	}
-	cl := &clusterStruct{def: def, seg: seg, occurrences: map[addr.LogicalAddr]uint32{}, seqs: map[addr.LogicalAddr]*pageseq.Sequence{}}
+	cl, err := s.bindCluster(def, cont)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	s.clusters[def.ID] = cl
 	s.mu.Unlock()
@@ -293,12 +300,63 @@ func (s *System) CreateCluster(def *catalog.ClusterDef) error {
 	}
 	var addErr error
 	s.dir.Scan(root.ID, func(a addr.LogicalAddr, _ []addr.RecordRef) bool {
-		if addErr = s.buildClusterOccurrence(cl, a); addErr != nil {
-			return false
-		}
-		return true
+		addErr = s.rebuildOccurrence(cl, a)
+		return addErr == nil
 	})
 	return addErr
+}
+
+// molEdge is an edge of a cluster's molecule structure seen from the node
+// it leads into: its atoms are the targets of reference attributes of the
+// atoms of node from, and back indexes their own attribute that references
+// those atoms in turn.
+type molEdge struct {
+	from *catalog.MolNode
+	back int
+}
+
+// bindCluster binds a cluster definition to its container and derives the
+// way up its molecule structure: into each node from its parent, and into
+// a node from itself along each recursive edge, whose targets the member
+// walk takes as atoms of the same node.
+func (s *System) bindCluster(def *catalog.ClusterDef, cont *record.Container) (*clusterStruct, error) {
+	cl := &clusterStruct{def: def, container: cont, into: map[*catalog.MolNode][]molEdge{def.Molecule.Root: nil}}
+	var bind func(node *catalog.MolNode) error
+	bind = func(node *catalog.MolNode) error {
+		ft, err := s.typeOf(node.AtomType)
+		if err != nil {
+			return err
+		}
+		for _, child := range node.Children {
+			to := child
+			if child.Recursive {
+				to = node
+			}
+			tt, err := s.typeOf(to.AtomType)
+			if err != nil {
+				return err
+			}
+			via, ok := ft.AttrIndex(child.Via)
+			if !ok {
+				return fmt.Errorf("%w: %s.%s", catalog.ErrUnknownAttr, ft.Name, child.Via)
+			}
+			back, err := backAttr(ft, via, tt)
+			if err != nil {
+				return err
+			}
+			cl.into[to] = append(cl.into[to], molEdge{from: node, back: back})
+			if !child.Recursive {
+				if err := bind(child); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	if err := bind(def.Molecule.Root); err != nil {
+		return nil, err
+	}
+	return cl, nil
 }
 
 // clusterPayload is the serialized form of one atom cluster (Fig. 3.2b):
@@ -339,7 +397,9 @@ type clusterEntry struct {
 }
 
 // parseClusterTable decodes and checks the relative address table of a
-// cluster payload.
+// cluster payload: every member's byte range lies within the payload. The
+// sums are taken in 64 bits, so a stored offset and length cannot wrap past
+// the check.
 func parseClusterTable(payload []byte) ([]clusterEntry, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("access: truncated cluster payload")
@@ -350,25 +410,16 @@ func parseClusterTable(payload []byte) ([]clusterEntry, error) {
 	}
 	entries := make([]clusterEntry, n)
 	for i := range entries {
-		var err error
-		if entries[i], err = decodeClusterEntry(payload[4+i*16:], len(payload)); err != nil {
-			return nil, err
+		row := payload[4+i*16:]
+		a := addr.LogicalAddr(binary.BigEndian.Uint64(row))
+		off := uint64(binary.BigEndian.Uint32(row[8:]))
+		size := uint64(binary.BigEndian.Uint32(row[12:]))
+		if off+size > uint64(len(payload)) {
+			return nil, fmt.Errorf("access: cluster member %v at %d+%d past the payload's %d bytes", a, off, size, len(payload))
 		}
+		entries[i] = clusterEntry{addr: a, off: int(off), len: int(size)}
 	}
 	return entries, nil
-}
-
-// decodeClusterEntry decodes the table row at the head of row and checks that
-// the member's byte range lies within a payload of size bytes; the sum is
-// taken in 64 bits, so a stored offset and length cannot wrap past the check.
-func decodeClusterEntry(row []byte, size int) (clusterEntry, error) {
-	a := addr.LogicalAddr(binary.BigEndian.Uint64(row))
-	off := uint64(binary.BigEndian.Uint32(row[8:]))
-	n := uint64(binary.BigEndian.Uint32(row[12:]))
-	if off+n > uint64(size) {
-		return clusterEntry{}, fmt.Errorf("access: cluster member %v at %d+%d past the payload's %d bytes", a, off, n, size)
-	}
-	return clusterEntry{addr: a, off: int(off), len: int(n)}, nil
 }
 
 // collectClusterMembers gathers the atoms of one molecule occurrence
@@ -414,93 +465,147 @@ func (s *System) collectClusterMembers(cl *clusterStruct, root addr.LogicalAddr)
 	return members, nil
 }
 
-// buildClusterOccurrence materializes (or rebuilds) the atom cluster rooted
-// at root.
-func (s *System) buildClusterOccurrence(cl *clusterStruct, root addr.LogicalAddr) error {
+// storedOccurrence returns the root's ref into cl, and the payload of the
+// record it locates when that record is the occurrence rooted at root: its
+// table's first entry is root. A missing record, or another root's, is no
+// occurrence (nil), so a ref that went stale can never lead a read, rewrite
+// or delete to another root's record.
+func (s *System) storedOccurrence(cl *clusterStruct, root addr.LogicalAddr) (addr.RecordRef, []byte, error) {
+	ref, ok := s.dir.LookupStruct(root, cl.def.ID)
+	if !ok {
+		return ref, nil, nil
+	}
+	payload, err := cl.container.Read(ref.Where)
+	if errors.Is(err, record.ErrNotFound) {
+		return ref, nil, nil
+	}
+	if err != nil {
+		return ref, nil, err
+	}
+	if len(payload) < 4+16 || binary.BigEndian.Uint32(payload) == 0 ||
+		addr.LogicalAddr(binary.BigEndian.Uint64(payload[4:])) != root {
+		return ref, nil, nil
+	}
+	return ref, payload, nil
+}
+
+// buildOccurrence writes the occurrence of cl rooted at root from the
+// current state of its members, over the root's record when its ref still
+// locates one, and points the ref at it, valid. It returns the payload. The
+// caller holds cl.mu.
+func (s *System) buildOccurrence(cl *clusterStruct, root addr.LogicalAddr) ([]byte, error) {
+	if t, ok := s.schema.AtomTypeByID(root.Type()); !ok || t.Name != cl.def.RootType() || !s.dir.Exists(root) {
+		return nil, fmt.Errorf("%w: no cluster occurrence rooted at %v", ErrNoAtom, root)
+	}
 	members, err := s.collectClusterMembers(cl, root)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	payload := buildClusterPayload(members)
-
-	s.mu.Lock()
-	oldHeader, had := cl.occurrences[root]
-	s.mu.Unlock()
-
-	if had {
-		// Unregister old member refs before rewriting.
-		oldSeq, err := pageseq.Open(cl.seg, oldHeader)
-		if err != nil {
-			return err
-		}
-		oldPayload, err := oldSeq.ReadAll()
-		if err != nil {
-			return err
-		}
-		old, err := parseClusterTable(oldPayload)
-		if err != nil {
-			return err
-		}
-		for _, e := range old {
-			if s.dir.Exists(e.addr) {
-				_ = s.dir.Unregister(e.addr, cl.def.ID)
-			}
-		}
-		if err := oldSeq.Delete(); err != nil {
-			return err
-		}
+	ref, old, err := s.storedOccurrence(cl, root)
+	rid := ref.Where
+	if err == nil && old != nil {
+		rid, err = cl.container.Update(rid, payload)
+	} else if err == nil {
+		rid, err = cl.container.Insert(payload)
 	}
-
-	seq, err := pageseq.Create(cl.seg, payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.mu.Lock()
-	cl.occurrences[root] = seq.HeaderPage()
-	cl.seqs[root] = seq
-	s.mu.Unlock()
-	for i, m := range members {
-		if err := s.dir.Register(m.addr, addr.RecordRef{
-			Struct: cl.def.ID, Kind: addr.KindCluster,
-			Where: addr.RID{Page: seq.HeaderPage(), Slot: uint16(i)}, Valid: true,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	// The root is live, so its old ref, if any, goes without fail.
+	_ = s.dir.Unregister(root, cl.def.ID)
+	return payload, s.dir.Register(root, addr.RecordRef{
+		Struct: cl.def.ID, Kind: addr.KindCluster, Where: rid, Valid: true,
+	})
+}
+
+// rebuildOccurrence builds cl's occurrence rooted at root afresh.
+func (s *System) rebuildOccurrence(cl *clusterStruct, root addr.LogicalAddr) error {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	_, err := s.buildOccurrence(cl, root)
+	return err
 }
 
 // dropClusterOccurrence removes the cluster rooted at root ("deleting a
 // characteristic atom deletes a whole atom cluster").
 func (s *System) dropClusterOccurrence(cl *clusterStruct, root addr.LogicalAddr) error {
-	s.mu.Lock()
-	header, ok := cl.occurrences[root]
-	if ok {
-		delete(cl.occurrences, root)
-		delete(cl.seqs, root)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	seq, err := pageseq.Open(cl.seg, header)
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	ref, payload, err := s.storedOccurrence(cl, root)
 	if err != nil {
 		return err
 	}
-	payload, err := seq.ReadAll()
-	if err != nil {
-		return err
-	}
-	entries, err := parseClusterTable(payload)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if s.dir.Exists(e.addr) {
-			_ = s.dir.Unregister(e.addr, cl.def.ID)
+	if payload != nil {
+		if err := cl.container.Delete(ref.Where); err != nil {
+			return err
 		}
 	}
-	return seq.Delete()
+	if s.dir.Exists(root) {
+		return s.dir.Unregister(root, cl.def.ID)
+	}
+	return nil
+}
+
+// invalidateClusters marks stale each occurrence of the clusters cls that
+// holds atom a of type t by its image old or nv, and queues its rebuild.
+// It walks up from a along the back attributes of each cluster's molecule
+// edges, recursive ones included; each root it reaches is invalidated and
+// queued once.
+func (s *System) invalidateClusters(cls []*clusterStruct, t *catalog.AtomType, a addr.LogicalAddr, old, nv []atom.Value) error {
+	type step struct {
+		a    addr.LogicalAddr
+		node *catalog.MolNode
+	}
+	for _, cl := range cls {
+		seen := map[step]bool{}
+		roots := map[addr.LogicalAddr]bool{}
+		var up func(node *catalog.MolNode, a addr.LogicalAddr, vals []atom.Value) error
+		up = func(node *catalog.MolNode, a addr.LogicalAddr, vals []atom.Value) error {
+			if node == cl.def.Molecule.Root {
+				roots[a] = true
+			}
+			for _, e := range cl.into[node] {
+				for y := range vals[e.back].AllRefs() {
+					if seen[step{y, e.from}] {
+						continue
+					}
+					seen[step{y, e.from}] = true
+					at, err := s.Get(y, nil)
+					if errors.Is(err, ErrNoAtom) {
+						continue
+					}
+					if err != nil {
+						return err
+					}
+					if err := up(e.from, y, at.Values); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}
+		for node := range cl.into {
+			if node.AtomType != t.Name {
+				continue
+			}
+			seen[step{a, node}] = true
+			for _, vals := range [2][]atom.Value{old, nv} {
+				if vals != nil {
+					if err := up(node, a, vals); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		for root := range roots {
+			cl.mu.Lock()
+			_ = s.dir.SetValid(root, cl.def.ID, false) // fails only where no occurrence is
+			cl.mu.Unlock()
+			s.deferq.push(deferTask{kind: taskCluster, a: root, structID: cl.def.ID})
+		}
+	}
+	return nil
 }
 
 // keyed is a structure that enters each atom of its type under a key built
@@ -539,7 +644,9 @@ func (so *sortOrderStruct) remove(values []atom.Value, a addr.LogicalAddr) error
 	return so.tree.Delete(so.sortKey(values), a)
 }
 
-// DropLDL tears down the named LDL structure of any kind.
+// DropLDL tears down the named LDL structure of any kind: a structure with
+// records per atom leaves the directory entries of its atom type, the root
+// type for a cluster.
 func (s *System) DropLDL(name string) error {
 	def, err := s.schema.DropLDL(name)
 	if err != nil {
@@ -547,48 +654,29 @@ func (s *System) DropLDL(name string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var id addr.StructID
+	var typeName string
 	switch d := def.(type) {
 	case *catalog.AccessPathDef:
 		delete(s.accessPaths, name)
+		return nil
 	case *catalog.SortOrderDef:
-		so := s.sortOrders[d.ID]
 		delete(s.sortOrders, d.ID)
-		if so != nil {
-			t, _ := s.schema.AtomType(d.AtomType)
-			if t != nil {
-				s.dir.Scan(t.ID, func(a addr.LogicalAddr, _ []addr.RecordRef) bool {
-					_ = s.dir.Unregister(a, d.ID)
-					return true
-				})
-			}
-		}
+		id, typeName = d.ID, d.AtomType
 	case *catalog.PartitionDef:
-		p := s.partitions[d.ID]
 		delete(s.partitions, d.ID)
-		if p != nil {
-			t, _ := s.schema.AtomType(d.AtomType)
-			if t != nil {
-				s.dir.Scan(t.ID, func(a addr.LogicalAddr, _ []addr.RecordRef) bool {
-					_ = s.dir.Unregister(a, d.ID)
-					return true
-				})
-			}
-		}
+		id, typeName = d.ID, d.AtomType
 	case *catalog.ClusterDef:
-		cl := s.clusters[d.ID]
 		delete(s.clusters, d.ID)
-		if cl != nil {
-			for root := range cl.occurrences {
-				s.mu.Unlock()
-				err := s.dropClusterOccurrence(cl, root)
-				s.mu.Lock()
-				if err != nil {
-					return err
-				}
-			}
-		}
+		id, typeName = d.ID, d.RootType()
 	default:
 		return fmt.Errorf("%w: %T", ErrUnknownStruct, def)
+	}
+	if t, ok := s.schema.AtomType(typeName); ok {
+		s.dir.Scan(t.ID, func(a addr.LogicalAddr, _ []addr.RecordRef) bool {
+			_ = s.dir.Unregister(a, id)
+			return true
+		})
 	}
 	return nil
 }
@@ -648,12 +736,12 @@ func (s *System) clustersInvolving(typeName string) []*clusterStruct {
 	return out
 }
 
-// buildRootedClusters builds the occurrences of the clusters whose root type
-// is t for root atom a.
+// buildRootedClusters builds, for each cluster whose root type is t, the
+// occurrence rooted at atom a.
 func (s *System) buildRootedClusters(t *catalog.AtomType, a addr.LogicalAddr) error {
 	for _, cl := range s.clustersInvolving(t.Name) {
 		if cl.def.RootType() == t.Name {
-			if err := s.buildClusterOccurrence(cl, a); err != nil {
+			if err := s.rebuildOccurrence(cl, a); err != nil {
 				return fmt.Errorf("access: cluster %s of %v: %w", cl.def.Name, a, err)
 			}
 		}

@@ -2,13 +2,13 @@ package access
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"testing"
 
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
 	"prima/internal/catalog"
-	"prima/internal/storage/pageseq"
 )
 
 func insertDocs(t testing.TB, s *System, n int) []addr.LogicalAddr {
@@ -337,14 +337,16 @@ func TestClusterLifecycle(t *testing.T) {
 		t.Fatalf("ClusterScan = %d, %v (want kids 12,13)", n, err)
 	}
 
-	// Direct single-atom read through the relative addressing table.
+	// One member read through the relative addressing table.
 	kids, _ := s.ScanAddrs("kid")
-	at, err := s.ClusterReadAtom("pc", kids[0])
+	occ, err := s.ClusterOccurrenceOf("pc", parents[0])
 	if err != nil {
-		t.Fatalf("ClusterReadAtom: %v", err)
+		t.Fatalf("ClusterOccurrenceOf: %v", err)
 	}
-	if v, _ := at.Value("n"); v.I != 0 {
-		t.Fatalf("ClusterReadAtom n = %v", v)
+	if rec, ok := occ.Record(kids[0]); !ok {
+		t.Fatal("occurrence lacks its first kid")
+	} else if v, _ := rec.Value("n"); v.I != 0 {
+		t.Fatalf("first kid n = %v", v)
 	}
 
 	// Updating a member invalidates the occurrence; the next scan
@@ -569,9 +571,9 @@ func TestClusterPersistence(t *testing.T) {
 }
 
 // occurrencePayload builds cluster pc over clusterSystem and returns the
-// system, the root of its first occurrence, the sequence holding that
-// occurrence and the payload stored there.
-func occurrencePayload(t testing.TB) (*System, addr.LogicalAddr, *pageseq.Sequence, []byte) {
+// system, the root of its first occurrence, a function that overwrites that
+// occurrence's record in place, and the payload stored there.
+func occurrencePayload(t testing.TB) (*System, addr.LogicalAddr, func([]byte) error, []byte) {
 	t.Helper()
 	s, parents := clusterSystem(t)
 	if err := s.CreateCluster(clusterDef("pc")); err != nil {
@@ -581,23 +583,31 @@ func occurrencePayload(t testing.TB) (*System, addr.LogicalAddr, *pageseq.Sequen
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := cl.seqs[parents[0]]
-	payload, err := seq.ReadAll()
+	root := parents[0]
+	ref, ok := s.dir.LookupStruct(root, cl.def.ID)
+	if !ok {
+		t.Fatal("the root's entry locates no occurrence")
+	}
+	payload, err := cl.container.Read(ref.Where)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, parents[0], seq, payload
+	rewrite := func(p []byte) error {
+		rid, err := cl.container.Update(ref.Where, p)
+		if err == nil && rid != ref.Where {
+			err = fmt.Errorf("the record moved to %v", rid)
+		}
+		return err
+	}
+	return s, root, rewrite, payload
 }
 
 // TestClusterTableRejectsBadEntries: a cluster payload whose relative
 // address table is cut short or points outside the payload fails the read
-// with an error — both the occurrence read and the single-member read —
-// instead of slicing out of range.
+// with an error instead of slicing out of range.
 func TestClusterTableRejectsBadEntries(t *testing.T) {
-	s, root, seq, good := occurrencePayload(t)
-	n := int(binary.BigEndian.Uint32(good))
+	s, root, rewrite, good := occurrencePayload(t)
 	row := func(i int) []byte { return good[4+16*i:] }
-	member := func(i int) addr.LogicalAddr { return addr.LogicalAddr(binary.BigEndian.Uint64(row(i))) }
 	setRow1 := func(off, n uint32) []byte {
 		p := slices.Clone(good)
 		binary.BigEndian.PutUint32(p[4+16+8:], off)
@@ -607,32 +617,30 @@ func TestClusterTableRejectsBadEntries(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		payload []byte
-		slot    int // the member whose single read must fail
 	}{
-		{"truncated table", good[:4+16], 1},
-		{"truncated payload", good[:len(good)-1], n - 1},
-		{"entry past the end", setRow1(binary.BigEndian.Uint32(row(1)[8:]), uint32(len(good))), 1},
-		{"wrapping off+len", setRow1(0xFFFFFFF0, 0x20), 1},
+		{"truncated table", good[:4+16]},
+		{"truncated payload", good[:len(good)-1]},
+		{"entry past the end", setRow1(binary.BigEndian.Uint32(row(1)[8:]), uint32(len(good)))},
+		{"wrapping off+len", setRow1(0xFFFFFFF0, 0x20)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if ns, err := seq.Rewrite(c.payload); err != nil || ns != seq {
-				t.Fatalf("rewrite moved the sequence or failed: %v", err)
+			if err := rewrite(c.payload); err != nil {
+				t.Fatalf("rewrite: %v", err)
 			}
 			if _, err := s.ClusterOccurrenceOf("pc", root); err == nil {
 				t.Error("ClusterOccurrenceOf read it")
 			}
-			if _, err := s.ClusterReadAtom("pc", member(c.slot)); err == nil {
-				t.Errorf("ClusterReadAtom read member %d", c.slot)
-			}
 		})
 	}
-	if _, err := seq.Rewrite(good); err != nil {
+	if err := rewrite(good); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		if _, err := s.ClusterReadAtom("pc", member(i)); err != nil {
-			t.Fatalf("ClusterReadAtom %d after restoring the payload: %v", i, err)
-		}
+	occ, err := s.ClusterOccurrenceOf("pc", root)
+	if err != nil {
+		t.Fatalf("ClusterOccurrenceOf after restoring the payload: %v", err)
+	}
+	if n := int(binary.BigEndian.Uint32(good)); len(occ.Records) != n {
+		t.Fatalf("restored occurrence holds %d members, want %d", len(occ.Records), n)
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"prima/internal/obs"
 	"prima/internal/storage/buffer"
 	"prima/internal/storage/device"
-	"prima/internal/storage/pageseq"
 	"prima/internal/storage/segment"
 	"prima/internal/storage/wal"
 )
@@ -142,17 +141,20 @@ type accessPathStruct struct {
 	grid     *mdindex.Grid // Method == GRID
 }
 
-// clusterStruct manages the occurrences of one atom-cluster type: one page
-// sequence per characteristic atom (Fig. 3.2).
+// clusterStruct is one atom-cluster type (Fig. 3.2): each occurrence is one
+// record of the container, its relative address table and member images,
+// located by the ref in its characteristic (root) atom's directory entry.
+// Small ones share a page; one longer than half a page spills to a page
+// sequence, like any record. The root's Valid flag alone says whether the
+// occurrence is current. mu serializes every rebuild of an occurrence of
+// the cluster with the invalidations that mark one stale.
 type clusterStruct struct {
-	def *catalog.ClusterDef
-	seg *segment.Segment
-	// occurrences maps the cluster's root (characteristic) atom to the
-	// header page of its page sequence.
-	occurrences map[addr.LogicalAddr]uint32
-	// seqs caches opened sequences (their header pages are hot during
-	// cluster scans); invalidated on rebuild.
-	seqs map[addr.LogicalAddr]*pageseq.Sequence
+	def       *catalog.ClusterDef
+	container *record.Container
+	// into lists, per node of the molecule structure, the edges whose
+	// targets the node's atoms are: the way up from a member to its roots.
+	into map[*catalog.MolNode][]molEdge
+	mu   sync.Mutex
 }
 
 // System is the access system instance for one database.
@@ -198,8 +200,8 @@ type System struct {
 	wal           *wal.Log
 	walRecovering bool
 	// walRoots collects, during recovery replay, the atoms the replay
-	// re-created; the occurrences of the clusters they root are built once
-	// the replay ends.
+	// re-created; the cluster occurrence each roots is built once the
+	// replay ends.
 	walRoots map[addr.LogicalAddr]bool
 	// txSeq numbers the transactions the log attributes records to: the
 	// transaction manager's and the atom sets' of autocommit writes.
@@ -336,6 +338,15 @@ func (s *System) newSegment(name string, pageSize int, maxPages uint32) (*segmen
 	return seg, nil
 }
 
+// newContainer creates a record container over a fresh segment.
+func (s *System) newContainer(name string, pageSize int) (*record.Container, error) {
+	seg, err := s.newSegment(name, pageSize, 0)
+	if err != nil {
+		return nil, err
+	}
+	return record.New(seg, s.pool)
+}
+
 // primary returns (creating on demand) the primary container of a type.
 func (s *System) primary(t *catalog.AtomType) (*record.Container, error) {
 	s.mu.RLock()
@@ -344,11 +355,7 @@ func (s *System) primary(t *catalog.AtomType) (*record.Container, error) {
 	if ok {
 		return c, nil
 	}
-	seg, err := s.newSegment("primary_"+t.Name, s.cfg.PageSize, 0)
-	if err != nil {
-		return nil, err
-	}
-	c, err = record.New(seg, s.pool)
+	c, err := s.newContainer("primary_"+t.Name, s.cfg.PageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +365,7 @@ func (s *System) primary(t *catalog.AtomType) (*record.Container, error) {
 		return exist, nil
 	}
 	s.primaries[t.ID] = c
-	s.primarySegs[t.ID] = seg.ID()
+	s.primarySegs[t.ID] = c.Segment().ID()
 	s.mu.Unlock()
 	return c, nil
 }
@@ -401,7 +408,7 @@ type manifest struct {
 	SortOrders  map[string]sortOrderManifest  `json:"sortOrders"`  // name -> location
 	Partitions  map[string]segment.ID         `json:"partitions"`  // name -> segment
 	AccessPaths map[string]accessPathManifest `json:"accessPaths"` // name -> location
-	Clusters    map[string]clusterManifest    `json:"clusters"`    // name -> location
+	Clusters    map[string]segment.ID         `json:"clusters"`    // name -> segment
 }
 
 type sortOrderManifest struct {
@@ -414,11 +421,6 @@ type accessPathManifest struct {
 	TreeSeg  segment.ID `json:"treeSeg,omitempty"`
 	TreeMeta uint32     `json:"treeMeta,omitempty"`
 	GridFile string     `json:"gridFile,omitempty"`
-}
-
-type clusterManifest struct {
-	Seg         segment.ID        `json:"seg"`
-	Occurrences map[string]uint32 `json:"occurrences"` // "%d" addr -> header page
 }
 
 // Checkpoint makes the current state durable: it propagates deferred work,
@@ -497,7 +499,7 @@ func (s *System) checkpoint() error {
 		SortOrders:  map[string]sortOrderManifest{},
 		Partitions:  map[string]segment.ID{},
 		AccessPaths: map[string]accessPathManifest{},
-		Clusters:    map[string]clusterManifest{},
+		Clusters:    map[string]segment.ID{},
 	}
 	for tid, segID := range s.primarySegs {
 		if t, ok := s.schema.AtomTypeByID(tid); ok {
@@ -529,11 +531,7 @@ func (s *System) checkpoint() error {
 		m.AccessPaths[name] = am
 	}
 	for _, cl := range s.clusters {
-		cm := clusterManifest{Seg: cl.seg.ID(), Occurrences: map[string]uint32{}}
-		for a, hp := range cl.occurrences {
-			cm.Occurrences[fmt.Sprintf("%d", uint64(a))] = hp
-		}
-		m.Clusters[cl.def.Name] = cm
+		m.Clusters[cl.def.Name] = cl.container.Segment().ID()
 	}
 	s.mu.RUnlock()
 
@@ -695,22 +693,22 @@ func (s *System) load() error {
 		}
 		s.accessPaths[name] = ap
 	}
-	for name, cm := range m.Clusters {
+	for name, segID := range m.Clusters {
 		def, ok := s.findClusterDef(name)
 		if !ok {
 			return fmt.Errorf("access: manifest names unknown cluster %s", name)
 		}
-		seg, err := openSeg(cm.Seg, "cluster_"+name, s.cfg.PageSize)
+		seg, err := openSeg(segID, "cluster_"+name, s.cfg.PageSize)
 		if err != nil {
 			return err
 		}
-		cl := &clusterStruct{def: def, seg: seg, occurrences: map[addr.LogicalAddr]uint32{}, seqs: map[addr.LogicalAddr]*pageseq.Sequence{}}
-		for k, hp := range cm.Occurrences {
-			var u uint64
-			if _, err := fmt.Sscanf(k, "%d", &u); err != nil {
-				return fmt.Errorf("access: bad cluster occurrence key %q", k)
-			}
-			cl.occurrences[addr.LogicalAddr(u)] = hp
+		cont, err := record.New(seg, s.pool)
+		if err != nil {
+			return err
+		}
+		cl, err := s.bindCluster(def, cont)
+		if err != nil {
+			return err
 		}
 		s.clusters[def.ID] = cl
 	}

@@ -59,8 +59,8 @@ func (s *System) openWAL() error {
 	return nil
 }
 
-// buildReplayedClusters builds the cluster occurrences of the atoms that
-// recovery replay re-created and that are still live after it.
+// buildReplayedClusters builds the cluster occurrence of each atom that
+// recovery replay re-created and that is still live after it.
 func (s *System) buildReplayedClusters() error {
 	for _, a := range slices.Sorted(maps.Keys(s.walRoots)) {
 		if !s.dir.Exists(a) {

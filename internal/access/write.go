@@ -140,7 +140,7 @@ func (w Writer) Restore(a addr.LogicalAddr, pre []atom.Value) error {
 
 // restore makes atom a of type t equal to img (nil: absent) wherever the
 // atom lives: its primary record and directory entry, the access paths,
-// sort orders and partitions of t, the cluster occurrences it roots, the
+// sort orders and partitions of t, each cluster occurrence it roots, the
 // atom cache and the multi-version store. from is the image the log holds
 // for a: what the write being undone wrote, or the pre-image of the write
 // being redone. The stored record may lie anywhere between from and img,
@@ -164,7 +164,7 @@ func (w Writer) restore(t *catalog.AtomType, a addr.LogicalAddr, from, img []ato
 		return nil
 	}
 	// The atom comes back, or a failed delete may have dissolved the
-	// cluster occurrences it roots: build them again.
+	// cluster occurrence it roots: build each again.
 	if s.walRecovering {
 		// A root's image may reference atoms the log replays after it
 		// (members of the same atom set): build once replay ends.
